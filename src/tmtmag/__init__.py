@@ -19,7 +19,6 @@ from .ramsey import (
     SensorParams,
     calib_frequency,
     derive_photon_levels,
-    iter_traces,
     sensing_frequency,
     shot_noise,
     simulate_ensemble,

@@ -22,7 +22,7 @@ from .ramsey import (
     simulate_ensemble,
     template,
 )
-from .tmt import FrequencyGrid, estimate_frequencies, margin_width
+from .tmt import FrequencyGrid, clamp_details, estimate_frequencies, margin_width
 from .wavelets import default_levels, uwt_analyze, uwt_synthesize
 
 
@@ -79,7 +79,6 @@ def find_detection_points(omega: float, plan: AcquisitionPlan, n_sd: int,
             f"{crossings.size} negative-slope crossings, need {n_sd}"
         )
     idx = np.round((crossings[:n_sd] - plan.t_start) * plan.f_sample).astype(int)
-    idx = np.clip(idx, 0, times.size - 1)
     t_q = times[idx]
     return DetectionPointSet(indices=idx, times=t_q,
                              truths=template(t_q, omega, params))
@@ -228,9 +227,13 @@ class BenchmarkSetup:
 class EnsembleRun:
     """One simulated ensemble with decompositions cached for beta scans.
 
-    Margins are linear in the width factor, so the template and shot-noise
-    decompositions are computed once per experiment and recombined for
-    every beta; this matches the per-trace pipeline to rounding.
+    The raw traces, the templates at the per-trace frequencies and the
+    shot-noise profiles are decomposed once.  Each :meth:`denoised` call
+    then clamps all raw detail coefficients into ``K +/- width * |S|`` with
+    one :func:`~tmtmag.tmt.clamp_details` call and synthesizes, so it
+    agrees with :func:`~tmtmag.tmt.tmt_denoise` trace by trace, including
+    the exact limits: ``beta = -inf`` returns the raw traces and
+    ``beta = +inf`` pins every detail coefficient to the template's.
     """
 
     def __init__(self, setup: BenchmarkSetup):
@@ -256,10 +259,8 @@ class EnsembleRun:
         self._noise_details = np.abs(noise_details)
 
     def denoised(self, beta: float) -> np.ndarray:
-        half = margin_width(beta, self.setup.plan) * self._noise_details
-        clamped = np.clip(self._raw_details,
-                          self._kernel_details - half,
-                          self._kernel_details + half)
+        clamped = clamp_details(self._raw_details, self._kernel_details,
+                                self._noise_details, margin_width(beta, self.setup.plan))
         return uwt_synthesize(clamped, self._raw_approx, self.setup.basis, self.setup.boundary)
 
 
@@ -287,7 +288,7 @@ def sweep_beta(setup: BenchmarkSetup, beta_grid) -> BetaSweepResult:
     betas = np.asarray(beta_grid, dtype=float)
     if betas.size < 3:
         raise ValueError(f"beta grid needs at least 3 values, got {betas.size}")
-    if np.any(np.diff(betas) <= 0):
+    if not np.all(betas[1:] > betas[:-1]):
         raise ValueError("beta grid must be strictly increasing")
     points = find_detection_points(setup.omega_true, setup.plan, setup.n_sd, setup.params)
     run = EnsembleRun(setup)

@@ -354,8 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=None, help="output directory")
         p.add_argument("--format", choices=["csv", "json", "both"], default=None,
                        help="output table format (default: from config)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="reserved; execution is serial and results never depend on it")
     return parser
 
 

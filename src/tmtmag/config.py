@@ -166,12 +166,14 @@ def _build_beta_grid(spec) -> np.ndarray:
         if unknown:
             raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in 'filter.beta_grid'")
         start, stop, step = float(spec["start"]), float(spec["stop"]), float(spec["step"])
-        if step <= 0 or stop <= start:
-            raise ConfigError("filter.beta_grid needs stop > start and step > 0")
+        if not (np.isfinite([start, stop, step]).all() and step > 0 and stop > start):
+            raise ConfigError("filter.beta_grid needs finite start < stop and step > 0")
         n = int(round((stop - start) / step))
         return start + step * np.arange(n + 1)
     grid = np.asarray(spec, dtype=float)
-    if grid.ndim != 1 or grid.size < 3 or np.any(np.diff(grid) <= 0):
+    if np.any(np.isnan(grid)):
+        raise ConfigError("filter.beta_grid must not contain NaN")
+    if grid.ndim != 1 or grid.size < 3 or not np.all(grid[1:] > grid[:-1]):
         raise ConfigError("filter.beta_grid must be strictly increasing with >= 3 values")
     return grid
 
@@ -189,6 +191,9 @@ def _build_filter(data: dict) -> FilterConfig:
         levels = int(levels)
         if levels < 0:
             raise ConfigError(f"filter: levels must be >= 0, got {levels}")
+    beta = float(merged["beta"])
+    if np.isnan(beta):
+        raise ConfigError("filter.beta must not be NaN (+/-Infinity are the raw and template limits)")
     freq_points = int(merged["freq_points"])
     freq_window = float(merged["freq_window"])
     if freq_points < 3:
@@ -199,7 +204,7 @@ def _build_filter(data: dict) -> FilterConfig:
         basis=basis,
         levels=levels,
         boundary=boundary,
-        beta=float(merged["beta"]),
+        beta=beta,
         beta_grid=_build_beta_grid(merged["beta_grid"]),
         freq_window=freq_window,
         freq_points=freq_points,

@@ -14,7 +14,6 @@ Dephasing enters through the stretched-exponential envelope
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator
 
 import numpy as np
 
@@ -242,11 +241,3 @@ def simulate_ensemble(params: SensorParams, plan: AcquisitionPlan, omega_true: f
                                 experiment_rng(plan.seed, i), photon_stats)
     return out
 
-
-def iter_traces(params: SensorParams, plan: AcquisitionPlan, omega_true: float,
-                photon_stats: str = "bernoulli-poisson") -> Iterator[PLTrace]:
-    times = plan.times
-    for i in range(plan.n_experiments):
-        values = _sample_values(params, plan, omega_true,
-                                experiment_rng(plan.seed, i), photon_stats)
-        yield PLTrace(times=times, values=values, params=params, plan=plan)

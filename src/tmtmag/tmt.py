@@ -1,15 +1,23 @@
 """Template-margin-threshold (TMT) wavelet denoiser for Ramsey PL traces.
 
-The pipeline estimates the fringe frequency of a raw trace by template
-cross-correlation, builds time-dependent upper/lower margins around the
-analytic template from the shot-noise model, decomposes both margins with
-the undecimated transform, and clamps each raw detail coefficient into the
-per-coefficient margin interval before reconstructing.  The approximation
-band is kept raw.
+Per trace, the fringe frequency is estimated by template cross-correlation
+(:func:`estimate_frequencies`).  The analytic template at that frequency
+and the shot-noise profile ``S(t)`` are decomposed with the undecimated
+transform, giving coefficients ``K`` and ``|S|``.  Each raw detail
+coefficient is then clamped into ``K +/- width * |S|``
+(:func:`clamp_details`) and the trace is reconstructed; the approximation
+band is kept raw.  By linearity this interval is exactly the min/max of
+the decompositions of the time-domain margins ``template +/- width * S``.
 
-The margin half-width is ``10**(-beta) * dN(t) / sqrt(T_I * M * f_sample)``;
-``beta`` is the filter order.  ``beta -> -inf`` is the raw (untouched)
-limit, ``beta -> +inf`` pins the trace to the template.
+The width is ``10**(-beta) / sqrt(T_I * M * f_sample)``; ``beta`` is the
+filter order.  The limits are exact: ``beta = -inf`` (and any ``beta``
+small enough that ``10**(-beta)`` overflows) gives an infinite width and
+returns the raw trace; ``beta = +inf`` gives width 0 and pins every detail
+coefficient to the template's.
+
+The per-trace API (:func:`estimate_template_frequency`,
+:func:`build_margins`, :func:`tmt_denoise`) runs the same array-level
+functions as the ensemble path in :mod:`tmtmag.bench`, with a batch of one.
 """
 
 from __future__ import annotations
@@ -19,14 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ramsey import AcquisitionPlan, PLTrace, SensorParams, shot_noise, template
-from .wavelets import (
-    WaveletBasis,
-    WaveletDecomposition,
-    default_levels,
-    iuwt_reconstruct,
-    uwt_analyze,
-    uwt_decompose,
-)
+from .wavelets import WaveletBasis, default_levels, uwt_analyze, uwt_synthesize
 
 
 class FrequencySearchError(ValueError):
@@ -63,15 +64,14 @@ class FrequencyGrid:
 
 def correlation_spectrum(values: np.ndarray, times: np.ndarray,
                          params: SensorParams, omegas: np.ndarray) -> np.ndarray:
-    """Trace/template overlap versus trial frequency.
+    """Trace/template overlap versus trial frequency, shape (n_traces, n_omegas).
 
-    Trapezoid-weighted inner product of the DC-removed trace with the
-    DC-removed template sampled on the trace grid; DC removal subtracts
-    each series' arithmetic mean over the window.
+    ``values`` has shape (n_traces, n_samples).  Trapezoid-weighted inner
+    product of each DC-removed trace with the DC-removed template sampled
+    on the trace grid; DC removal subtracts each series' arithmetic mean
+    over the window.
     """
-    arr = np.asarray(values, dtype=float)
-    single = arr.ndim == 1
-    v = np.atleast_2d(arr)
+    values = np.asarray(values, dtype=float)
     times = np.asarray(times, dtype=float)
     n = times.size
     if n < 2:
@@ -81,11 +81,10 @@ def correlation_spectrum(values: np.ndarray, times: np.ndarray,
     weights[0] = weights[-1] = 0.5 * dt
     kernel = template(times[None, :], omegas[:, None], params)
     kernel = kernel - kernel.mean(axis=1, keepdims=True)
-    centered = v - v.mean(axis=1, keepdims=True)
+    centered = values - values.mean(axis=1, keepdims=True)
     # einsum with optimize=False keeps the reduction order fixed, so results
     # do not depend on BLAS threading
-    r = np.einsum("en,gn->eg", centered * weights, kernel, optimize=False)
-    return r[0] if single else r
+    return np.einsum("en,gn->eg", centered * weights, kernel, optimize=False)
 
 
 @dataclass(frozen=True)
@@ -93,7 +92,6 @@ class TemplateEstimate:
     """Result of the template-frequency search."""
 
     omega_temp: float
-    correlation_curve: np.ndarray  # (n_points, 2) columns (omega, R)
     grid: FrequencyGrid
 
 
@@ -105,56 +103,38 @@ def _refine_parabolic(omegas: np.ndarray, r: np.ndarray, k: int) -> float:
     return omegas[k] + shift * (omegas[1] - omegas[0])
 
 
-def estimate_template_frequency(trace: PLTrace, params: SensorParams,
-                                grid: FrequencyGrid) -> TemplateEstimate:
-    """Maximize the trace/template correlation over ``grid``.
-
-    The discrete maximizer is refined by one parabolic interpolation
-    through its two neighbours.  A maximum on the grid boundary (search
-    window too narrow) or an all-constant trace is an error.
-    """
-    values = np.asarray(trace.values, dtype=float)
-    if values.size == 0:
-        raise FrequencySearchError("empty trace")
-    if np.ptp(values) == 0.0:
-        raise FrequencySearchError("constant trace: correlation is identically zero after DC removal")
-    omegas = grid.omegas
-    r = correlation_spectrum(values, trace.times, params, omegas)
-    k = int(np.argmax(r))
-    if k == 0 or k == omegas.size - 1:
-        raise FrequencySearchError(
-            f"correlation maximum at the grid boundary (omega={omegas[k]:.6g}); widen the search grid"
-        )
-    omega_temp = _refine_parabolic(omegas, r, k)
-    curve = np.column_stack([omegas, r])
-    return TemplateEstimate(omega_temp=omega_temp, correlation_curve=curve, grid=grid)
-
-
 def estimate_frequencies(values: np.ndarray, times: np.ndarray, params: SensorParams,
-                         grid: FrequencyGrid, chunk: int = 16) -> np.ndarray:
+                         grid: FrequencyGrid) -> np.ndarray:
     """Per-trace template frequencies for a whole ensemble.
 
-    ``values`` has shape (n_traces, n_samples); evaluation is chunked to
-    bound the size of the correlation temporaries.
+    ``values`` has shape (n_traces, n_samples).  Each trace's discrete
+    correlation maximizer over ``grid`` is refined by one parabolic
+    interpolation through its two neighbours.  A constant trace or a
+    maximum on the grid boundary (search window too narrow) is an error.
     """
     values = np.asarray(values, dtype=float)
     omegas = grid.omegas
+    r = correlation_spectrum(values, times, params, omegas)
     out = np.empty(values.shape[0])
-    for start in range(0, values.shape[0], chunk):
-        block = values[start:start + chunk]
-        r = correlation_spectrum(block, times, params, omegas)
-        ks = np.argmax(r, axis=1)
-        for i, k in enumerate(ks):
-            if np.ptp(block[i]) == 0.0:
-                raise FrequencySearchError(
-                    f"trace {start + i}: constant trace, correlation identically zero"
-                )
-            if k == 0 or k == omegas.size - 1:
-                raise FrequencySearchError(
-                    f"trace {start + i}: correlation maximum at the grid boundary; widen the grid"
-                )
-            out[start + i] = _refine_parabolic(omegas, r[i], int(k))
+    for i, k in enumerate(np.argmax(r, axis=1)):
+        if np.ptp(values[i]) == 0.0:
+            raise FrequencySearchError(
+                f"trace {i}: constant trace, correlation identically zero after DC removal"
+            )
+        if k == 0 or k == omegas.size - 1:
+            raise FrequencySearchError(
+                f"trace {i}: correlation maximum at the grid boundary "
+                f"(omega={omegas[k]:.6g}); widen the search grid"
+            )
+        out[i] = _refine_parabolic(omegas, r[i], int(k))
     return out
+
+
+def estimate_template_frequency(trace: PLTrace, params: SensorParams,
+                                grid: FrequencyGrid) -> TemplateEstimate:
+    """Template frequency of one trace: :func:`estimate_frequencies` on a batch of one."""
+    omega_temp = estimate_frequencies(trace.values[None], trace.times, params, grid)[0]
+    return TemplateEstimate(omega_temp=omega_temp, grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -162,81 +142,73 @@ def estimate_frequencies(values: np.ndarray, times: np.ndarray, params: SensorPa
 # ---------------------------------------------------------------------------
 
 def margin_width(beta: float, plan: AcquisitionPlan) -> float:
-    """Margin scale 10**(-beta) / sqrt(T_I * M * f_sample)."""
-    return 10.0 ** (-beta) / np.sqrt(plan.duration * plan.repetitions * plan.f_sample)
+    """Margin scale 10**(-beta) / sqrt(T_I * M * f_sample); inf once 10**(-beta) overflows."""
+    with np.errstate(over="ignore"):  # numpy scalars overflow to inf
+        try:
+            scale = 10.0 ** (-beta)
+        except OverflowError:  # Python floats raise instead
+            scale = np.inf
+    return scale / np.sqrt(plan.duration * plan.repetitions * plan.f_sample)
+
+
+def clamp_details(raw_details, kernel_details, noise_details, width: float) -> np.ndarray:
+    """Hard-clamp detail coefficients into ``kernel +/- width * noise``.
+
+    Shape-agnostic: the arrays broadcast, so one trace's ``(levels + 1, N)``
+    stack and an ensemble's ``(levels + 1, n_exp, N)`` stack go through the
+    same call.  ``noise_details`` is ``|S|``, the absolute shot-noise
+    coefficients.  An infinite width is the identity on the details (also
+    where ``|S|`` vanishes); width 0 pins them to ``kernel_details``.
+    """
+    if width == np.inf:
+        return raw_details
+    half = width * noise_details
+    return np.clip(raw_details, kernel_details - half, kernel_details + half)
 
 
 @dataclass(frozen=True)
 class MarginSet:
-    """Per-coefficient clamp intervals for one (omega_temp, beta) pair."""
+    """Clamp intervals ``kernel_details +/- width * noise_details`` for one (omega_temp, beta).
 
-    upper_time: np.ndarray
-    lower_time: np.ndarray
-    upper_coeffs: list[np.ndarray]
-    lower_coeffs: list[np.ndarray]
+    ``kernel_details`` and ``noise_details`` (the absolute shot-noise
+    coefficients) are stacked ``(levels + 1, N)`` undecimated detail
+    coefficients; the interval is ordered by construction.
+    """
+
+    kernel_details: np.ndarray
+    noise_details: np.ndarray
+    width: float
     beta: float
     levels: int
     times: np.ndarray
     basis_name: str
     boundary: str
 
-    def __post_init__(self):
-        for lo, hi in zip(self.lower_coeffs, self.upper_coeffs):
-            if np.any(lo > hi):
-                raise ValueError("lower margin exceeds upper margin")
-
 
 def build_margins(omega_temp: float, beta: float, params: SensorParams,
                   plan: AcquisitionPlan, basis: WaveletBasis | str,
                   levels: int | None = None, boundary: str = "periodic",
                   squared_contrast: bool = False) -> MarginSet:
-    """Margins around the template, decomposed to per-level clamp intervals.
+    """Decompose the template and the shot-noise profile at ``omega_temp`` once each.
 
-    Upper/lower time-domain margins are the template plus/minus the scaled
-    shot-noise profile; each detail coefficient interval is the elementwise
-    min/max of the two decompositions.  ``squared_contrast`` switches the
-    shot-noise model variant (see :func:`tmtmag.ramsey.shot_noise`).
+    ``squared_contrast`` switches the shot-noise model variant (see
+    :func:`tmtmag.ramsey.shot_noise`).
     """
     times = plan.times
     if levels is None:
         levels = default_levels(times.size)
-    kernel = template(times, omega_temp, params)
-    width = margin_width(beta, plan) * shot_noise(times, omega_temp, params,
-                                                  squared_contrast=squared_contrast)
-    upper = kernel + width
-    lower = kernel - width
-    du, _ = uwt_analyze(upper, basis, levels, boundary)
-    dl, _ = uwt_analyze(lower, basis, levels, boundary)
-    basis_name = basis if isinstance(basis, str) else basis.name
+    kernel_details, _ = uwt_analyze(template(times, omega_temp, params), basis, levels, boundary)
+    noise = shot_noise(times, omega_temp, params, squared_contrast=squared_contrast)
+    noise_details, _ = uwt_analyze(noise, basis, levels, boundary)
     return MarginSet(
-        upper_time=upper,
-        lower_time=lower,
-        upper_coeffs=[np.maximum(du[j], dl[j]) for j in range(levels + 1)],
-        lower_coeffs=[np.minimum(du[j], dl[j]) for j in range(levels + 1)],
+        kernel_details=kernel_details,
+        noise_details=np.abs(noise_details),
+        width=margin_width(beta, plan),
         beta=beta,
         levels=levels,
         times=times,
-        basis_name=basis_name,
+        basis_name=basis if isinstance(basis, str) else basis.name,
         boundary=boundary,
-    )
-
-
-def hard_clamp(raw, lower, upper):
-    """Hard shrinkage: pass in-margin values, pin the rest to the nearest margin."""
-    return np.clip(raw, lower, upper)
-
-
-def clamp_decomposition(decomp: WaveletDecomposition, margins: MarginSet) -> WaveletDecomposition:
-    """Clamp every detail level into its margin interval; keep the approximation raw."""
-    clamped = [hard_clamp(d, lo, hi)
-               for d, lo, hi in zip(decomp.details, margins.lower_coeffs, margins.upper_coeffs)]
-    return WaveletDecomposition(
-        details=clamped,
-        approximation=decomp.approximation,
-        levels=decomp.levels,
-        mode=decomp.mode,
-        boundary=decomp.boundary,
-        signal_length=decomp.signal_length,
     )
 
 
@@ -244,16 +216,17 @@ def tmt_denoise(trace: PLTrace, margins: MarginSet, basis: WaveletBasis | str) -
     """Denoise one trace against prebuilt margins.
 
     The raw trace is decomposed with the same basis, depth and boundary as
-    the margins, detail coefficients are clamped into [lower, upper], the
-    raw approximation band is kept, and the result is reconstructed.
+    the margins, its detail coefficients go through :func:`clamp_details`,
+    the raw approximation band is kept, and the result is reconstructed.
     """
     basis_name = basis if isinstance(basis, str) else basis.name
     if basis_name != margins.basis_name:
         raise ValueError(f"margins were built for basis {margins.basis_name!r}, got {basis_name!r}")
     if trace.values.size != margins.times.size or not np.allclose(trace.times, margins.times):
         raise ValueError("margins were built for a different time grid")
-    decomp = uwt_decompose(trace.values, basis, margins.levels, margins.boundary)
-    denoised = iuwt_reconstruct(clamp_decomposition(decomp, margins), basis)
+    details, approx = uwt_analyze(trace.values, basis, margins.levels, margins.boundary)
+    clamped = clamp_details(details, margins.kernel_details, margins.noise_details, margins.width)
+    denoised = uwt_synthesize(clamped, approx, basis, margins.boundary)
     return PLTrace(times=trace.times, values=denoised, params=trace.params, plan=trace.plan)
 
 

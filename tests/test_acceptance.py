@@ -6,11 +6,16 @@ as they complete.  Statistical criteria run at desk scale (ensembles of
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
+import tmtmag
 from tmtmag import (
     AcquisitionPlan,
     BenchmarkSetup,
@@ -238,12 +243,21 @@ def test_criterion_10_determinism(tmp_path):
         }
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
+        args = ["sweep-beta", "--config", str(path), "--seed", "31415", "--out"]
+        src = str(Path(tmtmag.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         outputs = []
-        for name, threads in [("a", "1"), ("b", "1"), ("c", "8")]:
+        # a, b: two reruns in this process; c, d: fresh processes with the
+        # BLAS/OpenMP pools pinned to 1 and to 2 threads
+        for name, threads in [("a", None), ("b", None), ("c", "1"), ("d", "2")]:
             out = tmp_path / name
-            code = main(["sweep-beta", "--config", str(path), "--seed", "31415",
-                         "--out", str(out), "--threads", threads])
-            assert code == 0
+            if threads is None:
+                assert main(args + [str(out)]) == 0
+            else:
+                env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                           PYTHONPATH=pythonpath)
+                subprocess.run([sys.executable, "-m", "tmtmag.cli"] + args + [str(out)],
+                               env=env, check=True, capture_output=True)
             outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         base = outputs[0]
         for other in outputs[1:]:

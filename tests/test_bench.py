@@ -1,8 +1,14 @@
 """Detection points, ensemble metrics, beta sweeps, and scaling fits."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import tmtmag
 from tmtmag import (
     AcquisitionPlan,
     BenchmarkSetup,
@@ -299,3 +305,18 @@ def test_child_seed_stability():
     assert child_seed(7, 1) == child_seed(7, 1)
     assert child_seed(7, 1) != child_seed(7, 2)
     assert child_seed(7, 1, 0) != child_seed(7, 1, 1)
+
+
+def test_benchmark_wrap_points_exist():
+    # perfbench/child.py wraps each layer where its caller looks it up; a
+    # refactor that moves one of those names must fail here.  The wraps
+    # rebind module globals, so they are installed in a fresh process.
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(tmtmag.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import child; "
+            "child.install_wraps(child.Tracer())")
+    result = subprocess.run([sys.executable, "-c", code, str(root / "perfbench")],
+                            env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

@@ -75,6 +75,31 @@ def test_beta_grid_forms():
         parse_config({"filter": {"beta_grid": {"start": 0.0, "stop": 1.0, "step": -1.0}}})
 
 
+def test_nan_beta_rejected_by_field():
+    with pytest.raises(ConfigError, match=r"filter\.beta "):
+        parse_config({"filter": {"beta": float("nan")}})
+    # JSON text spells NaN as a bare literal, which json.loads accepts
+    with pytest.raises(ConfigError, match=r"filter\.beta "):
+        parse_config('{"filter": {"beta": NaN}}')
+    with pytest.raises(ConfigError, match=r"filter\.beta_grid.*NaN"):
+        parse_config({"filter": {"beta_grid": [float("nan"), 0.0, 1.0]}})
+    with pytest.raises(ConfigError, match=r"filter\.beta_grid.*NaN"):
+        parse_config({"filter": {"beta_grid": [-1.0, 0.0, float("nan")]}})
+    with pytest.raises(ConfigError, match=r"filter\.beta_grid"):
+        parse_config({"filter": {"beta_grid": {"start": float("nan"), "stop": 1.0, "step": 0.5}}})
+
+
+def test_infinite_beta_limits_accepted():
+    config = parse_config('{"filter": {"beta": -Infinity, '
+                          '"beta_grid": [-Infinity, 0.0, Infinity]}}')
+    assert config.filter.beta == -np.inf
+    np.testing.assert_array_equal(config.filter.beta_grid, [-np.inf, 0.0, np.inf])
+    assert parse_config({"filter": {"beta": np.inf}}).filter.beta == np.inf
+    # a repeated infinity is not strictly increasing (inf - inf is NaN)
+    with pytest.raises(ConfigError, match="increasing"):
+        parse_config({"filter": {"beta_grid": [-np.inf, -np.inf, 0.0]}})
+
+
 def test_invalid_choices_rejected():
     with pytest.raises(ConfigError, match="basis"):
         parse_config({"filter": {"basis": "nosuch"}})

@@ -5,6 +5,7 @@ import pytest
 
 from tmtmag import (
     AcquisitionPlan,
+    BenchmarkSetup,
     FrequencyGrid,
     FrequencySearchError,
     PLTrace,
@@ -18,8 +19,9 @@ from tmtmag import (
     template,
     tmt_denoise,
 )
-from tmtmag.tmt import estimate_frequencies, hard_clamp, clamp_decomposition
-from tmtmag.wavelets import uwt_decompose
+from tmtmag.bench import EnsembleRun
+from tmtmag.tmt import clamp_details, estimate_frequencies
+from tmtmag.wavelets import uwt_analyze, uwt_decompose
 
 
 def _template_trace(params, plan, omega):
@@ -50,7 +52,7 @@ def test_noiseless_estimate_recovers_frequency(paper_params):
     grid = FrequencyGrid.around(paper_params.omega_calib, 0.15, 2001)
     est = estimate_template_frequency(trace, paper_params, grid)
     assert abs(est.omega_temp - omega_star) < grid.step
-    assert est.correlation_curve.shape == (2001, 2)
+    assert est.grid is grid
 
 
 def test_estimator_offset_is_small_but_nonzero(paper_params, short_plan):
@@ -94,7 +96,7 @@ def test_batch_estimates_match_single(paper_params, short_plan):
     plan = short_plan.with_(n_experiments=6, seed=9)
     values = simulate_ensemble(paper_params, plan, paper_params.omega_calib)
     grid = FrequencyGrid.around(paper_params.omega_calib, 0.15, 501)
-    batch = estimate_frequencies(values, plan.times, paper_params, grid, chunk=4)
+    batch = estimate_frequencies(values, plan.times, paper_params, grid)
     for i in range(values.shape[0]):
         trace = PLTrace(times=plan.times, values=values[i], params=paper_params, plan=plan)
         single = estimate_template_frequency(trace, paper_params, grid)
@@ -109,17 +111,15 @@ def test_margins_collapse_at_large_beta(paper_params, short_plan):
     omega = paper_params.omega_calib
     margins = build_margins(omega, 16.0, paper_params, short_plan, "bior6.8", levels=4)
     kernel = uwt_decompose(template(short_plan.times, omega, paper_params), "bior6.8", 4)
-    for lo, hi, dk in zip(margins.lower_coeffs, margins.upper_coeffs, kernel.details):
-        assert np.max(hi - lo) < 1e-9
-        np.testing.assert_allclose(lo, dk, atol=1e-9)
-        np.testing.assert_allclose(hi, dk, atol=1e-9)
+    assert np.max(2.0 * margins.width * margins.noise_details) < 1e-9
+    for k, dk in zip(margins.kernel_details, kernel.details):
+        np.testing.assert_array_equal(k, dk)
 
 
 def test_margins_huge_at_negative_beta(paper_params, short_plan):
     margins = build_margins(paper_params.omega_calib, -16.0, paper_params,
                             short_plan, "bior6.8", levels=4)
-    widths = [np.min(hi - lo) for lo, hi in zip(margins.lower_coeffs, margins.upper_coeffs)]
-    assert min(widths) > 1e3  # far beyond any PL coefficient magnitude
+    assert np.min(2.0 * margins.width * margins.noise_details) > 1e3  # beyond any PL coefficient
 
 
 def test_margin_width_formula_at_pi(paper_params):
@@ -129,21 +129,33 @@ def test_margin_width_formula_at_pi(paper_params):
     plan = AcquisitionPlan(0.0, 64 / f_sample, f_sample, 25000, 10, seed=1)
     beta = 1.5
     margins = build_margins(omega, beta, paper_params, plan, "bior6.8", levels=4)
-    kernel = template(plan.times, omega, paper_params)
-    measured = margins.upper_time[k] - kernel[k]
     expected = (10.0 ** (-beta) * np.sqrt(paper_params.n1)
                 / np.sqrt(plan.duration * plan.repetitions * plan.f_sample))
-    assert measured == pytest.approx(expected, rel=1e-12)
-    assert margin_width(beta, plan) * shot_noise(plan.times[k], omega, paper_params) == \
+    assert margins.width * shot_noise(plan.times[k], omega, paper_params) == \
         pytest.approx(expected, rel=1e-12)
+    assert margin_width(beta, plan) == margins.width
+
+
+def test_margin_width_limits(short_plan):
+    assert margin_width(-np.inf, short_plan) == np.inf
+    assert margin_width(np.inf, short_plan) == 0.0
+    # 10**400 overflows a float: the width saturates instead of raising
+    assert margin_width(-400.0, short_plan) == np.inf
+    assert margin_width(np.float64(-400.0), short_plan) == np.inf
 
 
 def test_margins_ordered(paper_params, short_plan):
-    margins = build_margins(paper_params.omega_calib, 0.0, paper_params,
-                            short_plan, "bior6.8", levels=5)
-    assert np.all(margins.upper_time >= margins.lower_time)
-    for lo, hi in zip(margins.lower_coeffs, margins.upper_coeffs):
-        assert np.all(lo <= hi)
+    # K +/- width*|S| equals the min/max of the decomposed time-domain margins
+    omega = paper_params.omega_calib
+    margins = build_margins(omega, 0.0, paper_params, short_plan, "bior6.8", levels=5)
+    assert np.all(margins.noise_details >= 0.0)
+    scaled = margins.width * shot_noise(short_plan.times, omega, paper_params)
+    kernel = template(short_plan.times, omega, paper_params)
+    du, _ = uwt_analyze(kernel + scaled, "bior6.8", 5)
+    dl, _ = uwt_analyze(kernel - scaled, "bior6.8", 5)
+    half = margins.width * margins.noise_details
+    np.testing.assert_allclose(margins.kernel_details + half, np.maximum(du, dl), atol=1e-14)
+    np.testing.assert_allclose(margins.kernel_details - half, np.minimum(du, dl), atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +163,15 @@ def test_margins_ordered(paper_params, short_plan):
 # ---------------------------------------------------------------------------
 
 def test_hard_clamp_cases():
-    assert hard_clamp(5.0, 1.0, 3.0) == 3.0
-    assert hard_clamp(2.0, 1.0, 3.0) == 2.0
-    assert hard_clamp(0.0, 1.0, 3.0) == 1.0
+    # interval 2 +/- 1 * 1 = [1, 3]
+    assert clamp_details(5.0, 2.0, 1.0, 1.0) == 3.0
+    assert clamp_details(2.0, 2.0, 1.0, 1.0) == 2.0
+    assert clamp_details(0.0, 2.0, 1.0, 1.0) == 1.0
+    # exact limits: infinite width is the identity even where |S| = 0,
+    # zero width pins to the kernel
+    raw = np.array([5.0, -7.0, 0.5])
+    np.testing.assert_array_equal(clamp_details(raw, 2.0, np.array([1.0, 0.0, 2.0]), np.inf), raw)
+    np.testing.assert_array_equal(clamp_details(raw, 2.0, 1.0, 0.0), [2.0, 2.0, 2.0])
 
 
 def test_raw_limit_passthrough(paper_params, short_plan):
@@ -178,13 +196,41 @@ def test_clamped_details_stay_inside_margins(paper_params, short_plan):
     trace = simulate_trace(paper_params, short_plan, paper_params.omega_calib, 2)
     margins = build_margins(paper_params.omega_calib, 0.5, paper_params,
                             short_plan, "bior6.8", levels=5)
-    decomp = uwt_decompose(trace.values, "bior6.8", 5)
-    clamped = clamp_decomposition(decomp, margins)
-    for d, lo, hi in zip(clamped.details, margins.lower_coeffs, margins.upper_coeffs):
-        assert np.all(d >= lo) and np.all(d <= hi)
-    # approximation band is exempt and untouched
-    np.testing.assert_array_equal(clamped.approximation, decomp.approximation)
-    assert np.any(clamped.details[0] != decomp.details[0])  # something was clamped
+    details, approx = uwt_analyze(trace.values, "bior6.8", 5)
+    clamped = clamp_details(details, margins.kernel_details, margins.noise_details, margins.width)
+    half = margins.width * margins.noise_details
+    assert np.all(clamped >= margins.kernel_details - half)
+    assert np.all(clamped <= margins.kernel_details + half)
+    assert np.any(clamped[0] != details[0])  # something was clamped
+    # the approximation band is exempt: denoising keeps the raw trace mean
+    out = tmt_denoise(trace, margins, "bior6.8")
+    assert np.mean(out.values) == pytest.approx(np.mean(trace.values), rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def ensemble_run(paper_params):
+    plan = AcquisitionPlan(0.97e-6, 1.75e-6, 128e6, 25000, 8, seed=77)
+    return EnsembleRun(BenchmarkSetup(params=paper_params, plan=plan,
+                                      omega_true=paper_params.omega_calib, n_sd=2))
+
+
+@pytest.mark.parametrize("beta", [-np.inf, -400.0, -4.0, 0.0, 2.0, np.inf])
+def test_ensemble_and_per_trace_paths_agree(ensemble_run, paper_params, beta):
+    run = ensemble_run
+    setup = run.setup
+    batch = run.denoised(beta)
+    assert not np.any(np.isnan(batch))
+    for i in range(run.values.shape[0]):
+        trace = PLTrace(times=run.times, values=run.values[i], params=paper_params,
+                        plan=setup.plan)
+        margins = build_margins(run.omega_temps[i], beta, paper_params, setup.plan,
+                                setup.basis, run.levels, setup.boundary)
+        single = tmt_denoise(trace, margins, setup.basis).values
+        assert not np.any(np.isnan(single))
+        assert np.max(np.abs(single - batch[i])) < 1e-12
+        if beta < -300.0:  # the raw limit, criterion 4's bound
+            rel = np.max(np.abs(single - trace.values)) / np.max(np.abs(trace.values))
+            assert rel < 1e-10
 
 
 def test_denoise_mismatch_errors(paper_params, short_plan):
