@@ -28,11 +28,9 @@ from .ramsey import (
 from .tmt import (
     FrequencyGrid,
     FrequencySearchError,
-    MarginSet,
-    TemplateEstimate,
     build_margins,
     denoise_pipeline,
-    estimate_template_frequency,
+    estimate_frequencies,
     margin_width,
     tmt_denoise,
 )

@@ -18,11 +18,10 @@ from .ramsey import (
     AcquisitionPlan,
     PLTrace,
     SensorParams,
-    shot_noise,
     simulate_ensemble,
     template,
 )
-from .tmt import FrequencyGrid, clamp_details, estimate_frequencies, margin_width
+from .tmt import FrequencyGrid, build_margins, clamp_details, estimate_frequencies, margin_width
 from .wavelets import default_levels, uwt_analyze, uwt_synthesize
 
 
@@ -227,12 +226,12 @@ class BenchmarkSetup:
 class EnsembleRun:
     """One simulated ensemble with decompositions cached for beta scans.
 
-    The raw traces, the templates at the per-trace frequencies and the
-    shot-noise profiles are decomposed once.  Each :meth:`denoised` call
-    then clamps all raw detail coefficients into ``K +/- width * |S|`` with
-    one :func:`~tmtmag.tmt.clamp_details` call and synthesizes, so it
-    agrees with :func:`~tmtmag.tmt.tmt_denoise` trace by trace, including
-    the exact limits: ``beta = -inf`` returns the raw traces and
+    The raw traces and, through :func:`~tmtmag.tmt.build_margins`, the
+    margins at the per-trace frequencies are decomposed once.  Each
+    :meth:`denoised` call then clamps all raw detail coefficients with one
+    :func:`~tmtmag.tmt.clamp_details` call and synthesizes, so it equals
+    :func:`~tmtmag.tmt.tmt_denoise` on the same traces and frequencies,
+    including the exact limits: ``beta = -inf`` returns the raw traces and
     ``beta = +inf`` pins every detail coefficient to the template's.
     """
 
@@ -251,12 +250,9 @@ class EnsembleRun:
             self.omega_temps = estimate_frequencies(self.values, self.times, params, grid)
         self._raw_details, self._raw_approx = uwt_analyze(
             self.values, setup.basis, self.levels, setup.boundary)
-        kernels = template(self.times[None, :], self.omega_temps[:, None], params)
-        noise = shot_noise(self.times[None, :], self.omega_temps[:, None], params,
-                           squared_contrast=setup.squared_contrast)
-        self._kernel_details, _ = uwt_analyze(kernels, setup.basis, self.levels, setup.boundary)
-        noise_details, _ = uwt_analyze(noise, setup.basis, self.levels, setup.boundary)
-        self._noise_details = np.abs(noise_details)
+        self._kernel_details, self._noise_details = build_margins(
+            self.omega_temps, params, plan, setup.basis, self.levels, setup.boundary,
+            setup.squared_contrast)
 
     def denoised(self, beta: float) -> np.ndarray:
         clamped = clamp_details(self._raw_details, self._kernel_details,

@@ -34,12 +34,14 @@ from .bench import (
     find_detection_points,
     fit_scaling,
     gain_profile,
+    plan_for_detection_count,
     sweep_beta,
 )
 from .config import MODES, ConfigError, RunConfig, config_snapshot, parse_config
 from .ramsey import simulate_ensemble
 
 _SEED_REQUIRED_MODES = ("sweep-beta", "benchmark", "gain-profile")
+_ENSEMBLE_MODES = ("denoise", "sweep-beta", "benchmark", "gain-profile")
 
 
 def _fmt(value) -> str:
@@ -103,6 +105,20 @@ def _stats_records(stats, points, series: str, beta) -> list[dict]:
     rows.append({"series": series, "beta": beta, "point": "fringe",
                  "mse": stats.fringe_averaged_mse})
     return rows
+
+
+def _check_mode_limits(config: RunConfig) -> None:
+    """Limits of the ensemble modes, checked before any computation."""
+    mode, plan, levels = config.experiment.mode, config.plan, config.filter.levels
+    if mode not in _ENSEMBLE_MODES:
+        return
+    if plan.n_experiments < 2:
+        raise ConfigError(f"plan.n_experiments must be >= 2 for mode {mode!r}, got {plan.n_experiments}")
+    if mode == "gain-profile":  # the shortest resized window bounds the depth
+        plan = plan_for_detection_count(plan, config.omega_sense, min(config.experiment.n_sd_values))
+    if levels is not None and 2 ** (levels + 1) > plan.n_samples:
+        raise ConfigError(f"filter.levels = {levels} needs >= {2 ** (levels + 1)} samples, "
+                          f"the {mode} window has {plan.n_samples}")
 
 
 def _make_setup(config: RunConfig) -> BenchmarkSetup:
@@ -299,6 +315,7 @@ def run(config: RunConfig) -> int:
     mode = config.experiment.mode
     if mode not in _RUNNERS:
         raise ConfigError(f"no experiment mode selected (known: {', '.join(MODES)})")
+    _check_mode_limits(config)
     out_dir = Path(config.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
@@ -366,7 +383,10 @@ def _apply_cli_overrides(config: RunConfig, args: argparse.Namespace) -> RunConf
     experiment = replace(config.experiment, mode=args.mode)
     plan = config.plan
     if args.seed is not None:
-        plan = plan.with_(seed=args.seed)
+        try:
+            plan = plan.with_(seed=args.seed)
+        except ValueError as exc:
+            raise ConfigError(f"--seed: {exc}") from exc
     output = config.output
     if args.out is not None:
         output = replace(output, directory=str(args.out))

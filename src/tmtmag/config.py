@@ -9,6 +9,7 @@ is validated against its module invariants before any computation starts.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -108,6 +109,14 @@ def _check_keys(section: str, data: dict) -> None:
         raise ConfigError(f"unknown key {name!r} in section {section!r}")
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; booleans and non-integral numbers are rejected by field name."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                       or isinstance(value, float) and value.is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _merged(section: str, data: dict) -> dict:
     _check_keys(section, data)
     out = dict(_DEFAULTS[section])
@@ -147,14 +156,14 @@ def _build_sensor(data: dict) -> SensorParams:
 
 def _build_plan(data: dict) -> AcquisitionPlan:
     merged = _merged("plan", data)
+    counts = {key: _integer(f"plan.{key}", merged.get(key, 0))
+              for key in ("repetitions", "n_experiments", "seed")}
     try:
         return AcquisitionPlan(
             t_start=float(merged["t_start"]),
             t_stop=float(merged["t_stop"]),
             f_sample=float(merged["f_sample"]),
-            repetitions=int(merged["repetitions"]),
-            n_experiments=int(merged["n_experiments"]),
-            seed=int(merged.get("seed", 0)),
+            **counts,
         )
     except ValueError as exc:
         raise ConfigError(f"plan: {exc}") from exc
@@ -188,13 +197,13 @@ def _build_filter(data: dict) -> FilterConfig:
         raise ConfigError(f"filter: unknown boundary {boundary!r}")
     levels = merged["levels"]
     if levels is not None:
-        levels = int(levels)
+        levels = _integer("filter.levels", levels)
         if levels < 0:
             raise ConfigError(f"filter: levels must be >= 0, got {levels}")
     beta = float(merged["beta"])
     if np.isnan(beta):
         raise ConfigError("filter.beta must not be NaN (+/-Infinity are the raw and template limits)")
-    freq_points = int(merged["freq_points"])
+    freq_points = _integer("filter.freq_points", merged["freq_points"])
     freq_window = float(merged["freq_window"])
     if freq_points < 3:
         raise ConfigError("filter: freq_points must be >= 3")
@@ -221,15 +230,15 @@ def _build_experiment(data: dict) -> ExperimentConfig:
         raise ConfigError(f"experiment: unknown photon_stats {photon_stats!r}")
     n_sd = merged["n_sd"]
     if n_sd is not None:
-        n_sd = int(n_sd)
+        n_sd = _integer("experiment.n_sd", n_sd)
         if n_sd < 1:
             raise ConfigError(f"experiment: n_sd must be >= 1, got {n_sd}")
-    m_values = [int(m) for m in merged["m_values"]]
-    if any(m < 1 for m in m_values):
-        raise ConfigError("experiment: m_values must all be >= 1")
-    n_sd_values = [int(v) for v in merged["n_sd_values"]]
-    if any(v < 1 for v in n_sd_values):
-        raise ConfigError("experiment: n_sd_values must all be >= 1")
+    m_values = [_integer("experiment.m_values", m) for m in merged["m_values"]]
+    if not m_values or any(m < 1 for m in m_values):
+        raise ConfigError("experiment: m_values must be non-empty and all >= 1")
+    n_sd_values = [_integer("experiment.n_sd_values", v) for v in merged["n_sd_values"]]
+    if not n_sd_values or any(v < 1 for v in n_sd_values):
+        raise ConfigError("experiment: n_sd_values must be non-empty and all >= 1")
     points = merged.get("points")
     if points is not None:
         points = [[float(a), float(b)] for a, b in points]

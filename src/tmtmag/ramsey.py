@@ -100,6 +100,8 @@ class AcquisitionPlan:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
         if self.n_experiments < 1:
             raise ValueError(f"n_experiments must be >= 1, got {self.n_experiments}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_samples < 4:
             raise ValueError(f"window supports only {self.n_samples} samples, need >= 4")
 

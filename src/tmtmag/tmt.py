@@ -15,9 +15,9 @@ small enough that ``10**(-beta)`` overflows) gives an infinite width and
 returns the raw trace; ``beta = +inf`` gives width 0 and pins every detail
 coefficient to the template's.
 
-The per-trace API (:func:`estimate_template_frequency`,
-:func:`build_margins`, :func:`tmt_denoise`) runs the same array-level
-functions as the ensemble path in :mod:`tmtmag.bench`, with a batch of one.
+The API takes and returns plain arrays of traces, one trace being a batch
+of one; the ensemble path in :mod:`tmtmag.bench` calls the same
+:func:`build_margins` and :func:`clamp_details`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ramsey import AcquisitionPlan, PLTrace, SensorParams, shot_noise, template
+from .ramsey import AcquisitionPlan, SensorParams, shot_noise, template
 from .wavelets import WaveletBasis, default_levels, uwt_analyze, uwt_synthesize
 
 
@@ -87,14 +87,6 @@ def correlation_spectrum(values: np.ndarray, times: np.ndarray,
     return np.einsum("en,gn->eg", centered * weights, kernel, optimize=False)
 
 
-@dataclass(frozen=True)
-class TemplateEstimate:
-    """Result of the template-frequency search."""
-
-    omega_temp: float
-    grid: FrequencyGrid
-
-
 def _refine_parabolic(omegas: np.ndarray, r: np.ndarray, k: int) -> float:
     denom = r[k - 1] - 2.0 * r[k] + r[k + 1]
     if denom == 0.0:
@@ -110,9 +102,14 @@ def estimate_frequencies(values: np.ndarray, times: np.ndarray, params: SensorPa
     ``values`` has shape (n_traces, n_samples).  Each trace's discrete
     correlation maximizer over ``grid`` is refined by one parabolic
     interpolation through its two neighbours.  A constant trace or a
-    maximum on the grid boundary (search window too narrow) is an error.
+    maximum on the grid boundary (search window too narrow) is an error, and
+    so is a trace with a NaN or infinite sample.
     """
     values = np.asarray(values, dtype=float)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i, k = np.argwhere(bad)[0]
+        raise FrequencySearchError(f"trace {i}: non-finite sample {values[i, k]} at index {k}")
     omegas = grid.omegas
     r = correlation_spectrum(values, times, params, omegas)
     out = np.empty(values.shape[0])
@@ -128,13 +125,6 @@ def estimate_frequencies(values: np.ndarray, times: np.ndarray, params: SensorPa
             )
         out[i] = _refine_parabolic(omegas, r[i], int(k))
     return out
-
-
-def estimate_template_frequency(trace: PLTrace, params: SensorParams,
-                                grid: FrequencyGrid) -> TemplateEstimate:
-    """Template frequency of one trace: :func:`estimate_frequencies` on a batch of one."""
-    omega_temp = estimate_frequencies(trace.values[None], trace.times, params, grid)[0]
-    return TemplateEstimate(omega_temp=omega_temp, grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -166,77 +156,60 @@ def clamp_details(raw_details, kernel_details, noise_details, width: float) -> n
     return np.clip(raw_details, kernel_details - half, kernel_details + half)
 
 
-@dataclass(frozen=True)
-class MarginSet:
-    """Clamp intervals ``kernel_details +/- width * noise_details`` for one (omega_temp, beta).
+def build_margins(omega_temps, params: SensorParams, plan: AcquisitionPlan,
+                  basis: WaveletBasis | str, levels: int, boundary: str = "periodic",
+                  squared_contrast: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Template and absolute shot-noise detail coefficients ``(K, |S|)`` at ``omega_temps``.
 
-    ``kernel_details`` and ``noise_details`` (the absolute shot-noise
-    coefficients) are stacked ``(levels + 1, N)`` undecimated detail
-    coefficients; the interval is ordered by construction.
-    """
-
-    kernel_details: np.ndarray
-    noise_details: np.ndarray
-    width: float
-    beta: float
-    levels: int
-    times: np.ndarray
-    basis_name: str
-    boundary: str
-
-
-def build_margins(omega_temp: float, beta: float, params: SensorParams,
-                  plan: AcquisitionPlan, basis: WaveletBasis | str,
-                  levels: int | None = None, boundary: str = "periodic",
-                  squared_contrast: bool = False) -> MarginSet:
-    """Decompose the template and the shot-noise profile at ``omega_temp`` once each.
-
-    ``squared_contrast`` switches the shot-noise model variant (see
-    :func:`tmtmag.ramsey.shot_noise`).
+    Both have shape ``(levels + 1,) + np.shape(omega_temps) + (N,)``; the
+    width is applied by :func:`clamp_details`.  ``squared_contrast`` selects
+    the shot-noise model variant (see :func:`tmtmag.ramsey.shot_noise`).
     """
     times = plan.times
-    if levels is None:
-        levels = default_levels(times.size)
-    kernel_details, _ = uwt_analyze(template(times, omega_temp, params), basis, levels, boundary)
-    noise = shot_noise(times, omega_temp, params, squared_contrast=squared_contrast)
+    omegas = np.asarray(omega_temps, dtype=float)[..., None]
+    kernel_details, _ = uwt_analyze(template(times, omegas, params), basis, levels, boundary)
+    noise = shot_noise(times, omegas, params, squared_contrast=squared_contrast)
     noise_details, _ = uwt_analyze(noise, basis, levels, boundary)
-    return MarginSet(
-        kernel_details=kernel_details,
-        noise_details=np.abs(noise_details),
-        width=margin_width(beta, plan),
-        beta=beta,
-        levels=levels,
-        times=times,
-        basis_name=basis if isinstance(basis, str) else basis.name,
-        boundary=boundary,
-    )
+    return kernel_details, np.abs(noise_details)
 
 
-def tmt_denoise(trace: PLTrace, margins: MarginSet, basis: WaveletBasis | str) -> PLTrace:
-    """Denoise one trace against prebuilt margins.
+def _as_traces(values, plan: AcquisitionPlan) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if values.shape[-1] != plan.n_samples:
+        raise ValueError(f"traces have {values.shape[-1]} samples but the plan's time grid "
+                         f"has {plan.n_samples}")
+    return values
 
-    The raw trace is decomposed with the same basis, depth and boundary as
-    the margins, its detail coefficients go through :func:`clamp_details`,
-    the raw approximation band is kept, and the result is reconstructed.
+
+def tmt_denoise(values, omega_temps, beta: float, params: SensorParams,
+                plan: AcquisitionPlan, basis: WaveletBasis | str,
+                levels: int | None = None, boundary: str = "periodic",
+                squared_contrast: bool = False) -> np.ndarray:
+    """Denoise traces ``values`` (shape ``(..., N)``) at their template frequencies.
+
+    ``omega_temps`` broadcasts to ``values.shape[:-1]``.  The detail
+    coefficients go through :func:`clamp_details` with the margins of
+    :func:`build_margins`; the raw approximation band is kept.
     """
-    basis_name = basis if isinstance(basis, str) else basis.name
-    if basis_name != margins.basis_name:
-        raise ValueError(f"margins were built for basis {margins.basis_name!r}, got {basis_name!r}")
-    if trace.values.size != margins.times.size or not np.allclose(trace.times, margins.times):
-        raise ValueError("margins were built for a different time grid")
-    details, approx = uwt_analyze(trace.values, basis, margins.levels, margins.boundary)
-    clamped = clamp_details(details, margins.kernel_details, margins.noise_details, margins.width)
-    denoised = uwt_synthesize(clamped, approx, basis, margins.boundary)
-    return PLTrace(times=trace.times, values=denoised, params=trace.params, plan=trace.plan)
+    values = _as_traces(values, plan)
+    if levels is None:
+        levels = default_levels(plan.n_samples)
+    omega_temps = np.broadcast_to(omega_temps, values.shape[:-1])
+    details, approx = uwt_analyze(values, basis, levels, boundary)
+    kernel_details, noise_details = build_margins(omega_temps, params, plan, basis, levels,
+                                                  boundary, squared_contrast)
+    clamped = clamp_details(details, kernel_details, noise_details, margin_width(beta, plan))
+    return uwt_synthesize(clamped, approx, basis, boundary)
 
 
-def denoise_pipeline(trace: PLTrace, params: SensorParams, plan: AcquisitionPlan,
+def denoise_pipeline(values, params: SensorParams, plan: AcquisitionPlan,
                      beta: float, basis: WaveletBasis | str,
                      levels: int | None = None, grid: FrequencyGrid | None = None,
-                     boundary: str = "periodic") -> tuple[PLTrace, TemplateEstimate]:
-    """Estimate the template frequency, build margins, denoise; returns both artifacts."""
+                     boundary: str = "periodic") -> tuple[np.ndarray, np.ndarray]:
+    """Estimate each trace's template frequency, then denoise; returns ``(denoised, omega_temps)``."""
+    values = _as_traces(values, plan)
     if grid is None:
         grid = FrequencyGrid.around(params.omega_calib)
-    estimate = estimate_template_frequency(trace, params, grid)
-    margins = build_margins(estimate.omega_temp, beta, params, plan, basis, levels, boundary)
-    return tmt_denoise(trace, margins, basis), estimate
+    rows = values.reshape(-1, plan.n_samples)
+    omega_temps = estimate_frequencies(rows, plan.times, params, grid).reshape(values.shape[:-1])
+    return tmt_denoise(values, omega_temps, beta, params, plan, basis, levels, boundary), omega_temps

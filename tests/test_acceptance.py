@@ -19,10 +19,8 @@ import tmtmag
 from tmtmag import (
     AcquisitionPlan,
     BenchmarkSetup,
-    PLTrace,
     SensorParams,
     benchmark_snr,
-    build_margins,
     default_beta_grid,
     ensemble_stats,
     find_detection_points,
@@ -124,17 +122,14 @@ def test_criterion_3_statistical_identity():
 def test_criterion_4_raw_limit_and_template_passthrough():
     with criterion(4, "raw limit and template passthrough"):
         plan = AcquisitionPlan(0.97e-6, 1.75e-6, 128e6, 25000, 10, seed=1004)
-        trace = simulate_trace(PARAMS, plan, OMEGA_SENSE, 0)
-        margins = build_margins(OMEGA_SENSE, -16.0, PARAMS, plan, "bior6.8")
-        out = tmt_denoise(trace, margins, "bior6.8")
-        rel = np.max(np.abs(out.values - trace.values)) / np.max(np.abs(trace.values))
+        trace = simulate_trace(PARAMS, plan, OMEGA_SENSE, 0).values
+        out = tmt_denoise(trace, OMEGA_SENSE, -16.0, PARAMS, plan, "bior6.8")
+        rel = np.max(np.abs(out - trace)) / np.max(np.abs(trace))
         assert rel < 1e-10
-        clean = PLTrace(times=plan.times, values=template(plan.times, OMEGA_SENSE, PARAMS),
-                        params=PARAMS, plan=plan)
+        clean = template(plan.times, OMEGA_SENSE, PARAMS)
         for beta in np.arange(-16.0, 17.0, 1.0):
-            margins = build_margins(OMEGA_SENSE, float(beta), PARAMS, plan, "bior6.8")
-            passed = tmt_denoise(clean, margins, "bior6.8")
-            assert np.max(np.abs(passed.values - clean.values)) < 1e-9
+            passed = tmt_denoise(clean, OMEGA_SENSE, float(beta), PARAMS, plan, "bior6.8")
+            assert np.max(np.abs(passed - clean)) < 1e-9
 
 
 def test_criterion_5_sql_recovery():

@@ -197,6 +197,44 @@ def test_mode_conflict_rejected(tmp_path, capsys):
     assert "mode" in capsys.readouterr().err
 
 
+def test_negative_cli_seed_rejected(tmp_path, capsys):
+    cfg = fast_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--seed", "-1", "--out", str(out)]) == 2
+    assert "--seed: seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["denoise", "sweep-beta", "benchmark", "gain-profile"])
+def test_single_experiment_rejected_in_ensemble_modes(tmp_path, capsys, mode):
+    cfg = fast_config(tmp_path, plan={"n_experiments": 1})
+    out = tmp_path / "run"
+    assert main([mode, "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 2
+    assert "plan.n_experiments must be >= 2 for mode" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any computation
+
+
+def test_single_experiment_simulate_accepted(tmp_path):
+    cfg = fast_config(tmp_path, plan={"n_experiments": 1})
+    assert main(["simulate", "--config", str(cfg), "--seed", "1",
+                 "--out", str(tmp_path / "run")]) == 0
+
+
+def test_too_deep_levels_rejected(tmp_path, capsys):
+    # the 50-sample window holds at most 4 undecimated levels (2**(4+1) <= 50)
+    cfg = fast_config(tmp_path, filter={"levels": 5})
+    out = tmp_path / "run"
+    assert main(["sweep-beta", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 2
+    assert "filter.levels = 5" in capsys.readouterr().err
+    assert not out.exists()
+    # gain-profile resizes the 448-sample window; n_sd = 1 leaves 53 samples
+    cfg = fast_config(tmp_path, filter={"levels": 5}, experiment={"n_sd_values": [2, 1]},
+                      plan={"t_stop": 3.7e-6, "t_start": 0.2e-6})
+    assert main(["gain-profile", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 2
+    assert "the gain-profile window has 53" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_key_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"filter": {"betta": 1}}))

@@ -118,6 +118,40 @@ def test_plan_validation_propagates():
         parse_config({"plan": {"t_start": 2e-6, "t_stop": 1e-6}})
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("plan", "repetitions", 1.5),
+    ("plan", "repetitions", True),
+    ("plan", "n_experiments", 20.5),
+    ("plan", "seed", False),
+    ("filter", "levels", 2.5),
+    ("filter", "freq_points", True),
+    ("experiment", "n_sd", 1.5),
+    ("experiment", "m_values", [25000, 50000.5, 100000]),
+    ("experiment", "n_sd_values", [1, True]),
+])
+def test_non_integral_counts_rejected_by_field(section, key, value):
+    # int() used to truncate 1.5 to 1 and turn true into 1
+    with pytest.raises(ConfigError, match=rf"{section}\.{key} must be an integer"):
+        parse_config({section: {key: value}})
+
+
+def test_integral_floats_accepted_as_counts():
+    config = parse_config({"plan": {"repetitions": 25000.0, "seed": 3.0},
+                           "experiment": {"n_sd_values": [1.0, 2]}})
+    assert config.plan.repetitions == 25000 and isinstance(config.plan.repetitions, int)
+    assert config.plan.seed == 3 and isinstance(config.plan.seed, int)
+    assert config.experiment.n_sd_values == [1, 2]
+
+
+def test_negative_seed_and_empty_lists_rejected():
+    with pytest.raises(ConfigError, match="plan: seed must be >= 0"):
+        parse_config({"plan": {"seed": -1}})
+    with pytest.raises(ConfigError, match="m_values"):
+        parse_config({"experiment": {"m_values": []}})
+    with pytest.raises(ConfigError, match="n_sd_values"):
+        parse_config({"experiment": {"n_sd_values": []}})
+
+
 def test_snapshot_is_complete():
     config = parse_config({"plan": {"seed": 99}})
     snap = config.snapshot

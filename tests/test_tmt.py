@@ -2,16 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tmtmag import (
     AcquisitionPlan,
     BenchmarkSetup,
     FrequencyGrid,
     FrequencySearchError,
-    PLTrace,
     build_margins,
     denoise_pipeline,
-    estimate_template_frequency,
+    estimate_frequencies,
     margin_width,
     shot_noise,
     simulate_ensemble,
@@ -20,13 +21,13 @@ from tmtmag import (
     tmt_denoise,
 )
 from tmtmag.bench import EnsembleRun
-from tmtmag.tmt import clamp_details, estimate_frequencies
+from tmtmag.tmt import clamp_details
 from tmtmag.wavelets import uwt_analyze, uwt_decompose
 
 
-def _template_trace(params, plan, omega):
-    return PLTrace(times=plan.times, values=template(plan.times, omega, params),
-                   params=params, plan=plan)
+def _estimate(values, params, plan, grid):
+    """Template frequency of one trace: the batched search on a batch of one."""
+    return estimate_frequencies(np.asarray(values)[None], plan.times, params, grid)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -48,21 +49,19 @@ def test_noiseless_estimate_recovers_frequency(paper_params):
     # frequency; short windows bias the unnormalized peak (tested below)
     plan = AcquisitionPlan(0.2e-6, 3.7e-6, 128e6, 25000, 20, seed=1)
     omega_star = paper_params.omega_calib * 1.004
-    trace = _template_trace(paper_params, plan, omega_star)
+    trace = template(plan.times, omega_star, paper_params)
     grid = FrequencyGrid.around(paper_params.omega_calib, 0.15, 2001)
-    est = estimate_template_frequency(trace, paper_params, grid)
-    assert abs(est.omega_temp - omega_star) < grid.step
-    assert est.grid is grid
+    assert abs(_estimate(trace, paper_params, plan, grid) - omega_star) < grid.step
 
 
 def test_estimator_offset_is_small_but_nonzero(paper_params, short_plan):
     # the 100-sample window holds only ~2 fringes; even noiselessly the
     # unnormalized correlation peak sits slightly off the true frequency,
     # and noise scatters the per-trace estimates around that offset
-    noiseless = _template_trace(paper_params, short_plan, paper_params.omega_calib)
+    noiseless = template(short_plan.times, paper_params.omega_calib, paper_params)
     grid = FrequencyGrid.around(paper_params.omega_calib, 0.15, 2001)
-    est = estimate_template_frequency(noiseless, paper_params, grid)
-    det_offset = (est.omega_temp - paper_params.omega_calib) / paper_params.omega_calib
+    omega_temp = _estimate(noiseless, paper_params, short_plan, grid)
+    det_offset = (omega_temp - paper_params.omega_calib) / paper_params.omega_calib
     assert 0.0 < abs(det_offset) < 0.01
 
     plan = short_plan.with_(n_experiments=50, seed=21)
@@ -74,22 +73,31 @@ def test_estimator_offset_is_small_but_nonzero(paper_params, short_plan):
 
 
 def test_zero_trace_rejected(paper_params, short_plan):
-    trace = PLTrace(times=short_plan.times, values=np.zeros(short_plan.n_samples),
-                    params=paper_params, plan=short_plan)
     grid = FrequencyGrid.around(paper_params.omega_calib)
     with pytest.raises(FrequencySearchError, match="constant"):
-        estimate_template_frequency(trace, paper_params, grid)
+        _estimate(np.zeros(short_plan.n_samples), paper_params, short_plan, grid)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_trace_rejected(paper_params, short_plan, bad):
+    # argmax of a NaN spectrum row is 0, which looked like a grid-boundary miss
+    values = simulate_ensemble(paper_params, short_plan.with_(n_experiments=3),
+                               paper_params.omega_calib)
+    values[1, 7] = bad
+    grid = FrequencyGrid.around(paper_params.omega_calib)
+    with pytest.raises(FrequencySearchError, match="trace 1: non-finite sample .* index 7"):
+        estimate_frequencies(values, short_plan.times, paper_params, grid)
 
 
 def test_boundary_maximum_rejected(paper_params):
     plan = AcquisitionPlan(0.2e-6, 3.7e-6, 128e6, 25000, 20, seed=1)
     omega_star = paper_params.omega_calib
-    trace = _template_trace(paper_params, plan, omega_star)
+    trace = template(plan.times, omega_star, paper_params)
     # grid starting just above the true frequency: R decreases from the
     # left edge, so the discrete maximum lands on the boundary
     grid = FrequencyGrid(omega_star * 1.001, omega_star * 1.1, 101)
     with pytest.raises(FrequencySearchError, match="boundary"):
-        estimate_template_frequency(trace, paper_params, grid)
+        _estimate(trace, paper_params, plan, grid)
 
 
 def test_batch_estimates_match_single(paper_params, short_plan):
@@ -98,9 +106,7 @@ def test_batch_estimates_match_single(paper_params, short_plan):
     grid = FrequencyGrid.around(paper_params.omega_calib, 0.15, 501)
     batch = estimate_frequencies(values, plan.times, paper_params, grid)
     for i in range(values.shape[0]):
-        trace = PLTrace(times=plan.times, values=values[i], params=paper_params, plan=plan)
-        single = estimate_template_frequency(trace, paper_params, grid)
-        assert batch[i] == pytest.approx(single.omega_temp, rel=0, abs=0)
+        assert batch[i] == _estimate(values[i], paper_params, plan, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -109,17 +115,18 @@ def test_batch_estimates_match_single(paper_params, short_plan):
 
 def test_margins_collapse_at_large_beta(paper_params, short_plan):
     omega = paper_params.omega_calib
-    margins = build_margins(omega, 16.0, paper_params, short_plan, "bior6.8", levels=4)
+    kernel_details, noise_details = build_margins(omega, paper_params, short_plan, "bior6.8", 4)
     kernel = uwt_decompose(template(short_plan.times, omega, paper_params), "bior6.8", 4)
-    assert np.max(2.0 * margins.width * margins.noise_details) < 1e-9
-    for k, dk in zip(margins.kernel_details, kernel.details):
+    assert np.max(2.0 * margin_width(16.0, short_plan) * noise_details) < 1e-9
+    for k, dk in zip(kernel_details, kernel.details):
         np.testing.assert_array_equal(k, dk)
 
 
 def test_margins_huge_at_negative_beta(paper_params, short_plan):
-    margins = build_margins(paper_params.omega_calib, -16.0, paper_params,
-                            short_plan, "bior6.8", levels=4)
-    assert np.min(2.0 * margins.width * margins.noise_details) > 1e3  # beyond any PL coefficient
+    _, noise_details = build_margins(paper_params.omega_calib, paper_params, short_plan,
+                                     "bior6.8", 4)
+    # beyond any PL coefficient
+    assert np.min(2.0 * margin_width(-16.0, short_plan) * noise_details) > 1e3
 
 
 def test_margin_width_formula_at_pi(paper_params):
@@ -128,12 +135,10 @@ def test_margin_width_formula_at_pi(paper_params):
     omega = np.pi * f_sample / k  # puts omega * t exactly at pi on sample k
     plan = AcquisitionPlan(0.0, 64 / f_sample, f_sample, 25000, 10, seed=1)
     beta = 1.5
-    margins = build_margins(omega, beta, paper_params, plan, "bior6.8", levels=4)
     expected = (10.0 ** (-beta) * np.sqrt(paper_params.n1)
                 / np.sqrt(plan.duration * plan.repetitions * plan.f_sample))
-    assert margins.width * shot_noise(plan.times[k], omega, paper_params) == \
+    assert margin_width(beta, plan) * shot_noise(plan.times[k], omega, paper_params) == \
         pytest.approx(expected, rel=1e-12)
-    assert margin_width(beta, plan) == margins.width
 
 
 def test_margin_width_limits(short_plan):
@@ -147,15 +152,29 @@ def test_margin_width_limits(short_plan):
 def test_margins_ordered(paper_params, short_plan):
     # K +/- width*|S| equals the min/max of the decomposed time-domain margins
     omega = paper_params.omega_calib
-    margins = build_margins(omega, 0.0, paper_params, short_plan, "bior6.8", levels=5)
-    assert np.all(margins.noise_details >= 0.0)
-    scaled = margins.width * shot_noise(short_plan.times, omega, paper_params)
+    kernel_details, noise_details = build_margins(omega, paper_params, short_plan, "bior6.8", 5)
+    assert np.all(noise_details >= 0.0)
+    width = margin_width(0.0, short_plan)
+    scaled = width * shot_noise(short_plan.times, omega, paper_params)
     kernel = template(short_plan.times, omega, paper_params)
     du, _ = uwt_analyze(kernel + scaled, "bior6.8", 5)
     dl, _ = uwt_analyze(kernel - scaled, "bior6.8", 5)
-    half = margins.width * margins.noise_details
-    np.testing.assert_allclose(margins.kernel_details + half, np.maximum(du, dl), atol=1e-14)
-    np.testing.assert_allclose(margins.kernel_details - half, np.minimum(du, dl), atol=1e-14)
+    half = width * noise_details
+    np.testing.assert_allclose(kernel_details + half, np.maximum(du, dl), atol=1e-14)
+    np.testing.assert_allclose(kernel_details - half, np.minimum(du, dl), atol=1e-14)
+
+
+def test_margins_batch_shape(paper_params, short_plan):
+    # an array of frequencies gives one margin stack per entry, equal to the scalar call
+    omegas = paper_params.omega_calib * np.array([[0.99, 1.0, 1.02], [1.01, 0.98, 1.0]])
+    kernel_details, noise_details = build_margins(omegas, paper_params, short_plan,
+                                                  "bior6.8", 4, squared_contrast=True)
+    assert kernel_details.shape == noise_details.shape == (5, 2, 3, short_plan.n_samples)
+    k, s = build_margins(omegas[1, 2], paper_params, short_plan, "bior6.8", 4,
+                         squared_contrast=True)
+    assert k.shape == (5, short_plan.n_samples)
+    np.testing.assert_array_equal(kernel_details[:, 1, 2], k)
+    np.testing.assert_array_equal(noise_details[:, 1, 2], s)
 
 
 # ---------------------------------------------------------------------------
@@ -176,35 +195,34 @@ def test_hard_clamp_cases():
 
 def test_raw_limit_passthrough(paper_params, short_plan):
     trace = simulate_trace(paper_params, short_plan, paper_params.omega_calib, 0)
-    margins = build_margins(paper_params.omega_calib, -16.0, paper_params,
-                            short_plan, "bior6.8", levels=5)
-    out = tmt_denoise(trace, margins, "bior6.8")
-    rel = np.max(np.abs(out.values - trace.values)) / np.max(np.abs(trace.values))
+    out = tmt_denoise(trace.values, paper_params.omega_calib, -16.0, paper_params,
+                      short_plan, "bior6.8", levels=5)
+    rel = np.max(np.abs(out - trace.values)) / np.max(np.abs(trace.values))
     assert rel < 1e-10
 
 
 @pytest.mark.parametrize("beta", [-4.0, 0.0, 4.0, 16.0])
 def test_template_passthrough(paper_params, short_plan, beta):
     omega = paper_params.omega_calib * 1.01
-    trace = _template_trace(paper_params, short_plan, omega)
-    margins = build_margins(omega, beta, paper_params, short_plan, "bior6.8", levels=5)
-    out = tmt_denoise(trace, margins, "bior6.8")
-    np.testing.assert_allclose(out.values, trace.values, atol=1e-9)
+    trace = template(short_plan.times, omega, paper_params)
+    out = tmt_denoise(trace, omega, beta, paper_params, short_plan, "bior6.8", levels=5)
+    np.testing.assert_allclose(out, trace, atol=1e-9)
 
 
 def test_clamped_details_stay_inside_margins(paper_params, short_plan):
-    trace = simulate_trace(paper_params, short_plan, paper_params.omega_calib, 2)
-    margins = build_margins(paper_params.omega_calib, 0.5, paper_params,
-                            short_plan, "bior6.8", levels=5)
+    omega = paper_params.omega_calib
+    trace = simulate_trace(paper_params, short_plan, omega, 2)
+    kernel_details, noise_details = build_margins(omega, paper_params, short_plan, "bior6.8", 5)
+    width = margin_width(0.5, short_plan)
     details, approx = uwt_analyze(trace.values, "bior6.8", 5)
-    clamped = clamp_details(details, margins.kernel_details, margins.noise_details, margins.width)
-    half = margins.width * margins.noise_details
-    assert np.all(clamped >= margins.kernel_details - half)
-    assert np.all(clamped <= margins.kernel_details + half)
+    clamped = clamp_details(details, kernel_details, noise_details, width)
+    half = width * noise_details
+    assert np.all(clamped >= kernel_details - half)
+    assert np.all(clamped <= kernel_details + half)
     assert np.any(clamped[0] != details[0])  # something was clamped
     # the approximation band is exempt: denoising keeps the raw trace mean
-    out = tmt_denoise(trace, margins, "bior6.8")
-    assert np.mean(out.values) == pytest.approx(np.mean(trace.values), rel=1e-12)
+    out = tmt_denoise(trace.values, omega, 0.5, paper_params, short_plan, "bior6.8", levels=5)
+    assert np.mean(out) == pytest.approx(np.mean(trace.values), rel=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -214,35 +232,57 @@ def ensemble_run(paper_params):
                                       omega_true=paper_params.omega_calib, n_sd=2))
 
 
-@pytest.mark.parametrize("beta", [-np.inf, -400.0, -4.0, 0.0, 2.0, np.inf])
-def test_ensemble_and_per_trace_paths_agree(ensemble_run, paper_params, beta):
-    run = ensemble_run
+def _denoise_like(run, values, omega_temps, beta):
     setup = run.setup
+    return tmt_denoise(values, omega_temps, beta, setup.params, setup.plan, setup.basis,
+                       run.levels, setup.boundary)
+
+
+@pytest.mark.parametrize("beta", [-np.inf, -400.0, -4.0, 0.0, 2.0, np.inf])
+def test_ensemble_and_per_trace_paths_agree(ensemble_run, beta):
+    run = ensemble_run
     batch = run.denoised(beta)
     assert not np.any(np.isnan(batch))
+    np.testing.assert_array_equal(_denoise_like(run, run.values, run.omega_temps, beta), batch)
     for i in range(run.values.shape[0]):
-        trace = PLTrace(times=run.times, values=run.values[i], params=paper_params,
-                        plan=setup.plan)
-        margins = build_margins(run.omega_temps[i], beta, paper_params, setup.plan,
-                                setup.basis, run.levels, setup.boundary)
-        single = tmt_denoise(trace, margins, setup.basis).values
-        assert not np.any(np.isnan(single))
-        assert np.max(np.abs(single - batch[i])) < 1e-12
+        single = _denoise_like(run, run.values[i], run.omega_temps[i], beta)
+        np.testing.assert_array_equal(single, batch[i])
         if beta < -300.0:  # the raw limit, criterion 4's bound
-            rel = np.max(np.abs(single - trace.values)) / np.max(np.abs(trace.values))
+            rel = np.max(np.abs(single - run.values[i])) / np.max(np.abs(run.values[i]))
             assert rel < 1e-10
 
 
+def test_scalar_frequency_broadcasts_over_traces(ensemble_run):
+    run = ensemble_run
+    batch = _denoise_like(run, run.values, run.omega_temps[0], 0.0)
+    np.testing.assert_array_equal(batch[3], _denoise_like(run, run.values[3], run.omega_temps[0], 0.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(beta=st.one_of(st.sampled_from([-np.inf, np.inf]), st.floats(allow_nan=False)),
+       row=st.integers(0, 7))
+@example(beta=-np.inf, row=0)
+@example(beta=-309.0, row=3)
+@example(beta=np.inf, row=7)
+def test_tmt_denoise_properties(ensemble_run, beta, row):
+    run = ensemble_run
+    values, omega = run.values[row], run.omega_temps[row]
+    single = _denoise_like(run, values, omega, beta)
+    np.testing.assert_array_equal(single, _denoise_like(run, run.values, run.omega_temps, beta)[row])
+    clean = template(run.times, omega, run.setup.params)
+    assert np.max(np.abs(_denoise_like(run, clean, omega, beta) - clean)) < 1e-9
+    if beta <= -309.0:  # 10**(-beta) overflows: the raw limit
+        assert np.max(np.abs(single - values)) / np.max(np.abs(values)) < 1e-10
+
+
 def test_denoise_mismatch_errors(paper_params, short_plan):
-    trace = simulate_trace(paper_params, short_plan, paper_params.omega_calib, 0)
-    margins = build_margins(paper_params.omega_calib, 0.0, paper_params,
-                            short_plan, "bior6.8", levels=5)
-    with pytest.raises(ValueError, match="basis"):
-        tmt_denoise(trace, margins, "haar")
     other_plan = short_plan.with_(t_stop=2.14e-6)
     other = simulate_trace(paper_params, other_plan, paper_params.omega_calib, 0)
     with pytest.raises(ValueError, match="grid"):
-        tmt_denoise(other, margins, "bior6.8")
+        tmt_denoise(other.values, paper_params.omega_calib, 0.0, paper_params, short_plan,
+                    "bior6.8", levels=5)
+    with pytest.raises(ValueError, match="grid"):
+        denoise_pipeline(other.values, paper_params, short_plan, 0.0, "bior6.8")
 
 
 def test_pipeline_reduces_variance_at_detection_points(paper_params, short_plan):
@@ -254,9 +294,9 @@ def test_pipeline_reduces_variance_at_detection_points(paper_params, short_plan)
     raw_at_points, tmt_at_points = [], []
     for i in range(plan.n_experiments):
         trace = simulate_trace(paper_params, plan, omega, i)
-        out, est = denoise_pipeline(trace, paper_params, plan, beta=0.0, basis="bior6.8")
+        out, _ = denoise_pipeline(trace.values, paper_params, plan, beta=0.0, basis="bior6.8")
         raw_at_points.append(trace.values[points.indices])
-        tmt_at_points.append(out.values[points.indices])
+        tmt_at_points.append(out[points.indices])
     raw_var = np.var(np.array(raw_at_points), axis=0)
     tmt_var = np.var(np.array(tmt_at_points), axis=0)
     assert np.all(tmt_var < raw_var)
@@ -264,7 +304,7 @@ def test_pipeline_reduces_variance_at_detection_points(paper_params, short_plan)
 
 def test_pipeline_determinism(paper_params, short_plan):
     trace = simulate_trace(paper_params, short_plan, paper_params.omega_calib, 5)
-    out1, est1 = denoise_pipeline(trace, paper_params, short_plan, 0.0, "bior6.8")
-    out2, est2 = denoise_pipeline(trace, paper_params, short_plan, 0.0, "bior6.8")
-    np.testing.assert_array_equal(out1.values, out2.values)
-    assert est1.omega_temp == est2.omega_temp
+    out1, omega1 = denoise_pipeline(trace.values, paper_params, short_plan, 0.0, "bior6.8")
+    out2, omega2 = denoise_pipeline(trace.values, paper_params, short_plan, 0.0, "bior6.8")
+    np.testing.assert_array_equal(out1, out2)
+    assert omega1 == omega2
