@@ -22,7 +22,7 @@ from .ramsey import (
     template,
 )
 from .tmt import FrequencyGrid, build_margins, clamp_details, estimate_frequencies, margin_width
-from .wavelets import default_levels, uwt_analyze, uwt_synthesize
+from .wavelets import default_levels, uwt_analyze, uwt_synthesis_rows, uwt_synthesize
 
 
 def child_seed(seed: int, *indices: int) -> int:
@@ -136,17 +136,25 @@ def _as_value_matrix(traces) -> np.ndarray:
 def ensemble_stats(traces, points: DetectionPointSet, beta: float | None = None) -> EnsembleStats:
     """MSE/bias/variance over an ensemble at the detection points.
 
-    Accepts an (n_exp, n_samples) array or a sequence of traces.  The
-    variance divides by n_exp (not n_exp - 1) to keep the decomposition
-    identity exact.
+    Accepts an (n_exp, n_samples) array or a sequence of traces, gathers
+    the samples at ``points.indices`` and hands them to :func:`point_stats`.
     """
     values = _as_value_matrix(traces)
-    n_exp = values.shape[0]
-    if n_exp < 2:
+    if values.shape[0] < 2:
         raise ValueError("need at least 2 experiments for ensemble statistics")
     if np.any(points.indices >= values.shape[1]):
         raise ValueError("detection indices fall outside the trace grid")
-    at_points = values[:, points.indices]            # (n_exp, n_sd)
+    return point_stats(values[:, points.indices], points, beta)
+
+
+def point_stats(at_points: np.ndarray, points: DetectionPointSet,
+                beta: float | None = None) -> EnsembleStats:
+    """:class:`EnsembleStats` from the (n_exp, n_sd) values at the detection points.
+
+    The variance divides by n_exp (not n_exp - 1) to keep the
+    decomposition identity exact.
+    """
+    n_exp = at_points.shape[0]
     dev = at_points - points.truths[None, :]
     mse = np.mean(dev ** 2, axis=0)
     bias = np.mean(dev, axis=0)
@@ -233,6 +241,12 @@ class EnsembleRun:
     :func:`~tmtmag.tmt.tmt_denoise` on the same traces and frequencies,
     including the exact limits: ``beta = -inf`` returns the raw traces and
     ``beta = +inf`` pins every detail coefficient to the template's.
+
+    ``denoised(beta, indices)`` synthesizes only those samples: the
+    synthesis is linear, so each is a fixed row of it
+    (:func:`~tmtmag.wavelets.uwt_synthesis_rows`), built once per index set
+    together with the approximation band's share.  A beta then costs the
+    clamp plus one small matrix product per level.
     """
 
     def __init__(self, setup: BenchmarkSetup):
@@ -253,11 +267,27 @@ class EnsembleRun:
         self._kernel_details, self._noise_details = build_margins(
             self.omega_temps, params, plan, setup.basis, self.levels, setup.boundary,
             setup.squared_contrast)
+        self._point_rows: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
 
-    def denoised(self, beta: float) -> np.ndarray:
+    def denoised(self, beta: float, indices=None) -> np.ndarray:
+        """Denoised traces, shape (n_exp, N); with ``indices``, only those samples, (n_exp, p)."""
         clamped = clamp_details(self._raw_details, self._kernel_details,
                                 self._noise_details, margin_width(beta, self.setup.plan))
-        return uwt_synthesize(clamped, self._raw_approx, self.setup.basis, self.setup.boundary)
+        if indices is None:
+            return uwt_synthesize(clamped, self._raw_approx, self.setup.basis, self.setup.boundary)
+        rows, approx_part = self._rows_at(indices)
+        out = approx_part.copy()
+        for j in range(rows.shape[0]):  # fixed level order
+            out += clamped[j] @ rows[j]
+        return out
+
+    def _rows_at(self, indices) -> tuple[np.ndarray, np.ndarray]:
+        key = tuple(int(i) for i in indices)
+        if key not in self._point_rows:
+            rows, approx_rows = uwt_synthesis_rows(self.values.shape[1], key, self.setup.basis,
+                                                   self.levels, self.setup.boundary)
+            self._point_rows[key] = rows, self._raw_approx @ approx_rows
+        return self._point_rows[key]
 
 
 @dataclass
@@ -280,6 +310,9 @@ def sweep_beta(setup: BenchmarkSetup, beta_grid) -> BetaSweepResult:
     The same ensemble (common random numbers) is reused across the whole
     grid, so curves are directly comparable; the argmin of the
     fringe-averaged MSE is reported and flagged if it sits on a grid edge.
+    Only the detection points are synthesized at each order
+    (``EnsembleRun.denoised(beta, indices)``); they equal the same samples
+    of the fully synthesized traces up to rounding.
     """
     betas = np.asarray(beta_grid, dtype=float)
     if betas.size < 3:
@@ -289,7 +322,8 @@ def sweep_beta(setup: BenchmarkSetup, beta_grid) -> BetaSweepResult:
     points = find_detection_points(setup.omega_true, setup.plan, setup.n_sd, setup.params)
     run = EnsembleRun(setup)
     raw_stats = ensemble_stats(run.values, points)
-    stats = [ensemble_stats(run.denoised(beta), points, beta=float(beta)) for beta in betas]
+    stats = [point_stats(run.denoised(beta, points.indices), points, beta=float(beta))
+             for beta in betas]
     k_opt = int(np.argmin([s.fringe_averaged_mse for s in stats]))
     return BetaSweepResult(
         betas=betas,
@@ -431,7 +465,7 @@ def gain_profile(setup: BenchmarkSetup, n_sd_values, beta_grid) -> list[GainPoin
                                        int(n_sd), sense_setup.params)
         run = EnsembleRun(sense_setup)
         raw_stats = ensemble_stats(run.values, points)
-        tmt_stats = ensemble_stats(run.denoised(beta_calib), points, beta=beta_calib)
+        tmt_stats = point_stats(run.denoised(beta_calib, points.indices), points, beta=beta_calib)
         out.append(GainPoint(
             n_sd=int(n_sd),
             t_stop=plan_k.t_stop,

@@ -228,6 +228,24 @@ def _reflect_indices(idx: np.ndarray, n: int) -> np.ndarray:
     return np.where(m < n, m, 2 * n - 1 - m)
 
 
+def _tap_indices(n: int, n_taps: int, step: int, boundary: str) -> np.ndarray:
+    """Gather index ``idx[k, l]`` of the sample tap ``l`` reads for output ``k``.
+
+    ``k + step * l`` folded into ``[0, n)``; analysis passes ``+step``,
+    synthesis ``-step``.
+    """
+    idx = np.arange(n)[:, None] + step * np.arange(n_taps)[None, :]
+    if boundary == "periodic":
+        return np.mod(idx, n)
+    if boundary == "symmetric":
+        return _reflect_indices(idx, n)
+    raise WaveletError(f"unknown boundary mode {boundary!r}")
+
+
+# The symmetric branches sum the gathered columns tap by tap, like the
+# periodic ones, so each output's rounding is the same whatever the batch
+# shape: a trace transformed alone equals the same trace in a batch.
+
 def _analysis_step(a: np.ndarray, taps_lo, taps_hi, step: int, boundary: str):
     n = a.shape[-1]
     if boundary == "periodic":
@@ -238,13 +256,14 @@ def _analysis_step(a: np.ndarray, taps_lo, taps_hi, step: int, boundary: str):
             lo += taps_lo[i] * r
             hi += taps_hi[i] * r
         return lo, hi
-    if boundary == "symmetric":
-        idx = np.arange(n)[:, None] + step * np.arange(taps_lo.size)[None, :]
-        gathered = a[..., _reflect_indices(idx, n)]
-        lo = np.einsum("...nl,l->...n", gathered, taps_lo, optimize=False)
-        hi = np.einsum("...nl,l->...n", gathered, taps_hi, optimize=False)
-        return lo, hi
-    raise WaveletError(f"unknown boundary mode {boundary!r}")
+    idx = _tap_indices(n, taps_lo.size, step, boundary)
+    lo = np.zeros_like(a)
+    hi = np.zeros_like(a)
+    for i in range(taps_lo.size):
+        r = a[..., idx[:, i]]
+        lo += taps_lo[i] * r
+        hi += taps_hi[i] * r
+    return lo, hi
 
 
 def _synthesis_step(lo_in, hi_in, taps_lo, taps_hi, step: int, boundary: str):
@@ -255,13 +274,12 @@ def _synthesis_step(lo_in, hi_in, taps_lo, taps_hi, step: int, boundary: str):
             acc += taps_lo[i] * np.roll(lo_in, step * i, axis=-1)
             acc += taps_hi[i] * np.roll(hi_in, step * i, axis=-1)
         return acc
-    if boundary == "symmetric":
-        idx = np.arange(n)[:, None] - step * np.arange(taps_lo.size)[None, :]
-        ridx = _reflect_indices(idx, n)
-        acc = np.einsum("...nl,l->...n", lo_in[..., ridx], taps_lo, optimize=False)
-        acc += np.einsum("...nl,l->...n", hi_in[..., ridx], taps_hi, optimize=False)
-        return acc
-    raise WaveletError(f"unknown boundary mode {boundary!r}")
+    idx = _tap_indices(n, taps_lo.size, -step, boundary)
+    acc = np.zeros_like(lo_in)
+    for i in range(taps_lo.size):
+        acc += taps_lo[i] * lo_in[..., idx[:, i]]
+        acc += taps_hi[i] * hi_in[..., idx[:, i]]
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +319,41 @@ def uwt_synthesize(details, approximation, basis: WaveletBasis | str, boundary: 
         a = 0.5 * _synthesis_step(a, np.asarray(details[j], dtype=float),
                                   basis.g0, basis.g1, 1 << j, boundary)
     return a
+
+
+def uwt_synthesis_rows(n: int, indices, basis: WaveletBasis | str, levels: int,
+                       boundary: str = "periodic") -> tuple[np.ndarray, np.ndarray]:
+    """Rows of :func:`uwt_synthesize` at the output samples ``indices``.
+
+    Returns ``(rows, approx_rows)`` of shapes ``(levels + 1, n, p)`` and
+    ``(n, p)``, ``p = len(indices)``, such that for any ``details`` and
+    ``approximation`` on an ``n``-sample grid::
+
+        uwt_synthesize(details, approximation)[..., indices]
+            == approximation @ approx_rows + sum_j details[j] @ rows[j]
+
+    up to rounding.  The rows come from the transpose of the synthesis run
+    on the unit vectors at ``indices``, finest level first: each tap of
+    ``g0``/``g1`` scatters back through the synthesis gather index.
+    """
+    basis = _as_basis(basis)
+    indices = np.asarray(indices, dtype=int)
+    if indices.ndim != 1 or np.any((indices < 0) | (indices >= n)):
+        raise WaveletError(f"output indices must be a 1-d subset of [0, {n})")
+    if levels < 0:
+        raise WaveletError(f"levels must be >= 0, got {levels}")
+    u = np.zeros((n, indices.size))
+    u[indices, np.arange(indices.size)] = 1.0
+    rows = np.zeros((levels + 1, n, indices.size))
+    for j in range(levels + 1):
+        idx = _tap_indices(n, len(basis), -(1 << j), boundary)
+        u = 0.5 * u
+        lo = np.zeros_like(u)
+        for i in range(len(basis)):
+            np.add.at(lo, idx[:, i], basis.g0[i] * u)
+            np.add.at(rows[j], idx[:, i], basis.g1[i] * u)
+        u = lo
+    return rows, u
 
 
 def uwt_decompose(signal, basis: WaveletBasis | str, levels: int | None = None,

@@ -26,7 +26,7 @@ from tmtmag import (
     sweep_beta,
     template,
 )
-from tmtmag.bench import child_seed, detection_crossings, plan_for_detection_count
+from tmtmag.bench import EnsembleRun, child_seed, detection_crossings, plan_for_detection_count
 from tmtmag.ramsey import envelope
 from stat_utils import assert_monotone_tradeoff
 
@@ -239,6 +239,56 @@ def test_sweep_grid_validation(small_sweep):
         sweep_beta(setup, [1.0, 0.0, -1.0])
 
 
+def _full_synthesis_stats(setup, betas):
+    """Statistics at every order from fully synthesized traces, as before point-only synthesis."""
+    points = find_detection_points(setup.omega_true, setup.plan, setup.n_sd, setup.params)
+    run = EnsembleRun(setup)
+    return [ensemble_stats(run.denoised(beta), points, beta=float(beta)) for beta in betas]
+
+
+def _assert_stats_close(point, full, truths):
+    np.testing.assert_allclose(point.mse, full.mse, rtol=1e-12)
+    np.testing.assert_allclose(point.variance, full.variance, rtol=1e-12)
+    # the bias crosses zero along a sweep, where a relative bound alone says
+    # nothing; rounding of the values scales with their size, the truths'
+    np.testing.assert_allclose(point.bias, full.bias, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(truths)))
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "symmetric"])
+def test_point_synthesis_sweep_matches_full_synthesis(paper_params, boundary):
+    plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 40, seed=23)
+    setup = _setup(paper_params, plan, n_sd=3, boundary=boundary)
+    grid = np.concatenate([[-np.inf], default_beta_grid(-3.0, 1.0, 0.25), [np.inf]])
+    result = sweep_beta(setup, grid)
+    full = _full_synthesis_stats(setup, grid)
+    for point, ref in zip(result.stats, full):
+        assert point.beta == ref.beta
+        _assert_stats_close(point, ref, result.points.truths)
+    assert result.beta_opt == grid[np.argmin([s.fringe_averaged_mse for s in full])]
+
+
+def test_point_synthesis_gain_profile_matches_full_synthesis(paper_params):
+    from dataclasses import replace
+
+    plan = AcquisitionPlan(0.2e-6, 3.7e-6, 128e6, 25000, 30, seed=19)
+    setup = _setup(paper_params, plan, n_sd=1)
+    grid = default_beta_grid(-3.0, 1.0, 0.25)
+    n_sd = 3
+    (gain,) = gain_profile(setup, [n_sd], grid)
+    # gain_profile's steps for its first n_sd, on fully synthesized traces
+    plan_k = plan_for_detection_count(plan, setup.omega_true, n_sd)
+    calib = replace(setup, n_sd=n_sd, omega_true=paper_params.omega_calib,
+                    plan=plan_k.with_(seed=child_seed(plan.seed, 0, 0)))
+    calib_mse = [s.fringe_averaged_mse for s in _full_synthesis_stats(calib, grid)]
+    assert gain.beta_calib == grid[np.argmin(calib_mse)]
+    sense = replace(setup, n_sd=n_sd, plan=plan_k.with_(seed=child_seed(plan.seed, 0, 1)))
+    (full,) = _full_synthesis_stats(sense, [gain.beta_calib])
+    assert gain.tmt_fringe_mse == pytest.approx(full.fringe_averaged_mse, rel=1e-12)
+    assert gain.gain == pytest.approx(
+        np.sqrt(gain.raw_fringe_mse / full.fringe_averaged_mse), rel=1e-12)
+
+
 def test_calibrate_beta_runs(paper_params):
     plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 40, seed=12)
     setup = _setup(paper_params, plan, n_sd=3)
@@ -271,7 +321,6 @@ def test_sweep_with_shared_estimate_and_poisson_stats(paper_params):
     plan = AcquisitionPlan(0.97e-6, 1.75e-6, 128e6, 25000, 20, seed=14)
     setup = _setup(paper_params, plan, n_sd=2, shared_estimate=True,
                    photon_stats="poisson")
-    from tmtmag.bench import EnsembleRun
     run = EnsembleRun(setup)
     assert np.all(run.omega_temps == run.omega_temps[0])
     result = sweep_beta(setup, default_beta_grid(-3.0, 1.0, 0.5))

@@ -275,6 +275,57 @@ def test_tmt_denoise_properties(ensemble_run, beta, row):
         assert np.max(np.abs(single - values)) / np.max(np.abs(values)) < 1e-10
 
 
+@pytest.fixture(scope="module")
+def ensemble_coeffs(ensemble_run):
+    """Raw detail coefficients and margins ``(details, K, |S|)`` of the ensemble."""
+    run, setup = ensemble_run, ensemble_run.setup
+    details, _ = uwt_analyze(run.values, setup.basis, run.levels, setup.boundary)
+    kernel, noise = build_margins(run.omega_temps, setup.params, setup.plan, setup.basis,
+                                  run.levels, setup.boundary)
+    return details, kernel, noise
+
+
+@settings(max_examples=40, deadline=None)
+@given(beta=st.floats(allow_nan=False, allow_infinity=False))
+@example(beta=-309.0)
+@example(beta=-308.0)
+@example(beta=400.0)
+def test_clamped_details_in_margin_property(ensemble_run, ensemble_coeffs, beta):
+    details, kernel, noise = ensemble_coeffs
+    width = margin_width(beta, ensemble_run.setup.plan)
+    clamped = clamp_details(details, kernel, noise, width)
+    if width == np.inf:  # 10**(-beta) overflows: the raw limit, even where |S| is 0
+        np.testing.assert_array_equal(clamped, details)
+        return
+    half = width * noise
+    assert np.all(clamped >= kernel - half)
+    assert np.all(clamped <= kernel + half)
+
+
+def test_clamp_raw_limit_returns_details_unchanged(ensemble_run, ensemble_coeffs):
+    details, kernel, noise = ensemble_coeffs
+    width = margin_width(-np.inf, ensemble_run.setup.plan)
+    np.testing.assert_array_equal(clamp_details(details, kernel, noise, width), details)
+
+
+@pytest.fixture(scope="module")
+def symmetric_run(paper_params):
+    plan = AcquisitionPlan(0.97e-6, 1.75e-6, 128e6, 25000, 8, seed=78)
+    return EnsembleRun(BenchmarkSetup(params=paper_params, plan=plan,
+                                      omega_true=paper_params.omega_calib, n_sd=2,
+                                      boundary="symmetric"))
+
+
+@pytest.mark.parametrize("beta", [-np.inf, -4.0, 0.0, 2.0, np.inf])
+def test_symmetric_boundary_per_trace_paths_agree(symmetric_run, beta):
+    run = symmetric_run
+    batch = run.denoised(beta)
+    np.testing.assert_array_equal(_denoise_like(run, run.values, run.omega_temps, beta), batch)
+    for i in range(run.values.shape[0]):
+        np.testing.assert_array_equal(
+            _denoise_like(run, run.values[i], run.omega_temps[i], beta), batch[i])
+
+
 def test_denoise_mismatch_errors(paper_params, short_plan):
     other_plan = short_plan.with_(t_stop=2.14e-6)
     other = simulate_trace(paper_params, other_plan, paper_params.omega_calib, 0)

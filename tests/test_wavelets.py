@@ -12,7 +12,10 @@ from tmtmag.wavelets import (
     dwt_decompose,
     dwt_reconstruct,
     iuwt_reconstruct,
+    uwt_analyze,
     uwt_decompose,
+    uwt_synthesis_rows,
+    uwt_synthesize,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -298,9 +301,62 @@ def test_uwt_symmetric_boundary_basics(rng):
     np.testing.assert_allclose(xr[interior], x[interior], atol=1e-10)
 
 
+@pytest.mark.parametrize("name", ["haar", "db2", "bior6.8"])
+def test_uwt_symmetric_row_equals_batch(rng, name):
+    # the symmetric branches sum tap by tap, so a row's rounding does not
+    # depend on the batch around it: analysis and round trip are bit-equal
+    batch = rng.normal(size=(6, 150))
+    details, approx = uwt_analyze(batch, name, 6, "symmetric")
+    back = uwt_synthesize(details, approx, name, "symmetric")
+    for i in range(batch.shape[0]):
+        d_i, a_i = uwt_analyze(batch[i], name, 6, "symmetric")
+        np.testing.assert_array_equal(d_i, details[:, i])
+        np.testing.assert_array_equal(a_i, approx[i])
+        np.testing.assert_array_equal(uwt_synthesize(d_i, a_i, name, "symmetric"), back[i])
+
+
+def test_synthesis_rows_errors():
+    with pytest.raises(WaveletError, match="indices"):
+        uwt_synthesis_rows(16, [3, 16], "haar", 2)
+    with pytest.raises(WaveletError, match="indices"):
+        uwt_synthesis_rows(16, [-1], "haar", 2)
+    with pytest.raises(WaveletError, match="boundary"):
+        uwt_synthesis_rows(16, [3], "haar", 2, boundary="zero")
+
+
 # ---------------------------------------------------------------------------
 # property tests
 # ---------------------------------------------------------------------------
+
+@st.composite
+def _rows_case(draw):
+    n = draw(st.integers(min_value=4, max_value=200))
+    levels = draw(st.integers(min_value=0, max_value=default_levels(n)))
+    subset = draw(st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=9))
+    return n, levels, sorted(subset)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=_rows_case(),
+    name=st.sampled_from(["haar", "bior6.8", "db2"]),
+    boundary=st.sampled_from(["periodic", "symmetric"]),
+    seed=st.integers(min_value=0, max_value=2 ** 31),
+)
+def test_property_synthesis_rows_match_full_synthesis(case, name, boundary, seed):
+    n, levels, indices = case
+    gen = np.random.default_rng(seed)
+    details = gen.normal(size=(levels + 1, 3, n))
+    approx = gen.normal(size=(3, n))
+    rows, approx_rows = uwt_synthesis_rows(n, indices, name, levels, boundary)
+    assert rows.shape == (levels + 1, n, len(indices))
+    assert approx_rows.shape == (n, len(indices))
+    at_points = approx @ approx_rows
+    for j in range(levels + 1):
+        at_points += details[j] @ rows[j]
+    full = uwt_synthesize(details, approx, name, boundary)[:, indices]
+    np.testing.assert_allclose(at_points, full, rtol=0, atol=1e-13)
+
 
 @settings(max_examples=30, deadline=None)
 @given(
