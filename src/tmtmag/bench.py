@@ -371,12 +371,14 @@ class ScalingFit:
 
 
 def fit_scaling(points) -> ScalingFit:
-    """Fit (x, y) pairs to c * x**alpha; requires >= 3 strictly positive pairs."""
+    """Fit (x, y) pairs to c * x**alpha; requires >= 3 finite, strictly positive pairs."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"expected an (n, 2) array of (x, y) pairs, got shape {pts.shape}")
     if pts.shape[0] < 3:
         raise ValueError(f"need at least 3 points for a scaling fit, got {pts.shape[0]}")
+    if not np.isfinite(pts).all():
+        raise ValueError("scaling fits need finite coordinates")
     if np.any(pts <= 0.0):
         raise ValueError("scaling fits need strictly positive coordinates")
     lx = np.log(pts[:, 0])

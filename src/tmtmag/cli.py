@@ -7,8 +7,17 @@ Subcommands map one-to-one onto experiment modes (``simulate``,
 
 All data tables and the summary are byte-reproducible from (config, seed);
 the manifest's ``duration_seconds`` field is the one volatile value.
-Floats are serialized with 17 significant digits so that re-parsing is
-bit-exact.
+
+Each mode builds its tables as typed columns in one structured array
+(``make_table``: integer and float arrays for the trace tables, object
+fields for mixed cells such as a ``point`` that is an index or
+``"fringe"``).  ``export_table`` streams a table to disk in chunks of
+rows, formatting each chunk with one row template per format: CSV writes
+floats as ``%.17g`` and integers as ``%d``, JSON (keys sorted, indent 2,
+after the manifest) writes floats as their ``repr`` and NaN/+-inf as
+``NaN``/``Infinity``/``-Infinity``, as ``json`` does.  Either way
+re-parsing a float is bit-exact; missing cells are empty in CSV and
+``null`` in JSON.
 """
 
 from __future__ import annotations
@@ -16,10 +25,12 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -42,16 +53,8 @@ from .ramsey import simulate_ensemble
 
 _SEED_REQUIRED_MODES = ("sweep-beta", "benchmark", "gain-profile")
 _ENSEMBLE_MODES = ("denoise", "sweep-beta", "benchmark", "gain-profile")
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float) or isinstance(value, np.floating):
-        return format(float(value), ".17g")
-    if value is None:
-        return ""
-    return str(value)
+_CHUNK_ROWS = 4096  # rows formatted per write
+_CSV_SPECIAL = frozenset(',"\r\n')  # characters that may make csv.writer quote a field
 
 
 def _jsonable(value):
@@ -68,43 +71,144 @@ def _jsonable(value):
     return value
 
 
-def export_table(records: list[dict], columns: list[str], out_dir: Path, name: str,
-                 formats: list[str], manifest: dict | None = None) -> list[Path]:
+def make_table(**columns) -> np.ndarray:
+    """One structured array from equal-length columns, in argument order.
+
+    Integer, float and boolean arrays keep their dtype; lists and other
+    arrays become object fields, whose cells are formatted one by one
+    (``None`` is a missing cell).  ``len()`` of the table is its row count.
+    """
+    arrays = {}
+    for name, values in columns.items():
+        if isinstance(values, np.ndarray) and values.dtype.kind in "biuf":
+            arrays[name] = values
+        else:
+            arrays[name] = np.empty(len(values), dtype=object)
+            arrays[name][:] = list(values)
+    lengths = {name: values.shape for name, values in arrays.items()}
+    if len(set(lengths.values())) != 1 or any(len(shape) != 1 for shape in lengths.values()):
+        raise ValueError(f"a table needs 1-D columns of equal length, got shapes {lengths}")
+    table = np.empty(len(next(iter(arrays.values()))),
+                     dtype=[(name, values.dtype) for name, values in arrays.items()])
+    for name, values in arrays.items():
+        table[name] = values
+    return table
+
+
+def _csv_cell(value) -> str:
+    """One CSV cell: floats as ``%.17g``, booleans as ``true``/``false``,
+    ``None`` empty, anything else ``str``; quoted as ``csv.writer`` quotes."""
+    if isinstance(value, bool):
+        text = "true" if value else "false"
+    elif isinstance(value, (float, np.floating)):
+        text = format(float(value), ".17g")
+    else:
+        text = "" if value is None else str(value)
+    if _CSV_SPECIAL.isdisjoint(text):
+        return text
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
+def _json_cell(value) -> str:
+    return json.dumps(value.item() if isinstance(value, np.generic) else value)
+
+
+def _json_floats(values: np.ndarray) -> list:
+    """Floats for a ``%s`` slot (``str`` of a float is its ``repr``, as in
+    ``json``); NaN and +-inf become ``NaN`` / ``Infinity`` / ``-Infinity``."""
+    cells = values.tolist()
+    for i in np.flatnonzero(~np.isfinite(values)):
+        cells[i] = json.dumps(cells[i])
+    return cells
+
+
+def _write_rows(fh, table: np.ndarray, names, frame, sep: str, float_cells, cell) -> None:
+    """Stream ``table`` to ``fh``, ``_CHUNK_ROWS`` rows per ``%`` formatting.
+
+    ``frame`` turns the per-column placeholders (taken in ``names`` order)
+    into the one row template; rows are joined by ``sep``.  Integer columns
+    use ``%d``, float columns ``float_cells`` (placeholder, converter), all
+    other columns the per-cell formatter ``cell``.
+    """
+    slots = []
+    for name in names:
+        kind = table.dtype[name].kind
+        if kind in "iu":
+            slots.append(("%d", np.ndarray.tolist))
+        elif kind == "f":
+            slots.append(float_cells)
+        else:
+            slots.append(("%s", lambda chunk: [cell(v) for v in chunk.tolist()]))
+    row = frame([placeholder for placeholder, _ in slots])
+    for start in range(0, len(table), _CHUNK_ROWS):
+        chunk = table[start:start + _CHUNK_ROWS]
+        columns = [convert(chunk[name]) for name, (_, convert) in zip(names, slots)]
+        if start:
+            fh.write(sep)
+        fh.write(sep.join([row] * len(chunk)) % tuple(chain.from_iterable(zip(*columns))))
+
+
+def export_table(table: np.ndarray, out_dir: Path, name: str, formats: list[str],
+                 manifest: dict | None = None) -> list[Path]:
     """Write one result table as CSV and/or JSON.
 
-    The CSV has a header row and one record per line; the JSON document
-    carries the same records plus the manifest (without output checksums).
+    ``table`` is a structured array (see ``make_table``) whose fields are
+    the columns in CSV order.  The CSV has a header row and one record per
+    line; the JSON document carries the manifest (without output
+    checksums) and the same records with sorted keys, indented by 2.  Both
+    are streamed in chunks of rows.
     """
+    names = table.dtype.names
     written = []
     if "csv" in formats:
         path = out_dir / f"{name}.csv"
+        # csv.writer quotes the empty field of a one-column row
+        cell = _csv_cell if len(names) > 1 else lambda value: _csv_cell(value) or '""'
         with path.open("w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            for rec in records:
-                writer.writerow([_fmt(rec.get(col)) for col in columns])
+            fh.write(",".join(map(_csv_cell, names)) + "\n")
+            _write_rows(fh, table, names, lambda slots: ",".join(slots) + "\n", "",
+                        ("%.17g", np.ndarray.tolist), cell)
         written.append(path)
     if "json" in formats:
         path = out_dir / f"{name}.json"
-        payload = {"manifest": _jsonable(manifest or {}),
-                   "records": [_jsonable({col: rec.get(col) for col in columns}) for rec in records]}
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        keys = sorted(names)
+        quoted = [json.dumps(key).replace("%", "%%") for key in keys]
+
+        def frame(slots):
+            return ("    {\n" + ",\n".join(f"      {key}: {slot}" for key, slot in zip(quoted, slots))
+                    + "\n    }")
+
+        head = json.dumps({"manifest": _jsonable(manifest or {})}, indent=2, sort_keys=True)
+        with path.open("w") as fh:
+            fh.write(head[:-len("\n}")] + ',\n  "records": [')
+            if len(table):
+                fh.write("\n")
+                _write_rows(fh, table, keys, frame, ",\n", ("%s", _json_floats), _json_cell)
+                fh.write("\n  ")
+            fh.write("]\n}\n")
         written.append(path)
     return written
 
 
-def _stats_records(stats, points, series: str, beta) -> list[dict]:
-    rows = []
-    for q in range(len(points)):
-        rows.append({
-            "series": series, "beta": beta, "point": q,
-            "time": points.times[q], "truth": points.truths[q],
-            "mse": stats.mse[q], "bias": stats.bias[q], "bias_sq": stats.bias[q] ** 2,
-            "variance": stats.variance[q], "sample_mean": stats.sample_mean[q],
-        })
-    rows.append({"series": series, "beta": beta, "point": "fringe",
-                 "mse": stats.fringe_averaged_mse})
-    return rows
+def _stats_columns(stats, points, series: str, beta) -> dict[str, list]:
+    """One row per detection point plus the fringe-averaged row."""
+    n = len(points)
+    return {
+        "series": [series] * (n + 1), "beta": [beta] * (n + 1),
+        "point": [*range(n), "fringe"],
+        "time": [*points.times, None], "truth": [*points.truths, None],
+        "mse": [*stats.mse, stats.fringe_averaged_mse],
+        "bias": [*stats.bias, None], "bias_sq": [b ** 2 for b in stats.bias] + [None],
+        "variance": [*stats.variance, None], "sample_mean": [*stats.sample_mean, None],
+    }
+
+
+def _dataclass_table(items) -> np.ndarray:
+    """One column per dataclass field, in declaration order."""
+    return make_table(**{f.name: [getattr(item, f.name) for item in items]
+                         for f in fields(items[0])})
 
 
 def _check_mode_limits(config: RunConfig) -> None:
@@ -145,17 +249,16 @@ def _make_setup(config: RunConfig) -> BenchmarkSetup:
 
 # ---------------------------------------------------------------------------
 # mode runners: each returns (tables, derived, summary_lines)
-# tables: list of (name, columns, records)
+# tables: list of (name, structured array from make_table)
 # ---------------------------------------------------------------------------
 
 def _run_simulate(config: RunConfig):
     plan = config.plan
     values = simulate_ensemble(config.sensor, plan, config.omega_sense,
                                config.experiment.photon_stats)
-    times = plan.times
-    records = [{"experiment": i, "time": times[k], "value": values[i, k]}
-               for i in range(values.shape[0]) for k in range(times.size)]
-    tables = [("simulate", ["experiment", "time", "value"], records)]
+    n_exp = values.shape[0]
+    tables = [("simulate", make_table(experiment=np.repeat(np.arange(n_exp), plan.n_samples),
+                                      time=np.tile(plan.times, n_exp), value=values.ravel()))]
     summary = [
         f"simulated {plan.n_experiments} traces of {plan.n_samples} samples",
         f"sensing frequency: {config.omega_sense / (2 * np.pi):.6g} Hz",
@@ -169,15 +272,12 @@ def _run_denoise(config: RunConfig):
     beta = config.filter.beta
     run = EnsembleRun(setup)
     denoised = run.denoised(beta)
-    times = setup.plan.times
-    records = [{"experiment": i, "time": times[k],
-                "raw": run.values[i, k], "denoised": denoised[i, k]}
-               for i in range(run.values.shape[0]) for k in range(times.size)]
-    est_records = [{"experiment": i, "omega_temp": run.omega_temps[i]}
-                   for i in range(run.omega_temps.size)]
+    n_exp, n = run.values.shape
     tables = [
-        ("denoise", ["experiment", "time", "raw", "denoised"], records),
-        ("template_estimates", ["experiment", "omega_temp"], est_records),
+        ("denoise", make_table(experiment=np.repeat(np.arange(n_exp), n),
+                               time=np.tile(setup.plan.times, n_exp),
+                               raw=run.values.ravel(), denoised=denoised.ravel())),
+        ("template_estimates", make_table(experiment=np.arange(n_exp), omega_temp=run.omega_temps)),
     ]
     points = find_detection_points(setup.omega_true, setup.plan, setup.n_sd, setup.params)
     raw_stats = ensemble_stats(run.values, points)
@@ -195,14 +295,15 @@ def _run_denoise(config: RunConfig):
 def _run_sweep_beta(config: RunConfig):
     setup = _make_setup(config)
     result = sweep_beta(setup, config.filter.beta_grid)
-    records = _stats_records(result.raw_stats, result.points, "raw", None)
-    for beta, stats in zip(result.betas, result.stats):
-        records.extend(_stats_records(stats, result.points, "tmt", float(beta)))
-    records.append({"series": "optimum", "beta": result.beta_opt, "point": "fringe",
-                    "mse": result.opt_stats.fringe_averaged_mse})
-    columns = ["series", "beta", "point", "time", "truth", "mse", "bias",
-               "bias_sq", "variance", "sample_mean"]
-    tables = [("sweep_beta", columns, records)]
+    blocks = [_stats_columns(result.raw_stats, result.points, "raw", None)]
+    blocks += [_stats_columns(stats, result.points, "tmt", float(beta))
+               for beta, stats in zip(result.betas, result.stats)]
+    blocks.append(dict.fromkeys(blocks[0], [None]) | {
+        "series": ["optimum"], "beta": [result.beta_opt], "point": ["fringe"],
+        "mse": [result.opt_stats.fringe_averaged_mse]})
+    table = make_table(**{col: list(chain.from_iterable(block[col] for block in blocks))
+                          for col in blocks[0]})
+    tables = [("sweep_beta", table)]
     summary = [
         f"swept {result.betas.size} filter orders on {setup.plan.n_experiments} experiments",
         f"beta_opt = {result.beta_opt:g}" + (" (on grid edge!)" if result.beta_opt_on_edge else ""),
@@ -216,26 +317,13 @@ def _run_sweep_beta(config: RunConfig):
 def _run_benchmark(config: RunConfig):
     setup = _make_setup(config)
     recs = benchmark_snr(setup, config.experiment.m_values, config.filter.beta_grid)
-    records = [{
-        "repetitions": r.repetitions, "integration_time": r.integration_time,
-        "raw_snr": r.raw_snr, "tmt_snr": r.tmt_snr, "beta_opt": r.beta_opt,
-        "beta_opt_on_edge": r.beta_opt_on_edge,
-        "raw_fringe_mse": r.raw_fringe_mse, "tmt_fringe_mse": r.tmt_fringe_mse,
-        "delta_n": r.delta_n,
-    } for r in recs]
-    columns = list(records[0].keys())
     raw_fit = fit_scaling([(r.integration_time, r.raw_snr) for r in recs])
     tmt_fit = fit_scaling([(r.integration_time, r.tmt_snr) for r in recs])
-    fit_records = [
-        {"series": "raw", "prefactor": raw_fit.prefactor, "exponent": raw_fit.exponent,
-         "r_squared": raw_fit.r_squared},
-        {"series": "tmt", "prefactor": tmt_fit.prefactor, "exponent": tmt_fit.exponent,
-         "r_squared": tmt_fit.r_squared},
-    ]
-    tables = [
-        ("benchmark", columns, records),
-        ("scaling_fits", ["series", "prefactor", "exponent", "r_squared"], fit_records),
-    ]
+    fits = make_table(series=["raw", "tmt"],
+                      prefactor=[raw_fit.prefactor, tmt_fit.prefactor],
+                      exponent=[raw_fit.exponent, tmt_fit.exponent],
+                      r_squared=[raw_fit.r_squared, tmt_fit.r_squared])
+    tables = [("benchmark", _dataclass_table(recs)), ("scaling_fits", fits)]
     points = find_detection_points(setup.omega_true, setup.plan, setup.n_sd, setup.params)
     summary = [
         f"benchmarked {len(recs)} repetition counts with {setup.n_sd} detection points",
@@ -249,13 +337,7 @@ def _run_benchmark(config: RunConfig):
 def _run_gain_profile(config: RunConfig):
     setup = _make_setup(config)
     gains = gain_profile(setup, config.experiment.n_sd_values, config.filter.beta_grid)
-    records = [{
-        "n_sd": g.n_sd, "t_stop": g.t_stop, "beta_calib": g.beta_calib,
-        "raw_fringe_mse": g.raw_fringe_mse, "tmt_fringe_mse": g.tmt_fringe_mse,
-        "gain": g.gain,
-    } for g in gains]
-    columns = list(records[0].keys())
-    tables = [("gain_profile", columns, records)]
+    tables = [("gain_profile", _dataclass_table(gains))]
     best = max(gains, key=lambda g: g.gain)
     summary = [
         f"gain profile over n_sd = {config.experiment.n_sd_values}",
@@ -275,22 +357,28 @@ def _load_points(config: RunConfig) -> list[list[float]]:
         raise ConfigError(f"points file not found: {path}")
     points = []
     with path.open(newline="") as fh:
-        for row in csv.reader(fh):
-            if len(row) < 2:
-                continue
+        reader = csv.reader(fh)
+        for row in reader:
+            if not row:
+                continue  # blank line
             try:
-                points.append([float(row[0]), float(row[1])])
-            except ValueError:
-                continue  # header row
+                point = [float(row[0]), float(row[1])]
+            except (IndexError, ValueError):
+                if reader.line_num == 1:
+                    continue  # header row
+                raise ConfigError(f"{path}, line {reader.line_num}: expected two numbers, "
+                                  f"got {row!r}") from None
+            if not np.isfinite(point).all():
+                raise ConfigError(f"{path}, line {reader.line_num}: non-finite point {row!r}")
+            points.append(point)
     return points
 
 
 def _run_fit_scaling(config: RunConfig):
     points = _load_points(config)
     fit = fit_scaling(points)
-    records = [{"prefactor": fit.prefactor, "exponent": fit.exponent,
-                "r_squared": fit.r_squared, "n_points": len(points)}]
-    tables = [("fit_scaling", ["prefactor", "exponent", "r_squared", "n_points"], records)]
+    tables = [("fit_scaling", make_table(prefactor=[fit.prefactor], exponent=[fit.exponent],
+                                         r_squared=[fit.r_squared], n_points=[len(points)]))]
     summary = [f"fit: y = {fit.prefactor:.6g} * x^{fit.exponent:.4f} (r2={fit.r_squared:.5f}, "
                f"{len(points)} points)"]
     return tables, {}, summary
@@ -307,7 +395,11 @@ _RUNNERS = {
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        while block := fh.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def run(config: RunConfig) -> int:
@@ -339,9 +431,8 @@ def run(config: RunConfig) -> int:
     }
 
     written = []
-    for name, columns, records in tables:
-        written.extend(export_table(records, columns, out_dir, name,
-                                    config.output.formats, manifest))
+    for name, table in tables:
+        written.extend(export_table(table, out_dir, name, config.output.formats, manifest))
     summary_path = out_dir / "summary.txt"
     summary_path.write_text(f"tmtmag {mode}\n" + "\n".join(summary_lines) + "\n")
     written.append(summary_path)

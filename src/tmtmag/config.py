@@ -117,6 +117,17 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _point(name: str, entry) -> list[float]:
+    """``entry`` as a finite ``[x, y]`` pair; anything else is rejected by field name."""
+    try:
+        x, y = (float(v) for v in entry)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be an [x, y] pair of numbers, got {entry!r}") from None
+    if not (np.isfinite(x) and np.isfinite(y)):
+        raise ConfigError(f"{name} must be finite, got {entry!r}")
+    return [x, y]
+
+
 def _merged(section: str, data: dict) -> dict:
     _check_keys(section, data)
     out = dict(_DEFAULTS[section])
@@ -241,7 +252,7 @@ def _build_experiment(data: dict) -> ExperimentConfig:
         raise ConfigError("experiment: n_sd_values must be non-empty and all >= 1")
     points = merged.get("points")
     if points is not None:
-        points = [[float(a), float(b)] for a, b in points]
+        points = [_point(f"experiment.points[{i}]", entry) for i, entry in enumerate(points)]
     return ExperimentConfig(
         mode=mode,
         delta_b=float(merged["delta_b"]),

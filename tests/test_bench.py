@@ -1,5 +1,6 @@
 """Detection points, ensemble metrics, beta sweeps, and scaling fits."""
 
+import json
 import os
 import subprocess
 import sys
@@ -187,6 +188,9 @@ def test_fit_scaling_validation():
         fit_scaling([[1.0, 1.0], [2.0, 2.0], [3.0, -1.0]])
     with pytest.raises(ValueError, match="pairs"):
         fit_scaling(np.ones((3, 3)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            fit_scaling([[1.0, 3.0], [4.0, bad], [9.0, 9.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -369,3 +373,32 @@ def test_benchmark_wrap_points_exist():
     result = subprocess.run([sys.executable, "-c", code, str(root / "perfbench")],
                             env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_benchmark_row_counter_counts_rows(tmp_path):
+    # perfbench/child.py counts cli.rows_written as len(<first argument of
+    # export_table>) per written file, so len() of a table must be its row
+    # count.  A small traced denoise writes n_exp*N trace rows and n_exp
+    # estimate rows, each as CSV and JSON.
+    n_exp = 6
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(tmtmag.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import io, json, sys, contextlib; sys.path.insert(0, sys.argv[1]); import child\n"
+        "tracer = child.Tracer(); child.install_wraps(tracer)\n"
+        "import tmtmag.cli; from tmtmag.config import parse_config\n"
+        "config = parse_config(json.loads(sys.argv[2]))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert tmtmag.cli.run(config) == 0\n"
+        "print(json.dumps({'rows': tracer.counts['cli.rows_written'],"
+        " 'n_samples': config.plan.n_samples}))\n")
+    data = {"plan": {"t_stop": 1.36e-6, "n_experiments": n_exp, "seed": 3},
+            "experiment": {"mode": "denoise", "n_sd": 1},
+            "output": {"directory": str(tmp_path / "run"), "formats": ["csv", "json"]}}
+    result = subprocess.run([sys.executable, "-c", code, str(root / "perfbench"), json.dumps(data)],
+                            env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    counts = json.loads(result.stdout.splitlines()[-1])
+    assert counts["rows"] == 2 * (n_exp * counts["n_samples"] + n_exp)

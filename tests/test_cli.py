@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tmtmag import cli
 from tmtmag.bench import DetectionPointSet, ensemble_stats
-from tmtmag.cli import _stats_records, export_table, main
+from tmtmag.cli import _stats_columns, export_table, main, make_table
+from tmtmag.config import parse_config
 
 
 def fast_config(tmp_path, **overrides):
@@ -37,9 +39,9 @@ def test_export_cardinality(tmp_path):
                                truths=np.array([0.1, 0.2, 0.3]))
     values = np.random.default_rng(0).normal(size=(10, 3)) * 0.01 + 0.2
     stats = ensemble_stats(values, points)
-    records = _stats_records(stats, points, "raw", None)
-    assert len(records) == 4  # 3 per-point records + 1 fringe record
-    export_table(records, ["series", "beta", "point", "mse"], tmp_path, "stats",
+    table = make_table(**_stats_columns(stats, points, "raw", None))
+    assert len(table) == 4  # 3 per-point records + 1 fringe record
+    export_table(table[["series", "beta", "point", "mse"]], tmp_path, "stats",
                  ["csv", "json"], manifest={"mode": "test"})
     rows = list(csv.reader((tmp_path / "stats.csv").open()))
     assert len(rows) == 5  # header + 4 records
@@ -49,7 +51,7 @@ def test_export_cardinality(tmp_path):
 
 
 def test_export_empty_table(tmp_path):
-    export_table([], ["a", "b"], tmp_path, "empty", ["csv", "json"])
+    export_table(make_table(a=[], b=np.array([])), tmp_path, "empty", ["csv", "json"])
     rows = list(csv.reader((tmp_path / "empty.csv").open()))
     assert rows == [["a", "b"]]
     payload = json.loads((tmp_path / "empty.json").read_text())
@@ -57,13 +59,117 @@ def test_export_empty_table(tmp_path):
 
 
 def test_float_serialization_roundtrip(tmp_path):
-    export_table([{"x": 0.1}, {"x": 1.0 / 3.0}], ["x"], tmp_path, "floats", ["csv", "json"])
+    export_table(make_table(x=np.array([0.1, 1.0 / 3.0])), tmp_path, "floats", ["csv", "json"])
     rows = list(csv.reader((tmp_path / "floats.csv").open()))
     assert float(rows[1][0]) == 0.1
     assert float(rows[2][0]) == 1.0 / 3.0
     payload = json.loads((tmp_path / "floats.json").read_text())
     assert payload["records"][0]["x"] == 0.1
     assert payload["records"][1]["x"] == 1.0 / 3.0
+
+
+def test_make_table_rejects_ragged_columns():
+    with pytest.raises(ValueError, match="equal length"):
+        make_table(a=np.arange(3), b=[1, 2])
+    with pytest.raises(ValueError, match="1-D"):
+        make_table(a=np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="1-D"):
+        make_table()
+
+
+def _reference_fmt(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float) or isinstance(value, np.floating):
+        return format(float(value), ".17g")
+    return "" if value is None else str(value)
+
+
+def _reference_jsonable(value):
+    if isinstance(value, np.floating):
+        return float(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, dict):
+        return {k: _reference_jsonable(v) for k, v in value.items()}
+    return value
+
+
+def reference_export(records, columns, out_dir, name, manifest=None):
+    """The list-of-dicts writer that export_table replaced, kept as the byte oracle."""
+    with (out_dir / f"{name}.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        for rec in records:
+            writer.writerow([_reference_fmt(rec.get(col)) for col in columns])
+    payload = {"manifest": _reference_jsonable(manifest or {}),
+               "records": [_reference_jsonable({col: rec.get(col) for col in columns})
+                           for rec in records]}
+    (out_dir / f"{name}.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def assert_export_matches_reference(tmp_path, name, table, records, manifest=None):
+    new, old = tmp_path / "new", tmp_path / "old"
+    new.mkdir(exist_ok=True)
+    old.mkdir(exist_ok=True)
+    export_table(table, new, name, ["csv", "json"], manifest)
+    reference_export(records, list(table.dtype.names), old, name, manifest)
+    for suffix in (".csv", ".json"):
+        assert (new / (name + suffix)).read_bytes() == (old / (name + suffix)).read_bytes(), suffix
+
+
+def test_export_matches_reference_writer_on_mixed_table(tmp_path):
+    inf, nan = float("inf"), float("nan")
+    records = [
+        {"label": "raw", "point": 0, "beta": None, "x": nan, "n": 3, "flag": True,
+         "cell": np.float64(0.1), "f32": 0.1},
+        {"label": "a,b", "point": "fringe", "beta": -inf, "x": inf, "n": -7, "flag": False,
+         "cell": np.int64(-5), "f32": 2.5},
+        {"label": 'say "hi"', "point": np.int64(12), "beta": inf, "x": -inf, "n": 0,
+         "flag": True, "cell": np.float32(1.1), "f32": -1e-30},
+        {"label": "line\nbreak\rreturn é", "point": None, "beta": nan, "x": -0.0, "n": 2**40,
+         "flag": False, "f32": 3.0},  # "cell" missing
+        {"label": "", "point": 7, "beta": 1e-300, "x": 1e300, "n": 1, "flag": False,
+         "cell": None, "f32": nan},
+    ]
+    table = make_table(
+        label=[r["label"] for r in records], point=[r["point"] for r in records],
+        beta=[r["beta"] for r in records], x=np.array([r["x"] for r in records]),
+        n=np.array([r["n"] for r in records], dtype=np.int64),
+        flag=np.array([r["flag"] for r in records]),
+        cell=[r.get("cell") for r in records],
+        f32=np.array([r["f32"] for r in records], dtype=np.float32))
+    records = [dict(r, f32=np.float32(r["f32"])) for r in records]
+    manifest = {"mode": "test", "seed": np.int64(3), "derived": {"omega": np.float64(2.5)}}
+    assert_export_matches_reference(tmp_path, "mixed", table, records, manifest)
+    # one column: csv.writer quotes a lone empty field
+    lone = [{"v": None}, {"v": "x"}, {"v": 1.5}]
+    assert_export_matches_reference(tmp_path, "lone", make_table(v=[r["v"] for r in lone]), lone)
+    # '%' in a column name must not reach the row template unescaped
+    pct = [{"a%d": 1.0, "b": 2}]
+    assert_export_matches_reference(tmp_path, "pct", make_table(**{"a%d": np.array([1.0]), "b": [2]}),
+                                    pct)
+
+
+def test_export_matches_reference_writer_on_empty_and_chunked_tables(tmp_path):
+    assert_export_matches_reference(tmp_path, "empty", make_table(a=[], b=np.array([])), [])
+    # more rows than one chunk, so the chunk seam is exercised
+    n = 2 * cli._CHUNK_ROWS + 3
+    x = np.random.default_rng(1).normal(size=n)
+    records = [{"i": i, "x": x[i]} for i in range(n)]
+    assert_export_matches_reference(tmp_path, "long", make_table(i=np.arange(n), x=x), records,
+                                    {"mode": "test"})
+
+
+@pytest.mark.parametrize("mode", ["simulate", "denoise"])
+def test_export_matches_reference_writer_on_mode_tables(tmp_path, mode):
+    config = parse_config({"plan": {"t_stop": 1.36e-6, "n_experiments": 12, "seed": 4},
+                           "experiment": {"mode": mode, "n_sd": 1}})
+    tables, _, _ = cli._RUNNERS[mode](config)
+    assert tables
+    for name, table in tables:
+        records = [dict(zip(table.dtype.names, row)) for row in table.tolist()]
+        assert_export_matches_reference(tmp_path, name, table, records, {"mode": mode})
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +364,39 @@ def test_fit_scaling_requires_points(tmp_path, capsys):
     assert "points" in capsys.readouterr().err
     cfg2 = fast_config(tmp_path, experiment={"points_file": str(tmp_path / "missing.csv")})
     assert main(["fit-scaling", "--config", str(cfg2), "--out", str(tmp_path / "y")]) == 2
+
+
+@pytest.mark.parametrize("text,line", [
+    ("x,y\n1,3\n4,abc\n9,9\n16,12\n", 3),  # only the first row may be a header
+    ("1,3\nx,y\n9,9\n16,12\n", 2),
+    ("x,y\n1,3\n4\n9,9\n", 3),
+    ("x,y\n1,3\n4,nan\n9,9\n16,12\n", 3),
+    ("x,y\n1,3\n4,6\n9,inf\n", 4),
+])
+def test_fit_scaling_rejects_bad_point_rows(tmp_path, capsys, text, line):
+    path = tmp_path / "points.csv"
+    path.write_text(text)
+    cfg = fast_config(tmp_path, experiment={"points_file": str(path)})
+    out = tmp_path / "run"
+    assert main(["fit-scaling", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{path}, line {line}:" in capsys.readouterr().err
+    assert not (out / "fit_scaling.csv").exists()
+
+
+def test_fit_scaling_headerless_file_and_blank_lines(tmp_path):
+    path = tmp_path / "points.csv"
+    path.write_text("1,3\n4,6\n\n9,9\n")
+    cfg = fast_config(tmp_path, experiment={"points_file": str(path)})
+    out = tmp_path / "run"
+    assert main(["fit-scaling", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "fit_scaling.json").read_text())["records"][0]["n_points"] == 3
+
+
+def test_fit_scaling_rejects_nan_inline_point(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{"experiment": {"points": [[1, 3], [4, NaN], [9, 9]]}}')
+    assert main(["fit-scaling", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert "experiment.points[1]" in capsys.readouterr().err
 
 
 def test_preset_configs_parse():

@@ -89,6 +89,12 @@ def test_nan_beta_rejected_by_field():
         parse_config({"filter": {"beta_grid": {"start": float("nan"), "stop": 1.0, "step": 0.5}}})
 
 
+@pytest.mark.parametrize("entry", [[4.0, float("nan")], [float("inf"), 2.0], [1.0], "ab", 5.0])
+def test_bad_point_rejected_by_field(entry):
+    with pytest.raises(ConfigError, match=r"experiment\.points\[1\]"):
+        parse_config({"experiment": {"points": [[1.0, 3.0], entry, [9.0, 9.0]]}})
+
+
 def test_infinite_beta_limits_accepted():
     config = parse_config('{"filter": {"beta": -Infinity, '
                           '"beta_grid": [-Infinity, 0.0, Infinity]}}')
