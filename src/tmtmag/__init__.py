@@ -2,27 +2,24 @@
 
 from .wavelets import (
     WaveletBasis,
-    WaveletDecomposition,
     WaveletError,
     available_bases,
     basis_registry,
     default_levels,
     dwt_decompose,
     dwt_reconstruct,
-    iuwt_reconstruct,
-    uwt_decompose,
+    uwt_analyze,
+    uwt_synthesize,
 )
 from .ramsey import (
     GAMMA_E,
     AcquisitionPlan,
-    PLTrace,
     SensorParams,
     calib_frequency,
     derive_photon_levels,
     sensing_frequency,
     shot_noise,
     simulate_ensemble,
-    simulate_trace,
     template,
 )
 from .tmt import (

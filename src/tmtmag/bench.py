@@ -16,7 +16,6 @@ import numpy as np
 
 from .ramsey import (
     AcquisitionPlan,
-    PLTrace,
     SensorParams,
     simulate_ensemble,
     template,
@@ -119,27 +118,16 @@ class EnsembleStats:
             raise ValueError("ensemble statistics need at least 2 experiments")
 
 
-def _as_value_matrix(traces) -> np.ndarray:
-    if isinstance(traces, np.ndarray):
-        values = traces
-    else:
-        rows = [t.values if isinstance(t, PLTrace) else np.asarray(t, dtype=float) for t in traces]
-        lengths = {r.size for r in rows}
-        if len(lengths) != 1:
-            raise ValueError("ensemble traces do not share one time grid")
-        values = np.stack(rows)
+def ensemble_stats(traces: np.ndarray, points: DetectionPointSet,
+                   beta: float | None = None) -> EnsembleStats:
+    """MSE/bias/variance over an (n_exp, n_samples) array of traces.
+
+    Gathers the samples at ``points.indices`` and hands them to
+    :func:`point_stats`.
+    """
+    values = np.asarray(traces, dtype=float)
     if values.ndim != 2:
         raise ValueError(f"expected an (n_exp, n_samples) ensemble, got shape {values.shape}")
-    return values
-
-
-def ensemble_stats(traces, points: DetectionPointSet, beta: float | None = None) -> EnsembleStats:
-    """MSE/bias/variance over an ensemble at the detection points.
-
-    Accepts an (n_exp, n_samples) array or a sequence of traces, gathers
-    the samples at ``points.indices`` and hands them to :func:`point_stats`.
-    """
-    values = _as_value_matrix(traces)
     if values.shape[0] < 2:
         raise ValueError("need at least 2 experiments for ensemble statistics")
     if np.any(points.indices >= values.shape[1]):
@@ -365,9 +353,6 @@ class ScalingFit:
     exponent: float
     r_squared: float
     points: np.ndarray
-
-    def predict(self, x) -> np.ndarray:
-        return self.prefactor * np.asarray(x, dtype=float) ** self.exponent
 
 
 def fit_scaling(points) -> ScalingFit:

@@ -48,7 +48,7 @@ from .bench import (
     plan_for_detection_count,
     sweep_beta,
 )
-from .config import MODES, ConfigError, RunConfig, config_snapshot, parse_config
+from .config import MODES, ConfigError, RunConfig, parse_config
 from .ramsey import simulate_ensemble
 
 _SEED_REQUIRED_MODES = ("sweep-beta", "benchmark", "gain-profile")
@@ -211,6 +211,12 @@ def _dataclass_table(items) -> np.ndarray:
                          for f in fields(items[0])})
 
 
+#: Longest trace a gain-profile window may grow to.  Each window is resized
+#: to hold n_sd fringe crossings, so a slow sensing fringe would otherwise
+#: ask for an unbounded trace.
+MAX_GAIN_WINDOW_SAMPLES = 1 << 16
+
+
 def _check_mode_limits(config: RunConfig) -> None:
     """Limits of the ensemble modes, checked before any computation."""
     mode, plan, levels = config.experiment.mode, config.plan, config.filter.levels
@@ -218,7 +224,15 @@ def _check_mode_limits(config: RunConfig) -> None:
         return
     if plan.n_experiments < 2:
         raise ConfigError(f"plan.n_experiments must be >= 2 for mode {mode!r}, got {plan.n_experiments}")
-    if mode == "gain-profile":  # the shortest resized window bounds the depth
+    if mode == "gain-profile":
+        # a window of n_sd crossings spans fewer than n_sd + 2 fringe periods
+        n_sd = max(config.experiment.n_sd_values)
+        n_longest = (n_sd + 2) * 2.0 * np.pi / config.omega_sense * plan.f_sample
+        if not n_longest <= MAX_GAIN_WINDOW_SAMPLES:
+            raise ConfigError(
+                f"experiment.n_sd_values: the gain-profile window for n_sd = {n_sd} needs up to "
+                f"{n_longest:.3g} samples at plan.f_sample, more than {MAX_GAIN_WINDOW_SAMPLES}")
+        # the shortest resized window bounds the depth
         plan = plan_for_detection_count(plan, config.omega_sense, min(config.experiment.n_sd_values))
     if levels is not None and 2 ** (levels + 1) > plan.n_samples:
         raise ConfigError(f"filter.levels = {levels} needs >= {2 ** (levels + 1)} samples, "
@@ -484,13 +498,8 @@ def _apply_cli_overrides(config: RunConfig, args: argparse.Namespace) -> RunConf
     if args.format is not None:
         formats = ["csv", "json"] if args.format == "both" else [args.format]
         output = replace(output, formats=formats)
-    merged = RunConfig(sensor=config.sensor, plan=plan, filter=config.filter,
-                       experiment=experiment, output=output,
-                       seed_explicit=config.seed_explicit or args.seed is not None)
-    return RunConfig(sensor=merged.sensor, plan=merged.plan, filter=merged.filter,
-                     experiment=merged.experiment, output=merged.output,
-                     seed_explicit=merged.seed_explicit,
-                     snapshot=config_snapshot(merged))
+    return replace(config, plan=plan, experiment=experiment, output=output,
+                   seed_explicit=config.seed_explicit or args.seed is not None)
 
 
 def main(argv=None) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -95,11 +95,34 @@ class RunConfig:
     experiment: ExperimentConfig
     output: OutputConfig
     seed_explicit: bool = False
-    snapshot: dict = field(repr=False, default_factory=dict)
 
     @property
     def omega_sense(self) -> float:
         return sensing_frequency(self.sensor, self.experiment.delta_b)
+
+    @property
+    def snapshot(self) -> dict:
+        """Fully resolved configuration, defaults applied, for the run manifest."""
+        s, p, f, e, o = self.sensor, self.plan, self.filter, self.experiment, self.output
+        return {
+            "sensor": {"contrast": s.contrast, "n_ave": s.n_ave, "n0": s.n0, "n1": s.n1,
+                       "t2_star": s.t2_star, "decay_power": s.decay_power,
+                       "b_calib": s.omega_calib / abs(s.gamma_e), "gamma_e": s.gamma_e},
+            "plan": {"t_start": p.t_start, "t_stop": p.t_stop, "f_sample": p.f_sample,
+                     "repetitions": p.repetitions, "n_experiments": p.n_experiments,
+                     "seed": p.seed},
+            "filter": {"basis": f.basis, "levels": f.levels, "boundary": f.boundary,
+                       "beta": f.beta, "beta_grid": [float(b) for b in f.beta_grid],
+                       "freq_window": f.freq_window, "freq_points": f.freq_points},
+            "experiment": {"mode": e.mode, "delta_b": e.delta_b, "n_sd": e.n_sd,
+                           "m_values": e.m_values, "n_sd_values": e.n_sd_values,
+                           "photon_stats": e.photon_stats, "shared_estimate": e.shared_estimate,
+                           "squared_contrast": e.squared_contrast,
+                           "points": e.points, "points_file": e.points_file},
+            # the output directory is a location, not configuration: leaving it
+            # out keeps table bytes identical wherever a run is written
+            "output": {"formats": o.formats},
+        }
 
 
 def _check_keys(section: str, data: dict) -> None:
@@ -136,9 +159,7 @@ def _merged(section: str, data: dict) -> dict:
 
 
 def _build_sensor(data: dict) -> SensorParams:
-    _check_keys("sensor", data)
-    merged = dict(_DEFAULTS["sensor"])
-    merged.update(data)
+    merged = _merged("sensor", data)
     gamma_e = float(merged.get("gamma_e", GAMMA_E))
     try:
         if "n0" in data or "n1" in data:
@@ -231,8 +252,12 @@ def _build_filter(data: dict) -> FilterConfig:
     )
 
 
-def _build_experiment(data: dict) -> ExperimentConfig:
+def _build_experiment(data: dict, sensor: SensorParams) -> ExperimentConfig:
     merged = _merged("experiment", data)
+    delta_b = float(merged["delta_b"])
+    if not 0.0 < sensing_frequency(sensor, delta_b) < np.inf:
+        raise ConfigError(f"experiment.delta_b must be finite with b_calib + delta_b > 0, "
+                          f"got {delta_b!r}")
     mode = merged.get("mode")
     if mode is not None and mode not in MODES:
         raise ConfigError(f"experiment: unknown mode {mode!r} (known: {', '.join(MODES)})")
@@ -255,7 +280,7 @@ def _build_experiment(data: dict) -> ExperimentConfig:
         points = [_point(f"experiment.points[{i}]", entry) for i, entry in enumerate(points)]
     return ExperimentConfig(
         mode=mode,
-        delta_b=float(merged["delta_b"]),
+        delta_b=delta_b,
         n_sd=n_sd,
         m_values=m_values,
         n_sd_values=n_sd_values,
@@ -276,30 +301,6 @@ def _build_output(data: dict) -> OutputConfig:
     if not formats:
         raise ConfigError("output: formats must not be empty")
     return OutputConfig(directory=str(merged["directory"]), formats=formats)
-
-
-def config_snapshot(config: RunConfig) -> dict:
-    """Fully resolved configuration, defaults applied, for the run manifest."""
-    s, p, f, e, o = config.sensor, config.plan, config.filter, config.experiment, config.output
-    return {
-        "sensor": {"contrast": s.contrast, "n_ave": s.n_ave, "n0": s.n0, "n1": s.n1,
-                   "t2_star": s.t2_star, "decay_power": s.decay_power,
-                   "b_calib": s.omega_calib / abs(s.gamma_e), "gamma_e": s.gamma_e},
-        "plan": {"t_start": p.t_start, "t_stop": p.t_stop, "f_sample": p.f_sample,
-                 "repetitions": p.repetitions, "n_experiments": p.n_experiments,
-                 "seed": p.seed},
-        "filter": {"basis": f.basis, "levels": f.levels, "boundary": f.boundary,
-                   "beta": f.beta, "beta_grid": [float(b) for b in f.beta_grid],
-                   "freq_window": f.freq_window, "freq_points": f.freq_points},
-        "experiment": {"mode": e.mode, "delta_b": e.delta_b, "n_sd": e.n_sd,
-                       "m_values": e.m_values, "n_sd_values": e.n_sd_values,
-                       "photon_stats": e.photon_stats, "shared_estimate": e.shared_estimate,
-                       "squared_contrast": e.squared_contrast,
-                       "points": e.points, "points_file": e.points_file},
-        # the output directory is a location, not configuration: leaving it
-        # out keeps table bytes identical wherever a run is written
-        "output": {"formats": o.formats},
-    }
 
 
 def parse_config(source: str | Path | dict | None) -> RunConfig:
@@ -330,15 +331,19 @@ def parse_config(source: str | Path | dict | None) -> RunConfig:
     unknown = set(data) - set(_SECTIONS)
     if unknown:
         raise ConfigError(f"unknown section {sorted(unknown)[0]!r} (known: {', '.join(_SECTIONS)})")
+    sensor = _build_sensor(data.get("sensor", {}))
     config = RunConfig(
-        sensor=_build_sensor(data.get("sensor", {})),
+        sensor=sensor,
         plan=_build_plan(data.get("plan", {})),
         filter=_build_filter(data.get("filter", {})),
-        experiment=_build_experiment(data.get("experiment", {})),
+        experiment=_build_experiment(data.get("experiment", {}), sensor),
         output=_build_output(data.get("output", {})),
         seed_explicit="seed" in data.get("plan", {}),
     )
-    return RunConfig(sensor=config.sensor, plan=config.plan, filter=config.filter,
-                     experiment=config.experiment, output=config.output,
-                     seed_explicit=config.seed_explicit,
-                     snapshot=config_snapshot(config))
+    # the sampled fringe and the frequency search grid must lie below the
+    # angular Nyquist frequency pi * f_sample
+    omega_max = max(config.omega_sense, sensor.omega_calib * (1.0 + config.filter.freq_window))
+    if not omega_max < np.pi * config.plan.f_sample:
+        raise ConfigError(f"plan.f_sample = {config.plan.f_sample:.6g} Hz undersamples the fringe: "
+                          f"it must exceed {omega_max / np.pi:.6g} Hz")
+    return config

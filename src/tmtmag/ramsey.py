@@ -29,8 +29,8 @@ def derive_photon_levels(contrast: float, n_ave: float) -> tuple[float, float]:
     """
     if not 0.0 < contrast < 1.0:
         raise ValueError(f"contrast must lie in (0, 1), got {contrast}")
-    if n_ave <= 0.0:
-        raise ValueError(f"n_ave must be positive, got {n_ave}")
+    if not 0.0 < n_ave < np.inf:
+        raise ValueError(f"n_ave must be finite and positive, got {n_ave}")
     n0 = 2.0 * n_ave / (2.0 - contrast)
     n1 = n0 * (1.0 - contrast)
     return n0, n1
@@ -38,8 +38,8 @@ def derive_photon_levels(contrast: float, n_ave: float) -> tuple[float, float]:
 
 def calib_frequency(b_calib: float, gamma_e: float = GAMMA_E) -> float:
     """Angular precession frequency |gamma_e| * B for a field along z."""
-    if b_calib < 0.0:
-        raise ValueError(f"field magnitude must be >= 0, got {b_calib}")
+    if not 0.0 <= b_calib < np.inf:
+        raise ValueError(f"b_calib must be finite and >= 0, got {b_calib}")
     return abs(gamma_e) * b_calib
 
 
@@ -57,14 +57,19 @@ class SensorParams:
     gamma_e: float = GAMMA_E
 
     def __post_init__(self):
-        if not self.n0 > self.n1 > 0.0:
-            raise ValueError(f"need n0 > n1 > 0, got n0={self.n0}, n1={self.n1}")
+        if not np.inf > self.n0 > self.n1 > 0.0:
+            raise ValueError(f"need finite n0 > n1 > 0, got n0={self.n0}, n1={self.n1}")
         if not 0.0 < self.contrast < 1.0:
             raise ValueError(f"contrast must lie in (0, 1), got {self.contrast}")
-        if self.t2_star <= 0.0:
-            raise ValueError(f"t2_star must be positive, got {self.t2_star}")
-        if self.decay_power < 1.0:
-            raise ValueError(f"decay_power must be >= 1, got {self.decay_power}")
+        if not 0.0 < self.t2_star < np.inf:
+            raise ValueError(f"t2_star must be finite and positive, got {self.t2_star}")
+        if not 1.0 <= self.decay_power < np.inf:
+            raise ValueError(f"decay_power must be finite and >= 1, got {self.decay_power}")
+        if not (np.isfinite(self.gamma_e) and self.gamma_e != 0.0):
+            raise ValueError(f"gamma_e must be finite and non-zero, got {self.gamma_e}")
+        if not 0.0 < self.omega_calib < np.inf:
+            raise ValueError(f"omega_calib = |gamma_e| * b_calib must be finite and positive, "
+                             f"got {self.omega_calib}")
         if abs(self.contrast - (self.n0 - self.n1) / self.n0) > 1e-9:
             raise ValueError("contrast is inconsistent with (n0 - n1)/n0")
         if abs(self.n_ave - 0.5 * (self.n0 + self.n1)) > 1e-9:
@@ -92,10 +97,10 @@ class AcquisitionPlan:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.t_stop > self.t_start >= 0.0):
-            raise ValueError(f"need t_stop > t_start >= 0, got [{self.t_start}, {self.t_stop}]")
-        if self.f_sample <= 0.0:
-            raise ValueError(f"f_sample must be positive, got {self.f_sample}")
+        if not np.inf > self.t_stop > self.t_start >= 0.0:
+            raise ValueError(f"need finite t_stop > t_start >= 0, got [{self.t_start}, {self.t_stop}]")
+        if not 0.0 < self.f_sample < np.inf:
+            raise ValueError(f"f_sample must be finite and positive, got {self.f_sample}")
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
         if self.n_experiments < 1:
@@ -119,25 +124,6 @@ class AcquisitionPlan:
 
     def with_(self, **kwargs) -> "AcquisitionPlan":
         return replace(self, **kwargs)
-
-
-@dataclass(frozen=True)
-class PLTrace:
-    """Uniformly sampled PL time series in mean photons per repetition."""
-
-    times: np.ndarray
-    values: np.ndarray
-    params: SensorParams
-    plan: AcquisitionPlan
-
-    def __post_init__(self):
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.times.shape != self.values.shape:
-            raise ValueError("times and values must have matching shapes")
-
-    def __len__(self) -> int:
-        return self.values.size
 
 
 def envelope(t, params: SensorParams):
@@ -214,22 +200,6 @@ def _sample_values(params: SensorParams, plan: AcquisitionPlan, omega_true: floa
     else:
         raise ValueError(f"unknown photon_stats mode {photon_stats!r}")
     return photons / m
-
-
-def simulate_trace(params: SensorParams, plan: AcquisitionPlan, omega_true: float,
-                   rng: np.random.Generator | int | None = None,
-                   photon_stats: str = "bernoulli-poisson") -> PLTrace:
-    """Draw one PL trace; ``rng`` may be a Generator or an experiment index.
-
-    With an integer (or None, meaning experiment 0) the substream is
-    derived from ``plan.seed``.
-    """
-    if omega_true <= 0.0:
-        raise ValueError(f"omega_true must be positive, got {omega_true}")
-    if not isinstance(rng, np.random.Generator):
-        rng = experiment_rng(plan.seed, 0 if rng is None else rng)
-    values = _sample_values(params, plan, omega_true, rng, photon_stats)
-    return PLTrace(times=plan.times, values=values, params=params, plan=plan)
 
 
 def simulate_ensemble(params: SensorParams, plan: AcquisitionPlan, omega_true: float,

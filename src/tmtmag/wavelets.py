@@ -1,8 +1,10 @@
 """Filter-bank wavelet transforms on finite discrete signals.
 
-Provides the decimated transform (``dwt_decompose`` / ``dwt_reconstruct``)
-and the undecimated (stationary, "a trous") transform (``uwt_decompose`` /
-``iuwt_reconstruct``) over a small registry of filter banks.
+One array API per transform, over a small registry of filter banks and
+along the last axis, so a single trace is a batch of one: the undecimated
+(stationary, "a trous") ``uwt_analyze`` / ``uwt_synthesize``, with the
+detail levels stacked in one array, and the decimated ``dwt_decompose`` /
+``dwt_reconstruct``, with a list of ceil-halved levels.
 
 Conventions, fixed once for the whole package:
 
@@ -24,6 +26,7 @@ Conventions, fixed once for the whole package:
   undecimated transform exactly shift covariant and both round trips
   exact to rounding.  A reflective ``"symmetric"`` extension is available
   for the undecimated transform; it is exact away from the edges only.
+  The decimated transform is periodic only.
 
 Detail levels are indexed finest first: ``details[0]`` is the highest
 frequency band.
@@ -183,31 +186,6 @@ def _as_basis(basis: WaveletBasis | str) -> WaveletBasis:
     return basis_registry(basis) if isinstance(basis, str) else basis
 
 
-@dataclass(frozen=True)
-class WaveletDecomposition:
-    """Multi-level coefficient set, finest detail level first.
-
-    In undecimated mode every array has the signal length; in decimated
-    mode level j has ceil(N / 2**(j+1)) samples and ``signal_length``
-    records N for the inverse.
-    """
-
-    details: list[np.ndarray]
-    approximation: np.ndarray
-    levels: int
-    mode: str  # "decimated" | "undecimated"
-    boundary: str
-    signal_length: int
-
-    def __post_init__(self):
-        if self.mode not in ("decimated", "undecimated"):
-            raise WaveletError(f"unknown decomposition mode {self.mode!r}")
-        if len(self.details) != self.levels + 1:
-            raise WaveletError(
-                f"expected {self.levels + 1} detail arrays, got {len(self.details)}"
-            )
-
-
 def default_levels(n_samples: int) -> int:
     """Deepest supported level: floor(log2(N)) - 1."""
     if n_samples < 4:
@@ -311,9 +289,18 @@ def uwt_analyze(signal, basis: WaveletBasis | str, levels: int, boundary: str = 
 
 
 def uwt_synthesize(details, approximation, basis: WaveletBasis | str, boundary: str = "periodic"):
-    """Inverse of :func:`uwt_analyze`; averages redundant branches."""
+    """Inverse of :func:`uwt_analyze`; averages redundant branches.
+
+    Every detail level must have the approximation's length along the
+    last axis.
+    """
     basis = _as_basis(basis)
     a = np.asarray(approximation, dtype=float)
+    n = a.shape[-1]
+    for j, d in enumerate(details):
+        if np.shape(d)[-1] != n:
+            raise WaveletError(f"detail level {j} has length {np.shape(d)[-1]}, "
+                               f"expected the approximation's {n}")
     levels = len(details) - 1
     for j in range(levels, -1, -1):
         a = 0.5 * _synthesis_step(a, np.asarray(details[j], dtype=float),
@@ -356,36 +343,6 @@ def uwt_synthesis_rows(n: int, indices, basis: WaveletBasis | str, levels: int,
     return rows, u
 
 
-def uwt_decompose(signal, basis: WaveletBasis | str, levels: int | None = None,
-                  boundary: str = "periodic") -> WaveletDecomposition:
-    """Undecimated decomposition of a signal to ``levels`` detail levels."""
-    x = _check_signal(signal)
-    if levels is None:
-        levels = default_levels(x.shape[-1])
-    stacked, approx = uwt_analyze(x, basis, levels, boundary)
-    return WaveletDecomposition(
-        details=[stacked[j] for j in range(levels + 1)],
-        approximation=approx,
-        levels=levels,
-        mode="undecimated",
-        boundary=boundary,
-        signal_length=x.shape[-1],
-    )
-
-
-def iuwt_reconstruct(decomp: WaveletDecomposition, basis: WaveletBasis | str) -> np.ndarray:
-    """Reconstruct a signal from an undecimated decomposition."""
-    if decomp.mode != "undecimated":
-        raise WaveletError(f"expected an undecimated decomposition, got {decomp.mode!r}")
-    n = decomp.signal_length
-    for j, d in enumerate(decomp.details):
-        if d.shape[-1] != n:
-            raise WaveletError(f"detail level {j} has length {d.shape[-1]}, expected {n}")
-    if decomp.approximation.shape[-1] != n:
-        raise WaveletError("approximation length does not match the signal length")
-    return uwt_synthesize(decomp.details, decomp.approximation, basis, decomp.boundary)
-
-
 # ---------------------------------------------------------------------------
 # decimated transform
 # ---------------------------------------------------------------------------
@@ -398,13 +355,13 @@ def _decimated_lengths(n: int, levels: int) -> list[int]:
     return lengths
 
 
-def dwt_decompose(signal, basis: WaveletBasis | str, levels: int,
-                  boundary: str = "periodic") -> WaveletDecomposition:
-    """Decimated decomposition down to detail level ``levels`` (periodized).
+def dwt_decompose(signal, basis: WaveletBasis | str, levels: int):
+    """Decimated periodized decomposition down to detail level ``levels``.
 
-    ``levels`` is the index of the deepest detail level, so ``levels + 1``
-    detail arrays are produced; odd intermediate lengths extend by one
-    duplicated sample, giving ceil-halved coefficient lengths.
+    Returns ``(details, approximation)``: a list of ``levels + 1`` detail
+    arrays, finest first, and the deepest approximation.  Odd intermediate
+    lengths extend by one duplicated sample, giving ceil-halved
+    coefficient lengths.
     """
     basis = _as_basis(basis)
     x = _check_signal(signal)
@@ -413,47 +370,34 @@ def dwt_decompose(signal, basis: WaveletBasis | str, levels: int,
         raise WaveletError(f"decimated transform needs levels >= 1, got {levels}")
     if n < 2 ** levels:
         raise WaveletError(f"signal too short for detail level {levels} (N={n})")
-    if boundary != "periodic":
-        raise WaveletError("the decimated transform supports periodic boundaries only")
     details = []
     a = x
     for _ in range(levels + 1):
         if a.shape[-1] % 2:
             a = np.concatenate([a, a[..., -1:]], axis=-1)
-        lo, hi = _analysis_step(a, basis.h0, basis.h1, 1, boundary)
+        lo, hi = _analysis_step(a, basis.h0, basis.h1, 1, "periodic")
         details.append(hi[..., ::2])
         a = lo[..., ::2]
-    return WaveletDecomposition(
-        details=details,
-        approximation=a,
-        levels=levels,
-        mode="decimated",
-        boundary=boundary,
-        signal_length=n,
-    )
+    return details, a
 
 
-def dwt_reconstruct(decomp: WaveletDecomposition, basis: WaveletBasis | str) -> np.ndarray:
-    """Inverse of :func:`dwt_decompose`."""
+def dwt_reconstruct(details, approximation, basis: WaveletBasis | str,
+                    n_samples: int) -> np.ndarray:
+    """Inverse of :func:`dwt_decompose` for a signal of ``n_samples`` samples."""
     basis = _as_basis(basis)
-    if decomp.mode != "decimated":
-        raise WaveletError(f"expected a decimated decomposition, got {decomp.mode!r}")
-    n_levels = len(decomp.details)
-    expected = _decimated_lengths(decomp.signal_length, n_levels)
-    for j, (d, want) in enumerate(zip(decomp.details, expected)):
+    expected = _decimated_lengths(n_samples, len(details))
+    for j, (d, want) in enumerate(zip(details, expected)):
         if d.shape[-1] != want:
             raise WaveletError(f"detail level {j} has length {d.shape[-1]}, expected {want}")
-    if decomp.approximation.shape[-1] != expected[-1]:
+    if approximation.shape[-1] != expected[-1]:
         raise WaveletError("approximation length does not match the deepest level")
-    a = decomp.approximation
-    for j in range(n_levels - 1, -1, -1):
-        d = decomp.details[j]
-        n_up = 2 * d.shape[-1]
-        up_a = np.zeros(a.shape[:-1] + (n_up,))
+    a = approximation
+    for j in range(len(details) - 1, -1, -1):
+        d = details[j]
+        up_a = np.zeros(a.shape[:-1] + (2 * d.shape[-1],))
         up_d = np.zeros_like(up_a)
         up_a[..., ::2] = a
         up_d[..., ::2] = d
-        a = _synthesis_step(up_a, up_d, basis.g0, basis.g1, 1, decomp.boundary)
-        target = decomp.signal_length if j == 0 else expected[j - 1]
-        a = a[..., :target]
+        a = _synthesis_step(up_a, up_d, basis.g0, basis.g1, 1, "periodic")
+        a = a[..., :n_samples if j == 0 else expected[j - 1]]
     return a

@@ -29,7 +29,6 @@ from tmtmag import (
     sensing_frequency,
     signal_amplitude,
     simulate_ensemble,
-    simulate_trace,
     snr,
     sweep_beta,
     template,
@@ -41,8 +40,8 @@ from tmtmag.wavelets import (
     default_levels,
     dwt_decompose,
     dwt_reconstruct,
-    iuwt_reconstruct,
-    uwt_decompose,
+    uwt_analyze,
+    uwt_synthesize,
 )
 from stat_utils import assert_monotone_tradeoff
 
@@ -79,10 +78,10 @@ def test_criterion_1_perfect_reconstruction():
             x = gen.normal(size=n)
             scale = np.max(np.abs(x))
             levels = int(gen.integers(0, min(8, default_levels(n)) + 1))
-            xr = iuwt_reconstruct(uwt_decompose(x, name, levels), name)
+            xr = uwt_synthesize(*uwt_analyze(x, name, levels), name)
             assert np.max(np.abs(xr - x)) / scale < 1e-10
             d_levels = max(1, min(levels, int(np.log2(n))))
-            xr = dwt_reconstruct(dwt_decompose(x, name, d_levels), name)
+            xr = dwt_reconstruct(*dwt_decompose(x, name, d_levels), name, n)
             assert np.max(np.abs(xr - x)) / scale < 1e-10
 
 
@@ -97,17 +96,17 @@ def test_criterion_2_oracle_equivalence():
             basis = basis_registry(name)
             levels = int(gen.integers(0, min(3, default_levels(n)) + 1))
             x = gen.normal(size=n)
-            decomp = uwt_decompose(x, basis, levels)
+            details, approx = uwt_analyze(x, basis, levels)
             d_ref, a_ref = uwt_oracle(x, basis, levels)
-            for got, ref in zip(decomp.details, d_ref):
+            for got, ref in zip(details, d_ref):
                 assert np.max(np.abs(got - ref)) < 1e-12
-            assert np.max(np.abs(decomp.approximation - a_ref)) < 1e-12
+            assert np.max(np.abs(approx - a_ref)) < 1e-12
             d_levels = max(1, levels)
-            decomp = dwt_decompose(x, basis, d_levels)
+            details, approx = dwt_decompose(x, basis, d_levels)
             d_ref, a_ref = dwt_oracle(x, basis, d_levels)
-            for got, ref in zip(decomp.details, d_ref):
+            for got, ref in zip(details, d_ref):
                 assert np.max(np.abs(got - ref)) < 1e-12
-            assert np.max(np.abs(decomp.approximation - a_ref)) < 1e-12
+            assert np.max(np.abs(approx - a_ref)) < 1e-12
 
 
 def test_criterion_3_statistical_identity():
@@ -122,7 +121,7 @@ def test_criterion_3_statistical_identity():
 def test_criterion_4_raw_limit_and_template_passthrough():
     with criterion(4, "raw limit and template passthrough"):
         plan = AcquisitionPlan(0.97e-6, 1.75e-6, 128e6, 25000, 10, seed=1004)
-        trace = simulate_trace(PARAMS, plan, OMEGA_SENSE, 0).values
+        trace = simulate_ensemble(PARAMS, plan, OMEGA_SENSE)[0]
         out = tmt_denoise(trace, OMEGA_SENSE, -16.0, PARAMS, plan, "bior6.8")
         rel = np.max(np.abs(out - trace)) / np.max(np.abs(trace))
         assert rel < 1e-10

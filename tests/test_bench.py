@@ -142,8 +142,8 @@ def test_stats_input_validation(paper_params):
     points = _point_set(None, 0.0)
     with pytest.raises(ValueError, match="2 experiments"):
         ensemble_stats(np.array([[1.0]]), points)
-    with pytest.raises(ValueError, match="time grid"):
-        ensemble_stats([np.zeros(4), np.zeros(5)], points)
+    with pytest.raises(ValueError, match="n_exp, n_samples"):
+        ensemble_stats(np.zeros(4), points)
     from tmtmag.bench import DetectionPointSet
     far = DetectionPointSet(indices=np.array([10]), times=np.array([0.0]),
                             truths=np.array([0.0]))

@@ -4,13 +4,16 @@ import csv
 import json
 from pathlib import Path
 
+import numbers
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tmtmag import cli
 from tmtmag.bench import DetectionPointSet, ensemble_stats
 from tmtmag.cli import _stats_columns, export_table, main, make_table
-from tmtmag.config import parse_config
+from tmtmag.config import MODES, parse_config
 
 
 def fast_config(tmp_path, **overrides):
@@ -407,3 +410,50 @@ def test_preset_configs_parse():
     for preset in sorted(Path(__file__).resolve().parents[1].glob("configs/*.json")):
         config = parse_config(preset)
         assert config.plan.repetitions == 25000
+
+
+# ---------------------------------------------------------------------------
+# every numeric field, perturbed, through every mode
+# ---------------------------------------------------------------------------
+
+TINY = {
+    "sensor": {"gamma_e": -1.76e11},
+    "plan": {"n_experiments": 3, "seed": 3},
+    "filter": {"levels": 3, "freq_points": 201, "beta_grid": [-1.0, 0.0, 1.0]},
+    "experiment": {"n_sd": 1, "m_values": [25000, 50000, 100000], "n_sd_values": [1, 2],
+                   "points": [[1.0, 2.0], [2.0, 2.9], [4.0, 4.1]]},
+}
+# the resolved configuration is the schema: each of its scalar numbers is a field
+TINY_RESOLVED = parse_config(TINY).snapshot
+NUMERIC_FIELDS = sorted((section, key) for section, block in TINY_RESOLVED.items()
+                        for key, value in block.items()
+                        if isinstance(value, numbers.Real) and not isinstance(value, bool))
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=st.sampled_from(NUMERIC_FIELDS),
+       value=st.one_of(st.sampled_from([float("nan"), float("inf"), float("-inf"), 0, 0.0]),
+                       st.integers(max_value=-1),
+                       st.floats(max_value=-1e-300, allow_infinity=False)))
+@example(field=("sensor", "gamma_e"), value=0)
+@example(field=("sensor", "b_calib"), value=float("inf"))
+@example(field=("plan", "f_sample"), value=float("inf"))
+@example(field=("experiment", "delta_b"), value=-1.0)
+def test_perturbed_field_never_raises(tmp_path_factory, field, value):
+    section, key = field
+    cfg = json.loads(json.dumps(TINY_RESOLVED))
+    cfg[section][key] = value
+    work = tmp_path_factory.mktemp("perturbed")
+    path = work / "config.json"
+    path.write_text(json.dumps(cfg))
+    for mode in MODES:
+        assert main([mode, "--config", str(path), "--out", str(work / mode)]) in (0, 1, 2)
+
+
+def test_slow_fringe_gain_window_rejected(tmp_path, capsys):
+    # |gamma_e| = 1 rad/s/T puts the sensing fringe at ~1e-4 rad/s: a window
+    # holding n_sd crossings would span days of samples
+    path = fast_config(tmp_path, sensor={"gamma_e": -1.0}, experiment={"n_sd_values": [1, 2]})
+    assert main(["gain-profile", "--config", str(path), "--seed", "1",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "experiment.n_sd_values" in capsys.readouterr().err

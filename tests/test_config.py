@@ -89,6 +89,29 @@ def test_nan_beta_rejected_by_field():
         parse_config({"filter": {"beta_grid": {"start": float("nan"), "stop": 1.0, "step": 0.5}}})
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("sensor", "t2_star", np.nan),
+    ("sensor", "t2_star", np.inf),
+    ("sensor", "decay_power", np.nan),
+    ("sensor", "n_ave", np.nan),
+    ("sensor", "b_calib", np.nan),
+    ("sensor", "b_calib", np.inf),
+    ("sensor", "gamma_e", np.nan),
+    ("sensor", "gamma_e", 0.0),
+    ("plan", "t_stop", np.inf),
+    ("plan", "f_sample", np.nan),
+    ("plan", "f_sample", np.inf),
+    ("plan", "f_sample", 5e6),  # below the Nyquist rate of the fringe and its search grid
+    ("experiment", "delta_b", np.nan),
+    ("experiment", "delta_b", np.inf),
+    ("experiment", "delta_b", -np.inf),
+    ("experiment", "delta_b", -100e-6),  # b_calib + delta_b = 0: no sensing fringe
+])
+def test_bad_physical_floats_rejected_by_field(section, key, value):
+    with pytest.raises(ConfigError, match=key):
+        parse_config({section: {key: value}})
+
+
 @pytest.mark.parametrize("entry", [[4.0, float("nan")], [float("inf"), 2.0], [1.0], "ab", 5.0])
 def test_bad_point_rejected_by_field(entry):
     with pytest.raises(ConfigError, match=r"experiment\.points\[1\]"):

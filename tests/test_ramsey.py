@@ -14,10 +14,9 @@ from tmtmag import (
     sensing_frequency,
     shot_noise,
     simulate_ensemble,
-    simulate_trace,
     template,
 )
-from tmtmag.ramsey import envelope, experiment_rng
+from tmtmag.ramsey import envelope
 
 
 # ---------------------------------------------------------------------------
@@ -258,21 +257,22 @@ def test_pure_poisson_mode(paper_params, short_plan):
 
 
 def test_trace_determinism(paper_params, short_plan):
-    a = simulate_trace(paper_params, short_plan, paper_params.omega_calib, 3)
-    b = simulate_trace(paper_params, short_plan, paper_params.omega_calib, 3)
-    np.testing.assert_array_equal(a.values, b.values)
-    c = simulate_trace(paper_params, short_plan, paper_params.omega_calib, 4)
-    assert np.any(c.values != a.values)
+    a = simulate_ensemble(paper_params, short_plan, paper_params.omega_calib)
+    b = simulate_ensemble(paper_params, short_plan, paper_params.omega_calib)
+    np.testing.assert_array_equal(a[3], b[3])
+    assert np.any(a[4] != a[3])
 
 
 def test_substreams_are_order_independent(paper_params, short_plan):
     whole = simulate_ensemble(paper_params, short_plan, paper_params.omega_calib)
-    # drawing experiment 7 in isolation reproduces row 7 exactly
-    lone = simulate_trace(paper_params, short_plan, paper_params.omega_calib,
-                          experiment_rng(short_plan.seed, 7))
-    np.testing.assert_array_equal(whole[7], lone.values)
+    # row i depends only on (seed, i): the same in ensembles of 8 and 20
+    small = simulate_ensemble(paper_params, short_plan.with_(n_experiments=8),
+                              paper_params.omega_calib)
+    assert whole.shape[0] == 20
+    np.testing.assert_array_equal(whole[7], small[7])
+    np.testing.assert_array_equal(whole[:8], small)
 
 
 def test_simulate_rejects_nonpositive_frequency(paper_params, short_plan):
     with pytest.raises(ValueError, match="omega_true"):
-        simulate_trace(paper_params, short_plan, 0.0)
+        simulate_ensemble(paper_params, short_plan, 0.0)

@@ -16,13 +16,12 @@ from tmtmag import (
     margin_width,
     shot_noise,
     simulate_ensemble,
-    simulate_trace,
     template,
     tmt_denoise,
 )
 from tmtmag.bench import EnsembleRun
 from tmtmag.tmt import clamp_details
-from tmtmag.wavelets import uwt_analyze, uwt_decompose
+from tmtmag.wavelets import uwt_analyze
 
 
 def _estimate(values, params, plan, grid):
@@ -116,10 +115,9 @@ def test_batch_estimates_match_single(paper_params, short_plan):
 def test_margins_collapse_at_large_beta(paper_params, short_plan):
     omega = paper_params.omega_calib
     kernel_details, noise_details = build_margins(omega, paper_params, short_plan, "bior6.8", 4)
-    kernel = uwt_decompose(template(short_plan.times, omega, paper_params), "bior6.8", 4)
+    kernel, _ = uwt_analyze(template(short_plan.times, omega, paper_params), "bior6.8", 4)
     assert np.max(2.0 * margin_width(16.0, short_plan) * noise_details) < 1e-9
-    for k, dk in zip(kernel_details, kernel.details):
-        np.testing.assert_array_equal(k, dk)
+    np.testing.assert_array_equal(kernel_details, kernel)
 
 
 def test_margins_huge_at_negative_beta(paper_params, short_plan):
@@ -194,10 +192,10 @@ def test_hard_clamp_cases():
 
 
 def test_raw_limit_passthrough(paper_params, short_plan):
-    trace = simulate_trace(paper_params, short_plan, paper_params.omega_calib, 0)
-    out = tmt_denoise(trace.values, paper_params.omega_calib, -16.0, paper_params,
+    trace = simulate_ensemble(paper_params, short_plan, paper_params.omega_calib)[0]
+    out = tmt_denoise(trace, paper_params.omega_calib, -16.0, paper_params,
                       short_plan, "bior6.8", levels=5)
-    rel = np.max(np.abs(out - trace.values)) / np.max(np.abs(trace.values))
+    rel = np.max(np.abs(out - trace)) / np.max(np.abs(trace))
     assert rel < 1e-10
 
 
@@ -211,18 +209,18 @@ def test_template_passthrough(paper_params, short_plan, beta):
 
 def test_clamped_details_stay_inside_margins(paper_params, short_plan):
     omega = paper_params.omega_calib
-    trace = simulate_trace(paper_params, short_plan, omega, 2)
+    trace = simulate_ensemble(paper_params, short_plan, omega)[2]
     kernel_details, noise_details = build_margins(omega, paper_params, short_plan, "bior6.8", 5)
     width = margin_width(0.5, short_plan)
-    details, approx = uwt_analyze(trace.values, "bior6.8", 5)
+    details, approx = uwt_analyze(trace, "bior6.8", 5)
     clamped = clamp_details(details, kernel_details, noise_details, width)
     half = width * noise_details
     assert np.all(clamped >= kernel_details - half)
     assert np.all(clamped <= kernel_details + half)
     assert np.any(clamped[0] != details[0])  # something was clamped
     # the approximation band is exempt: denoising keeps the raw trace mean
-    out = tmt_denoise(trace.values, omega, 0.5, paper_params, short_plan, "bior6.8", levels=5)
-    assert np.mean(out) == pytest.approx(np.mean(trace.values), rel=1e-12)
+    out = tmt_denoise(trace, omega, 0.5, paper_params, short_plan, "bior6.8", levels=5)
+    assert np.mean(out) == pytest.approx(np.mean(trace), rel=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -328,12 +326,12 @@ def test_symmetric_boundary_per_trace_paths_agree(symmetric_run, beta):
 
 def test_denoise_mismatch_errors(paper_params, short_plan):
     other_plan = short_plan.with_(t_stop=2.14e-6)
-    other = simulate_trace(paper_params, other_plan, paper_params.omega_calib, 0)
+    other = simulate_ensemble(paper_params, other_plan, paper_params.omega_calib)[0]
     with pytest.raises(ValueError, match="grid"):
-        tmt_denoise(other.values, paper_params.omega_calib, 0.0, paper_params, short_plan,
+        tmt_denoise(other, paper_params.omega_calib, 0.0, paper_params, short_plan,
                     "bior6.8", levels=5)
     with pytest.raises(ValueError, match="grid"):
-        denoise_pipeline(other.values, paper_params, short_plan, 0.0, "bior6.8")
+        denoise_pipeline(other, paper_params, short_plan, 0.0, "bior6.8")
 
 
 def test_pipeline_reduces_variance_at_detection_points(paper_params, short_plan):
@@ -343,10 +341,9 @@ def test_pipeline_reduces_variance_at_detection_points(paper_params, short_plan)
     plan = short_plan.with_(n_experiments=40, seed=99)
     points = find_detection_points(omega, plan, 2, paper_params)
     raw_at_points, tmt_at_points = [], []
-    for i in range(plan.n_experiments):
-        trace = simulate_trace(paper_params, plan, omega, i)
-        out, _ = denoise_pipeline(trace.values, paper_params, plan, beta=0.0, basis="bior6.8")
-        raw_at_points.append(trace.values[points.indices])
+    for trace in simulate_ensemble(paper_params, plan, omega):
+        out, _ = denoise_pipeline(trace, paper_params, plan, beta=0.0, basis="bior6.8")
+        raw_at_points.append(trace[points.indices])
         tmt_at_points.append(out[points.indices])
     raw_var = np.var(np.array(raw_at_points), axis=0)
     tmt_var = np.var(np.array(tmt_at_points), axis=0)
@@ -354,8 +351,8 @@ def test_pipeline_reduces_variance_at_detection_points(paper_params, short_plan)
 
 
 def test_pipeline_determinism(paper_params, short_plan):
-    trace = simulate_trace(paper_params, short_plan, paper_params.omega_calib, 5)
-    out1, omega1 = denoise_pipeline(trace.values, paper_params, short_plan, 0.0, "bior6.8")
-    out2, omega2 = denoise_pipeline(trace.values, paper_params, short_plan, 0.0, "bior6.8")
+    trace = simulate_ensemble(paper_params, short_plan, paper_params.omega_calib)[5]
+    out1, omega1 = denoise_pipeline(trace, paper_params, short_plan, 0.0, "bior6.8")
+    out2, omega2 = denoise_pipeline(trace, paper_params, short_plan, 0.0, "bior6.8")
     np.testing.assert_array_equal(out1, out2)
     assert omega1 == omega2

@@ -11,9 +11,7 @@ from tmtmag.wavelets import (
     default_levels,
     dwt_decompose,
     dwt_reconstruct,
-    iuwt_reconstruct,
     uwt_analyze,
-    uwt_decompose,
     uwt_synthesis_rows,
     uwt_synthesize,
 )
@@ -132,8 +130,8 @@ def test_bior68_vanishing_moments():
 # ---------------------------------------------------------------------------
 
 def test_dwt_constant_details_vanish():
-    decomp = dwt_decompose([5.0, 5.0, 5.0, 5.0], "haar", levels=1)
-    np.testing.assert_allclose(decomp.details[0], [0.0, 0.0], atol=1e-12)
+    details, _ = dwt_decompose([5.0, 5.0, 5.0, 5.0], "haar", levels=1)
+    np.testing.assert_allclose(details[0], [0.0, 0.0], atol=1e-12)
 
 
 def test_dwt_impulse_matches_oracle():
@@ -141,11 +139,11 @@ def test_dwt_impulse_matches_oracle():
         basis = basis_registry(name)
         x = np.zeros(32)
         x[0] = 1.0
-        decomp = dwt_decompose(x, basis, levels=1)
+        details, _ = dwt_decompose(x, basis, levels=1)
         d_ref, a_ref = dwt_oracle(x, basis, levels=1)
-        np.testing.assert_allclose(decomp.details[0], d_ref[0], atol=1e-14)
+        np.testing.assert_allclose(details[0], d_ref[0], atol=1e-14)
         # impulse response of the first detail band is the decimated highpass
-        nonzero = np.sort(np.abs(decomp.details[0][np.abs(decomp.details[0]) > 0]))
+        nonzero = np.sort(np.abs(details[0][np.abs(details[0]) > 0]))
         expected = np.sort(np.abs(basis.h1[::2][np.abs(basis.h1[::2]) > 0]))
         np.testing.assert_allclose(nonzero, expected, atol=1e-14)
 
@@ -153,36 +151,39 @@ def test_dwt_impulse_matches_oracle():
 def test_dwt_random_matches_oracle(rng):
     x = rng.normal(size=64)
     basis = basis_registry("haar")
-    decomp = dwt_decompose(x, basis, levels=3)
+    details, approx = dwt_decompose(x, basis, levels=3)
     d_ref, a_ref = dwt_oracle(x, basis, levels=3)
-    for got, ref in zip(decomp.details, d_ref):
+    for got, ref in zip(details, d_ref):
         np.testing.assert_allclose(got, ref, atol=1e-12)
-    np.testing.assert_allclose(decomp.approximation, a_ref, atol=1e-12)
+    np.testing.assert_allclose(approx, a_ref, atol=1e-12)
 
 
 def test_dwt_roundtrip_small():
     x = np.array([1.0, 2.0, 3.0, 4.0])
-    decomp = dwt_decompose(x, "haar", levels=1)
-    np.testing.assert_allclose(dwt_reconstruct(decomp, "haar"), x, rtol=1e-12, atol=1e-12)
+    details, approx = dwt_decompose(x, "haar", levels=1)
+    np.testing.assert_allclose(dwt_reconstruct(details, approx, "haar", 4), x,
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_dwt_roundtrip_long_bior(rng):
     x = rng.normal(size=1024)
-    decomp = dwt_decompose(x, "bior6.8", levels=4)
-    xr = dwt_reconstruct(decomp, "bior6.8")
+    details, approx = dwt_decompose(x, "bior6.8", levels=4)
+    xr = dwt_reconstruct(details, approx, "bior6.8", 1024)
     assert np.max(np.abs(xr - x)) / np.max(np.abs(x)) < 1e-10
 
 
 def test_dwt_zero_decomposition_reconstructs_zero():
-    decomp = dwt_decompose(np.zeros(64), "bior6.8", levels=3)
-    np.testing.assert_allclose(dwt_reconstruct(decomp, "bior6.8"), np.zeros(64), atol=0)
+    details, approx = dwt_decompose(np.zeros(64), "bior6.8", levels=3)
+    np.testing.assert_allclose(dwt_reconstruct(details, approx, "bior6.8", 64), np.zeros(64),
+                               atol=0)
 
 
 def test_dwt_odd_length_roundtrip(rng):
     x = rng.normal(size=101)
-    decomp = dwt_decompose(x, "bior6.8", levels=3)
-    assert [d.shape[-1] for d in decomp.details] == [51, 26, 13, 7]
-    np.testing.assert_allclose(dwt_reconstruct(decomp, "bior6.8"), x, rtol=0, atol=1e-12)
+    details, approx = dwt_decompose(x, "bior6.8", levels=3)
+    assert [d.shape[-1] for d in details] == [51, 26, 13, 7]
+    np.testing.assert_allclose(dwt_reconstruct(details, approx, "bior6.8", 101), x,
+                               rtol=0, atol=1e-12)
 
 
 def test_dwt_errors():
@@ -192,14 +193,9 @@ def test_dwt_errors():
         dwt_decompose(np.ones(4), "haar", levels=5)
     with pytest.raises(WaveletError, match="levels"):
         dwt_decompose(np.ones(16), "haar", levels=0)
-    decomp = dwt_decompose(np.arange(16.0), "haar", levels=2)
-    bad = type(decomp)(details=[d[:-1] for d in decomp.details],
-                       approximation=decomp.approximation, levels=decomp.levels,
-                       mode="decimated", boundary="periodic", signal_length=16)
+    details, approx = dwt_decompose(np.arange(16.0), "haar", levels=2)
     with pytest.raises(WaveletError, match="length"):
-        dwt_reconstruct(bad, "haar")
-    with pytest.raises(WaveletError, match="periodic"):
-        dwt_decompose(np.arange(16.0), "haar", levels=1, boundary="symmetric")
+        dwt_reconstruct([d[:-1] for d in details], approx, "haar", 16)
 
 
 # ---------------------------------------------------------------------------
@@ -208,94 +204,85 @@ def test_dwt_errors():
 
 def test_uwt_constant_annihilation():
     for name in available_bases():
-        decomp = uwt_decompose(np.full(37, 5.0), name, levels=2)
-        for d in decomp.details:
+        details, _ = uwt_analyze(np.full(37, 5.0), name, 2)
+        for d in details:
             assert np.max(np.abs(d)) < 1e-12
 
 
 def test_uwt_random_matches_oracle(rng):
     basis = basis_registry("haar")
     x = rng.normal(size=32)
-    decomp = uwt_decompose(x, basis, levels=2)
+    details, approx = uwt_analyze(x, basis, 2)
     d_ref, a_ref = uwt_oracle(x, basis, levels=2)
-    for got, ref in zip(decomp.details, d_ref):
+    for got, ref in zip(details, d_ref):
         np.testing.assert_allclose(got, ref, atol=1e-12)
-    np.testing.assert_allclose(decomp.approximation, a_ref, atol=1e-12)
+    np.testing.assert_allclose(approx, a_ref, atol=1e-12)
 
 
 def test_uwt_shift_covariance(rng):
     x = rng.normal(size=48)
     shift = 7
-    plain = uwt_decompose(x, "bior6.8", levels=3)
-    rolled = uwt_decompose(np.roll(x, shift), "bior6.8", levels=3)
-    for d_plain, d_rolled in zip(plain.details, rolled.details):
-        np.testing.assert_allclose(d_rolled, np.roll(d_plain, shift), atol=1e-12)
-    np.testing.assert_allclose(rolled.approximation, np.roll(plain.approximation, shift),
-                               atol=1e-12)
+    plain, plain_approx = uwt_analyze(x, "bior6.8", 3)
+    rolled, rolled_approx = uwt_analyze(np.roll(x, shift), "bior6.8", 3)
+    np.testing.assert_allclose(rolled, np.roll(plain, shift, axis=-1), atol=1e-12)
+    np.testing.assert_allclose(rolled_approx, np.roll(plain_approx, shift), atol=1e-12)
 
 
 def test_iuwt_roundtrip_deep(rng):
     x = rng.normal(size=512)
-    decomp = uwt_decompose(x, "bior6.8", levels=8)
-    xr = iuwt_reconstruct(decomp, "bior6.8")
+    xr = uwt_synthesize(*uwt_analyze(x, "bior6.8", 8), "bior6.8")
     assert np.max(np.abs(xr - x)) / np.max(np.abs(x)) < 1e-10
 
 
 def test_iuwt_zero_details_is_iterated_lowpass(rng):
     basis = basis_registry("bior6.8")
     x = rng.normal(size=40)
-    decomp = uwt_decompose(x, basis, levels=2)
-    smooth = iuwt_reconstruct(
-        type(decomp)(details=[np.zeros_like(d) for d in decomp.details],
-                     approximation=decomp.approximation, levels=decomp.levels,
-                     mode="undecimated", boundary="periodic", signal_length=40),
-        basis,
-    )
+    details, approx = uwt_analyze(x, basis, 2)
+    smooth = uwt_synthesize(np.zeros_like(details), approx, basis)
     np.testing.assert_allclose(smooth, lowpass_cascade_oracle(x, basis, 2), atol=1e-12)
 
 
 def test_iuwt_identity_on_zeros():
-    decomp = uwt_decompose(np.zeros(64), "haar", levels=3)
-    np.testing.assert_allclose(iuwt_reconstruct(decomp, "haar"), np.zeros(64), atol=0)
+    xr = uwt_synthesize(*uwt_analyze(np.zeros(64), "haar", 3), "haar")
+    np.testing.assert_allclose(xr, np.zeros(64), atol=0)
 
 
 def test_uwt_default_levels():
-    decomp = uwt_decompose(np.random.default_rng(0).normal(size=100), "haar")
-    assert decomp.levels == 5  # floor(log2(100)) - 1
+    assert default_levels(100) == 5  # floor(log2(100)) - 1
     assert default_levels(4096) == 11
 
 
 def test_uwt_errors():
     with pytest.raises(WaveletError, match="too short"):
-        uwt_decompose(np.ones(8), "haar", levels=3)
+        uwt_analyze(np.ones(8), "haar", 3)
     with pytest.raises(WaveletError, match="empty"):
-        uwt_decompose([], "haar", levels=1)
-    decomp = uwt_decompose(np.arange(16.0), "haar", levels=2)
-    bad = type(decomp)(details=[d[:-1] for d in decomp.details],
-                       approximation=decomp.approximation, levels=decomp.levels,
-                       mode="undecimated", boundary="periodic", signal_length=16)
-    with pytest.raises(WaveletError, match="length"):
-        iuwt_reconstruct(bad, "haar")
+        uwt_analyze([], "haar", 1)
+    details, approx = uwt_analyze(np.arange(16.0), "haar", 2)
+    # a 1-sample stack would broadcast against the approximation
+    with pytest.raises(WaveletError, match="level 0 has length 1"):
+        uwt_synthesize(details[:, :1], approx, "haar")
+    with pytest.raises(WaveletError, match="level 0 has length 15"):
+        uwt_synthesize(details[:, :-1], approx, "haar")
+    with pytest.raises(WaveletError, match="level 2 has length 15"):
+        uwt_synthesize([details[0], details[1], details[2][:-1]], approx, "haar")
 
 
 def test_uwt_batch_matches_single(rng):
     batch = rng.normal(size=(5, 64))
-    stacked = uwt_decompose(batch, "bior6.8", levels=3)
+    stacked, _ = uwt_analyze(batch, "bior6.8", 3)
     for i in range(5):
-        single = uwt_decompose(batch[i], "bior6.8", levels=3)
-        for d_b, d_s in zip(stacked.details, single.details):
-            np.testing.assert_array_equal(d_b[i], d_s)
+        single, _ = uwt_analyze(batch[i], "bior6.8", 3)
+        np.testing.assert_array_equal(stacked[:, i], single)
 
 
 def test_uwt_symmetric_boundary_basics(rng):
     # constants are preserved by reflection, and the round trip is exact
     # away from the edges
-    const = uwt_decompose(np.full(64, 3.0), "bior6.8", levels=3, boundary="symmetric")
-    for d in const.details:
+    const, _ = uwt_analyze(np.full(64, 3.0), "bior6.8", 3, "symmetric")
+    for d in const:
         assert np.max(np.abs(d)) < 1e-12
     x = rng.normal(size=512)
-    decomp = uwt_decompose(x, "bior6.8", levels=2, boundary="symmetric")
-    xr = iuwt_reconstruct(decomp, "bior6.8")
+    xr = uwt_synthesize(*uwt_analyze(x, "bior6.8", 2, "symmetric"), "bior6.8", "symmetric")
     # total analysis+synthesis reach over levels 0..2 is (2**3 - 1)*(18 - 1)
     interior = slice(125, 512 - 125)
     np.testing.assert_allclose(xr[interior], x[interior], atol=1e-10)
@@ -368,8 +355,7 @@ def test_property_synthesis_rows_match_full_synthesis(case, name, boundary, seed
 def test_property_uwt_roundtrip(n, levels, name, seed):
     levels = min(levels, default_levels(n))
     x = np.random.default_rng(seed).normal(size=n)
-    decomp = uwt_decompose(x, name, levels=levels)
-    xr = iuwt_reconstruct(decomp, name)
+    xr = uwt_synthesize(*uwt_analyze(x, name, levels), name)
     assert np.max(np.abs(xr - x)) <= 1e-10 * max(1.0, np.max(np.abs(x)))
 
 
@@ -383,8 +369,8 @@ def test_property_uwt_roundtrip(n, levels, name, seed):
 def test_property_dwt_roundtrip(n, levels, name, seed):
     levels = min(levels, max(1, default_levels(n)))
     x = np.random.default_rng(seed).normal(size=n)
-    decomp = dwt_decompose(x, name, levels=levels)
-    xr = dwt_reconstruct(decomp, name)
+    details, approx = dwt_decompose(x, name, levels=levels)
+    xr = dwt_reconstruct(details, approx, name, n)
     assert np.max(np.abs(xr - x)) <= 1e-10 * max(1.0, np.max(np.abs(x)))
 
 
@@ -398,14 +384,11 @@ def test_property_linearity(seed, name):
     x = gen.normal(size=64)
     y = gen.normal(size=64)
     alpha, beta = gen.normal(size=2)
-    mix = uwt_decompose(alpha * x + beta * y, name, levels=3)
-    dx = uwt_decompose(x, name, levels=3)
-    dy = uwt_decompose(y, name, levels=3)
-    for d_mix, d_x, d_y in zip(mix.details, dx.details, dy.details):
-        np.testing.assert_allclose(d_mix, alpha * d_x + beta * d_y, atol=1e-10)
-    np.testing.assert_allclose(mix.approximation,
-                               alpha * dx.approximation + beta * dy.approximation,
-                               atol=1e-10)
+    mix, a_mix = uwt_analyze(alpha * x + beta * y, name, 3)
+    dx, a_x = uwt_analyze(x, name, 3)
+    dy, a_y = uwt_analyze(y, name, 3)
+    np.testing.assert_allclose(mix, alpha * dx + beta * dy, atol=1e-10)
+    np.testing.assert_allclose(a_mix, alpha * a_x + beta * a_y, atol=1e-10)
 
 
 @settings(max_examples=20, deadline=None)
@@ -416,10 +399,9 @@ def test_property_linearity(seed, name):
 )
 def test_property_shift_covariance(n, shift, seed):
     x = np.random.default_rng(seed).normal(size=n)
-    plain = uwt_decompose(x, "haar", levels=2)
-    rolled = uwt_decompose(np.roll(x, shift), "haar", levels=2)
-    for d_plain, d_rolled in zip(plain.details, rolled.details):
-        np.testing.assert_allclose(d_rolled, np.roll(d_plain, shift), atol=1e-12)
+    plain, _ = uwt_analyze(x, "haar", 2)
+    rolled, _ = uwt_analyze(np.roll(x, shift), "haar", 2)
+    np.testing.assert_allclose(rolled, np.roll(plain, shift, axis=-1), atol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -432,13 +414,13 @@ def test_property_oracle_equivalence(n, name, seed):
     basis = basis_registry(name)
     x = np.random.default_rng(seed).normal(size=n)
     levels = min(2, default_levels(n))
-    decomp = uwt_decompose(x, basis, levels=levels)
+    details, approx = uwt_analyze(x, basis, levels)
     d_ref, a_ref = uwt_oracle(x, basis, levels)
-    for got, ref in zip(decomp.details, d_ref):
+    for got, ref in zip(details, d_ref):
         np.testing.assert_allclose(got, ref, atol=1e-12)
-    np.testing.assert_allclose(decomp.approximation, a_ref, atol=1e-12)
-    dec = dwt_decompose(x, basis, levels=max(1, levels))
+    np.testing.assert_allclose(approx, a_ref, atol=1e-12)
+    dwt_details, dwt_approx = dwt_decompose(x, basis, levels=max(1, levels))
     dd_ref, da_ref = dwt_oracle(x, basis, max(1, levels))
-    for got, ref in zip(dec.details, dd_ref):
+    for got, ref in zip(dwt_details, dd_ref):
         np.testing.assert_allclose(got, ref, atol=1e-12)
-    np.testing.assert_allclose(dec.approximation, da_ref, atol=1e-12)
+    np.testing.assert_allclose(dwt_approx, da_ref, atol=1e-12)
