@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .bench import default_beta_grid
 from .ramsey import GAMMA_E, AcquisitionPlan, SensorParams, calib_frequency, sensing_frequency
 from .tmt import FrequencyGrid
 from .wavelets import available_bases
@@ -23,6 +24,9 @@ from .wavelets import available_bases
 class ConfigError(ValueError):
     """Raised for malformed or invalid run configurations."""
 
+
+#: most values a ``filter.beta_grid`` may hold; checked before the grid is built
+MAX_BETA_GRID = 10_001
 
 MODES = ("simulate", "denoise", "sweep-beta", "benchmark", "gain-profile", "fit-scaling")
 
@@ -140,6 +144,20 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _number(name: str, value) -> float:
+    """``value`` as a float; null, booleans, strings and lists are rejected by field name."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _boolean(name: str, value) -> bool:
+    """``value`` as a bool; only JSON ``true``/``false`` are accepted."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return bool(value)
+
+
 def _point(name: str, entry) -> list[float]:
     """``entry`` as a finite ``[x, y]`` pair; anything else is rejected by field name."""
     try:
@@ -159,27 +177,26 @@ def _merged(section: str, data: dict) -> dict:
 
 
 def _build_sensor(data: dict) -> SensorParams:
-    merged = _merged("sensor", data)
-    gamma_e = float(merged.get("gamma_e", GAMMA_E))
+    # every sensor field is a float
+    v = {key: _number(f"sensor.{key}", value) for key, value in _merged("sensor", data).items()}
+    gamma_e = v.get("gamma_e", GAMMA_E)
     try:
         if "n0" in data or "n1" in data:
             if not ("n0" in data and "n1" in data):
                 raise ConfigError("sensor: n0 and n1 must be given together")
-            n0, n1 = float(data["n0"]), float(data["n1"])
+            n0, n1 = v["n0"], v["n1"]
             contrast = (n0 - n1) / n0 if n0 > 0 else float("nan")
             n_ave = 0.5 * (n0 + n1)
-            if "contrast" in data and abs(contrast - float(data["contrast"])) > 1e-9:
+            if "contrast" in data and abs(contrast - v["contrast"]) > 1e-9:
                 raise ConfigError("sensor: contrast is inconsistent with the given n0/n1")
-            if "n_ave" in data and abs(n_ave - float(data["n_ave"])) > 1e-9:
+            if "n_ave" in data and abs(n_ave - v["n_ave"]) > 1e-9:
                 raise ConfigError("sensor: n_ave is inconsistent with the given n0/n1")
             return SensorParams(n0=n0, n1=n1, contrast=contrast, n_ave=n_ave,
-                                t2_star=float(merged["t2_star"]),
-                                decay_power=float(merged["decay_power"]),
-                                omega_calib=calib_frequency(float(merged["b_calib"]), gamma_e),
+                                t2_star=v["t2_star"], decay_power=v["decay_power"],
+                                omega_calib=calib_frequency(v["b_calib"], gamma_e),
                                 gamma_e=gamma_e)
-        return SensorParams.from_contrast(float(merged["contrast"]), float(merged["n_ave"]),
-                                          float(merged["t2_star"]), float(merged["decay_power"]),
-                                          float(merged["b_calib"]), gamma_e)
+        return SensorParams.from_contrast(v["contrast"], v["n_ave"], v["t2_star"],
+                                          v["decay_power"], v["b_calib"], gamma_e)
     except ConfigError:
         raise
     except ValueError as exc:
@@ -190,13 +207,9 @@ def _build_plan(data: dict) -> AcquisitionPlan:
     merged = _merged("plan", data)
     counts = {key: _integer(f"plan.{key}", merged.get(key, 0))
               for key in ("repetitions", "n_experiments", "seed")}
+    times = {key: _number(f"plan.{key}", merged[key]) for key in ("t_start", "t_stop", "f_sample")}
     try:
-        return AcquisitionPlan(
-            t_start=float(merged["t_start"]),
-            t_stop=float(merged["t_stop"]),
-            f_sample=float(merged["f_sample"]),
-            **counts,
-        )
+        return AcquisitionPlan(**times, **counts)
     except ValueError as exc:
         raise ConfigError(f"plan: {exc}") from exc
 
@@ -206,12 +219,20 @@ def _build_beta_grid(spec) -> np.ndarray:
         unknown = set(spec) - {"start", "stop", "step"}
         if unknown:
             raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in 'filter.beta_grid'")
-        start, stop, step = float(spec["start"]), float(spec["stop"]), float(spec["step"])
+        start, stop, step = (_number(f"filter.beta_grid.{key}", spec.get(key))
+                             for key in ("start", "stop", "step"))
         if not (np.isfinite([start, stop, step]).all() and step > 0 and stop > start):
             raise ConfigError("filter.beta_grid needs finite start < stop and step > 0")
-        n = int(round((stop - start) / step))
-        return start + step * np.arange(n + 1)
-    grid = np.asarray(spec, dtype=float)
+        span = (stop - start) / step  # inf when the quotient overflows
+        if span == np.inf or round(span) + 1 > MAX_BETA_GRID:
+            raise ConfigError(f"filter.beta_grid holds more than {MAX_BETA_GRID} values "
+                              f"({span:.6g} steps from start to stop)")
+        return default_beta_grid(start, stop, step)
+    if not isinstance(spec, (list, tuple, np.ndarray)):
+        raise ConfigError(f"filter.beta_grid must be a list or a start/stop/step object, got {spec!r}")
+    if len(spec) > MAX_BETA_GRID:
+        raise ConfigError(f"filter.beta_grid holds {len(spec)} values, more than {MAX_BETA_GRID}")
+    grid = np.array([_number(f"filter.beta_grid[{i}]", b) for i, b in enumerate(spec)])
     if np.any(np.isnan(grid)):
         raise ConfigError("filter.beta_grid must not contain NaN")
     if grid.ndim != 1 or grid.size < 3 or not np.all(grid[1:] > grid[:-1]):
@@ -232,11 +253,11 @@ def _build_filter(data: dict) -> FilterConfig:
         levels = _integer("filter.levels", levels)
         if levels < 0:
             raise ConfigError(f"filter: levels must be >= 0, got {levels}")
-    beta = float(merged["beta"])
+    beta = _number("filter.beta", merged["beta"])
     if np.isnan(beta):
         raise ConfigError("filter.beta must not be NaN (+/-Infinity are the raw and template limits)")
     freq_points = _integer("filter.freq_points", merged["freq_points"])
-    freq_window = float(merged["freq_window"])
+    freq_window = _number("filter.freq_window", merged["freq_window"])
     if freq_points < 3:
         raise ConfigError("filter: freq_points must be >= 3")
     if not 0.0 < freq_window < 1.0:
@@ -254,7 +275,7 @@ def _build_filter(data: dict) -> FilterConfig:
 
 def _build_experiment(data: dict, sensor: SensorParams) -> ExperimentConfig:
     merged = _merged("experiment", data)
-    delta_b = float(merged["delta_b"])
+    delta_b = _number("experiment.delta_b", merged["delta_b"])
     if not 0.0 < sensing_frequency(sensor, delta_b) < np.inf:
         raise ConfigError(f"experiment.delta_b must be finite with b_calib + delta_b > 0, "
                           f"got {delta_b!r}")
@@ -285,8 +306,8 @@ def _build_experiment(data: dict, sensor: SensorParams) -> ExperimentConfig:
         m_values=m_values,
         n_sd_values=n_sd_values,
         photon_stats=photon_stats,
-        shared_estimate=bool(merged["shared_estimate"]),
-        squared_contrast=bool(merged["squared_contrast"]),
+        shared_estimate=_boolean("experiment.shared_estimate", merged["shared_estimate"]),
+        squared_contrast=_boolean("experiment.squared_contrast", merged["squared_contrast"]),
         points=points,
         points_file=merged.get("points_file"),
     )

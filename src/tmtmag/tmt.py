@@ -87,14 +87,6 @@ def correlation_spectrum(values: np.ndarray, times: np.ndarray,
     return np.einsum("en,gn->eg", centered * weights, kernel, optimize=False)
 
 
-def _refine_parabolic(omegas: np.ndarray, r: np.ndarray, k: int) -> float:
-    denom = r[k - 1] - 2.0 * r[k] + r[k + 1]
-    if denom == 0.0:
-        return omegas[k]
-    shift = 0.5 * (r[k - 1] - r[k + 1]) / denom
-    return omegas[k] + shift * (omegas[1] - omegas[0])
-
-
 def estimate_frequencies(values: np.ndarray, times: np.ndarray, params: SensorParams,
                          grid: FrequencyGrid) -> np.ndarray:
     """Per-trace template frequencies for a whole ensemble.
@@ -112,19 +104,25 @@ def estimate_frequencies(values: np.ndarray, times: np.ndarray, params: SensorPa
         raise FrequencySearchError(f"trace {i}: non-finite sample {values[i, k]} at index {k}")
     omegas = grid.omegas
     r = correlation_spectrum(values, times, params, omegas)
-    out = np.empty(values.shape[0])
-    for i, k in enumerate(np.argmax(r, axis=1)):
-        if np.ptp(values[i]) == 0.0:
+    k = np.argmax(r, axis=1)
+    constant = np.ptp(values, axis=1) == 0.0
+    failed = constant | (k == 0) | (k == omegas.size - 1)
+    if failed.any():
+        i = int(np.argmax(failed))  # the first failing trace
+        if constant[i]:
             raise FrequencySearchError(
                 f"trace {i}: constant trace, correlation identically zero after DC removal"
             )
-        if k == 0 or k == omegas.size - 1:
-            raise FrequencySearchError(
-                f"trace {i}: correlation maximum at the grid boundary "
-                f"(omega={omegas[k]:.6g}); widen the search grid"
-            )
-        out[i] = _refine_parabolic(omegas, r[i], int(k))
-    return out
+        raise FrequencySearchError(
+            f"trace {i}: correlation maximum at the grid boundary "
+            f"(omega={omegas[k[i]]:.6g}); widen the search grid"
+        )
+    rows = np.arange(k.size)
+    r_lo, r_mid, r_hi = r[rows, k - 1], r[rows, k], r[rows, k + 1]
+    denom = r_lo - 2.0 * r_mid + r_hi
+    # a flat top (denom 0) keeps the grid maximum: its shift stays 0
+    shift = np.divide(0.5 * (r_lo - r_hi), denom, out=np.zeros(k.size), where=denom != 0.0)
+    return omegas[k] + shift * (omegas[1] - omegas[0])
 
 
 # ---------------------------------------------------------------------------

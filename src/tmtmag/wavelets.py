@@ -28,6 +28,12 @@ Conventions, fixed once for the whole package:
   for the undecimated transform; it is exact away from the edges only.
   The decimated transform is periodic only.
 
+* every filter step is one tap loop for either boundary: the transforms
+  move the sample axis first, the step builds one boundary-extended copy
+  of its input (``_fold`` is the only code that knows the boundary), and
+  each tap reads a contiguous slice of that copy.  Sums run tap by tap,
+  so a trace transformed alone is bit-equal to the same trace in a batch.
+
 Detail levels are indexed finest first: ``details[0]`` is the highest
 frequency band.
 """
@@ -200,10 +206,18 @@ def _check_signal(signal) -> np.ndarray:
     return x
 
 
-def _reflect_indices(idx: np.ndarray, n: int) -> np.ndarray:
-    # whole-axis reflection with period 2N, valid for any integer index
-    m = np.mod(idx, 2 * n)
-    return np.where(m < n, m, 2 * n - 1 - m)
+def _fold(idx: np.ndarray, n: int, boundary: str) -> np.ndarray:
+    """Fold any integer sample index into ``[0, n)`` by the boundary extension.
+
+    ``periodic`` wraps with period N; ``symmetric`` reflects the whole axis
+    with period 2N.  This is the only place the boundary is decided.
+    """
+    if boundary == "periodic":
+        return np.mod(idx, n)
+    if boundary == "symmetric":
+        m = np.mod(idx, 2 * n)
+        return np.where(m < n, m, 2 * n - 1 - m)
+    raise WaveletError(f"unknown boundary mode {boundary!r}")
 
 
 def _tap_indices(n: int, n_taps: int, step: int, boundary: str) -> np.ndarray:
@@ -212,52 +226,46 @@ def _tap_indices(n: int, n_taps: int, step: int, boundary: str) -> np.ndarray:
     ``k + step * l`` folded into ``[0, n)``; analysis passes ``+step``,
     synthesis ``-step``.
     """
-    idx = np.arange(n)[:, None] + step * np.arange(n_taps)[None, :]
-    if boundary == "periodic":
-        return np.mod(idx, n)
-    if boundary == "symmetric":
-        return _reflect_indices(idx, n)
-    raise WaveletError(f"unknown boundary mode {boundary!r}")
+    return _fold(np.arange(n)[:, None] + step * np.arange(n_taps)[None, :], n, boundary)
 
 
-# The symmetric branches sum the gathered columns tap by tap, like the
-# periodic ones, so each output's rounding is the same whatever the batch
-# shape: a trace transformed alone equals the same trace in a batch.
+# The steps take samples on the first axis and read tap i of output k from
+# sample k + step*i (analysis) or k - step*i (synthesis) of one extended
+# copy ``x[_fold(arange(first, n + reach))]``.  The accumulators come from
+# ``np.zeros(shape)``: ``zeros_like`` would keep the transposed strides of
+# a moved-axis input and make every tap's update strided.
 
 def _analysis_step(a: np.ndarray, taps_lo, taps_hi, step: int, boundary: str):
-    n = a.shape[-1]
-    if boundary == "periodic":
-        lo = np.zeros_like(a)
-        hi = np.zeros_like(a)
-        for i in range(taps_lo.size):
-            r = np.roll(a, -step * i, axis=-1)
-            lo += taps_lo[i] * r
-            hi += taps_hi[i] * r
-        return lo, hi
-    idx = _tap_indices(n, taps_lo.size, step, boundary)
-    lo = np.zeros_like(a)
-    hi = np.zeros_like(a)
+    n = a.shape[0]
+    ext = a[_fold(np.arange(n + step * (taps_lo.size - 1)), n, boundary)]
+    lo = np.zeros(a.shape)
+    hi = np.zeros(a.shape)
     for i in range(taps_lo.size):
-        r = a[..., idx[:, i]]
+        r = ext[step * i:step * i + n]
         lo += taps_lo[i] * r
         hi += taps_hi[i] * r
     return lo, hi
 
 
 def _synthesis_step(lo_in, hi_in, taps_lo, taps_hi, step: int, boundary: str):
-    n = lo_in.shape[-1]
-    if boundary == "periodic":
-        acc = np.zeros_like(lo_in)
-        for i in range(taps_lo.size):
-            acc += taps_lo[i] * np.roll(lo_in, step * i, axis=-1)
-            acc += taps_hi[i] * np.roll(hi_in, step * i, axis=-1)
-        return acc
-    idx = _tap_indices(n, taps_lo.size, -step, boundary)
-    acc = np.zeros_like(lo_in)
+    n = lo_in.shape[0]
+    reach = step * (taps_lo.size - 1)
+    idx = _fold(np.arange(-reach, n), n, boundary)
+    lo_ext, hi_ext = lo_in[idx], hi_in[idx]
+    acc = np.zeros(lo_in.shape)
     for i in range(taps_lo.size):
-        acc += taps_lo[i] * lo_in[..., idx[:, i]]
-        acc += taps_hi[i] * hi_in[..., idx[:, i]]
+        start = reach - step * i
+        acc += taps_lo[i] * lo_ext[start:start + n]
+        acc += taps_hi[i] * hi_ext[start:start + n]
     return acc
+
+
+def _samples_first(x: np.ndarray) -> np.ndarray:
+    return np.moveaxis(x, -1, 0)
+
+
+def _samples_last(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(np.moveaxis(x, 0, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +289,11 @@ def uwt_analyze(signal, basis: WaveletBasis | str, levels: int, boundary: str = 
             f"signal too short for {levels + 1} undecimated levels (N={n}, need >= {2 ** (levels + 1)})"
         )
     details = np.empty((levels + 1,) + x.shape)
-    a = x
+    a = _samples_first(x)
     for j in range(levels + 1):
         a, d = _analysis_step(a, basis.h0, basis.h1, 1 << j, boundary)
-        details[j] = d
-    return details, a
+        details[j] = np.moveaxis(d, 0, -1)
+    return details, _samples_last(a)
 
 
 def uwt_synthesize(details, approximation, basis: WaveletBasis | str, boundary: str = "periodic"):
@@ -301,11 +309,14 @@ def uwt_synthesize(details, approximation, basis: WaveletBasis | str, boundary: 
         if np.shape(d)[-1] != n:
             raise WaveletError(f"detail level {j} has length {np.shape(d)[-1]}, "
                                f"expected the approximation's {n}")
-    levels = len(details) - 1
-    for j in range(levels, -1, -1):
-        a = 0.5 * _synthesis_step(a, np.asarray(details[j], dtype=float),
-                                  basis.g0, basis.g1, 1 << j, boundary)
-    return a
+    shape = a.shape
+    a = _samples_first(a)
+    for j in range(len(details) - 1, -1, -1):
+        # the moved sample axis leads, so each level must match the
+        # approximation's rank before its axes move
+        d = np.broadcast_to(np.asarray(details[j], dtype=float), shape)
+        a = 0.5 * _synthesis_step(a, _samples_first(d), basis.g0, basis.g1, 1 << j, boundary)
+    return _samples_last(a)
 
 
 def uwt_synthesis_rows(n: int, indices, basis: WaveletBasis | str, levels: int,
@@ -371,14 +382,14 @@ def dwt_decompose(signal, basis: WaveletBasis | str, levels: int):
     if n < 2 ** levels:
         raise WaveletError(f"signal too short for detail level {levels} (N={n})")
     details = []
-    a = x
+    a = _samples_first(x)
     for _ in range(levels + 1):
-        if a.shape[-1] % 2:
-            a = np.concatenate([a, a[..., -1:]], axis=-1)
+        if a.shape[0] % 2:
+            a = np.concatenate([a, a[-1:]])
         lo, hi = _analysis_step(a, basis.h0, basis.h1, 1, "periodic")
-        details.append(hi[..., ::2])
-        a = lo[..., ::2]
-    return details, a
+        details.append(_samples_last(hi[::2]))
+        a = lo[::2]
+    return details, _samples_last(a)
 
 
 def dwt_reconstruct(details, approximation, basis: WaveletBasis | str,
@@ -391,13 +402,13 @@ def dwt_reconstruct(details, approximation, basis: WaveletBasis | str,
             raise WaveletError(f"detail level {j} has length {d.shape[-1]}, expected {want}")
     if approximation.shape[-1] != expected[-1]:
         raise WaveletError("approximation length does not match the deepest level")
-    a = approximation
+    a = _samples_first(approximation)
     for j in range(len(details) - 1, -1, -1):
-        d = details[j]
-        up_a = np.zeros(a.shape[:-1] + (2 * d.shape[-1],))
-        up_d = np.zeros_like(up_a)
-        up_a[..., ::2] = a
-        up_d[..., ::2] = d
+        d = _samples_first(details[j])
+        up_a = np.zeros((2 * d.shape[0],) + a.shape[1:])
+        up_d = np.zeros(up_a.shape)
+        up_a[::2] = a
+        up_d[::2] = d
         a = _synthesis_step(up_a, up_d, basis.g0, basis.g1, 1, "periodic")
-        a = a[..., :n_samples if j == 0 else expected[j - 1]]
-    return a
+        a = a[:n_samples if j == 0 else expected[j - 1]]
+    return _samples_last(a)

@@ -1,11 +1,12 @@
 """Configuration parsing: defaults, strict keys, validation messages."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from tmtmag.config import ConfigError, parse_config
+from tmtmag.config import MAX_BETA_GRID, ConfigError, parse_config
 
 
 def test_minimal_config_applies_defaults(tmp_path):
@@ -190,3 +191,59 @@ def test_snapshot_is_complete():
     assert config.seed_explicit
     # snapshot is JSON-serializable
     json.dumps(snap)
+
+
+_FLOAT_FIELDS = [
+    ("sensor.contrast", lambda v: {"sensor": {"contrast": v}}),
+    ("sensor.n_ave", lambda v: {"sensor": {"n_ave": v}}),
+    ("sensor.n0", lambda v: {"sensor": {"n0": v, "n1": 0.15}}),
+    ("sensor.n1", lambda v: {"sensor": {"n0": 0.2, "n1": v}}),
+    ("sensor.t2_star", lambda v: {"sensor": {"t2_star": v}}),
+    ("sensor.decay_power", lambda v: {"sensor": {"decay_power": v}}),
+    ("sensor.b_calib", lambda v: {"sensor": {"b_calib": v}}),
+    ("sensor.gamma_e", lambda v: {"sensor": {"gamma_e": v}}),
+    ("plan.t_start", lambda v: {"plan": {"t_start": v}}),
+    ("plan.t_stop", lambda v: {"plan": {"t_stop": v}}),
+    ("plan.f_sample", lambda v: {"plan": {"f_sample": v}}),
+    ("filter.beta", lambda v: {"filter": {"beta": v}}),
+    ("filter.freq_window", lambda v: {"filter": {"freq_window": v}}),
+    ("filter.beta_grid.start", lambda v: {"filter": {"beta_grid": {"start": v, "stop": 1.0, "step": 0.5}}}),
+    ("filter.beta_grid.stop", lambda v: {"filter": {"beta_grid": {"start": 0.0, "stop": v, "step": 0.5}}}),
+    ("filter.beta_grid.step", lambda v: {"filter": {"beta_grid": {"start": 0.0, "stop": 1.0, "step": v}}}),
+    ("filter.beta_grid[1]", lambda v: {"filter": {"beta_grid": [0.0, v, 2.0]}}),
+    ("experiment.delta_b", lambda v: {"experiment": {"delta_b": v}}),
+]
+
+
+@pytest.mark.parametrize("field,config", _FLOAT_FIELDS, ids=[f for f, _ in _FLOAT_FIELDS])
+@pytest.mark.parametrize("value", [None, [1.0], True, "x"], ids=["null", "list", "bool", "string"])
+def test_non_numeric_floats_rejected_by_field(field, config, value):
+    # float() used to raise TypeError on null/list (a traceback from the
+    # CLI) and an unnamed ValueError on a string, and took true as 1.0
+    with pytest.raises(ConfigError, match=rf"^{re.escape(field)} must be a number"):
+        parse_config(config(value))
+
+
+@pytest.mark.parametrize("key", ["shared_estimate", "squared_contrast"])
+@pytest.mark.parametrize("value", ["false", 0, None])
+def test_booleans_are_strict(key, value):
+    # bool("false") is True
+    with pytest.raises(ConfigError, match=rf"experiment\.{key} must be true or false"):
+        parse_config({"experiment": {key: value}})
+    assert getattr(parse_config({"experiment": {key: True}}).experiment, key) is True
+
+
+def test_beta_grid_size_is_capped():
+    assert MAX_BETA_GRID >= 6001
+    # 1e18 steps used to reach numpy's MemoryError
+    with pytest.raises(ConfigError, match=r"filter\.beta_grid holds more than"):
+        parse_config({"filter": {"beta_grid": {"start": 0, "stop": 1e9, "step": 1e-9}}})
+    with pytest.raises(ConfigError, match=r"filter\.beta_grid holds more than"):
+        parse_config({"filter": {"beta_grid": {"start": -1e308, "stop": 1e308, "step": 1.0}}})
+    with pytest.raises(ConfigError, match=rf"filter\.beta_grid holds {MAX_BETA_GRID + 1} values"):
+        parse_config({"filter": {"beta_grid": list(range(MAX_BETA_GRID + 1))}})
+    with pytest.raises(ConfigError, match=r"filter\.beta_grid must be a list"):
+        parse_config({"filter": {"beta_grid": "0:1"}})
+    stop = (MAX_BETA_GRID - 1) * 0.5
+    grid = parse_config({"filter": {"beta_grid": {"start": 0.0, "stop": stop, "step": 0.5}}}).filter.beta_grid
+    assert grid.size == MAX_BETA_GRID

@@ -99,6 +99,27 @@ def test_boundary_maximum_rejected(paper_params):
         _estimate(trace, paper_params, plan, grid)
 
 
+@pytest.mark.parametrize("rows,message", [
+    (("good", "good", "constant"), "trace 2: constant"),
+    (("good", "edge", "good"), "trace 1: correlation maximum at the grid boundary"),
+    (("good", "constant", "edge"), "trace 1: constant"),
+    (("good", "edge", "constant"), "trace 1: correlation maximum at the grid boundary"),
+])
+def test_first_failing_trace_is_named(paper_params, rows, message):
+    # trace 0 is fine; the first bad trace in order is named, and a
+    # constant trace (whose flat spectrum also peaks on the edge) is
+    # reported as constant
+    plan = AcquisitionPlan(0.2e-6, 3.7e-6, 128e6, 25000, 20, seed=1)
+    omega_star = paper_params.omega_calib
+    grid = FrequencyGrid(omega_star * 1.001, omega_star * 1.1, 101)
+    traces = {"good": template(plan.times, omega_star * 1.05, paper_params),
+              "edge": template(plan.times, omega_star, paper_params),
+              "constant": np.full(plan.n_samples, 0.3)}
+    values = np.stack([traces[row] for row in rows])
+    with pytest.raises(FrequencySearchError, match=message):
+        estimate_frequencies(values, plan.times, paper_params, grid)
+
+
 def test_batch_estimates_match_single(paper_params, short_plan):
     plan = short_plan.with_(n_experiments=6, seed=9)
     values = simulate_ensemble(paper_params, plan, paper_params.omega_calib)

@@ -68,6 +68,85 @@ def lowpass_cascade_oracle(x, basis, levels):
 
 
 # ---------------------------------------------------------------------------
+# the earlier per-boundary steps, kept as a bit-exact oracle: one np.roll per
+# tap for the periodic boundary, one reflected gather per tap for the
+# symmetric one, along the last axis
+# ---------------------------------------------------------------------------
+
+def _gather_index(n, n_taps, step, boundary):
+    idx = np.arange(n)[:, None] + step * np.arange(n_taps)[None, :]
+    if boundary == "periodic":
+        return np.mod(idx, n)
+    m = np.mod(idx, 2 * n)
+    return np.where(m < n, m, 2 * n - 1 - m)
+
+
+def _roll_analysis_step(a, taps_lo, taps_hi, step, boundary):
+    lo = np.zeros_like(a)
+    hi = np.zeros_like(a)
+    idx = _gather_index(a.shape[-1], taps_lo.size, step, boundary)
+    for i in range(taps_lo.size):
+        if boundary == "periodic":
+            r = np.roll(a, -step * i, axis=-1)
+        else:
+            r = a[..., idx[:, i]]
+        lo += taps_lo[i] * r
+        hi += taps_hi[i] * r
+    return lo, hi
+
+
+def _roll_synthesis_step(lo_in, hi_in, taps_lo, taps_hi, step, boundary):
+    acc = np.zeros_like(lo_in)
+    idx = _gather_index(lo_in.shape[-1], taps_lo.size, -step, boundary)
+    for i in range(taps_lo.size):
+        if boundary == "periodic":
+            acc += taps_lo[i] * np.roll(lo_in, step * i, axis=-1)
+            acc += taps_hi[i] * np.roll(hi_in, step * i, axis=-1)
+        else:
+            acc += taps_lo[i] * lo_in[..., idx[:, i]]
+            acc += taps_hi[i] * hi_in[..., idx[:, i]]
+    return acc
+
+
+def roll_uwt_analyze(x, basis, levels, boundary):
+    details = np.empty((levels + 1,) + x.shape)
+    a = x
+    for j in range(levels + 1):
+        a, details[j] = _roll_analysis_step(a, basis.h0, basis.h1, 1 << j, boundary)
+    return details, a
+
+
+def roll_uwt_synthesize(details, a, basis, boundary):
+    for j in range(len(details) - 1, -1, -1):
+        a = 0.5 * _roll_synthesis_step(a, details[j], basis.g0, basis.g1, 1 << j, boundary)
+    return a
+
+
+def roll_dwt_decompose(x, basis, levels):
+    details = []
+    a = x
+    for _ in range(levels + 1):
+        if a.shape[-1] % 2:
+            a = np.concatenate([a, a[..., -1:]], axis=-1)
+        lo, hi = _roll_analysis_step(a, basis.h0, basis.h1, 1, "periodic")
+        details.append(hi[..., ::2])
+        a = lo[..., ::2]
+    return details, a
+
+
+def roll_dwt_reconstruct(details, a, basis, n_samples):
+    for j in range(len(details) - 1, -1, -1):
+        d = details[j]
+        up_a = np.zeros(a.shape[:-1] + (2 * d.shape[-1],))
+        up_d = np.zeros_like(up_a)
+        up_a[..., ::2] = a
+        up_d[..., ::2] = d
+        a = _roll_synthesis_step(up_a, up_d, basis.g0, basis.g1, 1, "periodic")
+        a = a[..., :n_samples if j == 0 else details[j - 1].shape[-1]]
+    return a
+
+
+# ---------------------------------------------------------------------------
 # registry and basis invariants
 # ---------------------------------------------------------------------------
 
@@ -290,8 +369,8 @@ def test_uwt_symmetric_boundary_basics(rng):
 
 @pytest.mark.parametrize("name", ["haar", "db2", "bior6.8"])
 def test_uwt_symmetric_row_equals_batch(rng, name):
-    # the symmetric branches sum tap by tap, so a row's rounding does not
-    # depend on the batch around it: analysis and round trip are bit-equal
+    # the filter steps sum tap by tap, so a row's rounding does not depend
+    # on the batch around it: analysis and round trip are bit-equal
     batch = rng.normal(size=(6, 150))
     details, approx = uwt_analyze(batch, name, 6, "symmetric")
     back = uwt_synthesize(details, approx, name, "symmetric")
@@ -300,6 +379,38 @@ def test_uwt_symmetric_row_equals_batch(rng, name):
         np.testing.assert_array_equal(d_i, details[:, i])
         np.testing.assert_array_equal(a_i, approx[i])
         np.testing.assert_array_equal(uwt_synthesize(d_i, a_i, name, "symmetric"), back[i])
+
+
+@pytest.mark.parametrize("name", ["haar", "db2", "bior6.8"])
+@pytest.mark.parametrize("boundary", ["periodic", "symmetric"])
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)], ids=["1d", "2d", "3d"])
+def test_transforms_bit_equal_to_roll_oracle(name, boundary, batch):
+    # the one tap loop over a boundary-extended copy reproduces the
+    # per-boundary roll/gather steps exactly, down to every rounding; the
+    # deeper levels reach further than N (step * (L - 1) > N), so the
+    # extension folds more than once
+    basis = basis_registry(name)
+    gen = np.random.default_rng(len(batch))
+    for n in (4, 5, 8, 9, 33, 150):
+        x = gen.normal(size=batch + (n,))
+        for levels in range(default_levels(n) + 1):
+            details, approx = uwt_analyze(x, basis, levels, boundary)
+            d_ref, a_ref = roll_uwt_analyze(x, basis, levels, boundary)
+            np.testing.assert_array_equal(details, d_ref)
+            np.testing.assert_array_equal(approx, a_ref)
+            assert approx.flags.c_contiguous
+            back = uwt_synthesize(details, approx, basis, boundary)
+            np.testing.assert_array_equal(back, roll_uwt_synthesize(d_ref, a_ref, basis, boundary))
+            assert back.shape == x.shape and back.flags.c_contiguous
+        if boundary == "periodic":
+            for levels in range(1, int(np.log2(n)) + 1):
+                details, approx = dwt_decompose(x, basis, levels)
+                d_ref, a_ref = roll_dwt_decompose(x, basis, levels)
+                for got, ref in zip(details, d_ref):
+                    np.testing.assert_array_equal(got, ref)
+                np.testing.assert_array_equal(approx, a_ref)
+                np.testing.assert_array_equal(dwt_reconstruct(details, approx, basis, n),
+                                              roll_dwt_reconstruct(d_ref, a_ref, basis, n))
 
 
 def test_synthesis_rows_errors():
