@@ -219,6 +219,25 @@ class BenchmarkSetup:
         return replace(self, plan=self.plan.with_(**kwargs))
 
 
+@dataclass(frozen=True)
+class _PackedPoints:
+    """The coefficients that one index set's synthesis rows read, packed for beta scans.
+
+    ``rows`` (C, p) are the non-zero rows of every level, stacked level by
+    level; ``offsets`` (n_exp, C) are the raw coefficients minus the
+    template's, ``magnitudes`` their absolute values and ``noise`` the
+    matching ``|S|``.  ``base`` (n_exp, p) is the approximation band's
+    share plus the template's, and ``work`` is the reused clamp buffer.
+    """
+
+    rows: np.ndarray
+    offsets: np.ndarray
+    magnitudes: np.ndarray
+    noise: np.ndarray
+    base: np.ndarray
+    work: np.ndarray
+
+
 class EnsembleRun:
     """One simulated ensemble with decompositions cached for beta scans.
 
@@ -227,14 +246,20 @@ class EnsembleRun:
     :meth:`denoised` call then clamps all raw detail coefficients with one
     :func:`~tmtmag.tmt.clamp_details` call and synthesizes, so it equals
     :func:`~tmtmag.tmt.tmt_denoise` on the same traces and frequencies,
-    including the exact limits: ``beta = -inf`` returns the raw traces and
+    including the exact limits: ``beta = -inf`` leaves every detail
+    coefficient raw (the raw traces, with the periodic boundary) and
     ``beta = +inf`` pins every detail coefficient to the template's.
 
     ``denoised(beta, indices)`` synthesizes only those samples: the
     synthesis is linear, so each is a fixed row of it
-    (:func:`~tmtmag.wavelets.uwt_synthesis_rows`), built once per index set
-    together with the approximation band's share.  A beta then costs the
-    clamp plus one small matrix product per level.
+    (:func:`~tmtmag.wavelets.uwt_synthesis_rows`).  The first call with an
+    index set packs the C coefficients those rows read (see
+    :class:`_PackedPoints`); every beta then costs three in-place passes
+    over one (n_exp, C) buffer and one matrix product.  The packed clip
+    ``copysign(min(width * |S|, |raw - K|), raw - K)`` is the clamp of
+    :func:`~tmtmag.tmt.clamp_details` centred on the template ``K``: the
+    outputs agree with clamping the full stacks up to rounding, and an
+    infinite width skips the clip, so ``|S| = 0`` never meets ``inf * 0``.
     """
 
     def __init__(self, setup: BenchmarkSetup):
@@ -255,27 +280,48 @@ class EnsembleRun:
         self._kernel_details, self._noise_details = build_margins(
             self.omega_temps, params, plan, setup.basis, self.levels, setup.boundary,
             setup.squared_contrast)
-        self._point_rows: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+        self._packed: dict[tuple[int, ...], _PackedPoints] = {}
 
     def denoised(self, beta: float, indices=None) -> np.ndarray:
         """Denoised traces, shape (n_exp, N); with ``indices``, only those samples, (n_exp, p)."""
-        clamped = clamp_details(self._raw_details, self._kernel_details,
-                                self._noise_details, margin_width(beta, self.setup.plan))
+        width = margin_width(beta, self.setup.plan)
         if indices is None:
+            clamped = clamp_details(self._raw_details, self._kernel_details,
+                                    self._noise_details, width)
             return uwt_synthesize(clamped, self._raw_approx, self.setup.basis, self.setup.boundary)
-        rows, approx_part = self._rows_at(indices)
-        out = approx_part.copy()
-        for j in range(rows.shape[0]):  # fixed level order
-            out += clamped[j] @ rows[j]
-        return out
+        packed = self._packed_at(indices)
+        if width == np.inf:
+            return packed.base + packed.offsets @ packed.rows
+        clipped = packed.work
+        np.multiply(packed.noise, width, out=clipped)
+        np.minimum(clipped, packed.magnitudes, out=clipped)
+        np.copysign(clipped, packed.offsets, out=clipped)
+        return packed.base + clipped @ packed.rows
 
-    def _rows_at(self, indices) -> tuple[np.ndarray, np.ndarray]:
+    def _packed_at(self, indices) -> _PackedPoints:
         key = tuple(int(i) for i in indices)
-        if key not in self._point_rows:
+        if key not in self._packed:
             rows, approx_rows = uwt_synthesis_rows(self.values.shape[1], key, self.setup.basis,
                                                    self.levels, self.setup.boundary)
-            self._point_rows[key] = rows, self._raw_approx @ approx_rows
-        return self._point_rows[key]
+            touched = rows.any(axis=2)
+            shape = (self.values.shape[0], int(touched.sum()))
+            packed_rows = np.empty((shape[1], len(key)))
+            offsets, noise, work = np.empty(shape), np.empty(shape), np.empty(shape)
+            kernel = work  # holds the template's coefficients until the first beta
+            start = 0
+            for j, level in enumerate(touched):
+                ks = np.flatnonzero(level)
+                cols = slice(start, start + ks.size)
+                packed_rows[cols] = rows[j, ks]
+                kernel[:, cols] = self._kernel_details[j][:, ks]
+                np.subtract(self._raw_details[j][:, ks], kernel[:, cols], out=offsets[:, cols])
+                noise[:, cols] = self._noise_details[j][:, ks]
+                start += ks.size
+            base = self._raw_approx @ approx_rows + kernel @ packed_rows
+            self._packed[key] = _PackedPoints(rows=packed_rows, offsets=offsets,
+                                              magnitudes=np.abs(offsets), noise=noise,
+                                              base=base, work=work)
+        return self._packed[key]
 
 
 @dataclass
@@ -326,7 +372,19 @@ def sweep_beta(setup: BenchmarkSetup, beta_grid) -> BetaSweepResult:
 
 
 def default_beta_grid(start: float = -4.0, stop: float = 2.0, step: float = 0.1) -> np.ndarray:
-    n = int(round((stop - start) / step))
+    """``start, start + step, ...`` up to ``stop``; at least 3 values.
+
+    The step count is rounded only when ``(stop - start) / step`` lies
+    within 1e-9 relative of an integer, so no value steps past ``stop``
+    other than by rounding.
+    """
+    span = (stop - start) / step
+    n = round(span)
+    if abs(span - n) > 1e-9 * abs(span):
+        n = int(np.floor(span))
+    if n < 2:
+        raise ValueError(f"beta grid from {start:g} to {stop:g} by {step:g} "
+                         f"holds {max(n + 1, 0)} values, need at least 3")
     return start + step * np.arange(n + 1)
 
 
@@ -448,17 +506,26 @@ def gain_profile(setup: BenchmarkSetup, n_sd_values, beta_grid) -> list[GainPoin
         beta_calib = calibrate_beta(calib_setup, beta_grid)
         sense_setup = replace(setup, n_sd=int(n_sd),
                               plan=plan_k.with_(seed=child_seed(setup.plan.seed, k, 1)))
-        points = find_detection_points(sense_setup.omega_true, sense_setup.plan,
-                                       int(n_sd), sense_setup.params)
-        run = EnsembleRun(sense_setup)
-        raw_stats = ensemble_stats(run.values, points)
-        tmt_stats = point_stats(run.denoised(beta_calib, points.indices), points, beta=beta_calib)
+        raw_mse, tmt_mse = _sense_fringe_mse(sense_setup, beta_calib)
         out.append(GainPoint(
             n_sd=int(n_sd),
             t_stop=plan_k.t_stop,
             beta_calib=beta_calib,
-            raw_fringe_mse=raw_stats.fringe_averaged_mse,
-            tmt_fringe_mse=tmt_stats.fringe_averaged_mse,
-            gain=float(np.sqrt(raw_stats.fringe_averaged_mse / tmt_stats.fringe_averaged_mse)),
+            raw_fringe_mse=raw_mse,
+            tmt_fringe_mse=tmt_mse,
+            gain=float(np.sqrt(raw_mse / tmt_mse)),
         ))
     return out
+
+
+def _sense_fringe_mse(setup: BenchmarkSetup, beta: float) -> tuple[float, float]:
+    """Raw and order-``beta`` TMT fringe-averaged MSE of one sensing ensemble.
+
+    The ensemble, its detail stacks and its packed clamp are freed on
+    return, before the next calibration sweep builds its own.
+    """
+    points = find_detection_points(setup.omega_true, setup.plan, setup.n_sd, setup.params)
+    run = EnsembleRun(setup)
+    raw_stats = ensemble_stats(run.values, points)
+    tmt_stats = point_stats(run.denoised(beta, points.indices), points, beta=beta)
+    return raw_stats.fringe_averaged_mse, tmt_stats.fringe_averaged_mse

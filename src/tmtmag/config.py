@@ -160,10 +160,9 @@ def _boolean(name: str, value) -> bool:
 
 def _point(name: str, entry) -> list[float]:
     """``entry`` as a finite ``[x, y]`` pair; anything else is rejected by field name."""
-    try:
-        x, y = (float(v) for v in entry)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be an [x, y] pair of numbers, got {entry!r}") from None
+    if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+        raise ConfigError(f"{name} must be an [x, y] pair of numbers, got {entry!r}")
+    x, y = (_number(name, v) for v in entry)
     if not (np.isfinite(x) and np.isfinite(y)):
         raise ConfigError(f"{name} must be finite, got {entry!r}")
     return [x, y]
@@ -227,7 +226,10 @@ def _build_beta_grid(spec) -> np.ndarray:
         if span == np.inf or round(span) + 1 > MAX_BETA_GRID:
             raise ConfigError(f"filter.beta_grid holds more than {MAX_BETA_GRID} values "
                               f"({span:.6g} steps from start to stop)")
-        return default_beta_grid(start, stop, step)
+        try:
+            return default_beta_grid(start, stop, step)
+        except ValueError as err:
+            raise ConfigError(f"filter.beta_grid: {err}") from None
     if not isinstance(spec, (list, tuple, np.ndarray)):
         raise ConfigError(f"filter.beta_grid must be a list or a start/stop/step object, got {spec!r}")
     if len(spec) > MAX_BETA_GRID:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,8 @@ from tmtmag import (
     template,
 )
 from tmtmag.bench import EnsembleRun, child_seed, detection_crossings, plan_for_detection_count
+from tmtmag.tmt import clamp_details, margin_width
+from tmtmag.wavelets import uwt_synthesis_rows, uwt_synthesize
 from tmtmag.ramsey import envelope
 from stat_utils import assert_monotone_tradeoff
 
@@ -293,6 +296,59 @@ def test_point_synthesis_gain_profile_matches_full_synthesis(paper_params):
         np.sqrt(gain.raw_fringe_mse / full.fringe_averaged_mse), rel=1e-12)
 
 
+def _packed_oracle(run, beta, indices):
+    """The detection samples of one full clamp and synthesis of ``run``'s stacks."""
+    clamped = clamp_details(run._raw_details, run._kernel_details, run._noise_details,
+                            margin_width(beta, run.setup.plan))
+    return uwt_synthesize(clamped, run._raw_approx, run.setup.basis,
+                          run.setup.boundary)[:, indices]
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "symmetric"])
+@pytest.mark.parametrize("basis", ["haar", "db2", "bior6.8"])
+def test_packed_point_clamp_matches_full_clamp(paper_params, basis, boundary):
+    plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 12, seed=29)
+    setup = _setup(paper_params, plan, n_sd=3, basis=basis, boundary=boundary)
+    indices = find_detection_points(setup.omega_true, plan, 3, paper_params).indices
+    run = EnsembleRun(setup)
+    # coefficients with |S| = 0: a finite width pins them to the template,
+    # an infinite one leaves them raw (no inf * 0)
+    run._noise_details[0] = 0.0
+    run._noise_details[2, ::2, : plan.n_samples // 2] = 0.0
+    scale = np.max(np.abs(run.values))
+    # beta = -400: 10**400 overflows to an infinite width
+    for beta in (-np.inf, -400.0, -2.0, 0.0, 0.5, 3.0, np.inf):
+        got = run.denoised(beta, indices)
+        assert got.shape == (plan.n_experiments, indices.size)
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got, _packed_oracle(run, beta, indices),
+                                   rtol=1e-12, atol=1e-13 * scale)
+    if boundary == "periodic":  # perfect reconstruction: the raw limit is the raw traces
+        np.testing.assert_allclose(run.denoised(-np.inf, indices), run.values[:, indices],
+                                   rtol=1e-12, atol=1e-13 * scale)
+
+
+def test_packed_point_clamp_allocates_no_coefficient_array(paper_params):
+    # a warm beta writes into the packed buffer: its traced peak stays
+    # below one (n_exp, C) array, C the coefficients the rows touch
+    plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 40, seed=31)
+    setup = _setup(paper_params, plan, n_sd=3)
+    indices = find_detection_points(setup.omega_true, plan, 3, paper_params).indices
+    run = EnsembleRun(setup)
+    rows, _ = uwt_synthesis_rows(plan.n_samples, indices, setup.basis,
+                                 setup.resolved_levels(), setup.boundary)
+    coefficient_bytes = plan.n_experiments * int(rows.any(axis=2).sum()) * 8
+    run.denoised(0.0, indices)
+    for beta in (-np.inf, -1.0, 0.5, np.inf):
+        tracemalloc.start()
+        try:
+            run.denoised(beta, indices)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < coefficient_bytes, (beta, peak, coefficient_bytes)
+
+
 def test_calibrate_beta_runs(paper_params):
     plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 40, seed=12)
     setup = _setup(paper_params, plan, n_sd=3)
@@ -375,12 +431,8 @@ def test_benchmark_wrap_points_exist():
     assert result.returncode == 0, result.stderr
 
 
-def test_benchmark_row_counter_counts_rows(tmp_path):
-    # perfbench/child.py counts cli.rows_written as len(<first argument of
-    # export_table>) per written file, so len() of a table must be its row
-    # count.  A small traced denoise writes n_exp*N trace rows and n_exp
-    # estimate rows, each as CSV and JSON.
-    n_exp = 6
+def _traced_counts(data) -> dict:
+    """The counters perfbench/child.py's wraps collect over one ``cli.run`` of ``data``."""
     root = Path(__file__).resolve().parents[1]
     src = str(Path(tmtmag.__file__).resolve().parents[1])
     env = dict(os.environ,
@@ -392,13 +444,33 @@ def test_benchmark_row_counter_counts_rows(tmp_path):
         "config = parse_config(json.loads(sys.argv[2]))\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert tmtmag.cli.run(config) == 0\n"
-        "print(json.dumps({'rows': tracer.counts['cli.rows_written'],"
-        " 'n_samples': config.plan.n_samples}))\n")
-    data = {"plan": {"t_stop": 1.36e-6, "n_experiments": n_exp, "seed": 3},
-            "experiment": {"mode": "denoise", "n_sd": 1},
-            "output": {"directory": str(tmp_path / "run"), "formats": ["csv", "json"]}}
+        "print(json.dumps(dict(tracer.counts, n_samples=config.plan.n_samples)))\n")
     result = subprocess.run([sys.executable, "-c", code, str(root / "perfbench"), json.dumps(data)],
                             env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    counts = json.loads(result.stdout.splitlines()[-1])
-    assert counts["rows"] == 2 * (n_exp * counts["n_samples"] + n_exp)
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_benchmark_counts_one_denoised_call_per_beta(tmp_path):
+    # perfbench/child.py counts bench.beta_evals as the rows each
+    # EnsembleRun.denoised call returns and checks the total against the
+    # workload, so a sweep must call it once per beta for all n_exp traces.
+    n_exp, n_betas = 5, 7
+    data = {"plan": {"t_start": 0.97e-6, "t_stop": 2.14e-6, "n_experiments": n_exp, "seed": 3},
+            "filter": {"beta_grid": {"start": -3.0, "stop": 0.0, "step": 0.5}},
+            "experiment": {"mode": "sweep-beta", "n_sd": 3},
+            "output": {"directory": str(tmp_path / "run"), "formats": ["csv"]}}
+    assert _traced_counts(data)["bench.beta_evals"] == n_exp * n_betas
+
+
+def test_benchmark_row_counter_counts_rows(tmp_path):
+    # perfbench/child.py counts cli.rows_written as len(<first argument of
+    # export_table>) per written file, so len() of a table must be its row
+    # count.  A small traced denoise writes n_exp*N trace rows and n_exp
+    # estimate rows, each as CSV and JSON.
+    n_exp = 6
+    data = {"plan": {"t_stop": 1.36e-6, "n_experiments": n_exp, "seed": 3},
+            "experiment": {"mode": "denoise", "n_sd": 1},
+            "output": {"directory": str(tmp_path / "run"), "formats": ["csv", "json"]}}
+    counts = _traced_counts(data)
+    assert counts["cli.rows_written"] == 2 * (n_exp * counts["n_samples"] + n_exp)

@@ -113,10 +113,19 @@ def test_bad_physical_floats_rejected_by_field(section, key, value):
         parse_config({section: {key: value}})
 
 
-@pytest.mark.parametrize("entry", [[4.0, float("nan")], [float("inf"), 2.0], [1.0], "ab", 5.0])
+@pytest.mark.parametrize("entry", [[4.0, float("nan")], [float("inf"), 2.0], [1.0], "ab", 5.0,
+                                   ["25000", 2.0], [4.0, True], [None, 2.0], [1.0, 2.0, 3.0]])
 def test_bad_point_rejected_by_field(entry):
     with pytest.raises(ConfigError, match=r"experiment\.points\[1\]"):
         parse_config({"experiment": {"points": [[1.0, 3.0], entry, [9.0, 9.0]]}})
+
+
+def test_point_coordinates_are_strict_numbers():
+    # float() used to read "25000" as 25000.0 and true as 1.0
+    with pytest.raises(ConfigError, match=r"^experiment\.points\[0\] must be a number"):
+        parse_config({"experiment": {"points": [["25000", True], [1.0, 2.0], [3.0, 4.0]]}})
+    config = parse_config({"experiment": {"points": [[1, 2.5], [3.0, 4]]}})
+    assert config.experiment.points == [[1.0, 2.5], [3.0, 4.0]]
 
 
 def test_infinite_beta_limits_accepted():
@@ -247,3 +256,23 @@ def test_beta_grid_size_is_capped():
     stop = (MAX_BETA_GRID - 1) * 0.5
     grid = parse_config({"filter": {"beta_grid": {"start": 0.0, "stop": stop, "step": 0.5}}}).filter.beta_grid
     assert grid.size == MAX_BETA_GRID
+
+
+def test_beta_grid_range_with_step_past_stop_rejected():
+    # the step count used to round to 0: a one-value grid [0.]
+    with pytest.raises(ConfigError, match=r"^filter\.beta_grid: .*holds 1 values, need at least 3"):
+        parse_config({"filter": {"beta_grid": {"start": 0, "stop": 1, "step": 5}}})
+
+
+def test_beta_grid_range_stops_at_stop():
+    # the step count used to round up to 2: [0, 0.6, 1.2], past stop
+    with pytest.raises(ConfigError, match=r"^filter\.beta_grid: .*holds 2 values, need at least 3"):
+        parse_config({"filter": {"beta_grid": {"start": 0, "stop": 1, "step": 0.6}}})
+    grid = parse_config({"filter": {"beta_grid": {"start": 0, "stop": 1, "step": 0.3}}}).filter.beta_grid
+    np.testing.assert_array_equal(grid, 0.3 * np.arange(4))
+    # 0.3 / 0.1 is 2.9999999999999996: a span within rounding of a whole
+    # number of steps keeps its last value
+    grid = parse_config({"filter": {"beta_grid": {"start": 0, "stop": 0.3, "step": 0.1}}}).filter.beta_grid
+    np.testing.assert_array_equal(grid, 0.1 * np.arange(4))
+    grid = parse_config({"filter": {"beta_grid": {"start": -4, "stop": 2, "step": 0.1}}}).filter.beta_grid
+    np.testing.assert_array_equal(grid, -4.0 + 0.1 * np.arange(61))
