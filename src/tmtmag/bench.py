@@ -202,7 +202,6 @@ class BenchmarkSetup:
     basis: str = "bior6.8"
     levels: int | None = None
     grid: FrequencyGrid | None = None
-    boundary: str = "periodic"
     photon_stats: str = "bernoulli-poisson"
     shared_estimate: bool = False
     squared_contrast: bool = False
@@ -247,7 +246,7 @@ class EnsembleRun:
     :func:`~tmtmag.tmt.clamp_details` call and synthesizes, so it equals
     :func:`~tmtmag.tmt.tmt_denoise` on the same traces and frequencies,
     including the exact limits: ``beta = -inf`` leaves every detail
-    coefficient raw (the raw traces, with the periodic boundary) and
+    coefficient raw (the raw traces) and
     ``beta = +inf`` pins every detail coefficient to the template's.
 
     ``denoised(beta, indices)`` synthesizes only those samples: the
@@ -276,10 +275,9 @@ class EnsembleRun:
         else:
             self.omega_temps = estimate_frequencies(self.values, self.times, params, grid)
         self._raw_details, self._raw_approx = uwt_analyze(
-            self.values, setup.basis, self.levels, setup.boundary)
+            self.values, setup.basis, self.levels)
         self._kernel_details, self._noise_details = build_margins(
-            self.omega_temps, params, plan, setup.basis, self.levels, setup.boundary,
-            setup.squared_contrast)
+            self.omega_temps, params, plan, setup.basis, self.levels, setup.squared_contrast)
         self._packed: dict[tuple[int, ...], _PackedPoints] = {}
 
     def denoised(self, beta: float, indices=None) -> np.ndarray:
@@ -288,7 +286,7 @@ class EnsembleRun:
         if indices is None:
             clamped = clamp_details(self._raw_details, self._kernel_details,
                                     self._noise_details, width)
-            return uwt_synthesize(clamped, self._raw_approx, self.setup.basis, self.setup.boundary)
+            return uwt_synthesize(clamped, self._raw_approx, self.setup.basis)
         packed = self._packed_at(indices)
         if width == np.inf:
             return packed.base + packed.offsets @ packed.rows
@@ -302,7 +300,7 @@ class EnsembleRun:
         key = tuple(int(i) for i in indices)
         if key not in self._packed:
             rows, approx_rows = uwt_synthesis_rows(self.values.shape[1], key, self.setup.basis,
-                                                   self.levels, self.setup.boundary)
+                                                   self.levels)
             touched = rows.any(axis=2)
             shape = (self.values.shape[0], int(touched.sum()))
             packed_rows = np.empty((shape[1], len(key)))

@@ -254,7 +254,6 @@ def _make_setup(config: RunConfig) -> BenchmarkSetup:
         basis=config.filter.basis,
         levels=config.filter.levels,
         grid=config.filter.frequency_grid(config.sensor.omega_calib),
-        boundary=config.filter.boundary,
         photon_stats=config.experiment.photon_stats,
         shared_estimate=config.experiment.shared_estimate,
         squared_contrast=config.experiment.squared_contrast,

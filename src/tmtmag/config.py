@@ -32,7 +32,7 @@ MODES = ("simulate", "denoise", "sweep-beta", "benchmark", "gain-profile", "fit-
 
 _SENSOR_KEYS = {"contrast", "n_ave", "n0", "n1", "t2_star", "decay_power", "b_calib", "gamma_e"}
 _PLAN_KEYS = {"t_start", "t_stop", "f_sample", "repetitions", "n_experiments", "seed"}
-_FILTER_KEYS = {"basis", "levels", "boundary", "beta", "beta_grid", "freq_window", "freq_points"}
+_FILTER_KEYS = {"basis", "levels", "beta", "beta_grid", "freq_window", "freq_points"}
 _EXPERIMENT_KEYS = {"mode", "delta_b", "n_sd", "m_values", "n_sd_values",
                     "photon_stats", "shared_estimate", "squared_contrast",
                     "points", "points_file"}
@@ -45,7 +45,7 @@ _DEFAULTS = {
                "decay_power": 2.0, "b_calib": 100e-6},
     "plan": {"t_start": 0.97e-6, "t_stop": 1.75e-6, "f_sample": 128e6,
              "repetitions": 25000, "n_experiments": 200},
-    "filter": {"basis": "bior6.8", "levels": None, "boundary": "periodic", "beta": 0.0,
+    "filter": {"basis": "bior6.8", "levels": None, "beta": 0.0,
                "beta_grid": {"start": -4.0, "stop": 2.0, "step": 0.1},
                "freq_window": 0.15, "freq_points": 2001},
     "experiment": {"delta_b": 2e-6, "n_sd": None,
@@ -61,7 +61,6 @@ _DEFAULTS = {
 class FilterConfig:
     basis: str
     levels: int | None
-    boundary: str
     beta: float
     beta_grid: np.ndarray
     freq_window: float
@@ -115,8 +114,8 @@ class RunConfig:
             "plan": {"t_start": p.t_start, "t_stop": p.t_stop, "f_sample": p.f_sample,
                      "repetitions": p.repetitions, "n_experiments": p.n_experiments,
                      "seed": p.seed},
-            "filter": {"basis": f.basis, "levels": f.levels, "boundary": f.boundary,
-                       "beta": f.beta, "beta_grid": [float(b) for b in f.beta_grid],
+            "filter": {"basis": f.basis, "levels": f.levels, "beta": f.beta,
+                       "beta_grid": [float(b) for b in f.beta_grid],
                        "freq_window": f.freq_window, "freq_points": f.freq_points},
             "experiment": {"mode": e.mode, "delta_b": e.delta_b, "n_sd": e.n_sd,
                            "m_values": e.m_values, "n_sd_values": e.n_sd_values,
@@ -247,9 +246,6 @@ def _build_filter(data: dict) -> FilterConfig:
     basis = str(merged["basis"])
     if basis not in available_bases():
         raise ConfigError(f"filter: unknown basis {basis!r} (known: {', '.join(available_bases())})")
-    boundary = str(merged["boundary"])
-    if boundary not in ("periodic", "symmetric"):
-        raise ConfigError(f"filter: unknown boundary {boundary!r}")
     levels = merged["levels"]
     if levels is not None:
         levels = _integer("filter.levels", levels)
@@ -267,7 +263,6 @@ def _build_filter(data: dict) -> FilterConfig:
     return FilterConfig(
         basis=basis,
         levels=levels,
-        boundary=boundary,
         beta=beta,
         beta_grid=_build_beta_grid(merged["beta_grid"]),
         freq_window=freq_window,

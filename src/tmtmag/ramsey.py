@@ -205,8 +205,8 @@ def _sample_values(params: SensorParams, plan: AcquisitionPlan, omega_true: floa
 def simulate_ensemble(params: SensorParams, plan: AcquisitionPlan, omega_true: float,
                       photon_stats: str = "bernoulli-poisson") -> np.ndarray:
     """All ``plan.n_experiments`` traces as an (n_experiments, n_samples) array."""
-    if omega_true <= 0.0:
-        raise ValueError(f"omega_true must be positive, got {omega_true}")
+    if not 0.0 < omega_true < np.inf:
+        raise ValueError(f"omega_true must be positive and finite, got {omega_true}")
     out = np.empty((plan.n_experiments, plan.n_samples))
     for i in range(plan.n_experiments):
         out[i] = _sample_values(params, plan, omega_true,

@@ -43,6 +43,9 @@ class FrequencyGrid:
     n_points: int = 2001
 
     def __post_init__(self):
+        if not (np.isfinite(self.omega_min) and np.isfinite(self.omega_max)):
+            raise ValueError(f"omega_min and omega_max must be finite, "
+                             f"got [{self.omega_min}, {self.omega_max}]")
         if not (self.omega_max > self.omega_min > 0.0):
             raise ValueError(f"need omega_max > omega_min > 0, got [{self.omega_min}, {self.omega_max}]")
         if self.n_points < 3:
@@ -155,7 +158,7 @@ def clamp_details(raw_details, kernel_details, noise_details, width: float) -> n
 
 
 def build_margins(omega_temps, params: SensorParams, plan: AcquisitionPlan,
-                  basis: WaveletBasis | str, levels: int, boundary: str = "periodic",
+                  basis: WaveletBasis | str, levels: int,
                   squared_contrast: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Template and absolute shot-noise detail coefficients ``(K, |S|)`` at ``omega_temps``.
 
@@ -165,9 +168,9 @@ def build_margins(omega_temps, params: SensorParams, plan: AcquisitionPlan,
     """
     times = plan.times
     omegas = np.asarray(omega_temps, dtype=float)[..., None]
-    kernel_details, _ = uwt_analyze(template(times, omegas, params), basis, levels, boundary)
+    kernel_details, _ = uwt_analyze(template(times, omegas, params), basis, levels)
     noise = shot_noise(times, omegas, params, squared_contrast=squared_contrast)
-    noise_details, _ = uwt_analyze(noise, basis, levels, boundary)
+    noise_details, _ = uwt_analyze(noise, basis, levels)
     return kernel_details, np.abs(noise_details)
 
 
@@ -181,7 +184,7 @@ def _as_traces(values, plan: AcquisitionPlan) -> np.ndarray:
 
 def tmt_denoise(values, omega_temps, beta: float, params: SensorParams,
                 plan: AcquisitionPlan, basis: WaveletBasis | str,
-                levels: int | None = None, boundary: str = "periodic",
+                levels: int | None = None,
                 squared_contrast: bool = False) -> np.ndarray:
     """Denoise traces ``values`` (shape ``(..., N)``) at their template frequencies.
 
@@ -193,21 +196,21 @@ def tmt_denoise(values, omega_temps, beta: float, params: SensorParams,
     if levels is None:
         levels = default_levels(plan.n_samples)
     omega_temps = np.broadcast_to(omega_temps, values.shape[:-1])
-    details, approx = uwt_analyze(values, basis, levels, boundary)
+    details, approx = uwt_analyze(values, basis, levels)
     kernel_details, noise_details = build_margins(omega_temps, params, plan, basis, levels,
-                                                  boundary, squared_contrast)
+                                                  squared_contrast)
     clamped = clamp_details(details, kernel_details, noise_details, margin_width(beta, plan))
-    return uwt_synthesize(clamped, approx, basis, boundary)
+    return uwt_synthesize(clamped, approx, basis)
 
 
 def denoise_pipeline(values, params: SensorParams, plan: AcquisitionPlan,
                      beta: float, basis: WaveletBasis | str,
-                     levels: int | None = None, grid: FrequencyGrid | None = None,
-                     boundary: str = "periodic") -> tuple[np.ndarray, np.ndarray]:
+                     levels: int | None = None,
+                     grid: FrequencyGrid | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Estimate each trace's template frequency, then denoise; returns ``(denoised, omega_temps)``."""
     values = _as_traces(values, plan)
     if grid is None:
         grid = FrequencyGrid.around(params.omega_calib)
     rows = values.reshape(-1, plan.n_samples)
     omega_temps = estimate_frequencies(rows, plan.times, params, grid).reshape(values.shape[:-1])
-    return tmt_denoise(values, omega_temps, beta, params, plan, basis, levels, boundary), omega_temps
+    return tmt_denoise(values, omega_temps, beta, params, plan, basis, levels), omega_temps

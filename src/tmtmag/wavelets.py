@@ -22,17 +22,15 @@ Conventions, fixed once for the whole package:
   with both lowpass filters zero-padded to a common even length and a
   common symmetry center,
 
-* the default boundary extension is periodic (circular), which makes the
-  undecimated transform exactly shift covariant and both round trips
-  exact to rounding.  A reflective ``"symmetric"`` extension is available
-  for the undecimated transform; it is exact away from the edges only.
-  The decimated transform is periodic only.
+* signals extend periodically (circularly), as in the stationary
+  transform TMT builds on; this makes the undecimated transform exactly
+  shift covariant and both round trips exact to rounding.
 
-* every filter step is one tap loop for either boundary: the transforms
-  move the sample axis first, the step builds one boundary-extended copy
-  of its input (``_fold`` is the only code that knows the boundary), and
-  each tap reads a contiguous slice of that copy.  Sums run tap by tap,
-  so a trace transformed alone is bit-equal to the same trace in a batch.
+* every filter step is one tap loop: the transforms move the sample axis
+  first, the step builds one periodically extended copy of its input
+  (``np.arange(...) % n``), and each tap reads a contiguous slice of that
+  copy.  Sums run tap by tap, so a trace transformed alone is bit-equal
+  to the same trace in a batch.
 
 Detail levels are indexed finest first: ``details[0]`` is the highest
 frequency band.
@@ -48,7 +46,7 @@ import numpy as np
 _SQRT2 = np.sqrt(2.0)
 
 #: analysis lowpass half taps of the biorthogonal 6.8 bank, center outward.
-#: 17-tap symmetric filter; values are the float64 rounding of the exact
+#: 17-tap linear-phase filter; values are the float64 rounding of the exact
 #: maxflat-halfband factorization (sum = sqrt(2), eight zeros at z = -1).
 _BIOR68_ANALYSIS_LO = (
     0.8259229974584397,
@@ -149,8 +147,8 @@ def basis_from_lowpass_pair(name: str, analysis_lo: np.ndarray, synthesis_lo: np
     )
 
 
-def _make_symmetric_basis(name, analysis_half, synthesis_half) -> WaveletBasis:
-    # pad the two odd-length symmetric filters to one even length with
+def _make_linear_phase_basis(name, analysis_half, synthesis_half) -> WaveletBasis:
+    # pad the two odd-length linear-phase filters to one even length with
     # aligned centers so the analysis/synthesis delays cancel exactly
     reach = max(len(analysis_half), len(synthesis_half)) - 1
     center = reach
@@ -168,7 +166,7 @@ def _registry() -> dict[str, WaveletBasis]:
     return {
         "haar": basis_from_lowpass_pair("haar", haar_lo, haar_lo),
         "db2": basis_from_lowpass_pair("db2", db2_lo, db2_lo),
-        "bior6.8": _make_symmetric_basis("bior6.8", _BIOR68_ANALYSIS_LO, _BIOR68_SYNTHESIS_LO),
+        "bior6.8": _make_linear_phase_basis("bior6.8", _BIOR68_ANALYSIS_LO, _BIOR68_SYNTHESIS_LO),
     }
 
 
@@ -206,38 +204,15 @@ def _check_signal(signal) -> np.ndarray:
     return x
 
 
-def _fold(idx: np.ndarray, n: int, boundary: str) -> np.ndarray:
-    """Fold any integer sample index into ``[0, n)`` by the boundary extension.
-
-    ``periodic`` wraps with period N; ``symmetric`` reflects the whole axis
-    with period 2N.  This is the only place the boundary is decided.
-    """
-    if boundary == "periodic":
-        return np.mod(idx, n)
-    if boundary == "symmetric":
-        m = np.mod(idx, 2 * n)
-        return np.where(m < n, m, 2 * n - 1 - m)
-    raise WaveletError(f"unknown boundary mode {boundary!r}")
-
-
-def _tap_indices(n: int, n_taps: int, step: int, boundary: str) -> np.ndarray:
-    """Gather index ``idx[k, l]`` of the sample tap ``l`` reads for output ``k``.
-
-    ``k + step * l`` folded into ``[0, n)``; analysis passes ``+step``,
-    synthesis ``-step``.
-    """
-    return _fold(np.arange(n)[:, None] + step * np.arange(n_taps)[None, :], n, boundary)
-
-
 # The steps take samples on the first axis and read tap i of output k from
-# sample k + step*i (analysis) or k - step*i (synthesis) of one extended
-# copy ``x[_fold(arange(first, n + reach))]``.  The accumulators come from
-# ``np.zeros(shape)``: ``zeros_like`` would keep the transposed strides of
-# a moved-axis input and make every tap's update strided.
+# sample k + step*i (analysis) or k - step*i (synthesis) of one periodically
+# extended copy ``x[arange(first, n + reach) % n]``.  The accumulators come
+# from ``np.zeros(shape)``: ``zeros_like`` would keep the transposed strides
+# of a moved-axis input and make every tap's update strided.
 
-def _analysis_step(a: np.ndarray, taps_lo, taps_hi, step: int, boundary: str):
+def _analysis_step(a: np.ndarray, taps_lo, taps_hi, step: int):
     n = a.shape[0]
-    ext = a[_fold(np.arange(n + step * (taps_lo.size - 1)), n, boundary)]
+    ext = a[np.arange(n + step * (taps_lo.size - 1)) % n]
     lo = np.zeros(a.shape)
     hi = np.zeros(a.shape)
     for i in range(taps_lo.size):
@@ -247,10 +222,10 @@ def _analysis_step(a: np.ndarray, taps_lo, taps_hi, step: int, boundary: str):
     return lo, hi
 
 
-def _synthesis_step(lo_in, hi_in, taps_lo, taps_hi, step: int, boundary: str):
+def _synthesis_step(lo_in, hi_in, taps_lo, taps_hi, step: int):
     n = lo_in.shape[0]
     reach = step * (taps_lo.size - 1)
-    idx = _fold(np.arange(-reach, n), n, boundary)
+    idx = np.arange(-reach, n) % n
     lo_ext, hi_ext = lo_in[idx], hi_in[idx]
     acc = np.zeros(lo_in.shape)
     for i in range(taps_lo.size):
@@ -272,7 +247,7 @@ def _samples_last(x: np.ndarray) -> np.ndarray:
 # undecimated (stationary) transform
 # ---------------------------------------------------------------------------
 
-def uwt_analyze(signal, basis: WaveletBasis | str, levels: int, boundary: str = "periodic"):
+def uwt_analyze(signal, basis: WaveletBasis | str, levels: int):
     """Array-level undecimated analysis along the last axis.
 
     Returns ``(details, approximation)`` with ``details`` stacked as an
@@ -291,12 +266,12 @@ def uwt_analyze(signal, basis: WaveletBasis | str, levels: int, boundary: str = 
     details = np.empty((levels + 1,) + x.shape)
     a = _samples_first(x)
     for j in range(levels + 1):
-        a, d = _analysis_step(a, basis.h0, basis.h1, 1 << j, boundary)
+        a, d = _analysis_step(a, basis.h0, basis.h1, 1 << j)
         details[j] = np.moveaxis(d, 0, -1)
     return details, _samples_last(a)
 
 
-def uwt_synthesize(details, approximation, basis: WaveletBasis | str, boundary: str = "periodic"):
+def uwt_synthesize(details, approximation, basis: WaveletBasis | str):
     """Inverse of :func:`uwt_analyze`; averages redundant branches.
 
     Every detail level must have the approximation's length along the
@@ -315,12 +290,12 @@ def uwt_synthesize(details, approximation, basis: WaveletBasis | str, boundary: 
         # the moved sample axis leads, so each level must match the
         # approximation's rank before its axes move
         d = np.broadcast_to(np.asarray(details[j], dtype=float), shape)
-        a = 0.5 * _synthesis_step(a, _samples_first(d), basis.g0, basis.g1, 1 << j, boundary)
+        a = 0.5 * _synthesis_step(a, _samples_first(d), basis.g0, basis.g1, 1 << j)
     return _samples_last(a)
 
 
-def uwt_synthesis_rows(n: int, indices, basis: WaveletBasis | str, levels: int,
-                       boundary: str = "periodic") -> tuple[np.ndarray, np.ndarray]:
+def uwt_synthesis_rows(n: int, indices, basis: WaveletBasis | str,
+                       levels: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows of :func:`uwt_synthesize` at the output samples ``indices``.
 
     Returns ``(rows, approx_rows)`` of shapes ``(levels + 1, n, p)`` and
@@ -331,8 +306,9 @@ def uwt_synthesis_rows(n: int, indices, basis: WaveletBasis | str, levels: int,
             == approximation @ approx_rows + sum_j details[j] @ rows[j]
 
     up to rounding.  The rows come from the transpose of the synthesis run
-    on the unit vectors at ``indices``, finest level first: each tap of
-    ``g0``/``g1`` scatters back through the synthesis gather index.
+    on the unit vectors at ``indices``, finest level first: the synthesis
+    tap ``i`` at level ``j`` reads sample ``k - i * 2**j`` (mod ``n``), so
+    its transpose shifts the other way, ``np.roll(u, -(i << j), axis=0)``.
     """
     basis = _as_basis(basis)
     indices = np.asarray(indices, dtype=int)
@@ -344,12 +320,12 @@ def uwt_synthesis_rows(n: int, indices, basis: WaveletBasis | str, levels: int,
     u[indices, np.arange(indices.size)] = 1.0
     rows = np.zeros((levels + 1, n, indices.size))
     for j in range(levels + 1):
-        idx = _tap_indices(n, len(basis), -(1 << j), boundary)
         u = 0.5 * u
         lo = np.zeros_like(u)
         for i in range(len(basis)):
-            np.add.at(lo, idx[:, i], basis.g0[i] * u)
-            np.add.at(rows[j], idx[:, i], basis.g1[i] * u)
+            shifted = np.roll(u, -(i << j), axis=0)
+            lo += basis.g0[i] * shifted
+            rows[j] += basis.g1[i] * shifted
         u = lo
     return rows, u
 
@@ -386,7 +362,7 @@ def dwt_decompose(signal, basis: WaveletBasis | str, levels: int):
     for _ in range(levels + 1):
         if a.shape[0] % 2:
             a = np.concatenate([a, a[-1:]])
-        lo, hi = _analysis_step(a, basis.h0, basis.h1, 1, "periodic")
+        lo, hi = _analysis_step(a, basis.h0, basis.h1, 1)
         details.append(_samples_last(hi[::2]))
         a = lo[::2]
     return details, _samples_last(a)
@@ -409,6 +385,6 @@ def dwt_reconstruct(details, approximation, basis: WaveletBasis | str,
         up_d = np.zeros(up_a.shape)
         up_a[::2] = a
         up_d[::2] = d
-        a = _synthesis_step(up_a, up_d, basis.g0, basis.g1, 1, "periodic")
+        a = _synthesis_step(up_a, up_d, basis.g0, basis.g1, 1)
         a = a[:n_samples if j == 0 else expected[j - 1]]
     return _samples_last(a)

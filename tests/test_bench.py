@@ -262,10 +262,9 @@ def _assert_stats_close(point, full, truths):
                                atol=1e-12 * np.max(np.abs(truths)))
 
 
-@pytest.mark.parametrize("boundary", ["periodic", "symmetric"])
-def test_point_synthesis_sweep_matches_full_synthesis(paper_params, boundary):
+def test_point_synthesis_sweep_matches_full_synthesis(paper_params):
     plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 40, seed=23)
-    setup = _setup(paper_params, plan, n_sd=3, boundary=boundary)
+    setup = _setup(paper_params, plan, n_sd=3)
     grid = np.concatenate([[-np.inf], default_beta_grid(-3.0, 1.0, 0.25), [np.inf]])
     result = sweep_beta(setup, grid)
     full = _full_synthesis_stats(setup, grid)
@@ -300,15 +299,13 @@ def _packed_oracle(run, beta, indices):
     """The detection samples of one full clamp and synthesis of ``run``'s stacks."""
     clamped = clamp_details(run._raw_details, run._kernel_details, run._noise_details,
                             margin_width(beta, run.setup.plan))
-    return uwt_synthesize(clamped, run._raw_approx, run.setup.basis,
-                          run.setup.boundary)[:, indices]
+    return uwt_synthesize(clamped, run._raw_approx, run.setup.basis)[:, indices]
 
 
-@pytest.mark.parametrize("boundary", ["periodic", "symmetric"])
 @pytest.mark.parametrize("basis", ["haar", "db2", "bior6.8"])
-def test_packed_point_clamp_matches_full_clamp(paper_params, basis, boundary):
+def test_packed_point_clamp_matches_full_clamp(paper_params, basis):
     plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 12, seed=29)
-    setup = _setup(paper_params, plan, n_sd=3, basis=basis, boundary=boundary)
+    setup = _setup(paper_params, plan, n_sd=3, basis=basis)
     indices = find_detection_points(setup.omega_true, plan, 3, paper_params).indices
     run = EnsembleRun(setup)
     # coefficients with |S| = 0: a finite width pins them to the template,
@@ -323,9 +320,9 @@ def test_packed_point_clamp_matches_full_clamp(paper_params, basis, boundary):
         assert np.isfinite(got).all()
         np.testing.assert_allclose(got, _packed_oracle(run, beta, indices),
                                    rtol=1e-12, atol=1e-13 * scale)
-    if boundary == "periodic":  # perfect reconstruction: the raw limit is the raw traces
-        np.testing.assert_allclose(run.denoised(-np.inf, indices), run.values[:, indices],
-                                   rtol=1e-12, atol=1e-13 * scale)
+    # perfect reconstruction: the raw limit is the raw traces
+    np.testing.assert_allclose(run.denoised(-np.inf, indices), run.values[:, indices],
+                               rtol=1e-12, atol=1e-13 * scale)
 
 
 def test_packed_point_clamp_allocates_no_coefficient_array(paper_params):
@@ -336,7 +333,7 @@ def test_packed_point_clamp_allocates_no_coefficient_array(paper_params):
     indices = find_detection_points(setup.omega_true, plan, 3, paper_params).indices
     run = EnsembleRun(setup)
     rows, _ = uwt_synthesis_rows(plan.n_samples, indices, setup.basis,
-                                 setup.resolved_levels(), setup.boundary)
+                                 setup.resolved_levels())
     coefficient_bytes = plan.n_experiments * int(rows.any(axis=2).sum()) * 8
     run.denoised(0.0, indices)
     for beta in (-np.inf, -1.0, 0.5, np.inf):

@@ -14,6 +14,7 @@ from tmtmag import cli
 from tmtmag.bench import DetectionPointSet, ensemble_stats
 from tmtmag.cli import _stats_columns, export_table, main, make_table
 from tmtmag.config import MODES, parse_config
+from tmtmag.wavelets import available_bases
 
 
 def fast_config(tmp_path, **overrides):
@@ -215,10 +216,9 @@ def test_denoise_writes_estimates(tmp_path):
     assert len(rows) == 13  # header + one estimate per experiment
 
 
-@pytest.mark.parametrize("beta", [-400.0, float("-inf")])
-def test_denoise_raw_limit_returns_raw_traces(tmp_path, beta):
-    # 10**400 overflows a float; the margin width saturates to inf
-    cfg = fast_config(tmp_path, filter={"beta": beta})
+def _raw_limit_error(tmp_path, filter_section):
+    """Largest |denoised - raw| of a CLI denoise run, relative to max |raw|."""
+    cfg = fast_config(tmp_path, filter=filter_section)
     out = tmp_path / "run"
     assert main(["denoise", "--config", str(cfg), "--seed", "2", "--out", str(out),
                  "--format", "csv"]) == 0
@@ -226,7 +226,20 @@ def test_denoise_raw_limit_returns_raw_traces(tmp_path, beta):
     raw = np.array([float(r["raw"]) for r in rows])
     denoised = np.array([float(r["denoised"]) for r in rows])
     assert not np.any(np.isnan(denoised))
-    assert np.max(np.abs(denoised - raw)) / np.max(np.abs(raw)) < 1e-10
+    return np.max(np.abs(denoised - raw)) / np.max(np.abs(raw))
+
+
+@pytest.mark.parametrize("beta", [-400.0, float("-inf")])
+def test_denoise_raw_limit_returns_raw_traces(tmp_path, beta):
+    # 10**400 overflows a float; the margin width saturates to inf
+    assert _raw_limit_error(tmp_path, {"beta": beta}) < 1e-10
+
+
+@pytest.mark.parametrize("basis", available_bases())
+@pytest.mark.parametrize("beta", [-400.0, float("-inf")])
+def test_denoise_raw_limit_every_basis(tmp_path, beta, basis):
+    # perfect reconstruction returns the raw traces for every basis
+    assert _raw_limit_error(tmp_path, {"beta": beta, "basis": basis}) < 1e-10
 
 
 def test_sweep_beta_outputs(tmp_path):

@@ -142,8 +142,9 @@ def test_infinite_beta_limits_accepted():
 def test_invalid_choices_rejected():
     with pytest.raises(ConfigError, match="basis"):
         parse_config({"filter": {"basis": "nosuch"}})
-    with pytest.raises(ConfigError, match="boundary"):
-        parse_config({"filter": {"boundary": "mirror"}})
+    for value in ("periodic", "symmetric"):
+        with pytest.raises(ConfigError, match="unknown key 'boundary' in section 'filter'"):
+            parse_config({"filter": {"boundary": value}})
     with pytest.raises(ConfigError, match="mode"):
         parse_config({"experiment": {"mode": "explode"}})
     with pytest.raises(ConfigError, match="photon_stats"):

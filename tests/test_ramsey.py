@@ -274,5 +274,7 @@ def test_substreams_are_order_independent(paper_params, short_plan):
 
 
 def test_simulate_rejects_nonpositive_frequency(paper_params, short_plan):
-    with pytest.raises(ValueError, match="omega_true"):
-        simulate_ensemble(paper_params, short_plan, 0.0)
+    # NaN and +-inf are rejected by name too, before numpy's sampler sees them
+    for omega in (0.0, -1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="omega_true"):
+            simulate_ensemble(paper_params, short_plan, omega)

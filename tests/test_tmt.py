@@ -41,6 +41,12 @@ def test_grid_validation():
     grid = FrequencyGrid.around(1e7, fraction=0.1, n_points=11)
     assert grid.omegas.size == 11
     np.testing.assert_allclose(grid.omegas[[0, -1]], [0.9e7, 1.1e7])
+    # an infinite bound would make the omegas [nan, inf, ...], and the search
+    # would then report a grid-edge maximum at omega=nan
+    for bad in (np.nan, np.inf, -np.inf):
+        for bounds in ((bad, 2.0), (1.0, bad)):
+            with pytest.raises(ValueError, match="omega_min and omega_max must be finite"):
+                FrequencyGrid(*bounds)
 
 
 def test_noiseless_estimate_recovers_frequency(paper_params):
@@ -254,7 +260,7 @@ def ensemble_run(paper_params):
 def _denoise_like(run, values, omega_temps, beta):
     setup = run.setup
     return tmt_denoise(values, omega_temps, beta, setup.params, setup.plan, setup.basis,
-                       run.levels, setup.boundary)
+                       run.levels)
 
 
 @pytest.mark.parametrize("beta", [-np.inf, -400.0, -4.0, 0.0, 2.0, np.inf])
@@ -298,9 +304,9 @@ def test_tmt_denoise_properties(ensemble_run, beta, row):
 def ensemble_coeffs(ensemble_run):
     """Raw detail coefficients and margins ``(details, K, |S|)`` of the ensemble."""
     run, setup = ensemble_run, ensemble_run.setup
-    details, _ = uwt_analyze(run.values, setup.basis, run.levels, setup.boundary)
+    details, _ = uwt_analyze(run.values, setup.basis, run.levels)
     kernel, noise = build_margins(run.omega_temps, setup.params, setup.plan, setup.basis,
-                                  run.levels, setup.boundary)
+                                  run.levels)
     return details, kernel, noise
 
 
@@ -325,24 +331,6 @@ def test_clamp_raw_limit_returns_details_unchanged(ensemble_run, ensemble_coeffs
     details, kernel, noise = ensemble_coeffs
     width = margin_width(-np.inf, ensemble_run.setup.plan)
     np.testing.assert_array_equal(clamp_details(details, kernel, noise, width), details)
-
-
-@pytest.fixture(scope="module")
-def symmetric_run(paper_params):
-    plan = AcquisitionPlan(0.97e-6, 1.75e-6, 128e6, 25000, 8, seed=78)
-    return EnsembleRun(BenchmarkSetup(params=paper_params, plan=plan,
-                                      omega_true=paper_params.omega_calib, n_sd=2,
-                                      boundary="symmetric"))
-
-
-@pytest.mark.parametrize("beta", [-np.inf, -4.0, 0.0, 2.0, np.inf])
-def test_symmetric_boundary_per_trace_paths_agree(symmetric_run, beta):
-    run = symmetric_run
-    batch = run.denoised(beta)
-    np.testing.assert_array_equal(_denoise_like(run, run.values, run.omega_temps, beta), batch)
-    for i in range(run.values.shape[0]):
-        np.testing.assert_array_equal(
-            _denoise_like(run, run.values[i], run.omega_temps[i], beta), batch[i])
 
 
 def test_denoise_mismatch_errors(paper_params, short_plan):

@@ -68,57 +68,39 @@ def lowpass_cascade_oracle(x, basis, levels):
 
 
 # ---------------------------------------------------------------------------
-# the earlier per-boundary steps, kept as a bit-exact oracle: one np.roll per
-# tap for the periodic boundary, one reflected gather per tap for the
-# symmetric one, along the last axis
+# the earlier periodic steps, kept as a bit-exact oracle: one np.roll per
+# tap along the last axis
 # ---------------------------------------------------------------------------
 
-def _gather_index(n, n_taps, step, boundary):
-    idx = np.arange(n)[:, None] + step * np.arange(n_taps)[None, :]
-    if boundary == "periodic":
-        return np.mod(idx, n)
-    m = np.mod(idx, 2 * n)
-    return np.where(m < n, m, 2 * n - 1 - m)
-
-
-def _roll_analysis_step(a, taps_lo, taps_hi, step, boundary):
+def _roll_analysis_step(a, taps_lo, taps_hi, step):
     lo = np.zeros_like(a)
     hi = np.zeros_like(a)
-    idx = _gather_index(a.shape[-1], taps_lo.size, step, boundary)
     for i in range(taps_lo.size):
-        if boundary == "periodic":
-            r = np.roll(a, -step * i, axis=-1)
-        else:
-            r = a[..., idx[:, i]]
+        r = np.roll(a, -step * i, axis=-1)
         lo += taps_lo[i] * r
         hi += taps_hi[i] * r
     return lo, hi
 
 
-def _roll_synthesis_step(lo_in, hi_in, taps_lo, taps_hi, step, boundary):
+def _roll_synthesis_step(lo_in, hi_in, taps_lo, taps_hi, step):
     acc = np.zeros_like(lo_in)
-    idx = _gather_index(lo_in.shape[-1], taps_lo.size, -step, boundary)
     for i in range(taps_lo.size):
-        if boundary == "periodic":
-            acc += taps_lo[i] * np.roll(lo_in, step * i, axis=-1)
-            acc += taps_hi[i] * np.roll(hi_in, step * i, axis=-1)
-        else:
-            acc += taps_lo[i] * lo_in[..., idx[:, i]]
-            acc += taps_hi[i] * hi_in[..., idx[:, i]]
+        acc += taps_lo[i] * np.roll(lo_in, step * i, axis=-1)
+        acc += taps_hi[i] * np.roll(hi_in, step * i, axis=-1)
     return acc
 
 
-def roll_uwt_analyze(x, basis, levels, boundary):
+def roll_uwt_analyze(x, basis, levels):
     details = np.empty((levels + 1,) + x.shape)
     a = x
     for j in range(levels + 1):
-        a, details[j] = _roll_analysis_step(a, basis.h0, basis.h1, 1 << j, boundary)
+        a, details[j] = _roll_analysis_step(a, basis.h0, basis.h1, 1 << j)
     return details, a
 
 
-def roll_uwt_synthesize(details, a, basis, boundary):
+def roll_uwt_synthesize(details, a, basis):
     for j in range(len(details) - 1, -1, -1):
-        a = 0.5 * _roll_synthesis_step(a, details[j], basis.g0, basis.g1, 1 << j, boundary)
+        a = 0.5 * _roll_synthesis_step(a, details[j], basis.g0, basis.g1, 1 << j)
     return a
 
 
@@ -128,7 +110,7 @@ def roll_dwt_decompose(x, basis, levels):
     for _ in range(levels + 1):
         if a.shape[-1] % 2:
             a = np.concatenate([a, a[..., -1:]], axis=-1)
-        lo, hi = _roll_analysis_step(a, basis.h0, basis.h1, 1, "periodic")
+        lo, hi = _roll_analysis_step(a, basis.h0, basis.h1, 1)
         details.append(hi[..., ::2])
         a = lo[..., ::2]
     return details, a
@@ -141,7 +123,7 @@ def roll_dwt_reconstruct(details, a, basis, n_samples):
         up_d = np.zeros_like(up_a)
         up_a[..., ::2] = a
         up_d[..., ::2] = d
-        a = _roll_synthesis_step(up_a, up_d, basis.g0, basis.g1, 1, "periodic")
+        a = _roll_synthesis_step(up_a, up_d, basis.g0, basis.g1, 1)
         a = a[..., :n_samples if j == 0 else details[j - 1].shape[-1]]
     return a
 
@@ -355,62 +337,53 @@ def test_uwt_batch_matches_single(rng):
 
 
 def test_uwt_symmetric_boundary_basics(rng):
-    # constants are preserved by reflection, and the round trip is exact
-    # away from the edges
-    const, _ = uwt_analyze(np.full(64, 3.0), "bior6.8", 3, "symmetric")
+    # a symmetric boundary is the periodic transform of the mirrored signal
+    # [x, x[::-1]], whose period holds the reflection at both ends: constants
+    # are preserved, and the round trip is exact on every sample, edges too
+    const, _ = uwt_analyze(np.full(64, 3.0), "bior6.8", 3)
     for d in const:
         assert np.max(np.abs(d)) < 1e-12
-    x = rng.normal(size=512)
-    xr = uwt_synthesize(*uwt_analyze(x, "bior6.8", 2, "symmetric"), "bior6.8", "symmetric")
-    # total analysis+synthesis reach over levels 0..2 is (2**3 - 1)*(18 - 1)
-    interior = slice(125, 512 - 125)
-    np.testing.assert_allclose(xr[interior], x[interior], atol=1e-10)
+    x = rng.normal(size=150)
+    mirrored = np.concatenate([x, x[::-1]])
+    for name in ("haar", "db2", "bior6.8"):
+        back = uwt_synthesize(*uwt_analyze(mirrored, name, 4), name)
+        np.testing.assert_allclose(back, mirrored, atol=1e-10)
+    # bior6.8's lowpass is symmetric over its first 17 taps, so each level
+    # keeps the reflection, about a centre that moves back 16 * step
+    _, approx = uwt_analyze(mirrored, "bior6.8", 4)
+    n = mirrored.size
+    centre = n - 1 - 16 * (2 ** 5 - 1)
+    np.testing.assert_allclose(approx, approx[(centre - np.arange(n)) % n], atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["haar", "db2", "bior6.8"])
-def test_uwt_symmetric_row_equals_batch(rng, name):
-    # the filter steps sum tap by tap, so a row's rounding does not depend
-    # on the batch around it: analysis and round trip are bit-equal
-    batch = rng.normal(size=(6, 150))
-    details, approx = uwt_analyze(batch, name, 6, "symmetric")
-    back = uwt_synthesize(details, approx, name, "symmetric")
-    for i in range(batch.shape[0]):
-        d_i, a_i = uwt_analyze(batch[i], name, 6, "symmetric")
-        np.testing.assert_array_equal(d_i, details[:, i])
-        np.testing.assert_array_equal(a_i, approx[i])
-        np.testing.assert_array_equal(uwt_synthesize(d_i, a_i, name, "symmetric"), back[i])
-
-
-@pytest.mark.parametrize("name", ["haar", "db2", "bior6.8"])
-@pytest.mark.parametrize("boundary", ["periodic", "symmetric"])
 @pytest.mark.parametrize("batch", [(), (3,), (2, 3)], ids=["1d", "2d", "3d"])
-def test_transforms_bit_equal_to_roll_oracle(name, boundary, batch):
-    # the one tap loop over a boundary-extended copy reproduces the
-    # per-boundary roll/gather steps exactly, down to every rounding; the
-    # deeper levels reach further than N (step * (L - 1) > N), so the
-    # extension folds more than once
+def test_transforms_bit_equal_to_roll_oracle(name, batch):
+    # the one tap loop over a periodically extended copy reproduces the
+    # per-tap roll steps exactly, down to every rounding; the deeper levels
+    # reach further than N (step * (L - 1) > N), so the extension wraps
+    # more than once
     basis = basis_registry(name)
     gen = np.random.default_rng(len(batch))
     for n in (4, 5, 8, 9, 33, 150):
         x = gen.normal(size=batch + (n,))
         for levels in range(default_levels(n) + 1):
-            details, approx = uwt_analyze(x, basis, levels, boundary)
-            d_ref, a_ref = roll_uwt_analyze(x, basis, levels, boundary)
+            details, approx = uwt_analyze(x, basis, levels)
+            d_ref, a_ref = roll_uwt_analyze(x, basis, levels)
             np.testing.assert_array_equal(details, d_ref)
             np.testing.assert_array_equal(approx, a_ref)
             assert approx.flags.c_contiguous
-            back = uwt_synthesize(details, approx, basis, boundary)
-            np.testing.assert_array_equal(back, roll_uwt_synthesize(d_ref, a_ref, basis, boundary))
+            back = uwt_synthesize(details, approx, basis)
+            np.testing.assert_array_equal(back, roll_uwt_synthesize(d_ref, a_ref, basis))
             assert back.shape == x.shape and back.flags.c_contiguous
-        if boundary == "periodic":
-            for levels in range(1, int(np.log2(n)) + 1):
-                details, approx = dwt_decompose(x, basis, levels)
-                d_ref, a_ref = roll_dwt_decompose(x, basis, levels)
-                for got, ref in zip(details, d_ref):
-                    np.testing.assert_array_equal(got, ref)
-                np.testing.assert_array_equal(approx, a_ref)
-                np.testing.assert_array_equal(dwt_reconstruct(details, approx, basis, n),
-                                              roll_dwt_reconstruct(d_ref, a_ref, basis, n))
+        for levels in range(1, int(np.log2(n)) + 1):
+            details, approx = dwt_decompose(x, basis, levels)
+            d_ref, a_ref = roll_dwt_decompose(x, basis, levels)
+            for got, ref in zip(details, d_ref):
+                np.testing.assert_array_equal(got, ref)
+            np.testing.assert_array_equal(approx, a_ref)
+            np.testing.assert_array_equal(dwt_reconstruct(details, approx, basis, n),
+                                          roll_dwt_reconstruct(d_ref, a_ref, basis, n))
 
 
 def test_synthesis_rows_errors():
@@ -418,8 +391,6 @@ def test_synthesis_rows_errors():
         uwt_synthesis_rows(16, [3, 16], "haar", 2)
     with pytest.raises(WaveletError, match="indices"):
         uwt_synthesis_rows(16, [-1], "haar", 2)
-    with pytest.raises(WaveletError, match="boundary"):
-        uwt_synthesis_rows(16, [3], "haar", 2, boundary="zero")
 
 
 # ---------------------------------------------------------------------------
@@ -438,21 +409,20 @@ def _rows_case(draw):
 @given(
     case=_rows_case(),
     name=st.sampled_from(["haar", "bior6.8", "db2"]),
-    boundary=st.sampled_from(["periodic", "symmetric"]),
     seed=st.integers(min_value=0, max_value=2 ** 31),
 )
-def test_property_synthesis_rows_match_full_synthesis(case, name, boundary, seed):
+def test_property_synthesis_rows_match_full_synthesis(case, name, seed):
     n, levels, indices = case
     gen = np.random.default_rng(seed)
     details = gen.normal(size=(levels + 1, 3, n))
     approx = gen.normal(size=(3, n))
-    rows, approx_rows = uwt_synthesis_rows(n, indices, name, levels, boundary)
+    rows, approx_rows = uwt_synthesis_rows(n, indices, name, levels)
     assert rows.shape == (levels + 1, n, len(indices))
     assert approx_rows.shape == (n, len(indices))
     at_points = approx @ approx_rows
     for j in range(levels + 1):
         at_points += details[j] @ rows[j]
-    full = uwt_synthesize(details, approx, name, boundary)[:, indices]
+    full = uwt_synthesize(details, approx, name)[:, indices]
     np.testing.assert_allclose(at_points, full, rtol=0, atol=1e-13)
 
 
