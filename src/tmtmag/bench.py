@@ -253,8 +253,9 @@ class EnsembleRun:
     synthesis is linear, so each is a fixed row of it
     (:func:`~tmtmag.wavelets.uwt_synthesis_rows`).  The first call with an
     index set packs the C coefficients those rows read (see
-    :class:`_PackedPoints`); every beta then costs three in-place passes
-    over one (n_exp, C) buffer and one matrix product.  The packed clip
+    :class:`_PackedPoints`), with one boolean gather per coefficient stack
+    by the mask of non-zero rows; every beta then costs three in-place
+    passes over one (n_exp, C) buffer and one matrix product.  The packed clip
     ``copysign(min(width * |S|, |raw - K|), raw - K)`` is the clamp of
     :func:`~tmtmag.tmt.clamp_details` centred on the template ``K``: the
     outputs agree with clamping the full stacks up to rounding, and an
@@ -302,23 +303,19 @@ class EnsembleRun:
             rows, approx_rows = uwt_synthesis_rows(self.values.shape[1], key, self.setup.basis,
                                                    self.levels)
             touched = rows.any(axis=2)
-            shape = (self.values.shape[0], int(touched.sum()))
-            packed_rows = np.empty((shape[1], len(key)))
-            offsets, noise, work = np.empty(shape), np.empty(shape), np.empty(shape)
-            kernel = work  # holds the template's coefficients until the first beta
-            start = 0
-            for j, level in enumerate(touched):
-                ks = np.flatnonzero(level)
-                cols = slice(start, start + ks.size)
-                packed_rows[cols] = rows[j, ks]
-                kernel[:, cols] = self._kernel_details[j][:, ks]
-                np.subtract(self._raw_details[j][:, ks], kernel[:, cols], out=offsets[:, cols])
-                noise[:, cols] = self._noise_details[j][:, ks]
-                start += ks.size
+            packed_rows = rows[touched]
+            # one gather per (levels + 1, n_exp, N) stack, in the level-major
+            # column order of rows[touched]; the gathers come out in Fortran
+            # order and are copied to C order, as dgemm sums the product of a
+            # Fortran-order operand in another order
+            kernel, offsets, noise = (
+                np.ascontiguousarray(np.moveaxis(stack, 1, 0)[:, touched])
+                for stack in (self._kernel_details, self._raw_details, self._noise_details))
+            offsets -= kernel
             base = self._raw_approx @ approx_rows + kernel @ packed_rows
             self._packed[key] = _PackedPoints(rows=packed_rows, offsets=offsets,
                                               magnitudes=np.abs(offsets), noise=noise,
-                                              base=base, work=work)
+                                              base=base, work=kernel)
         return self._packed[key]
 
 

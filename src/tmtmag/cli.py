@@ -57,18 +57,11 @@ _CHUNK_ROWS = 4096  # rows formatted per write
 _CSV_SPECIAL = frozenset(',"\r\n')  # characters that may make csv.writer quote a field
 
 
-def _jsonable(value):
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
+def _json_default(value):
+    """``json.dumps`` hook: numpy arrays and scalars as Python lists and numbers."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def make_table(**columns) -> np.ndarray:
@@ -112,7 +105,7 @@ def _csv_cell(value) -> str:
 
 
 def _json_cell(value) -> str:
-    return json.dumps(value.item() if isinstance(value, np.generic) else value)
+    return json.dumps(value, default=_json_default)
 
 
 def _json_floats(values: np.ndarray) -> list:
@@ -180,7 +173,8 @@ def export_table(table: np.ndarray, out_dir: Path, name: str, formats: list[str]
             return ("    {\n" + ",\n".join(f"      {key}: {slot}" for key, slot in zip(quoted, slots))
                     + "\n    }")
 
-        head = json.dumps({"manifest": _jsonable(manifest or {})}, indent=2, sort_keys=True)
+        head = json.dumps({"manifest": manifest or {}}, indent=2, sort_keys=True,
+                          default=_json_default)
         with path.open("w") as fh:
             fh.write(head[:-len("\n}")] + ',\n  "records": [')
             if len(table):
@@ -440,7 +434,7 @@ def run(config: RunConfig) -> int:
         "seed": config.plan.seed,
         "version": __version__,
         "config": config.snapshot,
-        "derived": _jsonable(base_derived),
+        "derived": base_derived,
     }
 
     written = []
@@ -453,7 +447,7 @@ def run(config: RunConfig) -> int:
     manifest["duration_seconds"] = duration  # volatile: excluded from reproducibility checks
     manifest["outputs"] = {p.name: _sha256(p) for p in written}
     (out_dir / "manifest.json").write_text(
-        json.dumps(_jsonable(manifest), indent=2, sort_keys=True) + "\n")
+        json.dumps(manifest, indent=2, sort_keys=True, default=_json_default) + "\n")
 
     sys.stdout.write("\n".join(summary_lines) + "\n")
     sys.stdout.write(f"wrote {len(written) + 1} files to {out_dir}\n")

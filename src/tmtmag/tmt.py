@@ -48,6 +48,8 @@ class FrequencyGrid:
                              f"got [{self.omega_min}, {self.omega_max}]")
         if not (self.omega_max > self.omega_min > 0.0):
             raise ValueError(f"need omega_max > omega_min > 0, got [{self.omega_min}, {self.omega_max}]")
+        if isinstance(self.n_points, bool) or not isinstance(self.n_points, (int, np.integer)):
+            raise ValueError(f"n_points must be an integer, got {self.n_points!r}")
         if self.n_points < 3:
             raise ValueError(f"grid needs at least 3 points, got {self.n_points}")
 
@@ -134,6 +136,8 @@ def estimate_frequencies(values: np.ndarray, times: np.ndarray, params: SensorPa
 
 def margin_width(beta: float, plan: AcquisitionPlan) -> float:
     """Margin scale 10**(-beta) / sqrt(T_I * M * f_sample); inf once 10**(-beta) overflows."""
+    if np.isnan(beta):  # a NaN width would turn every denoised sample into NaN
+        raise ValueError(f"beta must be a number or +-inf, got {beta}")
     with np.errstate(over="ignore"):  # numpy scalars overflow to inf
         try:
             scale = 10.0 ** (-beta)

@@ -199,9 +199,18 @@ def default_levels(n_samples: int) -> int:
 
 def _check_signal(signal) -> np.ndarray:
     x = np.asarray(signal, dtype=float)
+    if x.ndim == 0:
+        raise WaveletError(f"signal must have a sample axis, got the scalar {x.item()!r}")
     if x.shape[-1] == 0:
         raise WaveletError("empty signal")
     return x
+
+
+def _check_levels(levels, minimum: int) -> None:
+    if isinstance(levels, bool) or not isinstance(levels, (int, np.integer)):
+        raise WaveletError(f"levels must be an integer, got {levels!r}")
+    if levels < minimum:
+        raise WaveletError(f"levels must be >= {minimum}, got {levels}")
 
 
 # The steps take samples on the first axis and read tap i of output k from
@@ -257,8 +266,7 @@ def uwt_analyze(signal, basis: WaveletBasis | str, levels: int):
     basis = _as_basis(basis)
     x = _check_signal(signal)
     n = x.shape[-1]
-    if levels < 0:
-        raise WaveletError(f"levels must be >= 0, got {levels}")
+    _check_levels(levels, 0)
     if 2 ** (levels + 1) > n:
         raise WaveletError(
             f"signal too short for {levels + 1} undecimated levels (N={n}, need >= {2 ** (levels + 1)})"
@@ -305,29 +313,20 @@ def uwt_synthesis_rows(n: int, indices, basis: WaveletBasis | str,
         uwt_synthesize(details, approximation)[..., indices]
             == approximation @ approx_rows + sum_j details[j] @ rows[j]
 
-    up to rounding.  The rows come from the transpose of the synthesis run
-    on the unit vectors at ``indices``, finest level first: the synthesis
-    tap ``i`` at level ``j`` reads sample ``k - i * 2**j`` (mod ``n``), so
-    its transpose shifts the other way, ``np.roll(u, -(i << j), axis=0)``.
+    up to rounding.  A synthesis tap convolves, so its transpose correlates:
+    the rows are :func:`uwt_analyze` of the unit impulses at ``indices``
+    with the dual bank (analysis and synthesis filters swapped), scaled by
+    the synthesis factor 1/2 of every level passed on the way up.
     """
     basis = _as_basis(basis)
     indices = np.asarray(indices, dtype=int)
     if indices.ndim != 1 or np.any((indices < 0) | (indices >= n)):
         raise WaveletError(f"output indices must be a 1-d subset of [0, {n})")
-    if levels < 0:
-        raise WaveletError(f"levels must be >= 0, got {levels}")
-    u = np.zeros((n, indices.size))
-    u[indices, np.arange(indices.size)] = 1.0
-    rows = np.zeros((levels + 1, n, indices.size))
-    for j in range(levels + 1):
-        u = 0.5 * u
-        lo = np.zeros_like(u)
-        for i in range(len(basis)):
-            shifted = np.roll(u, -(i << j), axis=0)
-            lo += basis.g0[i] * shifted
-            rows[j] += basis.g1[i] * shifted
-        u = lo
-    return rows, u
+    dual = WaveletBasis(basis.name, h0=basis.g0, h1=basis.g1, g0=basis.h0, g1=basis.h1)
+    details, approx = uwt_analyze((indices[:, None] == np.arange(n)).astype(float), dual, levels)
+    details *= 0.5 ** np.arange(1, levels + 2)[:, None, None]
+    approx *= 0.5 ** (levels + 1)
+    return np.ascontiguousarray(details.swapaxes(1, 2)), np.ascontiguousarray(approx.T)
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +352,7 @@ def dwt_decompose(signal, basis: WaveletBasis | str, levels: int):
     basis = _as_basis(basis)
     x = _check_signal(signal)
     n = x.shape[-1]
-    if levels < 1:
-        raise WaveletError(f"decimated transform needs levels >= 1, got {levels}")
+    _check_levels(levels, 1)
     if n < 2 ** levels:
         raise WaveletError(f"signal too short for detail level {levels} (N={n})")
     details = []

@@ -34,6 +34,12 @@ def read_files(out_dir: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
 
 
+def read_csv(path: Path, reader=csv.reader) -> list:
+    """All rows of a CSV file, read through a closed-on-exit handle."""
+    with path.open() as fh:
+        return list(reader(fh))
+
+
 # ---------------------------------------------------------------------------
 # export_table
 # ---------------------------------------------------------------------------
@@ -47,7 +53,7 @@ def test_export_cardinality(tmp_path):
     assert len(table) == 4  # 3 per-point records + 1 fringe record
     export_table(table[["series", "beta", "point", "mse"]], tmp_path, "stats",
                  ["csv", "json"], manifest={"mode": "test"})
-    rows = list(csv.reader((tmp_path / "stats.csv").open()))
+    rows = read_csv(tmp_path / "stats.csv")
     assert len(rows) == 5  # header + 4 records
     payload = json.loads((tmp_path / "stats.json").read_text())
     assert len(payload["records"]) == 4
@@ -56,7 +62,7 @@ def test_export_cardinality(tmp_path):
 
 def test_export_empty_table(tmp_path):
     export_table(make_table(a=[], b=np.array([])), tmp_path, "empty", ["csv", "json"])
-    rows = list(csv.reader((tmp_path / "empty.csv").open()))
+    rows = read_csv(tmp_path / "empty.csv")
     assert rows == [["a", "b"]]
     payload = json.loads((tmp_path / "empty.json").read_text())
     assert payload["records"] == []
@@ -64,7 +70,7 @@ def test_export_empty_table(tmp_path):
 
 def test_float_serialization_roundtrip(tmp_path):
     export_table(make_table(x=np.array([0.1, 1.0 / 3.0])), tmp_path, "floats", ["csv", "json"])
-    rows = list(csv.reader((tmp_path / "floats.csv").open()))
+    rows = read_csv(tmp_path / "floats.csv")
     assert float(rows[1][0]) == 0.1
     assert float(rows[2][0]) == 1.0 / 3.0
     payload = json.loads((tmp_path / "floats.json").read_text())
@@ -212,7 +218,7 @@ def test_denoise_writes_estimates(tmp_path):
     assert main(["denoise", "--config", str(cfg), "--seed", "2", "--out", str(out)]) == 0
     names = set(read_files(out))
     assert {"denoise.csv", "template_estimates.csv", "summary.txt", "manifest.json"} <= names
-    rows = list(csv.reader((out / "template_estimates.csv").open()))
+    rows = read_csv(out / "template_estimates.csv")
     assert len(rows) == 13  # header + one estimate per experiment
 
 
@@ -222,7 +228,7 @@ def _raw_limit_error(tmp_path, filter_section):
     out = tmp_path / "run"
     assert main(["denoise", "--config", str(cfg), "--seed", "2", "--out", str(out),
                  "--format", "csv"]) == 0
-    rows = list(csv.DictReader((out / "denoise.csv").open()))
+    rows = read_csv(out / "denoise.csv", csv.DictReader)
     raw = np.array([float(r["raw"]) for r in rows])
     denoised = np.array([float(r["denoised"]) for r in rows])
     assert not np.any(np.isnan(denoised))
@@ -249,7 +255,7 @@ def test_sweep_beta_outputs(tmp_path):
                  "--format", "csv"]) == 0
     names = set(read_files(out))
     assert names == {"sweep_beta.csv", "summary.txt", "manifest.json"}
-    rows = list(csv.reader((out / "sweep_beta.csv").open()))
+    rows = read_csv(out / "sweep_beta.csv")
     header = rows[0]
     assert header[:4] == ["series", "beta", "point", "time"]
     # raw group + 5 betas, each with 1 point + 1 fringe record, + optimum row
@@ -263,9 +269,9 @@ def test_benchmark_mode(tmp_path):
     cfg = fast_config(tmp_path, experiment={"m_values": [25000, 50000, 100000]})
     out = tmp_path / "run"
     assert main(["benchmark", "--config", str(cfg), "--seed", "4", "--out", str(out)]) == 0
-    rows = list(csv.reader((out / "benchmark.csv").open()))
+    rows = read_csv(out / "benchmark.csv")
     assert len(rows) == 4
-    fits = list(csv.reader((out / "scaling_fits.csv").open()))
+    fits = read_csv(out / "scaling_fits.csv")
     assert [r[0] for r in fits[1:]] == ["raw", "tmt"]
 
 
@@ -274,7 +280,7 @@ def test_gain_profile_mode(tmp_path):
                       plan={"t_stop": 3.7e-6, "t_start": 0.2e-6})
     out = tmp_path / "run"
     assert main(["gain-profile", "--config", str(cfg), "--seed", "6", "--out", str(out)]) == 0
-    rows = list(csv.reader((out / "gain_profile.csv").open()))
+    rows = read_csv(out / "gain_profile.csv")
     assert len(rows) == 3
     assert rows[0][:3] == ["n_sd", "t_stop", "beta_calib"]
 

@@ -38,6 +38,10 @@ def test_grid_validation():
         FrequencyGrid(2.0, 1.0)
     with pytest.raises(ValueError):
         FrequencyGrid(1.0, 2.0, n_points=2)
+    # linspace needs an integer count; a float or a bool is caught at construction
+    for bad in (3.5, 3.0, True):
+        with pytest.raises(ValueError, match="n_points must be an integer"):
+            FrequencyGrid(1.0, 2.0, n_points=bad)
     grid = FrequencyGrid.around(1e7, fraction=0.1, n_points=11)
     assert grid.omegas.size == 11
     np.testing.assert_allclose(grid.omegas[[0, -1]], [0.9e7, 1.1e7])
@@ -331,6 +335,19 @@ def test_clamp_raw_limit_returns_details_unchanged(ensemble_run, ensemble_coeffs
     details, kernel, noise = ensemble_coeffs
     width = margin_width(-np.inf, ensemble_run.setup.plan)
     np.testing.assert_array_equal(clamp_details(details, kernel, noise, width), details)
+
+
+def test_nan_beta_rejected(ensemble_run):
+    # NaN is no filter order: it would make every denoised sample NaN
+    run = ensemble_run
+    with pytest.raises(ValueError, match="beta"):
+        margin_width(np.nan, run.setup.plan)
+    with pytest.raises(ValueError, match="beta"):
+        _denoise_like(run, run.values, run.omega_temps, np.nan)
+    with pytest.raises(ValueError, match="beta"):
+        run.denoised(np.nan)
+    with pytest.raises(ValueError, match="beta"):
+        run.denoised(np.float64(np.nan), [0, 5])
 
 
 def test_denoise_mismatch_errors(paper_params, short_plan):

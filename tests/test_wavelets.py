@@ -254,6 +254,11 @@ def test_dwt_errors():
         dwt_decompose(np.ones(4), "haar", levels=5)
     with pytest.raises(WaveletError, match="levels"):
         dwt_decompose(np.ones(16), "haar", levels=0)
+    with pytest.raises(WaveletError, match="signal must have a sample axis"):
+        dwt_decompose(5.0, "haar", levels=1)
+    for bad in (1.5, 2.0, True):
+        with pytest.raises(WaveletError, match="levels must be an integer"):
+            dwt_decompose(np.ones(16), "haar", levels=bad)
     details, approx = dwt_decompose(np.arange(16.0), "haar", levels=2)
     with pytest.raises(WaveletError, match="length"):
         dwt_reconstruct([d[:-1] for d in details], approx, "haar", 16)
@@ -318,6 +323,13 @@ def test_uwt_errors():
         uwt_analyze(np.ones(8), "haar", 3)
     with pytest.raises(WaveletError, match="empty"):
         uwt_analyze([], "haar", 1)
+    with pytest.raises(WaveletError, match="signal must have a sample axis"):
+        uwt_analyze(5.0, "haar", 0)
+    for bad in (1.5, 2.0, True, False):
+        with pytest.raises(WaveletError, match="levels must be an integer"):
+            uwt_analyze(np.ones(16), "haar", bad)
+    with pytest.raises(WaveletError, match="levels must be >= 0"):
+        uwt_analyze(np.ones(16), "haar", -1)
     details, approx = uwt_analyze(np.arange(16.0), "haar", 2)
     # a 1-sample stack would broadcast against the approximation
     with pytest.raises(WaveletError, match="level 0 has length 1"):
@@ -386,11 +398,46 @@ def test_transforms_bit_equal_to_roll_oracle(name, batch):
                                           roll_dwt_reconstruct(d_ref, a_ref, basis, n))
 
 
+def roll_synthesis_rows(n, indices, basis, levels):
+    """The earlier rows: the transposed synthesis run on unit vectors, finest
+    level first, the tap-i transpose at level j being a roll by -(i << j)."""
+    u = np.zeros((n, len(indices)))
+    u[indices, np.arange(len(indices))] = 1.0
+    rows = np.zeros((levels + 1, n, len(indices)))
+    for j in range(levels + 1):
+        u = 0.5 * u
+        lo = np.zeros_like(u)
+        for i in range(len(basis)):
+            shifted = np.roll(u, -(i << j), axis=0)
+            lo += basis.g0[i] * shifted
+            rows[j] += basis.g1[i] * shifted
+        u = lo
+    return rows, u
+
+
+def test_synthesis_rows_match_roll_oracle_exactly():
+    for name in available_bases():
+        basis = basis_registry(name)
+        for n in (4, 5, 7, 8, 9, 16, 33, 150):
+            indices = sorted({0, n // 3, n - 1})
+            for levels in range(default_levels(n) + 1):
+                rows, approx_rows = uwt_synthesis_rows(n, indices, name, levels)
+                ref, ref_approx = roll_synthesis_rows(n, indices, basis, levels)
+                np.testing.assert_array_equal(rows, ref)
+                np.testing.assert_array_equal(approx_rows, ref_approx)
+                assert rows.flags.c_contiguous and approx_rows.flags.c_contiguous
+
+
 def test_synthesis_rows_errors():
     with pytest.raises(WaveletError, match="indices"):
         uwt_synthesis_rows(16, [3, 16], "haar", 2)
     with pytest.raises(WaveletError, match="indices"):
         uwt_synthesis_rows(16, [-1], "haar", 2)
+    # the depth that uwt_analyze rejects for 8 samples
+    with pytest.raises(WaveletError, match="too short"):
+        uwt_synthesis_rows(8, [0], "haar", 5)
+    with pytest.raises(WaveletError, match="levels"):
+        uwt_synthesis_rows(16, [0], "haar", -1)
 
 
 # ---------------------------------------------------------------------------
