@@ -11,6 +11,7 @@ Statistics use population normalization (divide by the ensemble size), so
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -220,7 +221,7 @@ class BenchmarkSetup:
 
 @dataclass(frozen=True)
 class _PackedPoints:
-    """The coefficients that one index set's synthesis rows read, packed for beta scans.
+    """The coefficients that the detection points' synthesis rows read, packed for beta scans.
 
     ``rows`` (C, p) are the non-zero rows of every level, stacked level by
     level; ``offsets`` (n_exp, C) are the raw coefficients minus the
@@ -240,26 +241,30 @@ class _PackedPoints:
 class EnsembleRun:
     """One simulated ensemble with decompositions cached for beta scans.
 
-    The raw traces and, through :func:`~tmtmag.tmt.build_margins`, the
-    margins at the per-trace frequencies are decomposed once.  Each
-    :meth:`denoised` call then clamps all raw detail coefficients with one
+    Construction finds the detection points (:attr:`points`), simulates,
+    estimates the template frequencies (one search of the ensemble mean
+    with ``shared_estimate``), decomposes the raw traces and, through
+    :func:`~tmtmag.tmt.build_margins`, the margins, and scores the raw
+    traces (:attr:`raw_stats`).
+
+    :meth:`denoised` clamps all raw detail coefficients with one
     :func:`~tmtmag.tmt.clamp_details` call and synthesizes, so it equals
     :func:`~tmtmag.tmt.tmt_denoise` on the same traces and frequencies,
     including the exact limits: ``beta = -inf`` leaves every detail
-    coefficient raw (the raw traces) and
-    ``beta = +inf`` pins every detail coefficient to the template's.
+    coefficient raw (the raw traces) and ``beta = +inf`` pins every detail
+    coefficient to the template's.
 
-    ``denoised(beta, indices)`` synthesizes only those samples: the
-    synthesis is linear, so each is a fixed row of it
-    (:func:`~tmtmag.wavelets.uwt_synthesis_rows`).  The first call with an
-    index set packs the C coefficients those rows read (see
+    ``denoised(beta, at_points=True)``, which :meth:`stats` scores,
+    synthesizes only the detection samples: the synthesis is linear, so
+    each is a fixed row of it (:func:`~tmtmag.wavelets.uwt_synthesis_rows`).
+    The first such call packs the C coefficients those rows read (see
     :class:`_PackedPoints`), with one boolean gather per coefficient stack
     by the mask of non-zero rows; every beta then costs three in-place
-    passes over one (n_exp, C) buffer and one matrix product.  The packed clip
-    ``copysign(min(width * |S|, |raw - K|), raw - K)`` is the clamp of
-    :func:`~tmtmag.tmt.clamp_details` centred on the template ``K``: the
-    outputs agree with clamping the full stacks up to rounding, and an
-    infinite width skips the clip, so ``|S| = 0`` never meets ``inf * 0``.
+    passes over one (n_exp, C) buffer and one matrix product.  The packed
+    clip ``copysign(fmin(width * |S|, |raw - K|), raw - K)`` is the clamp of
+    :func:`~tmtmag.tmt.clamp_details` centred on the template ``K`` at every
+    width: ``fmin`` passes over the NaN of ``inf * 0`` where ``|S| = 0``.
+    The outputs agree with clamping the full stacks up to rounding.
     """
 
     def __init__(self, setup: BenchmarkSetup):
@@ -267,56 +272,53 @@ class EnsembleRun:
         plan, params = setup.plan, setup.params
         self.times = plan.times
         self.levels = setup.resolved_levels()
+        self.points = find_detection_points(setup.omega_true, plan, setup.n_sd, params)
         self.values = simulate_ensemble(params, plan, setup.omega_true, setup.photon_stats)
-        grid = setup.resolved_grid()
-        if setup.shared_estimate:
-            shared = estimate_frequencies(self.values.mean(axis=0, keepdims=True),
-                                          self.times, params, grid)
-            self.omega_temps = np.full(plan.n_experiments, shared[0])
-        else:
-            self.omega_temps = estimate_frequencies(self.values, self.times, params, grid)
+        searched = self.values.mean(axis=0) if setup.shared_estimate else self.values
+        self.omega_temps = np.full(plan.n_experiments, estimate_frequencies(
+            searched, self.times, params, setup.resolved_grid()))
         self._raw_details, self._raw_approx = uwt_analyze(
             self.values, setup.basis, self.levels)
         self._kernel_details, self._noise_details = build_margins(
             self.omega_temps, params, plan, setup.basis, self.levels, setup.squared_contrast)
-        self._packed: dict[tuple[int, ...], _PackedPoints] = {}
+        self.raw_stats = ensemble_stats(self.values, self.points)
 
-    def denoised(self, beta: float, indices=None) -> np.ndarray:
-        """Denoised traces, shape (n_exp, N); with ``indices``, only those samples, (n_exp, p)."""
+    def denoised(self, beta: float, at_points: bool = False) -> np.ndarray:
+        """Denoised traces, shape (n_exp, N); ``at_points``: only the detection samples, (n_exp, p)."""
         width = margin_width(beta, self.setup.plan)
-        if indices is None:
+        if not at_points:
             clamped = clamp_details(self._raw_details, self._kernel_details,
                                     self._noise_details, width)
             return uwt_synthesize(clamped, self._raw_approx, self.setup.basis)
-        packed = self._packed_at(indices)
-        if width == np.inf:
-            return packed.base + packed.offsets @ packed.rows
+        packed = self._packed
         clipped = packed.work
-        np.multiply(packed.noise, width, out=clipped)
-        np.minimum(clipped, packed.magnitudes, out=clipped)
+        with np.errstate(invalid="ignore"):  # inf * 0 where |S| vanishes; fmin passes over it
+            np.multiply(packed.noise, width, out=clipped)
+        np.fmin(clipped, packed.magnitudes, out=clipped)
         np.copysign(clipped, packed.offsets, out=clipped)
         return packed.base + clipped @ packed.rows
 
-    def _packed_at(self, indices) -> _PackedPoints:
-        key = tuple(int(i) for i in indices)
-        if key not in self._packed:
-            rows, approx_rows = uwt_synthesis_rows(self.values.shape[1], key, self.setup.basis,
-                                                   self.levels)
-            touched = rows.any(axis=2)
-            packed_rows = rows[touched]
-            # one gather per (levels + 1, n_exp, N) stack, in the level-major
-            # column order of rows[touched]; the gathers come out in Fortran
-            # order and are copied to C order, as dgemm sums the product of a
-            # Fortran-order operand in another order
-            kernel, offsets, noise = (
-                np.ascontiguousarray(np.moveaxis(stack, 1, 0)[:, touched])
-                for stack in (self._kernel_details, self._raw_details, self._noise_details))
-            offsets -= kernel
-            base = self._raw_approx @ approx_rows + kernel @ packed_rows
-            self._packed[key] = _PackedPoints(rows=packed_rows, offsets=offsets,
-                                              magnitudes=np.abs(offsets), noise=noise,
-                                              base=base, work=kernel)
-        return self._packed[key]
+    def stats(self, beta: float) -> EnsembleStats:
+        """Statistics of the order-``beta`` denoised samples at the detection points."""
+        return point_stats(self.denoised(beta, at_points=True), self.points, beta=float(beta))
+
+    @cached_property
+    def _packed(self) -> _PackedPoints:
+        rows, approx_rows = uwt_synthesis_rows(self.values.shape[1], self.points.indices,
+                                               self.setup.basis, self.levels)
+        touched = rows.any(axis=2)
+        packed_rows = rows[touched]
+        # one gather per (levels + 1, n_exp, N) stack, in the level-major
+        # column order of rows[touched]; the gathers come out in Fortran
+        # order and are copied to C order, as dgemm sums the product of a
+        # Fortran-order operand in another order
+        kernel, offsets, noise = (
+            np.ascontiguousarray(np.moveaxis(stack, 1, 0)[:, touched])
+            for stack in (self._kernel_details, self._raw_details, self._noise_details))
+        offsets -= kernel
+        base = self._raw_approx @ approx_rows + kernel @ packed_rows
+        return _PackedPoints(rows=packed_rows, offsets=offsets, magnitudes=np.abs(offsets),
+                             noise=noise, base=base, work=kernel)
 
 
 @dataclass
@@ -340,29 +342,26 @@ def sweep_beta(setup: BenchmarkSetup, beta_grid) -> BetaSweepResult:
     grid, so curves are directly comparable; the argmin of the
     fringe-averaged MSE is reported and flagged if it sits on a grid edge.
     Only the detection points are synthesized at each order
-    (``EnsembleRun.denoised(beta, indices)``); they equal the same samples
-    of the fully synthesized traces up to rounding.
+    (:meth:`EnsembleRun.stats`); they equal the same samples of the fully
+    synthesized traces up to rounding.
     """
     betas = np.asarray(beta_grid, dtype=float)
     if betas.size < 3:
         raise ValueError(f"beta grid needs at least 3 values, got {betas.size}")
     if not np.all(betas[1:] > betas[:-1]):
         raise ValueError("beta grid must be strictly increasing")
-    points = find_detection_points(setup.omega_true, setup.plan, setup.n_sd, setup.params)
     run = EnsembleRun(setup)
-    raw_stats = ensemble_stats(run.values, points)
-    stats = [point_stats(run.denoised(beta, points.indices), points, beta=float(beta))
-             for beta in betas]
+    stats = [run.stats(beta) for beta in betas]
     k_opt = int(np.argmin([s.fringe_averaged_mse for s in stats]))
     return BetaSweepResult(
         betas=betas,
         stats=stats,
-        raw_stats=raw_stats,
+        raw_stats=run.raw_stats,
         beta_opt=float(betas[k_opt]),
         opt_stats=stats[k_opt],
         beta_opt_on_edge=k_opt in (0, betas.size - 1),
         omega_temps=run.omega_temps,
-        points=points,
+        points=run.points,
     )
 
 
@@ -519,8 +518,5 @@ def _sense_fringe_mse(setup: BenchmarkSetup, beta: float) -> tuple[float, float]
     The ensemble, its detail stacks and its packed clamp are freed on
     return, before the next calibration sweep builds its own.
     """
-    points = find_detection_points(setup.omega_true, setup.plan, setup.n_sd, setup.params)
     run = EnsembleRun(setup)
-    raw_stats = ensemble_stats(run.values, points)
-    tmt_stats = point_stats(run.denoised(beta, points.indices), points, beta=beta)
-    return raw_stats.fringe_averaged_mse, tmt_stats.fringe_averaged_mse
+    return run.raw_stats.fringe_averaged_mse, run.stats(beta).fringe_averaged_mse

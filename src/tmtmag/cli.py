@@ -286,16 +286,14 @@ def _run_denoise(config: RunConfig):
                                raw=run.values.ravel(), denoised=denoised.ravel())),
         ("template_estimates", make_table(experiment=np.arange(n_exp), omega_temp=run.omega_temps)),
     ]
-    points = find_detection_points(setup.omega_true, setup.plan, setup.n_sd, setup.params)
-    raw_stats = ensemble_stats(run.values, points)
-    tmt_stats = ensemble_stats(denoised, points, beta=beta)
+    tmt_stats = ensemble_stats(denoised, run.points, beta=beta)
     summary = [
         f"denoised {setup.plan.n_experiments} traces at filter order beta={beta:g}",
         f"mean template frequency: {run.omega_temps.mean() / (2 * np.pi):.6g} Hz",
-        f"fringe-averaged MSE raw {raw_stats.fringe_averaged_mse:.6g} -> "
+        f"fringe-averaged MSE raw {run.raw_stats.fringe_averaged_mse:.6g} -> "
         f"denoised {tmt_stats.fringe_averaged_mse:.6g}",
     ]
-    derived = {"detection_times": points.times.tolist()}
+    derived = {"detection_times": run.points.times.tolist()}
     return tables, derived, summary
 
 

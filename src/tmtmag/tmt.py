@@ -94,15 +94,17 @@ def correlation_spectrum(values: np.ndarray, times: np.ndarray,
 
 def estimate_frequencies(values: np.ndarray, times: np.ndarray, params: SensorParams,
                          grid: FrequencyGrid) -> np.ndarray:
-    """Per-trace template frequencies for a whole ensemble.
+    """Template frequencies of traces ``values`` (shape ``(..., N)``), shape ``values.shape[:-1]``.
 
-    ``values`` has shape (n_traces, n_samples).  Each trace's discrete
-    correlation maximizer over ``grid`` is refined by one parabolic
-    interpolation through its two neighbours.  A constant trace or a
-    maximum on the grid boundary (search window too narrow) is an error, and
-    so is a trace with a NaN or infinite sample.
+    Each trace's discrete correlation maximizer over ``grid`` is refined by
+    one parabolic interpolation through its two neighbours.  A constant
+    trace or a maximum on the grid boundary (search window too narrow) is an
+    error, and so is a trace with a NaN or infinite sample; errors name the
+    trace by its index in the row-major flattened batch.
     """
     values = np.asarray(values, dtype=float)
+    batch_shape = values.shape[:-1]
+    values = values.reshape(-1, values.shape[-1])
     bad = ~np.isfinite(values)
     if bad.any():
         i, k = np.argwhere(bad)[0]
@@ -127,7 +129,7 @@ def estimate_frequencies(values: np.ndarray, times: np.ndarray, params: SensorPa
     denom = r_lo - 2.0 * r_mid + r_hi
     # a flat top (denom 0) keeps the grid maximum: its shift stays 0
     shift = np.divide(0.5 * (r_lo - r_hi), denom, out=np.zeros(k.size), where=denom != 0.0)
-    return omegas[k] + shift * (omegas[1] - omegas[0])
+    return (omegas[k] + shift * (omegas[1] - omegas[0])).reshape(batch_shape)
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +157,10 @@ def clamp_details(raw_details, kernel_details, noise_details, width: float) -> n
     coefficients.  An infinite width is the identity on the details (also
     where ``|S|`` vanishes); width 0 pins them to ``kernel_details``.
     """
-    if width == np.inf:
-        return raw_details
-    half = width * noise_details
-    return np.clip(raw_details, kernel_details - half, kernel_details + half)
+    # inf * 0 where |S| vanishes is NaN, and fmax/fmin pass over a NaN bound
+    with np.errstate(invalid="ignore"):
+        half = width * noise_details
+    return np.fmin(np.fmax(raw_details, kernel_details - half), kernel_details + half)
 
 
 def build_margins(omega_temps, params: SensorParams, plan: AcquisitionPlan,
@@ -215,6 +217,5 @@ def denoise_pipeline(values, params: SensorParams, plan: AcquisitionPlan,
     values = _as_traces(values, plan)
     if grid is None:
         grid = FrequencyGrid.around(params.omega_calib)
-    rows = values.reshape(-1, plan.n_samples)
-    omega_temps = estimate_frequencies(rows, plan.times, params, grid).reshape(values.shape[:-1])
+    omega_temps = estimate_frequencies(values, plan.times, params, grid)
     return tmt_denoise(values, omega_temps, beta, params, plan, basis, levels), omega_temps

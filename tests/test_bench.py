@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -306,8 +307,15 @@ def _packed_oracle(run, beta, indices):
 def test_packed_point_clamp_matches_full_clamp(paper_params, basis):
     plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 12, seed=29)
     setup = _setup(paper_params, plan, n_sd=3, basis=basis)
-    indices = find_detection_points(setup.omega_true, plan, 3, paper_params).indices
+    points = find_detection_points(setup.omega_true, plan, 3, paper_params)
     run = EnsembleRun(setup)
+    np.testing.assert_array_equal(run.points.indices, points.indices)
+    np.testing.assert_array_equal(run.points.truths, points.truths)
+    raw_stats = ensemble_stats(run.values, points)
+    for field in fields(raw_stats):
+        np.testing.assert_array_equal(getattr(run.raw_stats, field.name),
+                                      getattr(raw_stats, field.name))
+    indices = points.indices
     # coefficients with |S| = 0: a finite width pins them to the template,
     # an infinite one leaves them raw (no inf * 0)
     run._noise_details[0] = 0.0
@@ -315,13 +323,13 @@ def test_packed_point_clamp_matches_full_clamp(paper_params, basis):
     scale = np.max(np.abs(run.values))
     # beta = -400: 10**400 overflows to an infinite width
     for beta in (-np.inf, -400.0, -2.0, 0.0, 0.5, 3.0, np.inf):
-        got = run.denoised(beta, indices)
+        got = run.denoised(beta, at_points=True)
         assert got.shape == (plan.n_experiments, indices.size)
         assert np.isfinite(got).all()
         np.testing.assert_allclose(got, _packed_oracle(run, beta, indices),
                                    rtol=1e-12, atol=1e-13 * scale)
     # perfect reconstruction: the raw limit is the raw traces
-    np.testing.assert_allclose(run.denoised(-np.inf, indices), run.values[:, indices],
+    np.testing.assert_allclose(run.denoised(-np.inf, at_points=True), run.values[:, indices],
                                rtol=1e-12, atol=1e-13 * scale)
 
 
@@ -330,16 +338,15 @@ def test_packed_point_clamp_allocates_no_coefficient_array(paper_params):
     # below one (n_exp, C) array, C the coefficients the rows touch
     plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 40, seed=31)
     setup = _setup(paper_params, plan, n_sd=3)
-    indices = find_detection_points(setup.omega_true, plan, 3, paper_params).indices
     run = EnsembleRun(setup)
-    rows, _ = uwt_synthesis_rows(plan.n_samples, indices, setup.basis,
+    rows, _ = uwt_synthesis_rows(plan.n_samples, run.points.indices, setup.basis,
                                  setup.resolved_levels())
     coefficient_bytes = plan.n_experiments * int(rows.any(axis=2).sum()) * 8
-    run.denoised(0.0, indices)
+    run.denoised(0.0, at_points=True)
     for beta in (-np.inf, -1.0, 0.5, np.inf):
         tracemalloc.start()
         try:
-            run.denoised(beta, indices)
+            run.denoised(beta, at_points=True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

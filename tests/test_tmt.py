@@ -347,7 +347,7 @@ def test_nan_beta_rejected(ensemble_run):
     with pytest.raises(ValueError, match="beta"):
         run.denoised(np.nan)
     with pytest.raises(ValueError, match="beta"):
-        run.denoised(np.float64(np.nan), [0, 5])
+        run.denoised(np.float64(np.nan), at_points=True)
 
 
 def test_denoise_mismatch_errors(paper_params, short_plan):
