@@ -219,6 +219,19 @@ class BenchmarkSetup:
         return replace(self, plan=self.plan.with_(**kwargs))
 
 
+def _blocked_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` summed over blocks of 256 columns of ``a``, in order.
+
+    OpenBLAS splits a large product between threads and then sums some
+    elements with another micro-kernel, so its bits depend on the thread
+    count; products of one block stay on one thread.
+    """
+    out = a[:, :256] @ b[:256]
+    for s in range(256, a.shape[1], 256):
+        out += a[:, s:s + 256] @ b[s:s + 256]
+    return out
+
+
 @dataclass(frozen=True)
 class _PackedPoints:
     """The coefficients that the detection points' synthesis rows read, packed for beta scans.
@@ -284,7 +297,7 @@ class EnsembleRun:
         self.raw_stats = ensemble_stats(self.values, self.points)
 
     def denoised(self, beta: float, at_points: bool = False) -> np.ndarray:
-        """Denoised traces, shape (n_exp, N); ``at_points``: only the detection samples, (n_exp, p)."""
+        """Denoised traces (n_exp, N); with ``at_points``, only the detection samples (n_exp, p)."""
         width = margin_width(beta, self.setup.plan)
         if not at_points:
             clamped = clamp_details(self._raw_details, self._kernel_details,
@@ -296,7 +309,7 @@ class EnsembleRun:
             np.multiply(packed.noise, width, out=clipped)
         np.fmin(clipped, packed.magnitudes, out=clipped)
         np.copysign(clipped, packed.offsets, out=clipped)
-        return packed.base + clipped @ packed.rows
+        return packed.base + _blocked_product(clipped, packed.rows)
 
     def stats(self, beta: float) -> EnsembleStats:
         """Statistics of the order-``beta`` denoised samples at the detection points."""
@@ -316,7 +329,8 @@ class EnsembleRun:
             np.ascontiguousarray(np.moveaxis(stack, 1, 0)[:, touched])
             for stack in (self._kernel_details, self._raw_details, self._noise_details))
         offsets -= kernel
-        base = self._raw_approx @ approx_rows + kernel @ packed_rows
+        base = (_blocked_product(self._raw_approx, approx_rows)
+                + _blocked_product(kernel, packed_rows))
         return _PackedPoints(rows=packed_rows, offsets=offsets, magnitudes=np.abs(offsets),
                              noise=noise, base=base, work=kernel)
 

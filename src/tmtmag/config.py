@@ -324,22 +324,23 @@ def _build_output(data: dict) -> OutputConfig:
 def parse_config(source: str | Path | dict | None) -> RunConfig:
     """Parse and validate a configuration from a path, JSON text or dict.
 
-    ``None`` yields the all-defaults configuration.  Parse errors carry the
-    offending line; validation errors name the violated invariant.
+    ``None`` yields the all-defaults configuration.  A string is JSON text
+    when its first non-blank character is ``{``, and a file path otherwise.
+    A path naming no file, parse errors (with the offending line) and
+    validation errors (naming the violated invariant) raise ConfigError.
     """
     if source is None:
         data = {}
     elif isinstance(source, dict):
         data = source
     else:
-        if isinstance(source, Path):
-            text = source.read_text()
+        if isinstance(source, str) and source.lstrip().startswith("{"):
+            text = source
         else:
-            try:
-                is_file = "\n" not in source and Path(source).exists()
-            except OSError:
-                is_file = False
-            text = Path(source).read_text() if is_file else source
+            path = Path(source)
+            if not path.is_file():
+                raise ConfigError(f"config file not found: {path}")
+            text = path.read_text()
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:

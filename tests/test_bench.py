@@ -19,6 +19,7 @@ from tmtmag import (
     calibrate_beta,
     default_beta_grid,
     ensemble_stats,
+    estimate_frequencies,
     find_detection_points,
     fit_scaling,
     gain_profile,
@@ -317,7 +318,7 @@ def test_packed_point_clamp_matches_full_clamp(paper_params, basis):
                                       getattr(raw_stats, field.name))
     indices = points.indices
     # coefficients with |S| = 0: a finite width pins them to the template,
-    # an infinite one leaves them raw (no inf * 0)
+    # an infinite one leaves them raw (fmin passes over the NaN of inf * 0)
     run._noise_details[0] = 0.0
     run._noise_details[2, ::2, : plan.n_samples // 2] = 0.0
     scale = np.max(np.abs(run.values))
@@ -387,6 +388,8 @@ def test_sweep_with_shared_estimate_and_poisson_stats(paper_params):
                    photon_stats="poisson")
     run = EnsembleRun(setup)
     assert np.all(run.omega_temps == run.omega_temps[0])
+    assert run.omega_temps[0] == estimate_frequencies(run.values.mean(axis=0), plan.times,
+                                                      paper_params, setup.resolved_grid())
     result = sweep_beta(setup, default_beta_grid(-3.0, 1.0, 0.5))
     assert result.opt_stats.fringe_averaged_mse <= result.raw_stats.fringe_averaged_mse
 
@@ -412,6 +415,30 @@ def test_gain_profile_smoke(paper_params):
     # beta = -16 margins leave everything raw, so the gain pins to one
     flat = gain_profile(setup, [2], np.array([-16.0, -15.9, -15.8]))
     assert flat[0].gain == pytest.approx(1.0, abs=1e-9)
+
+
+def test_gain_profile_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # at n_sd = 9 the packed point products are large enough for OpenBLAS
+    # to split them between threads, which changed the last digits of
+    # tmt_fringe_mse; each run is a fresh process, as the pool size is read
+    # when numpy loads OpenBLAS
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "plan": {"t_start": 0.2e-6, "t_stop": 3.7e-6, "n_experiments": 50},
+        "experiment": {"n_sd_values": [9]},
+        "filter": {"beta_grid": {"start": -3.0, "stop": 1.0, "step": 0.5}},
+    }))
+    src = str(Path(tmtmag.__file__).resolve().parents[1])
+    tables = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "tmtmag.cli", "gain-profile", "--config", str(config),
+                        "--seed", "31415", "--out", str(out), "--format", "csv"],
+                       env=env, check=True, capture_output=True)
+        tables.append((out / "gain_profile.csv").read_bytes())
+    assert tables[0] == tables[1]
 
 
 def test_child_seed_stability():

@@ -380,6 +380,13 @@ def test_unwritable_output_fails(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["simulate", "--config", str(missing), "--seed", "1",
+                 "--out", str(tmp_path / "x")]) == 2
+    assert f"config file not found: {missing}" in capsys.readouterr().err
+
+
 def test_fit_scaling_requires_points(tmp_path, capsys):
     cfg = fast_config(tmp_path)
     assert main(["fit-scaling", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2

@@ -65,6 +65,17 @@ def test_parse_error_reports_line():
         parse_config(bad)
 
 
+def test_missing_config_file_is_named(tmp_path):
+    # a path string used to be parsed as JSON text ("Expecting value"), and
+    # a Path escaped as FileNotFoundError
+    missing = tmp_path / "missing.json"
+    for source in (str(missing), missing, "configs/missing.json"):
+        with pytest.raises(ConfigError, match=r"^config file not found: .*missing\.json$"):
+            parse_config(source)
+    # JSON text is told apart by its first non-blank character
+    assert parse_config(' \n {"plan": {"seed": 4}}').plan.seed == 4
+
+
 def test_beta_grid_forms():
     config = parse_config({"filter": {"beta_grid": [-2.0, -1.0, 0.0, 1.0]}})
     np.testing.assert_allclose(config.filter.beta_grid, [-2.0, -1.0, 0.0, 1.0])

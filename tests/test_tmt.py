@@ -24,11 +24,6 @@ from tmtmag.tmt import clamp_details
 from tmtmag.wavelets import uwt_analyze
 
 
-def _estimate(values, params, plan, grid):
-    """Template frequency of one trace: the batched search on a batch of one."""
-    return estimate_frequencies(np.asarray(values)[None], plan.times, params, grid)[0]
-
-
 # ---------------------------------------------------------------------------
 # frequency estimation
 # ---------------------------------------------------------------------------
@@ -60,7 +55,8 @@ def test_noiseless_estimate_recovers_frequency(paper_params):
     omega_star = paper_params.omega_calib * 1.004
     trace = template(plan.times, omega_star, paper_params)
     grid = FrequencyGrid.around(paper_params.omega_calib, 0.15, 2001)
-    assert abs(_estimate(trace, paper_params, plan, grid) - omega_star) < grid.step
+    omega_temp = estimate_frequencies(trace, plan.times, paper_params, grid)
+    assert abs(omega_temp - omega_star) < grid.step
 
 
 def test_estimator_offset_is_small_but_nonzero(paper_params, short_plan):
@@ -69,7 +65,7 @@ def test_estimator_offset_is_small_but_nonzero(paper_params, short_plan):
     # and noise scatters the per-trace estimates around that offset
     noiseless = template(short_plan.times, paper_params.omega_calib, paper_params)
     grid = FrequencyGrid.around(paper_params.omega_calib, 0.15, 2001)
-    omega_temp = _estimate(noiseless, paper_params, short_plan, grid)
+    omega_temp = estimate_frequencies(noiseless, short_plan.times, paper_params, grid)
     det_offset = (omega_temp - paper_params.omega_calib) / paper_params.omega_calib
     assert 0.0 < abs(det_offset) < 0.01
 
@@ -84,7 +80,8 @@ def test_estimator_offset_is_small_but_nonzero(paper_params, short_plan):
 def test_zero_trace_rejected(paper_params, short_plan):
     grid = FrequencyGrid.around(paper_params.omega_calib)
     with pytest.raises(FrequencySearchError, match="constant"):
-        _estimate(np.zeros(short_plan.n_samples), paper_params, short_plan, grid)
+        estimate_frequencies(np.zeros(short_plan.n_samples), short_plan.times, paper_params,
+                             grid)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -106,7 +103,7 @@ def test_boundary_maximum_rejected(paper_params):
     # left edge, so the discrete maximum lands on the boundary
     grid = FrequencyGrid(omega_star * 1.001, omega_star * 1.1, 101)
     with pytest.raises(FrequencySearchError, match="boundary"):
-        _estimate(trace, paper_params, plan, grid)
+        estimate_frequencies(trace, plan.times, paper_params, grid)
 
 
 @pytest.mark.parametrize("rows,message", [
@@ -136,7 +133,13 @@ def test_batch_estimates_match_single(paper_params, short_plan):
     grid = FrequencyGrid.around(paper_params.omega_calib, 0.15, 501)
     batch = estimate_frequencies(values, plan.times, paper_params, grid)
     for i in range(values.shape[0]):
-        assert batch[i] == _estimate(values[i], paper_params, plan, grid)
+        single = estimate_frequencies(values[i], plan.times, paper_params, grid)
+        assert single.shape == ()
+        assert batch[i] == single
+    # any batch shape is searched as its row-major flattening
+    nested = estimate_frequencies(values.reshape(2, 3, -1), plan.times, paper_params, grid)
+    assert nested.shape == (2, 3)
+    np.testing.assert_array_equal(nested, batch.reshape(2, 3))
 
 
 # ---------------------------------------------------------------------------
