@@ -234,13 +234,14 @@ def _blocked_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _PackedPoints:
-    """The coefficients that the detection points' synthesis rows read, packed for beta scans.
+    """The residual coefficients that the detection points' synthesis rows read, packed for beta scans.
 
     ``rows`` (C, p) are the non-zero rows of every level, stacked level by
-    level; ``offsets`` (n_exp, C) are the raw coefficients minus the
-    template's, ``magnitudes`` their absolute values and ``noise`` the
-    matching ``|S|``.  ``base`` (n_exp, p) is the approximation band's
-    share plus the template's, and ``work`` is the reused clamp buffer.
+    level; ``offsets`` (n_exp, C) are the matching detail coefficients of
+    the residual ``values - templates``, ``magnitudes`` their absolute
+    values and ``noise`` the matching ``|S|``.  ``base`` (n_exp, p) is the
+    templates at the detection points plus the residual approximation
+    band's share, and ``work`` is the reused clip buffer.
     """
 
     rows: np.ndarray
@@ -252,32 +253,35 @@ class _PackedPoints:
 
 
 class EnsembleRun:
-    """One simulated ensemble with decompositions cached for beta scans.
+    """One simulated ensemble with its residual decomposition cached for beta scans.
 
     Construction finds the detection points (:attr:`points`), simulates,
     estimates the template frequencies (one search of the ensemble mean
-    with ``shared_estimate``), decomposes the raw traces and, through
-    :func:`~tmtmag.tmt.build_margins`, the margins, and scores the raw
-    traces (:attr:`raw_stats`).
+    with ``shared_estimate``), builds the templates and ``|S|`` through
+    :func:`~tmtmag.tmt.build_margins`, decomposes the residual
+    ``values - templates`` once, and scores the raw traces
+    (:attr:`raw_stats`).
 
-    :meth:`denoised` clamps all raw detail coefficients with one
-    :func:`~tmtmag.tmt.clamp_details` call and synthesizes, so it equals
-    :func:`~tmtmag.tmt.tmt_denoise` on the same traces and frequencies,
-    including the exact limits: ``beta = -inf`` leaves every detail
-    coefficient raw (the raw traces) and ``beta = +inf`` pins every detail
-    coefficient to the template's.
+    :meth:`denoised` clips all residual detail coefficients with one
+    :func:`~tmtmag.tmt.clamp_details` call, synthesizes and adds the
+    templates, so it equals :func:`~tmtmag.tmt.tmt_denoise` on the same
+    traces and frequencies, including the exact limits: ``beta = -inf``
+    leaves every residual coefficient unclipped (the raw traces) and
+    ``beta = +inf`` zeroes every residual detail (the templates plus the
+    residual approximation band's share).
 
     ``denoised(beta, at_points=True)``, which :meth:`stats` scores,
     synthesizes only the detection samples: the synthesis is linear, so
     each is a fixed row of it (:func:`~tmtmag.wavelets.uwt_synthesis_rows`).
-    The first such call packs the C coefficients those rows read (see
-    :class:`_PackedPoints`), with one boolean gather per coefficient stack
-    by the mask of non-zero rows; every beta then costs three in-place
-    passes over one (n_exp, C) buffer and one matrix product.  The packed
-    clip ``copysign(fmin(width * |S|, |raw - K|), raw - K)`` is the clamp of
-    :func:`~tmtmag.tmt.clamp_details` centred on the template ``K`` at every
-    width: ``fmin`` passes over the NaN of ``inf * 0`` where ``|S| = 0``.
-    The outputs agree with clamping the full stacks up to rounding.
+    The first such call packs the C residual coefficients those rows read
+    (see :class:`_PackedPoints`), with one boolean gather per coefficient
+    stack by the mask of non-zero rows; every beta then costs three
+    in-place passes over one (n_exp, C) buffer and one matrix product.  The
+    packed clip ``copysign(fmin(width * |S|, |r|), r)`` of a residual
+    coefficient ``r`` is the clip of :func:`~tmtmag.tmt.clamp_details` at
+    every width: ``fmin`` passes over the NaN of ``inf * 0`` where
+    ``|S| = 0``.  The outputs agree with clipping the full stack up to
+    rounding.
     """
 
     def __init__(self, setup: BenchmarkSetup):
@@ -290,19 +294,18 @@ class EnsembleRun:
         searched = self.values.mean(axis=0) if setup.shared_estimate else self.values
         self.omega_temps = np.full(plan.n_experiments, estimate_frequencies(
             searched, self.times, params, setup.resolved_grid()))
-        self._raw_details, self._raw_approx = uwt_analyze(
-            self.values, setup.basis, self.levels)
-        self._kernel_details, self._noise_details = build_margins(
+        self._templates, self._noise_details = build_margins(
             self.omega_temps, params, plan, setup.basis, self.levels, setup.squared_contrast)
+        self._residual_details, self._residual_approx = uwt_analyze(
+            self.values - self._templates, setup.basis, self.levels)
         self.raw_stats = ensemble_stats(self.values, self.points)
 
     def denoised(self, beta: float, at_points: bool = False) -> np.ndarray:
         """Denoised traces (n_exp, N); with ``at_points``, only the detection samples (n_exp, p)."""
         width = margin_width(beta, self.setup.plan)
         if not at_points:
-            clamped = clamp_details(self._raw_details, self._kernel_details,
-                                    self._noise_details, width)
-            return uwt_synthesize(clamped, self._raw_approx, self.setup.basis)
+            clamped = clamp_details(self._residual_details, self._noise_details, width)
+            return self._templates + uwt_synthesize(clamped, self._residual_approx, self.setup.basis)
         packed = self._packed
         clipped = packed.work
         with np.errstate(invalid="ignore"):  # inf * 0 where |S| vanishes; fmin passes over it
@@ -325,14 +328,13 @@ class EnsembleRun:
         # column order of rows[touched]; the gathers come out in Fortran
         # order and are copied to C order, as dgemm sums the product of a
         # Fortran-order operand in another order
-        kernel, offsets, noise = (
+        offsets, noise = (
             np.ascontiguousarray(np.moveaxis(stack, 1, 0)[:, touched])
-            for stack in (self._kernel_details, self._raw_details, self._noise_details))
-        offsets -= kernel
-        base = (_blocked_product(self._raw_approx, approx_rows)
-                + _blocked_product(kernel, packed_rows))
+            for stack in (self._residual_details, self._noise_details))
+        base = (_blocked_product(self._residual_approx, approx_rows)
+                + self._templates[:, self.points.indices])
         return _PackedPoints(rows=packed_rows, offsets=offsets, magnitudes=np.abs(offsets),
-                             noise=noise, base=base, work=kernel)
+                             noise=noise, base=base, work=np.empty_like(offsets))
 
 
 @dataclass
@@ -422,7 +424,11 @@ class ScalingFit:
 
 
 def fit_scaling(points) -> ScalingFit:
-    """Fit (x, y) pairs to c * x**alpha; requires >= 3 finite, strictly positive pairs."""
+    """Fit (x, y) pairs to c * x**alpha.
+
+    Requires >= 3 finite, strictly positive pairs with at least two
+    distinct x values (one x leaves the slope 0/0).
+    """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"expected an (n, 2) array of (x, y) pairs, got shape {pts.shape}")
@@ -432,6 +438,8 @@ def fit_scaling(points) -> ScalingFit:
         raise ValueError("scaling fits need finite coordinates")
     if np.any(pts <= 0.0):
         raise ValueError("scaling fits need strictly positive coordinates")
+    if np.unique(pts[:, 0]).size < 2:
+        raise ValueError("scaling fits need at least two distinct x values")
     lx = np.log(pts[:, 0])
     ly = np.log(pts[:, 1])
     lx_c = lx - lx.mean()
@@ -529,7 +537,7 @@ def gain_profile(setup: BenchmarkSetup, n_sd_values, beta_grid) -> list[GainPoin
 def _sense_fringe_mse(setup: BenchmarkSetup, beta: float) -> tuple[float, float]:
     """Raw and order-``beta`` TMT fringe-averaged MSE of one sensing ensemble.
 
-    The ensemble, its detail stacks and its packed clamp are freed on
+    The ensemble, its residual stacks and its packed clip are freed on
     return, before the next calibration sweep builds its own.
     """
     run = EnsembleRun(setup)

@@ -381,7 +381,12 @@ def _load_points(config: RunConfig) -> list[list[float]]:
 
 def _run_fit_scaling(config: RunConfig):
     points = _load_points(config)
-    fit = fit_scaling(points)
+    try:
+        fit = fit_scaling(points)
+    except ValueError as exc:
+        exp = config.experiment
+        source = "experiment.points" if exp.points is not None else f"points file {exp.points_file}"
+        raise ConfigError(f"{source}: {exc}") from exc
     tables = [("fit_scaling", make_table(prefactor=[fit.prefactor], exponent=[fit.exponent],
                                          r_squared=[fit.r_squared], n_points=[len(points)]))]
     summary = [f"fit: y = {fit.prefactor:.6g} * x^{fit.exponent:.4f} (r2={fit.r_squared:.5f}, "

@@ -326,8 +326,9 @@ def parse_config(source: str | Path | dict | None) -> RunConfig:
 
     ``None`` yields the all-defaults configuration.  A string is JSON text
     when its first non-blank character is ``{``, and a file path otherwise.
-    A path naming no file, parse errors (with the offending line) and
-    validation errors (naming the violated invariant) raise ConfigError.
+    A path naming no file or one that cannot be read, parse errors (with
+    the offending line) and validation errors (naming the violated
+    invariant) raise ConfigError.
     """
     if source is None:
         data = {}
@@ -338,9 +339,12 @@ def parse_config(source: str | Path | dict | None) -> RunConfig:
             text = source
         else:
             path = Path(source)
-            if not path.is_file():
-                raise ConfigError(f"config file not found: {path}")
-            text = path.read_text()
+            try:
+                if not path.is_file():
+                    raise ConfigError(f"config file not found: {path}")
+                text = path.read_text()
+            except OSError as exc:  # e.g. a name longer than the file system allows
+                raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -1,19 +1,23 @@
 """Template-margin-threshold (TMT) wavelet denoiser for Ramsey PL traces.
 
 Per trace, the fringe frequency is estimated by template cross-correlation
-(:func:`estimate_frequencies`).  The analytic template at that frequency
-and the shot-noise profile ``S(t)`` are decomposed with the undecimated
-transform, giving coefficients ``K`` and ``|S|``.  Each raw detail
-coefficient is then clamped into ``K +/- width * |S|``
-(:func:`clamp_details`) and the trace is reconstructed; the approximation
-band is kept raw.  By linearity this interval is exactly the min/max of
-the decompositions of the time-domain margins ``template +/- width * S``.
+(:func:`estimate_frequencies`).  The paper clamps every detail coefficient
+of the trace into the decomposed margins ``template +/- width * S(t)``,
+``S(t)`` being the shot-noise profile.  The undecimated transform is
+linear, so that clamp is the template plus a clipped residual: the
+residual ``trace - template`` is decomposed, each of its detail
+coefficients is clipped into ``+/- width * |S|`` (:func:`clamp_details`),
+``|S|`` being the absolute shot-noise coefficients, and the synthesis of
+the clipped details and the residual's approximation band is added to the
+template (translation-invariant wavelet shrinkage centred on the
+template).  The approximation band is kept unclipped.
 
 The width is ``10**(-beta) / sqrt(T_I * M * f_sample)``; ``beta`` is the
 filter order.  The limits are exact: ``beta = -inf`` (and any ``beta``
 small enough that ``10**(-beta)`` overflows) gives an infinite width and
-returns the raw trace; ``beta = +inf`` gives width 0 and pins every detail
-coefficient to the template's.
+returns the raw trace; ``beta = +inf`` gives width 0, zeroes every
+residual detail and returns the template plus the residual's
+approximation share.  A clean template comes back bit for bit.
 
 The API takes and returns plain arrays of traces, one trace being a batch
 of one; the ensemble path in :mod:`tmtmag.bench` calls the same
@@ -100,9 +104,14 @@ def estimate_frequencies(values: np.ndarray, times: np.ndarray, params: SensorPa
     one parabolic interpolation through its two neighbours.  A constant
     trace or a maximum on the grid boundary (search window too narrow) is an
     error, and so is a trace with a NaN or infinite sample; errors name the
-    trace by its index in the row-major flattened batch.
+    trace by its index in the row-major flattened batch.  ``values`` must
+    end in an axis of ``len(times)`` samples.
     """
     values = np.asarray(values, dtype=float)
+    n_times = np.size(times)
+    if values.ndim == 0 or values.shape[-1] != n_times:
+        raise FrequencySearchError(f"values of shape {values.shape} must end in the "
+                                   f"{n_times} samples of times")
     batch_shape = values.shape[:-1]
     values = values.reshape(-1, values.shape[-1])
     bad = ~np.isfinite(values)
@@ -148,40 +157,50 @@ def margin_width(beta: float, plan: AcquisitionPlan) -> float:
     return scale / np.sqrt(plan.duration * plan.repetitions * plan.f_sample)
 
 
-def clamp_details(raw_details, kernel_details, noise_details, width: float) -> np.ndarray:
-    """Hard-clamp detail coefficients into ``kernel +/- width * noise``.
+def clamp_details(details, noise_details, width: float) -> np.ndarray:
+    """Clip residual detail coefficients into ``+/- width * noise``.
 
+    ``details`` are the coefficients of ``trace - template``, so the clip
+    is the paper's clamp of the trace's coefficients into the margins
+    ``K +/- width * |S|``, shifted by the template's coefficients ``K``.
     Shape-agnostic: the arrays broadcast, so one trace's ``(levels + 1, N)``
     stack and an ensemble's ``(levels + 1, n_exp, N)`` stack go through the
     same call.  ``noise_details`` is ``|S|``, the absolute shot-noise
     coefficients.  An infinite width is the identity on the details (also
-    where ``|S|`` vanishes); width 0 pins them to ``kernel_details``.
+    where ``|S|`` vanishes); width 0 zeroes them.
     """
     # inf * 0 where |S| vanishes is NaN, and fmax/fmin pass over a NaN bound
     with np.errstate(invalid="ignore"):
         half = width * noise_details
-    return np.fmin(np.fmax(raw_details, kernel_details - half), kernel_details + half)
+    return np.fmin(np.fmax(details, -half), half)
 
 
 def build_margins(omega_temps, params: SensorParams, plan: AcquisitionPlan,
                   basis: WaveletBasis | str, levels: int,
                   squared_contrast: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Template and absolute shot-noise detail coefficients ``(K, |S|)`` at ``omega_temps``.
+    """Template traces and absolute shot-noise detail coefficients ``|S|`` at ``omega_temps``.
 
-    Both have shape ``(levels + 1,) + np.shape(omega_temps) + (N,)``; the
-    width is applied by :func:`clamp_details`.  ``squared_contrast`` selects
-    the shot-noise model variant (see :func:`tmtmag.ramsey.shot_noise`).
+    The templates have shape ``np.shape(omega_temps) + (N,)`` and ``|S|``
+    has shape ``(levels + 1,) + np.shape(omega_temps) + (N,)``; the
+    residual ``trace - template`` is clipped into ``+/- width * |S|`` by
+    :func:`clamp_details`.  ``squared_contrast`` selects the shot-noise
+    model variant (see :func:`tmtmag.ramsey.shot_noise`).  Frequencies
+    must be finite and positive.
     """
-    times = plan.times
     omegas = np.asarray(omega_temps, dtype=float)[..., None]
-    kernel_details, _ = uwt_analyze(template(times, omegas, params), basis, levels)
+    bad = ~(np.isfinite(omegas) & (omegas > 0.0))
+    if bad.any():
+        raise ValueError(f"omega_temps must be finite and positive, got {omegas[bad][0]}")
+    times = plan.times
     noise = shot_noise(times, omegas, params, squared_contrast=squared_contrast)
     noise_details, _ = uwt_analyze(noise, basis, levels)
-    return kernel_details, np.abs(noise_details)
+    return template(times, omegas, params), np.abs(noise_details)
 
 
 def _as_traces(values, plan: AcquisitionPlan) -> np.ndarray:
     values = np.asarray(values, dtype=float)
+    if values.ndim == 0:
+        raise ValueError("values must hold traces of shape (..., N), got a 0-d value")
     if values.shape[-1] != plan.n_samples:
         raise ValueError(f"traces have {values.shape[-1]} samples but the plan's time grid "
                          f"has {plan.n_samples}")
@@ -194,19 +213,21 @@ def tmt_denoise(values, omega_temps, beta: float, params: SensorParams,
                 squared_contrast: bool = False) -> np.ndarray:
     """Denoise traces ``values`` (shape ``(..., N)``) at their template frequencies.
 
-    ``omega_temps`` broadcasts to ``values.shape[:-1]``.  The detail
-    coefficients go through :func:`clamp_details` with the margins of
-    :func:`build_margins`; the raw approximation band is kept.
+    ``omega_temps`` broadcasts to ``values.shape[:-1]``.  The residual
+    ``values - templates`` is analysed, its detail coefficients go through
+    :func:`clamp_details` with the ``|S|`` of :func:`build_margins`, and
+    the synthesis (with the residual's approximation band) is added to the
+    templates.
     """
     values = _as_traces(values, plan)
     if levels is None:
         levels = default_levels(plan.n_samples)
     omega_temps = np.broadcast_to(omega_temps, values.shape[:-1])
-    details, approx = uwt_analyze(values, basis, levels)
-    kernel_details, noise_details = build_margins(omega_temps, params, plan, basis, levels,
-                                                  squared_contrast)
-    clamped = clamp_details(details, kernel_details, noise_details, margin_width(beta, plan))
-    return uwt_synthesize(clamped, approx, basis)
+    templates, noise_details = build_margins(omega_temps, params, plan, basis, levels,
+                                             squared_contrast)
+    details, approx = uwt_analyze(values - templates, basis, levels)
+    clamped = clamp_details(details, noise_details, margin_width(beta, plan))
+    return templates + uwt_synthesize(clamped, approx, basis)
 
 
 def denoise_pipeline(values, params: SensorParams, plan: AcquisitionPlan,

@@ -198,6 +198,14 @@ def test_fit_scaling_validation():
             fit_scaling([[1.0, 3.0], [4.0, bad], [9.0, 9.0]])
 
 
+def test_fit_scaling_needs_two_distinct_x_values():
+    # one x value made the slope 0/0: the fit came back as y = nan * x^nan
+    with pytest.raises(ValueError, match="two distinct x values"):
+        fit_scaling([[1.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
+    fit = fit_scaling([[1.0, 1.0], [1.0, 2.0], [4.0, 3.0]])
+    assert np.isfinite(fit.exponent)
+
+
 # ---------------------------------------------------------------------------
 # beta sweeps
 # ---------------------------------------------------------------------------
@@ -298,10 +306,11 @@ def test_point_synthesis_gain_profile_matches_full_synthesis(paper_params):
 
 
 def _packed_oracle(run, beta, indices):
-    """The detection samples of one full clamp and synthesis of ``run``'s stacks."""
-    clamped = clamp_details(run._raw_details, run._kernel_details, run._noise_details,
+    """The detection samples of one full clip and synthesis of ``run``'s residual stacks."""
+    clamped = clamp_details(run._residual_details, run._noise_details,
                             margin_width(beta, run.setup.plan))
-    return uwt_synthesize(clamped, run._raw_approx, run.setup.basis)[:, indices]
+    residual = uwt_synthesize(clamped, run._residual_approx, run.setup.basis)
+    return (run._templates + residual)[:, indices]
 
 
 @pytest.mark.parametrize("basis", ["haar", "db2", "bior6.8"])
@@ -317,8 +326,9 @@ def test_packed_point_clamp_matches_full_clamp(paper_params, basis):
         np.testing.assert_array_equal(getattr(run.raw_stats, field.name),
                                       getattr(raw_stats, field.name))
     indices = points.indices
-    # coefficients with |S| = 0: a finite width pins them to the template,
-    # an infinite one leaves them raw (fmin passes over the NaN of inf * 0)
+    # coefficients with |S| = 0: a finite width zeroes their residual (pins
+    # them to the template), an infinite one leaves them raw (fmin passes
+    # over the NaN of inf * 0)
     run._noise_details[0] = 0.0
     run._noise_details[2, ::2, : plan.n_samples // 2] = 0.0
     scale = np.max(np.abs(run.values))

@@ -387,6 +387,26 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert f"config file not found: {missing}" in capsys.readouterr().err
 
 
+def test_fit_scaling_with_equal_x_values_exits_2(tmp_path, capsys):
+    # printed "y = nan * x^nan", wrote NaN and exited 0
+    cfg = fast_config(tmp_path, experiment={"points": [[1, 1], [1, 2], [1, 3]]})
+    assert main(["fit-scaling", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert "experiment.points: scaling fits need at least two distinct x values" in \
+        capsys.readouterr().err
+    csv_path = tmp_path / "points.csv"
+    csv_path.write_text("x,y\n4,1\n4,2\n4,3\n")
+    cfg2 = fast_config(tmp_path, experiment={"points_file": str(csv_path)})
+    assert main(["fit-scaling", "--config", str(cfg2), "--out", str(tmp_path / "y")]) == 2
+    assert f"points file {csv_path}: scaling fits need" in capsys.readouterr().err
+
+
+def test_overlong_config_path_exits_2(tmp_path, capsys):
+    # OSError (file name too long) escaped parse_config and exited 1
+    assert main(["simulate", "--config", "x" * 5000, "--seed", "1",
+                 "--out", str(tmp_path / "x")]) == 2
+    assert "cannot read config file xxx" in capsys.readouterr().err
+
+
 def test_fit_scaling_requires_points(tmp_path, capsys):
     cfg = fast_config(tmp_path)
     assert main(["fit-scaling", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2

@@ -76,6 +76,12 @@ def test_missing_config_file_is_named(tmp_path):
     assert parse_config(' \n {"plan": {"seed": 4}}').plan.seed == 4
 
 
+def test_unreadable_config_path_is_named():
+    # a name longer than the file-system limit raised OSError from is_file()
+    with pytest.raises(ConfigError, match=r"^cannot read config file x{5000}: "):
+        parse_config("x" * 5000)
+
+
 def test_beta_grid_forms():
     config = parse_config({"filter": {"beta_grid": [-2.0, -1.0, 0.0, 1.0]}})
     np.testing.assert_allclose(config.filter.beta_grid, [-2.0, -1.0, 0.0, 1.0])

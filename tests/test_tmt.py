@@ -19,9 +19,10 @@ from tmtmag import (
     template,
     tmt_denoise,
 )
+from tmtmag import tmt
 from tmtmag.bench import EnsembleRun
 from tmtmag.tmt import clamp_details
-from tmtmag.wavelets import uwt_analyze
+from tmtmag.wavelets import uwt_analyze, uwt_synthesize
 
 
 # ---------------------------------------------------------------------------
@@ -142,16 +143,33 @@ def test_batch_estimates_match_single(paper_params, short_plan):
     np.testing.assert_array_equal(nested, batch.reshape(2, 3))
 
 
+def test_zero_dimensional_values_rejected_by_search(paper_params, short_plan):
+    # a 0-d value raised IndexError from values.shape[-1]
+    grid = FrequencyGrid.around(paper_params.omega_calib)
+    with pytest.raises(FrequencySearchError, match="values"):
+        estimate_frequencies(np.float64(0.2), short_plan.times, paper_params, grid)
+
+
+def test_values_not_matching_times_rejected_by_search(paper_params, short_plan):
+    # a batch whose last axis is not len(times) failed in numpy's broadcast
+    values = simulate_ensemble(paper_params, short_plan.with_(n_experiments=2),
+                               paper_params.omega_calib)
+    grid = FrequencyGrid.around(paper_params.omega_calib)
+    with pytest.raises(FrequencySearchError, match=r"values of shape \(2, 100\).* 99 samples of times"):
+        estimate_frequencies(values, short_plan.times[:99], paper_params, grid)
+
+
 # ---------------------------------------------------------------------------
 # margins
 # ---------------------------------------------------------------------------
 
 def test_margins_collapse_at_large_beta(paper_params, short_plan):
+    # the margins close on the template: the clip interval of the residual
+    # shrinks to nothing around zero
     omega = paper_params.omega_calib
-    kernel_details, noise_details = build_margins(omega, paper_params, short_plan, "bior6.8", 4)
-    kernel, _ = uwt_analyze(template(short_plan.times, omega, paper_params), "bior6.8", 4)
+    templates, noise_details = build_margins(omega, paper_params, short_plan, "bior6.8", 4)
     assert np.max(2.0 * margin_width(16.0, short_plan) * noise_details) < 1e-9
-    np.testing.assert_array_equal(kernel_details, kernel)
+    np.testing.assert_array_equal(templates, template(short_plan.times, omega, paper_params))
 
 
 def test_margins_huge_at_negative_beta(paper_params, short_plan):
@@ -182,31 +200,50 @@ def test_margin_width_limits(short_plan):
 
 
 def test_margins_ordered(paper_params, short_plan):
-    # K +/- width*|S| equals the min/max of the decomposed time-domain margins
+    # the residual's clip interval +/- width*|S|, shifted by the template's
+    # coefficients K, equals the min/max of the decomposed time-domain margins
     omega = paper_params.omega_calib
-    kernel_details, noise_details = build_margins(omega, paper_params, short_plan, "bior6.8", 5)
+    templates, noise_details = build_margins(omega, paper_params, short_plan, "bior6.8", 5)
     assert np.all(noise_details >= 0.0)
     width = margin_width(0.0, short_plan)
     scaled = width * shot_noise(short_plan.times, omega, paper_params)
-    kernel = template(short_plan.times, omega, paper_params)
-    du, _ = uwt_analyze(kernel + scaled, "bior6.8", 5)
-    dl, _ = uwt_analyze(kernel - scaled, "bior6.8", 5)
-    half = width * noise_details
-    np.testing.assert_allclose(kernel_details + half, np.maximum(du, dl), atol=1e-14)
-    np.testing.assert_allclose(kernel_details - half, np.minimum(du, dl), atol=1e-14)
+    kernel_details, _ = uwt_analyze(templates, "bior6.8", 5)
+    du, _ = uwt_analyze(templates + scaled, "bior6.8", 5)
+    dl, _ = uwt_analyze(templates - scaled, "bior6.8", 5)
+    big = np.full_like(noise_details, np.inf)
+    hi = kernel_details + clamp_details(big, noise_details, width)
+    lo = kernel_details + clamp_details(-big, noise_details, width)
+    np.testing.assert_allclose(hi, np.maximum(du, dl), atol=1e-14)
+    np.testing.assert_allclose(lo, np.minimum(du, dl), atol=1e-14)
 
 
 def test_margins_batch_shape(paper_params, short_plan):
     # an array of frequencies gives one margin stack per entry, equal to the scalar call
     omegas = paper_params.omega_calib * np.array([[0.99, 1.0, 1.02], [1.01, 0.98, 1.0]])
-    kernel_details, noise_details = build_margins(omegas, paper_params, short_plan,
-                                                  "bior6.8", 4, squared_contrast=True)
-    assert kernel_details.shape == noise_details.shape == (5, 2, 3, short_plan.n_samples)
+    templates, noise_details = build_margins(omegas, paper_params, short_plan,
+                                             "bior6.8", 4, squared_contrast=True)
+    assert templates.shape == (2, 3, short_plan.n_samples)
+    assert noise_details.shape == (5, 2, 3, short_plan.n_samples)
     k, s = build_margins(omegas[1, 2], paper_params, short_plan, "bior6.8", 4,
                          squared_contrast=True)
-    assert k.shape == (5, short_plan.n_samples)
-    np.testing.assert_array_equal(kernel_details[:, 1, 2], k)
+    assert k.shape == (short_plan.n_samples,)
+    assert s.shape == (5, short_plan.n_samples)
+    np.testing.assert_array_equal(templates[1, 2], k)
     np.testing.assert_array_equal(noise_details[:, 1, 2], s)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.7e7])
+def test_bad_template_frequency_rejected(paper_params, short_plan, bad):
+    # NaN margins made the clamp a no-op: tmt_denoise returned about the raw traces
+    values = simulate_ensemble(paper_params, short_plan.with_(n_experiments=3),
+                               paper_params.omega_calib)
+    omegas = np.full(3, paper_params.omega_calib)
+    omegas[1] = bad
+    for omega_temps in (bad, omegas):
+        with pytest.raises(ValueError, match="omega_temps"):
+            build_margins(omega_temps, paper_params, short_plan, "bior6.8", 4)
+        with pytest.raises(ValueError, match="omega_temps"):
+            tmt_denoise(values, omega_temps, 0.0, paper_params, short_plan, "bior6.8", levels=4)
 
 
 # ---------------------------------------------------------------------------
@@ -214,15 +251,17 @@ def test_margins_batch_shape(paper_params, short_plan):
 # ---------------------------------------------------------------------------
 
 def test_hard_clamp_cases():
-    # interval 2 +/- 1 * 1 = [1, 3]
-    assert clamp_details(5.0, 2.0, 1.0, 1.0) == 3.0
-    assert clamp_details(2.0, 2.0, 1.0, 1.0) == 2.0
-    assert clamp_details(0.0, 2.0, 1.0, 1.0) == 1.0
+    # template coefficient 2, interval 2 +/- 1 * 1 = [1, 3]: the residual
+    # raw - 2 is clipped into [-1, 1]
+    assert 2.0 + clamp_details(5.0 - 2.0, 1.0, 1.0) == 3.0
+    assert 2.0 + clamp_details(2.0 - 2.0, 1.0, 1.0) == 2.0
+    assert 2.0 + clamp_details(0.0 - 2.0, 1.0, 1.0) == 1.0
     # exact limits: infinite width is the identity even where |S| = 0,
-    # zero width pins to the kernel
-    raw = np.array([5.0, -7.0, 0.5])
-    np.testing.assert_array_equal(clamp_details(raw, 2.0, np.array([1.0, 0.0, 2.0]), np.inf), raw)
-    np.testing.assert_array_equal(clamp_details(raw, 2.0, 1.0, 0.0), [2.0, 2.0, 2.0])
+    # zero width pins to the template (a zero residual)
+    residual = np.array([5.0, -7.0, 0.5])
+    np.testing.assert_array_equal(
+        clamp_details(residual, np.array([1.0, 0.0, 2.0]), np.inf), residual)
+    np.testing.assert_array_equal(clamp_details(residual, 1.0, 0.0), [0.0, 0.0, 0.0])
 
 
 def test_raw_limit_passthrough(paper_params, short_plan):
@@ -244,13 +283,13 @@ def test_template_passthrough(paper_params, short_plan, beta):
 def test_clamped_details_stay_inside_margins(paper_params, short_plan):
     omega = paper_params.omega_calib
     trace = simulate_ensemble(paper_params, short_plan, omega)[2]
-    kernel_details, noise_details = build_margins(omega, paper_params, short_plan, "bior6.8", 5)
+    templates, noise_details = build_margins(omega, paper_params, short_plan, "bior6.8", 5)
     width = margin_width(0.5, short_plan)
-    details, approx = uwt_analyze(trace, "bior6.8", 5)
-    clamped = clamp_details(details, kernel_details, noise_details, width)
+    details, _ = uwt_analyze(trace - templates, "bior6.8", 5)
+    clamped = clamp_details(details, noise_details, width)
     half = width * noise_details
-    assert np.all(clamped >= kernel_details - half)
-    assert np.all(clamped <= kernel_details + half)
+    assert np.all(clamped >= -half)
+    assert np.all(clamped <= half)
     assert np.any(clamped[0] != details[0])  # something was clamped
     # the approximation band is exempt: denoising keeps the raw trace mean
     out = tmt_denoise(trace, omega, 0.5, paper_params, short_plan, "bior6.8", levels=5)
@@ -309,12 +348,12 @@ def test_tmt_denoise_properties(ensemble_run, beta, row):
 
 @pytest.fixture(scope="module")
 def ensemble_coeffs(ensemble_run):
-    """Raw detail coefficients and margins ``(details, K, |S|)`` of the ensemble."""
+    """Residual detail coefficients and ``|S|`` of the ensemble."""
     run, setup = ensemble_run, ensemble_run.setup
-    details, _ = uwt_analyze(run.values, setup.basis, run.levels)
-    kernel, noise = build_margins(run.omega_temps, setup.params, setup.plan, setup.basis,
-                                  run.levels)
-    return details, kernel, noise
+    templates, noise = build_margins(run.omega_temps, setup.params, setup.plan, setup.basis,
+                                     run.levels)
+    details, _ = uwt_analyze(run.values - templates, setup.basis, run.levels)
+    return details, noise
 
 
 @settings(max_examples=40, deadline=None)
@@ -323,21 +362,21 @@ def ensemble_coeffs(ensemble_run):
 @example(beta=-308.0)
 @example(beta=400.0)
 def test_clamped_details_in_margin_property(ensemble_run, ensemble_coeffs, beta):
-    details, kernel, noise = ensemble_coeffs
+    details, noise = ensemble_coeffs
     width = margin_width(beta, ensemble_run.setup.plan)
-    clamped = clamp_details(details, kernel, noise, width)
+    clamped = clamp_details(details, noise, width)
     if width == np.inf:  # 10**(-beta) overflows: the raw limit, even where |S| is 0
         np.testing.assert_array_equal(clamped, details)
         return
     half = width * noise
-    assert np.all(clamped >= kernel - half)
-    assert np.all(clamped <= kernel + half)
+    assert np.all(clamped >= -half)
+    assert np.all(clamped <= half)
 
 
 def test_clamp_raw_limit_returns_details_unchanged(ensemble_run, ensemble_coeffs):
-    details, kernel, noise = ensemble_coeffs
+    details, noise = ensemble_coeffs
     width = margin_width(-np.inf, ensemble_run.setup.plan)
-    np.testing.assert_array_equal(clamp_details(details, kernel, noise, width), details)
+    np.testing.assert_array_equal(clamp_details(details, noise, width), details)
 
 
 def test_nan_beta_rejected(ensemble_run):
@@ -363,6 +402,15 @@ def test_denoise_mismatch_errors(paper_params, short_plan):
         denoise_pipeline(other, paper_params, short_plan, 0.0, "bior6.8")
 
 
+def test_zero_dimensional_values_rejected(paper_params, short_plan):
+    # _as_traces read values.shape[-1] of a 0-d value: IndexError
+    with pytest.raises(ValueError, match="values"):
+        tmt_denoise(np.float64(0.2), paper_params.omega_calib, 0.0, paper_params, short_plan,
+                    "bior6.8", levels=4)
+    with pytest.raises(ValueError, match="values"):
+        denoise_pipeline(0.2, paper_params, short_plan, 0.0, "bior6.8")
+
+
 def test_pipeline_reduces_variance_at_detection_points(paper_params, short_plan):
     from tmtmag import find_detection_points
 
@@ -385,3 +433,79 @@ def test_pipeline_determinism(paper_params, short_plan):
     out2, omega2 = denoise_pipeline(trace, paper_params, short_plan, 0.0, "bior6.8")
     np.testing.assert_array_equal(out1, out2)
     assert omega1 == omega2
+
+
+# ---------------------------------------------------------------------------
+# the paper's formulation as an oracle
+# ---------------------------------------------------------------------------
+
+ORACLE_BETAS = (-np.inf, -400.0, -2.0, 0.0, 0.5, 3.0, np.inf)
+
+
+def _paper_tmt(values, omega_temps, width, params, plan, basis, levels, noise_details):
+    """The paper's TMT: raw detail coefficients clamped into ``K +/- width * |S|``.
+
+    ``K`` is the analysis of the templates at ``omega_temps`` (one per
+    trace), ``noise_details`` is ``|S|`` and the raw approximation band is
+    kept.  The residual form returns the same traces up to rounding.
+    """
+    details, approx = uwt_analyze(values, basis, levels)
+    templates = template(plan.times, np.asarray(omega_temps)[..., None], params)
+    kernel_details, _ = uwt_analyze(templates, basis, levels)
+    with np.errstate(invalid="ignore"):  # inf * 0 where |S| vanishes
+        half = width * noise_details
+    clamped = np.fmin(np.fmax(details, kernel_details - half), kernel_details + half)
+    return uwt_synthesize(clamped, approx, basis)
+
+
+def _zero_some_noise(noise_details):
+    """Set ``|S| = 0`` on the finest level and on part of level 2, in place."""
+    noise_details[0] = 0.0
+    noise_details[2, ::2, : noise_details.shape[-1] // 2] = 0.0
+
+
+@pytest.mark.parametrize("basis", ["haar", "db2", "bior6.8"])
+def test_residual_form_matches_paper_formulation(paper_params, monkeypatch, basis):
+    plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 12, seed=29)
+    run = EnsembleRun(BenchmarkSetup(params=paper_params, plan=plan,
+                                     omega_true=paper_params.omega_calib * 1.005, n_sd=3,
+                                     basis=basis))
+    # coefficients with |S| = 0: a finite width pins them to the template,
+    # an infinite one leaves them raw; the same zeros reach tmt_denoise
+    _zero_some_noise(run._noise_details)
+    build_margins_unpatched = tmt.build_margins
+
+    def margins_with_zeros(*args, **kwargs):
+        templates, noise_details = build_margins_unpatched(*args, **kwargs)
+        _zero_some_noise(noise_details)
+        return templates, noise_details
+
+    monkeypatch.setattr(tmt, "build_margins", margins_with_zeros)
+    noise_details = np.abs(uwt_analyze(shot_noise(plan.times, run.omega_temps[:, None],
+                                                  paper_params), basis, run.levels)[0])
+    _zero_some_noise(noise_details)
+    np.testing.assert_array_equal(run._noise_details, noise_details)
+    indices = run.points.indices
+    tolerance = dict(rtol=1e-12, atol=1e-13 * np.max(np.abs(run.values)))
+    for beta in ORACLE_BETAS:
+        expected = _paper_tmt(run.values, run.omega_temps, margin_width(beta, plan),
+                              paper_params, plan, basis, run.levels, noise_details)
+        denoised = tmt_denoise(run.values, run.omega_temps, beta, paper_params, plan, basis,
+                               run.levels)
+        np.testing.assert_allclose(denoised, expected, **tolerance)
+        np.testing.assert_allclose(run.denoised(beta), expected, **tolerance)
+        np.testing.assert_allclose(run.denoised(beta, at_points=True), expected[:, indices],
+                                   **tolerance)
+
+
+@pytest.mark.parametrize("basis", ["haar", "db2", "bior6.8"])
+@pytest.mark.parametrize("beta", ORACLE_BETAS)
+def test_clean_template_returned_bit_for_bit(paper_params, short_plan, basis, beta):
+    # the residual of a clean template is exactly zero, and so is its clip
+    omegas = paper_params.omega_calib * np.array([0.98, 1.0, 1.013])
+    clean = template(short_plan.times, omegas[:, None], paper_params)
+    out = tmt_denoise(clean, omegas, beta, paper_params, short_plan, basis, levels=4)
+    np.testing.assert_array_equal(out, clean)
+    single = template(short_plan.times, omegas[2], paper_params)
+    out = tmt_denoise(single, omegas[2], beta, paper_params, short_plan, basis, levels=4)
+    np.testing.assert_array_equal(out, single)
