@@ -218,6 +218,20 @@ def _check_mode_limits(config: RunConfig) -> None:
         return
     if plan.n_experiments < 2:
         raise ConfigError(f"plan.n_experiments must be >= 2 for mode {mode!r}, got {plan.n_experiments}")
+    if mode == "benchmark":
+        m_values = config.experiment.m_values
+        if len(m_values) < 3 or len(set(m_values)) < 2:
+            raise ConfigError(f"experiment.m_values: the scaling fit needs at least 3 values, "
+                              f"2 of them distinct, got {m_values}")
+    if mode != "gain-profile" and config.experiment.n_sd is not None:
+        n_sd = config.experiment.n_sd
+        # plan.times[-1], without building the time grid
+        last_sample = plan.t_start + (plan.n_samples - 1) / plan.f_sample
+        n_crossings = len(detection_crossings(config.omega_sense, plan.t_start, last_sample))
+        if n_crossings < n_sd:
+            raise ConfigError(f"experiment.n_sd = {n_sd}: the window [{plan.t_start:.4g}, "
+                              f"{plan.t_stop:.4g}] s holds only {n_crossings} negative-slope "
+                              f"crossings")
     if mode == "gain-profile":
         # a window of n_sd crossings spans fewer than n_sd + 2 fringe periods
         n_sd = max(config.experiment.n_sd_values)
@@ -358,24 +372,30 @@ def _load_points(config: RunConfig) -> list[list[float]]:
     if exp.points_file is None:
         raise ConfigError("fit-scaling needs experiment.points or experiment.points_file")
     path = Path(exp.points_file)
-    if not path.exists():
-        raise ConfigError(f"points file not found: {path}")
+    try:
+        if not path.exists():
+            raise ConfigError(f"points file not found: {path}")
+        with path.open(newline="") as fh:
+            text = fh.read()
+    # e.g. a directory, a name longer than the file system allows, or bytes that are not UTF-8
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read points file {path}: {reason}") from exc
     points = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row:
-                continue  # blank line
-            try:
-                point = [float(row[0]), float(row[1])]
-            except (IndexError, ValueError):
-                if reader.line_num == 1:
-                    continue  # header row
-                raise ConfigError(f"{path}, line {reader.line_num}: expected two numbers, "
-                                  f"got {row!r}") from None
-            if not np.isfinite(point).all():
-                raise ConfigError(f"{path}, line {reader.line_num}: non-finite point {row!r}")
-            points.append(point)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    for row in reader:
+        if not row:
+            continue  # blank line
+        try:
+            point = [float(row[0]), float(row[1])]
+        except (IndexError, ValueError):
+            if reader.line_num == 1:
+                continue  # header row
+            raise ConfigError(f"{path}, line {reader.line_num}: expected two numbers, "
+                              f"got {row!r}") from None
+        if not np.isfinite(point).all():
+            raise ConfigError(f"{path}, line {reader.line_num}: non-finite point {row!r}")
+        points.append(point)
     return points
 
 

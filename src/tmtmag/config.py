@@ -27,6 +27,8 @@ class ConfigError(ValueError):
 
 #: most values a ``filter.beta_grid`` may hold; checked before the grid is built
 MAX_BETA_GRID = 10_001
+#: most trial frequencies ``filter.freq_points`` may ask the search for
+MAX_FREQ_POINTS = 100_001
 
 MODES = ("simulate", "denoise", "sweep-beta", "benchmark", "gain-profile", "fit-scaling")
 
@@ -258,6 +260,8 @@ def _build_filter(data: dict) -> FilterConfig:
     freq_window = _number("filter.freq_window", merged["freq_window"])
     if freq_points < 3:
         raise ConfigError("filter: freq_points must be >= 3")
+    if freq_points > MAX_FREQ_POINTS:
+        raise ConfigError(f"filter.freq_points = {freq_points} is more than {MAX_FREQ_POINTS}")
     if not 0.0 < freq_window < 1.0:
         raise ConfigError("filter: freq_window must lie in (0, 1)")
     return FilterConfig(
@@ -343,8 +347,10 @@ def parse_config(source: str | Path | dict | None) -> RunConfig:
                 if not path.is_file():
                     raise ConfigError(f"config file not found: {path}")
                 text = path.read_text()
-            except OSError as exc:  # e.g. a name longer than the file system allows
-                raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
+            # e.g. a name longer than the file system allows, or bytes that are not UTF-8
+            except (OSError, UnicodeDecodeError) as exc:
+                reason = getattr(exc, "strerror", None) or exc
+                raise ConfigError(f"cannot read config file {path}: {reason}") from exc
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:

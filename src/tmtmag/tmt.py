@@ -1,7 +1,9 @@
 """Template-margin-threshold (TMT) wavelet denoiser for Ramsey PL traces.
 
 Per trace, the fringe frequency is estimated by template cross-correlation
-(:func:`estimate_frequencies`).  The paper clamps every detail coefficient
+(:func:`estimate_frequencies`); on uniform grids of samples and trial
+frequencies the correlation spectrum is one chirp-z transform per trace
+(:func:`correlation_spectrum`).  The paper clamps every detail coefficient
 of the trace into the decomposed margins ``template +/- width * S(t)``,
 ``S(t)`` being the shot-noise profile.  The undecimated transform is
 linear, so that clamp is the template plus a clipped residual: the
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ramsey import AcquisitionPlan, SensorParams, shot_noise, template
+from .ramsey import AcquisitionPlan, SensorParams, envelope, shot_noise, template
 from .wavelets import WaveletBasis, default_levels, uwt_analyze, uwt_synthesize
 
 
@@ -71,6 +73,58 @@ class FrequencyGrid:
         return (self.omega_max - self.omega_min) / (self.n_points - 1)
 
 
+#: traces transformed per FFT call: at G = 2001 each complex work array
+#: stays near 0.5 MiB, which the allocator hands back after the search (at
+#: 32 rows about 1 MiB more stayed resident, and no call was faster)
+_SPECTRUM_ROWS = 16
+
+
+def _fft_length(n: int) -> int:
+    """Smallest 5-smooth integer >= ``n`` (a fast FFT length)."""
+    m = max(int(n), 1)
+    while True:
+        rest = m
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
+
+
+def _chirp(c: float, k: np.ndarray) -> np.ndarray:
+    """``exp(i c k**2)`` for integers ``k``, with exact phase products.
+
+    ``c k**2`` reaches 1e5 rad when the trace is much longer than the
+    frequency grid, and rounding it would cost ``eps * c k**2`` rad.  So
+    ``c`` is split into three parts of at most 18 significant bits; while
+    ``k**2 < 2**35`` each part times ``k**2`` is an exact double, and
+    ``exp`` of it is correct to rounding.
+    """
+    k2 = (k * k).astype(float)
+    out = np.ones(k.size, dtype=complex)
+    for _ in range(3):
+        mantissa, exponent = np.frexp(c)
+        part = np.ldexp(np.trunc(np.ldexp(mantissa, 18)), exponent - 18)
+        out *= np.exp(1j * (part * k2))
+        c -= part
+    return out
+
+
+def _uniform_step(grid: np.ndarray, name: str) -> float:
+    """Step of the 1-D uniform grid ``grid``; a grid off uniform by more than rounding is an error."""
+    if grid.ndim != 1:
+        raise FrequencySearchError(f"{name} must be 1-D, got shape {grid.shape}")
+    if grid.size < 2:
+        return 0.0
+    step = (grid[-1] - grid[0]) / (grid.size - 1)
+    deviation = np.abs(grid - (grid[0] + step * np.arange(grid.size))).max()
+    if not deviation <= 64.0 * np.finfo(float).eps * np.abs(grid).max():
+        raise FrequencySearchError(f"{name} must be a uniform grid for the chirp-z search, "
+                                   f"but deviates from one by {deviation:.3g}")
+    return step
+
+
 def correlation_spectrum(values: np.ndarray, times: np.ndarray,
                          params: SensorParams, omegas: np.ndarray) -> np.ndarray:
     """Trace/template overlap versus trial frequency, shape (n_traces, n_omegas).
@@ -78,22 +132,58 @@ def correlation_spectrum(values: np.ndarray, times: np.ndarray,
     ``values`` has shape (n_traces, n_samples).  Trapezoid-weighted inner
     product of each DC-removed trace with the DC-removed template sampled
     on the trace grid; DC removal subtracts each series' arithmetic mean
-    over the window.
+    over the window.  ``times`` and ``omegas`` must be uniform grids.
+
+    The DC-removed template is ``A cos(omega t) env(t)`` minus its window
+    mean, ``A = (n0 - n1) / 2``, so the overlap is
+    ``A (Re sum_n u_n exp(i omega_g t_n) - m_g s)``: ``u`` is the centred
+    trace times the weights and the envelope, ``s`` the weighted sum of the
+    centred trace and ``m_g`` the window mean of ``cos(omega_g t) env(t)``.
+    Both grids are uniform, so each sum over ``n`` is one Bluestein chirp-z
+    transform, ``omega_g t_n`` being split with
+    ``g n = (g**2 + n**2 - (g - n)**2) / 2`` into two chirps and a
+    convolution done by FFT.  numpy's FFT calls no BLAS, so the result does
+    not depend on the BLAS thread count.
     """
     values = np.asarray(values, dtype=float)
     times = np.asarray(times, dtype=float)
-    n = times.size
+    omegas = np.asarray(omegas, dtype=float)
+    n, g = times.size, omegas.size
     if n < 2:
         raise FrequencySearchError("trace too short for a correlation search")
-    dt = times[1] - times[0]
+    if values.ndim != 2 or values.shape[1] != n:
+        raise FrequencySearchError(f"values of shape {values.shape} must be (n_traces, {n})")
+    dt = _uniform_step(times, "times")
+    # omega_g t_n = omega_g t_0 + omega_0 dt n + 2 c g n with c = d_omega dt / 2,
+    # and 2 g n = g**2 + n**2 - (g - n)**2
+    chirp = _chirp(0.5 * _uniform_step(omegas, "omegas") * dt, np.arange(max(n, g)))
+    pre = np.exp(1j * (omegas[0] * dt) * np.arange(n)) * chirp[:n]
+    post = 0.5 * (params.n0 - params.n1) * np.exp(1j * omegas * times[0]) * chirp[:g]
+    # the convolution kernel exp(-i c j**2) at j = g - n in [1 - n, g - 1], j < 0
+    # wrapped to size + j; numpy.fft is loaded here, not when tmtmag is imported
+    size = _fft_length(n + g - 1)
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:g] = chirp[:g].conj()
+    kernel[size - n + 1:] = chirp[n - 1:0:-1].conj()
+    kernel = np.fft.fft(kernel)
+
+    def overlap(rows):
+        """``A Re sum_n rows_n exp(i omega_g t_n)`` per row."""
+        z = np.fft.ifft(np.fft.fft(rows * pre, size) * kernel)[:, :g]
+        return z.real * post.real - z.imag * post.imag
+
     weights = np.full(n, dt)
     weights[0] = weights[-1] = 0.5 * dt
-    kernel = template(times[None, :], omegas[:, None], params)
-    kernel = kernel - kernel.mean(axis=1, keepdims=True)
-    centered = values - values.mean(axis=1, keepdims=True)
-    # einsum with optimize=False keeps the reduction order fixed, so results
-    # do not depend on BLAS threading
-    return np.einsum("en,gn->eg", centered * weights, kernel, optimize=False)
+    env = envelope(times, params)
+    template_mean = overlap(env[None, :])[0] / n
+    weighted = (values - values.mean(axis=1, keepdims=True)) * weights
+    total = weighted.sum(axis=1, keepdims=True)
+    weighted *= env
+    out = np.empty((values.shape[0], g))
+    for start in range(0, values.shape[0], _SPECTRUM_ROWS):
+        rows = slice(start, start + _SPECTRUM_ROWS)
+        out[rows] = overlap(weighted[rows]) - total[rows] * template_mean
+    return out
 
 
 def estimate_frequencies(values: np.ndarray, times: np.ndarray, params: SensorParams,

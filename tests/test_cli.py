@@ -2,6 +2,7 @@
 
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numbers
@@ -275,6 +276,31 @@ def test_benchmark_mode(tmp_path):
     assert [r[0] for r in fits[1:]] == ["raw", "tmt"]
 
 
+@pytest.mark.parametrize("m_values", [[25000, 50000], [25000, 25000, 25000]])
+def test_benchmark_m_values_checked_before_the_sweeps(tmp_path, capsys, m_values):
+    # every sweep ran, and the scaling fit then failed with exit 1
+    cfg = fast_config(tmp_path, experiment={"m_values": m_values})
+    out = tmp_path / "run"
+    assert main(["benchmark", "--config", str(cfg), "--seed", "4", "--out", str(out)]) == 2
+    assert "experiment.m_values" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["denoise", "sweep-beta", "benchmark"])
+def test_n_sd_beyond_the_window_exits_2(tmp_path, capsys, mode):
+    # the 0.97-2.14 us window holds 3 crossings; n_sd 30 failed after the
+    # simulation with exit 1
+    cfg = fast_config(tmp_path, plan={"t_stop": 2.14e-6}, experiment={"n_sd": 30})
+    out = tmp_path / "run"
+    assert main([mode, "--config", str(cfg), "--seed", "4", "--out", str(out)]) == 2
+    assert "experiment.n_sd = 30: the window" in capsys.readouterr().err
+    assert not out.exists()
+    # gain-profile resizes its windows to each n_sd_values entry and ignores n_sd
+    config = parse_config(cfg)
+    cli._check_mode_limits(replace(config, experiment=replace(config.experiment,
+                                                              mode="gain-profile")))
+
+
 def test_gain_profile_mode(tmp_path):
     cfg = fast_config(tmp_path, experiment={"n_sd_values": [1, 2]},
                       plan={"t_stop": 3.7e-6, "t_start": 0.2e-6})
@@ -405,6 +431,31 @@ def test_overlong_config_path_exits_2(tmp_path, capsys):
     assert main(["simulate", "--config", "x" * 5000, "--seed", "1",
                  "--out", str(tmp_path / "x")]) == 2
     assert "cannot read config file xxx" in capsys.readouterr().err
+
+
+def test_undecodable_config_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    assert main(["simulate", "--config", str(path), "--seed", "1",
+                 "--out", str(tmp_path / "x")]) == 2
+    assert f"cannot read config file {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["overlong name", "directory", "undecodable bytes"])
+def test_unreadable_points_file_exits_2(tmp_path, capsys, kind):
+    # each escaped _load_points as OSError or UnicodeDecodeError and exited 1
+    if kind == "overlong name":
+        points_file = str(tmp_path / ("p" * 5000))
+    elif kind == "directory":
+        points_file = str(tmp_path)
+    else:
+        points_file = str(tmp_path / "points.csv")
+        Path(points_file).write_bytes(b"x,y\n1,\xff\xfe\n")
+    cfg = fast_config(tmp_path, experiment={"points_file": points_file})
+    out = tmp_path / "run"
+    assert main(["fit-scaling", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"cannot read points file {points_file}" in capsys.readouterr().err
+    assert not (out / "fit_scaling.csv").exists()
 
 
 def test_fit_scaling_requires_points(tmp_path, capsys):

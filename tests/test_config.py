@@ -76,10 +76,22 @@ def test_missing_config_file_is_named(tmp_path):
     assert parse_config(' \n {"plan": {"seed": 4}}').plan.seed == 4
 
 
-def test_unreadable_config_path_is_named():
+def test_unreadable_config_path_is_named(tmp_path):
     # a name longer than the file-system limit raised OSError from is_file()
     with pytest.raises(ConfigError, match=r"^cannot read config file x{5000}: "):
         parse_config("x" * 5000)
+    # bytes that are not UTF-8 raised UnicodeDecodeError from read_text()
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    with pytest.raises(ConfigError, match=rf"^cannot read config file {path}: .*codec"):
+        parse_config(path)
+
+
+def test_freq_points_capped_before_allocation():
+    # 10**9 was accepted, and the search then asked for a (10**9, N) kernel
+    with pytest.raises(ConfigError, match=r"filter\.freq_points = 1000000000 is more than 100001"):
+        parse_config({"filter": {"freq_points": 10**9}})
+    assert parse_config({"filter": {"freq_points": 100_001}}).filter.freq_points == 100_001
 
 
 def test_beta_grid_forms():

@@ -10,6 +10,7 @@ from tmtmag import (
     BenchmarkSetup,
     FrequencyGrid,
     FrequencySearchError,
+    SensorParams,
     build_margins,
     denoise_pipeline,
     estimate_frequencies,
@@ -21,6 +22,7 @@ from tmtmag import (
 )
 from tmtmag import tmt
 from tmtmag.bench import EnsembleRun
+from tmtmag.ramsey import envelope
 from tmtmag.tmt import clamp_details
 from tmtmag.wavelets import uwt_analyze, uwt_synthesize
 
@@ -157,6 +159,126 @@ def test_values_not_matching_times_rejected_by_search(paper_params, short_plan):
     grid = FrequencyGrid.around(paper_params.omega_calib)
     with pytest.raises(FrequencySearchError, match=r"values of shape \(2, 100\).* 99 samples of times"):
         estimate_frequencies(values, short_plan.times[:99], paper_params, grid)
+
+
+# ---------------------------------------------------------------------------
+# correlation spectrum: chirp-z transform against two oracles
+# ---------------------------------------------------------------------------
+
+def einsum_spectrum(values, times, params, omegas):
+    """The spectrum as a (G, N) kernel of DC-removed templates and one einsum."""
+    dt = times[1] - times[0]
+    weights = np.full(times.size, dt)
+    weights[0] = weights[-1] = 0.5 * dt
+    kernel = template(times[None, :], omegas[:, None], params)
+    kernel = kernel - kernel.mean(axis=1, keepdims=True)
+    centered = values - values.mean(axis=1, keepdims=True)
+    return np.einsum("en,gn->eg", centered * weights, kernel, optimize=False)
+
+
+def scipy_czt_spectrum(values, times, params, omegas):
+    """The spectrum from ``scipy.signal.czt`` of the weighted trace and of the envelope."""
+    from scipy.signal import czt
+
+    n, dt = times.size, times[1] - times[0]
+    weights = np.full(n, dt)
+    weights[0] = weights[-1] = 0.5 * dt
+    env = envelope(times, params)
+
+    def overlap(x):  # Re sum_n x_n exp(i omega_g t_n), as sum_n x_n a**-n w**(n g)
+        z = czt(x, omegas.size, w=np.exp(1j * (omegas[1] - omegas[0]) * dt),
+                a=np.exp(-1j * omegas[0] * dt))
+        return (z * np.exp(1j * omegas * times[0])).real
+
+    weighted = (values - values.mean(axis=1, keepdims=True)) * weights
+    mean_template = overlap(env) / n
+    return 0.5 * (params.n0 - params.n1) * (
+        overlap(weighted * env) - weighted.sum(axis=1, keepdims=True) * mean_template)
+
+
+def assert_spectrum_close(r, oracle, rtol=1e-11):
+    """Agreement within ``rtol * max|oracle|`` per trace, and the oracle's value
+    at each trace's new argmax within that tolerance of the oracle's maximum."""
+    scale = np.abs(oracle).max(axis=1)
+    assert np.all(np.abs(r - oracle).max(axis=1) <= rtol * scale)
+    at_argmax = oracle[np.arange(r.shape[0]), r.argmax(axis=1)]
+    assert np.all(oracle.max(axis=1) - at_argmax <= rtol * scale)
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(4, 600), g=st.integers(3, 4001),
+       lo=st.floats(0.001, 0.99), width=st.floats(0.001, 1.0),
+       t_start=st.floats(0.0, 5e-6), contrast=st.floats(0.01, 0.99),
+       n_ave=st.floats(0.01, 10.0), t2_scale=st.floats(1.0, 20.0),
+       decay_power=st.floats(1.0, 4.0), noise=st.sampled_from([0.0, 0.01, 0.3]),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=448, g=2001, lo=0.031, width=0.0062, t_start=0.97e-6, contrast=0.2143,
+         n_ave=0.196, t2_scale=1.0, decay_power=2.0, noise=0.3, seed=7)
+@example(n=571, g=6, lo=0.0325, width=1.0, t_start=5e-6, contrast=0.28, n_ave=7.43,
+         t2_scale=7.42, decay_power=3.09, noise=0.3, seed=3834129984)
+def test_spectrum_matches_einsum_oracle(n, g, lo, width, t_start, contrast, n_ave, t2_scale,
+                                        decay_power, noise, seed):
+    # Grid bounds are fractions of the angular Nyquist frequency pi * f_sample.
+    # The oracle's template carries the constant n1 + A, so its own rounding,
+    # relative to max|r|, grows as the fringe fades: T2* is at least the
+    # window's end, and the noise is a fraction of the fringe amplitude A.
+    # The second example has 571 samples on 6 frequencies, where unreduced
+    # chirp phases (1e5 rad) cost 3e-11 of max|r|.
+    f_sample = 128e6
+    times = t_start + np.arange(n) / f_sample
+    nyquist = np.pi * f_sample
+    omegas = np.linspace(lo * nyquist, (lo + width * (0.999 - lo)) * nyquist, g)
+    params = SensorParams.from_contrast(contrast, n_ave, t2_scale * times[-1], decay_power,
+                                        b_calib=100e-6)
+    rng = np.random.default_rng(seed)
+    amplitude = 0.5 * (params.n0 - params.n1)
+    values = (template(times, rng.uniform(omegas[0], omegas[-1]), params)
+              + noise * amplitude * rng.standard_normal((3, n)))
+    r = tmt.correlation_spectrum(values, times, params, omegas)
+    assert_spectrum_close(r, einsum_spectrum(values, times, params, omegas))
+
+
+@pytest.mark.parametrize("t_start,t_stop", [(0.97e-6, 1.39e-6), (0.97e-6, 2.14e-6),
+                                            (0.2e-6, 3.7e-6)])
+@pytest.mark.parametrize("n_omegas", [101, 2001])
+def test_spectrum_matches_scipy_czt(paper_params, t_start, t_stop, n_omegas):
+    # scipy raises a complex w, of modulus 1 only to rounding, to the powers
+    # k**2 / 2, so its own error grows with the grid (up to 1.9e-10 of
+    # max|r| on random grids of up to 4001 points); it is checked on the
+    # workloads' grids
+    pytest.importorskip("scipy.signal")
+    plan = AcquisitionPlan(t_start, t_stop, 128e6, 25000, 20, seed=3)
+    values = simulate_ensemble(paper_params, plan, paper_params.omega_calib * 1.02)
+    omegas = FrequencyGrid.around(paper_params.omega_calib, 0.15, n_omegas).omegas
+    r = tmt.correlation_spectrum(values, plan.times, paper_params, omegas)
+    assert_spectrum_close(r, scipy_czt_spectrum(values, plan.times, paper_params, omegas))
+    assert_spectrum_close(r, einsum_spectrum(values, plan.times, paper_params, omegas))
+
+
+def test_spectrum_rows_do_not_depend_on_the_batch(paper_params, short_plan):
+    # rows go through the FFTs in chunks; a row's bits must not depend on its chunk
+    values = simulate_ensemble(paper_params, short_plan.with_(n_experiments=70),
+                               paper_params.omega_calib)
+    omegas = FrequencyGrid.around(paper_params.omega_calib, 0.15, 301).omegas
+    batch = tmt.correlation_spectrum(values, short_plan.times, paper_params, omegas)
+    for i in (0, tmt._SPECTRUM_ROWS - 1, tmt._SPECTRUM_ROWS, 69):
+        single = tmt.correlation_spectrum(values[i:i + 1], short_plan.times, paper_params, omegas)
+        np.testing.assert_array_equal(single[0], batch[i])
+
+
+def test_non_uniform_grids_rejected(paper_params, short_plan):
+    times = short_plan.times
+    omegas = FrequencyGrid.around(paper_params.omega_calib, 0.15, 201).omegas
+    values = template(times, paper_params.omega_calib, paper_params)[None, :]
+    bent = times.copy()
+    bent[5] += 1e-6 * (times[1] - times[0])
+    with pytest.raises(FrequencySearchError, match="times must be a uniform grid"):
+        tmt.correlation_spectrum(values, bent, paper_params, omegas)
+    geometric = np.geomspace(omegas[0], omegas[-1], omegas.size)
+    with pytest.raises(FrequencySearchError, match="omegas must be a uniform grid"):
+        tmt.correlation_spectrum(values, times, paper_params, geometric)
+    with pytest.raises(FrequencySearchError, match="omegas must be 1-D"):
+        tmt.correlation_spectrum(values, times, paper_params, omegas[None, :])
 
 
 # ---------------------------------------------------------------------------
