@@ -65,17 +65,19 @@ class DetectionPointSet:
         return len(self.indices)
 
 
-def find_detection_points(omega: float, plan: AcquisitionPlan, n_sd: int,
+def find_detection_points(omega: float, plan: AcquisitionPlan, n_sd: int | None,
                           params: SensorParams) -> DetectionPointSet:
-    """First ``n_sd`` samples nearest the negative-slope fringe crossings."""
-    if n_sd < 1:
+    """Samples nearest the first ``n_sd`` negative-slope fringe crossings,
+    or nearest every crossing in the window when ``n_sd`` is None."""
+    if n_sd is not None and n_sd < 1:
         raise ValueError(f"n_sd must be >= 1, got {n_sd}")
     times = plan.times
     crossings = detection_crossings(omega, plan.t_start, times[-1])
-    if crossings.size < n_sd:
+    need = 1 if n_sd is None else n_sd
+    if crossings.size < need:
         raise ValueError(
-            f"window [{plan.t_start:.4g}, {plan.t_stop:.4g}] s contains only "
-            f"{crossings.size} negative-slope crossings, need {n_sd}"
+            f"the window [{plan.t_start:.4g}, {plan.t_stop:.4g}] s contains only "
+            f"{crossings.size} negative-slope crossings, need {need}"
         )
     idx = np.round((crossings[:n_sd] - plan.t_start) * plan.f_sample).astype(int)
     t_q = times[idx]
@@ -199,7 +201,7 @@ class BenchmarkSetup:
     params: SensorParams
     plan: AcquisitionPlan
     omega_true: float
-    n_sd: int
+    n_sd: int | None  # None: every crossing in the window
     basis: str = "bior6.8"
     levels: int | None = None
     grid: FrequencyGrid | None = None

@@ -40,7 +40,6 @@ from .bench import (
     BenchmarkSetup,
     EnsembleRun,
     benchmark_snr,
-    detection_crossings,
     ensemble_stats,
     find_detection_points,
     fit_scaling,
@@ -223,15 +222,6 @@ def _check_mode_limits(config: RunConfig) -> None:
         if len(m_values) < 3 or len(set(m_values)) < 2:
             raise ConfigError(f"experiment.m_values: the scaling fit needs at least 3 values, "
                               f"2 of them distinct, got {m_values}")
-    if mode != "gain-profile" and config.experiment.n_sd is not None:
-        n_sd = config.experiment.n_sd
-        # plan.times[-1], without building the time grid
-        last_sample = plan.t_start + (plan.n_samples - 1) / plan.f_sample
-        n_crossings = len(detection_crossings(config.omega_sense, plan.t_start, last_sample))
-        if n_crossings < n_sd:
-            raise ConfigError(f"experiment.n_sd = {n_sd}: the window [{plan.t_start:.4g}, "
-                              f"{plan.t_stop:.4g}] s holds only {n_crossings} negative-slope "
-                              f"crossings")
     if mode == "gain-profile":
         # a window of n_sd crossings spans fewer than n_sd + 2 fringe periods
         n_sd = max(config.experiment.n_sd_values)
@@ -242,23 +232,23 @@ def _check_mode_limits(config: RunConfig) -> None:
                 f"{n_longest:.3g} samples at plan.f_sample, more than {MAX_GAIN_WINDOW_SAMPLES}")
         # the shortest resized window bounds the depth
         plan = plan_for_detection_count(plan, config.omega_sense, min(config.experiment.n_sd_values))
+    else:
+        n_sd = config.experiment.n_sd
+        try:
+            find_detection_points(config.omega_sense, plan, n_sd, config.sensor)
+        except ValueError as exc:
+            raise ConfigError(f"experiment.n_sd = {json.dumps(n_sd)}: {exc}") from exc
     if levels is not None and 2 ** (levels + 1) > plan.n_samples:
         raise ConfigError(f"filter.levels = {levels} needs >= {2 ** (levels + 1)} samples, "
                           f"the {mode} window has {plan.n_samples}")
 
 
 def _make_setup(config: RunConfig) -> BenchmarkSetup:
-    plan = config.plan
-    n_sd = config.experiment.n_sd
-    if n_sd is None:
-        n_sd = len(detection_crossings(config.omega_sense, plan.t_start, plan.times[-1]))
-        if n_sd < 1:
-            raise ConfigError("window contains no detection points; extend t_stop or set n_sd")
     return BenchmarkSetup(
         params=config.sensor,
-        plan=plan,
+        plan=config.plan,
         omega_true=config.omega_sense,
-        n_sd=n_sd,
+        n_sd=config.experiment.n_sd,
         basis=config.filter.basis,
         levels=config.filter.levels,
         grid=config.filter.frequency_grid(config.sensor.omega_calib),
@@ -345,7 +335,7 @@ def _run_benchmark(config: RunConfig):
     tables = [("benchmark", _dataclass_table(recs)), ("scaling_fits", fits)]
     points = find_detection_points(setup.omega_true, setup.plan, setup.n_sd, setup.params)
     summary = [
-        f"benchmarked {len(recs)} repetition counts with {setup.n_sd} detection points",
+        f"benchmarked {len(recs)} repetition counts with {len(points)} detection points",
         f"raw scaling: snr = {raw_fit.prefactor:.6g} * x^{raw_fit.exponent:.4f} (r2={raw_fit.r_squared:.5f})",
         f"tmt scaling: snr = {tmt_fit.prefactor:.6g} * x^{tmt_fit.exponent:.4f} (r2={tmt_fit.r_squared:.5f})",
     ]
@@ -514,8 +504,7 @@ def _apply_cli_overrides(config: RunConfig, args: argparse.Namespace) -> RunConf
     if args.format is not None:
         formats = ["csv", "json"] if args.format == "both" else [args.format]
         output = replace(output, formats=formats)
-    return replace(config, plan=plan, experiment=experiment, output=output,
-                   seed_explicit=config.seed_explicit or args.seed is not None)
+    return replace(config, plan=plan, experiment=experiment, output=output)
 
 
 def main(argv=None) -> int:

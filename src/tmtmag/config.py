@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,15 +32,8 @@ MAX_FREQ_POINTS = 100_001
 
 MODES = ("simulate", "denoise", "sweep-beta", "benchmark", "gain-profile", "fit-scaling")
 
+#: listed by hand: a config gives ``b_calib`` where ``SensorParams`` holds ``omega_calib``
 _SENSOR_KEYS = {"contrast", "n_ave", "n0", "n1", "t2_star", "decay_power", "b_calib", "gamma_e"}
-_PLAN_KEYS = {"t_start", "t_stop", "f_sample", "repetitions", "n_experiments", "seed"}
-_FILTER_KEYS = {"basis", "levels", "beta", "beta_grid", "freq_window", "freq_points"}
-_EXPERIMENT_KEYS = {"mode", "delta_b", "n_sd", "m_values", "n_sd_values",
-                    "photon_stats", "shared_estimate", "squared_contrast",
-                    "points", "points_file"}
-_OUTPUT_KEYS = {"directory", "formats"}
-_SECTIONS = {"sensor": _SENSOR_KEYS, "plan": _PLAN_KEYS, "filter": _FILTER_KEYS,
-             "experiment": _EXPERIMENT_KEYS, "output": _OUTPUT_KEYS}
 
 _DEFAULTS = {
     "sensor": {"contrast": 0.2143, "n_ave": 0.196, "t2_star": 3.9e-6,
@@ -108,33 +101,24 @@ class RunConfig:
     @property
     def snapshot(self) -> dict:
         """Fully resolved configuration, defaults applied, for the run manifest."""
-        s, p, f, e, o = self.sensor, self.plan, self.filter, self.experiment, self.output
+        sensor = {key: getattr(self.sensor, key) for key in _SENSOR_KEYS - {"b_calib"}}
+        sensor["b_calib"] = self.sensor.omega_calib / abs(self.sensor.gamma_e)
         return {
-            "sensor": {"contrast": s.contrast, "n_ave": s.n_ave, "n0": s.n0, "n1": s.n1,
-                       "t2_star": s.t2_star, "decay_power": s.decay_power,
-                       "b_calib": s.omega_calib / abs(s.gamma_e), "gamma_e": s.gamma_e},
-            "plan": {"t_start": p.t_start, "t_stop": p.t_stop, "f_sample": p.f_sample,
-                     "repetitions": p.repetitions, "n_experiments": p.n_experiments,
-                     "seed": p.seed},
-            "filter": {"basis": f.basis, "levels": f.levels, "beta": f.beta,
-                       "beta_grid": [float(b) for b in f.beta_grid],
-                       "freq_window": f.freq_window, "freq_points": f.freq_points},
-            "experiment": {"mode": e.mode, "delta_b": e.delta_b, "n_sd": e.n_sd,
-                           "m_values": e.m_values, "n_sd_values": e.n_sd_values,
-                           "photon_stats": e.photon_stats, "shared_estimate": e.shared_estimate,
-                           "squared_contrast": e.squared_contrast,
-                           "points": e.points, "points_file": e.points_file},
+            "sensor": sensor,
+            "plan": asdict(self.plan),
+            "filter": asdict(self.filter) | {"beta_grid": self.filter.beta_grid.tolist()},
+            "experiment": asdict(self.experiment),
             # the output directory is a location, not configuration: leaving it
             # out keeps table bytes identical wherever a run is written
-            "output": {"formats": o.formats},
+            "output": {"formats": self.output.formats},
         }
 
 
-def _check_keys(section: str, data: dict) -> None:
-    unknown = set(data) - _SECTIONS[section]
-    if unknown:
-        name = sorted(unknown)[0]
-        raise ConfigError(f"unknown key {name!r} in section {section!r}")
+#: accepted keys of each section: the sensor keys, then the fields of the section's type
+_SECTIONS = {"sensor": _SENSOR_KEYS} | {
+    name: {f.name for f in fields(cls)}
+    for name, cls in (("plan", AcquisitionPlan), ("filter", FilterConfig),
+                      ("experiment", ExperimentConfig), ("output", OutputConfig))}
 
 
 def _integer(name: str, value) -> int:
@@ -169,11 +153,14 @@ def _point(name: str, entry) -> list[float]:
     return [x, y]
 
 
-def _merged(section: str, data: dict) -> dict:
-    _check_keys(section, data)
-    out = dict(_DEFAULTS[section])
-    out.update(data)
-    return out
+def _merged(section: str, data) -> dict:
+    """The section's defaults updated by ``data``; unknown keys are rejected by name."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"section {section!r} must be a JSON object, got {data!r}")
+    unknown = set(data) - _SECTIONS[section]
+    if unknown:
+        raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in section {section!r}")
+    return _DEFAULTS[section] | data
 
 
 def _build_sensor(data: dict) -> SensorParams:

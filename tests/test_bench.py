@@ -77,6 +77,19 @@ def test_detection_points_on_negative_slope(paper_params):
     assert np.all(np.diff(points.indices) > 0)
 
 
+def test_n_sd_none_takes_every_crossing(paper_params):
+    plan = AcquisitionPlan(0.2e-6, 3.7e-6, 128e6, 25000, 10, seed=0)
+    every = find_detection_points(OMEGA, plan, None, paper_params)
+    n_crossings = detection_crossings(OMEGA, plan.t_start, plan.times[-1]).size
+    assert len(every) == n_crossings == 10
+    first = find_detection_points(OMEGA, plan, n_crossings, paper_params)
+    np.testing.assert_array_equal(every.indices, first.indices)
+    # 0.2-0.25 us: six samples before the first crossing at ~0.446 us
+    short = AcquisitionPlan(0.2e-6, 0.25e-6, 128e6, 25000, 10, seed=0)
+    with pytest.raises(ValueError, match=r"^the window \[.* contains only 0 .* need 1$"):
+        find_detection_points(OMEGA, short, None, paper_params)
+
+
 def test_zero_points_rejected(paper_params):
     plan = AcquisitionPlan(0.0, 1e-6, 128e6, 25000, 10, seed=0)
     with pytest.raises(ValueError, match="n_sd"):

@@ -301,6 +301,31 @@ def test_n_sd_beyond_the_window_exits_2(tmp_path, capsys, mode):
                                                               mode="gain-profile")))
 
 
+@pytest.mark.parametrize("mode", ["denoise", "sweep-beta", "benchmark"])
+def test_window_without_crossings_exits_2(tmp_path, capsys, mode):
+    # with n_sd null every crossing is a detection point; 0.2-0.25 us holds none
+    cfg = fast_config(tmp_path, plan={"t_start": 0.2e-6, "t_stop": 0.25e-6},
+                      experiment={"n_sd": None})
+    out = tmp_path / "run"
+    assert main([mode, "--config", str(cfg), "--seed", "4", "--out", str(out)]) == 2
+    assert "experiment.n_sd = null: the window" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gain_profile_ignores_the_base_window(tmp_path):
+    # gain-profile sizes each window from plan.t_start, so a base window with
+    # no crossing (six samples) runs as a longer one does; it exited 2 with
+    # "window contains no detection points"
+    tables = []
+    for t_stop in (0.25e-6, 0.6e-6):
+        cfg = fast_config(tmp_path, plan={"t_start": 0.2e-6, "t_stop": t_stop},
+                          experiment={"n_sd": None, "n_sd_values": [1, 2]})
+        out = tmp_path / f"run-{t_stop:g}"
+        assert main(["gain-profile", "--config", str(cfg), "--seed", "6", "--out", str(out)]) == 0
+        tables.append((out / "gain_profile.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
 def test_gain_profile_mode(tmp_path):
     cfg = fast_config(tmp_path, experiment={"n_sd_values": [1, 2]},
                       plan={"t_stop": 3.7e-6, "t_start": 0.2e-6})

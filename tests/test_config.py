@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from tmtmag.config import MAX_BETA_GRID, ConfigError, parse_config
+from tmtmag.config import _SECTIONS, MAX_BETA_GRID, ConfigError, parse_config
 
 
 def test_minimal_config_applies_defaults(tmp_path):
@@ -228,8 +228,18 @@ def test_snapshot_is_complete():
     assert snap["sensor"]["n0"] == config.sensor.n0
     assert snap["filter"]["beta_grid"][0] == -4.0
     assert config.seed_explicit
+    # every accepted key is resolved; the output directory is a location
+    accepted = {section: set(keys) for section, keys in _SECTIONS.items()}
+    accepted["output"].discard("directory")
+    assert {section: set(block) for section, block in snap.items()} == accepted
     # snapshot is JSON-serializable
-    json.dumps(snap)
+    assert json.loads(json.dumps(snap)) == snap
+
+
+def test_section_must_be_an_object():
+    for value in (None, [], "plan", 3):
+        with pytest.raises(ConfigError, match="section 'plan' must be a JSON object"):
+            parse_config({"plan": value})
 
 
 _FLOAT_FIELDS = [
