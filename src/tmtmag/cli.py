@@ -47,7 +47,7 @@ from .bench import (
     plan_for_detection_count,
     sweep_beta,
 )
-from .config import MODES, ConfigError, RunConfig, parse_config
+from .config import MODES, ConfigError, RunConfig, parse_config, read_text
 from .ramsey import simulate_ensemble
 
 _SEED_REQUIRED_MODES = ("sweep-beta", "benchmark", "gain-profile")
@@ -204,15 +204,19 @@ def _dataclass_table(items) -> np.ndarray:
                          for f in fields(items[0])})
 
 
-#: Longest trace a gain-profile window may grow to.  Each window is resized
-#: to hold n_sd fringe crossings, so a slow sensing fringe would otherwise
-#: ask for an unbounded trace.
-MAX_GAIN_WINDOW_SAMPLES = 1 << 16
+#: Longest trace a run may simulate.  Gain-profile resizes each window to
+#: hold n_sd fringe crossings, so there a slow sensing fringe would ask for
+#: an unbounded trace.
+MAX_WINDOW_SAMPLES = 1 << 16
 
 
 def _check_mode_limits(config: RunConfig) -> None:
-    """Limits of the ensemble modes, checked before any computation."""
+    """Limits of the simulating modes, checked before any computation."""
     mode, plan, levels = config.experiment.mode, config.plan, config.filter.levels
+    # fit-scaling simulates nothing; gain-profile caps its resized windows below
+    if mode not in ("gain-profile", "fit-scaling") and plan.n_samples > MAX_WINDOW_SAMPLES:
+        raise ConfigError(f"plan.t_stop = {plan.t_stop:.6g}: the window holds {plan.n_samples} "
+                          f"samples at plan.f_sample, more than {MAX_WINDOW_SAMPLES}")
     if mode not in _ENSEMBLE_MODES:
         return
     if plan.n_experiments < 2:
@@ -226,10 +230,10 @@ def _check_mode_limits(config: RunConfig) -> None:
         # a window of n_sd crossings spans fewer than n_sd + 2 fringe periods
         n_sd = max(config.experiment.n_sd_values)
         n_longest = (n_sd + 2) * 2.0 * np.pi / config.omega_sense * plan.f_sample
-        if not n_longest <= MAX_GAIN_WINDOW_SAMPLES:
+        if not n_longest <= MAX_WINDOW_SAMPLES:
             raise ConfigError(
                 f"experiment.n_sd_values: the gain-profile window for n_sd = {n_sd} needs up to "
-                f"{n_longest:.3g} samples at plan.f_sample, more than {MAX_GAIN_WINDOW_SAMPLES}")
+                f"{n_longest:.3g} samples at plan.f_sample, more than {MAX_WINDOW_SAMPLES}")
         # the shortest resized window bounds the depth
         plan = plan_for_detection_count(plan, config.omega_sense, min(config.experiment.n_sd_values))
     else:
@@ -362,17 +366,8 @@ def _load_points(config: RunConfig) -> list[list[float]]:
     if exp.points_file is None:
         raise ConfigError("fit-scaling needs experiment.points or experiment.points_file")
     path = Path(exp.points_file)
-    try:
-        if not path.exists():
-            raise ConfigError(f"points file not found: {path}")
-        with path.open(newline="") as fh:
-            text = fh.read()
-    # e.g. a directory, a name longer than the file system allows, or bytes that are not UTF-8
-    except (OSError, UnicodeDecodeError) as exc:
-        reason = getattr(exc, "strerror", None) or exc
-        raise ConfigError(f"cannot read points file {path}: {reason}") from exc
     points = []
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.StringIO(read_text(path, "points file"), newline=""))
     for row in reader:
         if not row:
             continue  # blank line
@@ -479,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, default=None, help="JSON configuration file")
         p.add_argument("--seed", type=int, default=None,
                        help="master RNG seed (required for benchmark-type modes)")
-        p.add_argument("--out", type=Path, default=None, help="output directory")
+        p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--format", choices=["csv", "json", "both"], default=None,
                        help="output table format (default: from config)")
     return parser
@@ -500,7 +495,7 @@ def _apply_cli_overrides(config: RunConfig, args: argparse.Namespace) -> RunConf
             raise ConfigError(f"--seed: {exc}") from exc
     output = config.output
     if args.out is not None:
-        output = replace(output, directory=str(args.out))
+        output = replace(output, directory=args.out)
     if args.format is not None:
         formats = ["csv", "json"] if args.format == "both" else [args.format]
         output = replace(output, formats=formats)

@@ -1,16 +1,18 @@
 """Run configuration: strict JSON parsing, defaults, validation.
 
 One documented format (JSON with ``sensor``/``plan``/``filter``/
-``experiment``/``output`` sections).  Unknown keys are rejected by name so
-misspelled options cannot silently fall back to defaults, and every block
-is validated against its module invariants before any computation starts.
+``experiment``/``output`` sections) whose schema is the section types.
+Unknown keys are rejected by name so misspelled options cannot silently
+fall back to defaults, each value must have the JSON kind of its field,
+and every block is validated before any computation starts.
 """
 
 from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import asdict, dataclass, fields
+import typing
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -35,31 +37,23 @@ MODES = ("simulate", "denoise", "sweep-beta", "benchmark", "gain-profile", "fit-
 #: listed by hand: a config gives ``b_calib`` where ``SensorParams`` holds ``omega_calib``
 _SENSOR_KEYS = {"contrast", "n_ave", "n0", "n1", "t2_star", "decay_power", "b_calib", "gamma_e"}
 
+#: defaults of the sections whose types are library types; the others are on their fields
 _DEFAULTS = {
     "sensor": {"contrast": 0.2143, "n_ave": 0.196, "t2_star": 3.9e-6,
                "decay_power": 2.0, "b_calib": 100e-6},
     "plan": {"t_start": 0.97e-6, "t_stop": 1.75e-6, "f_sample": 128e6,
              "repetitions": 25000, "n_experiments": 200},
-    "filter": {"basis": "bior6.8", "levels": None, "beta": 0.0,
-               "beta_grid": {"start": -4.0, "stop": 2.0, "step": 0.1},
-               "freq_window": 0.15, "freq_points": 2001},
-    "experiment": {"delta_b": 2e-6, "n_sd": None,
-                   "m_values": [25000, 50000, 100000, 200000, 400000],
-                   "n_sd_values": list(range(1, 10)),
-                   "photon_stats": "bernoulli-poisson", "shared_estimate": False,
-                   "squared_contrast": False},
-    "output": {"directory": "out", "formats": ["csv", "json"]},
 }
 
 
 @dataclass(frozen=True)
 class FilterConfig:
-    basis: str
-    levels: int | None
-    beta: float
-    beta_grid: np.ndarray
-    freq_window: float
-    freq_points: int
+    basis: str = "bior6.8"
+    levels: int | None = None
+    beta: float = 0.0
+    beta_grid: np.ndarray = field(default_factory=default_beta_grid)
+    freq_window: float = 0.15
+    freq_points: int = 2001
 
     def frequency_grid(self, omega_center: float) -> FrequencyGrid:
         return FrequencyGrid.around(omega_center, self.freq_window, self.freq_points)
@@ -67,22 +61,22 @@ class FilterConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    mode: str | None
-    delta_b: float
-    n_sd: int | None
-    m_values: list[int]
-    n_sd_values: list[int]
-    photon_stats: str
-    shared_estimate: bool
-    squared_contrast: bool
+    mode: str | None = None
+    delta_b: float = 2e-6
+    n_sd: int | None = None
+    m_values: list[int] = field(default_factory=lambda: [25000, 50000, 100000, 200000, 400000])
+    n_sd_values: list[int] = field(default_factory=lambda: [1, 2, 3, 4, 5, 6, 7, 8, 9])
+    photon_stats: str = "bernoulli-poisson"
+    shared_estimate: bool = False
+    squared_contrast: bool = False
     points: list[list[float]] | None = None
     points_file: str | None = None
 
 
 @dataclass(frozen=True)
 class OutputConfig:
-    directory: str
-    formats: list[str]
+    directory: str = "out"
+    formats: list[str] = field(default_factory=lambda: ["csv", "json"])
 
 
 @dataclass(frozen=True)
@@ -114,13 +108,6 @@ class RunConfig:
         }
 
 
-#: accepted keys of each section: the sensor keys, then the fields of the section's type
-_SECTIONS = {"sensor": _SENSOR_KEYS} | {
-    name: {f.name for f in fields(cls)}
-    for name, cls in (("plan", AcquisitionPlan), ("filter", FilterConfig),
-                      ("experiment", ExperimentConfig), ("output", OutputConfig))}
-
-
 def _integer(name: str, value) -> int:
     """``value`` as an int; booleans and non-integral numbers are rejected by field name."""
     if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
@@ -136,180 +123,191 @@ def _number(name: str, value) -> float:
     return float(value)
 
 
-def _boolean(name: str, value) -> bool:
-    """``value`` as a bool; only JSON ``true``/``false`` are accepted."""
-    if not isinstance(value, bool):
-        raise ConfigError(f"{name} must be true or false, got {value!r}")
-    return bool(value)
+def _exactly(kind: type | tuple, what: str):
+    """The reader that takes only instances of ``kind``; others are rejected by field name."""
+    def read(name: str, value):
+        if not isinstance(value, kind):
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
+        return value
+    return read
 
 
-def _point(name: str, entry) -> list[float]:
-    """``entry`` as a finite ``[x, y]`` pair; anything else is rejected by field name."""
-    if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-        raise ConfigError(f"{name} must be an [x, y] pair of numbers, got {entry!r}")
-    x, y = (_number(name, v) for v in entry)
-    if not (np.isfinite(x) and np.isfinite(y)):
-        raise ConfigError(f"{name} must be finite, got {entry!r}")
-    return [x, y]
+_boolean = _exactly(bool, "true or false")
+_string = _exactly(str, "a string")
+_list = _exactly((list, tuple), "a list")
+_KIND_READERS = {float: _number, int: _integer, bool: _boolean, str: _string}
 
 
-def _merged(section: str, data) -> dict:
-    """The section's defaults updated by ``data``; unknown keys are rejected by name."""
+def _reader(kind):
+    """The checked reader of a ``_KIND_READERS`` kind, a ``list[...]`` of one, or either ``| None``."""
+    args = typing.get_args(kind)
+    if type(None) in args:
+        (inner,) = set(args) - {type(None)}
+        read = _reader(inner)
+        return lambda name, value: None if value is None else read(name, value)
+    if typing.get_origin(kind) is list:
+        read = _reader(args[0])
+        return lambda name, value: [read(name, item) for item in _list(name, value)]
+    return _KIND_READERS[kind]
+
+
+def _points(name: str, value) -> list[list[float]] | None:
+    """``value`` as a list of finite ``[x, y]`` pairs, or None; a bad entry is rejected by index."""
+    if value is None:
+        return None
+    points = []
+    for i, entry in enumerate(_list(name, value)):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            raise ConfigError(f"{name}[{i}] must be an [x, y] pair of numbers, got {entry!r}")
+        points.append([_number(f"{name}[{i}]", v) for v in entry])
+        if not np.isfinite(points[-1]).all():
+            raise ConfigError(f"{name}[{i}] must be finite, got {entry!r}")
+    return points
+
+
+def _beta_grid(name: str, spec) -> np.ndarray:
+    """``spec`` as a grid: a list of values or a ``start``/``stop``/``step`` object."""
+    if isinstance(spec, dict):
+        unknown = set(spec) - {"start", "stop", "step"}
+        if unknown:
+            raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in {name!r}")
+        start, stop, step = (_number(f"{name}.{key}", spec.get(key))
+                             for key in ("start", "stop", "step"))
+        if not (np.isfinite([start, stop, step]).all() and step > 0 and stop > start):
+            raise ConfigError(f"{name} needs finite start < stop and step > 0")
+        span = (stop - start) / step  # inf when the quotient overflows
+        if span == np.inf or round(span) + 1 > MAX_BETA_GRID:
+            raise ConfigError(f"{name} holds more than {MAX_BETA_GRID} values "
+                              f"({span:.6g} steps from start to stop)")
+        try:
+            return default_beta_grid(start, stop, step)
+        except ValueError as err:
+            raise ConfigError(f"{name}: {err}") from None
+    if not isinstance(spec, (list, tuple, np.ndarray)):
+        raise ConfigError(f"{name} must be a list or a start/stop/step object, got {spec!r}")
+    if len(spec) > MAX_BETA_GRID:
+        raise ConfigError(f"{name} holds {len(spec)} values, more than {MAX_BETA_GRID}")
+    grid = np.array([_number(f"{name}[{i}]", b) for i, b in enumerate(spec)])
+    if np.any(np.isnan(grid)):
+        raise ConfigError(f"{name} must not contain NaN")
+    if grid.ndim != 1 or grid.size < 3 or not np.all(grid[1:] > grid[:-1]):
+        raise ConfigError(f"{name} must be strictly increasing with >= 3 values")
+    return grid
+
+
+#: the section types; the two fields whose shape goes beyond their kind keep their own readers
+_TYPES = {"plan": AcquisitionPlan, "filter": FilterConfig,
+          "experiment": ExperimentConfig, "output": OutputConfig}
+_OWN_READERS = {"filter.beta_grid": _beta_grid, "experiment.points": _points}
+
+#: the reader of every accepted key, by section: each sensor key is a float,
+#: the other sections are read by the annotated fields of their types
+_SECTIONS = {"sensor": dict.fromkeys(_SENSOR_KEYS, _number)} | {
+    section: {key: _OWN_READERS.get(f"{section}.{key}") or _reader(kind)
+              for key, kind in typing.get_type_hints(cls).items()}
+    for section, cls in _TYPES.items()}
+
+
+def _read(section: str, data) -> dict:
+    """The section's defaults updated by ``data``, each given field read by
+    the reader of its kind; unknown keys are rejected by name."""
     if not isinstance(data, dict):
         raise ConfigError(f"section {section!r} must be a JSON object, got {data!r}")
-    unknown = set(data) - _SECTIONS[section]
+    readers = _SECTIONS[section]
+    unknown = set(data) - set(readers)
     if unknown:
         raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in section {section!r}")
-    return _DEFAULTS[section] | data
+    return _DEFAULTS.get(section, {}) | {key: readers[key](f"{section}.{key}", value)
+                                         for key, value in data.items()}
+
+
+def _build(section: str, data):
+    """The section's type built from its read fields; its own checks name the section."""
+    values = _read(section, data)
+    try:
+        return _TYPES[section](**values)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 def _build_sensor(data: dict) -> SensorParams:
-    # every sensor field is a float
-    v = {key: _number(f"sensor.{key}", value) for key, value in _merged("sensor", data).items()}
+    v = _read("sensor", data)
     gamma_e = v.get("gamma_e", GAMMA_E)
+    if ("n0" in data) != ("n1" in data):
+        raise ConfigError("sensor: n0 and n1 must be given together")
     try:
-        if "n0" in data or "n1" in data:
-            if not ("n0" in data and "n1" in data):
-                raise ConfigError("sensor: n0 and n1 must be given together")
+        if "n0" in data:
             n0, n1 = v["n0"], v["n1"]
-            contrast = (n0 - n1) / n0 if n0 > 0 else float("nan")
-            n_ave = 0.5 * (n0 + n1)
-            if "contrast" in data and abs(contrast - v["contrast"]) > 1e-9:
-                raise ConfigError("sensor: contrast is inconsistent with the given n0/n1")
-            if "n_ave" in data and abs(n_ave - v["n_ave"]) > 1e-9:
-                raise ConfigError("sensor: n_ave is inconsistent with the given n0/n1")
+            # SensorParams checks n0 > n1 > 0 first, then a given contrast or n_ave against them
+            contrast = v["contrast"] if "contrast" in data else (n0 - n1) / n0 if n0 > 0 else float("nan")
+            n_ave = v["n_ave"] if "n_ave" in data else 0.5 * (n0 + n1)
             return SensorParams(n0=n0, n1=n1, contrast=contrast, n_ave=n_ave,
                                 t2_star=v["t2_star"], decay_power=v["decay_power"],
                                 omega_calib=calib_frequency(v["b_calib"], gamma_e),
                                 gamma_e=gamma_e)
         return SensorParams.from_contrast(v["contrast"], v["n_ave"], v["t2_star"],
                                           v["decay_power"], v["b_calib"], gamma_e)
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"sensor: {exc}") from exc
 
 
-def _build_plan(data: dict) -> AcquisitionPlan:
-    merged = _merged("plan", data)
-    counts = {key: _integer(f"plan.{key}", merged.get(key, 0))
-              for key in ("repetitions", "n_experiments", "seed")}
-    times = {key: _number(f"plan.{key}", merged[key]) for key in ("t_start", "t_stop", "f_sample")}
-    try:
-        return AcquisitionPlan(**times, **counts)
-    except ValueError as exc:
-        raise ConfigError(f"plan: {exc}") from exc
-
-
-def _build_beta_grid(spec) -> np.ndarray:
-    if isinstance(spec, dict):
-        unknown = set(spec) - {"start", "stop", "step"}
-        if unknown:
-            raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in 'filter.beta_grid'")
-        start, stop, step = (_number(f"filter.beta_grid.{key}", spec.get(key))
-                             for key in ("start", "stop", "step"))
-        if not (np.isfinite([start, stop, step]).all() and step > 0 and stop > start):
-            raise ConfigError("filter.beta_grid needs finite start < stop and step > 0")
-        span = (stop - start) / step  # inf when the quotient overflows
-        if span == np.inf or round(span) + 1 > MAX_BETA_GRID:
-            raise ConfigError(f"filter.beta_grid holds more than {MAX_BETA_GRID} values "
-                              f"({span:.6g} steps from start to stop)")
-        try:
-            return default_beta_grid(start, stop, step)
-        except ValueError as err:
-            raise ConfigError(f"filter.beta_grid: {err}") from None
-    if not isinstance(spec, (list, tuple, np.ndarray)):
-        raise ConfigError(f"filter.beta_grid must be a list or a start/stop/step object, got {spec!r}")
-    if len(spec) > MAX_BETA_GRID:
-        raise ConfigError(f"filter.beta_grid holds {len(spec)} values, more than {MAX_BETA_GRID}")
-    grid = np.array([_number(f"filter.beta_grid[{i}]", b) for i, b in enumerate(spec)])
-    if np.any(np.isnan(grid)):
-        raise ConfigError("filter.beta_grid must not contain NaN")
-    if grid.ndim != 1 or grid.size < 3 or not np.all(grid[1:] > grid[:-1]):
-        raise ConfigError("filter.beta_grid must be strictly increasing with >= 3 values")
-    return grid
-
-
 def _build_filter(data: dict) -> FilterConfig:
-    merged = _merged("filter", data)
-    basis = str(merged["basis"])
-    if basis not in available_bases():
-        raise ConfigError(f"filter: unknown basis {basis!r} (known: {', '.join(available_bases())})")
-    levels = merged["levels"]
-    if levels is not None:
-        levels = _integer("filter.levels", levels)
-        if levels < 0:
-            raise ConfigError(f"filter: levels must be >= 0, got {levels}")
-    beta = _number("filter.beta", merged["beta"])
-    if np.isnan(beta):
+    config = _build("filter", data)
+    if config.basis not in available_bases():
+        raise ConfigError(f"filter: unknown basis {config.basis!r} "
+                          f"(known: {', '.join(available_bases())})")
+    if config.levels is not None and config.levels < 0:
+        raise ConfigError(f"filter: levels must be >= 0, got {config.levels}")
+    if np.isnan(config.beta):
         raise ConfigError("filter.beta must not be NaN (+/-Infinity are the raw and template limits)")
-    freq_points = _integer("filter.freq_points", merged["freq_points"])
-    freq_window = _number("filter.freq_window", merged["freq_window"])
-    if freq_points < 3:
+    if config.freq_points < 3:
         raise ConfigError("filter: freq_points must be >= 3")
-    if freq_points > MAX_FREQ_POINTS:
-        raise ConfigError(f"filter.freq_points = {freq_points} is more than {MAX_FREQ_POINTS}")
-    if not 0.0 < freq_window < 1.0:
+    if config.freq_points > MAX_FREQ_POINTS:
+        raise ConfigError(f"filter.freq_points = {config.freq_points} is more than {MAX_FREQ_POINTS}")
+    if not 0.0 < config.freq_window < 1.0:
         raise ConfigError("filter: freq_window must lie in (0, 1)")
-    return FilterConfig(
-        basis=basis,
-        levels=levels,
-        beta=beta,
-        beta_grid=_build_beta_grid(merged["beta_grid"]),
-        freq_window=freq_window,
-        freq_points=freq_points,
-    )
+    return config
 
 
 def _build_experiment(data: dict, sensor: SensorParams) -> ExperimentConfig:
-    merged = _merged("experiment", data)
-    delta_b = _number("experiment.delta_b", merged["delta_b"])
-    if not 0.0 < sensing_frequency(sensor, delta_b) < np.inf:
+    config = _build("experiment", data)
+    if not 0.0 < sensing_frequency(sensor, config.delta_b) < np.inf:
         raise ConfigError(f"experiment.delta_b must be finite with b_calib + delta_b > 0, "
-                          f"got {delta_b!r}")
-    mode = merged.get("mode")
-    if mode is not None and mode not in MODES:
-        raise ConfigError(f"experiment: unknown mode {mode!r} (known: {', '.join(MODES)})")
-    photon_stats = str(merged["photon_stats"])
-    if photon_stats not in ("bernoulli-poisson", "poisson"):
-        raise ConfigError(f"experiment: unknown photon_stats {photon_stats!r}")
-    n_sd = merged["n_sd"]
-    if n_sd is not None:
-        n_sd = _integer("experiment.n_sd", n_sd)
-        if n_sd < 1:
-            raise ConfigError(f"experiment: n_sd must be >= 1, got {n_sd}")
-    m_values = [_integer("experiment.m_values", m) for m in merged["m_values"]]
-    if not m_values or any(m < 1 for m in m_values):
+                          f"got {config.delta_b!r}")
+    if config.mode is not None and config.mode not in MODES:
+        raise ConfigError(f"experiment: unknown mode {config.mode!r} (known: {', '.join(MODES)})")
+    if config.photon_stats not in ("bernoulli-poisson", "poisson"):
+        raise ConfigError(f"experiment: unknown photon_stats {config.photon_stats!r}")
+    if config.n_sd is not None and config.n_sd < 1:
+        raise ConfigError(f"experiment: n_sd must be >= 1, got {config.n_sd}")
+    if not config.m_values or any(m < 1 for m in config.m_values):
         raise ConfigError("experiment: m_values must be non-empty and all >= 1")
-    n_sd_values = [_integer("experiment.n_sd_values", v) for v in merged["n_sd_values"]]
-    if not n_sd_values or any(v < 1 for v in n_sd_values):
+    if not config.n_sd_values or any(v < 1 for v in config.n_sd_values):
         raise ConfigError("experiment: n_sd_values must be non-empty and all >= 1")
-    points = merged.get("points")
-    if points is not None:
-        points = [_point(f"experiment.points[{i}]", entry) for i, entry in enumerate(points)]
-    return ExperimentConfig(
-        mode=mode,
-        delta_b=delta_b,
-        n_sd=n_sd,
-        m_values=m_values,
-        n_sd_values=n_sd_values,
-        photon_stats=photon_stats,
-        shared_estimate=_boolean("experiment.shared_estimate", merged["shared_estimate"]),
-        squared_contrast=_boolean("experiment.squared_contrast", merged["squared_contrast"]),
-        points=points,
-        points_file=merged.get("points_file"),
-    )
+    return config
 
 
 def _build_output(data: dict) -> OutputConfig:
-    merged = _merged("output", data)
-    formats = list(merged["formats"])
-    for fmt in formats:
+    config = _build("output", data)
+    for fmt in config.formats:
         if fmt not in ("csv", "json"):
             raise ConfigError(f"output: unknown format {fmt!r}")
-    if not formats:
+    if not config.formats:
         raise ConfigError("output: formats must not be empty")
-    return OutputConfig(directory=str(merged["directory"]), formats=formats)
+    return config
+
+
+def read_text(path: Path, what: str) -> str:
+    """The text of the file at ``path``, newlines untranslated; ConfigErrors name ``what``."""
+    try:
+        if not path.exists():
+            raise ConfigError(f"{what} not found: {path}")
+        with path.open(newline="") as fh:
+            return fh.read()
+    # e.g. a directory, a name longer than the file system allows, or bytes that are not UTF-8
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read {what} {path}: {reason}") from exc
 
 
 def parse_config(source: str | Path | dict | None) -> RunConfig:
@@ -326,18 +324,8 @@ def parse_config(source: str | Path | dict | None) -> RunConfig:
     elif isinstance(source, dict):
         data = source
     else:
-        if isinstance(source, str) and source.lstrip().startswith("{"):
-            text = source
-        else:
-            path = Path(source)
-            try:
-                if not path.is_file():
-                    raise ConfigError(f"config file not found: {path}")
-                text = path.read_text()
-            # e.g. a name longer than the file system allows, or bytes that are not UTF-8
-            except (OSError, UnicodeDecodeError) as exc:
-                reason = getattr(exc, "strerror", None) or exc
-                raise ConfigError(f"cannot read config file {path}: {reason}") from exc
+        is_text = isinstance(source, str) and source.lstrip().startswith("{")
+        text = source if is_text else read_text(Path(source), "config file")
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -350,7 +338,7 @@ def parse_config(source: str | Path | dict | None) -> RunConfig:
     sensor = _build_sensor(data.get("sensor", {}))
     config = RunConfig(
         sensor=sensor,
-        plan=_build_plan(data.get("plan", {})),
+        plan=_build("plan", data.get("plan", {})),
         filter=_build_filter(data.get("filter", {})),
         experiment=_build_experiment(data.get("experiment", {}), sensor),
         output=_build_output(data.get("output", {})),

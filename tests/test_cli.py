@@ -579,3 +579,93 @@ def test_slow_fringe_gain_window_rejected(tmp_path, capsys):
     assert main(["gain-profile", "--config", str(path), "--seed", "1",
                  "--out", str(tmp_path / "o")]) == 2
     assert "experiment.n_sd_values" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# every field, given a value of a JSON kind it does not take
+# ---------------------------------------------------------------------------
+
+#: a field whose default resolves to null is optional
+OPTIONAL = {(section, key) for section, block in parse_config(None).snapshot.items()
+            for key, value in block.items() if value is None}
+KIND_VALUES = {"null": None, "boolean": True, "integer": 3, "number": 2.5, "string": "x",
+               "list": ["x"], "object": {"x": 1}}
+
+
+def _kinds(value) -> set[str]:
+    """The JSON kinds a field that resolves to ``value`` takes."""
+    if isinstance(value, bool):
+        return {"boolean"}
+    if isinstance(value, int):
+        return {"integer"}
+    if isinstance(value, float):
+        return {"integer", "number"}
+    if isinstance(value, list):
+        return {"list"}
+    return {"string"}  # also the two fields that resolve to null: mode and points_file
+
+
+def _wrong_kinds():
+    for section, block in TINY_RESOLVED.items():
+        for key, value in block.items():
+            if (section, key) in {("sensor", "n0"), ("sensor", "n1"), ("filter", "beta_grid"),
+                                  ("experiment", "points")}:
+                continue  # tested field by field above
+            takes = _kinds(value) | ({"null"} if (section, key) in OPTIONAL else set())
+            for kind, wrong in KIND_VALUES.items():
+                if kind == "list" and "list" in takes:
+                    # a list of items of the wrong kind
+                    kind, wrong = "list-of-wrong-items", [3] if isinstance(value[0], str) else ["x"]
+                elif kind in takes:
+                    continue
+                yield pytest.param(section, key, wrong, id=f"{section}.{key}-{kind}")
+
+
+@pytest.mark.parametrize("section,key,value", list(_wrong_kinds()))
+def test_wrong_kind_exits_2_naming_the_field(tmp_path, capsys, section, key, value):
+    cfg = json.loads(json.dumps(TINY_RESOLVED))
+    cfg[section][key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {section}.{key} must be ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section,key,value,mode", [
+    # wrote the run into a directory named ./None
+    ("output", "directory", None, "simulate"),
+    # each ended in a TypeError traceback, or was accepted and failed later
+    ("experiment", "m_values", 5, "benchmark"),
+    ("experiment", "points", 5, "fit-scaling"),
+    ("output", "formats", 5, "simulate"),
+    ("experiment", "points_file", 3, "fit-scaling"),
+])
+def test_wrong_kind_of_unchecked_field_exits_2(tmp_path, capsys, monkeypatch, section, key, value, mode):
+    monkeypatch.chdir(tmp_path)
+    path = fast_config(tmp_path, **{section: {key: value}})
+    assert main([mode, "--config", str(path), "--seed", "1"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {section}.{key} must be ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("mode", ["simulate", "denoise"])
+def test_window_over_the_sample_cap_exits_2(tmp_path, capsys, mode):
+    # only gain-profile capped its windows: {"plan": {"t_stop": 1.0}} asked
+    # for 1.28e8 samples per trace, and these ran at 65537
+    t_start, f_sample = 0.97e-6, 128e6
+    cfg = fast_config(tmp_path, plan={"t_stop": t_start + 65537 / f_sample, "n_experiments": 2})
+    out = tmp_path / "run"
+    assert main([mode, "--config", str(cfg), "--seed", "4", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: plan.t_stop = {parse_config(cfg).plan.t_stop:.6g}: the window holds 65537 samples")
+    assert not out.exists()
+    # gain-profile does not use the base window and fit-scaling none; 65536 samples fit
+    config = parse_config(cfg)
+    for other in ("gain-profile", "fit-scaling"):
+        cli._check_mode_limits(replace(config, experiment=replace(config.experiment, mode=other)))
+    at_cap = config.plan.with_(t_stop=t_start + cli.MAX_WINDOW_SAMPLES / f_sample)
+    assert at_cap.n_samples == cli.MAX_WINDOW_SAMPLES == 65536
+    cli._check_mode_limits(replace(config, plan=at_cap,
+                                   experiment=replace(config.experiment, mode="simulate")))

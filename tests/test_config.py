@@ -57,6 +57,12 @@ def test_explicit_levels_accepted():
         parse_config({"sensor": {"n0": 0.22}})
     with pytest.raises(ConfigError, match="inconsistent"):
         parse_config({"sensor": {"n0": 0.22, "n1": 0.17, "contrast": 0.5}})
+    with pytest.raises(ConfigError, match="^sensor: n_ave is inconsistent"):
+        parse_config({"sensor": {"n0": 0.22, "n1": 0.17, "n_ave": 0.2}})
+    # a given contrast and n_ave within 1e-9 of n0/n1 are kept as given
+    config = parse_config({"sensor": {"n0": 0.22, "n1": 0.17, "contrast": 0.05 / 0.22 + 5e-10,
+                                      "n_ave": 0.195}})
+    assert config.sensor.contrast == 0.05 / 0.22 + 5e-10
 
 
 def test_parse_error_reports_line():
@@ -85,6 +91,9 @@ def test_unreadable_config_path_is_named(tmp_path):
     path.write_bytes(b"\xff\xfe{\x00}\x00")
     with pytest.raises(ConfigError, match=rf"^cannot read config file {path}: .*codec"):
         parse_config(path)
+    # a directory was "config file not found"
+    with pytest.raises(ConfigError, match=rf"^cannot read config file {re.escape(str(tmp_path))}: "):
+        parse_config(tmp_path)
 
 
 def test_freq_points_capped_before_allocation():
