@@ -86,12 +86,12 @@ def find_detection_points(omega: float, plan: AcquisitionPlan, n_sd: int | None,
 
 
 def plan_for_detection_count(plan: AcquisitionPlan, omega: float, n_sd: int) -> AcquisitionPlan:
-    """Shorten/extend ``t_stop`` so the window holds exactly ``n_sd`` crossings."""
+    """Move ``t_stop`` midway between the ``n_sd``-th and the next crossing from ``t_start`` on."""
     if n_sd < 1:
         raise ValueError(f"n_sd must be >= 1, got {n_sd}")
     period = 2.0 * np.pi / omega
-    first = detection_crossings(omega, plan.t_start, plan.t_start + (n_sd + 2) * period)
-    t_stop = 0.5 * (first[n_sd - 1] + first[n_sd])
+    first = max(int(np.ceil((plan.t_start / period) - 0.25)), 0)
+    t_stop = 0.5 * ((0.25 + (first + n_sd - 1)) * period + (0.25 + (first + n_sd)) * period)
     return plan.with_(t_stop=t_stop)
 
 
@@ -469,6 +469,13 @@ class SnrPoint:
     delta_n: float
 
 
+def snr_setups(setup: BenchmarkSetup, m_values) -> list[BenchmarkSetup]:
+    """The ensembles :func:`benchmark_snr` builds: one per repetition count,
+    each on its own sub-seed of the plan seed."""
+    return [setup.with_plan(repetitions=int(m), seed=child_seed(setup.plan.seed, k))
+            for k, m in enumerate(m_values)]
+
+
 def benchmark_snr(setup: BenchmarkSetup, m_values, beta_grid) -> list[SnrPoint]:
     """Raw and optimum-order TMT SNR for a family of repetition counts.
 
@@ -479,12 +486,11 @@ def benchmark_snr(setup: BenchmarkSetup, m_values, beta_grid) -> list[SnrPoint]:
     points = find_detection_points(setup.omega_true, setup.plan, setup.n_sd, setup.params)
     delta_n = signal_amplitude(points, setup.params, setup.omega_true, setup.params.omega_calib)
     out = []
-    for k, m in enumerate(m_values):
-        sub = setup.with_plan(repetitions=int(m), seed=child_seed(setup.plan.seed, k))
+    for sub in snr_setups(setup, m_values):
         result = sweep_beta(sub, beta_grid)
         out.append(SnrPoint(
-            repetitions=int(m),
-            integration_time=float(m * sub.plan.t_stop),
+            repetitions=sub.plan.repetitions,
+            integration_time=float(sub.plan.repetitions * sub.plan.t_stop),
             raw_snr=snr(result.raw_stats, delta_n),
             tmt_snr=snr(result.opt_stats, delta_n),
             beta_opt=result.beta_opt,
@@ -508,6 +514,19 @@ class GainPoint:
     gain: float
 
 
+def gain_setups(setup: BenchmarkSetup, n_sd_values) -> list[BenchmarkSetup]:
+    """The ensembles :func:`gain_profile` builds, in order: for each ``n_sd``,
+    the calibration ensemble at ``omega_calib`` and then the sensing one, on a
+    window resized to hold ``n_sd`` crossings of the sensing fringe."""
+    out = []
+    for k, n_sd in enumerate(n_sd_values):
+        plan = plan_for_detection_count(setup.plan, setup.omega_true, int(n_sd))
+        out += [replace(setup, n_sd=int(n_sd), omega_true=omega,
+                        plan=plan.with_(seed=child_seed(setup.plan.seed, k, i)))
+                for i, omega in enumerate((setup.params.omega_calib, setup.omega_true))]
+    return out
+
+
 def gain_profile(setup: BenchmarkSetup, n_sd_values, beta_grid) -> list[GainPoint]:
     """TMT gain sqrt(MSE_raw / MSE_TMT) across PL durations.
 
@@ -517,17 +536,13 @@ def gain_profile(setup: BenchmarkSetup, n_sd_values, beta_grid) -> list[GainPoin
     sampling rate, then is applied to an independent sensing ensemble.
     """
     out = []
-    for k, n_sd in enumerate(n_sd_values):
-        plan_k = plan_for_detection_count(setup.plan, setup.omega_true, int(n_sd))
-        calib_setup = replace(setup, n_sd=int(n_sd),
-                              plan=plan_k.with_(seed=child_seed(setup.plan.seed, k, 0)))
-        beta_calib = calibrate_beta(calib_setup, beta_grid)
-        sense_setup = replace(setup, n_sd=int(n_sd),
-                              plan=plan_k.with_(seed=child_seed(setup.plan.seed, k, 1)))
+    setups = gain_setups(setup, n_sd_values)
+    for calib_setup, sense_setup in zip(setups[::2], setups[1::2]):
+        beta_calib = sweep_beta(calib_setup, beta_grid).beta_opt
         raw_mse, tmt_mse = _sense_fringe_mse(sense_setup, beta_calib)
         out.append(GainPoint(
-            n_sd=int(n_sd),
-            t_stop=plan_k.t_stop,
+            n_sd=sense_setup.n_sd,
+            t_stop=sense_setup.plan.t_stop,
             beta_calib=beta_calib,
             raw_fringe_mse=raw_mse,
             tmt_fringe_mse=tmt_mse,

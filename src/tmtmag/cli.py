@@ -44,14 +44,14 @@ from .bench import (
     find_detection_points,
     fit_scaling,
     gain_profile,
-    plan_for_detection_count,
+    gain_setups,
+    snr_setups,
     sweep_beta,
 )
 from .config import MODES, ConfigError, RunConfig, parse_config, read_text
 from .ramsey import simulate_ensemble
 
 _SEED_REQUIRED_MODES = ("sweep-beta", "benchmark", "gain-profile")
-_ENSEMBLE_MODES = ("denoise", "sweep-beta", "benchmark", "gain-profile")
 _CHUNK_ROWS = 4096  # rows formatted per write
 _CSV_SPECIAL = frozenset(',"\r\n')  # characters that may make csv.writer quote a field
 
@@ -208,43 +208,9 @@ def _dataclass_table(items) -> np.ndarray:
 #: hold n_sd fringe crossings, so there a slow sensing fringe would ask for
 #: an unbounded trace.
 MAX_WINDOW_SAMPLES = 1 << 16
-
-
-def _check_mode_limits(config: RunConfig) -> None:
-    """Limits of the simulating modes, checked before any computation."""
-    mode, plan, levels = config.experiment.mode, config.plan, config.filter.levels
-    # fit-scaling simulates nothing; gain-profile caps its resized windows below
-    if mode not in ("gain-profile", "fit-scaling") and plan.n_samples > MAX_WINDOW_SAMPLES:
-        raise ConfigError(f"plan.t_stop = {plan.t_stop:.6g}: the window holds {plan.n_samples} "
-                          f"samples at plan.f_sample, more than {MAX_WINDOW_SAMPLES}")
-    if mode not in _ENSEMBLE_MODES:
-        return
-    if plan.n_experiments < 2:
-        raise ConfigError(f"plan.n_experiments must be >= 2 for mode {mode!r}, got {plan.n_experiments}")
-    if mode == "benchmark":
-        m_values = config.experiment.m_values
-        if len(m_values) < 3 or len(set(m_values)) < 2:
-            raise ConfigError(f"experiment.m_values: the scaling fit needs at least 3 values, "
-                              f"2 of them distinct, got {m_values}")
-    if mode == "gain-profile":
-        # a window of n_sd crossings spans fewer than n_sd + 2 fringe periods
-        n_sd = max(config.experiment.n_sd_values)
-        n_longest = (n_sd + 2) * 2.0 * np.pi / config.omega_sense * plan.f_sample
-        if not n_longest <= MAX_WINDOW_SAMPLES:
-            raise ConfigError(
-                f"experiment.n_sd_values: the gain-profile window for n_sd = {n_sd} needs up to "
-                f"{n_longest:.3g} samples at plan.f_sample, more than {MAX_WINDOW_SAMPLES}")
-        # the shortest resized window bounds the depth
-        plan = plan_for_detection_count(plan, config.omega_sense, min(config.experiment.n_sd_values))
-    else:
-        n_sd = config.experiment.n_sd
-        try:
-            find_detection_points(config.omega_sense, plan, n_sd, config.sensor)
-        except ValueError as exc:
-            raise ConfigError(f"experiment.n_sd = {json.dumps(n_sd)}: {exc}") from exc
-    if levels is not None and 2 ** (levels + 1) > plan.n_samples:
-        raise ConfigError(f"filter.levels = {levels} needs >= {2 ** (levels + 1)} samples, "
-                          f"the {mode} window has {plan.n_samples}")
+#: Most bytes one planned ensemble may hold, at 4 doubles per sample in simulate (traces and
+#: table) and 2 * levels + 6 in an ``EnsembleRun`` (values, templates, residual, |S|, approximation).
+MAX_ENSEMBLE_BYTES = 2 << 30
 
 
 def _make_setup(config: RunConfig) -> BenchmarkSetup:
@@ -260,6 +226,59 @@ def _make_setup(config: RunConfig) -> BenchmarkSetup:
         shared_estimate=config.experiment.shared_estimate,
         squared_contrast=config.experiment.squared_contrast,
     )
+
+
+def _planned_setups(config: RunConfig) -> list[BenchmarkSetup]:
+    """The ensembles the configured mode builds, in the order its runner builds them."""
+    exp = config.experiment
+    if exp.mode == "fit-scaling":
+        return []
+    planner = {"benchmark": (snr_setups, "m_values"), "gain-profile": (gain_setups, "n_sd_values")}
+    if exp.mode not in planner:
+        return [_make_setup(config)]
+    plan_setups, key = planner[exp.mode]
+    try:
+        return plan_setups(_make_setup(config), getattr(exp, key))
+    except (ValueError, OverflowError) as exc:  # e.g. a repetition count or n_sd beyond 64 bits
+        raise ConfigError(f"experiment.{key}: {exc}") from exc
+
+
+def _check_mode_limits(config: RunConfig) -> None:
+    """Limits of every ensemble the mode will build, checked before any computation."""
+    mode, levels = config.experiment.mode, config.filter.levels
+    if mode == "benchmark":
+        m_values = config.experiment.m_values
+        if len(m_values) < 3 or len(set(m_values)) < 2:
+            raise ConfigError(f"experiment.m_values: the scaling fit needs at least 3 values, "
+                              f"2 of them distinct, got {m_values}")
+    for setup in _planned_setups(config):
+        plan, n = setup.plan, setup.plan.n_samples
+        if mode == "gain-profile":  # n_sd_values sizes both the window and the detection count
+            window = count = f"experiment.n_sd_values entry {setup.n_sd}"
+        else:
+            window, count = f"plan.t_stop = {plan.t_stop:.6g}", f"experiment.n_sd = {json.dumps(setup.n_sd)}"
+        if n > MAX_WINDOW_SAMPLES:
+            raise ConfigError(f"{window}: the window holds {n} samples at plan.f_sample, "
+                              f"more than {MAX_WINDOW_SAMPLES}")
+        if mode != "simulate":
+            if plan.n_experiments < 2:
+                raise ConfigError(f"plan.n_experiments must be >= 2 for mode {mode!r}, "
+                                  f"got {plan.n_experiments}")
+            try:
+                find_detection_points(setup.omega_true, plan, setup.n_sd, setup.params)
+            except ValueError as exc:
+                if setup.omega_true != config.omega_sense:
+                    count += " on the calibration fringe at omega_calib"
+                raise ConfigError(f"{count}: {exc}") from exc
+            if levels is not None and levels >= n.bit_length() - 1:  # 2**(levels + 1) > n
+                raise ConfigError(f"filter.levels = {levels} needs >= 2**{levels + 1} samples, "
+                                  f"the {mode} window has {n}")
+        doubles = 4 if mode == "simulate" else 2 * setup.resolved_levels() + 6
+        size = doubles * 8 * plan.n_experiments * n
+        if size > MAX_ENSEMBLE_BYTES:
+            raise ConfigError(f"plan.n_experiments = {plan.n_experiments}: the {mode} ensemble of "
+                              f"{n}-sample traces needs {size / 2**30:.3g} GiB, "
+                              f"more than {MAX_ENSEMBLE_BYTES / 2**30:g} GiB")
 
 
 # ---------------------------------------------------------------------------

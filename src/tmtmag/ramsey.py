@@ -101,12 +101,15 @@ class AcquisitionPlan:
             raise ValueError(f"need finite t_stop > t_start >= 0, got [{self.t_start}, {self.t_stop}]")
         if not 0.0 < self.f_sample < np.inf:
             raise ValueError(f"f_sample must be finite and positive, got {self.f_sample}")
-        if self.repetitions < 1:
-            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
+        if not 1 <= self.repetitions < 2 ** 63:  # numpy draws take a C long
+            raise ValueError(f"repetitions must be >= 1 and < 2**63, got {self.repetitions}")
         if self.n_experiments < 1:
             raise ValueError(f"n_experiments must be >= 1, got {self.n_experiments}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not np.isfinite((self.t_stop - self.t_start) * self.f_sample):
+            raise ValueError(f"the window [{self.t_start}, {self.t_stop}] s at f_sample "
+                             f"{self.f_sample} Hz holds a non-finite number of samples")
         if self.n_samples < 4:
             raise ValueError(f"window supports only {self.n_samples} samples, need >= 4")
 

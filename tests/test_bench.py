@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import tmtmag
 from tmtmag import (
@@ -102,6 +103,25 @@ def test_plan_for_detection_count(paper_params):
         resized = plan_for_detection_count(plan, OMEGA, n_sd)
         crossings = detection_crossings(OMEGA, resized.t_start, resized.t_stop)
         assert crossings.size == n_sd
+
+
+def _crossing_midpoint(t_start, omega, n_sd):
+    """The midpoint between the n_sd-th and the next crossing, read off the crossing array."""
+    period = 2.0 * np.pi / omega
+    first = detection_crossings(omega, t_start, t_start + (n_sd + 2) * period)
+    return 0.5 * (first[n_sd - 1] + first[n_sd])
+
+
+@settings(max_examples=300, deadline=None)
+@given(t_start=st.floats(0.0, 1e-3), omega=st.floats(1e5, 1e10), n_sd=st.integers(1, 1000))
+@example(t_start=0.0, omega=OMEGA, n_sd=1)
+@example(t_start=0.25 * 2 * np.pi / OMEGA, omega=OMEGA, n_sd=3)  # t_start on a crossing
+def test_plan_for_detection_count_is_the_crossing_midpoint(t_start, omega, n_sd):
+    # 16 samples per fringe period keep every resized window above 4 samples
+    period = 2.0 * np.pi / omega
+    plan = AcquisitionPlan(t_start, t_start + period, 16.0 / period, 1, 1)
+    resized = plan_for_detection_count(plan, omega, n_sd)
+    assert resized.t_stop.hex() == float(_crossing_midpoint(t_start, omega, n_sd)).hex()
 
 
 # ---------------------------------------------------------------------------

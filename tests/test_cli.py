@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tmtmag import cli
+from tmtmag import bench, cli
 from tmtmag.bench import DetectionPointSet, ensemble_stats
 from tmtmag.cli import _stats_columns, export_table, main, make_table
 from tmtmag.config import MODES, parse_config
@@ -669,3 +669,86 @@ def test_window_over_the_sample_cap_exits_2(tmp_path, capsys, mode):
     assert at_cap.n_samples == cli.MAX_WINDOW_SAMPLES == 65536
     cli._check_mode_limits(replace(config, plan=at_cap,
                                    experiment=replace(config.experiment, mode="simulate")))
+
+
+# ---------------------------------------------------------------------------
+# the planned ensembles: what the mode check validates is what the runners build
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("mode", ["denoise", "sweep-beta", "benchmark", "gain-profile"])
+def test_runners_build_exactly_the_planned_ensembles(tmp_path, monkeypatch, mode):
+    config = parse_config(fast_config(
+        tmp_path, plan={"n_experiments": 4, "seed": 5},
+        experiment={"mode": mode, "m_values": [25000, 50000, 100000], "n_sd_values": [2, 1]},
+        output={"directory": str(tmp_path / "run")}))
+    built = []
+    init = bench.EnsembleRun.__init__
+
+    def record(self, setup):
+        built.append(setup)
+        init(self, setup)
+
+    monkeypatch.setattr(bench.EnsembleRun, "__init__", record)
+    assert cli.run(config) == 0
+    assert built == cli._planned_setups(config)
+    assert len(built) == {"benchmark": 3, "gain-profile": 4}.get(mode, 1)
+
+
+def test_calibration_fringe_window_checked_before_the_sweeps(tmp_path, capsys):
+    # at delta_b 1e-5 the window holding 5 sensing crossings holds only 4 of
+    # the calibration fringe: the n_sd = 1 sweeps ran, then the run exited 1
+    # with an error naming no field
+    cfg = fast_config(tmp_path, plan={"t_start": 0.2e-6, "t_stop": 3.7e-6},
+                      experiment={"delta_b": 1e-5, "n_sd_values": [1, 5, 9]})
+    out = tmp_path / "run"
+    assert main(["gain-profile", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "experiment.n_sd_values entry 5 on the calibration fringe" in err
+    assert "contains only 4 negative-slope crossings, need 5" in err
+    assert not out.exists()
+
+
+def test_window_of_non_finite_sample_count_exits_2(tmp_path, capsys):
+    # (t_stop - t_start) * f_sample overflowed to inf, and n_samples ended in
+    # an OverflowError traceback
+    cfg = fast_config(tmp_path, plan={"t_stop": 1e300, "f_sample": 1e10})
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: plan: the window [9.7e-07, 1e+300] s")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["simulate", "sweep-beta", "gain-profile"])
+def test_ensemble_over_the_byte_limit_exits_2(tmp_path, capsys, mode):
+    # 1e9 experiments passed every check, and simulate asked numpy for 1e9 traces
+    cfg = fast_config(tmp_path, plan={"n_experiments": 10 ** 9})
+    out = tmp_path / "run"
+    assert main([mode, "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: plan.n_experiments = 1000000000: the {mode} ensemble of ")
+    assert f"more than {cli.MAX_ENSEMBLE_BYTES / 2 ** 30:g} GiB" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode,section,block,field", [
+    # numpy's binomial draw raised "Python int too large to convert to C long"
+    pytest.param("simulate", "plan", {"repetitions": 10 ** 19}, "plan: repetitions",
+                 id="simulate-repetitions"),
+    pytest.param("denoise", "plan", {"repetitions": 10 ** 19}, "plan: repetitions",
+                 id="denoise-repetitions"),
+    # failed the same way, after the sweeps of the earlier repetition counts
+    pytest.param("benchmark", "experiment", {"m_values": [25000, 50000, 10 ** 19]},
+                 "experiment.m_values", id="benchmark-m_values"),
+    # "int too large to convert to float" inside the mode check
+    pytest.param("gain-profile", "experiment", {"n_sd_values": [10 ** 400]},
+                 "experiment.n_sd_values", id="gain-profile-n_sd_values"),
+    # the depth check computed 2**(levels + 1) and ended in a MemoryError
+    pytest.param("sweep-beta", "filter", {"levels": 10 ** 19}, "filter.levels",
+                 id="sweep-beta-levels"),
+])
+def test_integers_beyond_64_bits_exit_2(tmp_path, capsys, mode, section, block, field):
+    cfg = fast_config(tmp_path, **{section: block})
+    out = tmp_path / "run"
+    assert main([mode, "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}")
+    assert not out.exists()
