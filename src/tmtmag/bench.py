@@ -234,61 +234,87 @@ def _blocked_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class _PackedPoints:
-    """The residual coefficients that the detection points' synthesis rows read, packed for beta scans.
+def _clipped_point_sums(details, noise, level, sample, rows, widths) -> np.ndarray:
+    """The synthesis ``rows`` applied to the clipped residual details at every width.
 
-    ``rows`` (C, p) are the non-zero rows of every level, stacked level by
-    level; ``offsets`` (n_exp, C) are the matching detail coefficients of
-    the residual ``values - templates``, ``magnitudes`` their absolute
-    values and ``noise`` the matching ``|S|``.  ``base`` (n_exp, p) is the
-    templates at the detection points plus the residual approximation
-    band's share, and ``work`` is the reused clip buffer.
+    ``details`` and ``noise`` are the (levels + 1, E, N) residual and ``|S|``
+    stacks of E experiments, ``(level, sample)`` index the C coefficients
+    that the (C, p) ``rows`` read, and the K ``widths`` rise; returns
+    (K, E, p).  A coefficient ``r`` with noise scale ``s`` is clipped to
+    ``sign(r)*w*s`` at the widths ``w`` below ``tau = |r|/s`` and passes
+    unclipped from there on, so it falls into bucket ``q =
+    searchsorted(widths, tau)``, the number of widths that clip it.
+    Per-bucket ``np.bincount`` sums of ``r*row`` and ``sign(r)*s*row`` give,
+    by one cumulative sum each, the unclipped share ``A`` and the clipped
+    scale ``B`` at every width, and width ``w`` yields ``A + w*B``.  An
+    infinite width clips nothing, also where ``s = 0``, and yields ``A``.
     """
+    offsets = details[level, :, sample]  # (C, E)
+    scales = noise[level, :, sample]
+    n_buckets, n_exp = widths.size + 1, offsets.shape[1]
+    with np.errstate(divide="ignore", invalid="ignore"):  # s = 0: tau is inf, or NaN at r = 0
+        keys = np.searchsorted(widths, np.abs(offsets) / scales)
+    keys += n_buckets * np.arange(n_exp)  # one run of buckets per experiment
+    keys = keys.ravel()
+    np.copysign(scales, offsets, out=scales)
+    finite = np.where(widths < np.inf, widths, 0.0)  # B is 0 there, and inf * 0 NaN
+    out = np.empty((widths.size, n_exp, rows.shape[1]))
+    for j, row in enumerate(rows.T):
+        unclipped, clipped = (
+            np.bincount(keys, (coeffs * row[:, None]).ravel(), n_exp * n_buckets)
+            .reshape(n_exp, n_buckets) for coeffs in (offsets, scales))
+        out[:, :, j] = (np.cumsum(unclipped[:, :-1], axis=1)
+                        + finite * np.cumsum(clipped[:, :0:-1], axis=1)[:, ::-1]).T
+    return out
 
-    rows: np.ndarray
-    offsets: np.ndarray
-    magnitudes: np.ndarray
-    noise: np.ndarray
-    base: np.ndarray
-    work: np.ndarray
+
+#: Experiments per chunk of the bucket build: each chunk's coefficients are
+#: gathered, bucketed and summed before the next chunk is read, so the build
+#: never holds an (n_exp, C) array.
+_BUCKET_CHUNK = 32
 
 
 class EnsembleRun:
-    """One simulated ensemble with its residual decomposition cached for beta scans.
+    """One simulated ensemble, denoised at the detection points for every order of a beta grid.
 
-    Construction finds the detection points (:attr:`points`), simulates,
-    estimates the template frequencies (one search of the ensemble mean
-    with ``shared_estimate``), builds the templates and ``|S|`` through
-    :func:`~tmtmag.tmt.build_margins`, decomposes the residual
-    ``values - templates`` once, and scores the raw traces
+    Construction checks the grid ``betas`` (strictly increasing, no NaN;
+    ``+-inf`` allowed), finds the detection points (:attr:`points`),
+    simulates, estimates the template frequencies (one search of the
+    ensemble mean with ``shared_estimate``), builds the templates and
+    ``|S|`` through :func:`~tmtmag.tmt.build_margins`, decomposes the
+    residual ``values - templates`` once, and scores the raw traces
     (:attr:`raw_stats`).
 
     :meth:`denoised` clips all residual detail coefficients with one
     :func:`~tmtmag.tmt.clamp_details` call, synthesizes and adds the
     templates, so it equals :func:`~tmtmag.tmt.tmt_denoise` on the same
-    traces and frequencies, including the exact limits: ``beta = -inf``
-    leaves every residual coefficient unclipped (the raw traces) and
-    ``beta = +inf`` zeroes every residual detail (the templates plus the
-    residual approximation band's share).
+    traces and frequencies at any beta, including the exact limits:
+    ``beta = -inf`` leaves every residual coefficient unclipped (the raw
+    traces) and ``beta = +inf`` zeroes every residual detail (the
+    templates plus the residual approximation band's share).
 
-    ``denoised(beta, at_points=True)``, which :meth:`stats` scores,
-    synthesizes only the detection samples: the synthesis is linear, so
-    each is a fixed row of it (:func:`~tmtmag.wavelets.uwt_synthesis_rows`).
-    The first such call packs the C residual coefficients those rows read
-    (see :class:`_PackedPoints`), with one boolean gather per coefficient
-    stack by the mask of non-zero rows; every beta then costs three
-    in-place passes over one (n_exp, C) buffer and one matrix product.  The
-    packed clip ``copysign(fmin(width * |S|, |r|), r)`` of a residual
-    coefficient ``r`` is the clip of :func:`~tmtmag.tmt.clamp_details` at
-    every width: ``fmin`` passes over the NaN of ``inf * 0`` where
-    ``|S| = 0``.  The outputs agree with clipping the full stack up to
-    rounding.
+    ``denoised(beta, at_points=True)``, which :meth:`stats` scores, reads
+    one order of the grid from the detection samples that the first such
+    call computes at every order at once.  The synthesis is linear, so each
+    detection sample is a fixed row of it
+    (:func:`~tmtmag.wavelets.uwt_synthesis_rows`).  The C residual
+    coefficients those rows read are gathered in chunks of
+    ``_BUCKET_CHUNK`` experiments straight from the coefficient stacks and
+    bucketed by the width at which they start to clip
+    (:func:`_clipped_point_sums`), so the cost hardly grows with the number
+    of orders and no BLAS product is taken per order.  The outputs agree
+    with clipping the full stack up to rounding.
     """
 
-    def __init__(self, setup: BenchmarkSetup):
+    def __init__(self, setup: BenchmarkSetup, betas):
         self.setup = setup
         plan, params = setup.plan, setup.params
+        self.betas = np.array(betas, dtype=float)
+        if self.betas.ndim != 1 or self.betas.size < 1:
+            raise ValueError(f"beta grid needs at least 1 value, got {betas!r}")
+        self._widths = np.array([margin_width(beta, plan) for beta in self.betas])
+        if not np.all(self.betas[1:] > self.betas[:-1]):
+            raise ValueError("beta grid must be strictly increasing")
         self.times = plan.times
         self.levels = setup.resolved_levels()
         self.points = find_detection_points(setup.omega_true, plan, setup.n_sd, params)
@@ -303,40 +329,44 @@ class EnsembleRun:
         self.raw_stats = ensemble_stats(self.values, self.points)
 
     def denoised(self, beta: float, at_points: bool = False) -> np.ndarray:
-        """Denoised traces (n_exp, N); with ``at_points``, only the detection samples (n_exp, p)."""
-        width = margin_width(beta, self.setup.plan)
+        """Denoised traces (n_exp, N); with ``at_points``, only the detection samples (n_exp, p).
+
+        With ``at_points`` the order must be on the run's grid; the returned
+        array is a read-only view.
+        """
         if not at_points:
+            width = margin_width(beta, self.setup.plan)
             clamped = clamp_details(self._residual_details, self._noise_details, width)
             return self._templates + uwt_synthesize(clamped, self._residual_approx, self.setup.basis)
-        packed = self._packed
-        clipped = packed.work
-        with np.errstate(invalid="ignore"):  # inf * 0 where |S| vanishes; fmin passes over it
-            np.multiply(packed.noise, width, out=clipped)
-        np.fmin(clipped, packed.magnitudes, out=clipped)
-        np.copysign(clipped, packed.offsets, out=clipped)
-        return packed.base + _blocked_product(clipped, packed.rows)
+        k = int(np.searchsorted(self.betas, beta))
+        if k == self.betas.size or self.betas[k] != beta:
+            raise ValueError(f"beta = {beta} is not on this run's grid of {self.betas.size} "
+                             f"orders from {self.betas[0]:g} to {self.betas[-1]:g}")
+        return self._at_points[k]
 
     def stats(self, beta: float) -> EnsembleStats:
         """Statistics of the order-``beta`` denoised samples at the detection points."""
         return point_stats(self.denoised(beta, at_points=True), self.points, beta=float(beta))
 
     @cached_property
-    def _packed(self) -> _PackedPoints:
-        rows, approx_rows = uwt_synthesis_rows(self.values.shape[1], self.points.indices,
+    def _at_points(self) -> np.ndarray:
+        """The (K, n_exp, p) denoised detection samples at the K orders of the grid, read-only."""
+        indices = self.points.indices
+        rows, approx_rows = uwt_synthesis_rows(self.values.shape[1], indices,
                                                self.setup.basis, self.levels)
-        touched = rows.any(axis=2)
-        packed_rows = rows[touched]
-        # one gather per (levels + 1, n_exp, N) stack, in the level-major
-        # column order of rows[touched]; the gathers come out in Fortran
-        # order and are copied to C order, as dgemm sums the product of a
-        # Fortran-order operand in another order
-        offsets, noise = (
-            np.ascontiguousarray(np.moveaxis(stack, 1, 0)[:, touched])
-            for stack in (self._residual_details, self._noise_details))
-        base = (_blocked_product(self._residual_approx, approx_rows)
-                + self._templates[:, self.points.indices])
-        return _PackedPoints(rows=packed_rows, offsets=offsets, magnitudes=np.abs(offsets),
-                             noise=noise, base=base, work=np.empty_like(offsets))
+        level, sample = np.nonzero(rows.any(axis=2))
+        rows = rows[level, sample]  # (C, p), level by level
+        base = _blocked_product(self._residual_approx, approx_rows) + self._templates[:, indices]
+        # the clipped shares come in order of rising width, falling beta
+        widths = self._widths[::-1]
+        out = np.empty((widths.size,) + base.shape)
+        for start in range(0, base.shape[0], _BUCKET_CHUNK):
+            chunk = slice(start, start + _BUCKET_CHUNK)
+            out[:, chunk] = base[chunk] + _clipped_point_sums(
+                self._residual_details[:, chunk], self._noise_details[:, chunk],
+                level, sample, rows, widths)
+        out.flags.writeable = False
+        return out[::-1]
 
 
 @dataclass
@@ -366,9 +396,7 @@ def sweep_beta(setup: BenchmarkSetup, beta_grid) -> BetaSweepResult:
     betas = np.asarray(beta_grid, dtype=float)
     if betas.size < 3:
         raise ValueError(f"beta grid needs at least 3 values, got {betas.size}")
-    if not np.all(betas[1:] > betas[:-1]):
-        raise ValueError("beta grid must be strictly increasing")
-    run = EnsembleRun(setup)
+    run = EnsembleRun(setup, betas)
     stats = [run.stats(beta) for beta in betas]
     k_opt = int(np.argmin([s.fringe_averaged_mse for s in stats]))
     return BetaSweepResult(
@@ -554,8 +582,8 @@ def gain_profile(setup: BenchmarkSetup, n_sd_values, beta_grid) -> list[GainPoin
 def _sense_fringe_mse(setup: BenchmarkSetup, beta: float) -> tuple[float, float]:
     """Raw and order-``beta`` TMT fringe-averaged MSE of one sensing ensemble.
 
-    The ensemble, its residual stacks and its packed clip are freed on
-    return, before the next calibration sweep builds its own.
+    The run's grid is the one order.  The ensemble and its residual stacks
+    are freed on return, before the next calibration sweep builds its own.
     """
-    run = EnsembleRun(setup)
+    run = EnsembleRun(setup, [beta])
     return run.raw_stats.fringe_averaged_mse, run.stats(beta).fringe_averaged_mse

@@ -49,7 +49,7 @@ from .bench import (
     sweep_beta,
 )
 from .config import MODES, ConfigError, RunConfig, parse_config, read_text
-from .ramsey import simulate_ensemble
+from .ramsey import POISSON_LAM_MAX, simulate_ensemble
 
 _SEED_REQUIRED_MODES = ("sweep-beta", "benchmark", "gain-profile")
 _CHUNK_ROWS = 4096  # rows formatted per write
@@ -257,6 +257,12 @@ def _check_mode_limits(config: RunConfig) -> None:
             window = count = f"experiment.n_sd_values entry {setup.n_sd}"
         else:
             window, count = f"plan.t_stop = {plan.t_stop:.6g}", f"experiment.n_sd = {json.dumps(setup.n_sd)}"
+        if plan.repetitions * setup.params.n0 > POISSON_LAM_MAX:
+            field = (f"experiment.m_values entry {plan.repetitions}" if mode == "benchmark"
+                     else f"plan.repetitions = {plan.repetitions}")
+            raise ConfigError(f"{field}: at sensor.n0 = {setup.params.n0:g} photons per "
+                              f"repetition the photon means exceed numpy's Poisson limit "
+                              f"{POISSON_LAM_MAX:.6g}")
         if n > MAX_WINDOW_SAMPLES:
             raise ConfigError(f"{window}: the window holds {n} samples at plan.f_sample, "
                               f"more than {MAX_WINDOW_SAMPLES}")
@@ -304,7 +310,7 @@ def _run_simulate(config: RunConfig):
 def _run_denoise(config: RunConfig):
     setup = _make_setup(config)
     beta = config.filter.beta
-    run = EnsembleRun(setup)
+    run = EnsembleRun(setup, [beta])
     denoised = run.denoised(beta)
     n_exp, n = run.values.shape
     tables = [

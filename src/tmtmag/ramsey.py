@@ -187,6 +187,11 @@ def experiment_rng(seed: int, experiment: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+#: Largest mean numpy's ``Generator.poisson`` accepts ("lam value too large"
+#: beyond it).  Every mean drawn is at most ``repetitions * n0``.
+POISSON_LAM_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
+
+
 def _sample_values(params: SensorParams, plan: AcquisitionPlan, omega_true: float,
                    rng: np.random.Generator, photon_stats: str) -> np.ndarray:
     t = plan.times

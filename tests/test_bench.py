@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import tmtmag
 from tmtmag import (
@@ -292,7 +292,7 @@ def test_sweep_grid_validation(small_sweep):
 def _full_synthesis_stats(setup, betas):
     """Statistics at every order from fully synthesized traces, as before point-only synthesis."""
     points = find_detection_points(setup.omega_true, setup.plan, setup.n_sd, setup.params)
-    run = EnsembleRun(setup)
+    run = EnsembleRun(setup, betas)
     return [ensemble_stats(run.denoised(beta), points, beta=float(beta)) for beta in betas]
 
 
@@ -338,7 +338,7 @@ def test_point_synthesis_gain_profile_matches_full_synthesis(paper_params):
         np.sqrt(gain.raw_fringe_mse / full.fringe_averaged_mse), rel=1e-12)
 
 
-def _packed_oracle(run, beta, indices):
+def _full_clamp_oracle(run, beta, indices):
     """The detection samples of one full clip and synthesis of ``run``'s residual stacks."""
     clamped = clamp_details(run._residual_details, run._noise_details,
                             margin_width(beta, run.setup.plan))
@@ -346,12 +346,21 @@ def _packed_oracle(run, beta, indices):
     return (run._templates + residual)[:, indices]
 
 
+def _point_coefficients(run):
+    """Level and sample of every residual coefficient the detection rows read."""
+    rows, _ = uwt_synthesis_rows(run.values.shape[1], run.points.indices, run.setup.basis,
+                                 run.levels)
+    return np.nonzero(rows.any(axis=2))
+
+
 @pytest.mark.parametrize("basis", ["haar", "db2", "bior6.8"])
 def test_packed_point_clamp_matches_full_clamp(paper_params, basis):
     plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 12, seed=29)
     setup = _setup(paper_params, plan, n_sd=3, basis=basis)
     points = find_detection_points(setup.omega_true, plan, 3, paper_params)
-    run = EnsembleRun(setup)
+    # beta = -400: 10**400 overflows to an infinite width
+    betas = (-np.inf, -400.0, -2.0, 0.0, 0.5, 3.0, np.inf)
+    run = EnsembleRun(setup, betas)
     np.testing.assert_array_equal(run.points.indices, points.indices)
     np.testing.assert_array_equal(run.points.truths, points.truths)
     raw_stats = ensemble_stats(run.values, points)
@@ -360,32 +369,98 @@ def test_packed_point_clamp_matches_full_clamp(paper_params, basis):
                                       getattr(raw_stats, field.name))
     indices = points.indices
     # coefficients with |S| = 0: a finite width zeroes their residual (pins
-    # them to the template), an infinite one leaves them raw (fmin passes
-    # over the NaN of inf * 0)
+    # them to the template), an infinite one leaves them raw
     run._noise_details[0] = 0.0
     run._noise_details[2, ::2, : plan.n_samples // 2] = 0.0
     scale = np.max(np.abs(run.values))
-    # beta = -400: 10**400 overflows to an infinite width
-    for beta in (-np.inf, -400.0, -2.0, 0.0, 0.5, 3.0, np.inf):
+    for beta in betas:
         got = run.denoised(beta, at_points=True)
         assert got.shape == (plan.n_experiments, indices.size)
         assert np.isfinite(got).all()
-        np.testing.assert_allclose(got, _packed_oracle(run, beta, indices),
+        np.testing.assert_allclose(got, _full_clamp_oracle(run, beta, indices),
                                    rtol=1e-12, atol=1e-13 * scale)
     # perfect reconstruction: the raw limit is the raw traces
     np.testing.assert_allclose(run.denoised(-np.inf, at_points=True), run.values[:, indices],
                                rtol=1e-12, atol=1e-13 * scale)
 
 
+@settings(max_examples=30, deadline=None)
+@given(inner=st.lists(st.floats(-6.0, 4.0), max_size=12, unique=True),
+       ends=st.sets(st.sampled_from([-np.inf, -400.0, 400.0, np.inf])),
+       ties=st.integers(0, 6))
+@example(inner=[], ends={-np.inf, np.inf}, ties=0)
+@example(inner=[-2.0, 0.0], ends={-400.0, 400.0}, ties=6)
+@example(inner=[-1.0], ends=set(), ties=1)
+def test_bucketed_sweep_matches_full_clamp(paper_params, inner, ends, ties):
+    betas = np.array(sorted(set(inner) | ends))
+    assume(betas.size > 0)
+    plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 8, seed=37)
+    run = EnsembleRun(_setup(paper_params, plan, n_sd=3), betas)
+    # |S| = 0 on the finest level of every other trace: clipped to 0 at a
+    # finite width, left raw at an infinite one (also at beta = -400)
+    run._noise_details[0, ::2] = 0.0
+    # ties tau = |r| / |S| == width exactly: a power-of-two |S| near
+    # |r| / width makes |r| = width * |S| exact and keeps |r| within a
+    # factor sqrt(2) of its simulated size
+    level, sample = _point_coefficients(run)
+    finite = [w for w in (margin_width(b, plan) for b in betas) if 0.0 < w < np.inf]
+    for i in range(ties if finite else 0):
+        c = (7 * i) % level.size
+        at = level[c], i % plan.n_experiments, sample[c]
+        width, r = finite[i % len(finite)], run._residual_details[at]
+        s = 2.0 ** np.round(np.log2(abs(r) / width))
+        run._noise_details[at] = s
+        run._residual_details[at] = np.copysign(width * s, r)
+        assert abs(run._residual_details[at]) / s == width
+    indices = run.points.indices
+    scale = np.max(np.abs(run.values))
+    for beta in betas:
+        np.testing.assert_allclose(run.denoised(beta, at_points=True),
+                                   _full_clamp_oracle(run, beta, indices),
+                                   rtol=1e-12, atol=1e-13 * scale)
+
+
+def test_off_grid_beta_rejected(paper_params):
+    plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 4, seed=3)
+    run = EnsembleRun(_setup(paper_params, plan, n_sd=3), [-1.0, 0.0, 1.0])
+    assert run.denoised(0.0, at_points=True).shape == (4, 3)
+    for beta in (0.5, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="beta"):
+            run.denoised(beta, at_points=True)
+    # the full-trace path clips at any order
+    assert run.denoised(0.5).shape == (4, plan.n_samples)
+
+
+@pytest.mark.parametrize("betas, match", [
+    ([], "at least 1 value"),
+    ([0.0, np.nan], "beta must be a number"),
+    ([1.0, 0.0], "increasing"),
+    ([0.0, 0.0], "increasing"),
+])
+def test_run_grid_checked_before_simulating(paper_params, monkeypatch, betas, match):
+    plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 4, seed=3)
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the grid was checked")
+
+    monkeypatch.setattr(tmtmag.bench, "simulate_ensemble", no_simulation)
+    with pytest.raises(ValueError, match=match):
+        EnsembleRun(_setup(paper_params, plan, n_sd=3), betas)
+
+
+def _coefficient_bytes(run):
+    """Bytes of one (n_exp, C) array, C the coefficients the detection rows read."""
+    return run.values.shape[0] * _point_coefficients(run)[0].size * 8
+
+
 def test_packed_point_clamp_allocates_no_coefficient_array(paper_params):
-    # a warm beta writes into the packed buffer: its traced peak stays
+    # a warm beta reads one order of the swept grid: its traced peak stays
     # below one (n_exp, C) array, C the coefficients the rows touch
     plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 40, seed=31)
     setup = _setup(paper_params, plan, n_sd=3)
-    run = EnsembleRun(setup)
-    rows, _ = uwt_synthesis_rows(plan.n_samples, run.points.indices, setup.basis,
-                                 setup.resolved_levels())
-    coefficient_bytes = plan.n_experiments * int(rows.any(axis=2).sum()) * 8
+    betas = (-np.inf, -1.0, 0.0, 0.5, np.inf)
+    run = EnsembleRun(setup, betas)
+    coefficient_bytes = _coefficient_bytes(run)
     run.denoised(0.0, at_points=True)
     for beta in (-np.inf, -1.0, 0.5, np.inf):
         tracemalloc.start()
@@ -395,6 +470,22 @@ def test_packed_point_clamp_allocates_no_coefficient_array(paper_params):
         finally:
             tracemalloc.stop()
         assert peak < coefficient_bytes, (beta, peak, coefficient_bytes)
+
+
+def test_bucket_build_allocates_no_coefficient_array(paper_params):
+    # the buckets are built in chunks of experiments gathered straight from
+    # the coefficient stacks: the build's traced peak, all 61 orders of the
+    # default grid included, stays below one (n_exp, C) array
+    plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 256, seed=31)
+    run = EnsembleRun(_setup(paper_params, plan, n_sd=3), default_beta_grid())
+    coefficient_bytes = _coefficient_bytes(run)
+    tracemalloc.start()
+    try:
+        run.denoised(run.betas[0], at_points=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < coefficient_bytes, (peak, coefficient_bytes)
 
 
 def test_calibrate_beta_runs(paper_params):
@@ -429,11 +520,12 @@ def test_sweep_with_shared_estimate_and_poisson_stats(paper_params):
     plan = AcquisitionPlan(0.97e-6, 1.75e-6, 128e6, 25000, 20, seed=14)
     setup = _setup(paper_params, plan, n_sd=2, shared_estimate=True,
                    photon_stats="poisson")
-    run = EnsembleRun(setup)
+    grid = default_beta_grid(-3.0, 1.0, 0.5)
+    run = EnsembleRun(setup, grid)
     assert np.all(run.omega_temps == run.omega_temps[0])
     assert run.omega_temps[0] == estimate_frequencies(run.values.mean(axis=0), plan.times,
                                                       paper_params, setup.resolved_grid())
-    result = sweep_beta(setup, default_beta_grid(-3.0, 1.0, 0.5))
+    result = sweep_beta(setup, grid)
     assert result.opt_stats.fringe_averaged_mse <= result.raw_stats.fringe_averaged_mse
 
 
@@ -461,10 +553,11 @@ def test_gain_profile_smoke(paper_params):
 
 
 def test_gain_profile_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # at n_sd = 9 the packed point products are large enough for OpenBLAS
-    # to split them between threads, which changed the last digits of
-    # tmt_fringe_mse; each run is a fresh process, as the pool size is read
-    # when numpy loads OpenBLAS
+    # at n_sd = 9 the point synthesis is large enough that OpenBLAS splits
+    # one product of it between threads, which once changed the last digits
+    # of tmt_fringe_mse; the sweep now sums by bucket without BLAS and takes
+    # the one remaining product in fixed blocks.  Each run is a fresh
+    # process, as the pool size is read when numpy loads OpenBLAS
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "plan": {"t_start": 0.2e-6, "t_stop": 3.7e-6, "n_experiments": 50},

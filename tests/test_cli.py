@@ -15,6 +15,7 @@ from tmtmag import bench, cli
 from tmtmag.bench import DetectionPointSet, ensemble_stats
 from tmtmag.cli import _stats_columns, export_table, main, make_table
 from tmtmag.config import MODES, parse_config
+from tmtmag.ramsey import POISSON_LAM_MAX
 from tmtmag.wavelets import available_bases
 
 
@@ -684,9 +685,9 @@ def test_runners_build_exactly_the_planned_ensembles(tmp_path, monkeypatch, mode
     built = []
     init = bench.EnsembleRun.__init__
 
-    def record(self, setup):
+    def record(self, setup, *args, **kwargs):
         built.append(setup)
-        init(self, setup)
+        init(self, setup, *args, **kwargs)
 
     monkeypatch.setattr(bench.EnsembleRun, "__init__", record)
     assert cli.run(config) == 0
@@ -728,6 +729,34 @@ def test_ensemble_over_the_byte_limit_exits_2(tmp_path, capsys, mode):
     assert err.startswith(f"error: plan.n_experiments = 1000000000: the {mode} ensemble of ")
     assert f"more than {cli.MAX_ENSEMBLE_BYTES / 2 ** 30:g} GiB" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode,section,block,field", [
+    ("simulate", "plan", {"repetitions": 10 ** 17}, "plan.repetitions = 100000000000000000"),
+    ("sweep-beta", "plan", {"repetitions": 10 ** 17}, "plan.repetitions = 100000000000000000"),
+    ("benchmark", "experiment", {"m_values": [25000, 50000, 10 ** 17]},
+     "experiment.m_values entry 100000000000000000"),
+])
+def test_poisson_mean_over_numpy_limit_exits_2(tmp_path, capsys, mode, section, block, field):
+    # repetitions * n0 = 1e20 passed every check, and simulate then exited 1
+    # with "lam value too large" from numpy's Poisson draw, leaving an empty
+    # output directory
+    overrides = {"sensor": {"n0": 1000, "n1": 500}, "plan": {"n_experiments": 2}}
+    overrides.setdefault(section, {}).update(block)
+    cfg = fast_config(tmp_path, **overrides)
+    out = tmp_path / "run"
+    assert main([mode, "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: at sensor.n0 = 1000 photons per repetition")
+    assert f"Poisson limit {POISSON_LAM_MAX:.6g}" in err
+    assert not out.exists()
+
+
+def test_poisson_limit_is_numpy_s():
+    rng = np.random.default_rng(0)
+    rng.poisson(POISSON_LAM_MAX)
+    with pytest.raises(ValueError, match="lam value too large"):
+        rng.poisson(np.nextafter(POISSON_LAM_MAX, np.inf))
 
 
 @pytest.mark.parametrize("mode,section,block,field", [

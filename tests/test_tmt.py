@@ -483,7 +483,8 @@ def test_clamped_details_stay_inside_margins(paper_params, short_plan):
 def ensemble_run(paper_params):
     plan = AcquisitionPlan(0.97e-6, 1.75e-6, 128e6, 25000, 8, seed=77)
     return EnsembleRun(BenchmarkSetup(params=paper_params, plan=plan,
-                                      omega_true=paper_params.omega_calib, n_sd=2))
+                                      omega_true=paper_params.omega_calib, n_sd=2),
+                       [-np.inf, -4.0, 0.0, 2.0, np.inf])
 
 
 def _denoise_like(run, values, omega_temps, beta):
@@ -652,7 +653,7 @@ def test_residual_form_matches_paper_formulation(paper_params, monkeypatch, basi
     plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 12, seed=29)
     run = EnsembleRun(BenchmarkSetup(params=paper_params, plan=plan,
                                      omega_true=paper_params.omega_calib * 1.005, n_sd=3,
-                                     basis=basis))
+                                     basis=basis), ORACLE_BETAS)
     # coefficients with |S| = 0: a finite width pins them to the template,
     # an infinite one leaves them raw; the same zeros reach tmt_denoise
     _zero_some_noise(run._noise_details)
