@@ -17,7 +17,12 @@ floats as ``%.17g`` and integers as ``%d``, JSON (keys sorted, indent 2,
 after the manifest) writes floats as their ``repr`` and NaN/+-inf as
 ``NaN``/``Infinity``/``-Infinity``, as ``json`` does.  Either way
 re-parsing a float is bit-exact; missing cells are empty in CSV and
-``null`` in JSON.
+``null`` in JSON.  Each distinct value of an integer, float or boolean
+column is formatted once per format, not once per row, when the column
+holds at most ``_CHUNK_ROWS`` distinct values (keyed on their bits); the
+rows then gather those texts through a 2-byte index.  The bound keeps the
+texts held for a column within one chunk's worth, so a column of
+(nearly) all-distinct values is still formatted chunk by chunk.
 """
 
 from __future__ import annotations
@@ -90,7 +95,7 @@ def make_table(**columns) -> np.ndarray:
 def _csv_cell(value) -> str:
     """One CSV cell: floats as ``%.17g``, booleans as ``true``/``false``,
     ``None`` empty, anything else ``str``; quoted as ``csv.writer`` quotes."""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         text = "true" if value else "false"
     elif isinstance(value, (float, np.floating)):
         text = format(float(value), ".17g")
@@ -116,30 +121,75 @@ def _json_floats(values: np.ndarray) -> list:
     return cells
 
 
-def _write_rows(fh, table: np.ndarray, names, frame, sep: str, float_cells, cell) -> None:
+def _distinct_values(column: np.ndarray):
+    """``(values, index)`` with ``values[index]`` equal to ``column`` bit for
+    bit, or ``None`` if ``column`` holds more than ``_CHUNK_ROWS`` distinct
+    values.
+
+    Cells are keyed on their bits (a same-width unsigned view), so ``0.0``
+    and ``-0.0`` or two NaN payloads stay apart.  The keys are merged one
+    chunk of rows at a time and the index is 2 bytes a row, so no
+    row-length array wider than that is held.
+    """
+    if column.itemsize > 8:  # no unsigned key as wide as a long double
+        return None
+    keys = column.view(f"u{column.itemsize}")
+    distinct = keys[:0]
+    for start in range(0, len(keys), _CHUNK_ROWS):
+        # sorted here: np.unique imports numpy.ma on its first call in a run
+        merged = np.sort(np.concatenate((distinct, keys[start:start + _CHUNK_ROWS])))
+        first = np.ones(len(merged), dtype=bool)
+        first[1:] = merged[1:] != merged[:-1]
+        distinct = merged[first]
+        if len(distinct) > _CHUNK_ROWS:
+            return None
+    index = np.empty(len(keys), dtype=np.min_scalar_type(_CHUNK_ROWS))
+    for start in range(0, len(keys), _CHUNK_ROWS):
+        index[start:start + _CHUNK_ROWS] = np.searchsorted(distinct, keys[start:start + _CHUNK_ROWS])
+    return distinct.view(column.dtype), index
+
+
+def _column_cells(column: np.ndarray, placeholder: str, convert, distinct):
+    """``(placeholder, cells)``: ``cells(start, stop)`` lists the slot
+    arguments of rows ``start:stop``.  With ``distinct`` (see
+    ``_distinct_values``) each distinct value is formatted once and a
+    chunk gathers its texts into ``%s`` slots."""
+    if distinct is None:
+        return placeholder, lambda start, stop: convert(column[start:stop])
+    values, index = distinct
+    texts = np.array([placeholder % cell for cell in convert(values)], dtype=object)
+    return "%s", lambda start, stop: texts[index[start:stop]].tolist()
+
+
+def _write_rows(fh, table: np.ndarray, names, frame, sep: str, float_cells, cell,
+                distinct: dict) -> None:
     """Stream ``table`` to ``fh``, ``_CHUNK_ROWS`` rows per ``%`` formatting.
 
     ``frame`` turns the per-column placeholders (taken in ``names`` order)
     into the one row template; rows are joined by ``sep``.  Integer columns
     use ``%d``, float columns ``float_cells`` (placeholder, converter), all
-    other columns the per-cell formatter ``cell``.
+    other columns the per-cell formatter ``cell``.  A column in
+    ``distinct`` (name -> ``_distinct_values``) has each distinct value
+    formatted once, not once per row; the bound of ``_CHUNK_ROWS`` distinct
+    values keeps those texts within what one chunk of the column holds, so
+    a column of (nearly) all-distinct values is formatted chunk by chunk.
     """
     slots = []
     for name in names:
         kind = table.dtype[name].kind
         if kind in "iu":
-            slots.append(("%d", np.ndarray.tolist))
+            placeholder, convert = "%d", np.ndarray.tolist
         elif kind == "f":
-            slots.append(float_cells)
+            placeholder, convert = float_cells
         else:
-            slots.append(("%s", lambda chunk: [cell(v) for v in chunk.tolist()]))
+            placeholder, convert = "%s", lambda values: [cell(v) for v in values.tolist()]
+        slots.append(_column_cells(table[name], placeholder, convert, distinct.get(name)))
     row = frame([placeholder for placeholder, _ in slots])
     for start in range(0, len(table), _CHUNK_ROWS):
-        chunk = table[start:start + _CHUNK_ROWS]
-        columns = [convert(chunk[name]) for name, (_, convert) in zip(names, slots)]
+        columns = [cells(start, start + _CHUNK_ROWS) for _, cells in slots]
         if start:
             fh.write(sep)
-        fh.write(sep.join([row] * len(chunk)) % tuple(chain.from_iterable(zip(*columns))))
+        fh.write(sep.join([row] * len(columns[0])) % tuple(chain.from_iterable(zip(*columns))))
 
 
 def export_table(table: np.ndarray, out_dir: Path, name: str, formats: list[str],
@@ -150,9 +200,12 @@ def export_table(table: np.ndarray, out_dir: Path, name: str, formats: list[str]
     the columns in CSV order.  The CSV has a header row and one record per
     line; the JSON document carries the manifest (without output
     checksums) and the same records with sorted keys, indented by 2.  Both
-    are streamed in chunks of rows.
+    are streamed in chunks of rows.  The distinct values of the integer,
+    float and boolean columns are found once and shared by both formats.
     """
     names = table.dtype.names
+    distinct = {name: found for name in names if table.dtype[name].kind in "biuf"
+                and (found := _distinct_values(table[name])) is not None}
     written = []
     if "csv" in formats:
         path = out_dir / f"{name}.csv"
@@ -161,7 +214,7 @@ def export_table(table: np.ndarray, out_dir: Path, name: str, formats: list[str]
         with path.open("w", newline="") as fh:
             fh.write(",".join(map(_csv_cell, names)) + "\n")
             _write_rows(fh, table, names, lambda slots: ",".join(slots) + "\n", "",
-                        ("%.17g", np.ndarray.tolist), cell)
+                        ("%.17g", np.ndarray.tolist), cell, distinct)
         written.append(path)
     if "json" in formats:
         path = out_dir / f"{name}.json"
@@ -178,7 +231,8 @@ def export_table(table: np.ndarray, out_dir: Path, name: str, formats: list[str]
             fh.write(head[:-len("\n}")] + ',\n  "records": [')
             if len(table):
                 fh.write("\n")
-                _write_rows(fh, table, keys, frame, ",\n", ("%s", _json_floats), _json_cell)
+                _write_rows(fh, table, keys, frame, ",\n", ("%s", _json_floats), _json_cell,
+                            distinct)
                 fh.write("\n  ")
             fh.write("]\n}\n")
         written.append(path)

@@ -6,6 +6,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numbers
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,7 +91,7 @@ def test_make_table_rejects_ragged_columns():
 
 
 def _reference_fmt(value) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, float) or isinstance(value, np.floating):
         return format(float(value), ".17g")
@@ -98,6 +99,8 @@ def _reference_fmt(value) -> str:
 
 
 def _reference_jsonable(value):
+    if isinstance(value, np.bool_):
+        return bool(value)
     if isinstance(value, np.floating):
         return float(value)
     if isinstance(value, np.integer):
@@ -140,9 +143,11 @@ def test_export_matches_reference_writer_on_mixed_table(tmp_path):
         {"label": 'say "hi"', "point": np.int64(12), "beta": inf, "x": -inf, "n": 0,
          "flag": True, "cell": np.float32(1.1), "f32": -1e-30},
         {"label": "line\nbreak\rreturn é", "point": None, "beta": nan, "x": -0.0, "n": 2**40,
-         "flag": False, "f32": 3.0},  # "cell" missing
+         "flag": False, "cell": np.True_, "f32": 3.0},
         {"label": "", "point": 7, "beta": 1e-300, "x": 1e300, "n": 1, "flag": False,
          "cell": None, "f32": nan},
+        {"label": "np", "point": np.False_, "beta": 0.5, "x": 2.0, "n": 5, "flag": True,
+         "f32": 4.0},  # "cell" missing
     ]
     table = make_table(
         label=[r["label"] for r in records], point=[r["point"] for r in records],
@@ -173,15 +178,87 @@ def test_export_matches_reference_writer_on_empty_and_chunked_tables(tmp_path):
                                     {"mode": "test"})
 
 
+def test_export_matches_reference_writer_on_distinct_value_columns(tmp_path):
+    # columns at and just past the distinct-value bound, over 3 chunks, and
+    # cells whose values compare equal while their bits differ, or unequal
+    # while their bits agree
+    n = 3 * cli._CHUNK_ROWS + 5
+    rng = np.random.default_rng(5)
+    other_nan = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+    special = np.array([0.0, -0.0, np.nan, other_nan, np.inf, -np.inf, 0.1, 1e-300])
+    i64 = np.iinfo(np.int64)
+    table = make_table(
+        exact=rng.permutation(np.arange(n) % cli._CHUNK_ROWS),
+        over=rng.permutation(np.arange(n) % (cli._CHUNK_ROWS + 1)) * 0.1,
+        special=rng.choice(special, n),
+        half=(rng.integers(-50, 50, n) / 8).astype(np.float16),
+        single=(rng.integers(0, 300, n) * 0.1).astype(np.float32),
+        wide=rng.choice(np.array([i64.min, i64.max, 0, -1]), n),
+        unsigned=rng.choice(np.array([2**63 + 5, 2**64 - 1, 0, 7], dtype=np.uint64), n),
+        flag=rng.random(n) < 0.5,
+        label=rng.choice(["a", "b,c"], n).tolist())
+    assert cli._distinct_values(table["exact"]) is not None
+    assert cli._distinct_values(table["over"]) is None
+    assert len(cli._distinct_values(table["special"])[0]) == 8  # -0.0 and both NaNs kept apart
+    records = [dict(zip(table.dtype.names, row)) for row in table.tolist()]
+    assert_export_matches_reference(tmp_path, "dedup", table, records, {"mode": "test"})
+
+
+def test_export_formats_long_double_columns(tmp_path):
+    export_table(make_table(x=np.array([0.1, 0.1, 2.5], dtype=np.longdouble)), tmp_path, "wide",
+                 ["csv"])
+    assert read_csv(tmp_path / "wide.csv") == [["x"], ["0.10000000000000001"],
+                                               ["0.10000000000000001"], ["2.5"]]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40),
+       st.sampled_from([np.float16, np.float32, np.float64]))
+def test_distinct_values_rebuild_the_column_bit_for_bit(cells, dtype):
+    with np.errstate(over="ignore"):
+        column = np.array(cells, dtype=dtype)
+    values, index = cli._distinct_values(column)
+    key = f"u{column.itemsize}"
+    np.testing.assert_array_equal(values[index].view(key), column.view(key))
+    assert len(np.unique(values.view(key))) == len(values)
+
+
+def _export_peak(out_dir: Path, n: int) -> int:
+    """tracemalloc peak of one CSV+JSON export of a denoise-like table of ``n`` rows."""
+    rng = np.random.default_rng(0)
+    table = make_table(experiment=np.repeat(np.arange(n // 256), 256),
+                       time=np.tile(np.linspace(0.0, 1e-6, 256), n // 256),
+                       raw=rng.integers(0, 1000, n) / 25000.0, denoised=rng.normal(size=n))
+    tracemalloc.start()
+    try:
+        export_table(table, out_dir, "peak", ["csv", "json"])
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_export_memory_is_a_chunk_plus_two_bytes_a_row_per_column(tmp_path):
+    small, large = 2 * cli._CHUNK_ROWS, 8 * cli._CHUNK_ROWS
+    peak = _export_peak(tmp_path, large)
+    # of the 4 columns, 3 have few distinct values and keep a 2-byte index;
+    # an int64 index on one column, or one string a row, breaks both bounds
+    assert (peak - _export_peak(tmp_path, small)) / (large - small) <= 2 * 4
+    assert peak < 3 * 2**20
+
+
 @pytest.mark.parametrize("mode", ["simulate", "denoise"])
 def test_export_matches_reference_writer_on_mode_tables(tmp_path, mode):
-    config = parse_config({"plan": {"t_stop": 1.36e-6, "n_experiments": 12, "seed": 4},
-                           "experiment": {"mode": mode, "n_sd": 1}})
-    tables, _, _ = cli._RUNNERS[mode](config)
-    assert tables
-    for name, table in tables:
-        records = [dict(zip(table.dtype.names, row)) for row in table.tolist()]
-        assert_export_matches_reference(tmp_path, name, table, records, {"mode": mode})
+    # 12 x 50 rows fit one chunk; 60 x 150 rows span 3 chunks
+    for plan, chunks in (({"t_stop": 1.36e-6, "n_experiments": 12}, 1),
+                         ({"t_stop": 2.14e-6, "n_experiments": 60}, 3)):
+        config = parse_config({"plan": dict(plan, seed=4), "experiment": {"mode": mode, "n_sd": 1}})
+        tables, _, _ = cli._RUNNERS[mode](config)
+        assert -(-len(tables[0][1]) // cli._CHUNK_ROWS) == chunks
+        if mode == "denoise" and chunks == 3:  # past the distinct-value bound
+            assert cli._distinct_values(tables[0][1]["denoised"]) is None
+        for name, table in tables:
+            records = [dict(zip(table.dtype.names, row)) for row in table.tolist()]
+            assert_export_matches_reference(tmp_path, name, table, records, {"mode": mode})
 
 
 # ---------------------------------------------------------------------------
