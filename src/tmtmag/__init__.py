@@ -40,7 +40,6 @@ from .bench import (
     ScalingFit,
     SnrPoint,
     benchmark_snr,
-    calibrate_beta,
     default_beta_grid,
     ensemble_stats,
     find_detection_points,

@@ -221,33 +221,23 @@ class BenchmarkSetup:
         return replace(self, plan=self.plan.with_(**kwargs))
 
 
-def _blocked_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` summed over blocks of 256 columns of ``a``, in order.
-
-    OpenBLAS splits a large product between threads and then sums some
-    elements with another micro-kernel, so its bits depend on the thread
-    count; products of one block stay on one thread.
-    """
-    out = a[:, :256] @ b[:256]
-    for s in range(256, a.shape[1], 256):
-        out += a[:, s:s + 256] @ b[s:s + 256]
-    return out
-
-
 def _clipped_point_sums(details, noise, level, sample, rows, widths) -> np.ndarray:
-    """The synthesis ``rows`` applied to the clipped residual details at every width.
+    """What clipping the residual details at every width changes at the synthesis ``rows``.
 
     ``details`` and ``noise`` are the (levels + 1, E, N) residual and ``|S|``
     stacks of E experiments, ``(level, sample)`` index the C coefficients
     that the (C, p) ``rows`` read, and the K ``widths`` rise; returns
-    (K, E, p).  A coefficient ``r`` with noise scale ``s`` is clipped to
-    ``sign(r)*w*s`` at the widths ``w`` below ``tau = |r|/s`` and passes
-    unclipped from there on, so it falls into bucket ``q =
-    searchsorted(widths, tau)``, the number of widths that clip it.
-    Per-bucket ``np.bincount`` sums of ``r*row`` and ``sign(r)*s*row`` give,
-    by one cumulative sum each, the unclipped share ``A`` and the clipped
-    scale ``B`` at every width, and width ``w`` yields ``A + w*B``.  An
-    infinite width clips nothing, also where ``s = 0``, and yields ``A``.
+    (K, E, p), to be added to the raw samples.  A coefficient ``r`` with
+    noise scale ``s`` is clipped to ``sign(r)*w*s`` at the widths ``w``
+    below ``tau = |r|/s`` and passes unclipped from there on, so it falls
+    into bucket ``q = searchsorted(widths, tau)``, the number of widths
+    that clip it.  With ``U`` and ``B`` the per-bucket ``np.bincount`` sums
+    of ``r*row`` and ``sign(r)*s*row``, width ``w_k`` changes the sample by
+    ``w_k*sum(B[q > k]) - sum(U[q > k])``: each coefficient it clips swaps
+    its share ``r*row`` for ``sign(r)*w_k*s*row``.  ``sum(U[q > k])`` is
+    the total of a forward cumulative sum less its first ``k + 1`` terms,
+    so an infinite width, which clips nothing, also where ``s = 0``,
+    changes nothing exactly.
     """
     offsets = details[level, :, sample]  # (C, E)
     scales = noise[level, :, sample]
@@ -263,7 +253,8 @@ def _clipped_point_sums(details, noise, level, sample, rows, widths) -> np.ndarr
         unclipped, clipped = (
             np.bincount(keys, (coeffs * row[:, None]).ravel(), n_exp * n_buckets)
             .reshape(n_exp, n_buckets) for coeffs in (offsets, scales))
-        out[:, :, j] = (np.cumsum(unclipped[:, :-1], axis=1)
+        cs = np.cumsum(unclipped, axis=1)
+        out[:, :, j] = (cs[:, :-1] - cs[:, -1:]
                         + finite * np.cumsum(clipped[:, :0:-1], axis=1)[:, ::-1]).T
     return out
 
@@ -295,15 +286,18 @@ class EnsembleRun:
 
     ``denoised(beta, at_points=True)``, which :meth:`stats` scores, reads
     one order of the grid from the detection samples that the first such
-    call computes at every order at once.  The synthesis is linear, so each
-    detection sample is a fixed row of it
-    (:func:`~tmtmag.wavelets.uwt_synthesis_rows`).  The C residual
-    coefficients those rows read are gathered in chunks of
-    ``_BUCKET_CHUNK`` experiments straight from the coefficient stacks and
-    bucketed by the width at which they start to clip
-    (:func:`_clipped_point_sums`), so the cost hardly grows with the number
-    of orders and no BLAS product is taken per order.  The outputs agree
-    with clipping the full stack up to rounding.
+    call computes at every order at once.  The synthesis is linear and only
+    detail coefficients are clipped, so each denoised detection sample is
+    the raw sample plus a fixed row of the synthesis
+    (:func:`~tmtmag.wavelets.uwt_synthesis_rows`) applied to what clipping
+    changes in the residual details; the templates and the approximation
+    band cancel.  The C residual coefficients those rows read are gathered
+    in chunks of ``_BUCKET_CHUNK`` experiments straight from the
+    coefficient stacks and bucketed by the width at which they start to
+    clip (:func:`_clipped_point_sums`), so the cost hardly grows with the
+    number of orders and no matrix product is taken.  The outputs agree
+    with clipping the full stack up to rounding, and equal the raw samples
+    bit for bit at every order whose width is infinite.
     """
 
     def __init__(self, setup: BenchmarkSetup, betas):
@@ -352,17 +346,16 @@ class EnsembleRun:
     def _at_points(self) -> np.ndarray:
         """The (K, n_exp, p) denoised detection samples at the K orders of the grid, read-only."""
         indices = self.points.indices
-        rows, approx_rows = uwt_synthesis_rows(self.values.shape[1], indices,
-                                               self.setup.basis, self.levels)
+        rows = uwt_synthesis_rows(self.values.shape[1], indices, self.setup.basis, self.levels)
         level, sample = np.nonzero(rows.any(axis=2))
         rows = rows[level, sample]  # (C, p), level by level
-        base = _blocked_product(self._residual_approx, approx_rows) + self._templates[:, indices]
+        raw = self.values[:, indices]
         # the clipped shares come in order of rising width, falling beta
         widths = self._widths[::-1]
-        out = np.empty((widths.size,) + base.shape)
-        for start in range(0, base.shape[0], _BUCKET_CHUNK):
+        out = np.empty((widths.size,) + raw.shape)
+        for start in range(0, raw.shape[0], _BUCKET_CHUNK):
             chunk = slice(start, start + _BUCKET_CHUNK)
-            out[:, chunk] = base[chunk] + _clipped_point_sums(
+            out[:, chunk] = raw[chunk] + _clipped_point_sums(
                 self._residual_details[:, chunk], self._noise_details[:, chunk],
                 level, sample, rows, widths)
         out.flags.writeable = False
@@ -426,17 +419,6 @@ def default_beta_grid(start: float = -4.0, stop: float = 2.0, step: float = 0.1)
         raise ValueError(f"beta grid from {start:g} to {stop:g} by {step:g} "
                          f"holds {max(n + 1, 0)} values, need at least 3")
     return start + step * np.arange(n + 1)
-
-
-def calibrate_beta(setup: BenchmarkSetup, beta_grid) -> float:
-    """Optimum filter order measured on calibration-field-only runs.
-
-    Simulates at the calibration frequency (truths from the calibration
-    template) with the same window, repetition count and sampling rate,
-    and returns the MSE-minimizing order.
-    """
-    calib = replace(setup, omega_true=setup.params.omega_calib)
-    return sweep_beta(calib, beta_grid).beta_opt
 
 
 # ---------------------------------------------------------------------------

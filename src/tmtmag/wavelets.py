@@ -302,31 +302,32 @@ def uwt_synthesize(details, approximation, basis: WaveletBasis | str):
     return _samples_last(a)
 
 
-def uwt_synthesis_rows(n: int, indices, basis: WaveletBasis | str,
-                       levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of :func:`uwt_synthesize` at the output samples ``indices``.
+def uwt_synthesis_rows(n: int, indices, basis: WaveletBasis | str, levels: int) -> np.ndarray:
+    """Detail rows of :func:`uwt_synthesize` at the output samples ``indices``.
 
-    Returns ``(rows, approx_rows)`` of shapes ``(levels + 1, n, p)`` and
-    ``(n, p)``, ``p = len(indices)``, such that for any ``details`` and
-    ``approximation`` on an ``n``-sample grid::
+    Returns ``rows`` of shape ``(levels + 1, n, p)``, ``p = len(indices)``,
+    such that for any ``details`` and ``approximation`` on an ``n``-sample
+    grid::
 
         uwt_synthesize(details, approximation)[..., indices]
-            == approximation @ approx_rows + sum_j details[j] @ rows[j]
+            == uwt_synthesize(zeros_like(details), approximation)[..., indices]
+               + sum_j details[j] @ rows[j]
 
-    up to rounding.  A synthesis tap convolves, so its transpose correlates:
-    the rows are :func:`uwt_analyze` of the unit impulses at ``indices``
-    with the dual bank (analysis and synthesis filters swapped), scaled by
-    the synthesis factor 1/2 of every level passed on the way up.
+    up to rounding: the synthesis is linear, so the detail bands add to the
+    approximation band's share.  A synthesis tap convolves, so its
+    transpose correlates: the rows are :func:`uwt_analyze` of the unit
+    impulses at ``indices`` with the dual bank (analysis and synthesis
+    filters swapped), scaled by the synthesis factor 1/2 of every level
+    passed on the way up.
     """
     basis = _as_basis(basis)
     indices = np.asarray(indices, dtype=int)
     if indices.ndim != 1 or np.any((indices < 0) | (indices >= n)):
         raise WaveletError(f"output indices must be a 1-d subset of [0, {n})")
     dual = WaveletBasis(basis.name, h0=basis.g0, h1=basis.g1, g0=basis.h0, g1=basis.h1)
-    details, approx = uwt_analyze((indices[:, None] == np.arange(n)).astype(float), dual, levels)
+    details, _ = uwt_analyze((indices[:, None] == np.arange(n)).astype(float), dual, levels)
     details *= 0.5 ** np.arange(1, levels + 2)[:, None, None]
-    approx *= 0.5 ** (levels + 1)
-    return np.ascontiguousarray(details.swapaxes(1, 2)), np.ascontiguousarray(approx.T)
+    return np.ascontiguousarray(details.swapaxes(1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ PUBLIC = {
     "estimate_frequencies", "margin_width", "tmt_denoise",
     # bench
     "BenchmarkSetup", "BetaSweepResult", "DetectionPointSet", "EnsembleStats", "GainPoint",
-    "ScalingFit", "SnrPoint", "benchmark_snr", "calibrate_beta", "default_beta_grid",
+    "ScalingFit", "SnrPoint", "benchmark_snr", "default_beta_grid",
     "ensemble_stats", "find_detection_points", "fit_scaling", "gain_profile",
     "signal_amplitude", "snr", "sweep_beta",
 }

@@ -1,12 +1,11 @@
-"""No matrix product outside ``bench._blocked_product``.
+"""No matrix product anywhere in ``src/tmtmag``.
 
 OpenBLAS splits a large product between threads and sums some elements
 with another micro-kernel, so the bits of a BLAS product can depend on the
-thread count.  ``bench._blocked_product`` sums in fixed blocks that stay on
-one thread; every other reduction in ``tmtmag`` must be elementwise numpy
-or ``np.einsum(..., optimize=False)``, which never calls BLAS.  This test
-reads the source with ``ast``, so a product that no test executes is
-caught too.
+thread count.  Every reduction in ``tmtmag`` is elementwise numpy or
+``np.einsum(..., optimize=False)``, which never calls BLAS, so ``src/``
+takes no matrix product at all.  This test reads the source with ``ast``,
+so a product that no test executes is caught too.
 """
 
 import ast
@@ -17,8 +16,7 @@ import pytest
 import tmtmag
 
 SRC = Path(tmtmag.__file__).resolve().parent
-ALLOWED = {("bench", "_blocked_product")}
-PRODUCT_CALLS = {"dot", "matmul", "tensordot", "inner"}
+PRODUCT_CALLS = {"dot", "vdot", "matmul", "tensordot", "inner"}
 
 
 def _einsum_without_blas(call: ast.Call) -> bool:
@@ -27,12 +25,9 @@ def _einsum_without_blas(call: ast.Call) -> bool:
 
 
 def matrix_products(source: str, module: str) -> list[str]:
-    """``module:line kind`` of every matrix product outside the allowed functions."""
+    """``module:line kind`` of every matrix product in ``source``."""
     found = []
-
-    def visit(node, function):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
+    for node in ast.walk(ast.parse(source)):
         kind = None
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
             kind = "@"
@@ -43,16 +38,12 @@ def matrix_products(source: str, module: str) -> list[str]:
                 kind = name
             elif name == "einsum" and not _einsum_without_blas(node):
                 kind = "einsum without optimize=False"
-        if kind is not None and (module, function) not in ALLOWED:
+        if kind is not None:
             found.append(f"{module}:{node.lineno} {kind}")
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
-
-    visit(ast.parse(source), None)
     return found
 
 
-def test_no_matrix_product_outside_blocked_product():
+def test_no_matrix_product_in_src():
     modules = sorted(SRC.glob("*.py"))
     assert {path.stem for path in modules} >= {"bench", "tmt", "wavelets"}
     found = [hit for path in modules for hit in matrix_products(path.read_text(), path.stem)]
@@ -64,6 +55,7 @@ def test_no_matrix_product_outside_blocked_product():
     "c @= b",
     "c = np.dot(a, b)",
     "c = a.dot(b)",
+    "c = np.vdot(a, b)",
     "c = np.matmul(a, b)",
     "c = np.tensordot(a, b, 1)",
     "c = np.inner(a, b)",
@@ -74,9 +66,6 @@ def test_no_matrix_product_outside_blocked_product():
 def test_guard_finds_each_product(line):
     source = f"def f(a, b, c):\n    {line.replace(chr(10), chr(10) + '    ')}\n"
     assert len(matrix_products(source, "tmt")) == 1
-    # inside the one allowed function it passes
-    allowed = source.replace("def f(", "def _blocked_product(")
-    assert matrix_products(allowed, "bench") == []
 
 
 def test_guard_passes_einsum_without_blas():
