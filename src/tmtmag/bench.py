@@ -274,30 +274,35 @@ class EnsembleRun:
     ensemble mean with ``shared_estimate``), builds the templates and
     ``|S|`` through :func:`~tmtmag.tmt.build_margins`, decomposes the
     residual ``values - templates`` once, and scores the raw traces
-    (:attr:`raw_stats`).
+    (:attr:`raw_stats`).  The run keeps the traces and the residual's
+    detail and ``|S|`` stacks, ``2 * levels + 3`` arrays of the traces'
+    shape: the templates serve only to form the residual, and its
+    approximation band is dropped.
 
-    :meth:`denoised` clips all residual detail coefficients with one
-    :func:`~tmtmag.tmt.clamp_details` call, synthesizes and adds the
-    templates, so it equals :func:`~tmtmag.tmt.tmt_denoise` on the same
-    traces and frequencies at any beta, including the exact limits:
-    ``beta = -inf`` leaves every residual coefficient unclipped (the raw
-    traces) and ``beta = +inf`` zeroes every residual detail (the
-    templates plus the residual approximation band's share).
+    Every path denoises by one identity, the one of
+    :func:`~tmtmag.tmt.tmt_denoise`: only detail coefficients are clipped
+    and the synthesis is linear, so a denoised trace is the raw trace plus
+    the synthesis of what the clip changes, with a zero approximation band.
+    :meth:`denoised` clips the residual details with one
+    :func:`~tmtmag.tmt.clamp_details` call, subtracts the unclipped details
+    in place and synthesizes that change, so it equals
+    :func:`~tmtmag.tmt.tmt_denoise` on the same traces and frequencies at
+    any beta, including the exact limits: ``beta = -inf`` changes nothing
+    (the raw traces, bit for bit) and ``beta = +inf`` zeroes every residual
+    detail (the templates plus the residual approximation band's share).
 
     ``denoised(beta, at_points=True)``, which :meth:`stats` scores, reads
     one order of the grid from the detection samples that the first such
-    call computes at every order at once.  The synthesis is linear and only
-    detail coefficients are clipped, so each denoised detection sample is
+    call computes at every order at once: each denoised detection sample is
     the raw sample plus a fixed row of the synthesis
     (:func:`~tmtmag.wavelets.uwt_synthesis_rows`) applied to what clipping
-    changes in the residual details; the templates and the approximation
-    band cancel.  The C residual coefficients those rows read are gathered
-    in chunks of ``_BUCKET_CHUNK`` experiments straight from the
-    coefficient stacks and bucketed by the width at which they start to
-    clip (:func:`_clipped_point_sums`), so the cost hardly grows with the
-    number of orders and no matrix product is taken.  The outputs agree
-    with clipping the full stack up to rounding, and equal the raw samples
-    bit for bit at every order whose width is infinite.
+    changes in the residual details.  The C residual coefficients those
+    rows read are gathered in chunks of ``_BUCKET_CHUNK`` experiments
+    straight from the coefficient stacks and bucketed by the width at which
+    they start to clip (:func:`_clipped_point_sums`), so the cost hardly
+    grows with the number of orders and no matrix product is taken.  The
+    outputs agree with clipping the full stack up to rounding, and equal
+    the raw samples bit for bit at every order whose width is infinite.
     """
 
     def __init__(self, setup: BenchmarkSetup, betas):
@@ -316,10 +321,10 @@ class EnsembleRun:
         searched = self.values.mean(axis=0) if setup.shared_estimate else self.values
         self.omega_temps = np.full(plan.n_experiments, estimate_frequencies(
             searched, self.times, params, setup.resolved_grid()))
-        self._templates, self._noise_details = build_margins(
+        templates, self._noise_details = build_margins(
             self.omega_temps, params, plan, setup.basis, self.levels, setup.squared_contrast)
-        self._residual_details, self._residual_approx = uwt_analyze(
-            self.values - self._templates, setup.basis, self.levels)
+        residual = np.subtract(self.values, templates, out=templates)
+        self._residual_details, _ = uwt_analyze(residual, setup.basis, self.levels)
         self.raw_stats = ensemble_stats(self.values, self.points)
 
     def denoised(self, beta: float, at_points: bool = False) -> np.ndarray:
@@ -329,9 +334,11 @@ class EnsembleRun:
         array is a read-only view.
         """
         if not at_points:
-            width = margin_width(beta, self.setup.plan)
-            clamped = clamp_details(self._residual_details, self._noise_details, width)
-            return self._templates + uwt_synthesize(clamped, self._residual_approx, self.setup.basis)
+            change = clamp_details(self._residual_details, self._noise_details,
+                                   margin_width(beta, self.setup.plan))
+            change -= self._residual_details
+            return self.values + uwt_synthesize(change, np.zeros(self.values.shape),
+                                                self.setup.basis)
         k = int(np.searchsorted(self.betas, beta))
         if k == self.betas.size or self.betas[k] != beta:
             raise ValueError(f"beta = {beta} is not on this run's grid of {self.betas.size} "
@@ -360,6 +367,24 @@ class EnsembleRun:
                 level, sample, rows, widths)
         out.flags.writeable = False
         return out[::-1]
+
+
+def ensemble_run_bytes(setup: BenchmarkSetup) -> int:
+    """Most bytes an :class:`EnsembleRun` of ``setup`` allocates while it is built or
+    denoises its full traces.
+
+    Per experiment that is ``4 * levels + 12`` doubles a sample and the
+    frequency search's ``freq_points`` spectrum values.  The full-trace clip
+    holds the run's ``2 * levels + 3`` arrays (the traces and the residual and
+    ``|S|`` stacks), the clip bound and the clipped stack, ``4 * levels + 5``
+    in all; the synthesis of the change (about ``3 * levels + 12``) and the
+    analysis copies of construction (about ``2 * levels + 10``) peak lower.
+    The search's FFT work arrays, 16 traces at most, do not grow with the
+    ensemble and are left out.
+    """
+    plan = setup.plan
+    per_trace = (4 * setup.resolved_levels() + 12) * plan.n_samples + setup.resolved_grid().n_points
+    return 8 * plan.n_experiments * per_trace
 
 
 @dataclass

@@ -45,6 +45,7 @@ from .bench import (
     BenchmarkSetup,
     EnsembleRun,
     benchmark_snr,
+    ensemble_run_bytes,
     ensemble_stats,
     find_detection_points,
     fit_scaling,
@@ -114,7 +115,10 @@ def _json_cell(value) -> str:
 
 def _json_floats(values: np.ndarray) -> list:
     """Floats for a ``%s`` slot (``str`` of a float is its ``repr``, as in
-    ``json``); NaN and +-inf become ``NaN`` / ``Infinity`` / ``-Infinity``."""
+    ``json``); NaN and +-inf become ``NaN`` / ``Infinity`` / ``-Infinity``.
+    Every float goes through float64 first, as ``%.17g`` does in the CSV, so
+    a long double is not written with its extra digits."""
+    values = values.astype(float, copy=False)
     cells = values.tolist()
     for i in np.flatnonzero(~np.isfinite(values)):
         cells[i] = json.dumps(cells[i])
@@ -263,7 +267,7 @@ def _dataclass_table(items) -> np.ndarray:
 #: an unbounded trace.
 MAX_WINDOW_SAMPLES = 1 << 16
 #: Most bytes one planned ensemble may hold, at 4 doubles per sample in simulate (traces and
-#: table) and 2 * levels + 6 in an ``EnsembleRun`` (values, templates, residual, |S|, approximation).
+#: table) and :func:`~tmtmag.bench.ensemble_run_bytes` in an ``EnsembleRun``.
 MAX_ENSEMBLE_BYTES = 2 << 30
 
 
@@ -333,8 +337,7 @@ def _check_mode_limits(config: RunConfig) -> None:
             if levels is not None and levels >= n.bit_length() - 1:  # 2**(levels + 1) > n
                 raise ConfigError(f"filter.levels = {levels} needs >= 2**{levels + 1} samples, "
                                   f"the {mode} window has {n}")
-        doubles = 4 if mode == "simulate" else 2 * setup.resolved_levels() + 6
-        size = doubles * 8 * plan.n_experiments * n
+        size = 4 * 8 * plan.n_experiments * n if mode == "simulate" else ensemble_run_bytes(setup)
         if size > MAX_ENSEMBLE_BYTES:
             raise ConfigError(f"plan.n_experiments = {plan.n_experiments}: the {mode} ensemble of "
                               f"{n}-sample traces needs {size / 2**30:.3g} GiB, "

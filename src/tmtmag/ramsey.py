@@ -192,32 +192,30 @@ def experiment_rng(seed: int, experiment: int) -> np.random.Generator:
 POISSON_LAM_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
 
 
-def _sample_values(params: SensorParams, plan: AcquisitionPlan, omega_true: float,
-                   rng: np.random.Generator, photon_stats: str) -> np.ndarray:
-    t = plan.times
-    m = plan.repetitions
-    if photon_stats == "bernoulli-poisson":
-        # number of |0> projections among M repetitions, then the photon
-        # total is Poisson with the state-summed mean
-        p0 = 0.5 * (1.0 + np.cos(omega_true * t) * envelope(t, params))
-        k0 = rng.binomial(m, p0)
-        mean = k0 * params.n0 + (m - k0) * params.n1
-        photons = rng.poisson(mean)
-    elif photon_stats == "poisson":
-        photons = rng.poisson(m * template(t, omega_true, params))
-    else:
-        raise ValueError(f"unknown photon_stats mode {photon_stats!r}")
-    return photons / m
-
-
 def simulate_ensemble(params: SensorParams, plan: AcquisitionPlan, omega_true: float,
                       photon_stats: str = "bernoulli-poisson") -> np.ndarray:
     """All ``plan.n_experiments`` traces as an (n_experiments, n_samples) array."""
     if not 0.0 < omega_true < np.inf:
         raise ValueError(f"omega_true must be positive and finite, got {omega_true}")
+    if photon_stats not in ("bernoulli-poisson", "poisson"):
+        raise ValueError(f"unknown photon_stats mode {photon_stats!r}")
+    t = plan.times
+    m = plan.repetitions
+    # every experiment draws from the same mean profile
+    if photon_stats == "bernoulli-poisson":
+        p0 = 0.5 * (1.0 + np.cos(omega_true * t) * envelope(t, params))
+    else:
+        mean = m * template(t, omega_true, params)
     out = np.empty((plan.n_experiments, plan.n_samples))
     for i in range(plan.n_experiments):
-        out[i] = _sample_values(params, plan, omega_true,
-                                experiment_rng(plan.seed, i), photon_stats)
+        rng = experiment_rng(plan.seed, i)
+        if photon_stats == "bernoulli-poisson":
+            # number of |0> projections among M repetitions, then the photon
+            # total is Poisson with the state-summed mean
+            k0 = rng.binomial(m, p0)
+            out[i] = rng.poisson(k0 * params.n0 + (m - k0) * params.n1)
+        else:
+            out[i] = rng.poisson(mean)
+    out /= m
     return out
 

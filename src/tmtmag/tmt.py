@@ -5,25 +5,34 @@ Per trace, the fringe frequency is estimated by template cross-correlation
 frequencies the correlation spectrum is one chirp-z transform per trace
 (:func:`correlation_spectrum`).  The paper clamps every detail coefficient
 of the trace into the decomposed margins ``template +/- width * S(t)``,
-``S(t)`` being the shot-noise profile.  The undecimated transform is
-linear, so that clamp is the template plus a clipped residual: the
-residual ``trace - template`` is decomposed, each of its detail
-coefficients is clipped into ``+/- width * |S|`` (:func:`clamp_details`),
-``|S|`` being the absolute shot-noise coefficients, and the synthesis of
-the clipped details and the residual's approximation band is added to the
-template (translation-invariant wavelet shrinkage centred on the
-template).  The approximation band is kept unclipped.
+``S(t)`` being the shot-noise profile, and keeps the approximation band.
+The undecimated transform is linear, so that clamp is a clip of the
+residual ``trace - template``: each of its detail coefficients ``r`` is
+clipped into ``+/- width * |S|`` (:func:`clamp_details`), ``|S|`` being the
+absolute shot-noise coefficients (translation-invariant wavelet shrinkage
+centred on the template).  Only detail coefficients are clipped, so every
+TMT path computes one identity, the raw trace plus the synthesis of what
+the clip changes::
+
+    denoised = trace + uwt_synthesize(clip(r) - r, 0)
+
+with a zero approximation band: :func:`tmt_denoise` on any batch of
+traces, and the full-trace and the detection-point denoising of
+:class:`tmtmag.bench.EnsembleRun` (the latter through the synthesis rows
+of the detection samples).  The templates serve only to form the
+residual, and no approximation band is synthesized.
 
 The width is ``10**(-beta) / sqrt(T_I * M * f_sample)``; ``beta`` is the
 filter order.  The limits are exact: ``beta = -inf`` (and any ``beta``
-small enough that ``10**(-beta)`` overflows) gives an infinite width and
-returns the raw trace; ``beta = +inf`` gives width 0, zeroes every
-residual detail and returns the template plus the residual's
-approximation share.  A clean template comes back bit for bit.
+small enough that ``10**(-beta)`` overflows) gives an infinite width, the
+clip changes nothing and the raw trace comes back bit for bit;
+``beta = +inf`` gives width 0, zeroes every residual detail and leaves the
+template plus the residual's approximation share.  A clean template has a
+zero residual and comes back bit for bit at every ``beta``.
 
 The API takes and returns plain arrays of traces, one trace being a batch
-of one; the ensemble path in :mod:`tmtmag.bench` calls the same
-:func:`build_margins` and :func:`clamp_details`.
+of one; the ensemble's full-trace path in :mod:`tmtmag.bench` calls the
+same :func:`build_margins` and :func:`clamp_details`.
 """
 
 from __future__ import annotations
@@ -259,10 +268,13 @@ def clamp_details(details, noise_details, width: float) -> np.ndarray:
     coefficients.  An infinite width is the identity on the details (also
     where ``|S|`` vanishes); width 0 zeroes them.
     """
-    # inf * 0 where |S| vanishes is NaN, and fmax/fmin pass over a NaN bound
+    # inf * 0 where |S| vanishes is NaN, and fmin passes over a NaN bound;
+    # clipping |r| and restoring its sign needs no second bound array
     with np.errstate(invalid="ignore"):
-        half = width * noise_details
-    return np.fmin(np.fmax(details, -half), half)
+        half = np.multiply(width, noise_details)
+    out = np.empty(np.broadcast_shapes(np.shape(details), np.shape(half)))
+    np.fmin(np.abs(details, out=out), half, out=out)
+    return np.copysign(out, details, out=out)[()]  # [()]: a scalar for scalar inputs
 
 
 def build_margins(omega_temps, params: SensorParams, plan: AcquisitionPlan,
@@ -284,7 +296,7 @@ def build_margins(omega_temps, params: SensorParams, plan: AcquisitionPlan,
     times = plan.times
     noise = shot_noise(times, omegas, params, squared_contrast=squared_contrast)
     noise_details, _ = uwt_analyze(noise, basis, levels)
-    return template(times, omegas, params), np.abs(noise_details)
+    return template(times, omegas, params), np.abs(noise_details, out=noise_details)
 
 
 def _as_traces(values, plan: AcquisitionPlan) -> np.ndarray:
@@ -305,9 +317,9 @@ def tmt_denoise(values, omega_temps, beta: float, params: SensorParams,
 
     ``omega_temps`` broadcasts to ``values.shape[:-1]``.  The residual
     ``values - templates`` is analysed, its detail coefficients go through
-    :func:`clamp_details` with the ``|S|`` of :func:`build_margins`, and
-    the synthesis (with the residual's approximation band) is added to the
-    templates.
+    :func:`clamp_details` with the ``|S|`` of :func:`build_margins`, and the
+    synthesis of what the clip changes, with a zero approximation band, is
+    added to ``values``.
     """
     values = _as_traces(values, plan)
     if levels is None:
@@ -315,9 +327,10 @@ def tmt_denoise(values, omega_temps, beta: float, params: SensorParams,
     omega_temps = np.broadcast_to(omega_temps, values.shape[:-1])
     templates, noise_details = build_margins(omega_temps, params, plan, basis, levels,
                                              squared_contrast)
-    details, approx = uwt_analyze(values - templates, basis, levels)
-    clamped = clamp_details(details, noise_details, margin_width(beta, plan))
-    return templates + uwt_synthesize(clamped, approx, basis)
+    details, _ = uwt_analyze(np.subtract(values, templates, out=templates), basis, levels)
+    change = clamp_details(details, noise_details, margin_width(beta, plan))
+    change -= details
+    return values + uwt_synthesize(change, np.zeros(values.shape), basis)
 
 
 def denoise_pipeline(values, params: SensorParams, plan: AcquisitionPlan,

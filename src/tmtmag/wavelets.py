@@ -28,9 +28,10 @@ Conventions, fixed once for the whole package:
 
 * every filter step is one tap loop: the transforms move the sample axis
   first, the step builds one periodically extended copy of its input
-  (``np.arange(...) % n``), and each tap reads a contiguous slice of that
-  copy.  Sums run tap by tap, so a trace transformed alone is bit-equal
-  to the same trace in a batch.
+  (``np.arange(...) % n``, at most ``2*n - 1`` rows however far the
+  upsampled taps reach), and each tap reads a contiguous slice of that
+  copy at its offset taken modulo ``n``.  Sums run tap by tap, so a trace
+  transformed alone is bit-equal to the same trace in a batch.
 
 Detail levels are indexed finest first: ``details[0]`` is the highest
 frequency band.
@@ -215,17 +216,21 @@ def _check_levels(levels, minimum: int) -> None:
 
 # The steps take samples on the first axis and read tap i of output k from
 # sample k + step*i (analysis) or k - step*i (synthesis) of one periodically
-# extended copy ``x[arange(first, n + reach) % n]``.  The accumulators come
-# from ``np.zeros(shape)``: ``zeros_like`` would keep the transposed strides
-# of a moved-axis input and make every tap's update strided.
+# extended copy ``x[arange(first, n + reach) % n]``.  Only the offset
+# step*i modulo n matters, so the copy reaches at most n - 1 samples past
+# the signal (reach = min(step*(L - 1), n - 1)), however deep the level.
+# The accumulators come from ``np.zeros(shape)``: ``zeros_like`` would keep
+# the transposed strides of a moved-axis input and make every tap's update
+# strided.
 
 def _analysis_step(a: np.ndarray, taps_lo, taps_hi, step: int):
     n = a.shape[0]
-    ext = a[np.arange(n + step * (taps_lo.size - 1)) % n]
+    ext = a[np.arange(n + min(step * (taps_lo.size - 1), n - 1)) % n]
     lo = np.zeros(a.shape)
     hi = np.zeros(a.shape)
     for i in range(taps_lo.size):
-        r = ext[step * i:step * i + n]
+        start = step * i % n
+        r = ext[start:start + n]
         lo += taps_lo[i] * r
         hi += taps_hi[i] * r
     return lo, hi
@@ -233,12 +238,12 @@ def _analysis_step(a: np.ndarray, taps_lo, taps_hi, step: int):
 
 def _synthesis_step(lo_in, hi_in, taps_lo, taps_hi, step: int):
     n = lo_in.shape[0]
-    reach = step * (taps_lo.size - 1)
+    reach = min(step * (taps_lo.size - 1), n - 1)
     idx = np.arange(-reach, n) % n
     lo_ext, hi_ext = lo_in[idx], hi_in[idx]
     acc = np.zeros(lo_in.shape)
     for i in range(taps_lo.size):
-        start = reach - step * i
+        start = reach - step * i % n
         acc += taps_lo[i] * lo_ext[start:start + n]
         acc += taps_hi[i] * hi_ext[start:start + n]
     return acc

@@ -30,9 +30,15 @@ from tmtmag import (
     sweep_beta,
     template,
 )
-from tmtmag.bench import EnsembleRun, child_seed, detection_crossings, plan_for_detection_count
-from tmtmag.tmt import clamp_details, margin_width
-from tmtmag.wavelets import uwt_synthesis_rows, uwt_synthesize
+from tmtmag.bench import (
+    EnsembleRun,
+    child_seed,
+    detection_crossings,
+    ensemble_run_bytes,
+    plan_for_detection_count,
+)
+from tmtmag.tmt import build_margins, clamp_details, margin_width, tmt_denoise
+from tmtmag.wavelets import uwt_analyze, uwt_synthesis_rows, uwt_synthesize
 from tmtmag.ramsey import envelope
 from stat_utils import assert_monotone_tradeoff
 
@@ -337,12 +343,23 @@ def test_point_synthesis_gain_profile_matches_full_synthesis(paper_params):
         np.sqrt(gain.raw_fringe_mse / full.fringe_averaged_mse), rel=1e-12)
 
 
-def _full_clamp_oracle(run, beta, indices):
-    """The detection samples of one full clip and synthesis of ``run``'s residual stacks."""
+def _paper_form_parts(run):
+    """The templates of ``run`` and its residual's approximation band, which the run does not keep."""
+    setup = run.setup
+    templates, _ = build_margins(run.omega_temps, setup.params, setup.plan, setup.basis,
+                                 run.levels, setup.squared_contrast)
+    _, approx = uwt_analyze(run.values - templates, setup.basis, run.levels)
+    return templates, approx
+
+
+def _full_clamp_oracle(run, beta, indices, parts):
+    """The detection samples of the templates plus one full clip and synthesis of
+    ``run``'s residual stacks, ``parts`` being ``(templates, approximation)``."""
+    templates, approx = parts
     clamped = clamp_details(run._residual_details, run._noise_details,
                             margin_width(beta, run.setup.plan))
-    residual = uwt_synthesize(clamped, run._residual_approx, run.setup.basis)
-    return (run._templates + residual)[:, indices]
+    residual = uwt_synthesize(clamped, approx, run.setup.basis)
+    return (templates + residual)[:, indices]
 
 
 def _point_coefficients(run):
@@ -367,6 +384,7 @@ def test_packed_point_clamp_matches_full_clamp(paper_params, basis):
         np.testing.assert_array_equal(getattr(run.raw_stats, field.name),
                                       getattr(raw_stats, field.name))
     indices = points.indices
+    parts = _paper_form_parts(run)
     # coefficients with |S| = 0: a finite width zeroes their residual (pins
     # them to the template), an infinite one leaves them raw
     run._noise_details[0] = 0.0
@@ -376,12 +394,52 @@ def test_packed_point_clamp_matches_full_clamp(paper_params, basis):
         got = run.denoised(beta, at_points=True)
         assert got.shape == (plan.n_experiments, indices.size)
         assert np.isfinite(got).all()
-        np.testing.assert_allclose(got, _full_clamp_oracle(run, beta, indices),
+        np.testing.assert_allclose(got, _full_clamp_oracle(run, beta, indices, parts),
                                    rtol=1e-12, atol=1e-13 * scale)
     # perfect reconstruction: the raw limit is the raw traces, bit for bit
     for beta in (-np.inf, -400.0):
         np.testing.assert_array_equal(run.denoised(beta, at_points=True),
                                       run.values[:, indices])
+
+
+@pytest.mark.parametrize("basis", ["haar", "db2", "bior6.8"])
+def test_raw_limit_is_exact_on_every_path(paper_params, basis):
+    # every path returns the raw samples plus the synthesis of what the clip
+    # changes, and an infinite width changes nothing
+    plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 6, seed=41)
+    betas = (-np.inf, -400.0)  # 10**400 overflows to an infinite width
+    run = EnsembleRun(_setup(paper_params, plan, n_sd=3, basis=basis), betas)
+    for beta in betas:
+        np.testing.assert_array_equal(run.denoised(beta), run.values)
+        np.testing.assert_array_equal(run.denoised(beta, at_points=True),
+                                      run.values[:, run.points.indices])
+        np.testing.assert_array_equal(
+            tmt_denoise(run.values, run.omega_temps, beta, paper_params, plan, basis,
+                        run.levels), run.values)
+        np.testing.assert_array_equal(
+            tmt_denoise(run.values[1], run.omega_temps[1], beta, paper_params, plan, basis,
+                        run.levels), run.values[1])
+
+
+@pytest.mark.parametrize("basis", ["haar", "bior6.8"])
+@pytest.mark.parametrize("levels", [1, None])
+def test_run_stays_within_its_byte_count(paper_params, basis, levels):
+    # the mode check's count bounds the traced peak of building a run and of
+    # denoising its full traces; at 160 experiments the frequency search's
+    # FFT work arrays of 16 traces, which the count leaves out, stay small
+    plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 160, seed=43)
+    setup = _setup(paper_params, plan, n_sd=3, basis=basis, levels=levels)
+    tracemalloc.start()
+    try:
+        run = EnsembleRun(setup, [0.0])
+        built = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        run.denoised(0.0)  # the run's own arrays are traced too
+        denoised = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    count = ensemble_run_bytes(setup)
+    assert max(built, denoised) <= count, (built, denoised, count)
 
 
 @settings(max_examples=30, deadline=None)
@@ -396,6 +454,7 @@ def test_bucketed_sweep_matches_full_clamp(paper_params, inner, ends, ties):
     assume(betas.size > 0)
     plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 8, seed=37)
     run = EnsembleRun(_setup(paper_params, plan, n_sd=3), betas)
+    parts = templates, approx = _paper_form_parts(run)
     # |S| = 0 on the finest level of every other trace: clipped to 0 at a
     # finite width, left raw at an infinite one (also at beta = -400)
     run._noise_details[0, ::2] = 0.0
@@ -414,13 +473,12 @@ def test_bucketed_sweep_matches_full_clamp(paper_params, inner, ends, ties):
         assert abs(run._residual_details[at]) / s == width
     # the point path starts from the raw samples: keep values = templates +
     # synthesis of the edited residual stacks
-    run.values = run._templates + uwt_synthesize(run._residual_details, run._residual_approx,
-                                                 run.setup.basis)
+    run.values = templates + uwt_synthesize(run._residual_details, approx, run.setup.basis)
     indices = run.points.indices
     scale = np.max(np.abs(run.values))
     for beta in betas:
         np.testing.assert_allclose(run.denoised(beta, at_points=True),
-                                   _full_clamp_oracle(run, beta, indices),
+                                   _full_clamp_oracle(run, beta, indices, parts),
                                    rtol=1e-12, atol=1e-13 * scale)
 
 

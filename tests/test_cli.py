@@ -206,9 +206,12 @@ def test_export_matches_reference_writer_on_distinct_value_columns(tmp_path):
 
 def test_export_formats_long_double_columns(tmp_path):
     export_table(make_table(x=np.array([0.1, 0.1, 2.5], dtype=np.longdouble)), tmp_path, "wide",
-                 ["csv"])
+                 ["csv", "json"])
     assert read_csv(tmp_path / "wide.csv") == [["x"], ["0.10000000000000001"],
                                                ["0.10000000000000001"], ["2.5"]]
+    # JSON writes the float64 repr, as for a float64 column, not the long double's digits
+    records = json.loads((tmp_path / "wide.json").read_text(), parse_float=str)["records"]
+    assert records == [{"x": "0.1"}, {"x": "0.1"}, {"x": "2.5"}]
 
 
 @settings(max_examples=50, deadline=None)
