@@ -21,8 +21,10 @@ from .ramsey import (
     simulate_ensemble,
     template,
 )
-from .tmt import FrequencyGrid, build_margins, clamp_details, estimate_frequencies, margin_width
-from .wavelets import default_levels, uwt_analyze, uwt_synthesis_rows, uwt_synthesize
+from .tmt import FrequencyGrid, build_margins, estimate_frequencies, margin_width, tmt_denoise
+from .wavelets import default_levels, uwt_analyze, uwt_synthesis_rows
+# uncalled: perfbench/child.py wraps it (test_benchmark_wrap_points_exist) until ROADMAP item 1
+from .wavelets import uwt_synthesize  # noqa: F401
 
 
 def child_seed(seed: int, *indices: int) -> int:
@@ -221,26 +223,24 @@ class BenchmarkSetup:
         return replace(self, plan=self.plan.with_(**kwargs))
 
 
-def _clipped_point_sums(details, noise, level, sample, rows, widths) -> np.ndarray:
+def _clipped_point_sums(offsets, scales, rows, widths) -> np.ndarray:
     """What clipping the residual details at every width changes at the synthesis ``rows``.
 
-    ``details`` and ``noise`` are the (levels + 1, E, N) residual and ``|S|``
-    stacks of E experiments, ``(level, sample)`` index the C coefficients
-    that the (C, p) ``rows`` read, and the K ``widths`` rise; returns
-    (K, E, p), to be added to the raw samples.  A coefficient ``r`` with
-    noise scale ``s`` is clipped to ``sign(r)*w*s`` at the widths ``w``
-    below ``tau = |r|/s`` and passes unclipped from there on, so it falls
-    into bucket ``q = searchsorted(widths, tau)``, the number of widths
-    that clip it.  With ``U`` and ``B`` the per-bucket ``np.bincount`` sums
-    of ``r*row`` and ``sign(r)*s*row``, width ``w_k`` changes the sample by
-    ``w_k*sum(B[q > k]) - sum(U[q > k])``: each coefficient it clips swaps
-    its share ``r*row`` for ``sign(r)*w_k*s*row``.  ``sum(U[q > k])`` is
-    the total of a forward cumulative sum less its first ``k + 1`` terms,
-    so an infinite width, which clips nothing, also where ``s = 0``,
-    changes nothing exactly.
+    ``offsets`` and ``scales`` are the (C, E) residual coefficients and
+    ``|S|`` values of E experiments at the C coefficients that the (C, p)
+    ``rows`` read, and the K ``widths`` rise; returns (K, E, p), to be added
+    to the raw samples.  ``scales`` is overwritten.  A coefficient ``r``
+    with noise scale ``s`` is clipped to ``sign(r)*w*s`` at the widths
+    ``w`` below ``tau = |r|/s`` and passes unclipped from there on, so it
+    falls into bucket ``q = searchsorted(widths, tau)``, the number of
+    widths that clip it.  With ``U`` and ``B`` the per-bucket
+    ``np.bincount`` sums of ``r*row`` and ``sign(r)*s*row``, width ``w_k``
+    changes the sample by ``w_k*sum(B[q > k]) - sum(U[q > k])``: each
+    coefficient it clips swaps its share ``r*row`` for
+    ``sign(r)*w_k*s*row``.  ``sum(U[q > k])`` is the total of a forward
+    cumulative sum less its first ``k + 1`` terms, so an infinite width,
+    which clips nothing, also where ``s = 0``, changes nothing exactly.
     """
-    offsets = details[level, :, sample]  # (C, E)
-    scales = noise[level, :, sample]
     n_buckets, n_exp = widths.size + 1, offsets.shape[1]
     with np.errstate(divide="ignore", invalid="ignore"):  # s = 0: tau is inf, or NaN at r = 0
         keys = np.searchsorted(widths, np.abs(offsets) / scales)
@@ -259,10 +259,11 @@ def _clipped_point_sums(details, noise, level, sample, rows, widths) -> np.ndarr
     return out
 
 
-#: Experiments per chunk of the bucket build: each chunk's coefficients are
-#: gathered, bucketed and summed before the next chunk is read, so the build
-#: never holds an (n_exp, C) array.
-_BUCKET_CHUNK = 32
+#: Experiments per chunk of the point build: each chunk's margins and
+#: residual analysis are computed, and its coefficients gathered, bucketed
+#: and summed, before the next chunk is read, so the build never holds a
+#: (levels + 1, n_exp, N) stack or an (n_exp, C) array.
+_BUCKET_CHUNK = 64
 
 
 class EnsembleRun:
@@ -270,39 +271,30 @@ class EnsembleRun:
 
     Construction checks the grid ``betas`` (strictly increasing, no NaN;
     ``+-inf`` allowed), finds the detection points (:attr:`points`),
-    simulates, estimates the template frequencies (one search of the
-    ensemble mean with ``shared_estimate``), builds the templates and
-    ``|S|`` through :func:`~tmtmag.tmt.build_margins`, decomposes the
-    residual ``values - templates`` once, and scores the raw traces
-    (:attr:`raw_stats`).  The run keeps the traces and the residual's
-    detail and ``|S|`` stacks, ``2 * levels + 3`` arrays of the traces'
-    shape: the templates serve only to form the residual, and its
-    approximation band is dropped.
+    simulates (:attr:`values`), estimates the template frequencies
+    (:attr:`omega_temps`; one search of the ensemble mean with
+    ``shared_estimate``) and scores the raw traces (:attr:`raw_stats`).
+    The traces are the only trace-sized array the run keeps; the margins
+    and the residual's coefficients are computed where they are used.
 
-    Every path denoises by one identity, the one of
-    :func:`~tmtmag.tmt.tmt_denoise`: only detail coefficients are clipped
-    and the synthesis is linear, so a denoised trace is the raw trace plus
-    the synthesis of what the clip changes, with a zero approximation band.
-    :meth:`denoised` clips the residual details with one
-    :func:`~tmtmag.tmt.clamp_details` call, subtracts the unclipped details
-    in place and synthesizes that change, so it equals
-    :func:`~tmtmag.tmt.tmt_denoise` on the same traces and frequencies at
-    any beta, including the exact limits: ``beta = -inf`` changes nothing
-    (the raw traces, bit for bit) and ``beta = +inf`` zeroes every residual
-    detail (the templates plus the residual approximation band's share).
+    Every path denoises by one identity: only detail coefficients are
+    clipped and the synthesis is linear, so a denoised trace is the raw
+    trace plus the synthesis of what the clip changes, with a zero
+    approximation band.  :meth:`denoised` at full length is
+    :func:`~tmtmag.tmt.tmt_denoise` of the run's traces at their
+    frequencies, at any beta, including the exact limits: ``beta = -inf``
+    changes nothing (the raw traces, bit for bit) and ``beta = +inf``
+    zeroes every residual detail (the templates plus the residual
+    approximation band's share).
 
     ``denoised(beta, at_points=True)``, which :meth:`stats` scores, reads
     one order of the grid from the detection samples that the first such
-    call computes at every order at once: each denoised detection sample is
-    the raw sample plus a fixed row of the synthesis
-    (:func:`~tmtmag.wavelets.uwt_synthesis_rows`) applied to what clipping
-    changes in the residual details.  The C residual coefficients those
-    rows read are gathered in chunks of ``_BUCKET_CHUNK`` experiments
-    straight from the coefficient stacks and bucketed by the width at which
-    they start to clip (:func:`_clipped_point_sums`), so the cost hardly
-    grows with the number of orders and no matrix product is taken.  The
-    outputs agree with clipping the full stack up to rounding, and equal
-    the raw samples bit for bit at every order whose width is infinite.
+    call computes at every order at once (:attr:`_at_points`): each
+    denoised detection sample is the raw sample plus a fixed row of the
+    synthesis (:func:`~tmtmag.wavelets.uwt_synthesis_rows`) applied to
+    what clipping changes in the residual details.  The outputs agree with
+    clipping the full stack up to rounding, and equal the raw samples bit
+    for bit at every order whose width is infinite.
     """
 
     def __init__(self, setup: BenchmarkSetup, betas):
@@ -321,10 +313,6 @@ class EnsembleRun:
         searched = self.values.mean(axis=0) if setup.shared_estimate else self.values
         self.omega_temps = np.full(plan.n_experiments, estimate_frequencies(
             searched, self.times, params, setup.resolved_grid()))
-        templates, self._noise_details = build_margins(
-            self.omega_temps, params, plan, setup.basis, self.levels, setup.squared_contrast)
-        residual = np.subtract(self.values, templates, out=templates)
-        self._residual_details, _ = uwt_analyze(residual, setup.basis, self.levels)
         self.raw_stats = ensemble_stats(self.values, self.points)
 
     def denoised(self, beta: float, at_points: bool = False) -> np.ndarray:
@@ -334,11 +322,9 @@ class EnsembleRun:
         array is a read-only view.
         """
         if not at_points:
-            change = clamp_details(self._residual_details, self._noise_details,
-                                   margin_width(beta, self.setup.plan))
-            change -= self._residual_details
-            return self.values + uwt_synthesize(change, np.zeros(self.values.shape),
-                                                self.setup.basis)
+            setup = self.setup
+            return tmt_denoise(self.values, self.omega_temps, beta, setup.params, setup.plan,
+                               setup.basis, self.levels, setup.squared_contrast)
         k = int(np.searchsorted(self.betas, beta))
         if k == self.betas.size or self.betas[k] != beta:
             raise ValueError(f"beta = {beta} is not on this run's grid of {self.betas.size} "
@@ -351,9 +337,19 @@ class EnsembleRun:
 
     @cached_property
     def _at_points(self) -> np.ndarray:
-        """The (K, n_exp, p) denoised detection samples at the K orders of the grid, read-only."""
-        indices = self.points.indices
-        rows = uwt_synthesis_rows(self.values.shape[1], indices, self.setup.basis, self.levels)
+        """The (K, n_exp, p) denoised detection samples at the K orders of the grid, read-only.
+
+        The experiments go in chunks of ``_BUCKET_CHUNK``: per chunk, the
+        templates and ``|S|`` come from :func:`~tmtmag.tmt.build_margins`,
+        the residual ``values - templates`` is analysed once, and the C
+        residual coefficients that the detection rows read are bucketed by
+        the width at which they start to clip (:func:`_clipped_point_sums`).
+        So a sweep holds one coefficient stack of one chunk at a time, the
+        cost hardly grows with the number of orders, and no matrix product
+        is taken.
+        """
+        setup, indices = self.setup, self.points.indices
+        rows = uwt_synthesis_rows(self.values.shape[1], indices, setup.basis, self.levels)
         level, sample = np.nonzero(rows.any(axis=2))
         rows = rows[level, sample]  # (C, p), level by level
         raw = self.values[:, indices]
@@ -362,25 +358,38 @@ class EnsembleRun:
         out = np.empty((widths.size,) + raw.shape)
         for start in range(0, raw.shape[0], _BUCKET_CHUNK):
             chunk = slice(start, start + _BUCKET_CHUNK)
-            out[:, chunk] = raw[chunk] + _clipped_point_sums(
-                self._residual_details[:, chunk], self._noise_details[:, chunk],
-                level, sample, rows, widths)
+            templates, noise = build_margins(self.omega_temps[chunk], setup.params, setup.plan,
+                                             setup.basis, self.levels, setup.squared_contrast)
+            scales = noise[level, :, sample]  # (C, E); one stack is held at a time
+            del noise
+            details = uwt_analyze(np.subtract(self.values[chunk], templates, out=templates),
+                                  setup.basis, self.levels)[0]
+            del templates
+            offsets = details[level, :, sample]
+            del details
+            np.add(raw[chunk], _clipped_point_sums(offsets, scales, rows, widths),
+                   out=out[:, chunk])
         out.flags.writeable = False
         return out[::-1]
 
 
 def ensemble_run_bytes(setup: BenchmarkSetup) -> int:
-    """Most bytes an :class:`EnsembleRun` of ``setup`` allocates while it is built or
-    denoises its full traces.
+    """Most bytes an :class:`EnsembleRun` of ``setup`` allocates while it is built,
+    denoises its full traces or builds its point sweep.
 
     Per experiment that is ``4 * levels + 12`` doubles a sample and the
-    frequency search's ``freq_points`` spectrum values.  The full-trace clip
-    holds the run's ``2 * levels + 3`` arrays (the traces and the residual and
-    ``|S|`` stacks), the clip bound and the clipped stack, ``4 * levels + 5``
-    in all; the synthesis of the change (about ``3 * levels + 12``) and the
-    analysis copies of construction (about ``2 * levels + 10``) peak lower.
-    The search's FFT work arrays, 16 traces at most, do not grow with the
-    ensemble and are left out.
+    frequency search's ``freq_points`` spectrum values.  The counted peak
+    is the full-trace denoise, :func:`~tmtmag.tmt.tmt_denoise` of the whole
+    ensemble: its clip holds the traces, ``|S|``, the residual details, the
+    clip bound and the clipped stack, ``4 * levels + 5`` in all, and its
+    synthesis of the change (about ``3 * levels + 11``) and construction
+    (the traces and the spectrum) peak lower.  The point sweep holds the
+    traces and one chunk of experiments, in which at most ``4 * levels + 4``
+    doubles a sample are live: a coefficient stack and the coefficients
+    gathered from it, or the four (C, chunk) arrays of the bucket sums, C
+    being at most ``(levels + 1) * N``.  Left out are the search's FFT work
+    arrays, 16 traces at most, and the sweep's (K, n_exp, p) detection
+    samples at its K orders and p detection points.
     """
     plan = setup.plan
     per_trace = (4 * setup.resolved_levels() + 12) * plan.n_samples + setup.resolved_grid().n_points

@@ -267,7 +267,8 @@ def _dataclass_table(items) -> np.ndarray:
 #: an unbounded trace.
 MAX_WINDOW_SAMPLES = 1 << 16
 #: Most bytes one planned ensemble may hold, at 4 doubles per sample in simulate (traces and
-#: table) and :func:`~tmtmag.bench.ensemble_run_bytes` in an ``EnsembleRun``.
+#: table) and :func:`~tmtmag.bench.ensemble_run_bytes` in an ``EnsembleRun``, whose count is
+#: the whole-ensemble ``tmt_denoise`` of the denoise mode; a sweep's chunks stay below it.
 MAX_ENSEMBLE_BYTES = 2 << 30
 
 

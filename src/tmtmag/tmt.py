@@ -16,11 +16,12 @@ the clip changes::
 
     denoised = trace + uwt_synthesize(clip(r) - r, 0)
 
-with a zero approximation band: :func:`tmt_denoise` on any batch of
-traces, and the full-trace and the detection-point denoising of
-:class:`tmtmag.bench.EnsembleRun` (the latter through the synthesis rows
-of the detection samples).  The templates serve only to form the
-residual, and no approximation band is synthesized.
+with a zero approximation band.  :func:`tmt_denoise` is the one
+full-trace denoiser, for any batch of traces; the full-trace
+``denoised(beta)`` of :class:`tmtmag.bench.EnsembleRun` calls it, and the
+ensemble's detection-point sweep computes the same identity through the
+synthesis rows of the detection samples.  The templates serve only to
+form the residual, and no approximation band is synthesized.
 
 The width is ``10**(-beta) / sqrt(T_I * M * f_sample)``; ``beta`` is the
 filter order.  The limits are exact: ``beta = -inf`` (and any ``beta``
@@ -31,8 +32,8 @@ template plus the residual's approximation share.  A clean template has a
 zero residual and comes back bit for bit at every ``beta``.
 
 The API takes and returns plain arrays of traces, one trace being a batch
-of one; the ensemble's full-trace path in :mod:`tmtmag.bench` calls the
-same :func:`build_margins` and :func:`clamp_details`.
+of one; the detection-point sweep in :mod:`tmtmag.bench` builds its
+``|S|`` with the same :func:`build_margins`.
 """
 
 from __future__ import annotations
@@ -327,7 +328,10 @@ def tmt_denoise(values, omega_temps, beta: float, params: SensorParams,
     omega_temps = np.broadcast_to(omega_temps, values.shape[:-1])
     templates, noise_details = build_margins(omega_temps, params, plan, basis, levels,
                                              squared_contrast)
-    details, _ = uwt_analyze(np.subtract(values, templates, out=templates), basis, levels)
+    # the templates buffer holds the residual; it and the approximation band
+    # are freed before the clip, the peak of the call
+    details = uwt_analyze(np.subtract(values, templates, out=templates), basis, levels)[0]
+    del templates
     change = clamp_details(details, noise_details, margin_width(beta, plan))
     change -= details
     return values + uwt_synthesize(change, np.zeros(values.shape), basis)

@@ -343,21 +343,42 @@ def test_point_synthesis_gain_profile_matches_full_synthesis(paper_params):
         np.sqrt(gain.raw_fringe_mse / full.fringe_averaged_mse), rel=1e-12)
 
 
-def _paper_form_parts(run):
-    """The templates of ``run`` and its residual's approximation band, which the run does not keep."""
+def _residual_stacks(run):
+    """The templates of ``run``, its residual's detail stack and approximation
+    band, and ``|S|``, which the run computes chunk by chunk and does not keep."""
     setup = run.setup
-    templates, _ = build_margins(run.omega_temps, setup.params, setup.plan, setup.basis,
-                                 run.levels, setup.squared_contrast)
-    _, approx = uwt_analyze(run.values - templates, setup.basis, run.levels)
-    return templates, approx
+    templates, noise = build_margins(run.omega_temps, setup.params, setup.plan, setup.basis,
+                                     run.levels, setup.squared_contrast)
+    details, approx = uwt_analyze(run.values - templates, setup.basis, run.levels)
+    return templates, details, approx, noise
 
 
-def _full_clamp_oracle(run, beta, indices, parts):
+def _feed_stacks(monkeypatch, details, noise):
+    """Make the point build of a run read the stacks ``details`` and ``noise`` in
+    place of its own residual analysis and ``|S|``, one chunk of experiments per call."""
+    taken = {"margins": 0, "analysis": 0}
+
+    def take(name, stack, n):
+        start = taken[name]
+        taken[name] += n
+        return stack[:, start:start + n]
+
+    def margins(omega_temps, *args, **kwargs):
+        templates, _ = build_margins(omega_temps, *args, **kwargs)
+        return templates, take("margins", noise, len(omega_temps))
+
+    def analysis(residual, basis, levels):
+        return take("analysis", details, len(residual)), None
+
+    monkeypatch.setattr(tmtmag.bench, "build_margins", margins)
+    monkeypatch.setattr(tmtmag.bench, "uwt_analyze", analysis)
+
+
+def _full_clamp_oracle(run, beta, indices, stacks):
     """The detection samples of the templates plus one full clip and synthesis of
-    ``run``'s residual stacks, ``parts`` being ``(templates, approximation)``."""
-    templates, approx = parts
-    clamped = clamp_details(run._residual_details, run._noise_details,
-                            margin_width(beta, run.setup.plan))
+    the residual ``stacks``, ``(templates, details, approximation, |S|)``."""
+    templates, details, approx, noise = stacks
+    clamped = clamp_details(details, noise, margin_width(beta, run.setup.plan))
     residual = uwt_synthesize(clamped, approx, run.setup.basis)
     return (templates + residual)[:, indices]
 
@@ -370,7 +391,7 @@ def _point_coefficients(run):
 
 
 @pytest.mark.parametrize("basis", ["haar", "db2", "bior6.8"])
-def test_packed_point_clamp_matches_full_clamp(paper_params, basis):
+def test_packed_point_clamp_matches_full_clamp(paper_params, monkeypatch, basis):
     plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 12, seed=29)
     setup = _setup(paper_params, plan, n_sd=3, basis=basis)
     points = find_detection_points(setup.omega_true, plan, 3, paper_params)
@@ -384,17 +405,19 @@ def test_packed_point_clamp_matches_full_clamp(paper_params, basis):
         np.testing.assert_array_equal(getattr(run.raw_stats, field.name),
                                       getattr(raw_stats, field.name))
     indices = points.indices
-    parts = _paper_form_parts(run)
+    stacks = _residual_stacks(run)
     # coefficients with |S| = 0: a finite width zeroes their residual (pins
     # them to the template), an infinite one leaves them raw
-    run._noise_details[0] = 0.0
-    run._noise_details[2, ::2, : plan.n_samples // 2] = 0.0
+    noise = stacks[3]
+    noise[0] = 0.0
+    noise[2, ::2, : plan.n_samples // 2] = 0.0
+    _feed_stacks(monkeypatch, stacks[1], noise)
     scale = np.max(np.abs(run.values))
     for beta in betas:
         got = run.denoised(beta, at_points=True)
         assert got.shape == (plan.n_experiments, indices.size)
         assert np.isfinite(got).all()
-        np.testing.assert_allclose(got, _full_clamp_oracle(run, beta, indices, parts),
+        np.testing.assert_allclose(got, _full_clamp_oracle(run, beta, indices, stacks),
                                    rtol=1e-12, atol=1e-13 * scale)
     # perfect reconstruction: the raw limit is the raw traces, bit for bit
     for beta in (-np.inf, -400.0):
@@ -424,9 +447,10 @@ def test_raw_limit_is_exact_on_every_path(paper_params, basis):
 @pytest.mark.parametrize("basis", ["haar", "bior6.8"])
 @pytest.mark.parametrize("levels", [1, None])
 def test_run_stays_within_its_byte_count(paper_params, basis, levels):
-    # the mode check's count bounds the traced peak of building a run and of
-    # denoising its full traces; at 160 experiments the frequency search's
-    # FFT work arrays of 16 traces, which the count leaves out, stay small
+    # the mode check's count bounds the traced peak of building a run, of
+    # denoising its full traces and of its point sweep; at 160 experiments
+    # the frequency search's FFT work arrays of 16 traces, which the count
+    # leaves out, stay small
     plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 160, seed=43)
     setup = _setup(paper_params, plan, n_sd=3, basis=basis, levels=levels)
     tracemalloc.start()
@@ -436,10 +460,13 @@ def test_run_stays_within_its_byte_count(paper_params, basis, levels):
         tracemalloc.reset_peak()
         run.denoised(0.0)  # the run's own arrays are traced too
         denoised = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        run.denoised(0.0, at_points=True)
+        swept = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     count = ensemble_run_bytes(setup)
-    assert max(built, denoised) <= count, (built, denoised, count)
+    assert max(built, denoised, swept) <= count, (built, denoised, swept, count)
 
 
 @settings(max_examples=30, deadline=None)
@@ -454,10 +481,10 @@ def test_bucketed_sweep_matches_full_clamp(paper_params, inner, ends, ties):
     assume(betas.size > 0)
     plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 8, seed=37)
     run = EnsembleRun(_setup(paper_params, plan, n_sd=3), betas)
-    parts = templates, approx = _paper_form_parts(run)
+    stacks = templates, details, approx, noise = _residual_stacks(run)
     # |S| = 0 on the finest level of every other trace: clipped to 0 at a
     # finite width, left raw at an infinite one (also at beta = -400)
-    run._noise_details[0, ::2] = 0.0
+    noise[0, ::2] = 0.0
     # ties tau = |r| / |S| == width exactly: a power-of-two |S| near
     # |r| / width makes |r| = width * |S| exact and keeps |r| within a
     # factor sqrt(2) of its simulated size
@@ -466,20 +493,22 @@ def test_bucketed_sweep_matches_full_clamp(paper_params, inner, ends, ties):
     for i in range(ties if finite else 0):
         c = (7 * i) % level.size
         at = level[c], i % plan.n_experiments, sample[c]
-        width, r = finite[i % len(finite)], run._residual_details[at]
+        width, r = finite[i % len(finite)], details[at]
         s = 2.0 ** np.round(np.log2(abs(r) / width))
-        run._noise_details[at] = s
-        run._residual_details[at] = np.copysign(width * s, r)
-        assert abs(run._residual_details[at]) / s == width
+        noise[at] = s
+        details[at] = np.copysign(width * s, r)
+        assert abs(details[at]) / s == width
     # the point path starts from the raw samples: keep values = templates +
     # synthesis of the edited residual stacks
-    run.values = templates + uwt_synthesize(run._residual_details, approx, run.setup.basis)
+    run.values = templates + uwt_synthesize(details, approx, run.setup.basis)
     indices = run.points.indices
     scale = np.max(np.abs(run.values))
-    for beta in betas:
-        np.testing.assert_allclose(run.denoised(beta, at_points=True),
-                                   _full_clamp_oracle(run, beta, indices, parts),
-                                   rtol=1e-12, atol=1e-13 * scale)
+    with pytest.MonkeyPatch.context() as monkeypatch:  # hypothesis runs many examples
+        _feed_stacks(monkeypatch, details, noise)
+        for beta in betas:
+            np.testing.assert_allclose(run.denoised(beta, at_points=True),
+                                       _full_clamp_oracle(run, beta, indices, stacks),
+                                       rtol=1e-12, atol=1e-13 * scale)
 
 
 def test_off_grid_beta_rejected(paper_params):
@@ -535,19 +564,39 @@ def test_packed_point_clamp_allocates_no_coefficient_array(paper_params):
 
 
 def test_bucket_build_allocates_no_coefficient_array(paper_params):
-    # the buckets are built in chunks of experiments gathered straight from
-    # the coefficient stacks: the build's traced peak, all 61 orders of the
-    # default grid included, stays below one (n_exp, C) array
-    plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 256, seed=31)
-    run = EnsembleRun(_setup(paper_params, plan, n_sd=3), default_beta_grid())
-    coefficient_bytes = _coefficient_bytes(run)
+    # the margins, the residual analysis and the buckets go one chunk of
+    # experiments at a time: the build's traced peak, all 61 orders of the
+    # default grid included, less its (K, n_exp, p) output, is flat in the
+    # number of experiments (one more (n_exp, N) array of the added 384
+    # experiments would raise it by a fifth); at 512 experiments it is below
+    # one (n_exp, C) array
+    working = {}
+    for n_exp in (128, 512):
+        plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, n_exp, seed=31)
+        run = EnsembleRun(_setup(paper_params, plan, n_sd=3), default_beta_grid())
+        tracemalloc.start()
+        try:
+            out = run.denoised(run.betas[0], at_points=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        working[n_exp] = peak - out.base.nbytes
+    assert working[512] < 1.02 * working[128], working
+    assert working[512] < _coefficient_bytes(run), (working, _coefficient_bytes(run))
+
+
+def test_run_holds_only_its_traces(paper_params):
+    # after construction a run holds its traces and a few small arrays: the
+    # margins and the residual's coefficients are computed where they are used
+    plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 200, seed=45)
+    EnsembleRun(_setup(paper_params, plan.with_(n_experiments=2), n_sd=3), [0.0])  # lazy imports
     tracemalloc.start()
     try:
-        run.denoised(run.betas[0], at_points=True)
-        _, peak = tracemalloc.get_traced_memory()
+        run = EnsembleRun(_setup(paper_params, plan, n_sd=3), default_beta_grid())
+        held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < coefficient_bytes, (peak, coefficient_bytes)
+    assert held < 2 * run.values.nbytes, (held, run.values.nbytes)
 
 
 def test_calibrated_order_brackets_sensing_optimum(paper_params):
