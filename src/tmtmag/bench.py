@@ -21,10 +21,11 @@ from .ramsey import (
     simulate_ensemble,
     template,
 )
-from .tmt import FrequencyGrid, build_margins, estimate_frequencies, margin_width, tmt_denoise
-from .wavelets import default_levels, uwt_analyze, uwt_synthesis_rows
-# uncalled: perfbench/child.py wraps it (test_benchmark_wrap_points_exist) until ROADMAP item 1
-from .wavelets import uwt_synthesize  # noqa: F401
+from .tmt import (RESIDUAL_CHUNK, SPECTRUM_ROWS, FrequencyGrid, estimate_frequencies,
+                  margin_width, residual_chunks, tmt_denoise)
+from .wavelets import default_levels, uwt_synthesis_rows
+# uncalled: perfbench/child.py wraps them (test_benchmark_wrap_points_exist) until ROADMAP item 1
+from .wavelets import uwt_analyze, uwt_synthesize  # noqa: F401
 
 
 def child_seed(seed: int, *indices: int) -> int:
@@ -259,13 +260,6 @@ def _clipped_point_sums(offsets, scales, rows, widths) -> np.ndarray:
     return out
 
 
-#: Experiments per chunk of the point build: each chunk's margins and
-#: residual analysis are computed, and its coefficients gathered, bucketed
-#: and summed, before the next chunk is read, so the build never holds a
-#: (levels + 1, n_exp, N) stack or an (n_exp, C) array.
-_BUCKET_CHUNK = 64
-
-
 class EnsembleRun:
     """One simulated ensemble, denoised at the detection points for every order of a beta grid.
 
@@ -274,18 +268,16 @@ class EnsembleRun:
     simulates (:attr:`values`), estimates the template frequencies
     (:attr:`omega_temps`; one search of the ensemble mean with
     ``shared_estimate``) and scores the raw traces (:attr:`raw_stats`).
-    The traces are the only trace-sized array the run keeps; the margins
-    and the residual's coefficients are computed where they are used.
+    The traces are the only trace-sized array the run keeps: both
+    denoising paths read the residual's coefficients and ``|S|`` from
+    :func:`~tmtmag.tmt.residual_chunks`, one chunk of experiments at a time.
 
-    Every path denoises by one identity: only detail coefficients are
-    clipped and the synthesis is linear, so a denoised trace is the raw
-    trace plus the synthesis of what the clip changes, with a zero
-    approximation band.  :meth:`denoised` at full length is
+    Both return the raw traces plus the synthesis of what the clip changes
+    (see :mod:`tmtmag.tmt`).  :meth:`denoised` at full length is
     :func:`~tmtmag.tmt.tmt_denoise` of the run's traces at their
-    frequencies, at any beta, including the exact limits: ``beta = -inf``
-    changes nothing (the raw traces, bit for bit) and ``beta = +inf``
-    zeroes every residual detail (the templates plus the residual
-    approximation band's share).
+    frequencies, at any beta, exact limits included: ``beta = -inf``
+    returns the raw traces bit for bit and ``beta = +inf`` zeroes every
+    residual detail.
 
     ``denoised(beta, at_points=True)``, which :meth:`stats` scores, reads
     one order of the grid from the detection samples that the first such
@@ -339,14 +331,12 @@ class EnsembleRun:
     def _at_points(self) -> np.ndarray:
         """The (K, n_exp, p) denoised detection samples at the K orders of the grid, read-only.
 
-        The experiments go in chunks of ``_BUCKET_CHUNK``: per chunk, the
-        templates and ``|S|`` come from :func:`~tmtmag.tmt.build_margins`,
-        the residual ``values - templates`` is analysed once, and the C
-        residual coefficients that the detection rows read are bucketed by
-        the width at which they start to clip (:func:`_clipped_point_sums`).
-        So a sweep holds one coefficient stack of one chunk at a time, the
-        cost hardly grows with the number of orders, and no matrix product
-        is taken.
+        Each chunk of :func:`~tmtmag.tmt.residual_chunks` yields the residual
+        coefficients and ``|S|`` at the C coefficients that the detection
+        rows read, which are bucketed by the width at which they start to
+        clip (:func:`_clipped_point_sums`) before the next chunk is built.
+        So the cost hardly grows with the number of orders, and no matrix
+        product is taken.
         """
         setup, indices = self.setup, self.points.indices
         rows = uwt_synthesis_rows(self.values.shape[1], indices, setup.basis, self.levels)
@@ -356,44 +346,35 @@ class EnsembleRun:
         # the clipped shares come in order of rising width, falling beta
         widths = self._widths[::-1]
         out = np.empty((widths.size,) + raw.shape)
-        for start in range(0, raw.shape[0], _BUCKET_CHUNK):
-            chunk = slice(start, start + _BUCKET_CHUNK)
-            templates, noise = build_margins(self.omega_temps[chunk], setup.params, setup.plan,
-                                             setup.basis, self.levels, setup.squared_contrast)
-            scales = noise[level, :, sample]  # (C, E); one stack is held at a time
-            del noise
-            details = uwt_analyze(np.subtract(self.values[chunk], templates, out=templates),
-                                  setup.basis, self.levels)[0]
-            del templates
-            offsets = details[level, :, sample]
-            del details
+        for chunk, offsets, scales in residual_chunks(
+                self.values, self.omega_temps, setup.params, setup.plan, setup.basis,
+                self.levels, setup.squared_contrast, at=(level, slice(None), sample)):
             np.add(raw[chunk], _clipped_point_sums(offsets, scales, rows, widths),
                    out=out[:, chunk])
+            del offsets  # spent scales stay bound, like tmt_denoise's details; offsets cost RSS
         out.flags.writeable = False
         return out[::-1]
 
 
-def ensemble_run_bytes(setup: BenchmarkSetup) -> int:
-    """Most bytes an :class:`EnsembleRun` of ``setup`` allocates while it is built,
-    denoises its full traces or builds its point sweep.
+def ensemble_run_bytes(setup: BenchmarkSetup, n_betas: int, n_points: int) -> int:
+    """Most bytes an :class:`EnsembleRun` of ``setup`` allocates while it is built, denoises
+    its full traces or builds its point sweep on a grid of K = ``n_betas`` orders at
+    p = ``n_points`` detection points.
 
-    Per experiment that is ``4 * levels + 12`` doubles a sample and the
-    frequency search's ``freq_points`` spectrum values.  The counted peak
-    is the full-trace denoise, :func:`~tmtmag.tmt.tmt_denoise` of the whole
-    ensemble: its clip holds the traces, ``|S|``, the residual details, the
-    clip bound and the clipped stack, ``4 * levels + 5`` in all, and its
-    synthesis of the change (about ``3 * levels + 11``) and construction
-    (the traces and the spectrum) peak lower.  The point sweep holds the
-    traces and one chunk of experiments, in which at most ``4 * levels + 4``
-    doubles a sample are live: a coefficient stack and the coefficients
-    gathered from it, or the four (C, chunk) arrays of the bucket sums, C
-    being at most ``(levels + 1) * N``.  Left out are the search's FFT work
-    arrays, 16 traces at most, and the sweep's (K, n_exp, p) detection
-    samples at its K orders and p detection points.
+    Per experiment, ``2 * N + freq_points + K * p`` doubles: the trace, and in turn the
+    search's weighted trace and spectrum, the full-trace output or the sweep's (K, n_exp, p)
+    samples.  Per experiment of one chunk of :func:`~tmtmag.tmt.residual_chunks`,
+    ``(4 * levels + 12) * N`` doubles of coefficient stacks (four at the full-trace clip) or
+    of (C, E) gathers, and the sweep's ``K * p`` bucket sums and ``6 * (K + 1)`` cumulative
+    sums.  Once, the detection rows (``(2 * levels + 8) * N * p`` doubles while built) and
+    the search's FFTs of ``SPECTRUM_ROWS`` traces at a time (3 complex values a trace and 5
+    more per FFT sample, the FFT length being below ``2 * (N + freq_points)``).
     """
-    plan = setup.plan
-    per_trace = (4 * setup.resolved_levels() + 12) * plan.n_samples + setup.resolved_grid().n_points
-    return 8 * plan.n_experiments * per_trace
+    plan, n, levels = setup.plan, setup.plan.n_samples, setup.resolved_levels()
+    n_exp, freq_points, p = plan.n_experiments, setup.resolved_grid().n_points, n_points
+    chunk = ((4 * levels + 12) * n + n_betas * p + 6 * (n_betas + 1)) * min(n_exp, RESIDUAL_CHUNK)
+    fft = 4 * (3 * min(n_exp, SPECTRUM_ROWS) + 5) * (n + freq_points)
+    return 8 * (n_exp * (2 * n + freq_points + n_betas * p) + chunk + (2 * levels + 8) * n * p + fft)
 
 
 @dataclass

@@ -267,8 +267,8 @@ def _dataclass_table(items) -> np.ndarray:
 #: an unbounded trace.
 MAX_WINDOW_SAMPLES = 1 << 16
 #: Most bytes one planned ensemble may hold, at 4 doubles per sample in simulate (traces and
-#: table) and :func:`~tmtmag.bench.ensemble_run_bytes` in an ``EnsembleRun``, whose count is
-#: the whole-ensemble ``tmt_denoise`` of the denoise mode; a sweep's chunks stay below it.
+#: table) and :func:`~tmtmag.bench.ensemble_run_bytes` in an ``EnsembleRun``, which counts the
+#: run's traces, its output at every swept order and one chunk of the residual stage.
 MAX_ENSEMBLE_BYTES = 2 << 30
 
 
@@ -330,7 +330,7 @@ def _check_mode_limits(config: RunConfig) -> None:
                 raise ConfigError(f"plan.n_experiments must be >= 2 for mode {mode!r}, "
                                   f"got {plan.n_experiments}")
             try:
-                find_detection_points(setup.omega_true, plan, setup.n_sd, setup.params)
+                points = find_detection_points(setup.omega_true, plan, setup.n_sd, setup.params)
             except ValueError as exc:
                 if setup.omega_true != config.omega_sense:
                     count += " on the calibration fringe at omega_calib"
@@ -338,7 +338,9 @@ def _check_mode_limits(config: RunConfig) -> None:
             if levels is not None and levels >= n.bit_length() - 1:  # 2**(levels + 1) > n
                 raise ConfigError(f"filter.levels = {levels} needs >= 2**{levels + 1} samples, "
                                   f"the {mode} window has {n}")
-        size = 4 * 8 * plan.n_experiments * n if mode == "simulate" else ensemble_run_bytes(setup)
+        n_betas = 1 if mode == "denoise" else config.filter.beta_grid.size
+        size = (4 * 8 * plan.n_experiments * n if mode == "simulate"
+                else ensemble_run_bytes(setup, n_betas, len(points)))
         if size > MAX_ENSEMBLE_BYTES:
             raise ConfigError(f"plan.n_experiments = {plan.n_experiments}: the {mode} ensemble of "
                               f"{n}-sample traces needs {size / 2**30:.3g} GiB, "

@@ -16,12 +16,14 @@ the clip changes::
 
     denoised = trace + uwt_synthesize(clip(r) - r, 0)
 
-with a zero approximation band.  :func:`tmt_denoise` is the one
-full-trace denoiser, for any batch of traces; the full-trace
-``denoised(beta)`` of :class:`tmtmag.bench.EnsembleRun` calls it, and the
-ensemble's detection-point sweep computes the same identity through the
-synthesis rows of the detection samples.  The templates serve only to
-form the residual, and no approximation band is synthesized.
+with a zero approximation band.  The residual's detail coefficients and
+``|S|`` come from one stage, :func:`residual_chunks`, which walks a batch
+of traces in chunks of 64.  :func:`tmt_denoise` is the one full-trace
+denoiser, for any batch of traces; the full-trace ``denoised(beta)`` of
+:class:`tmtmag.bench.EnsembleRun` calls it, and the ensemble's
+detection-point sweep reads the same stage's coefficients at the
+detection samples' synthesis rows.  The templates serve only to form the
+residual, and no approximation band is synthesized.
 
 The width is ``10**(-beta) / sqrt(T_I * M * f_sample)``; ``beta`` is the
 filter order.  The limits are exact: ``beta = -inf`` (and any ``beta``
@@ -32,8 +34,7 @@ template plus the residual's approximation share.  A clean template has a
 zero residual and comes back bit for bit at every ``beta``.
 
 The API takes and returns plain arrays of traces, one trace being a batch
-of one; the detection-point sweep in :mod:`tmtmag.bench` builds its
-``|S|`` with the same :func:`build_margins`.
+of one.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ class FrequencyGrid:
 #: traces transformed per FFT call: at G = 2001 each complex work array
 #: stays near 0.5 MiB, which the allocator hands back after the search (at
 #: 32 rows about 1 MiB more stayed resident, and no call was faster)
-_SPECTRUM_ROWS = 16
+SPECTRUM_ROWS = 16
 
 
 def _fft_length(n: int) -> int:
@@ -186,12 +187,13 @@ def correlation_spectrum(values: np.ndarray, times: np.ndarray,
     weights[0] = weights[-1] = 0.5 * dt
     env = envelope(times, params)
     template_mean = overlap(env[None, :])[0] / n
-    weighted = (values - values.mean(axis=1, keepdims=True)) * weights
+    weighted = values - values.mean(axis=1, keepdims=True)
+    weighted *= weights
     total = weighted.sum(axis=1, keepdims=True)
     weighted *= env
     out = np.empty((values.shape[0], g))
-    for start in range(0, values.shape[0], _SPECTRUM_ROWS):
-        rows = slice(start, start + _SPECTRUM_ROWS)
+    for start in range(0, values.shape[0], SPECTRUM_ROWS):
+        rows = slice(start, start + SPECTRUM_ROWS)
         out[rows] = overlap(weighted[rows]) - total[rows] * template_mean
     return out
 
@@ -214,9 +216,8 @@ def estimate_frequencies(values: np.ndarray, times: np.ndarray, params: SensorPa
                                    f"{n_times} samples of times")
     batch_shape = values.shape[:-1]
     values = values.reshape(-1, values.shape[-1])
-    bad = ~np.isfinite(values)
-    if bad.any():
-        i, k = np.argwhere(bad)[0]
+    if not np.isfinite(values).all():
+        i, k = np.argwhere(~np.isfinite(values))[0]
         raise FrequencySearchError(f"trace {i}: non-finite sample {values[i, k]} at index {k}")
     omegas = grid.omegas
     r = correlation_spectrum(values, times, params, omegas)
@@ -278,26 +279,40 @@ def clamp_details(details, noise_details, width: float) -> np.ndarray:
     return np.copysign(out, details, out=out)[()]  # [()]: a scalar for scalar inputs
 
 
-def build_margins(omega_temps, params: SensorParams, plan: AcquisitionPlan,
-                  basis: WaveletBasis | str, levels: int,
-                  squared_contrast: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Template traces and absolute shot-noise detail coefficients ``|S|`` at ``omega_temps``.
+#: traces per chunk of :func:`residual_chunks`
+RESIDUAL_CHUNK = 64
 
-    The templates have shape ``np.shape(omega_temps) + (N,)`` and ``|S|``
-    has shape ``(levels + 1,) + np.shape(omega_temps) + (N,)``; the
-    residual ``trace - template`` is clipped into ``+/- width * |S|`` by
-    :func:`clamp_details`.  ``squared_contrast`` selects the shot-noise
-    model variant (see :func:`tmtmag.ramsey.shot_noise`).  Frequencies
-    must be finite and positive.
+
+def _chunk_stacks(values, omegas, params, plan, basis, levels, squared_contrast, at):
+    """Residual details and ``|S|`` of the traces ``values`` at ``omegas``, indexed by ``at``;
+    a function of its own, so that the generator holds no chunk while its consumer works."""
+    noise = uwt_analyze(shot_noise(plan.times, omegas, params, squared_contrast=squared_contrast),
+                        basis, levels)[0][at]
+    residual = template(plan.times, omegas, params)
+    details = uwt_analyze(np.subtract(values, residual, out=residual), basis, levels)[0][at]
+    return details, np.abs(noise, out=noise)
+
+
+def residual_chunks(values, omega_temps, params: SensorParams, plan: AcquisitionPlan,
+                    basis: WaveletBasis | str, levels: int, squared_contrast: bool = False,
+                    at=...):
+    """Yield ``(rows, details, |S|)`` for each slice ``rows`` of ``RESIDUAL_CHUNK`` (n, N) traces.
+
+    ``details`` is the ``(levels + 1, E, N)`` detail stack of the residual
+    ``values[rows] - template`` at the frequencies ``omega_temps[rows]``
+    (finite and positive, checked before the first chunk), and ``|S|`` that
+    of the absolute shot-noise profiles (``squared_contrast`` as in
+    :func:`tmtmag.ramsey.shot_noise`).  Both are indexed by ``at`` first, so
+    ``at = (level, slice(None), sample)`` keeps only (C, E) coefficients.
     """
-    omegas = np.asarray(omega_temps, dtype=float)[..., None]
-    bad = ~(np.isfinite(omegas) & (omegas > 0.0))
+    omega_temps = np.asarray(omega_temps, dtype=float)
+    bad = ~(np.isfinite(omega_temps) & (omega_temps > 0.0))
     if bad.any():
-        raise ValueError(f"omega_temps must be finite and positive, got {omegas[bad][0]}")
-    times = plan.times
-    noise = shot_noise(times, omegas, params, squared_contrast=squared_contrast)
-    noise_details, _ = uwt_analyze(noise, basis, levels)
-    return template(times, omegas, params), np.abs(noise_details, out=noise_details)
+        raise ValueError(f"omega_temps must be finite and positive, got {omega_temps[bad][0]}")
+    for start in range(0, len(values), RESIDUAL_CHUNK):
+        rows = slice(start, start + RESIDUAL_CHUNK)
+        yield rows, *_chunk_stacks(values[rows], omega_temps[rows, None], params, plan, basis,
+                                   levels, squared_contrast, at)
 
 
 def _as_traces(values, plan: AcquisitionPlan) -> np.ndarray:
@@ -316,25 +331,29 @@ def tmt_denoise(values, omega_temps, beta: float, params: SensorParams,
                 squared_contrast: bool = False) -> np.ndarray:
     """Denoise traces ``values`` (shape ``(..., N)``) at their template frequencies.
 
-    ``omega_temps`` broadcasts to ``values.shape[:-1]``.  The residual
-    ``values - templates`` is analysed, its detail coefficients go through
-    :func:`clamp_details` with the ``|S|`` of :func:`build_margins`, and the
-    synthesis of what the clip changes, with a zero approximation band, is
-    added to ``values``.
+    ``omega_temps`` broadcasts to ``values.shape[:-1]``.  The traces go
+    through :func:`residual_chunks`; per chunk, the residual's detail
+    coefficients go through :func:`clamp_details`, and the synthesis of what
+    the clip changes, with a zero approximation band, is added to the
+    chunk's traces.
     """
     values = _as_traces(values, plan)
     if levels is None:
         levels = default_levels(plan.n_samples)
-    omega_temps = np.broadcast_to(omega_temps, values.shape[:-1])
-    templates, noise_details = build_margins(omega_temps, params, plan, basis, levels,
-                                             squared_contrast)
-    # the templates buffer holds the residual; it and the approximation band
-    # are freed before the clip, the peak of the call
-    details = uwt_analyze(np.subtract(values, templates, out=templates), basis, levels)[0]
-    del templates
-    change = clamp_details(details, noise_details, margin_width(beta, plan))
-    change -= details
-    return values + uwt_synthesize(change, np.zeros(values.shape), basis)
+    traces = values.reshape(-1, values.shape[-1])
+    omega_temps = np.broadcast_to(omega_temps, values.shape[:-1]).reshape(-1)
+    width = margin_width(beta, plan)
+    out = np.empty(traces.shape)
+    for rows, details, noise in residual_chunks(traces, omega_temps, params, plan, basis,
+                                                levels, squared_contrast):
+        change = clamp_details(details, noise, width)
+        change -= details
+        np.add(traces[rows], uwt_synthesize(change, np.zeros(change.shape[1:]), basis),
+               out=out[rows])
+        # the next chunk is built without |S| and the change; the details stay bound
+        # until it replaces them, so their pages are reused (a third of the page faults)
+        del noise, change
+    return out.reshape(values.shape)
 
 
 def denoise_pipeline(values, params: SensorParams, plan: AcquisitionPlan,

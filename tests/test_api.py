@@ -12,7 +12,7 @@ PUBLIC = {
     "GAMMA_E", "AcquisitionPlan", "SensorParams", "calib_frequency", "derive_photon_levels",
     "sensing_frequency", "shot_noise", "simulate_ensemble", "template",
     # tmt
-    "FrequencyGrid", "FrequencySearchError", "build_margins", "denoise_pipeline",
+    "FrequencyGrid", "FrequencySearchError", "denoise_pipeline",
     "estimate_frequencies", "margin_width", "tmt_denoise",
     # bench
     "BenchmarkSetup", "BetaSweepResult", "DetectionPointSet", "EnsembleStats", "GainPoint",

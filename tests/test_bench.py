@@ -16,6 +16,7 @@ import tmtmag
 from tmtmag import (
     AcquisitionPlan,
     BenchmarkSetup,
+    FrequencyGrid,
     benchmark_snr,
     default_beta_grid,
     ensemble_stats,
@@ -37,9 +38,9 @@ from tmtmag.bench import (
     ensemble_run_bytes,
     plan_for_detection_count,
 )
-from tmtmag.tmt import build_margins, clamp_details, margin_width, tmt_denoise
+from tmtmag.tmt import clamp_details, margin_width, residual_chunks, tmt_denoise
 from tmtmag.wavelets import uwt_analyze, uwt_synthesis_rows, uwt_synthesize
-from tmtmag.ramsey import envelope
+from tmtmag.ramsey import envelope, shot_noise
 from stat_utils import assert_monotone_tradeoff
 
 OMEGA = 2 * np.pi * 2.8024e6
@@ -347,31 +348,24 @@ def _residual_stacks(run):
     """The templates of ``run``, its residual's detail stack and approximation
     band, and ``|S|``, which the run computes chunk by chunk and does not keep."""
     setup = run.setup
-    templates, noise = build_margins(run.omega_temps, setup.params, setup.plan, setup.basis,
-                                     run.levels, setup.squared_contrast)
+    omegas = run.omega_temps[:, None]
+    templates = template(run.times, omegas, setup.params)
     details, approx = uwt_analyze(run.values - templates, setup.basis, run.levels)
-    return templates, details, approx, noise
+    noise, _ = uwt_analyze(shot_noise(run.times, omegas, setup.params,
+                                      squared_contrast=setup.squared_contrast),
+                           setup.basis, run.levels)
+    return templates, details, approx, np.abs(noise)
 
 
 def _feed_stacks(monkeypatch, details, noise):
     """Make the point build of a run read the stacks ``details`` and ``noise`` in
-    place of its own residual analysis and ``|S|``, one chunk of experiments per call."""
-    taken = {"margins": 0, "analysis": 0}
+    place of its own residual analysis and ``|S|``, one chunk of experiments at a time."""
 
-    def take(name, stack, n):
-        start = taken[name]
-        taken[name] += n
-        return stack[:, start:start + n]
+    def stage(values, *args, at=..., **kwargs):
+        for rows, _, _ in residual_chunks(values, *args, **kwargs):
+            yield rows, details[:, rows][at], noise[:, rows][at]
 
-    def margins(omega_temps, *args, **kwargs):
-        templates, _ = build_margins(omega_temps, *args, **kwargs)
-        return templates, take("margins", noise, len(omega_temps))
-
-    def analysis(residual, basis, levels):
-        return take("analysis", details, len(residual)), None
-
-    monkeypatch.setattr(tmtmag.bench, "build_margins", margins)
-    monkeypatch.setattr(tmtmag.bench, "uwt_analyze", analysis)
+    monkeypatch.setattr(tmtmag.bench, "residual_chunks", stage)
 
 
 def _full_clamp_oracle(run, beta, indices, stacks):
@@ -448,25 +442,35 @@ def test_raw_limit_is_exact_on_every_path(paper_params, basis):
 @pytest.mark.parametrize("levels", [1, None])
 def test_run_stays_within_its_byte_count(paper_params, basis, levels):
     # the mode check's count bounds the traced peak of building a run, of
-    # denoising its full traces and of its point sweep; at 160 experiments
-    # the frequency search's FFT work arrays of 16 traces, which the count
-    # leaves out, stay small
-    plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 160, seed=43)
-    setup = _setup(paper_params, plan, n_sd=3, basis=basis, levels=levels)
-    tracemalloc.start()
-    try:
-        run = EnsembleRun(setup, [0.0])
-        built = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        run.denoised(0.0)  # the run's own arrays are traced too
-        denoised = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        run.denoised(0.0, at_points=True)
-        swept = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    count = ensemble_run_bytes(setup)
-    assert max(built, denoised, swept) <= count, (built, denoised, swept, count)
+    # denoising its full traces and of its point sweep: at 160 experiments;
+    # on a fine grid, where the sweep's (K, n_exp, p) detection samples and
+    # a chunk's (K, E, p) bucket sums lead (10001 orders at the 10 crossings
+    # of a 448-sample window, which a count without them missed by a factor
+    # 13); and at 2000 experiments on an 11-point frequency grid, where the
+    # per-experiment term leads and the fixed terms no longer cover a third
+    # trace-sized array in the frequency search
+    cases = [(AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 160, seed=43), 3, [0.0], None),
+             (AcquisitionPlan(0.2e-6, 3.7e-6, 128e6, 25000, 50, seed=43), None,
+              default_beta_grid(-4.0, 2.0, 6e-4), None),
+             (AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 2000, seed=43), 1, [0.0],
+              FrequencyGrid.around(paper_params.omega_calib, n_points=11))]
+    for plan, n_sd, betas, grid in cases:
+        setup = _setup(paper_params, plan, n_sd=n_sd, basis=basis, levels=levels, grid=grid)
+        tracemalloc.start()
+        try:
+            run = EnsembleRun(setup, betas)
+            built = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            run.denoised(betas[0])  # the run's own arrays are traced too
+            denoised = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            run.denoised(betas[0], at_points=True)
+            swept = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        count = ensemble_run_bytes(setup, len(betas), len(run.points))
+        assert max(built, denoised, swept) <= count, (plan.n_experiments, built, denoised,
+                                                      swept, count)
 
 
 @settings(max_examples=30, deadline=None)
@@ -583,6 +587,25 @@ def test_bucket_build_allocates_no_coefficient_array(paper_params):
         working[n_exp] = peak - out.base.nbytes
     assert working[512] < 1.02 * working[128], working
     assert working[512] < _coefficient_bytes(run), (working, _coefficient_bytes(run))
+
+
+def test_full_trace_denoise_allocates_no_ensemble_stack(paper_params):
+    # tmt_denoise goes through the residual stage one chunk of traces at a
+    # time: its traced peak, less its output, is flat in the number of traces
+    # (one more (n_exp, N) array of the added 384 traces would raise it by a
+    # fifth)
+    working = {}
+    for n_exp in (128, 512):
+        plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, n_exp, seed=31)
+        run = EnsembleRun(_setup(paper_params, plan, n_sd=3), [0.0])
+        tracemalloc.start()
+        try:
+            out = run.denoised(0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        working[n_exp] = peak - out.nbytes
+    assert working[512] < 1.02 * working[128], working
 
 
 def test_run_holds_only_its_traces(paper_params):

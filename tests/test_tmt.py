@@ -12,7 +12,6 @@ from tmtmag import (
     FrequencyGrid,
     FrequencySearchError,
     SensorParams,
-    build_margins,
     denoise_pipeline,
     estimate_frequencies,
     margin_width,
@@ -24,7 +23,7 @@ from tmtmag import (
 from tmtmag import bench, tmt
 from tmtmag.bench import EnsembleRun
 from tmtmag.ramsey import envelope
-from tmtmag.tmt import clamp_details
+from tmtmag.tmt import clamp_details, residual_chunks
 from tmtmag.wavelets import uwt_analyze, uwt_synthesize
 
 
@@ -332,7 +331,7 @@ def test_spectrum_rows_do_not_depend_on_the_batch(paper_params, short_plan):
                                paper_params.omega_calib)
     omegas = FrequencyGrid.around(paper_params.omega_calib, 0.15, 301).omegas
     batch = tmt.correlation_spectrum(values, short_plan.times, paper_params, omegas)
-    for i in (0, tmt._SPECTRUM_ROWS - 1, tmt._SPECTRUM_ROWS, 69):
+    for i in (0, tmt.SPECTRUM_ROWS - 1, tmt.SPECTRUM_ROWS, 69):
         single = tmt.correlation_spectrum(values[i:i + 1], short_plan.times, paper_params, omegas)
         np.testing.assert_array_equal(single[0], batch[i])
 
@@ -356,18 +355,29 @@ def test_non_uniform_grids_rejected(paper_params, short_plan):
 # margins
 # ---------------------------------------------------------------------------
 
+def _stage(values, omega_temps, params, plan, basis, levels, **kwargs):
+    """The residual details and ``|S|`` that :func:`residual_chunks` yields for
+    the (n, N) traces ``values``, its chunks joined along the trace axis."""
+    chunks = list(residual_chunks(values, omega_temps, params, plan, basis, levels, **kwargs))
+    return tuple(np.concatenate([chunk[i] for chunk in chunks], axis=1) for i in (1, 2))
+
+
 def test_margins_collapse_at_large_beta(paper_params, short_plan):
     # the margins close on the template: the clip interval of the residual
     # shrinks to nothing around zero
     omega = paper_params.omega_calib
-    templates, noise_details = build_margins(omega, paper_params, short_plan, "bior6.8", 4)
+    clean = template(short_plan.times, omega, paper_params)
+    details, noise_details = _stage(clean[None], [omega], paper_params, short_plan,
+                                    "bior6.8", 4)
     assert np.max(2.0 * margin_width(16.0, short_plan) * noise_details) < 1e-9
-    np.testing.assert_array_equal(templates, template(short_plan.times, omega, paper_params))
+    # the residual is formed against the template itself: a clean trace leaves none
+    np.testing.assert_array_equal(details, 0.0)
 
 
 def test_margins_huge_at_negative_beta(paper_params, short_plan):
-    _, noise_details = build_margins(paper_params.omega_calib, paper_params, short_plan,
-                                     "bior6.8", 4)
+    omega = paper_params.omega_calib
+    _, noise_details = _stage(template(short_plan.times, omega, paper_params)[None], [omega],
+                              paper_params, short_plan, "bior6.8", 4)
     # beyond any PL coefficient
     assert np.min(2.0 * margin_width(-16.0, short_plan) * noise_details) > 1e3
 
@@ -396,7 +406,9 @@ def test_margins_ordered(paper_params, short_plan):
     # the residual's clip interval +/- width*|S|, shifted by the template's
     # coefficients K, equals the min/max of the decomposed time-domain margins
     omega = paper_params.omega_calib
-    templates, noise_details = build_margins(omega, paper_params, short_plan, "bior6.8", 5)
+    templates = template(short_plan.times, omega, paper_params)
+    noise_details = _stage(templates[None], [omega], paper_params, short_plan, "bior6.8",
+                           5)[1][:, 0]
     assert np.all(noise_details >= 0.0)
     width = margin_width(0.0, short_plan)
     scaled = width * shot_noise(short_plan.times, omega, paper_params)
@@ -411,18 +423,22 @@ def test_margins_ordered(paper_params, short_plan):
 
 
 def test_margins_batch_shape(paper_params, short_plan):
-    # an array of frequencies gives one margin stack per entry, equal to the scalar call
-    omegas = paper_params.omega_calib * np.array([[0.99, 1.0, 1.02], [1.01, 0.98, 1.0]])
-    templates, noise_details = build_margins(omegas, paper_params, short_plan,
-                                             "bior6.8", 4, squared_contrast=True)
-    assert templates.shape == (2, 3, short_plan.n_samples)
-    assert noise_details.shape == (5, 2, 3, short_plan.n_samples)
-    k, s = build_margins(omegas[1, 2], paper_params, short_plan, "bior6.8", 4,
-                         squared_contrast=True)
-    assert k.shape == (short_plan.n_samples,)
-    assert s.shape == (5, short_plan.n_samples)
-    np.testing.assert_array_equal(templates[1, 2], k)
-    np.testing.assert_array_equal(noise_details[:, 1, 2], s)
+    # a batch of traces gives one coefficient stack per trace, equal to the
+    # batch of one and to the analysis of the shot-noise profile itself
+    n = short_plan.n_samples
+    omegas = paper_params.omega_calib * np.array([0.99, 1.0, 1.02, 1.01, 0.98, 1.0])
+    values = simulate_ensemble(paper_params, short_plan.with_(n_experiments=6),
+                               paper_params.omega_calib)
+    details, noise_details = _stage(values, omegas, paper_params, short_plan, "bior6.8", 4,
+                                    squared_contrast=True)
+    assert details.shape == noise_details.shape == (5, 6, n)
+    d, s = _stage(values[5:], omegas[5:], paper_params, short_plan, "bior6.8", 4,
+                  squared_contrast=True)
+    assert d.shape == s.shape == (5, 1, n)
+    np.testing.assert_array_equal(details[:, 5:], d)
+    np.testing.assert_array_equal(noise_details[:, 5:], s)
+    profile = shot_noise(short_plan.times, omegas[5], paper_params, squared_contrast=True)
+    np.testing.assert_array_equal(s[:, 0], np.abs(uwt_analyze(profile, "bior6.8", 4)[0]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.7e7])
@@ -434,7 +450,8 @@ def test_bad_template_frequency_rejected(paper_params, short_plan, bad):
     omegas[1] = bad
     for omega_temps in (bad, omegas):
         with pytest.raises(ValueError, match="omega_temps"):
-            build_margins(omega_temps, paper_params, short_plan, "bior6.8", 4)
+            next(residual_chunks(values, np.broadcast_to(omega_temps, 3), paper_params,
+                                 short_plan, "bior6.8", 4))
         with pytest.raises(ValueError, match="omega_temps"):
             tmt_denoise(values, omega_temps, 0.0, paper_params, short_plan, "bior6.8", levels=4)
 
@@ -476,9 +493,9 @@ def test_template_passthrough(paper_params, short_plan, beta):
 def test_clamped_details_stay_inside_margins(paper_params, short_plan):
     omega = paper_params.omega_calib
     trace = simulate_ensemble(paper_params, short_plan, omega)[2]
-    templates, noise_details = build_margins(omega, paper_params, short_plan, "bior6.8", 5)
+    details, noise_details = _stage(trace[None], [omega], paper_params, short_plan,
+                                    "bior6.8", 5)
     width = margin_width(0.5, short_plan)
-    details, _ = uwt_analyze(trace - templates, "bior6.8", 5)
     clamped = clamp_details(details, noise_details, width)
     half = width * noise_details
     assert np.all(clamped >= -half)
@@ -489,12 +506,22 @@ def test_clamped_details_stay_inside_margins(paper_params, short_plan):
     assert np.mean(out) == pytest.approx(np.mean(trace), rel=1e-12)
 
 
-@pytest.fixture(scope="module")
-def ensemble_run(paper_params):
-    plan = AcquisitionPlan(0.97e-6, 1.75e-6, 128e6, 25000, 8, seed=77)
+def _ensemble_run(paper_params, n_exp):
+    plan = AcquisitionPlan(0.97e-6, 1.75e-6, 128e6, 25000, n_exp, seed=77)
     return EnsembleRun(BenchmarkSetup(params=paper_params, plan=plan,
                                       omega_true=paper_params.omega_calib, n_sd=2),
                        [-np.inf, -4.0, 0.0, 2.0, np.inf])
+
+
+@pytest.fixture(scope="module")
+def ensemble_run(paper_params):
+    return _ensemble_run(paper_params, 8)
+
+
+@pytest.fixture(scope="module")
+def chunked_ensemble_run(paper_params):
+    """An ensemble that spans three chunks of the residual stage, the last a partial one."""
+    return _ensemble_run(paper_params, 130)
 
 
 def _denoise_like(run, values, omega_temps, beta):
@@ -504,17 +531,24 @@ def _denoise_like(run, values, omega_temps, beta):
 
 
 @pytest.mark.parametrize("beta", [-np.inf, -400.0, -4.0, 0.0, 2.0, np.inf])
-def test_ensemble_and_per_trace_paths_agree(ensemble_run, beta):
-    run = ensemble_run
-    batch = run.denoised(beta)
-    assert not np.any(np.isnan(batch))
-    np.testing.assert_array_equal(_denoise_like(run, run.values, run.omega_temps, beta), batch)
-    for i in range(run.values.shape[0]):
-        single = _denoise_like(run, run.values[i], run.omega_temps[i], beta)
-        np.testing.assert_array_equal(single, batch[i])
-        if beta < -300.0:  # the raw limit, criterion 4's bound
-            rel = np.max(np.abs(single - run.values[i])) / np.max(np.abs(run.values[i]))
-            assert rel < 1e-10
+def test_ensemble_and_per_trace_paths_agree(ensemble_run, chunked_ensemble_run, beta):
+    for run in (ensemble_run, chunked_ensemble_run):
+        batch = run.denoised(beta)
+        assert not np.any(np.isnan(batch))
+        np.testing.assert_array_equal(_denoise_like(run, run.values, run.omega_temps, beta),
+                                      batch)
+        # a (2, n / 2, N) batch: its chunks cross the boundary of the halves
+        half = run.values.shape[0] // 2
+        np.testing.assert_array_equal(
+            _denoise_like(run, run.values.reshape(2, half, -1),
+                          run.omega_temps.reshape(2, half), beta),
+            batch.reshape(2, half, -1))
+        for i in range(run.values.shape[0]):
+            single = _denoise_like(run, run.values[i], run.omega_temps[i], beta)
+            np.testing.assert_array_equal(single, batch[i])
+            if beta < -300.0:  # the raw limit, criterion 4's bound
+                rel = np.max(np.abs(single - run.values[i])) / np.max(np.abs(run.values[i]))
+                assert rel < 1e-10
 
 
 def test_scalar_frequency_broadcasts_over_traces(ensemble_run):
@@ -544,10 +578,8 @@ def test_tmt_denoise_properties(ensemble_run, beta, row):
 def ensemble_coeffs(ensemble_run):
     """Residual detail coefficients and ``|S|`` of the ensemble."""
     run, setup = ensemble_run, ensemble_run.setup
-    templates, noise = build_margins(run.omega_temps, setup.params, setup.plan, setup.basis,
-                                     run.levels)
-    details, _ = uwt_analyze(run.values - templates, setup.basis, run.levels)
-    return details, noise
+    return _stage(run.values, run.omega_temps, setup.params, setup.plan, setup.basis,
+                  run.levels)
 
 
 @settings(max_examples=40, deadline=None)
@@ -668,21 +700,22 @@ def test_residual_form_matches_paper_formulation(paper_params, monkeypatch, basi
     # an infinite one leaves them raw; the same zeros reach tmt_denoise (the
     # full-trace path) and the run's point build, whose 12 experiments are
     # one chunk
-    build_margins_unpatched = tmt.build_margins
+    stage = tmt.residual_chunks
 
-    def margins_with_zeros(*args, **kwargs):
-        templates, noise_details = build_margins_unpatched(*args, **kwargs)
-        _zero_some_noise(noise_details)
-        return templates, noise_details
+    def stage_with_zeros(*args, at=..., **kwargs):
+        for rows, details, noise_details in stage(*args, **kwargs):
+            _zero_some_noise(noise_details)
+            yield rows, details[at], noise_details[at]
 
-    monkeypatch.setattr(tmt, "build_margins", margins_with_zeros)
-    monkeypatch.setattr(bench, "build_margins", margins_with_zeros)
+    monkeypatch.setattr(tmt, "residual_chunks", stage_with_zeros)
+    monkeypatch.setattr(bench, "residual_chunks", stage_with_zeros)
     noise_details = np.abs(uwt_analyze(shot_noise(plan.times, run.omega_temps[:, None],
                                                   paper_params), basis, run.levels)[0])
     _zero_some_noise(noise_details)
-    np.testing.assert_array_equal(
-        margins_with_zeros(run.omega_temps, paper_params, plan, basis, run.levels)[1],
-        noise_details)
+    (rows, _, patched), = stage_with_zeros(run.values, run.omega_temps, paper_params, plan,
+                                           basis, run.levels)
+    assert rows == slice(0, tmt.RESIDUAL_CHUNK)
+    np.testing.assert_array_equal(patched, noise_details)
     indices = run.points.indices
     tolerance = dict(rtol=1e-12, atol=1e-13 * np.max(np.abs(run.values)))
     for beta in ORACLE_BETAS:
