@@ -136,27 +136,17 @@ def _uniform_step(grid: np.ndarray, name: str) -> float:
     return step
 
 
-def correlation_spectrum(values: np.ndarray, times: np.ndarray,
-                         params: SensorParams, omegas: np.ndarray) -> np.ndarray:
-    """Trace/template overlap versus trial frequency, shape (n_traces, n_omegas).
+def _spectrum_blocks(values: np.ndarray, times: np.ndarray, params: SensorParams,
+                     omegas: np.ndarray):
+    """``(rows, r)`` for each slice ``rows`` of ``SPECTRUM_ROWS`` traces of the (n, N) ``values``,
+    ``r`` being their (rows, G) correlation spectrum (see :func:`correlation_spectrum`).
 
-    ``values`` has shape (n_traces, n_samples).  Trapezoid-weighted inner
-    product of each DC-removed trace with the DC-removed template sampled
-    on the trace grid; DC removal subtracts each series' arithmetic mean
-    over the window.  ``times`` and ``omegas`` must be uniform grids.
-
-    The DC-removed template is ``A cos(omega t) env(t)`` minus its window
-    mean, ``A = (n0 - n1) / 2``, so the overlap is
-    ``A (Re sum_n u_n exp(i omega_g t_n) - m_g s)``: ``u`` is the centred
-    trace times the weights and the envelope, ``s`` the weighted sum of the
-    centred trace and ``m_g`` the window mean of ``cos(omega_g t) env(t)``.
-    Both grids are uniform, so each sum over ``n`` is one Bluestein chirp-z
-    transform, ``omega_g t_n`` being split with
-    ``g n = (g**2 + n**2 - (g - n)**2) / 2`` into two chirps and a
-    convolution done by FFT.  numpy's FFT calls no BLAS, so the result does
-    not depend on the BLAS thread count.
+    The shapes and grids are checked and the operands that no trace changes
+    (chirps, the kernel's FFT, the weights, the envelope and the template's
+    window means) are built once, when this is called; each block is
+    centred and weighted as it is reached, so nothing held grows with both
+    n and G.  ``r`` is a work array that the next block overwrites.
     """
-    values = np.asarray(values, dtype=float)
     times = np.asarray(times, dtype=float)
     omegas = np.asarray(omegas, dtype=float)
     n, g = times.size, omegas.size
@@ -178,23 +168,70 @@ def correlation_spectrum(values: np.ndarray, times: np.ndarray,
     kernel[size - n + 1:] = chirp[n - 1:0:-1].conj()
     kernel = np.fft.fft(kernel)
 
+    # one block's work arrays, reused by every block: allocating them per
+    # block made the allocator hand their pages back and fault them in again
+    most = max(min(SPECTRUM_ROWS, values.shape[0]), 1)
+    transform = np.empty((most, size), dtype=complex)
+    r, term = np.empty((most, g)), np.empty((most, g))
+
     def overlap(rows):
-        """``A Re sum_n rows_n exp(i omega_g t_n)`` per row."""
-        z = np.fft.ifft(np.fft.fft(rows * pre, size) * kernel)[:, :g]
-        return z.real * post.real - z.imag * post.imag
+        """``A Re sum_n rows_n exp(i omega_g t_n)`` per row, in ``r``."""
+        m = len(rows)
+        z = np.fft.fft(rows * pre, size, out=transform[:m])
+        z *= kernel
+        z = np.fft.ifft(z, out=z)[:, :g]
+        out = np.multiply(z.real, post.real, out=r[:m])
+        out -= np.multiply(z.imag, post.imag, out=term[:m])
+        return out
 
     weights = np.full(n, dt)
     weights[0] = weights[-1] = 0.5 * dt
     env = envelope(times, params)
     template_mean = overlap(env[None, :])[0] / n
-    weighted = values - values.mean(axis=1, keepdims=True)
-    weighted *= weights
-    total = weighted.sum(axis=1, keepdims=True)
-    weighted *= env
-    out = np.empty((values.shape[0], g))
-    for start in range(0, values.shape[0], SPECTRUM_ROWS):
-        rows = slice(start, start + SPECTRUM_ROWS)
-        out[rows] = overlap(weighted[rows]) - total[rows] * template_mean
+
+    def spectrum(rows):
+        block = values[rows]
+        weighted = block - block.mean(axis=1, keepdims=True)
+        weighted *= weights
+        total = weighted.sum(axis=1, keepdims=True)
+        weighted *= env
+        out = overlap(weighted)
+        out -= np.multiply(total, template_mean, out=term[:len(out)])
+        return rows, out
+
+    return map(spectrum, (slice(start, start + SPECTRUM_ROWS)
+                          for start in range(0, values.shape[0], SPECTRUM_ROWS)))
+
+
+def correlation_spectrum(values: np.ndarray, times: np.ndarray,
+                         params: SensorParams, omegas: np.ndarray) -> np.ndarray:
+    """Trace/template overlap versus trial frequency, shape (n_traces, n_omegas).
+
+    ``values`` has shape (n_traces, n_samples).  Trapezoid-weighted inner
+    product of each DC-removed trace with the DC-removed template sampled
+    on the trace grid; DC removal subtracts each series' arithmetic mean
+    over the window.  ``times`` and ``omegas`` must be uniform grids.
+
+    The DC-removed template is ``A cos(omega t) env(t)`` minus its window
+    mean, ``A = (n0 - n1) / 2``, so the overlap is
+    ``A (Re sum_n u_n exp(i omega_g t_n) - m_g s)``: ``u`` is the centred
+    trace times the weights and the envelope, ``s`` the weighted sum of the
+    centred trace and ``m_g`` the window mean of ``cos(omega_g t) env(t)``.
+    Both grids are uniform, so each sum over ``n`` is one Bluestein chirp-z
+    transform, ``omega_g t_n`` being split with
+    ``g n = (g**2 + n**2 - (g - n)**2) / 2`` into two chirps and a
+    convolution done by FFT.  numpy's FFT calls no BLAS, so the result does
+    not depend on the BLAS thread count.
+
+    The spectrum is filled block by block, ``SPECTRUM_ROWS`` traces at a
+    time, from the same blocks that :func:`estimate_frequencies` reduces
+    to their maxima, so a row's bits do not depend on the batch.
+    """
+    values = np.asarray(values, dtype=float)
+    blocks = _spectrum_blocks(values, times, params, omegas)
+    out = np.empty((values.shape[0], np.size(omegas)))
+    for rows, r in blocks:
+        out[rows] = r
     return out
 
 
@@ -205,9 +242,14 @@ def estimate_frequencies(values: np.ndarray, times: np.ndarray, params: SensorPa
     Each trace's discrete correlation maximizer over ``grid`` is refined by
     one parabolic interpolation through its two neighbours.  A constant
     trace or a maximum on the grid boundary (search window too narrow) is an
-    error, and so is a trace with a NaN or infinite sample; errors name the
-    trace by its index in the row-major flattened batch.  ``values`` must
-    end in an axis of ``len(times)`` samples.
+    error, and so is a trace with a NaN or infinite sample, which is looked
+    for first in every trace; errors name the first failing trace by its
+    index in the row-major flattened batch.  ``values`` must end in an axis
+    of ``len(times)`` samples.
+
+    The spectrum is computed ``SPECTRUM_ROWS`` traces at a time, and each
+    block is reduced at once to its maxima and their two neighbours, so the
+    search holds no (n_traces, n_omegas) array and no copy of the traces.
     """
     values = np.asarray(values, dtype=float)
     n_times = np.size(times)
@@ -216,26 +258,32 @@ def estimate_frequencies(values: np.ndarray, times: np.ndarray, params: SensorPa
                                    f"{n_times} samples of times")
     batch_shape = values.shape[:-1]
     values = values.reshape(-1, values.shape[-1])
-    if not np.isfinite(values).all():
-        i, k = np.argwhere(~np.isfinite(values))[0]
-        raise FrequencySearchError(f"trace {i}: non-finite sample {values[i, k]} at index {k}")
+    for start in range(0, values.shape[0], SPECTRUM_ROWS):  # no mask of the whole batch
+        bad = ~np.isfinite(values[start:start + SPECTRUM_ROWS])
+        if bad.any():
+            i, k = np.argwhere(bad)[0]
+            i += start
+            raise FrequencySearchError(f"trace {i}: non-finite sample {values[i, k]} at index {k}")
     omegas = grid.omegas
-    r = correlation_spectrum(values, times, params, omegas)
-    k = np.argmax(r, axis=1)
-    constant = np.ptp(values, axis=1) == 0.0
-    failed = constant | (k == 0) | (k == omegas.size - 1)
-    if failed.any():
-        i = int(np.argmax(failed))  # the first failing trace
-        if constant[i]:
+    k = np.empty(values.shape[0], dtype=np.intp)
+    peaks = np.empty((values.shape[0], 3))  # r[k - 1], r[k], r[k + 1]
+    for rows, r in _spectrum_blocks(values, times, params, omegas):
+        k[rows] = top = np.argmax(r, axis=1)
+        constant = np.ptp(values[rows], axis=1) == 0.0
+        failed = constant | (top == 0) | (top == omegas.size - 1)
+        if failed.any():
+            i = int(np.argmax(failed))  # the first failing trace; earlier blocks had none
+            if constant[i]:
+                raise FrequencySearchError(
+                    f"trace {rows.start + i}: constant trace, correlation identically zero "
+                    f"after DC removal"
+                )
             raise FrequencySearchError(
-                f"trace {i}: constant trace, correlation identically zero after DC removal"
+                f"trace {rows.start + i}: correlation maximum at the grid boundary "
+                f"(omega={omegas[top[i]]:.6g}); widen the search grid"
             )
-        raise FrequencySearchError(
-            f"trace {i}: correlation maximum at the grid boundary "
-            f"(omega={omegas[k[i]]:.6g}); widen the search grid"
-        )
-    rows = np.arange(k.size)
-    r_lo, r_mid, r_hi = r[rows, k - 1], r[rows, k], r[rows, k + 1]
+        peaks[rows] = np.take_along_axis(r, top[:, None] + np.arange(-1, 2), axis=1)
+    r_lo, r_mid, r_hi = peaks.T
     denom = r_lo - 2.0 * r_mid + r_hi
     # a flat top (denom 0) keeps the grid maximum: its shift stays 0
     shift = np.divide(0.5 * (r_lo - r_hi), denom, out=np.zeros(k.size), where=denom != 0.0)

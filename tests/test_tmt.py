@@ -1,5 +1,7 @@
 """Frequency estimation, margin construction, and hard-clamp denoising."""
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -131,7 +133,10 @@ def test_first_failing_trace_is_named(paper_params, rows, message):
 
 
 def test_batch_estimates_match_single(paper_params, short_plan):
-    plan = short_plan.with_(n_experiments=6, seed=9)
+    # the search reduces blocks of SPECTRUM_ROWS traces: two full blocks and
+    # part of a third
+    n = 2 * tmt.SPECTRUM_ROWS + 3
+    plan = short_plan.with_(n_experiments=n, seed=9)
     values = simulate_ensemble(paper_params, plan, paper_params.omega_calib)
     grid = FrequencyGrid.around(paper_params.omega_calib, 0.15, 501)
     batch = estimate_frequencies(values, plan.times, paper_params, grid)
@@ -140,9 +145,44 @@ def test_batch_estimates_match_single(paper_params, short_plan):
         assert single.shape == ()
         assert batch[i] == single
     # any batch shape is searched as its row-major flattening
-    nested = estimate_frequencies(values.reshape(2, 3, -1), plan.times, paper_params, grid)
-    assert nested.shape == (2, 3)
-    np.testing.assert_array_equal(nested, batch.reshape(2, 3))
+    nested = estimate_frequencies(values.reshape(5, 7, -1), plan.times, paper_params, grid)
+    assert nested.shape == (5, 7)
+    np.testing.assert_array_equal(nested, batch.reshape(5, 7))
+    # a fringe at 1.5 omega_calib peaks on the grid's lower edge in this window;
+    # in the third block it is still the one named, ahead of a later one
+    edge = template(plan.times, 1.5 * paper_params.omega_calib, paper_params)
+    bad = 2 * tmt.SPECTRUM_ROWS + 1
+    values[bad] = values[-1] = edge
+    with pytest.raises(FrequencySearchError, match=f"trace {bad}: correlation maximum at the "
+                                                   f"grid boundary"):
+        estimate_frequencies(values, plan.times, paper_params, grid)
+    with pytest.raises(FrequencySearchError, match=f"trace {bad}: correlation maximum"):
+        estimate_frequencies(values.reshape(5, 7, -1), plan.times, paper_params, grid)
+    # every trace is checked for non-finite samples before any is searched
+    values[-1, 3] = np.nan
+    with pytest.raises(FrequencySearchError, match=f"trace {n - 1}: non-finite sample"):
+        estimate_frequencies(values, plan.times, paper_params, grid)
+
+
+def test_search_holds_no_spectrum_of_the_batch(paper_params):
+    # the search reduces each block of SPECTRUM_ROWS traces to its maxima
+    # before the next block is computed: its traced peak (the traces are made
+    # before tracing starts) is flat in the number of traces.  A (n, G)
+    # spectrum or a weighted copy of the traces, as the search once held,
+    # would raise it fivefold from 128 to 1024 traces.
+    grid = FrequencyGrid.around(paper_params.omega_calib, 0.15, 2001)
+    peaks = {}
+    for n in (128, 1024):
+        plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, n, seed=5)
+        values = simulate_ensemble(paper_params, plan, paper_params.omega_calib)
+        estimate_frequencies(values[:2], plan.times, paper_params, grid)  # lazy imports
+        tracemalloc.start()
+        try:
+            estimate_frequencies(values, plan.times, paper_params, grid)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[1024] < 1.05 * peaks[128], peaks
 
 
 def test_zero_dimensional_values_rejected_by_search(paper_params, short_plan):
