@@ -108,9 +108,6 @@ class EnsembleStats:
 
     ``mse``, ``bias``, ``variance``, ``sample_mean`` and ``mse_stderr`` are
     arrays over detection points; ``mse = bias**2 + variance`` exactly.
-    Statistics scored as a batch (:func:`point_stats` of a ``(..., n_exp,
-    n_sd)`` array) carry the batch axes in front, ``fringe_averaged_mse``
-    being an array over them; indexing picks one entry of the batch.
     """
 
     mse: np.ndarray
@@ -125,12 +122,6 @@ class EnsembleStats:
     def __post_init__(self):
         if self.n_exp < 2:
             raise ValueError("ensemble statistics need at least 2 experiments")
-
-    def __getitem__(self, k) -> "EnsembleStats":
-        """Entry ``k`` of statistics scored as a batch."""
-        return replace(self, mse=self.mse[k], bias=self.bias[k], variance=self.variance[k],
-                       sample_mean=self.sample_mean[k], mse_stderr=self.mse_stderr[k],
-                       fringe_averaged_mse=float(self.fringe_averaged_mse[k]))
 
 
 def ensemble_stats(traces: np.ndarray, points: DetectionPointSet,
@@ -152,31 +143,26 @@ def ensemble_stats(traces: np.ndarray, points: DetectionPointSet,
 
 def point_stats(at_points: np.ndarray, points: DetectionPointSet,
                 beta: float | None = None) -> EnsembleStats:
-    """:class:`EnsembleStats` from the (..., n_exp, n_sd) values at the detection points.
+    """:class:`EnsembleStats` from the (n_exp, n_sd) values at the detection points.
 
-    Leading axes are a batch, scored in one pass with one temporary of the
-    input's size; each entry equals the statistics of its own (n_exp, n_sd)
-    slice bit for bit.  The variance divides by n_exp (not n_exp - 1) to
-    keep the decomposition identity exact.
+    The variance divides by n_exp (not n_exp - 1) to keep the
+    decomposition identity exact.
     """
-    n_exp = at_points.shape[-2]
-    work = np.subtract(at_points, points.truths)
-    bias = np.mean(work, axis=-2)
-    mse = np.mean(np.square(work, out=work), axis=-2)
-    fourth = np.mean(np.power(np.subtract(at_points, points.truths, out=work), 4, out=work),
-                     axis=-2)
-    sample_mean = np.mean(at_points, axis=-2)
-    np.subtract(at_points, sample_mean[..., None, :], out=work)
-    variance = np.mean(np.square(work, out=work), axis=-2)
+    n_exp = at_points.shape[0]
+    dev = at_points - points.truths[None, :]
+    mse = np.mean(dev ** 2, axis=0)
+    bias = np.mean(dev, axis=0)
+    sample_mean = np.mean(at_points, axis=0)
+    variance = np.mean((at_points - sample_mean[None, :]) ** 2, axis=0)
+    fourth = np.mean(dev ** 4, axis=0)
     mse_stderr = np.sqrt(np.maximum(fourth - mse ** 2, 0.0) / n_exp)
-    fringe = np.mean(mse, axis=-1)
     return EnsembleStats(
         mse=mse,
         bias=bias,
         variance=variance,
         sample_mean=sample_mean,
         mse_stderr=mse_stderr,
-        fringe_averaged_mse=float(fringe) if fringe.ndim == 0 else fringe,
+        fringe_averaged_mse=float(np.mean(mse)),
         n_exp=n_exp,
         beta=beta,
     )
@@ -238,46 +224,6 @@ class BenchmarkSetup:
         return replace(self, plan=self.plan.with_(**kwargs))
 
 
-def _bucket_keys(widths: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(widths, tau)`` for strictly rising ``widths``: per ``tau``, the number
-    of widths below it, NaN counting as above them all.
-
-    Each key is guessed from ``log(tau)`` on the log-uniform grid through the
-    first and last finite positive widths, which the widths of a uniform beta
-    grid follow up to rounding, and then moved up while ``widths[key] < tau``
-    and down while ``widths[key - 1] >= tau`` until no key moves.  So every
-    rising grid gets the exact count, widths 0 and inf included; a grid far
-    from log-uniform only takes more passes.
-    """
-    size = widths.size
-    positive = np.flatnonzero((widths > 0.0) & (widths < np.inf))
-    first, slope, log_first = 0, 0.0, 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):  # log(0) = -inf; inf * 0 is NaN
-        if positive.size > 1:
-            first, last = positive[0], positive[-1]
-            log_first = np.log(widths[first])
-            slope = (last - first) / (np.log(widths[last]) - log_first)
-        guess = np.log(tau)
-        guess -= log_first
-        guess *= slope
-    guess += first
-    np.nan_to_num(guess, copy=False, nan=size, posinf=size, neginf=0.0)
-    keys = np.ceil(np.clip(guess, 0, size, out=guess), out=guess).astype(np.intp)
-    above = np.append(widths, np.inf)  # above[key] = widths[key]
-    below = np.insert(widths, 0, -np.inf)  # below[key] = widths[key - 1]
-    while True:
-        up = above[keys] < tau
-        keys += up
-        down = below[keys] >= tau
-        keys -= down
-        if not (up.any() or down.any()):
-            return keys
-
-
-#: coefficients keyed at a time by :func:`_clipped_point_sums`, which bounds its temporaries
-KEY_BLOCK = 1 << 14
-
-
 def _clipped_point_sums(offsets, scales, rows, widths) -> np.ndarray:
     """What clipping the residual details at every width changes at the synthesis ``rows``.
 
@@ -287,8 +233,8 @@ def _clipped_point_sums(offsets, scales, rows, widths) -> np.ndarray:
     to the raw samples.  ``scales`` is overwritten.  A coefficient ``r``
     with noise scale ``s`` is clipped to ``sign(r)*w*s`` at the widths
     ``w`` below ``tau = |r|/s`` and passes unclipped from there on, so it
-    falls into bucket ``q``, the number of widths that clip it
-    (:func:`_bucket_keys`).  With ``U`` and ``B`` the per-bucket
+    falls into bucket ``q = searchsorted(widths, tau)``, the number of
+    widths that clip it.  With ``U`` and ``B`` the per-bucket
     ``np.bincount`` sums of ``r*row`` and ``sign(r)*s*row``, width ``w_k``
     changes the sample by ``w_k*sum(B[q > k]) - sum(U[q > k])``: each
     coefficient it clips swaps its share ``r*row`` for
@@ -297,28 +243,22 @@ def _clipped_point_sums(offsets, scales, rows, widths) -> np.ndarray:
     which clips nothing, also where ``s = 0``, changes nothing exactly.
     """
     n_buckets, n_exp = widths.size + 1, offsets.shape[1]
-    keys = np.empty(offsets.shape, dtype=np.intp)
-    step = max(KEY_BLOCK // n_exp, 1)
-    for start in range(0, len(offsets), step):
-        part = slice(start, start + step)
-        with np.errstate(divide="ignore", invalid="ignore"):  # s = 0: tau is inf, or NaN at r = 0
-            keys[part] = _bucket_keys(widths, np.abs(offsets[part]) / scales[part])
+    work = np.empty_like(offsets)  # tau, then each row's weights: one (C, E) temporary
+    with np.errstate(divide="ignore", invalid="ignore"):  # s = 0: tau is inf, or NaN at r = 0
+        keys = np.searchsorted(widths, np.divide(np.abs(offsets, out=work), scales, out=work))
     keys += n_buckets * np.arange(n_exp)  # one run of buckets per experiment
     keys = keys.ravel()
     np.copysign(scales, offsets, out=scales)
     finite = np.where(widths < np.inf, widths, 0.0)  # B is 0 there, and inf * 0 NaN
     out = np.empty((widths.size, n_exp, rows.shape[1]))
-    work = np.empty_like(offsets)  # each row's weights
     for j, row in enumerate(rows.T):
         unclipped, clipped = (
             np.bincount(keys, np.multiply(coeffs, row[:, None], out=work).ravel(),
                         n_exp * n_buckets)
             .reshape(n_exp, n_buckets) for coeffs in (offsets, scales))
-        # w_k * sum(B[q > k]) - sum(U[q > k]) at every k, the sums formed in place
-        cs = np.cumsum(unclipped, axis=1, out=unclipped)
-        beyond = np.cumsum(clipped[:, :0:-1], axis=1, out=clipped[:, :0:-1])[:, ::-1]
-        np.add(np.subtract(cs[:, :-1], cs[:, -1:], out=cs[:, :-1]),
-               np.multiply(finite, beyond, out=beyond), out=out[:, :, j].T)
+        cs = np.cumsum(unclipped, axis=1)
+        out[:, :, j] = (cs[:, :-1] - cs[:, -1:]
+                        + finite * np.cumsum(clipped[:, :0:-1], axis=1)[:, ::-1]).T
     return out
 
 
@@ -341,10 +281,9 @@ class EnsembleRun:
     returns the raw traces bit for bit and ``beta = +inf`` zeroes every
     residual detail.
 
-    ``denoised(beta, at_points=True)`` reads one order of the grid from the
-    detection samples that the first such call computes at every order at
-    once (:attr:`_at_points`), and :meth:`stats` reads one order of their
-    statistics, which the first call scores at every order at once: each
+    ``denoised(beta, at_points=True)``, which :meth:`stats` scores, reads
+    one order of the grid from the detection samples that the first such
+    call computes at every order at once (:attr:`_at_points`): each
     denoised detection sample is the raw sample plus a fixed row of the
     synthesis (:func:`~tmtmag.wavelets.uwt_synthesis_rows`) applied to
     what clipping changes in the residual details.  The outputs agree with
@@ -380,26 +319,15 @@ class EnsembleRun:
             setup = self.setup
             return tmt_denoise(self.values, self.omega_temps, beta, setup.params, setup.plan,
                                setup.basis, self.levels, setup.squared_contrast)
-        return self._at_points[self._order(beta)]
-
-    def stats(self, beta: float) -> EnsembleStats:
-        """Statistics of the order-``beta`` denoised samples at the detection points."""
-        # one call per order: perfbench's trace counts (trace, beta) evaluations here
-        self.denoised(beta, at_points=True)
-        return replace(self._point_stats[self._order(beta)], beta=float(beta))
-
-    def _order(self, beta: float) -> int:
-        """Index of ``beta`` in the run's grid; an order off the grid is an error."""
         k = int(np.searchsorted(self.betas, beta))
         if k == self.betas.size or self.betas[k] != beta:
             raise ValueError(f"beta = {beta} is not on this run's grid of {self.betas.size} "
                              f"orders from {self.betas[0]:g} to {self.betas[-1]:g}")
-        return k
+        return self._at_points[k]
 
-    @cached_property
-    def _point_stats(self) -> EnsembleStats:
-        """:func:`point_stats` of the (K, n_exp, p) detection samples, scored at once."""
-        return point_stats(self._at_points, self.points)
+    def stats(self, beta: float) -> EnsembleStats:
+        """Statistics of the order-``beta`` denoised samples at the detection points."""
+        return point_stats(self.denoised(beta, at_points=True), self.points, beta=float(beta))
 
     @cached_property
     def _at_points(self) -> np.ndarray:
@@ -432,25 +360,24 @@ class EnsembleRun:
 
 def ensemble_run_bytes(setup: BenchmarkSetup, n_betas: int, n_points: int) -> int:
     """Most bytes an :class:`EnsembleRun` of ``setup`` allocates while it is built, denoises
-    its full traces, builds its point sweep or scores it, on a grid of K = ``n_betas`` orders
-    at p = ``n_points`` detection points.
+    its full traces or builds its point sweep on a grid of K = ``n_betas`` orders at
+    p = ``n_points`` detection points.
 
-    Per experiment, ``2 * N + 2 * K * p`` doubles: the trace, the sweep's (K, n_exp, p)
-    samples and, in turn, the full-trace output or the one temporary of the samples' size
-    that :func:`point_stats` scores them with.  The frequency search adds no array per
-    experiment that grows with N or ``freq_points``.  Per experiment of one chunk of
+    Per experiment, ``2 * N + K * p`` doubles: the trace, the full-trace output and the
+    sweep's (K, n_exp, p) samples.  The frequency search adds nothing per experiment: it
+    holds one block of ``SPECTRUM_ROWS`` traces at a time.  Per experiment of one chunk of
     :func:`~tmtmag.tmt.residual_chunks`, ``(4 * levels + 12) * N`` doubles of coefficient
     stacks (four at the full-trace clip) or of (C, E) gathers, and the sweep's ``K * p``
     bucket sums and ``6 * (K + 1)`` cumulative sums.  Once, the detection rows
-    (``(2 * levels + 8) * N * p`` doubles while built) and one block of ``SPECTRUM_ROWS``
-    traces of the search, whose FFTs, centred rows and spectra take 3 complex values a trace
-    and 5 more per FFT sample, the FFT length being below ``2 * (N + freq_points)``.
+    (``(2 * levels + 8) * N * p`` doubles while built) and the search's block of
+    ``SPECTRUM_ROWS`` traces, whose FFTs, centred rows and spectra take 3 complex values a
+    trace and 5 more per FFT sample, the FFT length being below ``2 * (N + freq_points)``.
     """
     plan, n, levels = setup.plan, setup.plan.n_samples, setup.resolved_levels()
     n_exp, freq_points, p = plan.n_experiments, setup.resolved_grid().n_points, n_points
     chunk = ((4 * levels + 12) * n + n_betas * p + 6 * (n_betas + 1)) * min(n_exp, RESIDUAL_CHUNK)
-    search = 4 * (3 * min(n_exp, SPECTRUM_ROWS) + 5) * (n + freq_points)
-    return 8 * (n_exp * (2 * n + 2 * n_betas * p) + chunk + (2 * levels + 8) * n * p + search)
+    fft = 4 * (3 * min(n_exp, SPECTRUM_ROWS) + 5) * (n + freq_points)
+    return 8 * (n_exp * (2 * n + n_betas * p) + chunk + (2 * levels + 8) * n * p + fft)
 
 
 @dataclass

@@ -268,8 +268,8 @@ def _dataclass_table(items) -> np.ndarray:
 MAX_WINDOW_SAMPLES = 1 << 16
 #: Most bytes one planned ensemble may hold, at 4 doubles per sample in simulate (traces and
 #: table) and :func:`~tmtmag.bench.ensemble_run_bytes` in an ``EnsembleRun``, which counts the
-#: run's traces, its output and statistics at every swept order, one chunk of the residual
-#: stage and one block of the frequency search.
+#: run's traces, its output at every swept order, one chunk of the residual stage and one
+#: block of the frequency search.
 MAX_ENSEMBLE_BYTES = 2 << 30
 
 

@@ -168,8 +168,9 @@ def _spectrum_blocks(values: np.ndarray, times: np.ndarray, params: SensorParams
     kernel[size - n + 1:] = chirp[n - 1:0:-1].conj()
     kernel = np.fft.fft(kernel)
 
-    # one block's work arrays, reused by every block: allocating them per
-    # block made the allocator hand their pages back and fault them in again
+    # one block's work arrays, reused by every block (numpy.fft's out=, new in
+    # numpy 2.0): allocating them per block made the allocator hand their
+    # pages back and fault them in again
     most = max(min(SPECTRUM_ROWS, values.shape[0]), 1)
     transform = np.empty((most, size), dtype=complex)
     r, term = np.empty((most, g)), np.empty((most, g))

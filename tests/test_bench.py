@@ -33,12 +33,10 @@ from tmtmag import (
 )
 from tmtmag.bench import (
     EnsembleRun,
-    _bucket_keys,
     child_seed,
     detection_crossings,
     ensemble_run_bytes,
     plan_for_detection_count,
-    point_stats,
 )
 from tmtmag.tmt import clamp_details, margin_width, residual_chunks, tmt_denoise
 from tmtmag.wavelets import uwt_analyze, uwt_synthesis_rows, uwt_synthesize
@@ -444,14 +442,13 @@ def test_raw_limit_is_exact_on_every_path(paper_params, basis):
 @pytest.mark.parametrize("levels", [1, None])
 def test_run_stays_within_its_byte_count(paper_params, basis, levels):
     # the mode check's count bounds the traced peak of building a run, of
-    # denoising its full traces, of its point sweep and of scoring it: at 160
-    # experiments; on a fine grid, where the sweep's (K, n_exp, p) detection
-    # samples, a chunk's (K, E, p) bucket sums and the scoring's temporary
-    # lead (10001 orders at the 10 crossings of a 448-sample window, which a
-    # count without them missed by a factor 13); and at 2000 experiments on
-    # an 11-point frequency grid, where the per-experiment term leads and the
-    # fixed terms would not cover one more trace-sized array while the
-    # frequencies are searched
+    # denoising its full traces and of its point sweep: at 160 experiments;
+    # on a fine grid, where the sweep's (K, n_exp, p) detection samples and
+    # a chunk's (K, E, p) bucket sums lead (10001 orders at the 10 crossings
+    # of a 448-sample window, which a count without them missed by a factor
+    # 13); and at 2000 experiments on an 11-point frequency grid, where the
+    # per-experiment term leads and the fixed terms would not cover one more
+    # trace-sized array while the frequencies are searched
     cases = [(AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 160, seed=43), 3, [0.0], None),
              (AcquisitionPlan(0.2e-6, 3.7e-6, 128e6, 25000, 50, seed=43), None,
               default_beta_grid(-4.0, 2.0, 6e-4), None),
@@ -469,14 +466,11 @@ def test_run_stays_within_its_byte_count(paper_params, basis, levels):
             tracemalloc.reset_peak()
             run.denoised(betas[0], at_points=True)
             swept = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            run.stats(betas[0])
-            scored = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         count = ensemble_run_bytes(setup, len(betas), len(run.points))
-        assert max(built, denoised, swept, scored) <= count, (plan.n_experiments, built,
-                                                              denoised, swept, scored, count)
+        assert max(built, denoised, swept) <= count, (plan.n_experiments, built, denoised,
+                                                      swept, count)
 
 
 @settings(max_examples=30, deadline=None)
@@ -519,49 +513,6 @@ def test_bucketed_sweep_matches_full_clamp(paper_params, inner, ends, ties):
             np.testing.assert_allclose(run.denoised(beta, at_points=True),
                                        _full_clamp_oracle(run, beta, indices, stacks),
                                        rtol=1e-12, atol=1e-13 * scale)
-
-
-@pytest.mark.parametrize("n_sd", [1, 3])
-def test_stats_scored_at_once_equal_each_order(paper_params, n_sd):
-    # the run scores its (K, n_exp, p) samples in one point_stats call; each
-    # order's statistics equal those of its own samples bit for bit (n_sd = 1
-    # sums a contiguous axis, pairwise)
-    plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 30, seed=17)
-    betas = np.concatenate([[-np.inf], default_beta_grid(-4.0, 2.0, 0.5), [np.inf]])
-    run = EnsembleRun(_setup(paper_params, plan, n_sd=n_sd), betas)
-    for beta in betas:
-        one = point_stats(run.denoised(beta, at_points=True), run.points, beta=float(beta))
-        batched = run.stats(beta)
-        for field in fields(one):
-            np.testing.assert_array_equal(getattr(batched, field.name), getattr(one, field.name))
-        assert type(batched.fringe_averaged_mse) is float
-
-
-@settings(max_examples=200, deadline=None)
-@given(widths=st.lists(st.floats(0.0, 1e300, allow_subnormal=False), max_size=40, unique=True),
-       ends=st.sets(st.sampled_from([0.0, np.inf])),
-       taus=st.lists(st.one_of(st.floats(0.0, np.inf), st.sampled_from([0.0, np.inf, np.nan])),
-                     min_size=1, max_size=30),
-       ties=st.integers(0, 10),
-       geometric=st.booleans())
-@example(widths=[], ends=set(), taus=[0.0, np.inf, np.nan], ties=0, geometric=False)
-@example(widths=[1.0], ends={0.0, np.inf}, taus=[0.0, 1.0, 2.0, np.inf, np.nan], ties=3,
-         geometric=False)
-@example(widths=[1e300, np.nextafter(1e300, np.inf)], ends=set(), taus=[1.0, 1e300, np.inf],
-         ties=2, geometric=False)
-@example(widths=[], ends={0.0, np.inf}, taus=[0.0, 5.0, np.inf], ties=2, geometric=True)
-def test_bucket_keys_match_searchsorted(widths, ends, taus, ties, geometric):
-    # the keys are guessed on a log scale and fixed up; they must equal
-    # np.searchsorted on any rising grid: the log-uniform widths of a beta
-    # grid (with geometric), arbitrary ones, widths 0 and inf, taus of 0, inf
-    # and NaN, and taus equal to a width
-    if geometric:
-        widths = list(np.sqrt(2.0) * 10.0 ** -np.arange(-4.0, 2.05, 0.1)[::-1])
-    grid = np.array(sorted(set(widths) | ends))
-    tau = np.array(taus)
-    if grid.size:
-        tau[:ties] = grid[np.arange(min(ties, tau.size)) % grid.size]
-    np.testing.assert_array_equal(_bucket_keys(grid, tau), np.searchsorted(grid, tau))
 
 
 def test_off_grid_beta_rejected(paper_params):
