@@ -21,8 +21,8 @@ from .ramsey import (
     simulate_ensemble,
     template,
 )
-from .tmt import (RESIDUAL_CHUNK, SPECTRUM_ROWS, FrequencyGrid, estimate_frequencies,
-                  margin_width, residual_chunks, tmt_denoise)
+from .tmt import (SPECTRUM_ROWS, FrequencyGrid, estimate_frequencies, margin_width,
+                  residual_chunk_rows, residual_chunks, tmt_denoise)
 from .wavelets import default_levels, uwt_synthesis_rows
 # uncalled: perfbench/child.py wraps them (test_benchmark_wrap_points_exist) until ROADMAP item 1
 from .wavelets import uwt_analyze, uwt_synthesize  # noqa: F401
@@ -272,7 +272,9 @@ class EnsembleRun:
     ``shared_estimate``) and scores the raw traces (:attr:`raw_stats`).
     The traces are the only trace-sized array the run keeps: both
     denoising paths read the residual's coefficients and ``|S|`` from
-    :func:`~tmtmag.tmt.residual_chunks`, one chunk of experiments at a time.
+    :func:`~tmtmag.tmt.residual_chunks`, one chunk of experiments at a time
+    (at most 64, and at most 9600 trace samples, so a chunk's working set
+    does not grow with the window).
 
     Both return the raw traces plus the synthesis of what the clip changes
     (see :mod:`tmtmag.tmt`).  :meth:`denoised` at full length is
@@ -366,16 +368,19 @@ def ensemble_run_bytes(setup: BenchmarkSetup, n_betas: int, n_points: int) -> in
     Per experiment, ``2 * N + K * p`` doubles: the trace, the full-trace output and the
     sweep's (K, n_exp, p) samples.  The frequency search adds nothing per experiment: it
     holds one block of ``SPECTRUM_ROWS`` traces at a time.  Per experiment of one chunk of
-    :func:`~tmtmag.tmt.residual_chunks`, ``(4 * levels + 12) * N`` doubles of coefficient
-    stacks (four at the full-trace clip) or of (C, E) gathers, and the sweep's ``K * p``
-    bucket sums and ``6 * (K + 1)`` cumulative sums.  Once, the detection rows
+    :func:`~tmtmag.tmt.residual_chunks`, whose ``E = min(n_exp, 64, max(1, 9600 // N))``
+    experiments (:func:`~tmtmag.tmt.residual_chunk_rows`) hold at most 9600 samples,
+    ``(4 * levels + 12) * N`` doubles of coefficient stacks (four at the full-trace clip)
+    or of (C, E) gathers, and the sweep's ``K * p`` bucket sums and ``6 * (K + 1)``
+    cumulative sums.  Once, the detection rows
     (``(2 * levels + 8) * N * p`` doubles while built) and the search's block of
     ``SPECTRUM_ROWS`` traces, whose FFTs, centred rows and spectra take 3 complex values a
     trace and 5 more per FFT sample, the FFT length being below ``2 * (N + freq_points)``.
     """
     plan, n, levels = setup.plan, setup.plan.n_samples, setup.resolved_levels()
     n_exp, freq_points, p = plan.n_experiments, setup.resolved_grid().n_points, n_points
-    chunk = ((4 * levels + 12) * n + n_betas * p + 6 * (n_betas + 1)) * min(n_exp, RESIDUAL_CHUNK)
+    rows = min(n_exp, residual_chunk_rows(n))
+    chunk = ((4 * levels + 12) * n + n_betas * p + 6 * (n_betas + 1)) * rows
     fft = 4 * (3 * min(n_exp, SPECTRUM_ROWS) + 5) * (n + freq_points)
     return 8 * (n_exp * (2 * n + n_betas * p) + chunk + (2 * levels + 8) * n * p + fft)
 
@@ -468,7 +473,7 @@ def fit_scaling(points) -> ScalingFit:
         raise ValueError("scaling fits need finite coordinates")
     if np.any(pts <= 0.0):
         raise ValueError("scaling fits need strictly positive coordinates")
-    if np.unique(pts[:, 0]).size < 2:
+    if pts[:, 0].min() == pts[:, 0].max():  # np.unique would import numpy.ma
         raise ValueError("scaling fits need at least two distinct x values")
     lx = np.log(pts[:, 0])
     ly = np.log(pts[:, 1])

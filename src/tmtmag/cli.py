@@ -58,7 +58,10 @@ from .config import MODES, ConfigError, RunConfig, parse_config, read_text
 from .ramsey import POISSON_LAM_MAX, simulate_ensemble
 
 _SEED_REQUIRED_MODES = ("sweep-beta", "benchmark", "gain-profile")
-_CHUNK_ROWS = 4096  # rows formatted per write
+_CHUNK_ROWS = 4096  # rows whose cells are gathered at once, and the distinct-value cap
+#: rows per ``%`` formatting and write: a chunk's text (about 0.5 MB) would be
+#: mapped and unmapped afresh by malloc each time, a piece's stays on the heap
+_PIECE_ROWS = 512
 _CSV_SPECIAL = frozenset(',"\r\n')  # characters that may make csv.writer quote a field
 
 
@@ -167,7 +170,8 @@ def _column_cells(column: np.ndarray, placeholder: str, convert, distinct):
 
 def _write_rows(fh, table: np.ndarray, names, frame, sep: str, float_cells, cell,
                 distinct: dict) -> None:
-    """Stream ``table`` to ``fh``, ``_CHUNK_ROWS`` rows per ``%`` formatting.
+    """Stream ``table`` to ``fh``: the cells of ``_CHUNK_ROWS`` rows at a time, formatted
+    and written ``_PIECE_ROWS`` rows per ``%``.
 
     ``frame`` turns the per-column placeholders (taken in ``names`` order)
     into the one row template; rows are joined by ``sep``.  Integer columns
@@ -191,9 +195,11 @@ def _write_rows(fh, table: np.ndarray, names, frame, sep: str, float_cells, cell
     row = frame([placeholder for placeholder, _ in slots])
     for start in range(0, len(table), _CHUNK_ROWS):
         columns = [cells(start, start + _CHUNK_ROWS) for _, cells in slots]
-        if start:
-            fh.write(sep)
-        fh.write(sep.join([row] * len(columns[0])) % tuple(chain.from_iterable(zip(*columns))))
+        for piece in range(0, len(columns[0]), _PIECE_ROWS):
+            part = [column[piece:piece + _PIECE_ROWS] for column in columns]
+            if start or piece:
+                fh.write(sep)
+            fh.write(sep.join([row] * len(part[0])) % tuple(chain.from_iterable(zip(*part))))
 
 
 def export_table(table: np.ndarray, out_dir: Path, name: str, formats: list[str],
@@ -268,8 +274,8 @@ def _dataclass_table(items) -> np.ndarray:
 MAX_WINDOW_SAMPLES = 1 << 16
 #: Most bytes one planned ensemble may hold, at 4 doubles per sample in simulate (traces and
 #: table) and :func:`~tmtmag.bench.ensemble_run_bytes` in an ``EnsembleRun``, which counts the
-#: run's traces, its output at every swept order, one chunk of the residual stage and one
-#: block of the frequency search.
+#: run's traces, its output at every swept order, one chunk of the residual stage (at most
+#: 64 experiments and 9600 samples) and one block of the frequency search.
 MAX_ENSEMBLE_BYTES = 2 << 30
 
 

@@ -18,8 +18,9 @@ the clip changes::
 
 with a zero approximation band.  The residual's detail coefficients and
 ``|S|`` come from one stage, :func:`residual_chunks`, which walks a batch
-of traces in chunks of 64.  :func:`tmt_denoise` is the one full-trace
-denoiser, for any batch of traces; the full-trace ``denoised(beta)`` of
+of traces in chunks of at most 64 traces and 9600 samples.
+:func:`tmt_denoise` is the one full-trace denoiser, for any batch of
+traces; the full-trace ``denoised(beta)`` of
 :class:`tmtmag.bench.EnsembleRun` calls it, and the ensemble's
 detection-point sweep reads the same stage's coefficients at the
 detection samples' synthesis rows.  The templates serve only to form the
@@ -328,8 +329,19 @@ def clamp_details(details, noise_details, width: float) -> np.ndarray:
     return np.copysign(out, details, out=out)[()]  # [()]: a scalar for scalar inputs
 
 
-#: traces per chunk of :func:`residual_chunks`
-RESIDUAL_CHUNK = 64
+#: most trace samples per chunk of :func:`residual_chunks`: a chunk's coefficient
+#: stacks hold ``(levels + 1) * N`` doubles per trace, so bounding its samples
+#: keeps its working set from growing with the window
+RESIDUAL_SAMPLES = 64 * 150
+#: most traces per chunk: more traces of a short window would grow the point
+#: sweep's (K, E, p) bucket sums, which do not shrink with N, on a fine grid
+RESIDUAL_ROWS = 64
+
+
+def residual_chunk_rows(n_samples: int) -> int:
+    """Traces per chunk of :func:`residual_chunks` for traces of ``n_samples`` samples:
+    ``RESIDUAL_SAMPLES`` samples, at least 1 trace and at most ``RESIDUAL_ROWS``."""
+    return min(RESIDUAL_ROWS, max(1, RESIDUAL_SAMPLES // n_samples))
 
 
 def _chunk_stacks(values, omegas, params, plan, basis, levels, squared_contrast, at):
@@ -345,7 +357,8 @@ def _chunk_stacks(values, omegas, params, plan, basis, levels, squared_contrast,
 def residual_chunks(values, omega_temps, params: SensorParams, plan: AcquisitionPlan,
                     basis: WaveletBasis | str, levels: int, squared_contrast: bool = False,
                     at=...):
-    """Yield ``(rows, details, |S|)`` for each slice ``rows`` of ``RESIDUAL_CHUNK`` (n, N) traces.
+    """Yield ``(rows, details, |S|)`` for each slice ``rows`` of the (n, N) traces ``values``,
+    :func:`residual_chunk_rows` traces at a time.
 
     ``details`` is the ``(levels + 1, E, N)`` detail stack of the residual
     ``values[rows] - template`` at the frequencies ``omega_temps[rows]``
@@ -353,13 +366,16 @@ def residual_chunks(values, omega_temps, params: SensorParams, plan: Acquisition
     of the absolute shot-noise profiles (``squared_contrast`` as in
     :func:`tmtmag.ramsey.shot_noise`).  Both are indexed by ``at`` first, so
     ``at = (level, slice(None), sample)`` keeps only (C, E) coefficients.
+    Each trace is transformed on its own, so a trace's coefficients do not
+    depend on the chunk it falls in.
     """
     omega_temps = np.asarray(omega_temps, dtype=float)
     bad = ~(np.isfinite(omega_temps) & (omega_temps > 0.0))
     if bad.any():
         raise ValueError(f"omega_temps must be finite and positive, got {omega_temps[bad][0]}")
-    for start in range(0, len(values), RESIDUAL_CHUNK):
-        rows = slice(start, start + RESIDUAL_CHUNK)
+    step = residual_chunk_rows(values.shape[-1])
+    for start in range(0, len(values), step):
+        rows = slice(start, start + step)
         yield rows, *_chunk_stacks(values[rows], omega_temps[rows, None], params, plan, basis,
                                    levels, squared_contrast, at)
 

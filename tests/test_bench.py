@@ -448,12 +448,19 @@ def test_run_stays_within_its_byte_count(paper_params, basis, levels):
     # of a 448-sample window, which a count without them missed by a factor
     # 13); and at 2000 experiments on an 11-point frequency grid, where the
     # per-experiment term leads and the fixed terms would not cover one more
-    # trace-sized array while the frequencies are searched
+    # trace-sized array while the frequencies are searched.  A chunk holds at
+    # most 9600 samples: 200 experiments of the 448-sample window come in
+    # chunks of 21; and at most 64 traces: the 53-sample window would
+    # otherwise take 181, and on the fine grid their bucket sums took the
+    # sweep to twice the count
     cases = [(AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 160, seed=43), 3, [0.0], None),
              (AcquisitionPlan(0.2e-6, 3.7e-6, 128e6, 25000, 50, seed=43), None,
               default_beta_grid(-4.0, 2.0, 6e-4), None),
              (AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 2000, seed=43), 1, [0.0],
-              FrequencyGrid.around(paper_params.omega_calib, n_points=11))]
+              FrequencyGrid.around(paper_params.omega_calib, n_points=11)),
+             (AcquisitionPlan(0.2e-6, 3.7e-6, 128e6, 25000, 200, seed=43), None, [0.0], None),
+             (AcquisitionPlan(0.97e-6, 0.97e-6 + 53 / 128e6, 128e6, 25000, 200, seed=43), None,
+              default_beta_grid(-4.0, 2.0, 6e-4), None)]
     for plan, n_sd, betas, grid in cases:
         setup = _setup(paper_params, plan, n_sd=n_sd, basis=basis, levels=levels, grid=grid)
         tracemalloc.start()
@@ -722,6 +729,27 @@ def test_benchmark_wrap_points_exist():
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import child; "
             "child.install_wraps(child.Tracer())")
     result = subprocess.run([sys.executable, "-c", code, str(root / "perfbench")],
+                            env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+def test_benchmark_run_leaves_numpy_ma_unloaded(tmp_path):
+    # importing numpy.ma takes about 15 ms, and np.unique imports it on its
+    # first call; a benchmark run (sweeps, scaling fits, export) needs none
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "plan": {"t_stop": 1.36e-6, "n_experiments": 12},
+        "experiment": {"n_sd": 1, "m_values": [25000, 50000, 100000]},
+        "filter": {"beta_grid": {"start": -3.0, "stop": 1.0, "step": 1.0}},
+    }))
+    src = str(Path(tmtmag.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, tmtmag.cli\n"
+            "assert tmtmag.cli.main(['benchmark', '--config', sys.argv[1], '--seed', '4',\n"
+            "                        '--out', sys.argv[2]]) == 0\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+    result = subprocess.run([sys.executable, "-c", code, str(config), str(tmp_path / "run")],
                             env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
 

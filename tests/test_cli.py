@@ -170,7 +170,8 @@ def test_export_matches_reference_writer_on_mixed_table(tmp_path):
 
 def test_export_matches_reference_writer_on_empty_and_chunked_tables(tmp_path):
     assert_export_matches_reference(tmp_path, "empty", make_table(a=[], b=np.array([])), [])
-    # more rows than one chunk, so the chunk seam is exercised
+    # more rows than one chunk, so the chunk seam and the seams of the
+    # pieces that a chunk is written in are exercised
     n = 2 * cli._CHUNK_ROWS + 3
     x = np.random.default_rng(1).normal(size=n)
     records = [{"i": i, "x": x[i]} for i in range(n)]

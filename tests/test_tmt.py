@@ -496,6 +496,62 @@ def test_bad_template_frequency_rejected(paper_params, short_plan, bad):
             tmt_denoise(values, omega_temps, 0.0, paper_params, short_plan, "bior6.8", levels=4)
 
 
+def test_residual_chunk_rows_bound_samples_and_rows():
+    # at most 9600 samples a chunk, at least one trace and at most 64 traces
+    assert [tmt.residual_chunk_rows(n) for n in (53, 150, 232, 411, 448, 20000)] == \
+        [64, 64, 41, 23, 21, 1]
+
+
+@pytest.mark.parametrize("rows, samples", [(1, tmt.RESIDUAL_SAMPLES), (7, tmt.RESIDUAL_SAMPLES),
+                                           (50, 50 * 448)])
+def test_chunk_size_moves_no_bit(paper_params, monkeypatch, rows, samples):
+    # each trace is analysed on its own and the sweep buckets each experiment
+    # apart, so the full-trace denoise and the point sweep of 50 traces of 448
+    # samples (chunks of 21 by default) come out the same in chunks of 1, of 7
+    # and in one chunk of the whole ensemble
+    plan = AcquisitionPlan(0.2e-6, 3.7e-6, 128e6, 25000, 50, seed=19)
+    setup = BenchmarkSetup(params=paper_params, plan=plan,
+                           omega_true=paper_params.omega_calib * 1.005, n_sd=None)
+    betas = (-np.inf, -2.0, 0.0, 0.5, np.inf)
+
+    def outputs():
+        run = EnsembleRun(setup, betas)
+        return ([run.denoised(beta, at_points=True) for beta in betas],
+                tmt_denoise(run.values, run.omega_temps, 0.0, paper_params, plan, "bior6.8",
+                            run.levels))
+
+    assert tmt.residual_chunk_rows(plan.n_samples) == 21
+    expected = outputs()
+    monkeypatch.setattr(tmt, "RESIDUAL_ROWS", rows)
+    monkeypatch.setattr(tmt, "RESIDUAL_SAMPLES", samples)
+    assert tmt.residual_chunk_rows(plan.n_samples) == rows
+    points, denoised = outputs()
+    for got, want in zip(points, expected[0]):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(denoised, expected[1])
+
+
+def test_point_sweep_peak_flat_in_window_length(paper_params):
+    # a chunk holds at most 9600 trace samples, so the point sweep's traced
+    # peak, less its (K, n_exp, p) output, hardly grows from 150 to 448
+    # samples a trace; chunks of 64 traces raised it 3.3-fold
+    betas = np.linspace(-4.0, 2.0, 61)
+    peaks = {}
+    for t_start, t_stop in ((0.97e-6, 2.14e-6), (0.2e-6, 3.7e-6)):
+        plan = AcquisitionPlan(t_start, t_stop, 128e6, 25000, 200, seed=23)
+        run = EnsembleRun(BenchmarkSetup(params=paper_params, plan=plan,
+                                         omega_true=paper_params.omega_calib, n_sd=None), betas)
+        tracemalloc.start()
+        try:
+            run.denoised(betas[0], at_points=True)  # builds every order's samples
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        peaks[plan.n_samples] = peak - betas.size * run.denoised(betas[0], at_points=True).nbytes
+    assert sorted(peaks) == [150, 448]
+    assert peaks[448] < 1.5 * peaks[150], peaks
+
+
 # ---------------------------------------------------------------------------
 # hard clamp and denoising
 # ---------------------------------------------------------------------------
@@ -754,7 +810,8 @@ def test_residual_form_matches_paper_formulation(paper_params, monkeypatch, basi
     _zero_some_noise(noise_details)
     (rows, _, patched), = stage_with_zeros(run.values, run.omega_temps, paper_params, plan,
                                            basis, run.levels)
-    assert rows == slice(0, tmt.RESIDUAL_CHUNK)
+    assert rows == slice(0, tmt.residual_chunk_rows(plan.n_samples))
+    assert rows.stop >= plan.n_experiments
     np.testing.assert_array_equal(patched, noise_details)
     indices = run.points.indices
     tolerance = dict(rtol=1e-12, atol=1e-13 * np.max(np.abs(run.values)))
