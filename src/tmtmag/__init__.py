@@ -25,7 +25,6 @@ from .ramsey import (
 from .tmt import (
     FrequencyGrid,
     FrequencySearchError,
-    denoise_pipeline,
     estimate_frequencies,
     margin_width,
     tmt_denoise,

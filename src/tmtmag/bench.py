@@ -93,9 +93,8 @@ def plan_for_detection_count(plan: AcquisitionPlan, omega: float, n_sd: int) -> 
     if n_sd < 1:
         raise ValueError(f"n_sd must be >= 1, got {n_sd}")
     period = 2.0 * np.pi / omega
-    first = max(int(np.ceil((plan.t_start / period) - 0.25)), 0)
-    t_stop = 0.5 * ((0.25 + (first + n_sd - 1)) * period + (0.25 + (first + n_sd)) * period)
-    return plan.with_(t_stop=t_stop)
+    crossings = detection_crossings(omega, plan.t_start, plan.t_start + (n_sd + 2) * period)
+    return plan.with_(t_stop=float(0.5 * (crossings[n_sd - 1] + crossings[n_sd])))
 
 
 # ---------------------------------------------------------------------------
@@ -117,15 +116,13 @@ class EnsembleStats:
     mse_stderr: np.ndarray
     fringe_averaged_mse: float
     n_exp: int
-    beta: float | None = None
 
     def __post_init__(self):
         if self.n_exp < 2:
             raise ValueError("ensemble statistics need at least 2 experiments")
 
 
-def ensemble_stats(traces: np.ndarray, points: DetectionPointSet,
-                   beta: float | None = None) -> EnsembleStats:
+def ensemble_stats(traces: np.ndarray, points: DetectionPointSet) -> EnsembleStats:
     """MSE/bias/variance over an (n_exp, n_samples) array of traces.
 
     Gathers the samples at ``points.indices`` and hands them to
@@ -138,11 +135,10 @@ def ensemble_stats(traces: np.ndarray, points: DetectionPointSet,
         raise ValueError("need at least 2 experiments for ensemble statistics")
     if np.any(points.indices >= values.shape[1]):
         raise ValueError("detection indices fall outside the trace grid")
-    return point_stats(values[:, points.indices], points, beta)
+    return point_stats(values[:, points.indices], points)
 
 
-def point_stats(at_points: np.ndarray, points: DetectionPointSet,
-                beta: float | None = None) -> EnsembleStats:
+def point_stats(at_points: np.ndarray, points: DetectionPointSet) -> EnsembleStats:
     """:class:`EnsembleStats` from the (n_exp, n_sd) values at the detection points.
 
     The variance divides by n_exp (not n_exp - 1) to keep the
@@ -164,7 +160,6 @@ def point_stats(at_points: np.ndarray, points: DetectionPointSet,
         mse_stderr=mse_stderr,
         fringe_averaged_mse=float(np.mean(mse)),
         n_exp=n_exp,
-        beta=beta,
     )
 
 
@@ -329,7 +324,7 @@ class EnsembleRun:
 
     def stats(self, beta: float) -> EnsembleStats:
         """Statistics of the order-``beta`` denoised samples at the detection points."""
-        return point_stats(self.denoised(beta, at_points=True), self.points, beta=float(beta))
+        return point_stats(self.denoised(beta, at_points=True), self.points)
 
     @cached_property
     def _at_points(self) -> np.ndarray:
@@ -455,7 +450,6 @@ class ScalingFit:
     prefactor: float
     exponent: float
     r_squared: float
-    points: np.ndarray
 
 
 def fit_scaling(points) -> ScalingFit:
@@ -483,8 +477,7 @@ def fit_scaling(points) -> ScalingFit:
     residuals = ly - (intercept + slope * lx)
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 - float(np.sum(residuals ** 2)) / ss_tot if ss_tot > 0 else 1.0
-    return ScalingFit(prefactor=float(np.exp(intercept)), exponent=slope,
-                      r_squared=r2, points=pts)
+    return ScalingFit(prefactor=float(np.exp(intercept)), exponent=slope, r_squared=r2)
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,7 @@ from .bench import (
 )
 from .config import MODES, ConfigError, RunConfig, parse_config, read_text
 from .ramsey import POISSON_LAM_MAX, simulate_ensemble
+from .tmt import FrequencySearchError
 
 _SEED_REQUIRED_MODES = ("sweep-beta", "benchmark", "gain-profile")
 _CHUNK_ROWS = 4096  # rows whose cells are gathered at once, and the distinct-value cap
@@ -317,6 +318,10 @@ def _check_mode_limits(config: RunConfig) -> None:
         if len(m_values) < 3 or len(set(m_values)) < 2:
             raise ConfigError(f"experiment.m_values: the scaling fit needs at least 3 values, "
                               f"2 of them distinct, got {m_values}")
+    # one sample per crossing; checked before planning, whose crossing arrays grow with n_sd
+    if mode == "gain-profile" and max(config.experiment.n_sd_values) > MAX_WINDOW_SAMPLES:
+        raise ConfigError(f"experiment.n_sd_values: an entry above {MAX_WINDOW_SAMPLES} needs "
+                          f"more samples than that")
     for setup in _planned_setups(config):
         plan, n = setup.plan, setup.plan.n_samples
         if mode == "gain-profile":  # n_sd_values sizes both the window and the detection count
@@ -342,6 +347,16 @@ def _check_mode_limits(config: RunConfig) -> None:
                 if setup.omega_true != config.omega_sense:
                     count += " on the calibration fringe at omega_calib"
                 raise ConfigError(f"{count}: {exc}") from exc
+            grid = setup.resolved_grid()
+            # the true frequency's grid index; 1e-9 forgives the rounding of the grid's
+            # points, the centre of a 3-point grid being index 1
+            k = (setup.omega_true - grid.omega_min) / grid.step
+            if not 1 - 1e-9 <= k <= grid.n_points - 2 + 1e-9:
+                fringe = "sensing" if setup.omega_true == config.omega_sense else "calibration"
+                raise ConfigError(
+                    f"filter.freq_window = {config.filter.freq_window:g}: the search grid "
+                    f"[{grid.omega_min:.6g}, {grid.omega_max:.6g}] rad/s must hold the {fringe} "
+                    f"fringe at omega = {setup.omega_true:.6g} rad/s one grid step inside its ends")
             if levels is not None and levels >= n.bit_length() - 1:  # 2**(levels + 1) > n
                 raise ConfigError(f"filter.levels = {levels} needs >= 2**{levels + 1} samples, "
                                   f"the {mode} window has {n}")
@@ -386,7 +401,7 @@ def _run_denoise(config: RunConfig):
                                raw=run.values.ravel(), denoised=denoised.ravel())),
         ("template_estimates", make_table(experiment=np.arange(n_exp), omega_temp=run.omega_temps)),
     ]
-    tmt_stats = ensemble_stats(denoised, run.points, beta=beta)
+    tmt_stats = ensemble_stats(denoised, run.points)
     summary = [
         f"denoised {setup.plan.n_experiments} traces at filter order beta={beta:g}",
         f"mean template frequency: {run.omega_temps.mean() / (2 * np.pi):.6g} Hz",
@@ -518,7 +533,14 @@ def run(config: RunConfig) -> int:
     out_dir = Path(config.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
-    tables, derived, summary_lines = _RUNNERS[mode](config)
+    try:
+        tables, derived, summary_lines = _RUNNERS[mode](config)
+    except FrequencySearchError as exc:
+        if "grid boundary" not in str(exc):
+            raise
+        # noise at a tiny repetition count moved a maximum onto the grid's edge
+        raise FrequencySearchError(f"{exc} (filter.freq_window = "
+                                   f"{config.filter.freq_window:g})") from exc
     duration = time.monotonic() - started
 
     base_derived = {

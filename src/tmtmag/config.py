@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .bench import default_beta_grid
-from .ramsey import GAMMA_E, AcquisitionPlan, SensorParams, calib_frequency, sensing_frequency
+from .ramsey import (GAMMA_E, PHOTON_MODELS, AcquisitionPlan, SensorParams, calib_frequency,
+                     sensing_frequency)
 from .tmt import FrequencyGrid
 from .wavelets import available_bases
 
@@ -276,7 +277,7 @@ def _build_experiment(data: dict, sensor: SensorParams) -> ExperimentConfig:
                           f"got {config.delta_b!r}")
     if config.mode is not None and config.mode not in MODES:
         raise ConfigError(f"experiment: unknown mode {config.mode!r} (known: {', '.join(MODES)})")
-    if config.photon_stats not in ("bernoulli-poisson", "poisson"):
+    if config.photon_stats not in PHOTON_MODELS:
         raise ConfigError(f"experiment: unknown photon_stats {config.photon_stats!r}")
     if config.n_sd is not None and config.n_sd < 1:
         raise ConfigError(f"experiment: n_sd must be >= 1, got {config.n_sd}")

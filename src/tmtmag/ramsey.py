@@ -192,12 +192,16 @@ def experiment_rng(seed: int, experiment: int) -> np.random.Generator:
 POISSON_LAM_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
 
 
+#: photon-count models of :func:`simulate_ensemble`
+PHOTON_MODELS = ("bernoulli-poisson", "poisson")
+
+
 def simulate_ensemble(params: SensorParams, plan: AcquisitionPlan, omega_true: float,
                       photon_stats: str = "bernoulli-poisson") -> np.ndarray:
     """All ``plan.n_experiments`` traces as an (n_experiments, n_samples) array."""
     if not 0.0 < omega_true < np.inf:
         raise ValueError(f"omega_true must be positive and finite, got {omega_true}")
-    if photon_stats not in ("bernoulli-poisson", "poisson"):
+    if photon_stats not in PHOTON_MODELS:
         raise ValueError(f"unknown photon_stats mode {photon_stats!r}")
     t = plan.times
     m = plan.repetitions

@@ -34,8 +34,10 @@ clip changes nothing and the raw trace comes back bit for bit;
 template plus the residual's approximation share.  A clean template has a
 zero residual and comes back bit for bit at every ``beta``.
 
-The API takes and returns plain arrays of traces, one trace being a batch
-of one.
+The three stages, :func:`correlation_spectrum`, :func:`estimate_frequencies`
+and :func:`tmt_denoise`, take plain arrays of traces of shape ``(..., N)``
+checked by one helper, one trace being a batch of one.  Traces of unknown
+frequency are denoised by ``estimate_frequencies``, then ``tmt_denoise``.
 """
 
 from __future__ import annotations
@@ -123,6 +125,17 @@ def _chirp(c: float, k: np.ndarray) -> np.ndarray:
     return out
 
 
+def _as_traces(values, n_samples: int, error=ValueError) -> tuple[tuple, np.ndarray]:
+    """``(batch, rows)`` of traces ``values`` of shape ``batch + (n_samples,)``, ``rows`` being
+    their (n, n_samples) floats: the one shape check of every stage.  Any other shape, a
+    0-d value included, raises ``error``."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim == 0 or values.shape[-1] != n_samples:
+        raise error(f"values of shape {values.shape} must end in the {n_samples} samples "
+                    f"of times, the time grid")
+    return values.shape[:-1], values.reshape(-1, n_samples)
+
+
 def _uniform_step(grid: np.ndarray, name: str) -> float:
     """Step of the 1-D uniform grid ``grid``; a grid off uniform by more than rounding is an error."""
     if grid.ndim != 1:
@@ -142,7 +155,7 @@ def _spectrum_blocks(values: np.ndarray, times: np.ndarray, params: SensorParams
     """``(rows, r)`` for each slice ``rows`` of ``SPECTRUM_ROWS`` traces of the (n, N) ``values``,
     ``r`` being their (rows, G) correlation spectrum (see :func:`correlation_spectrum`).
 
-    The shapes and grids are checked and the operands that no trace changes
+    The grids are checked and the operands that no trace changes
     (chirps, the kernel's FFT, the weights, the envelope and the template's
     window means) are built once, when this is called; each block is
     centred and weighted as it is reached, so nothing held grows with both
@@ -153,8 +166,6 @@ def _spectrum_blocks(values: np.ndarray, times: np.ndarray, params: SensorParams
     n, g = times.size, omegas.size
     if n < 2:
         raise FrequencySearchError("trace too short for a correlation search")
-    if values.ndim != 2 or values.shape[1] != n:
-        raise FrequencySearchError(f"values of shape {values.shape} must be (n_traces, {n})")
     dt = _uniform_step(times, "times")
     # omega_g t_n = omega_g t_0 + omega_0 dt n + 2 c g n with c = d_omega dt / 2,
     # and 2 g n = g**2 + n**2 - (g - n)**2
@@ -207,9 +218,8 @@ def _spectrum_blocks(values: np.ndarray, times: np.ndarray, params: SensorParams
 
 def correlation_spectrum(values: np.ndarray, times: np.ndarray,
                          params: SensorParams, omegas: np.ndarray) -> np.ndarray:
-    """Trace/template overlap versus trial frequency, shape (n_traces, n_omegas).
-
-    ``values`` has shape (n_traces, n_samples).  Trapezoid-weighted inner
+    """Trace/template overlap of traces ``values`` (shape ``(..., N)``) versus trial frequency,
+    shape ``(..., len(omegas))``; one trace gives a 1-D spectrum.  Trapezoid-weighted inner
     product of each DC-removed trace with the DC-removed template sampled
     on the trace grid; DC removal subtracts each series' arithmetic mean
     over the window.  ``times`` and ``omegas`` must be uniform grids.
@@ -229,12 +239,12 @@ def correlation_spectrum(values: np.ndarray, times: np.ndarray,
     time, from the same blocks that :func:`estimate_frequencies` reduces
     to their maxima, so a row's bits do not depend on the batch.
     """
-    values = np.asarray(values, dtype=float)
-    blocks = _spectrum_blocks(values, times, params, omegas)
-    out = np.empty((values.shape[0], np.size(omegas)))
+    batch, traces = _as_traces(values, np.size(times), FrequencySearchError)
+    blocks = _spectrum_blocks(traces, times, params, omegas)
+    out = np.empty((traces.shape[0], np.size(omegas)))
     for rows, r in blocks:
         out[rows] = r
-    return out
+    return out.reshape(batch + out.shape[1:])
 
 
 def estimate_frequencies(values: np.ndarray, times: np.ndarray, params: SensorParams,
@@ -253,13 +263,7 @@ def estimate_frequencies(values: np.ndarray, times: np.ndarray, params: SensorPa
     block is reduced at once to its maxima and their two neighbours, so the
     search holds no (n_traces, n_omegas) array and no copy of the traces.
     """
-    values = np.asarray(values, dtype=float)
-    n_times = np.size(times)
-    if values.ndim == 0 or values.shape[-1] != n_times:
-        raise FrequencySearchError(f"values of shape {values.shape} must end in the "
-                                   f"{n_times} samples of times")
-    batch_shape = values.shape[:-1]
-    values = values.reshape(-1, values.shape[-1])
+    batch_shape, values = _as_traces(values, np.size(times), FrequencySearchError)
     for start in range(0, values.shape[0], SPECTRUM_ROWS):  # no mask of the whole batch
         bad = ~np.isfinite(values[start:start + SPECTRUM_ROWS])
         if bad.any():
@@ -275,15 +279,10 @@ def estimate_frequencies(values: np.ndarray, times: np.ndarray, params: SensorPa
         failed = constant | (top == 0) | (top == omegas.size - 1)
         if failed.any():
             i = int(np.argmax(failed))  # the first failing trace; earlier blocks had none
-            if constant[i]:
-                raise FrequencySearchError(
-                    f"trace {rows.start + i}: constant trace, correlation identically zero "
-                    f"after DC removal"
-                )
-            raise FrequencySearchError(
-                f"trace {rows.start + i}: correlation maximum at the grid boundary "
-                f"(omega={omegas[top[i]]:.6g}); widen the search grid"
-            )
+            why = ("constant trace, correlation identically zero after DC removal" if constant[i]
+                   else f"correlation maximum at the grid boundary (omega={omegas[top[i]]:.6g}); "
+                        f"widen the search grid")
+            raise FrequencySearchError(f"trace {rows.start + i}: {why}")
         peaks[rows] = np.take_along_axis(r, top[:, None] + np.arange(-1, 2), axis=1)
     r_lo, r_mid, r_hi = peaks.T
     denom = r_lo - 2.0 * r_mid + r_hi
@@ -380,16 +379,6 @@ def residual_chunks(values, omega_temps, params: SensorParams, plan: Acquisition
                                    levels, squared_contrast, at)
 
 
-def _as_traces(values, plan: AcquisitionPlan) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if values.ndim == 0:
-        raise ValueError("values must hold traces of shape (..., N), got a 0-d value")
-    if values.shape[-1] != plan.n_samples:
-        raise ValueError(f"traces have {values.shape[-1]} samples but the plan's time grid "
-                         f"has {plan.n_samples}")
-    return values
-
-
 def tmt_denoise(values, omega_temps, beta: float, params: SensorParams,
                 plan: AcquisitionPlan, basis: WaveletBasis | str,
                 levels: int | None = None,
@@ -402,11 +391,10 @@ def tmt_denoise(values, omega_temps, beta: float, params: SensorParams,
     the clip changes, with a zero approximation band, is added to the
     chunk's traces.
     """
-    values = _as_traces(values, plan)
+    batch, traces = _as_traces(values, plan.n_samples)
     if levels is None:
         levels = default_levels(plan.n_samples)
-    traces = values.reshape(-1, values.shape[-1])
-    omega_temps = np.broadcast_to(omega_temps, values.shape[:-1]).reshape(-1)
+    omega_temps = np.broadcast_to(omega_temps, batch).reshape(-1)
     width = margin_width(beta, plan)
     out = np.empty(traces.shape)
     for rows, details, noise in residual_chunks(traces, omega_temps, params, plan, basis,
@@ -418,16 +406,4 @@ def tmt_denoise(values, omega_temps, beta: float, params: SensorParams,
         # the next chunk is built without |S| and the change; the details stay bound
         # until it replaces them, so their pages are reused (a third of the page faults)
         del noise, change
-    return out.reshape(values.shape)
-
-
-def denoise_pipeline(values, params: SensorParams, plan: AcquisitionPlan,
-                     beta: float, basis: WaveletBasis | str,
-                     levels: int | None = None,
-                     grid: FrequencyGrid | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Estimate each trace's template frequency, then denoise; returns ``(denoised, omega_temps)``."""
-    values = _as_traces(values, plan)
-    if grid is None:
-        grid = FrequencyGrid.around(params.omega_calib)
-    omega_temps = estimate_frequencies(values, plan.times, params, grid)
-    return tmt_denoise(values, omega_temps, beta, params, plan, basis, levels), omega_temps
+    return out.reshape(batch + out.shape[1:])

@@ -12,8 +12,8 @@ PUBLIC = {
     "GAMMA_E", "AcquisitionPlan", "SensorParams", "calib_frequency", "derive_photon_levels",
     "sensing_frequency", "shot_noise", "simulate_ensemble", "template",
     # tmt
-    "FrequencyGrid", "FrequencySearchError", "denoise_pipeline",
-    "estimate_frequencies", "margin_width", "tmt_denoise",
+    "FrequencyGrid", "FrequencySearchError", "estimate_frequencies", "margin_width",
+    "tmt_denoise",
     # bench
     "BenchmarkSetup", "BetaSweepResult", "DetectionPointSet", "EnsembleStats", "GainPoint",
     "ScalingFit", "SnrPoint", "benchmark_snr", "default_beta_grid",

@@ -1,7 +1,10 @@
 """CLI runs: artifacts, determinism, serialization round trips."""
 
+import contextlib
 import csv
+import io
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +19,8 @@ from tmtmag import bench, cli
 from tmtmag.bench import DetectionPointSet, ensemble_stats
 from tmtmag.cli import _stats_columns, export_table, main, make_table
 from tmtmag.config import MODES, parse_config
-from tmtmag.ramsey import POISSON_LAM_MAX
+from tmtmag.ramsey import PHOTON_MODELS, POISSON_LAM_MAX
+from tmtmag.tmt import FrequencySearchError
 from tmtmag.wavelets import available_bases
 
 
@@ -663,6 +667,22 @@ def test_slow_fringe_gain_window_rejected(tmp_path, capsys):
     assert "experiment.n_sd_values" in capsys.readouterr().err
 
 
+def test_crossing_count_beyond_the_sample_cap_exits_2(tmp_path, capsys):
+    # each crossing needs a sample of its own, so 10**8 crossings can never fit; the
+    # check comes before the windows are planned, whose crossing arrays grow with n_sd
+    cfg = fast_config(tmp_path, experiment={"n_sd_values": [1, 10 ** 8]})
+    out = tmp_path / "run"
+    tracemalloc.start()
+    try:
+        assert main(["gain-profile", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err.startswith("error: experiment.n_sd_values: an entry above 65536")
+    assert peak < 10 << 20
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # every field, given a value of a JSON kind it does not take
 # ---------------------------------------------------------------------------
@@ -788,6 +808,96 @@ def test_calibration_fringe_window_checked_before_the_sweeps(tmp_path, capsys):
     assert "experiment.n_sd_values entry 5 on the calibration fringe" in err
     assert "contains only 4 negative-slope crossings, need 5" in err
     assert not out.exists()
+
+
+# omega_sense sits 2 % above omega_calib, on the last point of a
+# +-2 % grid; the run simulated, then exited 1 with an error naming no field
+NARROW_GRID = {"filter": {"freq_window": 0.02}, "plan": {"n_experiments": 20},
+               "experiment": {"n_sd": 2}}
+
+
+@pytest.mark.parametrize("mode", ["denoise", "sweep-beta", "benchmark", "gain-profile"])
+def test_grid_without_the_fringe_exits_2_before_simulating(tmp_path, capsys, mode):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(NARROW_GRID))
+    out = tmp_path / "run"
+    assert main([mode, "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: filter.freq_window = 0.02: the search grid")
+    assert "sensing fringe" in err
+    assert not out.exists()
+
+
+def test_edge_maximum_at_run_time_names_the_window(tmp_path, capsys, monkeypatch):
+    # noise at a tiny repetition count can still move a maximum onto the edge
+    def edge(values, times, params, grid):
+        raise FrequencySearchError(f"trace 0: correlation maximum at the grid boundary "
+                                   f"(omega={grid.omega_max:.6g}); widen the search grid")
+
+    monkeypatch.setattr(bench, "estimate_frequencies", edge)
+    cfg = fast_config(tmp_path)
+    assert main(["sweep-beta", "--config", str(cfg), "--seed", "1",
+                 "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "correlation maximum at the grid boundary" in err
+    assert "(filter.freq_window = 0.15)" in err
+
+
+#: an error that names a config field: its section, then the key or a colon
+_NAMES_A_FIELD = re.compile(r"error: (sensor|plan|filter|experiment|output)[.:]")
+
+
+@settings(max_examples=30, deadline=None)
+@given(mode=st.sampled_from(["denoise", "sweep-beta", "gain-profile"]),
+       basis=st.sampled_from(available_bases()),
+       levels=st.one_of(st.none(), st.integers(1, 5)),
+       photon_stats=st.sampled_from(PHOTON_MODELS),
+       shared_estimate=st.booleans(), squared_contrast=st.booleans(),
+       n_sd=st.one_of(st.none(), st.integers(1, 4)),
+       n_sd_values=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+       freq_points=st.integers(3, 401), freq_window=st.floats(0.005, 0.3),
+       delta_b=st.floats(-4e-6, 4e-6), repetitions=st.sampled_from([1, 100, 25000]),
+       n_experiments=st.integers(2, 6), t_stop=st.floats(1.1e-6, 3e-6))
+@example(mode="sweep-beta", basis="bior6.8", levels=None, photon_stats="bernoulli-poisson",
+         shared_estimate=False, squared_contrast=False, n_sd=2, n_sd_values=[1],
+         freq_points=2001, freq_window=0.02, delta_b=2e-6, repetitions=25000,
+         n_experiments=6, t_stop=1.75e-6)
+def test_valid_config_exits_0_or_names_its_fault(tmp_path_factory, mode, basis, levels,
+                                                 photon_stats, shared_estimate,
+                                                 squared_contrast, n_sd, n_sd_values,
+                                                 freq_points, freq_window, delta_b,
+                                                 repetitions, n_experiments, t_stop):
+    # every config the parser accepts ends in one of three ways: exit 0; exit 2
+    # naming a config field; or exit 1 with the search's edge-maximum error
+    cfg = {"plan": {"t_stop": t_stop, "repetitions": repetitions,
+                    "n_experiments": n_experiments},
+           "filter": {"basis": basis, "levels": levels, "freq_points": freq_points,
+                      "freq_window": freq_window, "beta_grid": [-2.0, -1.0, 0.0, 1.0]},
+           "experiment": {"photon_stats": photon_stats, "shared_estimate": shared_estimate,
+                          "squared_contrast": squared_contrast, "n_sd": n_sd,
+                          "n_sd_values": n_sd_values, "delta_b": delta_b}}
+    work = tmp_path_factory.mktemp("fuzzed")
+    path = work / "config.json"
+    path.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([mode, "--config", str(path), "--seed", "3", "--out", str(work / "run")])
+    err = err.getvalue()
+    if code == 2:
+        assert _NAMES_A_FIELD.match(err), err
+        assert not (work / "run").exists()
+    elif code == 1:
+        assert "correlation maximum at the grid boundary" in err, err
+        assert "filter.freq_window" in err, err
+    else:
+        assert code == 0, err
+        if mode == "sweep-beta":
+            rows = [row for row in read_csv(work / "run" / "sweep_beta.csv", csv.DictReader)
+                    if row["point"] != "fringe"]
+            assert rows
+            for row in rows:
+                mse, bias_sq, variance = (float(row[k]) for k in ("mse", "bias_sq", "variance"))
+                assert abs(mse - (bias_sq + variance)) < 1e-12
 
 
 def test_window_of_non_finite_sample_count_exits_2(tmp_path, capsys):

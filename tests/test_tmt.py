@@ -14,7 +14,6 @@ from tmtmag import (
     FrequencyGrid,
     FrequencySearchError,
     SensorParams,
-    denoise_pipeline,
     estimate_frequencies,
     margin_width,
     shot_noise,
@@ -374,6 +373,13 @@ def test_spectrum_rows_do_not_depend_on_the_batch(paper_params, short_plan):
     for i in (0, tmt.SPECTRUM_ROWS - 1, tmt.SPECTRUM_ROWS, 69):
         single = tmt.correlation_spectrum(values[i:i + 1], short_plan.times, paper_params, omegas)
         np.testing.assert_array_equal(single[0], batch[i])
+        # one trace is a batch of one: a 1-D trace gives its row as a 1-D spectrum
+        one = tmt.correlation_spectrum(values[i], short_plan.times, paper_params, omegas)
+        np.testing.assert_array_equal(one, batch[i])
+    # any (..., N) batch gives the (..., G) spectrum of its traces
+    nested = tmt.correlation_spectrum(values.reshape(2, 35, -1), short_plan.times, paper_params,
+                                      omegas)
+    np.testing.assert_array_equal(nested, batch.reshape(2, 35, -1))
 
 
 def test_non_uniform_grids_rejected(paper_params, short_plan):
@@ -714,6 +720,13 @@ def test_nan_beta_rejected(ensemble_run):
         run.denoised(np.float64(np.nan), at_points=True)
 
 
+def _estimate_then_denoise(values, params, plan, beta):
+    """The two calls that denoise traces of unknown frequency: ``(denoised, omega_temps)``."""
+    grid = FrequencyGrid.around(params.omega_calib)
+    omega_temps = estimate_frequencies(values, plan.times, params, grid)
+    return tmt_denoise(values, omega_temps, beta, params, plan, "bior6.8"), omega_temps
+
+
 def test_denoise_mismatch_errors(paper_params, short_plan):
     other_plan = short_plan.with_(t_stop=2.14e-6)
     other = simulate_ensemble(paper_params, other_plan, paper_params.omega_calib)[0]
@@ -721,7 +734,7 @@ def test_denoise_mismatch_errors(paper_params, short_plan):
         tmt_denoise(other, paper_params.omega_calib, 0.0, paper_params, short_plan,
                     "bior6.8", levels=5)
     with pytest.raises(ValueError, match="grid"):
-        denoise_pipeline(other, paper_params, short_plan, 0.0, "bior6.8")
+        _estimate_then_denoise(other, paper_params, short_plan, 0.0)
 
 
 def test_zero_dimensional_values_rejected(paper_params, short_plan):
@@ -730,7 +743,7 @@ def test_zero_dimensional_values_rejected(paper_params, short_plan):
         tmt_denoise(np.float64(0.2), paper_params.omega_calib, 0.0, paper_params, short_plan,
                     "bior6.8", levels=4)
     with pytest.raises(ValueError, match="values"):
-        denoise_pipeline(0.2, paper_params, short_plan, 0.0, "bior6.8")
+        _estimate_then_denoise(0.2, paper_params, short_plan, 0.0)
 
 
 def test_pipeline_reduces_variance_at_detection_points(paper_params, short_plan):
@@ -741,7 +754,7 @@ def test_pipeline_reduces_variance_at_detection_points(paper_params, short_plan)
     points = find_detection_points(omega, plan, 2, paper_params)
     raw_at_points, tmt_at_points = [], []
     for trace in simulate_ensemble(paper_params, plan, omega):
-        out, _ = denoise_pipeline(trace, paper_params, plan, beta=0.0, basis="bior6.8")
+        out, _ = _estimate_then_denoise(trace, paper_params, plan, 0.0)
         raw_at_points.append(trace[points.indices])
         tmt_at_points.append(out[points.indices])
     raw_var = np.var(np.array(raw_at_points), axis=0)
@@ -751,8 +764,8 @@ def test_pipeline_reduces_variance_at_detection_points(paper_params, short_plan)
 
 def test_pipeline_determinism(paper_params, short_plan):
     trace = simulate_ensemble(paper_params, short_plan, paper_params.omega_calib)[5]
-    out1, omega1 = denoise_pipeline(trace, paper_params, short_plan, 0.0, "bior6.8")
-    out2, omega2 = denoise_pipeline(trace, paper_params, short_plan, 0.0, "bior6.8")
+    out1, omega1 = _estimate_then_denoise(trace, paper_params, short_plan, 0.0)
+    out2, omega2 = _estimate_then_denoise(trace, paper_params, short_plan, 0.0)
     np.testing.assert_array_equal(out1, out2)
     assert omega1 == omega2
 
