@@ -215,9 +215,6 @@ class BenchmarkSetup:
     def resolved_grid(self) -> FrequencyGrid:
         return self.grid if self.grid is not None else FrequencyGrid.around(self.params.omega_calib)
 
-    def with_plan(self, **kwargs) -> "BenchmarkSetup":
-        return replace(self, plan=self.plan.with_(**kwargs))
-
 
 def _clipped_point_sums(offsets, scales, rows, widths) -> np.ndarray:
     """What clipping the residual details at every width changes at the synthesis ``rows``.
@@ -294,16 +291,16 @@ class EnsembleRun:
         self.betas = np.array(betas, dtype=float)
         if self.betas.ndim != 1 or self.betas.size < 1:
             raise ValueError(f"beta grid needs at least 1 value, got {betas!r}")
+        # per order: numpy's SIMD array power is not libm's pow, and would move table bytes
         self._widths = np.array([margin_width(beta, plan) for beta in self.betas])
         if not np.all(self.betas[1:] > self.betas[:-1]):
             raise ValueError("beta grid must be strictly increasing")
-        self.times = plan.times
         self.levels = setup.resolved_levels()
         self.points = find_detection_points(setup.omega_true, plan, setup.n_sd, params)
         self.values = simulate_ensemble(params, plan, setup.omega_true, setup.photon_stats)
         searched = self.values.mean(axis=0) if setup.shared_estimate else self.values
         self.omega_temps = np.full(plan.n_experiments, estimate_frequencies(
-            searched, self.times, params, setup.resolved_grid()))
+            searched, plan.times, params, setup.resolved_grid()))
         self.raw_stats = ensemble_stats(self.values, self.points)
 
     def denoised(self, beta: float, at_points: bool = False) -> np.ndarray:
@@ -498,7 +495,8 @@ class SnrPoint:
 def snr_setups(setup: BenchmarkSetup, m_values) -> list[BenchmarkSetup]:
     """The ensembles :func:`benchmark_snr` builds: one per repetition count,
     each on its own sub-seed of the plan seed."""
-    return [setup.with_plan(repetitions=int(m), seed=child_seed(setup.plan.seed, k))
+    return [replace(setup, plan=setup.plan.with_(repetitions=int(m),
+                                                 seed=child_seed(setup.plan.seed, k)))
             for k, m in enumerate(m_values)]
 
 

@@ -56,7 +56,7 @@ from .bench import (
 )
 from .config import MODES, ConfigError, RunConfig, parse_config, read_text
 from .ramsey import POISSON_LAM_MAX, simulate_ensemble
-from .tmt import FrequencySearchError
+from .tmt import GridEdgeError
 
 _SEED_REQUIRED_MODES = ("sweep-beta", "benchmark", "gain-profile")
 _CHUNK_ROWS = 4096  # rows whose cells are gathered at once, and the distinct-value cap
@@ -530,18 +530,16 @@ def run(config: RunConfig) -> int:
     if mode not in _RUNNERS:
         raise ConfigError(f"no experiment mode selected (known: {', '.join(MODES)})")
     _check_mode_limits(config)
-    out_dir = Path(config.output.directory)
-    out_dir.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
     try:
         tables, derived, summary_lines = _RUNNERS[mode](config)
-    except FrequencySearchError as exc:
-        if "grid boundary" not in str(exc):
-            raise
+    except GridEdgeError as exc:
         # noise at a tiny repetition count moved a maximum onto the grid's edge
-        raise FrequencySearchError(f"{exc} (filter.freq_window = "
-                                   f"{config.filter.freq_window:g})") from exc
+        raise GridEdgeError(f"{exc} (filter.freq_window = "
+                            f"{config.filter.freq_window:g})") from exc
     duration = time.monotonic() - started
+    out_dir = Path(config.output.directory)  # made only for a run that has results
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     base_derived = {
         "n0": config.sensor.n0,

@@ -54,6 +54,10 @@ class FrequencySearchError(ValueError):
     """Raised when the template-frequency search cannot produce a maximum."""
 
 
+class GridEdgeError(FrequencySearchError):
+    """Raised when a trace's correlation maximum lies on the search grid's edge."""
+
+
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Uniform angular-frequency search grid."""
@@ -253,10 +257,10 @@ def estimate_frequencies(values: np.ndarray, times: np.ndarray, params: SensorPa
 
     Each trace's discrete correlation maximizer over ``grid`` is refined by
     one parabolic interpolation through its two neighbours.  A constant
-    trace or a maximum on the grid boundary (search window too narrow) is an
-    error, and so is a trace with a NaN or infinite sample, which is looked
-    for first in every trace; errors name the first failing trace by its
-    index in the row-major flattened batch.  ``values`` must end in an axis
+    trace or a maximum on the grid boundary (search window too narrow, raised
+    as :class:`GridEdgeError`) is an error, and so is a trace with a NaN or
+    infinite sample, which is looked for first in every trace; errors name
+    the first failing trace by its index in the row-major flattened batch.  ``values`` must end in an axis
     of ``len(times)`` samples.
 
     The spectrum is computed ``SPECTRUM_ROWS`` traces at a time, and each
@@ -279,10 +283,11 @@ def estimate_frequencies(values: np.ndarray, times: np.ndarray, params: SensorPa
         failed = constant | (top == 0) | (top == omegas.size - 1)
         if failed.any():
             i = int(np.argmax(failed))  # the first failing trace; earlier blocks had none
-            why = ("constant trace, correlation identically zero after DC removal" if constant[i]
-                   else f"correlation maximum at the grid boundary (omega={omegas[top[i]]:.6g}); "
-                        f"widen the search grid")
-            raise FrequencySearchError(f"trace {rows.start + i}: {why}")
+            if constant[i]:
+                raise FrequencySearchError(f"trace {rows.start + i}: constant trace, correlation "
+                                           f"identically zero after DC removal")
+            raise GridEdgeError(f"trace {rows.start + i}: correlation maximum at the grid "
+                                f"boundary (omega={omegas[top[i]]:.6g}); widen the search grid")
         peaks[rows] = np.take_along_axis(r, top[:, None] + np.arange(-1, 2), axis=1)
     r_lo, r_mid, r_hi = peaks.T
     denom = r_lo - 2.0 * r_mid + r_hi

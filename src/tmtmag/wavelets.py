@@ -20,7 +20,8 @@ Conventions, fixed once for the whole package:
 * highpass filters come from the lowpass pair by the alternating flip
   ``h1[k] = (-1)**k * g0[L-1-k]`` and ``g1[k] = (-1)**k * h0[L-1-k]``,
   with both lowpass filters zero-padded to a common even length and a
-  common symmetry center,
+  common symmetry center; :class:`WaveletBasis` takes only the lowpass
+  pair and derives the highpass pair itself, so every bank keeps this rule,
 
 * signals extend periodically (circularly), as in the stationary
   transform TMT builds on; this makes the undecimated transform exactly
@@ -39,8 +40,7 @@ frequency band.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,26 +87,29 @@ class WaveletError(ValueError):
 
 @dataclass(frozen=True)
 class WaveletBasis:
-    """Analysis/synthesis filter quadruple of a (bi)orthogonal bank.
+    """A (bi)orthogonal two-channel bank, given by its lowpass pair.
 
-    ``h0``/``h1`` are the analysis lowpass/highpass taps, ``g0``/``g1``
-    the synthesis pair.  All four arrays share one even length.
+    ``h0`` is the analysis and ``g0`` the synthesis lowpass filter, of one
+    even length and one symmetry center.  The highpass pair is derived
+    from them once, by the alternating flip: ``h1`` from ``g0`` and ``g1``
+    from ``h0``.
     """
 
     name: str
     h0: np.ndarray
-    h1: np.ndarray
     g0: np.ndarray
-    g1: np.ndarray
+    h1: np.ndarray = field(init=False)
+    g1: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for attr in ("h0", "h1", "g0", "g1"):
-            object.__setattr__(self, attr, np.asarray(getattr(self, attr), dtype=float))
-        lengths = {self.h0.size, self.h1.size, self.g0.size, self.g1.size}
-        if len(lengths) != 1 or self.h0.size % 2 != 0:
-            raise WaveletError(
-                f"basis {self.name!r}: filters must share one even length, got {sorted(lengths)}"
-            )
+        h0, g0 = np.asarray(self.h0, dtype=float), np.asarray(self.g0, dtype=float)
+        lengths = sorted({h0.size, g0.size})
+        if len(lengths) != 1 or h0.size % 2 != 0:
+            raise WaveletError(f"basis {self.name!r}: filters must share one even length, got {lengths}")
+        signs = np.where(np.arange(h0.size) % 2 == 0, 1.0, -1.0)  # the alternating flip
+        for attr, taps in (("h0", h0), ("g0", g0), ("h1", signs * g0[::-1]),
+                           ("g1", signs * h0[::-1])):
+            object.__setattr__(self, attr, taps)
         if abs(self.h1.sum()) > 1e-12:
             raise WaveletError(f"basis {self.name!r}: highpass does not annihilate constants")
         if abs(self.h0.sum() - _SQRT2) > 1e-12:
@@ -116,62 +119,17 @@ class WaveletBasis:
         return self.h0.size
 
 
-def _alternating_flip(taps: np.ndarray) -> np.ndarray:
-    L = taps.size
-    signs = np.where(np.arange(L) % 2 == 0, 1.0, -1.0)
-    return signs * taps[::-1]
+# bior6.8's two odd-length linear-phase lowpass filters, zero-padded to 18
+# taps centred at tap 8, so the analysis and synthesis delays cancel exactly
+_BIOR68_H0, _BIOR68_G0 = np.zeros((2, 18))
+_BIOR68_H0[:17] = _BIOR68_ANALYSIS_LO[:0:-1] + _BIOR68_ANALYSIS_LO
+_BIOR68_G0[3:14] = _BIOR68_SYNTHESIS_LO[:0:-1] + _BIOR68_SYNTHESIS_LO
 
-
-def _pad_centered(half_taps: Sequence[float], length: int, center: int) -> np.ndarray:
-    out = np.zeros(length)
-    out[center] = half_taps[0]
-    for k in range(1, len(half_taps)):
-        out[center - k] = half_taps[k]
-        out[center + k] = half_taps[k]
-    return out
-
-
-def basis_from_lowpass_pair(name: str, analysis_lo: np.ndarray, synthesis_lo: np.ndarray) -> WaveletBasis:
-    """Build the full quadruple from an aligned lowpass pair.
-
-    Both filters must already share the same even length and the same
-    symmetry center; the highpass filters follow by alternating flip.
-    """
-    analysis_lo = np.asarray(analysis_lo, dtype=float)
-    synthesis_lo = np.asarray(synthesis_lo, dtype=float)
-    return WaveletBasis(
-        name=name,
-        h0=analysis_lo,
-        h1=_alternating_flip(synthesis_lo),
-        g0=synthesis_lo,
-        g1=_alternating_flip(analysis_lo),
-    )
-
-
-def _make_linear_phase_basis(name, analysis_half, synthesis_half) -> WaveletBasis:
-    # pad the two odd-length linear-phase filters to one even length with
-    # aligned centers so the analysis/synthesis delays cancel exactly
-    reach = max(len(analysis_half), len(synthesis_half)) - 1
-    center = reach
-    length = 2 * reach + 2
-    return basis_from_lowpass_pair(
-        name,
-        _pad_centered(analysis_half, length, center),
-        _pad_centered(synthesis_half, length, center),
-    )
-
-
-def _registry() -> dict[str, WaveletBasis]:
-    haar_lo = np.array([_SQRT2 / 2.0, _SQRT2 / 2.0])
-    db2_lo = np.array(_DB2_LO)
-    return {
-        "haar": basis_from_lowpass_pair("haar", haar_lo, haar_lo),
-        "db2": basis_from_lowpass_pair("db2", db2_lo, db2_lo),
-        "bior6.8": _make_linear_phase_basis("bior6.8", _BIOR68_ANALYSIS_LO, _BIOR68_SYNTHESIS_LO),
-    }
-
-
-_BASES = _registry()
+_BASES = {basis.name: basis for basis in (
+    WaveletBasis("haar", h0=[_SQRT2 / 2.0] * 2, g0=[_SQRT2 / 2.0] * 2),
+    WaveletBasis("db2", h0=_DB2_LO, g0=_DB2_LO),
+    WaveletBasis("bior6.8", h0=_BIOR68_H0, g0=_BIOR68_G0),
+)}
 
 
 def basis_registry(name: str) -> WaveletBasis:
@@ -334,7 +292,7 @@ def uwt_synthesis_rows(n: int, indices, basis: WaveletBasis | str, levels: int) 
     indices = np.asarray(indices, dtype=int)
     if indices.ndim != 1 or np.any((indices < 0) | (indices >= n)):
         raise WaveletError(f"output indices must be a 1-d subset of [0, {n})")
-    dual = WaveletBasis(basis.name, h0=basis.g0, h1=basis.g1, g0=basis.h0, g1=basis.h1)
+    dual = WaveletBasis(basis.name, h0=basis.g0, g0=basis.h0)
     details, _ = uwt_analyze((indices[:, None] == np.arange(n)).astype(float), dual, levels)
     details *= 0.5 ** np.arange(1, levels + 2)[:, None, None]
     return np.ascontiguousarray(details.swapaxes(1, 2))

@@ -348,9 +348,9 @@ def _residual_stacks(run):
     band, and ``|S|``, which the run computes chunk by chunk and does not keep."""
     setup = run.setup
     omegas = run.omega_temps[:, None]
-    templates = template(run.times, omegas, setup.params)
+    templates = template(setup.plan.times, omegas, setup.params)
     details, approx = uwt_analyze(run.values - templates, setup.basis, run.levels)
-    noise, _ = uwt_analyze(shot_noise(run.times, omegas, setup.params,
+    noise, _ = uwt_analyze(shot_noise(setup.plan.times, omegas, setup.params,
                                       squared_contrast=setup.squared_contrast),
                            setup.basis, run.levels)
     return templates, details, approx, np.abs(noise)

@@ -18,9 +18,9 @@ from hypothesis import example, given, settings, strategies as st
 from tmtmag import bench, cli
 from tmtmag.bench import DetectionPointSet, ensemble_stats
 from tmtmag.cli import _stats_columns, export_table, main, make_table
-from tmtmag.config import MODES, parse_config
+from tmtmag.config import MODES, ConfigError, parse_config
 from tmtmag.ramsey import PHOTON_MODELS, POISSON_LAM_MAX
-from tmtmag.tmt import FrequencySearchError
+from tmtmag.tmt import GridEdgeError
 from tmtmag.wavelets import available_bases
 
 
@@ -460,6 +460,11 @@ def test_mode_conflict_rejected(tmp_path, capsys):
     assert main(["denoise", "--config", str(cfg), "--seed", "1",
                  "--out", str(tmp_path / "x")]) == 2
     assert "mode" in capsys.readouterr().err
+    # a config that selects no mode cannot be run
+    config = parse_config({"output": {"directory": str(tmp_path / "none")}})
+    with pytest.raises(ConfigError, match="no experiment mode selected"):
+        cli.run(config)
+    assert not (tmp_path / "none").exists()
 
 
 def test_negative_cli_seed_rejected(tmp_path, capsys):
@@ -829,10 +834,11 @@ def test_grid_without_the_fringe_exits_2_before_simulating(tmp_path, capsys, mod
 
 
 def test_edge_maximum_at_run_time_names_the_window(tmp_path, capsys, monkeypatch):
-    # noise at a tiny repetition count can still move a maximum onto the edge
+    # noise at a tiny repetition count can still move a maximum onto the edge;
+    # the run is recognised by the error's type and writes nothing
     def edge(values, times, params, grid):
-        raise FrequencySearchError(f"trace 0: correlation maximum at the grid boundary "
-                                   f"(omega={grid.omega_max:.6g}); widen the search grid")
+        raise GridEdgeError(f"trace 0: correlation maximum at the grid boundary "
+                            f"(omega={grid.omega_max:.6g}); widen the search grid")
 
     monkeypatch.setattr(bench, "estimate_frequencies", edge)
     cfg = fast_config(tmp_path)
@@ -841,6 +847,7 @@ def test_edge_maximum_at_run_time_names_the_window(tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err
     assert "correlation maximum at the grid boundary" in err
     assert "(filter.freq_window = 0.15)" in err
+    assert not (tmp_path / "run").exists()
 
 
 #: an error that names a config field: its section, then the key or a colon
@@ -889,6 +896,7 @@ def test_valid_config_exits_0_or_names_its_fault(tmp_path_factory, mode, basis, 
     elif code == 1:
         assert "correlation maximum at the grid boundary" in err, err
         assert "filter.freq_window" in err, err
+        assert not (work / "run").exists()
     else:
         assert code == 0, err
         if mode == "sweep-beta":

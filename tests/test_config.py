@@ -112,6 +112,8 @@ def test_beta_grid_forms():
         parse_config({"filter": {"beta_grid": [1.0, 0.0, -1.0]}})
     with pytest.raises(ConfigError, match="beta_grid"):
         parse_config({"filter": {"beta_grid": {"start": 0.0, "stop": 1.0, "step": -1.0}}})
+    with pytest.raises(ConfigError, match=r"unknown key 'num' in 'filter\.beta_grid'"):
+        parse_config({"filter": {"beta_grid": {"start": 0.0, "stop": 1.0, "step": 0.5, "num": 3}}})
 
 
 def test_nan_beta_rejected_by_field():
@@ -145,6 +147,9 @@ def test_nan_beta_rejected_by_field():
     ("experiment", "delta_b", np.inf),
     ("experiment", "delta_b", -np.inf),
     ("experiment", "delta_b", -100e-6),  # b_calib + delta_b = 0: no sensing fringe
+    ("filter", "freq_window", 0.0),
+    ("filter", "freq_window", 1.0),
+    ("filter", "freq_window", -0.1),
 ])
 def test_bad_physical_floats_rejected_by_field(section, key, value):
     with pytest.raises(ConfigError, match=key):
@@ -189,6 +194,8 @@ def test_invalid_choices_rejected():
         parse_config({"experiment": {"photon_stats": "gaussian"}})
     with pytest.raises(ConfigError, match="format"):
         parse_config({"output": {"formats": ["yaml"]}})
+    with pytest.raises(ConfigError, match="formats must not be empty"):
+        parse_config({"output": {"formats": []}})
 
 
 def test_plan_validation_propagates():
@@ -245,10 +252,15 @@ def test_snapshot_is_complete():
     assert json.loads(json.dumps(snap)) == snap
 
 
-def test_section_must_be_an_object():
+def test_section_must_be_an_object(tmp_path):
     for value in (None, [], "plan", 3):
         with pytest.raises(ConfigError, match="section 'plan' must be a JSON object"):
             parse_config({"plan": value})
+    # so must the root
+    path = tmp_path / "list.json"
+    path.write_text('[{"plan": {}}]')
+    with pytest.raises(ConfigError, match="config root must be a JSON object"):
+        parse_config(path)
 
 
 _FLOAT_FIELDS = [

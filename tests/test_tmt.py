@@ -24,7 +24,7 @@ from tmtmag import (
 from tmtmag import bench, tmt
 from tmtmag.bench import EnsembleRun
 from tmtmag.ramsey import envelope
-from tmtmag.tmt import clamp_details, residual_chunks
+from tmtmag.tmt import GridEdgeError, clamp_details, residual_chunks
 from tmtmag.wavelets import uwt_analyze, uwt_synthesize
 
 
@@ -106,7 +106,7 @@ def test_boundary_maximum_rejected(paper_params):
     # grid starting just above the true frequency: R decreases from the
     # left edge, so the discrete maximum lands on the boundary
     grid = FrequencyGrid(omega_star * 1.001, omega_star * 1.1, 101)
-    with pytest.raises(FrequencySearchError, match="boundary"):
+    with pytest.raises(GridEdgeError, match="boundary"):
         estimate_frequencies(trace, plan.times, paper_params, grid)
 
 
@@ -127,8 +127,9 @@ def test_first_failing_trace_is_named(paper_params, rows, message):
               "edge": template(plan.times, omega_star, paper_params),
               "constant": np.full(plan.n_samples, 0.3)}
     values = np.stack([traces[row] for row in rows])
-    with pytest.raises(FrequencySearchError, match=message):
+    with pytest.raises(FrequencySearchError, match=message) as failure:
         estimate_frequencies(values, plan.times, paper_params, grid)
+    assert isinstance(failure.value, GridEdgeError) == ("grid boundary" in message)
 
 
 def test_batch_estimates_match_single(paper_params, short_plan):
@@ -380,6 +381,9 @@ def test_spectrum_rows_do_not_depend_on_the_batch(paper_params, short_plan):
     nested = tmt.correlation_spectrum(values.reshape(2, 35, -1), short_plan.times, paper_params,
                                       omegas)
     np.testing.assert_array_equal(nested, batch.reshape(2, 35, -1))
+    # a one-frequency grid (step 0) gives that frequency's column of the spectrum
+    column = tmt.correlation_spectrum(values, short_plan.times, paper_params, omegas[150:151])
+    assert_spectrum_close(column, batch[:, 150:151], scale=np.abs(batch).max(axis=1))
 
 
 def test_non_uniform_grids_rejected(paper_params, short_plan):
@@ -395,6 +399,8 @@ def test_non_uniform_grids_rejected(paper_params, short_plan):
         tmt.correlation_spectrum(values, times, paper_params, geometric)
     with pytest.raises(FrequencySearchError, match="omegas must be 1-D"):
         tmt.correlation_spectrum(values, times, paper_params, omegas[None, :])
+    with pytest.raises(FrequencySearchError, match="trace too short"):
+        tmt.correlation_spectrum(values[:, :1], times[:1], paper_params, omegas)
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +676,7 @@ def test_tmt_denoise_properties(ensemble_run, beta, row):
     values, omega = run.values[row], run.omega_temps[row]
     single = _denoise_like(run, values, omega, beta)
     np.testing.assert_array_equal(single, _denoise_like(run, run.values, run.omega_temps, beta)[row])
-    clean = template(run.times, omega, run.setup.params)
+    clean = template(run.setup.plan.times, omega, run.setup.params)
     assert np.max(np.abs(_denoise_like(run, clean, omega, beta) - clean)) < 1e-9
     if beta <= -309.0:  # 10**(-beta) overflows: the raw limit
         assert np.max(np.abs(single - values)) / np.max(np.abs(values)) < 1e-10
