@@ -5,7 +5,8 @@ filter order for the bias/variance trade-off, transfers the optimum order
 from calibration runs, and fits SNR power laws against integration time.
 
 Statistics use population normalization (divide by the ensemble size), so
-``mse == bias**2 + variance`` holds exactly for every detection point.
+``mse == bias**2 + variance`` holds to rounding for every detection point
+(ROADMAP item 3 makes it exact).
 """
 
 from __future__ import annotations
@@ -106,7 +107,8 @@ class EnsembleStats:
     """Per-detection-point ensemble error metrics.
 
     ``mse``, ``bias``, ``variance``, ``sample_mean`` and ``mse_stderr`` are
-    arrays over detection points; ``mse = bias**2 + variance`` exactly.
+    arrays over detection points; ``mse = bias**2 + variance`` to rounding
+    (ROADMAP item 3 makes it exact).
     """
 
     mse: np.ndarray
@@ -141,8 +143,8 @@ def ensemble_stats(traces: np.ndarray, points: DetectionPointSet) -> EnsembleSta
 def point_stats(at_points: np.ndarray, points: DetectionPointSet) -> EnsembleStats:
     """:class:`EnsembleStats` from the (n_exp, n_sd) values at the detection points.
 
-    The variance divides by n_exp (not n_exp - 1) to keep the
-    decomposition identity exact.
+    The variance divides by n_exp (not n_exp - 1), so the decomposition
+    identity holds to rounding (ROADMAP item 3 makes it exact).
     """
     n_exp = at_points.shape[0]
     dev = at_points - points.truths[None, :]

@@ -3,8 +3,11 @@
 One documented format (JSON with ``sensor``/``plan``/``filter``/
 ``experiment``/``output`` sections) whose schema is the section types.
 Unknown keys are rejected by name so misspelled options cannot silently
-fall back to defaults, each value must have the JSON kind of its field,
-and every block is validated before any computation starts.
+fall back to defaults.  A field's annotation gives its JSON kind and, as a
+``Literal``, its choices, which the reader checks by field name; each
+section type checks its own ranges when it is built.  Only the checks that
+span sections are left to ``parse_config``, and all run before any
+computation starts.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import numbers
 import typing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
@@ -49,12 +53,24 @@ _DEFAULTS = {
 
 @dataclass(frozen=True)
 class FilterConfig:
-    basis: str = "bior6.8"
+    basis: Literal[available_bases()] = "bior6.8"
     levels: int | None = None
     beta: float = 0.0
     beta_grid: np.ndarray = field(default_factory=default_beta_grid)
     freq_window: float = 0.15
     freq_points: int = 2001
+
+    def __post_init__(self):
+        if self.levels is not None and self.levels < 0:
+            raise ValueError(f"levels must be >= 0, got {self.levels}")
+        if np.isnan(self.beta):
+            raise ValueError("beta must not be NaN (+/-Infinity are the raw and template limits)")
+        if self.freq_points < 3:
+            raise ValueError("freq_points must be >= 3")
+        if self.freq_points > MAX_FREQ_POINTS:
+            raise ValueError(f"freq_points = {self.freq_points} is more than {MAX_FREQ_POINTS}")
+        if not 0.0 < self.freq_window < 1.0:
+            raise ValueError("freq_window must lie in (0, 1)")
 
     def frequency_grid(self, omega_center: float) -> FrequencyGrid:
         return FrequencyGrid.around(omega_center, self.freq_window, self.freq_points)
@@ -62,22 +78,34 @@ class FilterConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    mode: str | None = None
+    mode: Literal[MODES] | None = None
     delta_b: float = 2e-6
     n_sd: int | None = None
     m_values: list[int] = field(default_factory=lambda: [25000, 50000, 100000, 200000, 400000])
     n_sd_values: list[int] = field(default_factory=lambda: [1, 2, 3, 4, 5, 6, 7, 8, 9])
-    photon_stats: str = "bernoulli-poisson"
+    photon_stats: Literal[PHOTON_MODELS] = "bernoulli-poisson"
     shared_estimate: bool = False
     squared_contrast: bool = False
     points: list[list[float]] | None = None
     points_file: str | None = None
 
+    def __post_init__(self):
+        if self.n_sd is not None and self.n_sd < 1:
+            raise ValueError(f"n_sd must be >= 1, got {self.n_sd}")
+        if not self.m_values or any(m < 1 for m in self.m_values):
+            raise ValueError("m_values must be non-empty and all >= 1")
+        if not self.n_sd_values or any(v < 1 for v in self.n_sd_values):
+            raise ValueError("n_sd_values must be non-empty and all >= 1")
+
 
 @dataclass(frozen=True)
 class OutputConfig:
     directory: str = "out"
-    formats: list[str] = field(default_factory=lambda: ["csv", "json"])
+    formats: list[Literal["csv", "json"]] = field(default_factory=lambda: ["csv", "json"])
+
+    def __post_init__(self):
+        if not self.formats:
+            raise ValueError("formats must not be empty")
 
 
 @dataclass(frozen=True)
@@ -140,8 +168,14 @@ _KIND_READERS = {float: _number, int: _integer, bool: _boolean, str: _string}
 
 
 def _reader(kind):
-    """The checked reader of a ``_KIND_READERS`` kind, a ``list[...]`` of one, or either ``| None``."""
+    """The reader of a ``_KIND_READERS`` kind or string ``Literal``, a ``list[...]`` of one, or ``| None``."""
     args = typing.get_args(kind)
+    if typing.get_origin(kind) is Literal:
+        def choose(name: str, value):
+            if not isinstance(value, str) or value not in args:
+                raise ConfigError(f"{name} must be one of {', '.join(args)}, got {value!r}")
+            return value
+        return choose
     if type(None) in args:
         (inner,) = set(args) - {type(None)}
         read = _reader(inner)
@@ -252,52 +286,6 @@ def _build_sensor(data: dict) -> SensorParams:
         raise ConfigError(f"sensor: {exc}") from exc
 
 
-def _build_filter(data: dict) -> FilterConfig:
-    config = _build("filter", data)
-    if config.basis not in available_bases():
-        raise ConfigError(f"filter: unknown basis {config.basis!r} "
-                          f"(known: {', '.join(available_bases())})")
-    if config.levels is not None and config.levels < 0:
-        raise ConfigError(f"filter: levels must be >= 0, got {config.levels}")
-    if np.isnan(config.beta):
-        raise ConfigError("filter.beta must not be NaN (+/-Infinity are the raw and template limits)")
-    if config.freq_points < 3:
-        raise ConfigError("filter: freq_points must be >= 3")
-    if config.freq_points > MAX_FREQ_POINTS:
-        raise ConfigError(f"filter.freq_points = {config.freq_points} is more than {MAX_FREQ_POINTS}")
-    if not 0.0 < config.freq_window < 1.0:
-        raise ConfigError("filter: freq_window must lie in (0, 1)")
-    return config
-
-
-def _build_experiment(data: dict, sensor: SensorParams) -> ExperimentConfig:
-    config = _build("experiment", data)
-    if not 0.0 < sensing_frequency(sensor, config.delta_b) < np.inf:
-        raise ConfigError(f"experiment.delta_b must be finite with b_calib + delta_b > 0, "
-                          f"got {config.delta_b!r}")
-    if config.mode is not None and config.mode not in MODES:
-        raise ConfigError(f"experiment: unknown mode {config.mode!r} (known: {', '.join(MODES)})")
-    if config.photon_stats not in PHOTON_MODELS:
-        raise ConfigError(f"experiment: unknown photon_stats {config.photon_stats!r}")
-    if config.n_sd is not None and config.n_sd < 1:
-        raise ConfigError(f"experiment: n_sd must be >= 1, got {config.n_sd}")
-    if not config.m_values or any(m < 1 for m in config.m_values):
-        raise ConfigError("experiment: m_values must be non-empty and all >= 1")
-    if not config.n_sd_values or any(v < 1 for v in config.n_sd_values):
-        raise ConfigError("experiment: n_sd_values must be non-empty and all >= 1")
-    return config
-
-
-def _build_output(data: dict) -> OutputConfig:
-    config = _build("output", data)
-    for fmt in config.formats:
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"output: unknown format {fmt!r}")
-    if not config.formats:
-        raise ConfigError("output: formats must not be empty")
-    return config
-
-
 def read_text(path: Path, what: str) -> str:
     """The text of the file at ``path``, newlines untranslated; ConfigErrors name ``what``."""
     try:
@@ -337,16 +325,13 @@ def parse_config(source: str | Path | dict | None) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown section {sorted(unknown)[0]!r} (known: {', '.join(_SECTIONS)})")
     sensor = _build_sensor(data.get("sensor", {}))
-    config = RunConfig(
-        sensor=sensor,
-        plan=_build("plan", data.get("plan", {})),
-        filter=_build_filter(data.get("filter", {})),
-        experiment=_build_experiment(data.get("experiment", {}), sensor),
-        output=_build_output(data.get("output", {})),
-        seed_explicit="seed" in data.get("plan", {}),
-    )
-    # the sampled fringe and the frequency search grid must lie below the
-    # angular Nyquist frequency pi * f_sample
+    sections = {section: _build(section, data.get(section, {})) for section in _TYPES}
+    config = RunConfig(sensor=sensor, **sections, seed_explicit="seed" in data.get("plan", {}))
+    # the two checks that span sections: sensor with experiment, and both with plan and filter
+    if not 0.0 < config.omega_sense < np.inf:
+        raise ConfigError(f"experiment.delta_b must be finite with b_calib + delta_b > 0, "
+                          f"got {config.experiment.delta_b!r}")
+    # the sampled fringe and the frequency search grid lie below the angular Nyquist frequency
     omega_max = max(config.omega_sense, sensor.omega_calib * (1.0 + config.filter.freq_window))
     if not omega_max < np.pi * config.plan.f_sample:
         raise ConfigError(f"plan.f_sample = {config.plan.f_sample:.6g} Hz undersamples the fringe: "

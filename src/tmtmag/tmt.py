@@ -304,11 +304,10 @@ def margin_width(beta: float, plan: AcquisitionPlan) -> float:
     """Margin scale 10**(-beta) / sqrt(T_I * M * f_sample); inf once 10**(-beta) overflows."""
     if np.isnan(beta):  # a NaN width would turn every denoised sample into NaN
         raise ValueError(f"beta must be a number or +-inf, got {beta}")
-    with np.errstate(over="ignore"):  # numpy scalars overflow to inf
-        try:
-            scale = 10.0 ** (-beta)
-        except OverflowError:  # Python floats raise instead
-            scale = np.inf
+    try:
+        scale = 10.0 ** -float(beta)
+    except OverflowError:
+        scale = np.inf
     return scale / np.sqrt(plan.duration * plan.repetitions * plan.f_sample)
 
 

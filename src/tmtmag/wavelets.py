@@ -85,14 +85,15 @@ class WaveletError(ValueError):
     """Raised for invalid transform inputs (length, depth, mode)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WaveletBasis:
     """A (bi)orthogonal two-channel bank, given by its lowpass pair.
 
     ``h0`` is the analysis and ``g0`` the synthesis lowpass filter, of one
     even length and one symmetry center.  The highpass pair is derived
     from them once, by the alternating flip: ``h1`` from ``g0`` and ``g1``
-    from ``h0``.
+    from ``h0``.  All four are read-only copies, so no caller can change
+    another's filters; banks compare and hash by identity.
     """
 
     name: str
@@ -102,13 +103,14 @@ class WaveletBasis:
     g1: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        h0, g0 = np.asarray(self.h0, dtype=float), np.asarray(self.g0, dtype=float)
+        h0, g0 = np.array(self.h0, dtype=float), np.array(self.g0, dtype=float)
         lengths = sorted({h0.size, g0.size})
         if len(lengths) != 1 or h0.size % 2 != 0:
             raise WaveletError(f"basis {self.name!r}: filters must share one even length, got {lengths}")
         signs = np.where(np.arange(h0.size) % 2 == 0, 1.0, -1.0)  # the alternating flip
         for attr, taps in (("h0", h0), ("g0", g0), ("h1", signs * g0[::-1]),
                            ("g1", signs * h0[::-1])):
+            taps.flags.writeable = False
             object.__setattr__(self, attr, taps)
         if abs(self.h1.sum()) > 1e-12:
             raise WaveletError(f"basis {self.name!r}: highpass does not annihilate constants")

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from tmtmag.config import _SECTIONS, MAX_BETA_GRID, ConfigError, parse_config
+from tmtmag.config import _SECTIONS, _TYPES, MAX_BETA_GRID, MAX_FREQ_POINTS, ConfigError, parse_config
 
 
 def test_minimal_config_applies_defaults(tmp_path):
@@ -98,7 +98,7 @@ def test_unreadable_config_path_is_named(tmp_path):
 
 def test_freq_points_capped_before_allocation():
     # 10**9 was accepted, and the search then asked for a (10**9, N) kernel
-    with pytest.raises(ConfigError, match=r"filter\.freq_points = 1000000000 is more than 100001"):
+    with pytest.raises(ConfigError, match=r"filter: freq_points = 1000000000 is more than 100001"):
         parse_config({"filter": {"freq_points": 10**9}})
     assert parse_config({"filter": {"freq_points": 100_001}}).filter.freq_points == 100_001
 
@@ -117,10 +117,10 @@ def test_beta_grid_forms():
 
 
 def test_nan_beta_rejected_by_field():
-    with pytest.raises(ConfigError, match=r"filter\.beta "):
+    with pytest.raises(ConfigError, match=r"filter: beta must not be NaN"):
         parse_config({"filter": {"beta": float("nan")}})
     # JSON text spells NaN as a bare literal, which json.loads accepts
-    with pytest.raises(ConfigError, match=r"filter\.beta "):
+    with pytest.raises(ConfigError, match=r"filter: beta must not be NaN"):
         parse_config('{"filter": {"beta": NaN}}')
     with pytest.raises(ConfigError, match=r"filter\.beta_grid.*NaN"):
         parse_config({"filter": {"beta_grid": [float("nan"), 0.0, 1.0]}})
@@ -183,19 +183,44 @@ def test_infinite_beta_limits_accepted():
 
 
 def test_invalid_choices_rejected():
-    with pytest.raises(ConfigError, match="basis"):
+    with pytest.raises(ConfigError, match=r"^filter\.basis must be one of bior6\.8, db2, haar, got 'nosuch'"):
         parse_config({"filter": {"basis": "nosuch"}})
     for value in ("periodic", "symmetric"):
         with pytest.raises(ConfigError, match="unknown key 'boundary' in section 'filter'"):
             parse_config({"filter": {"boundary": value}})
-    with pytest.raises(ConfigError, match="mode"):
+    with pytest.raises(ConfigError, match=r"^experiment\.mode must be one of .*, got 'explode'"):
         parse_config({"experiment": {"mode": "explode"}})
-    with pytest.raises(ConfigError, match="photon_stats"):
+    with pytest.raises(ConfigError, match=r"^experiment\.photon_stats must be one of .*, got 'gaussian'"):
         parse_config({"experiment": {"photon_stats": "gaussian"}})
-    with pytest.raises(ConfigError, match="format"):
+    with pytest.raises(ConfigError, match=r"^output\.formats must be one of csv, json, got 'yaml'"):
         parse_config({"output": {"formats": ["yaml"]}})
+    # a choice is a string: another kind is outside the choices too
+    with pytest.raises(ConfigError, match=r"^filter\.basis must be one of .*, got 3"):
+        parse_config({"filter": {"basis": 3}})
     with pytest.raises(ConfigError, match="formats must not be empty"):
         parse_config({"output": {"formats": []}})
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("filter", "levels", -1),
+    ("filter", "beta", float("nan")),
+    ("filter", "freq_points", 2),
+    ("filter", "freq_points", MAX_FREQ_POINTS + 1),
+    ("filter", "freq_window", 0.0),
+    ("filter", "freq_window", 1.0),
+    ("experiment", "n_sd", 0),
+    ("experiment", "m_values", []),
+    ("experiment", "m_values", [25000, 0]),
+    ("experiment", "n_sd_values", []),
+    ("experiment", "n_sd_values", [1, 0]),
+    ("output", "formats", []),
+])
+def test_section_types_check_their_ranges(section, key, value):
+    # built directly, outside the parser, a section type still rejects what the parser rejects
+    with pytest.raises(ValueError, match=key):
+        _TYPES[section](**{key: value})
+    with pytest.raises(ConfigError, match=rf"^{section}: {key}"):
+        parse_config({section: {key: value}})
 
 
 def test_plan_validation_propagates():

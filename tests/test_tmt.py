@@ -14,6 +14,7 @@ from tmtmag import (
     FrequencyGrid,
     FrequencySearchError,
     SensorParams,
+    default_beta_grid,
     estimate_frequencies,
     margin_width,
     shot_noise,
@@ -452,6 +453,11 @@ def test_margin_width_limits(short_plan):
     # 10**400 overflows a float: the width saturates instead of raising
     assert margin_width(-400.0, short_plan) == np.inf
     assert margin_width(np.float64(-400.0), short_plan) == np.inf
+    # one power for every input: a Python float and a numpy scalar give bit-equal widths
+    grid = default_beta_grid()
+    as_float = np.array([margin_width(float(beta), short_plan) for beta in grid])
+    as_numpy = np.array([margin_width(np.float64(beta), short_plan) for beta in grid])
+    np.testing.assert_array_equal(as_float.view(np.int64), as_numpy.view(np.int64))
 
 
 def test_margins_ordered(paper_params, short_plan):

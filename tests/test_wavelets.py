@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tmtmag.wavelets import (
+    WaveletBasis,
     WaveletError,
     available_bases,
     basis_registry,
@@ -152,6 +153,20 @@ def test_basis_invariants(name):
     assert abs(bank.h0.sum() - SQRT2) < 1e-12
     assert abs(bank.g1.sum()) < 1e-12
     assert abs(bank.g0.sum() - SQRT2) < 1e-12
+    # the registry's taps are shared by the whole process, so none can be written
+    for taps in (bank.h0, bank.h1, bank.g0, bank.g1):
+        assert not taps.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            taps[0] += 1e-3
+    # a bank is compared and hashed by identity, not elementwise over its arrays
+    h0, g0 = bank.h0.copy(), bank.g0.copy()
+    twin = WaveletBasis(name, h0=h0, g0=g0)
+    assert (twin == bank) is False and bank == bank
+    assert hash(bank) == hash(bank)
+    # the bank holds copies: the caller's arrays stay its own and writable
+    assert h0.flags.writeable and g0.flags.writeable
+    h0[0] += 1.0
+    np.testing.assert_array_equal(twin.h0, bank.h0)
 
 
 def test_unknown_basis_rejected():
