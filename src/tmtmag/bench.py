@@ -108,7 +108,8 @@ class EnsembleStats:
 
     ``mse``, ``bias``, ``variance``, ``sample_mean`` and ``mse_stderr`` are
     arrays over detection points; ``mse = bias**2 + variance`` to rounding
-    (ROADMAP item 3 makes it exact).
+    (ROADMAP item 3 makes it exact).  ``mse_stderr``, which no table writes,
+    is the one field that is not bit-stable (see :func:`point_stats`).
     """
 
     mse: np.ndarray
@@ -144,23 +145,28 @@ def point_stats(at_points: np.ndarray, points: DetectionPointSet) -> EnsembleSta
     """:class:`EnsembleStats` from the (n_exp, n_sd) values at the detection points.
 
     The variance divides by n_exp (not n_exp - 1), so the decomposition
-    identity holds to rounding (ROADMAP item 3 makes it exact).
+    identity holds to rounding (ROADMAP item 3 makes it exact).  A mean is
+    ``np.add.reduce(..., axis=0) / n_exp``, which is what ``np.mean``
+    computes, on C- and F-contiguous samples alike.  The fourth moment is the
+    mean of ``sq * sq``, so ``mse_stderr`` differs from ``dev ** 4`` in rounding.
     """
     n_exp = at_points.shape[0]
     dev = at_points - points.truths[None, :]
-    mse = np.mean(dev ** 2, axis=0)
-    bias = np.mean(dev, axis=0)
-    sample_mean = np.mean(at_points, axis=0)
-    variance = np.mean((at_points - sample_mean[None, :]) ** 2, axis=0)
-    fourth = np.mean(dev ** 4, axis=0)
-    mse_stderr = np.sqrt(np.maximum(fourth - mse ** 2, 0.0) / n_exp)
+    sq = dev * dev
+    mse = np.add.reduce(sq, axis=0) / n_exp
+    bias = np.add.reduce(dev, axis=0) / n_exp
+    sample_mean = np.add.reduce(at_points, axis=0) / n_exp
+    spread = at_points - sample_mean[None, :]
+    variance = np.add.reduce(spread * spread, axis=0) / n_exp
+    fourth = np.add.reduce(np.multiply(sq, sq, out=sq), axis=0) / n_exp
+    mse_stderr = np.sqrt(np.maximum(fourth - mse * mse, 0.0) / n_exp)
     return EnsembleStats(
         mse=mse,
         bias=bias,
         variance=variance,
         sample_mean=sample_mean,
         mse_stderr=mse_stderr,
-        fringe_averaged_mse=float(np.mean(mse)),
+        fringe_averaged_mse=float(np.add.reduce(mse) / mse.size),
         n_exp=n_exp,
     )
 
@@ -218,6 +224,54 @@ class BenchmarkSetup:
         return self.grid if self.grid is not None else FrequencyGrid.around(self.params.omega_calib)
 
 
+#: coefficients per block of :func:`_bucket_keys`; its scratch costs no memory
+_KEY_BLOCK = 8192
+
+
+def _bucket_keys(offsets, scales, widths, work) -> np.ndarray:
+    """The (C, E) keys ``np.searchsorted(widths, tau)`` of ``tau = |offsets| / scales``.
+
+    ``tau`` goes to ``work``.  The finite positive widths, ``w_lo`` at index
+    ``lo`` to ``w_hi`` at ``hi``, are log-spaced (0 before them, inf after),
+    so a key is guessed as ``floor((log tau - log w_lo) * scale) + lo + 1``,
+    clipped to ``[lo, hi + 1]``, and checked once against the widths on
+    either side.  Only failed guesses (NaN ``tau`` at ``r = |S| = 0``, ties,
+    grids far from log-uniform) go to ``searchsorted``.  A block's scratch
+    is the spent ``tau`` before it, or for the first block the next block's
+    keys, so the step allocates no coefficient-sized temporary.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):  # s = 0: tau is inf, or NaN at r = 0
+        tau = np.divide(np.abs(offsets, out=work), scales, out=work).reshape(-1)
+    finite = np.flatnonzero((widths > 0.0) & (widths < np.inf))
+    log_lo, log_hi = np.log(widths[finite[[0, -1]]]) if finite.size else (0.0, 0.0)
+    block = min(_KEY_BLOCK, tau.size // 2)
+    if not (log_hi > log_lo and block):  # under two distinct finite widths, or one coefficient
+        return np.searchsorted(widths, tau).reshape(offsets.shape)
+    lo, hi = finite[0], finite[-1]
+    scale = (hi - lo) / (log_hi - log_lo)
+    shift = lo + 1 - log_lo * scale
+    below = np.concatenate([[-np.inf], widths])  # below[q] = widths[q - 1]
+    above = np.concatenate([widths, [np.inf]])  # above[q] = widths[q]
+    keys = np.empty(tau.size, dtype=np.intp)
+    guesses = keys.view(np.float64)
+    for start in range(0, tau.size, block):
+        part = slice(start, start + block)
+        t, guess, key = tau[part], guesses[part], keys[part]
+        scratch = (tau[start - block:start] if start else guesses[block:2 * block])[:t.size]
+        with np.errstate(divide="ignore"):  # tau = 0
+            np.log(t, out=guess)
+        guess *= scale
+        guess += shift
+        np.fmin(np.fmax(guess, lo, out=guess), hi + 1, out=guess)  # fmax takes NaN to lo
+        key[...] = guess  # in place; truncation floors a guess >= 0
+        ok = np.less(np.take(below, key, out=scratch, mode="clip"), t)
+        ok &= np.greater_equal(np.take(above, key, out=scratch, mode="clip"), t)
+        if not ok.all():
+            miss = np.flatnonzero(~ok)
+            key[miss] = np.searchsorted(widths, t[miss])
+    return keys.reshape(offsets.shape)
+
+
 def _clipped_point_sums(offsets, scales, rows, widths) -> np.ndarray:
     """What clipping the residual details at every width changes at the synthesis ``rows``.
 
@@ -228,18 +282,18 @@ def _clipped_point_sums(offsets, scales, rows, widths) -> np.ndarray:
     with noise scale ``s`` is clipped to ``sign(r)*w*s`` at the widths
     ``w`` below ``tau = |r|/s`` and passes unclipped from there on, so it
     falls into bucket ``q = searchsorted(widths, tau)``, the number of
-    widths that clip it.  With ``U`` and ``B`` the per-bucket
+    widths that clip it (:func:`_bucket_keys`).  With ``U`` and ``B`` the per-bucket
     ``np.bincount`` sums of ``r*row`` and ``sign(r)*s*row``, width ``w_k``
     changes the sample by ``w_k*sum(B[q > k]) - sum(U[q > k])``: each
     coefficient it clips swaps its share ``r*row`` for
     ``sign(r)*w_k*s*row``.  ``sum(U[q > k])`` is the total of a forward
     cumulative sum less its first ``k + 1`` terms, so an infinite width,
     which clips nothing, also where ``s = 0``, changes nothing exactly.
+    Besides its output it holds two (C, E) arrays: the keys, and ``work``.
     """
     n_buckets, n_exp = widths.size + 1, offsets.shape[1]
-    work = np.empty_like(offsets)  # tau, then each row's weights: one (C, E) temporary
-    with np.errstate(divide="ignore", invalid="ignore"):  # s = 0: tau is inf, or NaN at r = 0
-        keys = np.searchsorted(widths, np.divide(np.abs(offsets, out=work), scales, out=work))
+    work = np.empty(offsets.shape)
+    keys = _bucket_keys(offsets, scales, widths, work)
     keys += n_buckets * np.arange(n_exp)  # one run of buckets per experiment
     keys = keys.ravel()
     np.copysign(scales, offsets, out=scales)
@@ -393,6 +447,10 @@ class BetaSweepResult:
     points: DetectionPointSet
 
 
+#: most values a :func:`default_beta_grid` (and a configured ``filter.beta_grid``) may hold
+MAX_BETA_GRID = 10_001
+
+
 def sweep_beta(setup: BenchmarkSetup, beta_grid) -> BetaSweepResult:
     """Simulate once, denoise at every filter order, collect statistics.
 
@@ -422,13 +480,26 @@ def sweep_beta(setup: BenchmarkSetup, beta_grid) -> BetaSweepResult:
 
 
 def default_beta_grid(start: float = -4.0, stop: float = 2.0, step: float = 0.1) -> np.ndarray:
-    """``start, start + step, ...`` up to ``stop``; at least 3 values.
+    """``start, start + step, ...`` up to ``stop``; at least 3 and at most
+    :data:`MAX_BETA_GRID` values.
 
-    The step count is rounded only when ``(stop - start) / step`` lies
-    within 1e-9 relative of an integer, so no value steps past ``stop``
-    other than by rounding.
+    The bounds and the step must be finite, with ``step > 0`` and
+    ``stop > start``; a bad argument is rejected by name before any
+    arithmetic, and a grid too long before it is built.  The step count is
+    rounded only when ``(stop - start) / step`` lies within 1e-9 relative
+    of an integer, so no value steps past ``stop`` other than by rounding.
     """
-    span = (stop - start) / step
+    for name, value in (("start", start), ("stop", stop), ("step", step)):
+        if not np.isfinite(value):
+            raise ValueError(f"beta grid {name} must be finite, got {value}")
+    if step <= 0:
+        raise ValueError(f"beta grid step must be > 0, got {step:g}")
+    if stop <= start:
+        raise ValueError(f"beta grid stop must be > start, got start {start:g} and stop {stop:g}")
+    span = (stop - start) / step  # inf when the quotient overflows
+    if span == np.inf or round(span) + 1 > MAX_BETA_GRID:
+        raise ValueError(f"beta grid holds more than {MAX_BETA_GRID} values "
+                         f"({span:.6g} steps from start to stop)")
     n = round(span)
     if abs(span - n) > 1e-9 * abs(span):
         n = int(np.floor(span))

@@ -32,11 +32,16 @@ from tmtmag import (
     template,
 )
 from tmtmag.bench import (
+    MAX_BETA_GRID,
+    DetectionPointSet,
     EnsembleRun,
+    _bucket_keys,
+    _clipped_point_sums,
     child_seed,
     detection_crossings,
     ensemble_run_bytes,
     plan_for_detection_count,
+    point_stats,
 )
 from tmtmag.tmt import clamp_details, margin_width, residual_chunks, tmt_denoise
 from tmtmag.wavelets import uwt_analyze, uwt_synthesis_rows, uwt_synthesize
@@ -168,6 +173,42 @@ def test_stats_identity_random(rng):
     assert stats.fringe_averaged_mse == pytest.approx(np.mean(stats.mse), abs=0)
 
 
+def _point_stats_oracle(at_points, truths):
+    """The statistics as ``np.mean`` and powers formed them: the oracle of :func:`point_stats`."""
+    n_exp = at_points.shape[0]
+    dev = at_points - truths[None, :]
+    mse = np.mean(dev ** 2, axis=0)
+    sample_mean = np.mean(at_points, axis=0)
+    fourth = np.mean(dev ** 4, axis=0)
+    return {"mse": mse, "bias": np.mean(dev, axis=0), "sample_mean": sample_mean,
+            "variance": np.mean((at_points - sample_mean[None, :]) ** 2, axis=0),
+            "fringe_averaged_mse": float(np.mean(mse)),
+            "mse_stderr": np.sqrt(np.maximum(fourth - mse ** 2, 0.0) / n_exp)}
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n_exp", [2, 37, 200])
+@pytest.mark.parametrize("p", [1, 3, 9])
+def test_point_stats_match_the_mean_formulas(rng, p, n_exp, order):
+    # every field but mse_stderr is bit for bit np.mean's, also on the
+    # F-contiguous samples that the raw gather values[:, indices] returns;
+    # mse_stderr squares the squared deviations where the oracle takes a
+    # fourth power, which moves it at rounding level
+    truths = rng.uniform(0.15, 0.25, p)
+    samples = np.asarray(truths + rng.normal(0.0, 0.02, (n_exp, p)), order=order)
+    assert samples.flags.f_contiguous if order == "F" else samples.flags.c_contiguous
+    points = DetectionPointSet(indices=3 * np.arange(p), times=np.arange(p, dtype=float),
+                               truths=truths)
+    stats, oracle = point_stats(samples, points), _point_stats_oracle(samples, truths)
+    for name in ("mse", "bias", "variance", "sample_mean", "fringe_averaged_mse"):
+        np.testing.assert_array_equal(getattr(stats, name), oracle[name], err_msg=name)
+    if n_exp >= 37:
+        np.testing.assert_allclose(stats.mse_stderr, oracle["mse_stderr"], rtol=1e-12, atol=0)
+    else:  # two experiments: fourth - mse**2 cancels, and its rounding shows
+        np.testing.assert_allclose(stats.mse_stderr, oracle["mse_stderr"], rtol=1e-9,
+                                   atol=1e-12 * np.max(oracle["mse"]))
+
+
 def test_raw_variance_matches_compound_model(paper_params):
     omega = sensing_frequency(paper_params, 2e-6)
     plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 300, seed=42)
@@ -293,6 +334,30 @@ def test_sweep_grid_validation(small_sweep):
         sweep_beta(setup, [0.0, 1.0])
     with pytest.raises(ValueError, match="increasing"):
         sweep_beta(setup, [1.0, 0.0, -1.0])
+
+
+@pytest.mark.parametrize("args, name", [
+    ((0.0, 1.0, 0.0), "step"),  # was ZeroDivisionError
+    ((0.0, 1.0, np.nan), "step"),  # was "cannot convert float NaN to integer"
+    ((0.0, np.inf, 0.1), "stop"),  # was OverflowError
+    ((0.0, 1.0, -0.5), "step"),
+    ((0.0, 1.0, np.inf), "step"),
+    ((np.nan, 1.0, 0.1), "start"),
+    ((-np.inf, 1.0, 0.1), "start"),
+    ((1.0, 1.0, 0.1), "stop"),
+    ((2.0, 1.0, 0.1), "stop"),
+])
+def test_default_beta_grid_rejects_bad_arguments_by_name(args, name):
+    with pytest.raises(ValueError, match=rf"^beta grid {name} must be"):
+        default_beta_grid(*args)
+
+
+def test_default_beta_grid_bounds_its_size():
+    # finite bounds whose difference overflows count an infinite span
+    for args in ((-1e308, 1e308, 1.0), (0.0, 1e9, 1e-9)):
+        with pytest.raises(ValueError, match=rf"^beta grid holds more than {MAX_BETA_GRID} values"):
+            default_beta_grid(*args)
+    assert default_beta_grid(0.0, (MAX_BETA_GRID - 1) * 0.5, 0.5).size == MAX_BETA_GRID
 
 
 def _full_synthesis_stats(setup, betas):
@@ -521,6 +586,53 @@ def test_bucketed_sweep_matches_full_clamp(paper_params, inner, ends, ties):
                                        rtol=1e-12, atol=1e-13 * scale)
 
 
+_KEY_GRIDS = {"default": default_beta_grid(), "fine": default_beta_grid(-4.0, 2.0, 6e-4),
+              "single": np.array([0.3])}
+
+
+@settings(max_examples=40, deadline=None)
+@given(base=st.one_of(st.sampled_from(sorted(_KEY_GRIDS)),
+                      st.lists(st.floats(-6.0, 4.0), max_size=12, unique=True)),
+       ends=st.sets(st.sampled_from([-np.inf, -400.0, 400.0, np.inf])),
+       n_exp=st.integers(1, 64), size=st.one_of(st.none(), st.integers(1, 12)),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(base="default", ends=set(), n_exp=64, size=None, seed=0)
+@example(base="fine", ends=set(), n_exp=23, size=None, seed=1)
+@example(base="fine", ends={-np.inf, 400.0}, n_exp=7, size=None, seed=2)
+@example(base="single", ends=set(), n_exp=1, size=None, seed=3)
+@example(base=[-2.0, 0.0], ends={-400.0, 400.0}, n_exp=5, size=None, seed=4)
+@example(base=[], ends={-np.inf, np.inf}, n_exp=3, size=None, seed=5)
+@example(base="default", ends={-np.inf, np.inf}, n_exp=2, size=3, seed=6)
+def test_bucket_keys_equal_searchsorted(base, ends, n_exp, size, seed):
+    # a key is the number of widths below tau = |r| / s: searchsorted's
+    # answer, element for element, at tau = 0, inf and NaN (r = s = 0), at
+    # every width and at the floats on either side of it, on log-uniform
+    # grids (the default and a 10001-order one), on explicit non-uniform
+    # ones, on a single order, and with ends whose widths are 0 or inf
+    inner = _KEY_GRIDS[base] if isinstance(base, str) else np.array(base, dtype=float)
+    betas = np.array(sorted(set(inner.tolist()) | ends))
+    assume(betas.size > 0)
+    plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 8, seed=37)
+    widths = np.array([margin_width(beta, plan) for beta in betas])[::-1]
+    rng = np.random.default_rng(seed)
+    finite = widths[(widths > 0.0) & (widths < np.inf)]
+    span = np.log10(finite[[0, -1]]) if finite.size else np.zeros(2)
+    tau = np.concatenate([[0.0, np.inf], widths, np.nextafter(widths, 0.0),
+                          np.nextafter(widths, np.inf),
+                          10.0 ** rng.uniform(span[0] - 2.0, span[1] + 2.0, 500)])
+    tau = rng.permutation(tau)[:size]
+    tau = np.resize(tau, (-(-tau.size // n_exp), n_exp))
+    offsets = tau * rng.choice([-1.0, 1.0], tau.shape)
+    scales = np.ones(tau.shape)
+    offsets.flat[::5] = 0.0  # r = s = 0: tau is NaN
+    scales.flat[::5] = 0.0
+    scales.flat[1::7] = 0.0  # s = 0 < |r|: tau is inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expected = np.searchsorted(widths, np.abs(offsets) / scales)
+    keys = _bucket_keys(offsets, scales, widths, np.empty(offsets.shape))
+    np.testing.assert_array_equal(keys, expected)
+
+
 def test_off_grid_beta_rejected(paper_params):
     plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 4, seed=3)
     run = EnsembleRun(_setup(paper_params, plan, n_sd=3), [-1.0, 0.0, 1.0])
@@ -593,6 +705,43 @@ def test_bucket_build_allocates_no_coefficient_array(paper_params):
         working[n_exp] = peak - out.base.nbytes
     assert working[512] < 1.02 * working[128], working
     assert working[512] < _coefficient_bytes(run), (working, _coefficient_bytes(run))
+
+
+def test_bucket_stage_working_set(paper_params):
+    # the key step forms and checks its guesses inside the keys and the tau
+    # array it is given: its traced peak, less the keys, stays within 64 KiB,
+    # so a coefficient-sized temporary (465 KiB on this chunk of 64 traces at
+    # 930 coefficients) fails.  The whole stage, less its (K, E, p) output,
+    # holds work and the keys plus the row loop's bucket and cumulative sums
+    # and numpy's ufunc buffers (about 250 KiB), less than a third (C, E) array
+    plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 64, seed=31)
+    run = EnsembleRun(_setup(paper_params, plan, n_sd=3), default_beta_grid())
+    setup = run.setup
+    rows = uwt_synthesis_rows(plan.n_samples, run.points.indices, setup.basis, run.levels)
+    level, sample = np.nonzero(rows.any(axis=2))
+    rows = rows[level, sample]
+    _, offsets, scales = next(residual_chunks(
+        run.values, run.omega_temps, setup.params, plan, setup.basis, run.levels,
+        at=(level, slice(None), sample)))
+    widths = run._widths[::-1]
+    coefficient_bytes = offsets.size * 8
+    assert offsets.shape == (930, 64)
+    work = np.empty(offsets.shape)
+    tracemalloc.start()
+    try:
+        keys = _bucket_keys(offsets, scales, widths, work)
+        _, key_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert key_peak - keys.nbytes <= 64 * 1024, key_peak - keys.nbytes
+    del keys, work
+    tracemalloc.start()
+    try:
+        out = _clipped_point_sums(offsets, scales, rows, widths)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes < 3 * coefficient_bytes, (peak - out.nbytes, coefficient_bytes)
 
 
 def test_full_trace_denoise_allocates_no_ensemble_stack(paper_params):

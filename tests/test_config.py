@@ -331,9 +331,9 @@ def test_booleans_are_strict(key, value):
 def test_beta_grid_size_is_capped():
     assert MAX_BETA_GRID >= 6001
     # 1e18 steps used to reach numpy's MemoryError
-    with pytest.raises(ConfigError, match=r"filter\.beta_grid holds more than"):
+    with pytest.raises(ConfigError, match=r"^filter\.beta_grid: beta grid holds more than"):
         parse_config({"filter": {"beta_grid": {"start": 0, "stop": 1e9, "step": 1e-9}}})
-    with pytest.raises(ConfigError, match=r"filter\.beta_grid holds more than"):
+    with pytest.raises(ConfigError, match=r"^filter\.beta_grid: beta grid holds more than"):
         parse_config({"filter": {"beta_grid": {"start": -1e308, "stop": 1e308, "step": 1.0}}})
     with pytest.raises(ConfigError, match=rf"filter\.beta_grid holds {MAX_BETA_GRID + 1} values"):
         parse_config({"filter": {"beta_grid": list(range(MAX_BETA_GRID + 1))}})
@@ -342,6 +342,18 @@ def test_beta_grid_size_is_capped():
     stop = (MAX_BETA_GRID - 1) * 0.5
     grid = parse_config({"filter": {"beta_grid": {"start": 0.0, "stop": stop, "step": 0.5}}}).filter.beta_grid
     assert grid.size == MAX_BETA_GRID
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"start": 0.0, "stop": 1.0, "step": 0.0}, "step must be > 0"),
+    ({"start": 0.0, "stop": 1.0, "step": float("nan")}, "step must be finite"),
+    ({"start": 0.0, "stop": float("inf"), "step": 0.1}, "stop must be finite"),
+    ({"start": 1.0, "stop": 0.0, "step": 0.1}, "stop must be > start"),
+])
+def test_beta_grid_range_rejected_by_argument(spec, message):
+    # the range form defers to default_beta_grid, which names the argument
+    with pytest.raises(ConfigError, match=rf"^filter\.beta_grid: beta grid {message}"):
+        parse_config({"filter": {"beta_grid": spec}})
 
 
 def test_beta_grid_range_with_step_past_stop_rejected():
