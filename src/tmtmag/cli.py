@@ -9,9 +9,9 @@ All data tables and the summary are byte-reproducible from (config, seed);
 the manifest's ``duration_seconds`` field is the one volatile value.
 
 Each mode builds its tables as typed columns in one structured array
-(``make_table``: integer and float arrays for the trace tables, object
-fields for mixed cells such as a ``point`` that is an index or
-``"fringe"``).  ``export_table`` streams a table to disk in chunks of
+(``make_table``: integer and float arrays, object fields for mixed cells
+such as a ``point`` that is an index or ``"fringe"``; the per-sample trace
+tables of simulate and denoise are filled in place by ``_trace_table``).  ``export_table`` streams a table to disk in chunks of
 rows, formatting each chunk with one row template per format: CSV writes
 floats as ``%.17g`` and integers as ``%d``, JSON (keys sorted, indent 2,
 after the manifest) writes floats as their ``repr`` and NaN/+-inf as
@@ -32,6 +32,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import sys
 import time
 from dataclasses import fields, replace
@@ -41,21 +42,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import (
-    BenchmarkSetup,
-    EnsembleRun,
-    benchmark_snr,
-    ensemble_run_bytes,
-    ensemble_stats,
-    find_detection_points,
-    fit_scaling,
-    gain_profile,
-    gain_setups,
-    snr_setups,
-    sweep_beta,
-)
+from .bench import (EnsembleRun, benchmark_snr, ensemble_stats, find_detection_points,
+                    fit_scaling, gain_profile, sweep_beta)
 from .config import MODES, ConfigError, RunConfig, parse_config, read_text
-from .ramsey import POISSON_LAM_MAX, simulate_ensemble
+from .ramsey import simulate_ensemble
 from .tmt import GridEdgeError
 
 _SEED_REQUIRED_MODES = ("sweep-beta", "benchmark", "gain-profile")
@@ -95,6 +85,21 @@ def make_table(**columns) -> np.ndarray:
     for name, values in arrays.items():
         table[name] = values
     return table
+
+
+def _trace_table(times: np.ndarray, **traces: np.ndarray) -> np.ndarray:
+    """One row per sample of the equally shaped (n_exp, N) ``traces``: the columns
+    ``experiment`` and ``time``, then one per trace array, each written in place,
+    so no row-length copy of a column is made beside the table."""
+    n_exp, n = next(iter(traces.values())).shape
+    experiments = np.arange(n_exp)
+    table = np.empty((n_exp, n), dtype=[("experiment", experiments.dtype), ("time", times.dtype)]
+                     + [(name, values.dtype) for name, values in traces.items()])
+    table["experiment"] = experiments[:, None]
+    table["time"] = times
+    for name, values in traces.items():
+        table[name] = values
+    return table.reshape(-1)
 
 
 def _csv_cell(value) -> str:
@@ -269,106 +274,6 @@ def _dataclass_table(items) -> np.ndarray:
                          for f in fields(items[0])})
 
 
-#: Longest trace a run may simulate.  Gain-profile resizes each window to
-#: hold n_sd fringe crossings, so there a slow sensing fringe would ask for
-#: an unbounded trace.
-MAX_WINDOW_SAMPLES = 1 << 16
-#: Most bytes one planned ensemble may hold, at 4 doubles per sample in simulate (traces and
-#: table) and :func:`~tmtmag.bench.ensemble_run_bytes` in an ``EnsembleRun``, which counts the
-#: run's traces, its output at every swept order, one chunk of the residual stage (at most
-#: 64 experiments and 9600 samples) and one block of the frequency search.
-MAX_ENSEMBLE_BYTES = 2 << 30
-
-
-def _make_setup(config: RunConfig) -> BenchmarkSetup:
-    return BenchmarkSetup(
-        params=config.sensor,
-        plan=config.plan,
-        omega_true=config.omega_sense,
-        n_sd=config.experiment.n_sd,
-        basis=config.filter.basis,
-        levels=config.filter.levels,
-        grid=config.filter.frequency_grid(config.sensor.omega_calib),
-        photon_stats=config.experiment.photon_stats,
-        shared_estimate=config.experiment.shared_estimate,
-        squared_contrast=config.experiment.squared_contrast,
-    )
-
-
-def _planned_setups(config: RunConfig) -> list[BenchmarkSetup]:
-    """The ensembles the configured mode builds, in the order its runner builds them."""
-    exp = config.experiment
-    if exp.mode == "fit-scaling":
-        return []
-    planner = {"benchmark": (snr_setups, "m_values"), "gain-profile": (gain_setups, "n_sd_values")}
-    if exp.mode not in planner:
-        return [_make_setup(config)]
-    plan_setups, key = planner[exp.mode]
-    try:
-        return plan_setups(_make_setup(config), getattr(exp, key))
-    except (ValueError, OverflowError) as exc:  # e.g. a repetition count or n_sd beyond 64 bits
-        raise ConfigError(f"experiment.{key}: {exc}") from exc
-
-
-def _check_mode_limits(config: RunConfig) -> None:
-    """Limits of every ensemble the mode will build, checked before any computation."""
-    mode, levels = config.experiment.mode, config.filter.levels
-    if mode == "benchmark":
-        m_values = config.experiment.m_values
-        if len(m_values) < 3 or len(set(m_values)) < 2:
-            raise ConfigError(f"experiment.m_values: the scaling fit needs at least 3 values, "
-                              f"2 of them distinct, got {m_values}")
-    # one sample per crossing; checked before planning, whose crossing arrays grow with n_sd
-    if mode == "gain-profile" and max(config.experiment.n_sd_values) > MAX_WINDOW_SAMPLES:
-        raise ConfigError(f"experiment.n_sd_values: an entry above {MAX_WINDOW_SAMPLES} needs "
-                          f"more samples than that")
-    for setup in _planned_setups(config):
-        plan, n = setup.plan, setup.plan.n_samples
-        if mode == "gain-profile":  # n_sd_values sizes both the window and the detection count
-            window = count = f"experiment.n_sd_values entry {setup.n_sd}"
-        else:
-            window, count = f"plan.t_stop = {plan.t_stop:.6g}", f"experiment.n_sd = {json.dumps(setup.n_sd)}"
-        if plan.repetitions * setup.params.n0 > POISSON_LAM_MAX:
-            field = (f"experiment.m_values entry {plan.repetitions}" if mode == "benchmark"
-                     else f"plan.repetitions = {plan.repetitions}")
-            raise ConfigError(f"{field}: at sensor.n0 = {setup.params.n0:g} photons per "
-                              f"repetition the photon means exceed numpy's Poisson limit "
-                              f"{POISSON_LAM_MAX:.6g}")
-        if n > MAX_WINDOW_SAMPLES:
-            raise ConfigError(f"{window}: the window holds {n} samples at plan.f_sample, "
-                              f"more than {MAX_WINDOW_SAMPLES}")
-        if mode != "simulate":
-            if plan.n_experiments < 2:
-                raise ConfigError(f"plan.n_experiments must be >= 2 for mode {mode!r}, "
-                                  f"got {plan.n_experiments}")
-            try:
-                points = find_detection_points(setup.omega_true, plan, setup.n_sd, setup.params)
-            except ValueError as exc:
-                if setup.omega_true != config.omega_sense:
-                    count += " on the calibration fringe at omega_calib"
-                raise ConfigError(f"{count}: {exc}") from exc
-            grid = setup.resolved_grid()
-            # the true frequency's grid index; 1e-9 forgives the rounding of the grid's
-            # points, the centre of a 3-point grid being index 1
-            k = (setup.omega_true - grid.omega_min) / grid.step
-            if not 1 - 1e-9 <= k <= grid.n_points - 2 + 1e-9:
-                fringe = "sensing" if setup.omega_true == config.omega_sense else "calibration"
-                raise ConfigError(
-                    f"filter.freq_window = {config.filter.freq_window:g}: the search grid "
-                    f"[{grid.omega_min:.6g}, {grid.omega_max:.6g}] rad/s must hold the {fringe} "
-                    f"fringe at omega = {setup.omega_true:.6g} rad/s one grid step inside its ends")
-            if levels is not None and levels >= n.bit_length() - 1:  # 2**(levels + 1) > n
-                raise ConfigError(f"filter.levels = {levels} needs >= 2**{levels + 1} samples, "
-                                  f"the {mode} window has {n}")
-        n_betas = 1 if mode == "denoise" else config.filter.beta_grid.size
-        size = (4 * 8 * plan.n_experiments * n if mode == "simulate"
-                else ensemble_run_bytes(setup, n_betas, len(points)))
-        if size > MAX_ENSEMBLE_BYTES:
-            raise ConfigError(f"plan.n_experiments = {plan.n_experiments}: the {mode} ensemble of "
-                              f"{n}-sample traces needs {size / 2**30:.3g} GiB, "
-                              f"more than {MAX_ENSEMBLE_BYTES / 2**30:g} GiB")
-
-
 # ---------------------------------------------------------------------------
 # mode runners: each returns (tables, derived, summary_lines)
 # tables: list of (name, structured array from make_table)
@@ -378,9 +283,7 @@ def _run_simulate(config: RunConfig):
     plan = config.plan
     values = simulate_ensemble(config.sensor, plan, config.omega_sense,
                                config.experiment.photon_stats)
-    n_exp = values.shape[0]
-    tables = [("simulate", make_table(experiment=np.repeat(np.arange(n_exp), plan.n_samples),
-                                      time=np.tile(plan.times, n_exp), value=values.ravel()))]
+    tables = [("simulate", _trace_table(plan.times, value=values))]
     summary = [
         f"simulated {plan.n_experiments} traces of {plan.n_samples} samples",
         f"sensing frequency: {config.omega_sense / (2 * np.pi):.6g} Hz",
@@ -390,15 +293,13 @@ def _run_simulate(config: RunConfig):
 
 
 def _run_denoise(config: RunConfig):
-    setup = _make_setup(config)
+    setup = config.setup
     beta = config.filter.beta
     run = EnsembleRun(setup, [beta])
     denoised = run.denoised(beta)
-    n_exp, n = run.values.shape
+    n_exp = len(run.values)
     tables = [
-        ("denoise", make_table(experiment=np.repeat(np.arange(n_exp), n),
-                               time=np.tile(setup.plan.times, n_exp),
-                               raw=run.values.ravel(), denoised=denoised.ravel())),
+        ("denoise", _trace_table(setup.plan.times, raw=run.values, denoised=denoised)),
         ("template_estimates", make_table(experiment=np.arange(n_exp), omega_temp=run.omega_temps)),
     ]
     tmt_stats = ensemble_stats(denoised, run.points)
@@ -413,7 +314,7 @@ def _run_denoise(config: RunConfig):
 
 
 def _run_sweep_beta(config: RunConfig):
-    setup = _make_setup(config)
+    setup = config.setup
     result = sweep_beta(setup, config.filter.beta_grid)
     blocks = [_stats_columns(result.raw_stats, result.points, "raw", None)]
     blocks += [_stats_columns(stats, result.points, "tmt", float(beta))
@@ -435,7 +336,7 @@ def _run_sweep_beta(config: RunConfig):
 
 
 def _run_benchmark(config: RunConfig):
-    setup = _make_setup(config)
+    setup = config.setup
     recs = benchmark_snr(setup, config.experiment.m_values, config.filter.beta_grid)
     raw_fit = fit_scaling([(r.integration_time, r.raw_snr) for r in recs])
     tmt_fit = fit_scaling([(r.integration_time, r.tmt_snr) for r in recs])
@@ -455,7 +356,7 @@ def _run_benchmark(config: RunConfig):
 
 
 def _run_gain_profile(config: RunConfig):
-    setup = _make_setup(config)
+    setup = config.setup
     gains = gain_profile(setup, config.experiment.n_sd_values, config.filter.beta_grid)
     tables = [("gain_profile", _dataclass_table(gains))]
     best = max(gains, key=lambda g: g.gain)
@@ -518,18 +419,32 @@ _RUNNERS = {
 
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
-    with path.open("rb") as fh:
-        while block := fh.read(1 << 20):
-            digest.update(block)
+    block = memoryview(bytearray(1 << 18))  # read into, so no block is copied while tables are held
+    with path.open("rb", buffering=0) as fh:
+        while size := fh.readinto(block):
+            digest.update(block[:size])
     return digest.hexdigest()
 
 
+def _check_output_directory(directory: str) -> None:
+    """``directory``, or its nearest existing ancestor, is a directory this process may write in."""
+    path = Path(directory).absolute()
+    existing = next(p for p in (path, *path.parents) if os.path.exists(p))
+    if not (existing.is_dir() and os.access(existing, os.W_OK | os.X_OK)):
+        raise ConfigError(f"output.directory = {directory!r}: {existing} is not a writable directory")
+
+
 def run(config: RunConfig) -> int:
-    """Execute the configured mode and write all artifacts to disk."""
+    """Execute the configured mode and write all artifacts to disk.
+
+    A ``RunConfig`` checks its own rules, those of its mode included, when it
+    is built; ``run`` checks only that a mode is selected and that the output
+    directory can be made, both before the mode runs.
+    """
     mode = config.experiment.mode
     if mode not in _RUNNERS:
         raise ConfigError(f"no experiment mode selected (known: {', '.join(MODES)})")
-    _check_mode_limits(config)
+    _check_output_directory(config.output.directory)
     started = time.monotonic()
     try:
         tables, derived, summary_lines = _RUNNERS[mode](config)

@@ -5,9 +5,9 @@ One documented format (JSON with ``sensor``/``plan``/``filter``/
 Unknown keys are rejected by name so misspelled options cannot silently
 fall back to defaults.  A field's annotation gives its JSON kind and, as a
 ``Literal``, its choices, which the reader checks by field name; each
-section type checks its own ranges when it is built.  Only the checks that
-span sections are left to ``parse_config``, and all run before any
-computation starts.
+section type checks its own ranges when it is built, and ``RunConfig``
+checks the rules that span sections and those of its mode.  All run before
+any computation starts.
 """
 
 from __future__ import annotations
@@ -21,9 +21,10 @@ from typing import Literal
 
 import numpy as np
 
-from .bench import MAX_BETA_GRID, default_beta_grid
-from .ramsey import (GAMMA_E, PHOTON_MODELS, AcquisitionPlan, SensorParams, calib_frequency,
-                     sensing_frequency)
+from .bench import (MAX_BETA_GRID, BenchmarkSetup, default_beta_grid, ensemble_run_bytes,
+                    find_detection_points, gain_setups, snr_setups)
+from .ramsey import (GAMMA_E, PHOTON_MODELS, POISSON_LAM_MAX, AcquisitionPlan, SensorParams,
+                     calib_frequency, sensing_frequency)
 from .tmt import FrequencyGrid
 from .wavelets import available_bases
 
@@ -94,6 +95,8 @@ class ExperimentConfig:
             raise ValueError("m_values must be non-empty and all >= 1")
         if not self.n_sd_values or any(v < 1 for v in self.n_sd_values):
             raise ValueError("n_sd_values must be non-empty and all >= 1")
+        if self.points is not None and self.points_file is not None:
+            raise ValueError("points and points_file must not both be given")
 
 
 @dataclass(frozen=True)
@@ -106,8 +109,24 @@ class OutputConfig:
             raise ValueError("formats must not be empty")
 
 
+#: Longest trace a run may simulate.  Gain-profile resizes each window to
+#: hold n_sd fringe crossings, so there a slow sensing fringe would ask for
+#: an unbounded trace.
+MAX_WINDOW_SAMPLES = 1 << 16
+#: Most bytes one planned ensemble may hold: its traces in simulate, and otherwise
+#: :func:`~tmtmag.bench.ensemble_run_bytes` of its ``EnsembleRun``, which counts the run's
+#: traces, its output at every swept order, one chunk of the residual stage (at most 64
+#: experiments and 9600 samples) and one block of the frequency search.  Simulate and
+#: denoise add their exported table and its row index, 4 and 5 doubles per sample.
+MAX_ENSEMBLE_BYTES = 2 << 30
+
+
 @dataclass(frozen=True)
 class RunConfig:
+    """A run's sections, checked together whenever one is built (by ``parse_config``,
+    directly or by ``dataclasses.replace``): the rules that span sections and, with a mode
+    set, the limits of every ensemble that mode builds, each a ConfigError naming its field."""
+
     sensor: SensorParams
     plan: AcquisitionPlan
     filter: FilterConfig
@@ -115,9 +134,34 @@ class RunConfig:
     output: OutputConfig
     seed_explicit: bool = False
 
+    def __post_init__(self):
+        # sensor with experiment, and both with plan and filter
+        omega_sense = self.omega_sense
+        if not 0.0 < omega_sense < np.inf:
+            raise ConfigError(f"experiment.delta_b must be finite with b_calib + delta_b > 0, "
+                              f"got {self.experiment.delta_b!r}")
+        # the sampled fringe and the frequency search grid lie below the angular Nyquist frequency
+        omega_max = max(omega_sense, self.sensor.omega_calib * (1.0 + self.filter.freq_window))
+        if not omega_max < np.pi * self.plan.f_sample:
+            raise ConfigError(f"plan.f_sample = {self.plan.f_sample:.6g} Hz undersamples the "
+                              f"fringe: it must exceed {omega_max / np.pi:.6g} Hz")
+        if self.experiment.mode is not None:
+            _check_mode_limits(self)
+
     @property
     def omega_sense(self) -> float:
         return sensing_frequency(self.sensor, self.experiment.delta_b)
+
+    @property
+    def setup(self) -> BenchmarkSetup:
+        """The configured ensemble, from which benchmark and gain-profile plan theirs."""
+        exp = self.experiment
+        return BenchmarkSetup(
+            params=self.sensor, plan=self.plan, omega_true=self.omega_sense, n_sd=exp.n_sd,
+            basis=self.filter.basis, levels=self.filter.levels,
+            grid=self.filter.frequency_grid(self.sensor.omega_calib),
+            photon_stats=exp.photon_stats, shared_estimate=exp.shared_estimate,
+            squared_contrast=exp.squared_contrast)
 
     @property
     def snapshot(self) -> dict:
@@ -133,6 +177,84 @@ class RunConfig:
             # out keeps table bytes identical wherever a run is written
             "output": {"formats": self.output.formats},
         }
+
+
+def _planned_setups(config: RunConfig) -> list[BenchmarkSetup]:
+    """The ensembles the configured mode builds, in the order its runner builds them."""
+    exp = config.experiment
+    if exp.mode == "fit-scaling":
+        return []
+    planner = {"benchmark": (snr_setups, "m_values"), "gain-profile": (gain_setups, "n_sd_values")}
+    if exp.mode not in planner:
+        return [config.setup]
+    plan_setups, key = planner[exp.mode]
+    try:
+        return plan_setups(config.setup, getattr(exp, key))
+    except (ValueError, OverflowError) as exc:  # e.g. a repetition count or n_sd beyond 64 bits
+        raise ConfigError(f"experiment.{key}: {exc}") from exc
+
+
+def _check_mode_limits(config: RunConfig) -> None:
+    """Limits of every ensemble the mode will build, checked before any computation."""
+    mode, levels = config.experiment.mode, config.filter.levels
+    if mode == "benchmark":
+        m_values = config.experiment.m_values
+        if len(m_values) < 3 or len(set(m_values)) < 2:
+            raise ConfigError(f"experiment.m_values: the scaling fit needs at least 3 values, "
+                              f"2 of them distinct, got {m_values}")
+    # one sample per crossing; checked before planning, whose crossing arrays grow with n_sd
+    if mode == "gain-profile" and max(config.experiment.n_sd_values) > MAX_WINDOW_SAMPLES:
+        raise ConfigError(f"experiment.n_sd_values: an entry above {MAX_WINDOW_SAMPLES} needs "
+                          f"more samples than that")
+    for setup in _planned_setups(config):
+        plan, n = setup.plan, setup.plan.n_samples
+        if mode == "gain-profile":  # n_sd_values sizes both the window and the detection count
+            window = count = f"experiment.n_sd_values entry {setup.n_sd}"
+        else:
+            window, count = f"plan.t_stop = {plan.t_stop:.6g}", f"experiment.n_sd = {json.dumps(setup.n_sd)}"
+        if plan.repetitions * setup.params.n0 > POISSON_LAM_MAX:
+            what = (f"experiment.m_values entry {plan.repetitions}" if mode == "benchmark"
+                    else f"plan.repetitions = {plan.repetitions}")
+            raise ConfigError(f"{what}: at sensor.n0 = {setup.params.n0:g} photons per "
+                              f"repetition the photon means exceed numpy's Poisson limit "
+                              f"{POISSON_LAM_MAX:.6g}")
+        if n > MAX_WINDOW_SAMPLES:
+            raise ConfigError(f"{window}: the window holds {n} samples at plan.f_sample, "
+                              f"more than {MAX_WINDOW_SAMPLES}")
+        if mode != "simulate":
+            if plan.n_experiments < 2:
+                raise ConfigError(f"plan.n_experiments must be >= 2 for mode {mode!r}, "
+                                  f"got {plan.n_experiments}")
+            try:
+                points = find_detection_points(setup.omega_true, plan, setup.n_sd, setup.params)
+            except ValueError as exc:
+                if setup.omega_true != config.omega_sense:
+                    count += " on the calibration fringe at omega_calib"
+                raise ConfigError(f"{count}: {exc}") from exc
+            grid = setup.resolved_grid()
+            # the true frequency's grid index; 1e-9 forgives the rounding of the grid's
+            # points, the centre of a 3-point grid being index 1
+            k = (setup.omega_true - grid.omega_min) / grid.step
+            if not 1 - 1e-9 <= k <= grid.n_points - 2 + 1e-9:
+                fringe = "sensing" if setup.omega_true == config.omega_sense else "calibration"
+                raise ConfigError(
+                    f"filter.freq_window = {config.filter.freq_window:g}: the search grid "
+                    f"[{grid.omega_min:.6g}, {grid.omega_max:.6g}] rad/s must hold the {fringe} "
+                    f"fringe at omega = {setup.omega_true:.6g} rad/s one grid step inside its ends")
+            if levels is not None and levels >= n.bit_length() - 1:  # 2**(levels + 1) > n
+                raise ConfigError(f"filter.levels = {levels} needs >= 2**{levels + 1} samples, "
+                                  f"the {mode} window has {n}")
+        # simulate's table (experiment, time, value) and denoise's (experiment, time, raw,
+        # denoised) are built beside the traces, and their export indexes each column's
+        # distinct values by 2 bytes a row: one double per row
+        table = 8 * plan.n_experiments * n * {"simulate": 4, "denoise": 5}.get(mode, 0)
+        n_betas = 1 if mode == "denoise" else config.filter.beta_grid.size
+        size = table + (8 * plan.n_experiments * n if mode == "simulate"
+                        else ensemble_run_bytes(setup, n_betas, len(points)))
+        if size > MAX_ENSEMBLE_BYTES:
+            raise ConfigError(f"plan.n_experiments = {plan.n_experiments}: the {mode} ensemble of "
+                              f"{n}-sample traces needs {size / 2**30:.3g} GiB, "
+                              f"more than {MAX_ENSEMBLE_BYTES / 2**30:g} GiB")
 
 
 def _integer(name: str, value) -> int:
@@ -298,7 +420,9 @@ def parse_config(source: str | Path | dict | None) -> RunConfig:
     when its first non-blank character is ``{``, and a file path otherwise.
     A path naming no file or one that cannot be read, parse errors (with
     the offending line) and validation errors (naming the violated
-    invariant) raise ConfigError.
+    invariant) raise ConfigError.  A config that names its mode is checked
+    against that mode's limits here; otherwise they are checked once the
+    mode is set.
     """
     if source is None:
         data = {}
@@ -318,14 +442,4 @@ def parse_config(source: str | Path | dict | None) -> RunConfig:
         raise ConfigError(f"unknown section {sorted(unknown)[0]!r} (known: {', '.join(_SECTIONS)})")
     sensor = _build_sensor(data.get("sensor", {}))
     sections = {section: _build(section, data.get(section, {})) for section in _TYPES}
-    config = RunConfig(sensor=sensor, **sections, seed_explicit="seed" in data.get("plan", {}))
-    # the two checks that span sections: sensor with experiment, and both with plan and filter
-    if not 0.0 < config.omega_sense < np.inf:
-        raise ConfigError(f"experiment.delta_b must be finite with b_calib + delta_b > 0, "
-                          f"got {config.experiment.delta_b!r}")
-    # the sampled fringe and the frequency search grid lie below the angular Nyquist frequency
-    omega_max = max(config.omega_sense, sensor.omega_calib * (1.0 + config.filter.freq_window))
-    if not omega_max < np.pi * config.plan.f_sample:
-        raise ConfigError(f"plan.f_sample = {config.plan.f_sample:.6g} Hz undersamples the fringe: "
-                          f"it must exceed {omega_max / np.pi:.6g} Hz")
-    return config
+    return RunConfig(sensor=sensor, **sections, seed_explicit="seed" in data.get("plan", {}))

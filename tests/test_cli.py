@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -18,7 +19,8 @@ from hypothesis import example, given, settings, strategies as st
 from tmtmag import bench, cli
 from tmtmag.bench import DetectionPointSet, ensemble_stats
 from tmtmag.cli import _stats_columns, export_table, main, make_table
-from tmtmag.config import MODES, ConfigError, parse_config
+from tmtmag.config import (MAX_ENSEMBLE_BYTES, MAX_WINDOW_SAMPLES, MODES, ConfigError, RunConfig,
+                           _planned_setups, parse_config)
 from tmtmag.ramsey import PHOTON_MODELS, POISSON_LAM_MAX
 from tmtmag.tmt import GridEdgeError
 from tmtmag.wavelets import available_bases
@@ -383,8 +385,7 @@ def test_n_sd_beyond_the_window_exits_2(tmp_path, capsys, mode):
     assert not out.exists()
     # gain-profile resizes its windows to each n_sd_values entry and ignores n_sd
     config = parse_config(cfg)
-    cli._check_mode_limits(replace(config, experiment=replace(config.experiment,
-                                                              mode="gain-profile")))
+    replace(config, experiment=replace(config.experiment, mode="gain-profile"))
 
 
 @pytest.mark.parametrize("mode", ["denoise", "sweep-beta", "benchmark"])
@@ -512,14 +513,47 @@ def test_unknown_key_exit_code(tmp_path, capsys):
     assert "betta" in capsys.readouterr().err
 
 
-def test_unwritable_output_fails(tmp_path, capsys):
+def _never_simulate(*args, **kwargs):
+    raise AssertionError("simulated before the output directory was checked")
+
+
+def test_unwritable_output_fails(tmp_path, capsys, monkeypatch):
+    # the run simulated, then exited 1 with "[Errno 20] Not a directory"
+    monkeypatch.setattr(cli, "simulate_ensemble", _never_simulate)
     blocker = tmp_path / "blocker"
     blocker.write_text("file, not a directory")
     cfg = fast_config(tmp_path)
     code = main(["simulate", "--config", str(cfg), "--seed", "1",
                  "--out", str(blocker / "nested")])
-    assert code == 1
-    assert "error" in capsys.readouterr().err
+    assert code == 2
+    assert capsys.readouterr().err == (f"error: output.directory = {str(blocker / 'nested')!r}: "
+                                       f"{blocker} is not a writable directory\n")
+    assert blocker.read_text() == "file, not a directory"
+
+
+def test_output_directory_that_is_a_file_exits_2_before_the_run(tmp_path, capsys, monkeypatch):
+    # the whole sweep ran, then the run exited 1 with "[Errno 17] File exists",
+    # naming no field
+    monkeypatch.setattr(bench, "simulate_ensemble", _never_simulate)
+    monkeypatch.chdir(tmp_path)
+    Path("afile").write_text("")
+    cfg = fast_config(tmp_path)
+    assert main(["sweep-beta", "--config", str(cfg), "--seed", "1", "--out", "afile"]) == 2
+    assert capsys.readouterr().err == ("error: output.directory = 'afile': "
+                                       f"{tmp_path / 'afile'} is not a writable directory\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "config.json"]
+    assert Path("afile").is_file()
+
+
+def test_points_and_points_file_together_exit_2(tmp_path, capsys):
+    # the points file, though missing, was ignored and the inline points fitted
+    cfg = fast_config(tmp_path, experiment={"points": [[1, 1], [2, 4], [3, 9]],
+                                            "points_file": str(tmp_path / "missing.csv")})
+    out = tmp_path / "run"
+    assert main(["fit-scaling", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: experiment: points and points_file must not "
+                                       "both be given\n")
+    assert not out.exists()
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
@@ -771,11 +805,10 @@ def test_window_over_the_sample_cap_exits_2(tmp_path, capsys, mode):
     # gain-profile does not use the base window and fit-scaling none; 65536 samples fit
     config = parse_config(cfg)
     for other in ("gain-profile", "fit-scaling"):
-        cli._check_mode_limits(replace(config, experiment=replace(config.experiment, mode=other)))
-    at_cap = config.plan.with_(t_stop=t_start + cli.MAX_WINDOW_SAMPLES / f_sample)
-    assert at_cap.n_samples == cli.MAX_WINDOW_SAMPLES == 65536
-    cli._check_mode_limits(replace(config, plan=at_cap,
-                                   experiment=replace(config.experiment, mode="simulate")))
+        replace(config, experiment=replace(config.experiment, mode=other))
+    at_cap = config.plan.with_(t_stop=t_start + MAX_WINDOW_SAMPLES / f_sample)
+    assert at_cap.n_samples == MAX_WINDOW_SAMPLES == 65536
+    replace(config, plan=at_cap, experiment=replace(config.experiment, mode="simulate"))
 
 
 # ---------------------------------------------------------------------------
@@ -797,8 +830,91 @@ def test_runners_build_exactly_the_planned_ensembles(tmp_path, monkeypatch, mode
 
     monkeypatch.setattr(bench.EnsembleRun, "__init__", record)
     assert cli.run(config) == 0
-    assert built == cli._planned_setups(config)
+    assert built == _planned_setups(config)
     assert len(built) == {"benchmark": 3, "gain-profile": 4}.get(mode, 1)
+
+
+#: (mode, config overrides, text): one case per rule a mode sets on the ensembles it builds
+MODE_RULES = [
+    ("benchmark", {"experiment": {"m_values": [25000, 50000]}},
+     "experiment.m_values: the scaling fit"),
+    ("gain-profile", {"experiment": {"n_sd_values": [65537]}},
+     "experiment.n_sd_values: an entry above 65536"),
+    ("simulate", {"sensor": {"n0": 1000, "n1": 500}, "plan": {"repetitions": 10 ** 17}},
+     "numpy's Poisson limit"),
+    ("denoise", {"plan": {"t_stop": 0.97e-6 + 65537 / 128e6}}, "the window holds 65537 samples"),
+    ("sweep-beta", {"plan": {"n_experiments": 1}}, "plan.n_experiments must be >= 2"),
+    ("sweep-beta", {"plan": {"t_stop": 2.14e-6}, "experiment": {"n_sd": 30}},
+     "experiment.n_sd = 30: the window"),
+    ("gain-profile", {"plan": {"t_start": 0.2e-6, "t_stop": 3.7e-6},
+                      "experiment": {"delta_b": 1e-5, "n_sd_values": [1, 5, 9]}},
+     "on the calibration fringe at omega_calib"),
+    ("denoise", {"filter": {"freq_window": 0.02}}, "filter.freq_window = 0.02: the search grid"),
+    ("sweep-beta", {"filter": {"levels": 9}}, "filter.levels = 9 needs"),
+    ("simulate", {"plan": {"n_experiments": 10 ** 9}}, "plan.n_experiments = 1000000000: the"),
+]
+
+
+@pytest.mark.parametrize("mode,overrides,text", MODE_RULES)
+def test_mode_rules_hold_however_the_config_is_built(tmp_path, capsys, mode, overrides, text):
+    # cli.run checked these; a config built in code or by replace went unchecked
+    path = fast_config(tmp_path, **overrides)
+    assert main([mode, "--config", str(path), "--seed", "1", "--out", str(tmp_path / "run")]) == 2
+    printed = capsys.readouterr().err
+    assert text in printed
+    data = json.loads(path.read_text())
+    data["experiment"]["mode"] = mode
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(data)
+    unset = parse_config(path)  # without a mode, no mode's rules apply
+    with pytest.raises(ConfigError) as replaced:
+        replace(unset, experiment=replace(unset.experiment, mode=mode))
+    with pytest.raises(ConfigError) as built:
+        RunConfig(**{f.name: getattr(unset, f.name) for f in dataclasses.fields(RunConfig)}
+                  | {"experiment": replace(unset.experiment, mode=mode)})
+    for raised in (parsed, replaced, built):
+        assert f"error: {raised.value}\n" == printed
+
+
+@pytest.mark.parametrize("section,changes,text", [
+    ("experiment", {"delta_b": -1.0}, "experiment.delta_b must be finite"),
+    ("plan", {"f_sample": 5e6, "t_stop": 3e-6}, "plan.f_sample = 5e+06 Hz undersamples"),
+])
+def test_cross_section_rules_hold_under_replace(tmp_path, capsys, section, changes, text):
+    assert main(["simulate", "--config", str(fast_config(tmp_path, **{section: changes})),
+                 "--seed", "1", "--out", str(tmp_path / "run")]) == 2
+    printed = capsys.readouterr().err
+    assert text in printed
+    config = parse_config(None)
+    with pytest.raises(ConfigError) as replaced:
+        replace(config, **{section: replace(getattr(config, section), **changes)})
+    assert f"error: {replaced.value}\n" == printed
+
+
+@pytest.mark.parametrize("mode", ["simulate", "denoise"])
+def test_table_run_peaks_within_its_count(tmp_path, monkeypatch, mode):
+    # while the table was built, simulate peaked at 6 and denoise at 8 doubles per
+    # sample, against 4 and 7.4 counted
+    data = {"plan": {"n_experiments": 1000, "t_stop": 0.97e-6 + 150 / 128e6, "seed": 7},
+            "experiment": {"mode": mode, "n_sd": 1},
+            "output": {"formats": ["csv"], "directory": str(tmp_path / "run")}}
+    config = parse_config(data)
+    assert config.plan.n_samples == 150
+    # a first small run, so that one-time caches are not counted against the ensemble
+    warm = replace(config, plan=config.plan.with_(n_experiments=20),
+                   output=replace(config.output, directory=str(tmp_path / "warm")))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(warm) == 0
+        tracemalloc.start()
+        try:
+            assert cli.run(config) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # a limit one byte below the peak rejects the run: the count is at least the peak
+    monkeypatch.setattr("tmtmag.config.MAX_ENSEMBLE_BYTES", peak - 1)
+    with pytest.raises(ConfigError, match=f"plan.n_experiments = 1000: the {mode} ensemble"):
+        parse_config(data)
 
 
 def test_calibration_fringe_window_checked_before_the_sweeps(tmp_path, capsys):
@@ -850,8 +966,11 @@ def test_edge_maximum_at_run_time_names_the_window(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "run").exists()
 
 
-#: an error that names a config field: its section, then the key or a colon
-_NAMES_A_FIELD = re.compile(r"error: (sensor|plan|filter|experiment|output)[.:]")
+#: an error that names a config field (its section, then the key or a colon) or the seed option
+_NAMES_A_FIELD = re.compile(r"error: ((sensor|plan|filter|experiment|output)[.:]|--seed: )")
+#: the tables each fuzzed mode writes
+_MODE_TABLES = {"denoise": ["denoise", "template_estimates"], "sweep-beta": ["sweep_beta"],
+                "gain-profile": ["gain_profile"]}
 
 
 @settings(max_examples=30, deadline=None)
@@ -864,18 +983,22 @@ _NAMES_A_FIELD = re.compile(r"error: (sensor|plan|filter|experiment|output)[.:]"
        n_sd_values=st.lists(st.integers(1, 3), min_size=1, max_size=2),
        freq_points=st.integers(3, 401), freq_window=st.floats(0.005, 0.3),
        delta_b=st.floats(-4e-6, 4e-6), repetitions=st.sampled_from([1, 100, 25000]),
-       n_experiments=st.integers(2, 6), t_stop=st.floats(1.1e-6, 3e-6))
+       n_experiments=st.integers(2, 6), t_stop=st.floats(1.1e-6, 3e-6),
+       seed=st.one_of(st.integers(0, 2 ** 64), st.integers(-3, -1)),
+       out=st.sampled_from(["run", "run/nested", "afile", "afile/run"]),
+       fmt=st.sampled_from([None, "csv", "json", "both"]))
 @example(mode="sweep-beta", basis="bior6.8", levels=None, photon_stats="bernoulli-poisson",
          shared_estimate=False, squared_contrast=False, n_sd=2, n_sd_values=[1],
          freq_points=2001, freq_window=0.02, delta_b=2e-6, repetitions=25000,
-         n_experiments=6, t_stop=1.75e-6)
+         n_experiments=6, t_stop=1.75e-6, seed=3, out="run", fmt=None)
 def test_valid_config_exits_0_or_names_its_fault(tmp_path_factory, mode, basis, levels,
                                                  photon_stats, shared_estimate,
                                                  squared_contrast, n_sd, n_sd_values,
                                                  freq_points, freq_window, delta_b,
-                                                 repetitions, n_experiments, t_stop):
+                                                 repetitions, n_experiments, t_stop,
+                                                 seed, out, fmt):
     # every config the parser accepts ends in one of three ways: exit 0; exit 2
-    # naming a config field; or exit 1 with the search's edge-maximum error
+    # naming a config field or the seed; or exit 1 with the search's edge-maximum error
     cfg = {"plan": {"t_stop": t_stop, "repetitions": repetitions,
                     "n_experiments": n_experiments},
            "filter": {"basis": basis, "levels": levels, "freq_points": freq_points,
@@ -886,21 +1009,29 @@ def test_valid_config_exits_0_or_names_its_fault(tmp_path_factory, mode, basis, 
     work = tmp_path_factory.mktemp("fuzzed")
     path = work / "config.json"
     path.write_text(json.dumps(cfg))
+    (work / "afile").write_text("")
+    options = ["--seed", str(seed), "--out", str(work / out)] + (["--format", fmt] if fmt else [])
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main([mode, "--config", str(path), "--seed", "3", "--out", str(work / "run")])
+        code = main([mode, "--config", str(path), *options])
     err = err.getvalue()
+    if code == 0:
+        assert not out.startswith("afile"), err
+    else:
+        assert sorted(p.name for p in work.iterdir()) == ["afile", "config.json"], err
     if code == 2:
         assert _NAMES_A_FIELD.match(err), err
-        assert not (work / "run").exists()
     elif code == 1:
         assert "correlation maximum at the grid boundary" in err, err
         assert "filter.freq_window" in err, err
-        assert not (work / "run").exists()
     else:
         assert code == 0, err
-        if mode == "sweep-beta":
-            rows = [row for row in read_csv(work / "run" / "sweep_beta.csv", csv.DictReader)
+        suffixes = {None: [".csv", ".json"], "both": [".csv", ".json"]}.get(fmt, [f".{fmt}"])
+        assert sorted(p.name for p in (work / out).iterdir()) == sorted(
+            ["manifest.json", "summary.txt"]
+            + [table + suffix for table in _MODE_TABLES[mode] for suffix in suffixes])
+        if mode == "sweep-beta" and ".csv" in suffixes:
+            rows = [row for row in read_csv(work / out / "sweep_beta.csv", csv.DictReader)
                     if row["point"] != "fringe"]
             assert rows
             for row in rows:
@@ -926,7 +1057,7 @@ def test_ensemble_over_the_byte_limit_exits_2(tmp_path, capsys, mode):
     assert main([mode, "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: plan.n_experiments = 1000000000: the {mode} ensemble of ")
-    assert f"more than {cli.MAX_ENSEMBLE_BYTES / 2 ** 30:g} GiB" in err
+    assert f"more than {MAX_ENSEMBLE_BYTES / 2 ** 30:g} GiB" in err
     assert not out.exists()
 
 
