@@ -6,7 +6,7 @@ from calibration runs, and fits SNR power laws against integration time.
 
 Statistics use population normalization (divide by the ensemble size), so
 ``mse == bias**2 + variance`` holds to rounding for every detection point
-(ROADMAP item 3 makes it exact).
+(ROADMAP item 4 makes it exact).
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ class EnsembleStats:
 
     ``mse``, ``bias``, ``variance``, ``sample_mean`` and ``mse_stderr`` are
     arrays over detection points; ``mse = bias**2 + variance`` to rounding
-    (ROADMAP item 3 makes it exact).  ``mse_stderr``, which no table writes,
+    (ROADMAP item 4 makes it exact).  ``mse_stderr``, which no table writes,
     is the one field that is not bit-stable (see :func:`point_stats`).
     """
 
@@ -145,7 +145,7 @@ def point_stats(at_points: np.ndarray, points: DetectionPointSet) -> EnsembleSta
     """:class:`EnsembleStats` from the (n_exp, n_sd) values at the detection points.
 
     The variance divides by n_exp (not n_exp - 1), so the decomposition
-    identity holds to rounding (ROADMAP item 3 makes it exact).  A mean is
+    identity holds to rounding (ROADMAP item 4 makes it exact).  A mean is
     ``np.add.reduce(..., axis=0) / n_exp``, which is what ``np.mean``
     computes, on C- and F-contiguous samples alike.  The fourth moment is the
     mean of ``sq * sq``, so ``mse_stderr`` differs from ``dev ** 4`` in rounding.

@@ -44,7 +44,7 @@ import numpy as np
 from . import __version__
 from .bench import (EnsembleRun, benchmark_snr, ensemble_stats, find_detection_points,
                     fit_scaling, gain_profile, sweep_beta)
-from .config import MODES, ConfigError, RunConfig, parse_config, read_text
+from .config import MODES, ConfigError, RunConfig, parse_config
 from .ramsey import simulate_ensemble
 from .tmt import GridEdgeError
 
@@ -367,39 +367,9 @@ def _run_gain_profile(config: RunConfig):
     return tables, {}, summary
 
 
-def _load_points(config: RunConfig) -> list[list[float]]:
-    exp = config.experiment
-    if exp.points is not None:
-        return exp.points
-    if exp.points_file is None:
-        raise ConfigError("fit-scaling needs experiment.points or experiment.points_file")
-    path = Path(exp.points_file)
-    points = []
-    reader = csv.reader(io.StringIO(read_text(path, "points file"), newline=""))
-    for row in reader:
-        if not row:
-            continue  # blank line
-        try:
-            point = [float(row[0]), float(row[1])]
-        except (IndexError, ValueError):
-            if reader.line_num == 1:
-                continue  # header row
-            raise ConfigError(f"{path}, line {reader.line_num}: expected two numbers, "
-                              f"got {row!r}") from None
-        if not np.isfinite(point).all():
-            raise ConfigError(f"{path}, line {reader.line_num}: non-finite point {row!r}")
-        points.append(point)
-    return points
-
-
 def _run_fit_scaling(config: RunConfig):
-    points = _load_points(config)
-    try:
-        fit = fit_scaling(points)
-    except ValueError as exc:
-        exp = config.experiment
-        source = "experiment.points" if exp.points is not None else f"points file {exp.points_file}"
-        raise ConfigError(f"{source}: {exc}") from exc
+    points = config.fit_points
+    fit = fit_scaling(points)
     tables = [("fit_scaling", make_table(prefactor=[fit.prefactor], exponent=[fit.exponent],
                                          r_squared=[fit.r_squared], n_points=[len(points)]))]
     summary = [f"fit: y = {fit.prefactor:.6g} * x^{fit.exponent:.4f} (r2={fit.r_squared:.5f}, "

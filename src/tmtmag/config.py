@@ -1,28 +1,30 @@
 """Run configuration: strict JSON parsing, defaults, validation.
 
 One documented format (JSON with ``sensor``/``plan``/``filter``/
-``experiment``/``output`` sections) whose schema is the section types.
-Unknown keys are rejected by name so misspelled options cannot silently
-fall back to defaults.  A field's annotation gives its JSON kind and, as a
-``Literal``, its choices, which the reader checks by field name; each
-section type checks its own ranges when it is built, and ``RunConfig``
-checks the rules that span sections and those of its mode.  All run before
-any computation starts.
+``experiment``/``output`` sections) whose schema is the section types;
+unknown keys are rejected by name.  A field's annotation gives its JSON
+kind and, as a ``Literal``, its choices, which its reader checks by field
+name on JSON and on a section built in code alike; the section then checks
+its ranges, and ``RunConfig`` the cross-section and mode rules (fit-scaling's
+points included), all before any computation starts.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import numbers
 import typing
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Literal
 
 import numpy as np
 
 from .bench import (MAX_BETA_GRID, BenchmarkSetup, default_beta_grid, ensemble_run_bytes,
-                    find_detection_points, gain_setups, snr_setups)
+                    find_detection_points, fit_scaling, gain_setups, snr_setups)
 from .ramsey import (GAMMA_E, PHOTON_MODELS, POISSON_LAM_MAX, AcquisitionPlan, SensorParams,
                      calib_frequency, sensing_frequency)
 from .tmt import FrequencyGrid
@@ -50,8 +52,16 @@ _DEFAULTS = {
 }
 
 
+def _reread(values, section: str) -> None:
+    """Read each field of a section with the reader of its JSON value, keeping what it returns."""
+    for key, read in _SECTIONS[section].items():
+        object.__setattr__(values, key, read(f"{section}.{key}", getattr(values, key)))
+
+
 @dataclass(frozen=True)
 class FilterConfig:
+    """The ``filter`` section; its fields are read as in JSON, then its ranges checked."""
+
     basis: Literal[available_bases()] = "bior6.8"
     levels: int | None = None
     beta: float = 0.0
@@ -60,6 +70,7 @@ class FilterConfig:
     freq_points: int = 2001
 
     def __post_init__(self):
+        _reread(self, "filter")
         if self.levels is not None and self.levels < 0:
             raise ValueError(f"levels must be >= 0, got {self.levels}")
         if np.isnan(self.beta):
@@ -77,6 +88,8 @@ class FilterConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The ``experiment`` section; its fields are read as in JSON, then its ranges checked."""
+
     mode: Literal[MODES] | None = None
     delta_b: float = 2e-6
     n_sd: int | None = None
@@ -89,6 +102,7 @@ class ExperimentConfig:
     points_file: str | None = None
 
     def __post_init__(self):
+        _reread(self, "experiment")
         if self.n_sd is not None and self.n_sd < 1:
             raise ValueError(f"n_sd must be >= 1, got {self.n_sd}")
         if not self.m_values or any(m < 1 for m in self.m_values):
@@ -101,10 +115,13 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class OutputConfig:
+    """The ``output`` section; its fields are read as in JSON, then ``formats`` checked."""
+
     directory: str = "out"
     formats: list[Literal["csv", "json"]] = field(default_factory=lambda: ["csv", "json"])
 
     def __post_init__(self):
+        _reread(self, "output")
         if not self.formats:
             raise ValueError("formats must not be empty")
 
@@ -124,8 +141,8 @@ MAX_ENSEMBLE_BYTES = 2 << 30
 @dataclass(frozen=True)
 class RunConfig:
     """A run's sections, checked together whenever one is built (by ``parse_config``,
-    directly or by ``dataclasses.replace``): the rules that span sections and, with a mode
-    set, the limits of every ensemble that mode builds, each a ConfigError naming its field."""
+    directly or by ``dataclasses.replace``): the rules that span sections and, with a mode set,
+    the limits of every ensemble it builds or fit-scaling's points, each a ConfigError."""
 
     sensor: SensorParams
     plan: AcquisitionPlan
@@ -145,12 +162,28 @@ class RunConfig:
         if not omega_max < np.pi * self.plan.f_sample:
             raise ConfigError(f"plan.f_sample = {self.plan.f_sample:.6g} Hz undersamples the "
                               f"fringe: it must exceed {omega_max / np.pi:.6g} Hz")
-        if self.experiment.mode is not None:
+        if self.experiment.mode == "fit-scaling":
+            _ = self.fit_points  # read and checked once, when built
+        elif self.experiment.mode is not None:
             _check_mode_limits(self)
 
     @property
     def omega_sense(self) -> float:
         return sensing_frequency(self.sensor, self.experiment.delta_b)
+
+    @cached_property
+    def fit_points(self) -> list[list[float]]:
+        """The points fit-scaling fits: inline, or the rows of ``experiment.points_file``."""
+        exp = self.experiment
+        if exp.points is None and exp.points_file is None:
+            raise ConfigError("fit-scaling needs experiment.points or experiment.points_file")
+        points = exp.points if exp.points is not None else _points_file(Path(exp.points_file))
+        try:
+            fit_scaling(points)
+        except ValueError as exc:
+            source = "experiment.points" if exp.points is not None else f"points file {exp.points_file}"
+            raise ConfigError(f"{source}: {exc}") from exc
+        return points
 
     @property
     def setup(self) -> BenchmarkSetup:
@@ -182,8 +215,6 @@ class RunConfig:
 def _planned_setups(config: RunConfig) -> list[BenchmarkSetup]:
     """The ensembles the configured mode builds, in the order its runner builds them."""
     exp = config.experiment
-    if exp.mode == "fit-scaling":
-        return []
     planner = {"benchmark": (snr_setups, "m_values"), "gain-profile": (gain_setups, "n_sd_values")}
     if exp.mode not in planner:
         return [config.setup]
@@ -413,16 +444,35 @@ def read_text(path: Path, what: str) -> str:
         raise ConfigError(f"cannot read {what} {path}: {reason}") from exc
 
 
+def _points_file(path: Path) -> list[list[float]]:
+    """A 2-column CSV's rows as finite ``[x, y]`` points, skipping blank lines and a header."""
+    points = []
+    reader = csv.reader(io.StringIO(read_text(path, "points file"), newline=""))
+    for row in filter(None, reader):  # a blank line is an empty row
+        try:
+            x, y = row
+            point = [float(x), float(y)]
+        except ValueError:
+            if reader.line_num == 1:
+                continue  # header row
+            raise ConfigError(f"{path}, line {reader.line_num}: expected two numbers, "
+                              f"got {row!r}") from None
+        if not np.isfinite(point).all():
+            raise ConfigError(f"{path}, line {reader.line_num}: non-finite point {row!r}")
+        points.append(point)
+    return points
+
+
 def parse_config(source: str | Path | dict | None) -> RunConfig:
     """Parse and validate a configuration from a path, JSON text or dict.
 
     ``None`` yields the all-defaults configuration.  A string is JSON text
     when its first non-blank character is ``{``, and a file path otherwise.
     A path naming no file or one that cannot be read, parse errors (with
-    the offending line) and validation errors (naming the violated
-    invariant) raise ConfigError.  A config that names its mode is checked
-    against that mode's limits here; otherwise they are checked once the
-    mode is set.
+    the offending line) and validation errors (naming the field) raise
+    ConfigError; sections are read as ones built in code are, and a config
+    naming its mode is checked against its rules here (a fit-scaling points
+    file read included), otherwise once the mode is set.
     """
     if source is None:
         data = {}

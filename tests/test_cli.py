@@ -14,9 +14,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
-from tmtmag import bench, cli
+from tmtmag import bench, cli, ramsey
 from tmtmag.bench import DetectionPointSet, ensemble_stats
 from tmtmag.cli import _stats_columns, export_table, main, make_table
 from tmtmag.config import (MAX_ENSEMBLE_BYTES, MAX_WINDOW_SAMPLES, MODES, ConfigError, RunConfig,
@@ -593,7 +593,7 @@ def test_undecodable_config_file_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("kind", ["overlong name", "directory", "undecodable bytes"])
 def test_unreadable_points_file_exits_2(tmp_path, capsys, kind):
-    # each escaped _load_points as OSError or UnicodeDecodeError and exited 1
+    # each escaped the points reader as OSError or UnicodeDecodeError and exited 1
     if kind == "overlong name":
         points_file = str(tmp_path / ("p" * 5000))
     elif kind == "directory":
@@ -622,6 +622,10 @@ def test_fit_scaling_requires_points(tmp_path, capsys):
     ("x,y\n1,3\n4\n9,9\n", 3),
     ("x,y\n1,3\n4,nan\n9,9\n16,12\n", 3),
     ("x,y\n1,3\n4,6\n9,inf\n", 4),
+    # rows of more than two cells were fitted by their first two
+    ("1,2,99\n2,4,\n3,9,zzz\n", 2),
+    ("x,y\n1,3\n4,6,99\n9,9\n", 3),
+    ("x,y\n1,3\n4,6\n9,9,\n", 4),
 ])
 def test_fit_scaling_rejects_bad_point_rows(tmp_path, capsys, text, line):
     path = tmp_path / "points.csv"
@@ -631,6 +635,38 @@ def test_fit_scaling_rejects_bad_point_rows(tmp_path, capsys, text, line):
     assert main(["fit-scaling", "--config", str(cfg), "--out", str(out)]) == 2
     assert f"{path}, line {line}:" in capsys.readouterr().err
     assert not (out / "fit_scaling.csv").exists()
+
+
+@pytest.mark.parametrize("changes,text", [
+    ({}, "fit-scaling needs experiment.points or experiment.points_file"),
+    ({"points": [[1.0, 1.0], [2.0, 2.0]]}, "experiment.points: need at least 3 points"),
+    ({"points_file": "missing.csv"}, "points file not found: missing.csv"),
+])
+def test_fit_scaling_points_checked_when_built(tmp_path, monkeypatch, changes, text):
+    # each was accepted when built and raised only inside cli.run
+    def simulate(*args, **kwargs):
+        raise AssertionError("simulate_ensemble called")
+
+    for module in (ramsey, bench, cli):
+        monkeypatch.setattr(module, "simulate_ensemble", simulate)
+    monkeypatch.chdir(tmp_path)
+    config = parse_config({"experiment": {"mode": "denoise"}, "plan": {"n_experiments": 4},
+                           "output": {"directory": str(tmp_path / "run")}})
+    with pytest.raises(ConfigError) as parsed:
+        parse_config({"experiment": {"mode": "fit-scaling", **changes}})
+    with pytest.raises(ConfigError) as replaced:
+        replace(config, experiment=replace(config.experiment, mode="fit-scaling", **changes))
+    assert str(replaced.value) == str(parsed.value)
+    assert str(parsed.value).startswith(text)
+    # a fit-scaling config that builds runs; its points file was read when it was built
+    path = tmp_path / "points.csv"
+    path.write_text("x,y\n1,3\n4,6\n9,9\n")
+    fit = replace(config, experiment=replace(config.experiment, mode="fit-scaling",
+                                             points_file=str(path)))
+    path.unlink()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(fit) == 0
+    assert read_csv(tmp_path / "run" / "fit_scaling.csv")[1][-1] == "3"
 
 
 def test_fit_scaling_headerless_file_and_blank_lines(tmp_path):
@@ -804,8 +840,9 @@ def test_window_over_the_sample_cap_exits_2(tmp_path, capsys, mode):
     assert not out.exists()
     # gain-profile does not use the base window and fit-scaling none; 65536 samples fit
     config = parse_config(cfg)
-    for other in ("gain-profile", "fit-scaling"):
-        replace(config, experiment=replace(config.experiment, mode=other))
+    for other, changes in (("gain-profile", {}),
+                           ("fit-scaling", {"points": [[1.0, 1.0], [4.0, 2.0], [9.0, 3.0]]})):
+        replace(config, experiment=replace(config.experiment, mode=other, **changes))
     at_cap = config.plan.with_(t_stop=t_start + MAX_WINDOW_SAMPLES / f_sample)
     assert at_cap.n_samples == MAX_WINDOW_SAMPLES == 65536
     replace(config, plan=at_cap, experiment=replace(config.experiment, mode="simulate"))
@@ -973,7 +1010,14 @@ _MODE_TABLES = {"denoise": ["denoise", "template_estimates"], "sweep-beta": ["sw
                 "gain-profile": ["gain_profile"]}
 
 
-@settings(max_examples=30, deadline=None)
+def _mostly(usual, unusual):
+    """``usual`` in about four draws of five and ``unusual`` in the fifth, so that most
+    examples run to exit 0 while each fault is still drawn.  ``one_of`` would draw each
+    half the time, and hypothesis favours the ends of a range, so the fifth is its middle."""
+    return st.integers(0, 4).flatmap(lambda pick: unusual if pick == 2 else usual)
+
+
+@settings(max_examples=60, deadline=None)
 @given(mode=st.sampled_from(["denoise", "sweep-beta", "gain-profile"]),
        basis=st.sampled_from(available_bases()),
        levels=st.one_of(st.none(), st.integers(1, 5)),
@@ -981,11 +1025,16 @@ _MODE_TABLES = {"denoise": ["denoise", "template_estimates"], "sweep-beta": ["sw
        shared_estimate=st.booleans(), squared_contrast=st.booleans(),
        n_sd=st.one_of(st.none(), st.integers(1, 4)),
        n_sd_values=st.lists(st.integers(1, 3), min_size=1, max_size=2),
-       freq_points=st.integers(3, 401), freq_window=st.floats(0.005, 0.3),
-       delta_b=st.floats(-4e-6, 4e-6), repetitions=st.sampled_from([1, 100, 25000]),
-       n_experiments=st.integers(2, 6), t_stop=st.floats(1.1e-6, 3e-6),
-       seed=st.one_of(st.integers(0, 2 ** 64), st.integers(-3, -1)),
-       out=st.sampled_from(["run", "run/nested", "afile", "afile/run"]),
+       # a narrow search grid may not hold the fringe one step inside its ends
+       freq_points=st.integers(3, 401),
+       freq_window=_mostly(st.floats(0.05, 0.3), st.floats(0.005, 0.05)),
+       # a repetition count of 1 can move the search's maximum onto the grid's edge
+       delta_b=st.floats(-4e-6, 4e-6), repetitions=_mostly(st.sampled_from([100, 25000]), st.just(1)),
+       # the fringe period is about 0.35 us: a short window may hold no crossing, or fewer than n_sd
+       n_experiments=st.integers(2, 6),
+       t_stop=_mostly(st.floats(2e-6, 3e-6), st.floats(1.1e-6, 2e-6)),
+       seed=_mostly(st.integers(0, 2 ** 64), st.integers(-3, -1)),
+       out=_mostly(st.sampled_from(["run", "run/nested"]), st.sampled_from(["afile", "afile/run"])),
        fmt=st.sampled_from([None, "csv", "json", "both"]))
 @example(mode="sweep-beta", basis="bior6.8", levels=None, photon_stats="bernoulli-poisson",
          shared_estimate=False, squared_contrast=False, n_sd=2, n_sd_values=[1],
@@ -1015,6 +1064,9 @@ def test_valid_config_exits_0_or_names_its_fault(tmp_path_factory, mode, basis, 
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main([mode, "--config", str(path), *options])
     err = err.getvalue()
+    named = re.match(r"error: ([^ :]+)", err)
+    event(f"exit {code}" + (f" naming {named.group(1)}" if code == 2 and named else "")
+          + (" (a window with no crossing)" if "only 0 negative-slope crossings" in err else ""))
     if code == 0:
         assert not out.startswith("afile"), err
     else:

@@ -1,5 +1,6 @@
 """Configuration parsing: defaults, strict keys, validation messages."""
 
+import dataclasses
 import json
 import re
 
@@ -221,6 +222,42 @@ def test_section_types_check_their_ranges(section, key, value):
         _TYPES[section](**{key: value})
     with pytest.raises(ConfigError, match=rf"^{section}: {key}"):
         parse_config({section: {key: value}})
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("filter", "basis", "nosuch"),
+    ("experiment", "mode", "nosuch"),
+    ("experiment", "photon_stats", "nosuch"),
+    ("output", "formats", ["yaml"]),
+    ("filter", "levels", 2.5),
+    ("experiment", "shared_estimate", 1),
+    ("experiment", "m_values", 5),
+    ("output", "directory", None),
+    ("filter", "beta_grid", [2.0, 1.0, float("nan")]),
+    ("filter", "beta_grid", [1.0, 2.0]),
+    ("filter", "beta_grid", [3.0, 2.0, 1.0]),
+    ("experiment", "points", [[1.0, 2.0, 3.0]]),
+    ("experiment", "points", [[1.0, 2.0], [4.0, float("inf")]]),
+])
+def test_sections_built_in_code_are_read_like_json(section, key, value):
+    # a section built in code or by replace took any choice, kind or beta grid
+    # and failed later, inside the run, or not at all
+    with pytest.raises(ConfigError) as parsed:
+        parse_config({section: {key: value}})
+    with pytest.raises(ConfigError) as built:
+        _TYPES[section](**{key: value})
+    with pytest.raises(ConfigError) as replaced:
+        dataclasses.replace(getattr(parse_config(None), section), **{key: value})
+    assert str(built.value) == str(replaced.value) == str(parsed.value)
+    assert str(parsed.value).startswith(f"{section}.{key}")
+
+
+def test_sections_built_in_code_keep_what_the_reader_returns():
+    filt = dataclasses.replace(parse_config(None).filter, beta_grid=[-1, 0, 1], levels=3.0)
+    assert filt.beta_grid.dtype == float and filt.beta_grid.tolist() == [-1.0, 0.0, 1.0]
+    assert type(filt.levels) is int
+    grid = _TYPES["filter"](beta_grid={"start": 0, "stop": 1, "step": 0.5}).beta_grid
+    np.testing.assert_array_equal(grid, [0.0, 0.5, 1.0])
 
 
 def test_plan_validation_propagates():
