@@ -44,7 +44,7 @@ import numpy as np
 from . import __version__
 from .bench import (EnsembleRun, benchmark_snr, ensemble_stats, find_detection_points,
                     fit_scaling, gain_profile, sweep_beta)
-from .config import MODES, ConfigError, RunConfig, parse_config
+from .config import MODES, ConfigError, RunConfig, naming, parse_config
 from .ramsey import simulate_ensemble
 from .tmt import GridEdgeError
 
@@ -484,12 +484,8 @@ def _apply_cli_overrides(config: RunConfig, args: argparse.Namespace) -> RunConf
             f"{args.mode!r} subcommand was invoked"
         )
     experiment = replace(config.experiment, mode=args.mode)
-    plan = config.plan
-    if args.seed is not None:
-        try:
-            plan = plan.with_(seed=args.seed)
-        except ValueError as exc:
-            raise ConfigError(f"--seed: {exc}") from exc
+    with naming("--seed"):
+        plan = config.plan if args.seed is None else config.plan.with_(seed=args.seed)
     output = config.output
     if args.out is not None:
         output = replace(output, directory=args.out)

@@ -4,9 +4,10 @@ One documented format (JSON with ``sensor``/``plan``/``filter``/
 ``experiment``/``output`` sections) whose schema is the section types;
 unknown keys are rejected by name.  A field's annotation gives its JSON
 kind and, as a ``Literal``, its choices, which its reader checks by field
-name on JSON and on a section built in code alike; the section then checks
-its ranges, and ``RunConfig`` the cross-section and mode rules (fit-scaling's
-points included), all before any computation starts.
+name; the ``filter``/``experiment``/``output`` types read their own fields
+once, from JSON or code alike, then check their ranges, and ``RunConfig`` the
+cross-section and mode rules, all before any computation starts, each error a
+ConfigError naming the field (by :func:`naming` where a rule raises ValueError).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import io
 import json
 import numbers
 import typing
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -46,13 +48,24 @@ _SENSOR_KEYS = {"contrast", "n_ave", "n0", "n1", "t2_star", "decay_power", "b_ca
 #: defaults of the sections whose types are library types; the others are on their fields
 _DEFAULTS = {
     "sensor": {"contrast": 0.2143, "n_ave": 0.196, "t2_star": 3.9e-6,
-               "decay_power": 2.0, "b_calib": 100e-6},
+               "decay_power": 2.0, "b_calib": 100e-6, "gamma_e": GAMMA_E},
     "plan": {"t_start": 0.97e-6, "t_stop": 1.75e-6, "f_sample": 128e6,
              "repetitions": 25000, "n_experiments": 200},
 }
 
 
-def _reread(values, section: str) -> None:
+@contextmanager
+def naming(label: str):
+    """Re-raise a ValueError of the block as a ConfigError naming ``label``; a ConfigError passes."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{label}: {exc}") from exc
+
+
+def _read_fields(values, section: str) -> None:
     """Read each field of a section with the reader of its JSON value, keeping what it returns."""
     for key, read in _SECTIONS[section].items():
         object.__setattr__(values, key, read(f"{section}.{key}", getattr(values, key)))
@@ -70,17 +83,18 @@ class FilterConfig:
     freq_points: int = 2001
 
     def __post_init__(self):
-        _reread(self, "filter")
-        if self.levels is not None and self.levels < 0:
-            raise ValueError(f"levels must be >= 0, got {self.levels}")
-        if np.isnan(self.beta):
-            raise ValueError("beta must not be NaN (+/-Infinity are the raw and template limits)")
-        if self.freq_points < 3:
-            raise ValueError("freq_points must be >= 3")
-        if self.freq_points > MAX_FREQ_POINTS:
-            raise ValueError(f"freq_points = {self.freq_points} is more than {MAX_FREQ_POINTS}")
-        if not 0.0 < self.freq_window < 1.0:
-            raise ValueError("freq_window must lie in (0, 1)")
+        with naming("filter"):
+            _read_fields(self, "filter")
+            if self.levels is not None and self.levels < 0:
+                raise ValueError(f"levels must be >= 0, got {self.levels}")
+            if np.isnan(self.beta):
+                raise ValueError("beta must not be NaN (+/-Infinity are the raw and template limits)")
+            if self.freq_points < 3:
+                raise ValueError("freq_points must be >= 3")
+            if self.freq_points > MAX_FREQ_POINTS:
+                raise ValueError(f"freq_points = {self.freq_points} is more than {MAX_FREQ_POINTS}")
+            if not 0.0 < self.freq_window < 1.0:
+                raise ValueError("freq_window must lie in (0, 1)")
 
     def frequency_grid(self, omega_center: float) -> FrequencyGrid:
         return FrequencyGrid.around(omega_center, self.freq_window, self.freq_points)
@@ -102,15 +116,16 @@ class ExperimentConfig:
     points_file: str | None = None
 
     def __post_init__(self):
-        _reread(self, "experiment")
-        if self.n_sd is not None and self.n_sd < 1:
-            raise ValueError(f"n_sd must be >= 1, got {self.n_sd}")
-        if not self.m_values or any(m < 1 for m in self.m_values):
-            raise ValueError("m_values must be non-empty and all >= 1")
-        if not self.n_sd_values or any(v < 1 for v in self.n_sd_values):
-            raise ValueError("n_sd_values must be non-empty and all >= 1")
-        if self.points is not None and self.points_file is not None:
-            raise ValueError("points and points_file must not both be given")
+        with naming("experiment"):
+            _read_fields(self, "experiment")
+            if self.n_sd is not None and self.n_sd < 1:
+                raise ValueError(f"n_sd must be >= 1, got {self.n_sd}")
+            if not self.m_values or any(m < 1 for m in self.m_values):
+                raise ValueError("m_values must be non-empty and all >= 1")
+            if not self.n_sd_values or any(v < 1 for v in self.n_sd_values):
+                raise ValueError("n_sd_values must be non-empty and all >= 1")
+            if self.points is not None and self.points_file is not None:
+                raise ValueError("points and points_file must not both be given")
 
 
 @dataclass(frozen=True)
@@ -121,9 +136,10 @@ class OutputConfig:
     formats: list[Literal["csv", "json"]] = field(default_factory=lambda: ["csv", "json"])
 
     def __post_init__(self):
-        _reread(self, "output")
-        if not self.formats:
-            raise ValueError("formats must not be empty")
+        with naming("output"):
+            _read_fields(self, "output")
+            if not self.formats:
+                raise ValueError("formats must not be empty")
 
 
 #: Longest trace a run may simulate.  Gain-profile resizes each window to
@@ -178,11 +194,8 @@ class RunConfig:
         if exp.points is None and exp.points_file is None:
             raise ConfigError("fit-scaling needs experiment.points or experiment.points_file")
         points = exp.points if exp.points is not None else _points_file(Path(exp.points_file))
-        try:
+        with naming("experiment.points" if exp.points is not None else f"points file {exp.points_file}"):
             fit_scaling(points)
-        except ValueError as exc:
-            source = "experiment.points" if exp.points is not None else f"points file {exp.points_file}"
-            raise ConfigError(f"{source}: {exc}") from exc
         return points
 
     @property
@@ -219,10 +232,8 @@ def _planned_setups(config: RunConfig) -> list[BenchmarkSetup]:
     if exp.mode not in planner:
         return [config.setup]
     plan_setups, key = planner[exp.mode]
-    try:
+    with naming(f"experiment.{key}"):  # e.g. a repetition count beyond 64 bits
         return plan_setups(config.setup, getattr(exp, key))
-    except (ValueError, OverflowError) as exc:  # e.g. a repetition count or n_sd beyond 64 bits
-        raise ConfigError(f"experiment.{key}: {exc}") from exc
 
 
 def _check_mode_limits(config: RunConfig) -> None:
@@ -256,18 +267,14 @@ def _check_mode_limits(config: RunConfig) -> None:
             if plan.n_experiments < 2:
                 raise ConfigError(f"plan.n_experiments must be >= 2 for mode {mode!r}, "
                                   f"got {plan.n_experiments}")
-            try:
+            fringe = "sensing" if setup.omega_true == config.omega_sense else "calibration"
+            with naming(count if fringe == "sensing" else f"{count} on the calibration fringe at omega_calib"):
                 points = find_detection_points(setup.omega_true, plan, setup.n_sd, setup.params)
-            except ValueError as exc:
-                if setup.omega_true != config.omega_sense:
-                    count += " on the calibration fringe at omega_calib"
-                raise ConfigError(f"{count}: {exc}") from exc
             grid = setup.resolved_grid()
             # the true frequency's grid index; 1e-9 forgives the rounding of the grid's
             # points, the centre of a 3-point grid being index 1
             k = (setup.omega_true - grid.omega_min) / grid.step
             if not 1 - 1e-9 <= k <= grid.n_points - 2 + 1e-9:
-                fringe = "sensing" if setup.omega_true == config.omega_sense else "calibration"
                 raise ConfigError(
                     f"filter.freq_window = {config.filter.freq_window:g}: the search grid "
                     f"[{grid.omega_min:.6g}, {grid.omega_max:.6g}] rad/s must hold the {fringe} "
@@ -359,10 +366,8 @@ def _beta_grid(name: str, spec) -> np.ndarray:
             raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in {name!r}")
         start, stop, step = (_number(f"{name}.{key}", spec.get(key))
                              for key in ("start", "stop", "step"))
-        try:
+        with naming(name):
             return default_beta_grid(start, stop, step)
-        except ValueError as err:
-            raise ConfigError(f"{name}: {err}") from None
     if not isinstance(spec, (list, tuple, np.ndarray)):
         raise ConfigError(f"{name} must be a list or a start/stop/step object, got {spec!r}")
     if len(spec) > MAX_BETA_GRID:
@@ -389,33 +394,31 @@ _SECTIONS = {"sensor": dict.fromkeys(_SENSOR_KEYS, _number)} | {
 
 
 def _read(section: str, data) -> dict:
-    """The section's defaults updated by ``data``, each given field read by
-    the reader of its kind; unknown keys are rejected by name."""
+    """``data``, unknown keys rejected by name; the values of ``sensor`` and ``plan``, whose
+    types are library types, read here over their defaults, the others' by their types."""
     if not isinstance(data, dict):
         raise ConfigError(f"section {section!r} must be a JSON object, got {data!r}")
     readers = _SECTIONS[section]
     unknown = set(data) - set(readers)
     if unknown:
         raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in section {section!r}")
-    return _DEFAULTS.get(section, {}) | {key: readers[key](f"{section}.{key}", value)
-                                         for key, value in data.items()}
+    if section not in _DEFAULTS:
+        return data
+    return _DEFAULTS[section] | {key: readers[key](f"{section}.{key}", value)
+                                 for key, value in data.items()}
 
 
 def _build(section: str, data):
-    """The section's type built from its read fields; its own checks name the section."""
-    values = _read(section, data)
-    try:
-        return _TYPES[section](**values)
-    except ValueError as exc:
-        raise ConfigError(f"{section}: {exc}") from exc
+    """The section's type built from its fields; its own checks name the section."""
+    with naming(section):
+        return _TYPES[section](**_read(section, data))
 
 
 def _build_sensor(data: dict) -> SensorParams:
     v = _read("sensor", data)
-    gamma_e = v.get("gamma_e", GAMMA_E)
     if ("n0" in data) != ("n1" in data):
         raise ConfigError("sensor: n0 and n1 must be given together")
-    try:
+    with naming("sensor"):
         if "n0" in data:
             n0, n1 = v["n0"], v["n1"]
             # SensorParams checks n0 > n1 > 0 first, then a given contrast or n_ave against them
@@ -423,12 +426,10 @@ def _build_sensor(data: dict) -> SensorParams:
             n_ave = v["n_ave"] if "n_ave" in data else 0.5 * (n0 + n1)
             return SensorParams(n0=n0, n1=n1, contrast=contrast, n_ave=n_ave,
                                 t2_star=v["t2_star"], decay_power=v["decay_power"],
-                                omega_calib=calib_frequency(v["b_calib"], gamma_e),
-                                gamma_e=gamma_e)
+                                omega_calib=calib_frequency(v["b_calib"], v["gamma_e"]),
+                                gamma_e=v["gamma_e"])
         return SensorParams.from_contrast(v["contrast"], v["n_ave"], v["t2_star"],
-                                          v["decay_power"], v["b_calib"], gamma_e)
-    except ValueError as exc:
-        raise ConfigError(f"sensor: {exc}") from exc
+                                          v["decay_power"], v["b_calib"], v["gamma_e"])
 
 
 def read_text(path: Path, what: str) -> str:
@@ -450,13 +451,13 @@ def _points_file(path: Path) -> list[list[float]]:
     reader = csv.reader(io.StringIO(read_text(path, "points file"), newline=""))
     for row in filter(None, reader):  # a blank line is an empty row
         try:
-            x, y = row
-            point = [float(x), float(y)]
+            point = [float(cell) for cell in row]
         except ValueError:
             if reader.line_num == 1:
-                continue  # header row
-            raise ConfigError(f"{path}, line {reader.line_num}: expected two numbers, "
-                              f"got {row!r}") from None
+                continue  # a header: a first row with a cell that is not a number
+            point = None
+        if point is None or len(point) != 2:
+            raise ConfigError(f"{path}, line {reader.line_num}: expected two numbers, got {row!r}")
         if not np.isfinite(point).all():
             raise ConfigError(f"{path}, line {reader.line_num}: non-finite point {row!r}")
         points.append(point)

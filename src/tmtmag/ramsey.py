@@ -97,6 +97,10 @@ class AcquisitionPlan:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("repetitions", "n_experiments", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not np.inf > self.t_stop > self.t_start >= 0.0:
             raise ValueError(f"need finite t_stop > t_start >= 0, got [{self.t_start}, {self.t_stop}]")
         if not 0.0 < self.f_sample < np.inf:

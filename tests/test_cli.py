@@ -622,8 +622,10 @@ def test_fit_scaling_requires_points(tmp_path, capsys):
     ("x,y\n1,3\n4\n9,9\n", 3),
     ("x,y\n1,3\n4,nan\n9,9\n16,12\n", 3),
     ("x,y\n1,3\n4,6\n9,inf\n", 4),
-    # rows of more than two cells were fitted by their first two
-    ("1,2,99\n2,4,\n3,9,zzz\n", 2),
+    # rows of more than two cells were fitted by their first two, and a first
+    # row of numbers was skipped as a header
+    ("1,2,99\n2,4,\n3,9,zzz\n", 1),
+    ("1,2,99\n4,6\n9,9\n16,12\n", 1),
     ("x,y\n1,3\n4,6,99\n9,9\n", 3),
     ("x,y\n1,3\n4,6\n9,9,\n", 4),
 ])

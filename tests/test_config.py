@@ -217,11 +217,32 @@ def test_invalid_choices_rejected():
     ("output", "formats", []),
 ])
 def test_section_types_check_their_ranges(section, key, value):
-    # built directly, outside the parser, a section type still rejects what the parser rejects
-    with pytest.raises(ValueError, match=key):
+    # built directly or by replace, a section type rejects what the parser rejects, with its
+    # text: both raised a plain ValueError that did not name the section
+    with pytest.raises(ValueError, match=key) as built:
         _TYPES[section](**{key: value})
-    with pytest.raises(ConfigError, match=rf"^{section}: {key}"):
+    with pytest.raises(ValueError) as replaced:
+        dataclasses.replace(getattr(parse_config(None), section), **{key: value})
+    with pytest.raises(ConfigError, match=rf"^{section}: {key}") as parsed:
         parse_config({section: {key: value}})
+    assert type(built.value) is type(replaced.value) is ConfigError
+    assert str(built.value) == str(replaced.value) == str(parsed.value)
+
+
+def test_each_json_value_is_read_once(monkeypatch):
+    # the filter, experiment and output values were read by parse_config and again by their type
+    data = parse_config(None).snapshot | {"output": {"directory": "run", "formats": ["csv"]}}
+    calls = {}
+    for section in ("filter", "experiment", "output"):
+        for key, read in _SECTIONS[section].items():
+            def counting(name, value, read=read):
+                calls[name] = calls.get(name, 0) + 1
+                return read(name, value)
+            monkeypatch.setitem(_SECTIONS[section], key, counting)
+    parse_config(data)
+    expected = [f"{section}.{key}" for section in ("filter", "experiment", "output")
+                for key in data[section]]
+    assert len(expected) == 18 and calls == dict.fromkeys(expected, 1)
 
 
 @pytest.mark.parametrize("section,key,value", [

@@ -180,6 +180,23 @@ def test_plan_validation():
         AcquisitionPlan(0.0, 1e-8, 128e6, 1000, 10)
 
 
+@pytest.mark.parametrize("name,value", [
+    # a non-integral M was simulated as given, and M = True gave all-zero traces
+    ("repetitions", 25000.5),
+    ("repetitions", True),
+    # failed later, inside simulate_ensemble, with a TypeError
+    ("n_experiments", 3.5),
+    ("n_experiments", True),
+    # seed 1.5 gave seed 1's streams
+    ("seed", 1.5),
+    ("seed", False),
+])
+def test_plan_counts_are_integers(short_plan, name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+        short_plan.with_(**{name: value})
+    assert getattr(short_plan.with_(**{name: np.int64(3)}), name) == 3
+
+
 def test_contrast_free_limit_is_poisson(paper_params):
     # nearly degenerate contrast: every point averages M Poisson(lambda) draws
     params = SensorParams.from_contrast(1e-9, 0.196, 3.9e-6, 2.0, 100e-6)
