@@ -16,7 +16,6 @@ from .ramsey import (
     AcquisitionPlan,
     SensorParams,
     calib_frequency,
-    derive_photon_levels,
     sensing_frequency,
     shot_noise,
     simulate_ensemble,

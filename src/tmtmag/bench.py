@@ -46,6 +46,8 @@ def detection_crossings(omega: float, t_start: float, t_stop: float) -> np.ndarr
     crosses its midline going down.
     """
     period = 2.0 * np.pi / omega
+    if not period < np.inf:
+        raise ValueError(f"the fringe at omega = {omega:.6g} rad/s is too slow: its period overflows")
     m_lo = int(np.ceil((t_start / period) - 0.25))
     m_hi = int(np.floor((t_stop / period) - 0.25))
     return (0.25 + np.arange(max(m_lo, 0), m_hi + 1)) * period
@@ -95,6 +97,8 @@ def plan_for_detection_count(plan: AcquisitionPlan, omega: float, n_sd: int) -> 
         raise ValueError(f"n_sd must be >= 1, got {n_sd}")
     period = 2.0 * np.pi / omega
     crossings = detection_crossings(omega, plan.t_start, plan.t_start + (n_sd + 2) * period)
+    if crossings.size <= n_sd:  # so late a t_start that the periods round away
+        raise ValueError(f"t_start = {plan.t_start:.6g} s is too late to resolve {n_sd + 1} crossings")
     return plan.with_(t_stop=float(0.5 * (crossings[n_sd - 1] + crossings[n_sd])))
 
 
@@ -134,8 +138,6 @@ def ensemble_stats(traces: np.ndarray, points: DetectionPointSet) -> EnsembleSta
     values = np.asarray(traces, dtype=float)
     if values.ndim != 2:
         raise ValueError(f"expected an (n_exp, n_samples) ensemble, got shape {values.shape}")
-    if values.shape[0] < 2:
-        raise ValueError("need at least 2 experiments for ensemble statistics")
     if np.any(points.indices >= values.shape[1]):
         raise ValueError("detection indices fall outside the trace grid")
     return point_stats(values[:, points.indices], points)
@@ -443,7 +445,6 @@ class BetaSweepResult:
     beta_opt: float
     opt_stats: EnsembleStats
     beta_opt_on_edge: bool
-    omega_temps: np.ndarray
     points: DetectionPointSet
 
 
@@ -474,7 +475,6 @@ def sweep_beta(setup: BenchmarkSetup, beta_grid) -> BetaSweepResult:
         beta_opt=float(betas[k_opt]),
         opt_stats=stats[k_opt],
         beta_opt_on_edge=k_opt in (0, betas.size - 1),
-        omega_temps=run.omega_temps,
         points=run.points,
     )
 

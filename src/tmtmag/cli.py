@@ -9,10 +9,12 @@ All data tables and the summary are byte-reproducible from (config, seed);
 the manifest's ``duration_seconds`` field is the one volatile value.
 
 Each mode builds its tables as typed columns in one structured array
-(``make_table``: integer and float arrays, object fields for mixed cells
-such as a ``point`` that is an index or ``"fringe"``; the per-sample trace
-tables of simulate and denoise are filled in place by ``_trace_table``).  ``export_table`` streams a table to disk in chunks of
-rows, formatting each chunk with one row template per format: CSV writes
+(``make_table``; ``_trace_table`` fills simulate's and denoise's in place).
+The writer takes only the cells the modes build, int64 and float64 columns
+and object cells that are ``None``, booleans, numbers or ``raw``/``tmt``/
+``optimum``/``fringe``, and quotes none (see ``_csv_cell``).
+``export_table`` streams a table to disk in chunks of rows, formatting each
+chunk with one row template per format: CSV writes
 floats as ``%.17g`` and integers as ``%d``, JSON (keys sorted, indent 2,
 after the manifest) writes floats as their ``repr`` and NaN/+-inf as
 ``NaN``/``Infinity``/``-Infinity``, as ``json`` does.  Either way
@@ -28,9 +30,7 @@ texts held for a column within one chunk's worth, so a column of
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import os
 import sys
@@ -53,7 +53,6 @@ _CHUNK_ROWS = 4096  # rows whose cells are gathered at once, and the distinct-va
 #: rows per ``%`` formatting and write: a chunk's text (about 0.5 MB) would be
 #: mapped and unmapped afresh by malloc each time, a piece's stays on the heap
 _PIECE_ROWS = 512
-_CSV_SPECIAL = frozenset(',"\r\n')  # characters that may make csv.writer quote a field
 
 
 def _json_default(value):
@@ -103,19 +102,14 @@ def _trace_table(times: np.ndarray, **traces: np.ndarray) -> np.ndarray:
 
 
 def _csv_cell(value) -> str:
-    """One CSV cell: floats as ``%.17g``, booleans as ``true``/``false``,
-    ``None`` empty, anything else ``str``; quoted as ``csv.writer`` quotes."""
+    """One CSV cell of an object column: floats as ``%.17g``, booleans as ``true``/``false``,
+    ``None`` empty, anything else ``str``.  Unquoted: the modes' cells hold no ``,``, ``"`` or
+    line break, so a table with free text adds quoting back together with that table."""
     if isinstance(value, (bool, np.bool_)):
-        text = "true" if value else "false"
-    elif isinstance(value, (float, np.floating)):
-        text = format(float(value), ".17g")
-    else:
-        text = "" if value is None else str(value)
-    if _CSV_SPECIAL.isdisjoint(text):
-        return text
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text, ""])
-    return buf.getvalue()[:-2]
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    return "" if value is None else str(value)
 
 
 def _json_cell(value) -> str:
@@ -124,10 +118,7 @@ def _json_cell(value) -> str:
 
 def _json_floats(values: np.ndarray) -> list:
     """Floats for a ``%s`` slot (``str`` of a float is its ``repr``, as in
-    ``json``); NaN and +-inf become ``NaN`` / ``Infinity`` / ``-Infinity``.
-    Every float goes through float64 first, as ``%.17g`` does in the CSV, so
-    a long double is not written with its extra digits."""
-    values = values.astype(float, copy=False)
+    ``json``); NaN and +-inf become ``NaN`` / ``Infinity`` / ``-Infinity``."""
     cells = values.tolist()
     for i in np.flatnonzero(~np.isfinite(values)):
         cells[i] = json.dumps(cells[i])
@@ -144,8 +135,6 @@ def _distinct_values(column: np.ndarray):
     chunk of rows at a time and the index is 2 bytes a row, so no
     row-length array wider than that is held.
     """
-    if column.itemsize > 8:  # no unsigned key as wide as a long double
-        return None
     keys = column.view(f"u{column.itemsize}")
     distinct = keys[:0]
     for start in range(0, len(keys), _CHUNK_ROWS):
@@ -225,17 +214,15 @@ def export_table(table: np.ndarray, out_dir: Path, name: str, formats: list[str]
     written = []
     if "csv" in formats:
         path = out_dir / f"{name}.csv"
-        # csv.writer quotes the empty field of a one-column row
-        cell = _csv_cell if len(names) > 1 else lambda value: _csv_cell(value) or '""'
         with path.open("w", newline="") as fh:
-            fh.write(",".join(map(_csv_cell, names)) + "\n")
+            fh.write(",".join(names) + "\n")
             _write_rows(fh, table, names, lambda slots: ",".join(slots) + "\n", "",
-                        ("%.17g", np.ndarray.tolist), cell, distinct)
+                        ("%.17g", np.ndarray.tolist), _csv_cell, distinct)
         written.append(path)
     if "json" in formats:
         path = out_dir / f"{name}.json"
         keys = sorted(names)
-        quoted = [json.dumps(key).replace("%", "%%") for key in keys]
+        quoted = [json.dumps(key) for key in keys]
 
         def frame(slots):
             return ("    {\n" + ",\n".join(f"      {key}: {slot}" for key, slot in zip(quoted, slots))

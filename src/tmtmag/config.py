@@ -261,7 +261,7 @@ def _check_mode_limits(config: RunConfig) -> None:
                               f"repetition the photon means exceed numpy's Poisson limit "
                               f"{POISSON_LAM_MAX:.6g}")
         if n > MAX_WINDOW_SAMPLES:
-            raise ConfigError(f"{window}: the window holds {n} samples at plan.f_sample, "
+            raise ConfigError(f"{window}: the window holds {n:.6g} samples at plan.f_sample, "
                               f"more than {MAX_WINDOW_SAMPLES}")
         if mode != "simulate":
             if plan.n_experiments < 2:

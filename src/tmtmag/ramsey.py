@@ -21,21 +21,6 @@ import numpy as np
 GAMMA_E = -2.0 * np.pi * 28.024e9
 
 
-def derive_photon_levels(contrast: float, n_ave: float) -> tuple[float, float]:
-    """Photon means per repetition from readout contrast and state average.
-
-    Uses the readout-contrast convention ``contrast = (n0 - n1)/n0``
-    together with ``n_ave = (n0 + n1)/2``.
-    """
-    if not 0.0 < contrast < 1.0:
-        raise ValueError(f"contrast must lie in (0, 1), got {contrast}")
-    if not 0.0 < n_ave < np.inf:
-        raise ValueError(f"n_ave must be finite and positive, got {n_ave}")
-    n0 = 2.0 * n_ave / (2.0 - contrast)
-    n1 = n0 * (1.0 - contrast)
-    return n0, n1
-
-
 def calib_frequency(b_calib: float, gamma_e: float = GAMMA_E) -> float:
     """Angular precession frequency |gamma_e| * B for a field along z."""
     if not 0.0 <= b_calib < np.inf:
@@ -79,8 +64,13 @@ class SensorParams:
     def from_contrast(cls, contrast: float, n_ave: float, t2_star: float,
                       decay_power: float, b_calib: float,
                       gamma_e: float = GAMMA_E) -> "SensorParams":
-        n0, n1 = derive_photon_levels(contrast, n_ave)
-        return cls(n0=n0, n1=n1, contrast=contrast, n_ave=n_ave,
+        """Photon means ``n0``, ``n1`` from ``contrast = (n0 - n1)/n0`` and ``n_ave = (n0 + n1)/2``."""
+        if not 0.0 < contrast < 1.0:
+            raise ValueError(f"contrast must lie in (0, 1), got {contrast}")
+        if not 0.0 < n_ave < np.inf:
+            raise ValueError(f"n_ave must be finite and positive, got {n_ave}")
+        n0 = 2.0 * n_ave / (2.0 - contrast)
+        return cls(n0=n0, n1=n0 * (1.0 - contrast), contrast=contrast, n_ave=n_ave,
                    t2_star=t2_star, decay_power=decay_power,
                    omega_calib=calib_frequency(b_calib, gamma_e), gamma_e=gamma_e)
 

@@ -9,8 +9,8 @@ PUBLIC = {
     "WaveletBasis", "WaveletError", "available_bases", "basis_registry", "default_levels",
     "dwt_decompose", "dwt_reconstruct", "uwt_analyze", "uwt_synthesize",
     # ramsey: ensembles are (n_experiments, n_samples) arrays
-    "GAMMA_E", "AcquisitionPlan", "SensorParams", "calib_frequency", "derive_photon_levels",
-    "sensing_frequency", "shot_noise", "simulate_ensemble", "template",
+    "GAMMA_E", "AcquisitionPlan", "SensorParams", "calib_frequency", "sensing_frequency",
+    "shot_noise", "simulate_ensemble", "template",
     # tmt
     "FrequencyGrid", "FrequencySearchError", "estimate_frequencies", "margin_width",
     "tmt_denoise",

@@ -140,38 +140,29 @@ def assert_export_matches_reference(tmp_path, name, table, records, manifest=Non
 
 
 def test_export_matches_reference_writer_on_mixed_table(tmp_path):
+    # the cells the modes build: int64 and float64 columns, and object cells that
+    # are None, booleans, numbers or the literals raw/tmt/optimum/fringe
     inf, nan = float("inf"), float("nan")
     records = [
         {"label": "raw", "point": 0, "beta": None, "x": nan, "n": 3, "flag": True,
-         "cell": np.float64(0.1), "f32": 0.1},
-        {"label": "a,b", "point": "fringe", "beta": -inf, "x": inf, "n": -7, "flag": False,
-         "cell": np.int64(-5), "f32": 2.5},
-        {"label": 'say "hi"', "point": np.int64(12), "beta": inf, "x": -inf, "n": 0,
-         "flag": True, "cell": np.float32(1.1), "f32": -1e-30},
-        {"label": "line\nbreak\rreturn é", "point": None, "beta": nan, "x": -0.0, "n": 2**40,
-         "flag": False, "cell": np.True_, "f32": 3.0},
-        {"label": "", "point": 7, "beta": 1e-300, "x": 1e300, "n": 1, "flag": False,
-         "cell": None, "f32": nan},
-        {"label": "np", "point": np.False_, "beta": 0.5, "x": 2.0, "n": 5, "flag": True,
-         "f32": 4.0},  # "cell" missing
+         "cell": np.float64(0.1)},
+        {"label": "tmt", "point": "fringe", "beta": -inf, "x": inf, "n": -7, "flag": False,
+         "cell": np.int64(-5)},
+        {"label": "optimum", "point": np.int64(12), "beta": inf, "x": -inf, "n": 0,
+         "flag": np.True_, "cell": 1e-30},
+        {"label": "fringe", "point": None, "beta": nan, "x": -0.0, "n": 2**40,
+         "flag": False, "cell": True},
+        {"label": None, "point": 7, "beta": 1e-300, "x": 1e300, "n": 1, "flag": None,
+         "cell": None},
+        {"label": "raw", "point": 3, "beta": 0.5, "x": 2.0, "n": 5, "flag": True},  # "cell" missing
     ]
     table = make_table(
         label=[r["label"] for r in records], point=[r["point"] for r in records],
         beta=[r["beta"] for r in records], x=np.array([r["x"] for r in records]),
         n=np.array([r["n"] for r in records], dtype=np.int64),
-        flag=np.array([r["flag"] for r in records]),
-        cell=[r.get("cell") for r in records],
-        f32=np.array([r["f32"] for r in records], dtype=np.float32))
-    records = [dict(r, f32=np.float32(r["f32"])) for r in records]
+        flag=[r["flag"] for r in records], cell=[r.get("cell") for r in records])
     manifest = {"mode": "test", "seed": np.int64(3), "derived": {"omega": np.float64(2.5)}}
     assert_export_matches_reference(tmp_path, "mixed", table, records, manifest)
-    # one column: csv.writer quotes a lone empty field
-    lone = [{"v": None}, {"v": "x"}, {"v": 1.5}]
-    assert_export_matches_reference(tmp_path, "lone", make_table(v=[r["v"] for r in lone]), lone)
-    # '%' in a column name must not reach the row template unescaped
-    pct = [{"a%d": 1.0, "b": 2}]
-    assert_export_matches_reference(tmp_path, "pct", make_table(**{"a%d": np.array([1.0]), "b": [2]}),
-                                    pct)
 
 
 def test_export_matches_reference_writer_on_empty_and_chunked_tables(tmp_path):
@@ -198,27 +189,13 @@ def test_export_matches_reference_writer_on_distinct_value_columns(tmp_path):
         exact=rng.permutation(np.arange(n) % cli._CHUNK_ROWS),
         over=rng.permutation(np.arange(n) % (cli._CHUNK_ROWS + 1)) * 0.1,
         special=rng.choice(special, n),
-        half=(rng.integers(-50, 50, n) / 8).astype(np.float16),
-        single=(rng.integers(0, 300, n) * 0.1).astype(np.float32),
         wide=rng.choice(np.array([i64.min, i64.max, 0, -1]), n),
-        unsigned=rng.choice(np.array([2**63 + 5, 2**64 - 1, 0, 7], dtype=np.uint64), n),
-        flag=rng.random(n) < 0.5,
-        label=rng.choice(["a", "b,c"], n).tolist())
+        label=rng.choice(["raw", "fringe"], n).tolist())
     assert cli._distinct_values(table["exact"]) is not None
     assert cli._distinct_values(table["over"]) is None
     assert len(cli._distinct_values(table["special"])[0]) == 8  # -0.0 and both NaNs kept apart
     records = [dict(zip(table.dtype.names, row)) for row in table.tolist()]
     assert_export_matches_reference(tmp_path, "dedup", table, records, {"mode": "test"})
-
-
-def test_export_formats_long_double_columns(tmp_path):
-    export_table(make_table(x=np.array([0.1, 0.1, 2.5], dtype=np.longdouble)), tmp_path, "wide",
-                 ["csv", "json"])
-    assert read_csv(tmp_path / "wide.csv") == [["x"], ["0.10000000000000001"],
-                                               ["0.10000000000000001"], ["2.5"]]
-    # JSON writes the float64 repr, as for a float64 column, not the long double's digits
-    records = json.loads((tmp_path / "wide.json").read_text(), parse_float=str)["records"]
-    assert records == [{"x": "0.1"}, {"x": "0.1"}, {"x": "2.5"}]
 
 
 @settings(max_examples=50, deadline=None)
@@ -848,6 +825,10 @@ def test_window_over_the_sample_cap_exits_2(tmp_path, capsys, mode):
     at_cap = config.plan.with_(t_stop=t_start + MAX_WINDOW_SAMPLES / f_sample)
     assert at_cap.n_samples == MAX_WINDOW_SAMPLES == 65536
     replace(config, plan=at_cap, experiment=replace(config.experiment, mode="simulate"))
+    # a count past six digits is not printed digit by digit
+    with pytest.raises(ConfigError, match=r"^plan.t_stop = 1.1e\+300: the window holds 1.28e\+307 samples "):
+        parse_config({"experiment": {"mode": "sweep-beta", "n_sd": 1},
+                      "plan": {"t_start": 1e300, "t_stop": 1.1e300}})
 
 
 # ---------------------------------------------------------------------------
@@ -891,6 +872,13 @@ MODE_RULES = [
     ("denoise", {"filter": {"freq_window": 0.02}}, "filter.freq_window = 0.02: the search grid"),
     ("sweep-beta", {"filter": {"levels": 9}}, "filter.levels = 9 needs"),
     ("simulate", {"plan": {"n_experiments": 10 ** 9}}, "plan.n_experiments = 1000000000: the"),
+    # a t_start so late that the fringe periods round away raised an IndexError
+    ("gain-profile", {"plan": {"t_start": 1e300, "t_stop": 1.1e300},
+                      "experiment": {"n_sd_values": [1, 2]}},
+     "experiment.n_sd_values: t_start = 1e+300 s is too late to resolve 2 crossings"),
+    # a fringe period that overflows was floored as inf / inf
+    ("gain-profile", {"sensor": {"gamma_e": 1e-318}},
+     "experiment.n_sd_values: the fringe at omega = 9.88131e-323 rad/s is too slow"),
 ]
 
 

@@ -3,11 +3,24 @@
 import dataclasses
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tmtmag.config import _SECTIONS, _TYPES, MAX_BETA_GRID, MAX_FREQ_POINTS, ConfigError, parse_config
+
+
+PRESETS = sorted(Path(__file__).resolve().parents[1].glob("configs/*.json"))
+
+
+@pytest.mark.parametrize("source", [None, *PRESETS], ids=lambda p: p and p.name)
+def test_manifest_config_runs_again(tmp_path, source):
+    # a manifest's "config" is the snapshot, which leaves out the output directory;
+    # parsed again with one, it resolves to itself
+    snapshot = parse_config(source).snapshot
+    again = parse_config(snapshot | {"output": snapshot["output"] | {"directory": str(tmp_path)}})
+    assert again.snapshot == snapshot
 
 
 def test_minimal_config_applies_defaults(tmp_path):

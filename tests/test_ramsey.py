@@ -10,7 +10,6 @@ from tmtmag import (
     AcquisitionPlan,
     SensorParams,
     calib_frequency,
-    derive_photon_levels,
     sensing_frequency,
     shot_noise,
     simulate_ensemble,
@@ -23,6 +22,12 @@ from tmtmag.ramsey import envelope
 # photon level derivation
 # ---------------------------------------------------------------------------
 
+def photon_levels(contrast, n_ave):
+    """``(n0, n1)`` of the sensor that ``SensorParams.from_contrast`` builds."""
+    params = SensorParams.from_contrast(contrast, n_ave, 3.9e-6, 2.0, 100e-6)
+    return params.n0, params.n1
+
+
 def test_derive_photon_levels_against_root_finder():
     contrast, n_ave = 0.2143, 0.196
 
@@ -31,7 +36,7 @@ def test_derive_photon_levels_against_root_finder():
         return [(n0 - n1) / n0 - contrast, 0.5 * (n0 + n1) - n_ave]
 
     expected = fsolve(relations, [0.2, 0.15], full_output=False)
-    n0, n1 = derive_photon_levels(contrast, n_ave)
+    n0, n1 = photon_levels(contrast, n_ave)
     np.testing.assert_allclose([n0, n1], expected, rtol=1e-9)
     assert abs((n0 + n1) / 2 - n_ave) < 1e-9
     assert abs((n0 - n1) / n0 - contrast) < 1e-9
@@ -41,22 +46,22 @@ def test_derive_photon_levels_against_root_finder():
 
 
 def test_derive_photon_levels_zero_contrast_limit():
-    n0, n1 = derive_photon_levels(1e-12, 0.196)
+    n0, n1 = photon_levels(1e-12, 0.196)
     np.testing.assert_allclose([n0, n1], [0.196, 0.196], rtol=1e-9)
 
 
 def test_derive_photon_levels_hand_algebra():
-    n0, n1 = derive_photon_levels(0.5, 1.0)
+    n0, n1 = photon_levels(0.5, 1.0)
     np.testing.assert_allclose([n0, n1], [4.0 / 3.0, 2.0 / 3.0], rtol=1e-14)
 
 
 def test_derive_photon_levels_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        derive_photon_levels(0.0, 0.196)
-    with pytest.raises(ValueError):
-        derive_photon_levels(1.0, 0.196)
-    with pytest.raises(ValueError):
-        derive_photon_levels(0.2, -1.0)
+    with pytest.raises(ValueError, match="contrast must lie in"):
+        photon_levels(0.0, 0.196)
+    with pytest.raises(ValueError, match="contrast must lie in"):
+        photon_levels(1.0, 0.196)
+    with pytest.raises(ValueError, match="n_ave must be finite"):
+        photon_levels(0.2, -1.0)
 
 
 def test_sensor_params_consistency_enforced(paper_params):
