@@ -4,9 +4,9 @@ Collects ensemble error statistics at slope detection points, scans the
 filter order for the bias/variance trade-off, transfers the optimum order
 from calibration runs, and fits SNR power laws against integration time.
 
-Statistics use population normalization (divide by the ensemble size), so
-``mse == bias**2 + variance`` holds to rounding for every detection point
-(ROADMAP item 4 makes it exact).
+Statistics use population normalization (divide by the ensemble size), and
+``mse`` is formed as ``bias**2 + variance``, so the identity holds exactly
+for every detection point.
 """
 
 from __future__ import annotations
@@ -111,9 +111,9 @@ class EnsembleStats:
     """Per-detection-point ensemble error metrics.
 
     ``mse``, ``bias``, ``variance``, ``sample_mean`` and ``mse_stderr`` are
-    arrays over detection points; ``mse = bias**2 + variance`` to rounding
-    (ROADMAP item 4 makes it exact).  ``mse_stderr``, which no table writes,
-    is the one field that is not bit-stable (see :func:`point_stats`).
+    arrays over detection points; ``mse = bias**2 + variance`` exactly.
+    ``mse_stderr``, which no table writes, is the one field that is not
+    bit-stable (see :func:`point_stats`).
     """
 
     mse: np.ndarray
@@ -132,34 +132,35 @@ class EnsembleStats:
 def ensemble_stats(traces: np.ndarray, points: DetectionPointSet) -> EnsembleStats:
     """MSE/bias/variance over an (n_exp, n_samples) array of traces.
 
-    Gathers the samples at ``points.indices`` and hands them to
-    :func:`point_stats`.
+    Gathers the samples at ``points.indices`` into a C-contiguous array, as
+    :class:`EnsembleRun` does, and hands them to :func:`point_stats`.
     """
     values = np.asarray(traces, dtype=float)
     if values.ndim != 2:
         raise ValueError(f"expected an (n_exp, n_samples) ensemble, got shape {values.shape}")
     if np.any(points.indices >= values.shape[1]):
         raise ValueError("detection indices fall outside the trace grid")
-    return point_stats(values[:, points.indices], points)
+    return point_stats(np.take(values, points.indices, axis=1), points)
 
 
 def point_stats(at_points: np.ndarray, points: DetectionPointSet) -> EnsembleStats:
     """:class:`EnsembleStats` from the (n_exp, n_sd) values at the detection points.
 
-    The variance divides by n_exp (not n_exp - 1), so the decomposition
-    identity holds to rounding (ROADMAP item 4 makes it exact).  A mean is
+    The variance divides by n_exp (not n_exp - 1), and ``mse`` is
+    ``bias * bias + variance``, so the decomposition identity is exact; it
+    differs from the mean squared deviation in rounding.  A mean is
     ``np.add.reduce(..., axis=0) / n_exp``, which is what ``np.mean``
-    computes, on C- and F-contiguous samples alike.  The fourth moment is the
-    mean of ``sq * sq``, so ``mse_stderr`` differs from ``dev ** 4`` in rounding.
+    computes.  The fourth moment is the mean of ``sq * sq``, so
+    ``mse_stderr`` differs from ``dev ** 4`` in rounding.
     """
     n_exp = at_points.shape[0]
     dev = at_points - points.truths[None, :]
-    sq = dev * dev
-    mse = np.add.reduce(sq, axis=0) / n_exp
     bias = np.add.reduce(dev, axis=0) / n_exp
     sample_mean = np.add.reduce(at_points, axis=0) / n_exp
     spread = at_points - sample_mean[None, :]
     variance = np.add.reduce(spread * spread, axis=0) / n_exp
+    mse = bias * bias + variance
+    sq = dev * dev  # for the fourth moment only
     fourth = np.add.reduce(np.multiply(sq, sq, out=sq), axis=0) / n_exp
     mse_stderr = np.sqrt(np.maximum(fourth - mse * mse, 0.0) / n_exp)
     return EnsembleStats(
@@ -319,12 +320,12 @@ class EnsembleRun:
     ``+-inf`` allowed), finds the detection points (:attr:`points`),
     simulates (:attr:`values`), estimates the template frequencies
     (:attr:`omega_temps`; one search of the ensemble mean with
-    ``shared_estimate``) and scores the raw traces (:attr:`raw_stats`).
-    The traces are the only trace-sized array the run keeps: both
-    denoising paths read the residual's coefficients and ``|S|`` from
-    :func:`~tmtmag.tmt.residual_chunks`, one chunk of experiments at a time
-    (at most 64, and at most 9600 trace samples, so a chunk's working set
-    does not grow with the window).
+    ``shared_estimate``), gathers the raw detection samples and scores them
+    (:attr:`raw_stats`).  The traces are the only trace-sized array the run
+    keeps: both denoising paths read the residual's coefficients and
+    ``|S|`` from :func:`~tmtmag.tmt.residual_chunks`, one chunk of
+    experiments at a time (at most 64, and at most 9600 trace samples, so a
+    chunk's working set does not grow with the window).
 
     Both return the raw traces plus the synthesis of what the clip changes
     (see :mod:`tmtmag.tmt`).  :meth:`denoised` at full length is
@@ -340,7 +341,8 @@ class EnsembleRun:
     synthesis (:func:`~tmtmag.wavelets.uwt_synthesis_rows`) applied to
     what clipping changes in the residual details.  The outputs agree with
     clipping the full stack up to rounding, and equal the raw samples bit
-    for bit at every order whose width is infinite.
+    for bit at every order whose width is infinite, where :meth:`stats`
+    equals :attr:`raw_stats` bit for bit.
     """
 
     def __init__(self, setup: BenchmarkSetup, betas):
@@ -359,7 +361,8 @@ class EnsembleRun:
         searched = self.values.mean(axis=0) if setup.shared_estimate else self.values
         self.omega_temps = np.full(plan.n_experiments, estimate_frequencies(
             searched, plan.times, params, setup.resolved_grid()))
-        self.raw_stats = ensemble_stats(self.values, self.points)
+        self._raw = np.take(self.values, self.points.indices, axis=1)
+        self.raw_stats = point_stats(self._raw, self.points)
 
     def denoised(self, beta: float, at_points: bool = False) -> np.ndarray:
         """Denoised traces (n_exp, N); with ``at_points``, only the detection samples (n_exp, p).
@@ -396,14 +399,13 @@ class EnsembleRun:
         rows = uwt_synthesis_rows(self.values.shape[1], indices, setup.basis, self.levels)
         level, sample = np.nonzero(rows.any(axis=2))
         rows = rows[level, sample]  # (C, p), level by level
-        raw = self.values[:, indices]
         # the clipped shares come in order of rising width, falling beta
         widths = self._widths[::-1]
-        out = np.empty((widths.size,) + raw.shape)
+        out = np.empty((widths.size,) + self._raw.shape)
         for chunk, offsets, scales in residual_chunks(
                 self.values, self.omega_temps, setup.params, setup.plan, setup.basis,
                 self.levels, setup.squared_contrast, at=(level, slice(None), sample)):
-            np.add(raw[chunk], _clipped_point_sums(offsets, scales, rows, widths),
+            np.add(self._raw[chunk], _clipped_point_sums(offsets, scales, rows, widths),
                    out=out[:, chunk])
             del offsets  # spent scales stay bound, like tmt_denoise's details; offsets cost RSS
         out.flags.writeable = False
@@ -415,11 +417,12 @@ def ensemble_run_bytes(setup: BenchmarkSetup, n_betas: int, n_points: int) -> in
     its full traces or builds its point sweep on a grid of K = ``n_betas`` orders at
     p = ``n_points`` detection points.
 
-    Per experiment, ``2 * N + K * p`` doubles: the trace, the full-trace output and the
-    sweep's (K, n_exp, p) samples.  The frequency search adds nothing per experiment: it
-    holds one block of ``SPECTRUM_ROWS`` traces at a time.  Per experiment of one chunk of
-    :func:`~tmtmag.tmt.residual_chunks`, whose ``E = min(n_exp, 64, max(1, 9600 // N))``
-    experiments (:func:`~tmtmag.tmt.residual_chunk_rows`) hold at most 9600 samples,
+    Per experiment, ``2 * N + (K + 1) * p`` doubles: the trace, the full-trace output, the
+    raw detection samples and the sweep's (K, n_exp, p) samples.  The frequency search adds
+    nothing per experiment: it holds one block of ``SPECTRUM_ROWS`` traces at a time.  Per
+    experiment of one chunk of :func:`~tmtmag.tmt.residual_chunks`, whose
+    ``E = min(n_exp, 64, max(1, 9600 // N))`` experiments
+    (:func:`~tmtmag.tmt.residual_chunk_rows`) hold at most 9600 samples,
     ``(4 * levels + 12) * N`` doubles of coefficient stacks (four at the full-trace clip)
     or of (C, E) gathers, and the sweep's ``K * p`` bucket sums and ``6 * (K + 1)``
     cumulative sums.  Once, the detection rows
@@ -432,7 +435,7 @@ def ensemble_run_bytes(setup: BenchmarkSetup, n_betas: int, n_points: int) -> in
     rows = min(n_exp, residual_chunk_rows(n))
     chunk = ((4 * levels + 12) * n + n_betas * p + 6 * (n_betas + 1)) * rows
     fft = 4 * (3 * min(n_exp, SPECTRUM_ROWS) + 5) * (n + freq_points)
-    return 8 * (n_exp * (2 * n + n_betas * p) + chunk + (2 * levels + 8) * n * p + fft)
+    return 8 * (n_exp * (2 * n + (n_betas + 1) * p) + chunk + (2 * levels + 8) * n * p + fft)
 
 
 @dataclass

@@ -250,7 +250,7 @@ def _stats_columns(stats, points, series: str, beta) -> dict[str, list]:
         "point": [*range(n), "fringe"],
         "time": [*points.times, None], "truth": [*points.truths, None],
         "mse": [*stats.mse, stats.fringe_averaged_mse],
-        "bias": [*stats.bias, None], "bias_sq": [b ** 2 for b in stats.bias] + [None],
+        "bias": [*stats.bias, None], "bias_sq": [*(stats.bias * stats.bias), None],
         "variance": [*stats.variance, None], "sample_mean": [*stats.sample_mean, None],
     }
 

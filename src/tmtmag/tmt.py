@@ -159,11 +159,11 @@ def _spectrum_blocks(values: np.ndarray, times: np.ndarray, params: SensorParams
     """``(rows, r)`` for each slice ``rows`` of ``SPECTRUM_ROWS`` traces of the (n, N) ``values``,
     ``r`` being their (rows, G) correlation spectrum (see :func:`correlation_spectrum`).
 
-    The grids are checked and the operands that no trace changes
-    (chirps, the kernel's FFT, the weights, the envelope and the template's
-    window means) are built once, when this is called; each block is
-    centred and weighted as it is reached, so nothing held grows with both
-    n and G.  ``r`` is a work array that the next block overwrites.
+    The grids are checked and the operands that no trace changes (chirps,
+    the kernel's FFT, the weights and the envelope) are built once, when
+    this is called; each block is centred and weighted as it is reached, so
+    nothing held grows with both n and G.  ``r`` is a work array that the
+    next block overwrites.
     """
     times = np.asarray(times, dtype=float)
     omegas = np.asarray(omegas, dtype=float)
@@ -191,29 +191,23 @@ def _spectrum_blocks(values: np.ndarray, times: np.ndarray, params: SensorParams
     transform = np.empty((most, size), dtype=complex)
     r, term = np.empty((most, g)), np.empty((most, g))
 
-    def overlap(rows):
-        """``A Re sum_n rows_n exp(i omega_g t_n)`` per row, in ``r``."""
-        m = len(rows)
-        z = np.fft.fft(rows * pre, size, out=transform[:m])
+    weights = np.full(n, dt)
+    weights[0] = weights[-1] = 0.5 * dt
+    env = envelope(times, params)
+
+    def spectrum(rows):
+        """``A Re sum_n u_n exp(i omega_g t_n)`` per trace of the block ``rows``, in ``r``."""
+        block = values[rows]
+        m = len(block)
+        u = block - block.mean(axis=1, keepdims=True)
+        u *= weights
+        u -= u.sum(axis=1, keepdims=True) / n
+        u *= env
+        z = np.fft.fft(u * pre, size, out=transform[:m])
         z *= kernel
         z = np.fft.ifft(z, out=z)[:, :g]
         out = np.multiply(z.real, post.real, out=r[:m])
         out -= np.multiply(z.imag, post.imag, out=term[:m])
-        return out
-
-    weights = np.full(n, dt)
-    weights[0] = weights[-1] = 0.5 * dt
-    env = envelope(times, params)
-    template_mean = overlap(env[None, :])[0] / n
-
-    def spectrum(rows):
-        block = values[rows]
-        weighted = block - block.mean(axis=1, keepdims=True)
-        weighted *= weights
-        total = weighted.sum(axis=1, keepdims=True)
-        weighted *= env
-        out = overlap(weighted)
-        out -= np.multiply(total, template_mean, out=term[:len(out)])
         return rows, out
 
     return map(spectrum, (slice(start, start + SPECTRUM_ROWS)
@@ -229,12 +223,12 @@ def correlation_spectrum(values: np.ndarray, times: np.ndarray,
     over the window.  ``times`` and ``omegas`` must be uniform grids.
 
     The DC-removed template is ``A cos(omega t) env(t)`` minus its window
-    mean, ``A = (n0 - n1) / 2``, so the overlap is
-    ``A (Re sum_n u_n exp(i omega_g t_n) - m_g s)``: ``u`` is the centred
-    trace times the weights and the envelope, ``s`` the weighted sum of the
-    centred trace and ``m_g`` the window mean of ``cos(omega_g t) env(t)``.
-    Both grids are uniform, so each sum over ``n`` is one Bluestein chirp-z
-    transform, ``omega_g t_n`` being split with
+    mean, ``A = (n0 - n1) / 2``.  It sums to zero over the window, so
+    taking the window mean off the weighted centred trace instead gives the
+    same overlap, ``A Re sum_n u_n exp(i omega_g t_n)``: ``u`` is the
+    centred trace times the weights, less its window mean, times the
+    envelope.  Both grids are uniform, so the sum over ``n`` is one
+    Bluestein chirp-z transform, ``omega_g t_n`` being split with
     ``g n = (g**2 + n**2 - (g - n)**2) / 2`` into two chirps and a
     convolution done by FFT.  numpy's FFT calls no BLAS, so the result does
     not depend on the BLAS thread count.

@@ -1,6 +1,15 @@
-"""Standard-error helpers shared by the bench and acceptance tests."""
+"""Standard-error and comparison helpers shared by the bench and acceptance tests."""
+
+from dataclasses import fields
 
 import numpy as np
+
+
+def assert_stats_identical(a, b):
+    """Two ``EnsembleStats`` hold the same bits in every field."""
+    for field in fields(a):
+        np.testing.assert_array_equal(getattr(a, field.name), getattr(b, field.name),
+                                      err_msg=field.name)
 
 
 def bias_sq_mean(stats) -> float:

@@ -114,8 +114,7 @@ def test_criterion_3_statistical_identity():
         plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, N_EXP, seed=1003)
         result = sweep_beta(_sensing_setup(plan, 3), default_beta_grid(-4.0, 2.0, 0.25))
         for stats in [result.raw_stats] + result.stats:
-            resid = np.abs(stats.mse - (stats.bias ** 2 + stats.variance))
-            assert np.max(resid) < 1e-12
+            np.testing.assert_array_equal(stats.mse, stats.bias ** 2 + stats.variance)
 
 
 def test_criterion_4_raw_limit_and_template_passthrough():

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +45,7 @@ from tmtmag.bench import (
 from tmtmag.tmt import clamp_details, margin_width, residual_chunks, tmt_denoise
 from tmtmag.wavelets import uwt_analyze, uwt_synthesis_rows, uwt_synthesize
 from tmtmag.ramsey import envelope, shot_noise
-from stat_utils import assert_monotone_tradeoff
+from stat_utils import assert_monotone_tradeoff, assert_stats_identical
 
 OMEGA = 2 * np.pi * 2.8024e6
 
@@ -174,20 +173,21 @@ def test_stats_identity_random(rng):
     points = DetectionPointSet(indices=np.arange(7), times=np.arange(7.0),
                                truths=np.full(7, 0.2))
     stats = ensemble_stats(values, points)
-    np.testing.assert_allclose(stats.mse, stats.bias ** 2 + stats.variance,
-                               rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(stats.mse, stats.bias ** 2 + stats.variance)
     assert stats.fringe_averaged_mse == pytest.approx(np.mean(stats.mse), abs=0)
 
 
 def _point_stats_oracle(at_points, truths):
-    """The statistics as ``np.mean`` and powers formed them: the oracle of :func:`point_stats`."""
+    """The statistics as ``np.mean`` and powers formed them, ``mse`` being
+    ``bias**2 + variance``: the oracle of :func:`point_stats`."""
     n_exp = at_points.shape[0]
     dev = at_points - truths[None, :]
-    mse = np.mean(dev ** 2, axis=0)
+    bias = np.mean(dev, axis=0)
     sample_mean = np.mean(at_points, axis=0)
+    variance = np.mean((at_points - sample_mean[None, :]) ** 2, axis=0)
+    mse = bias ** 2 + variance
     fourth = np.mean(dev ** 4, axis=0)
-    return {"mse": mse, "bias": np.mean(dev, axis=0), "sample_mean": sample_mean,
-            "variance": np.mean((at_points - sample_mean[None, :]) ** 2, axis=0),
+    return {"mse": mse, "bias": bias, "sample_mean": sample_mean, "variance": variance,
             "fringe_averaged_mse": float(np.mean(mse)),
             "mse_stderr": np.sqrt(np.maximum(fourth - mse ** 2, 0.0) / n_exp)}
 
@@ -196,10 +196,10 @@ def _point_stats_oracle(at_points, truths):
 @pytest.mark.parametrize("n_exp", [2, 37, 200])
 @pytest.mark.parametrize("p", [1, 3, 9])
 def test_point_stats_match_the_mean_formulas(rng, p, n_exp, order):
-    # every field but mse_stderr is bit for bit np.mean's, also on the
-    # F-contiguous samples that the raw gather values[:, indices] returns;
-    # mse_stderr squares the squared deviations where the oracle takes a
-    # fourth power, which moves it at rounding level
+    # every field but mse_stderr is bit for bit the oracle's, on C- and
+    # F-contiguous samples alike; mse is bias**2 + variance, a few ulp from
+    # the mean squared deviation; mse_stderr squares the squared deviations
+    # where the oracle takes a fourth power, which moves it at rounding level
     truths = rng.uniform(0.15, 0.25, p)
     samples = np.asarray(truths + rng.normal(0.0, 0.02, (n_exp, p)), order=order)
     assert samples.flags.f_contiguous if order == "F" else samples.flags.c_contiguous
@@ -208,11 +208,28 @@ def test_point_stats_match_the_mean_formulas(rng, p, n_exp, order):
     stats, oracle = point_stats(samples, points), _point_stats_oracle(samples, truths)
     for name in ("mse", "bias", "variance", "sample_mean", "fringe_averaged_mse"):
         np.testing.assert_array_equal(getattr(stats, name), oracle[name], err_msg=name)
+    dev = samples - truths[None, :]
+    np.testing.assert_allclose(stats.mse, np.mean(dev ** 2, axis=0), rtol=1e-14, atol=0)
     if n_exp >= 37:
         np.testing.assert_allclose(stats.mse_stderr, oracle["mse_stderr"], rtol=1e-12, atol=0)
     else:  # two experiments: fourth - mse**2 cancels, and its rounding shows
         np.testing.assert_allclose(stats.mse_stderr, oracle["mse_stderr"], rtol=1e-9,
                                    atol=1e-12 * np.max(oracle["mse"]))
+
+
+def test_ensemble_stats_do_not_depend_on_memory_order(rng):
+    # the gather is C-contiguous whatever the layout of the traces, as the
+    # sweep's samples are, so the reductions, whose order follows the
+    # layout, see the same array (values[:, indices] is F-contiguous)
+    values = 0.2 + 0.01 * rng.normal(size=(37, 50))
+    points = DetectionPointSet(indices=np.array([3, 17, 40]), times=np.arange(3.0),
+                               truths=np.array([0.19, 0.2, 0.21]))
+    fortran = np.asfortranarray(values)
+    assert fortran.flags.f_contiguous and not fortran.flags.c_contiguous
+    stats = ensemble_stats(np.ascontiguousarray(values), points)
+    assert_stats_identical(ensemble_stats(fortran, points), stats)
+    assert_stats_identical(stats, point_stats(np.ascontiguousarray(values[:, points.indices]),
+                                              points))
 
 
 def test_raw_variance_matches_compound_model(paper_params):
@@ -328,8 +345,8 @@ def test_sweep_monotone_tradeoff(small_sweep):
 def test_sweep_is_deterministic(small_sweep, paper_params):
     setup, grid, result = small_sweep
     again = sweep_beta(setup, grid)
-    for a, b in zip(again.stats, result.stats):
-        np.testing.assert_array_equal(a.mse, b.mse)
+    for a, b in zip([again.raw_stats] + again.stats, [result.raw_stats] + result.stats):
+        assert_stats_identical(a, b)
     assert again.beta_opt == result.beta_opt
 
 
@@ -463,10 +480,7 @@ def test_packed_point_clamp_matches_full_clamp(paper_params, monkeypatch, basis)
     run = EnsembleRun(setup, betas)
     np.testing.assert_array_equal(run.points.indices, points.indices)
     np.testing.assert_array_equal(run.points.truths, points.truths)
-    raw_stats = ensemble_stats(run.values, points)
-    for field in fields(raw_stats):
-        np.testing.assert_array_equal(getattr(run.raw_stats, field.name),
-                                      getattr(raw_stats, field.name))
+    assert_stats_identical(run.raw_stats, ensemble_stats(run.values, points))
     indices = points.indices
     stacks = _residual_stacks(run)
     # coefficients with |S| = 0: a finite width zeroes their residual (pins
@@ -482,10 +496,12 @@ def test_packed_point_clamp_matches_full_clamp(paper_params, monkeypatch, basis)
         assert np.isfinite(got).all()
         np.testing.assert_allclose(got, _full_clamp_oracle(run, beta, indices, stacks),
                                    rtol=1e-12, atol=1e-13 * scale)
-    # perfect reconstruction: the raw limit is the raw traces, bit for bit
+    # perfect reconstruction: the raw limit is the raw traces, bit for bit,
+    # and its statistics are the raw statistics
     for beta in (-np.inf, -400.0):
         np.testing.assert_array_equal(run.denoised(beta, at_points=True),
                                       run.values[:, indices])
+        assert_stats_identical(run.stats(beta), run.raw_stats)
 
 
 @pytest.mark.parametrize("basis", ["haar", "db2", "bior6.8"])
@@ -578,10 +594,12 @@ def test_bucketed_sweep_matches_full_clamp(paper_params, inner, ends, ties):
         noise[at] = s
         details[at] = np.copysign(width * s, r)
         assert abs(details[at]) / s == width
-    # the point path starts from the raw samples: keep values = templates +
-    # synthesis of the edited residual stacks
+    # the point path starts from the raw samples, which the run gathered
+    # when it was built: keep values = templates + synthesis of the edited
+    # residual stacks, and gather them again
     run.values = templates + uwt_synthesize(details, approx, run.setup.basis)
     indices = run.points.indices
+    run._raw = np.take(run.values, indices, axis=1)
     scale = np.max(np.abs(run.values))
     with pytest.MonkeyPatch.context() as monkeypatch:  # hypothesis runs many examples
         _feed_stacks(monkeypatch, details, noise)

@@ -1078,7 +1078,7 @@ def test_valid_config_exits_0_or_names_its_fault(tmp_path_factory, mode, basis, 
             assert rows
             for row in rows:
                 mse, bias_sq, variance = (float(row[k]) for k in ("mse", "bias_sq", "variance"))
-                assert abs(mse - (bias_sq + variance)) < 1e-12
+                assert mse == bias_sq + variance, row
 
 
 def test_window_of_non_finite_sample_count_exits_2(tmp_path, capsys):
