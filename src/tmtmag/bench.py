@@ -110,17 +110,14 @@ def plan_for_detection_count(plan: AcquisitionPlan, omega: float, n_sd: int) -> 
 class EnsembleStats:
     """Per-detection-point ensemble error metrics.
 
-    ``mse``, ``bias``, ``variance``, ``sample_mean`` and ``mse_stderr`` are
-    arrays over detection points; ``mse = bias**2 + variance`` exactly.
-    ``mse_stderr``, which no table writes, is the one field that is not
-    bit-stable (see :func:`point_stats`).
+    ``mse``, ``bias``, ``variance`` and ``sample_mean`` are arrays over
+    detection points; ``mse = bias**2 + variance`` exactly.
     """
 
     mse: np.ndarray
     bias: np.ndarray
     variance: np.ndarray
     sample_mean: np.ndarray
-    mse_stderr: np.ndarray
     fringe_averaged_mse: float
     n_exp: int
 
@@ -150,8 +147,7 @@ def point_stats(at_points: np.ndarray, points: DetectionPointSet) -> EnsembleSta
     ``bias * bias + variance``, so the decomposition identity is exact; it
     differs from the mean squared deviation in rounding.  A mean is
     ``np.add.reduce(..., axis=0) / n_exp``, which is what ``np.mean``
-    computes.  The fourth moment is the mean of ``sq * sq``, so
-    ``mse_stderr`` differs from ``dev ** 4`` in rounding.
+    computes.
     """
     n_exp = at_points.shape[0]
     dev = at_points - points.truths[None, :]
@@ -160,15 +156,11 @@ def point_stats(at_points: np.ndarray, points: DetectionPointSet) -> EnsembleSta
     spread = at_points - sample_mean[None, :]
     variance = np.add.reduce(spread * spread, axis=0) / n_exp
     mse = bias * bias + variance
-    sq = dev * dev  # for the fourth moment only
-    fourth = np.add.reduce(np.multiply(sq, sq, out=sq), axis=0) / n_exp
-    mse_stderr = np.sqrt(np.maximum(fourth - mse * mse, 0.0) / n_exp)
     return EnsembleStats(
         mse=mse,
         bias=bias,
         variance=variance,
         sample_mean=sample_mean,
-        mse_stderr=mse_stderr,
         fringe_averaged_mse=float(np.add.reduce(mse) / mse.size),
         n_exp=n_exp,
     )
@@ -190,13 +182,6 @@ def snr(stats: EnsembleStats, delta_n: float) -> float:
     if stats.fringe_averaged_mse <= 0.0:
         raise ValueError("fringe-averaged MSE must be positive (degenerate noiseless ensemble)")
     return delta_n / np.sqrt(stats.fringe_averaged_mse)
-
-
-def snr_stderr(stats: EnsembleStats, delta_n: float) -> float:
-    """Delta-method standard error of :func:`snr` from the MSE sampling noise."""
-    fringe_se = np.sqrt(np.sum(stats.mse_stderr ** 2)) / len(stats.mse)
-    value = snr(stats, delta_n)
-    return 0.5 * value * fringe_se / stats.fringe_averaged_mse
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
 """Run configuration: strict JSON parsing, defaults, validation.
 
 One documented format (JSON with ``sensor``/``plan``/``filter``/
-``experiment``/``output`` sections) whose schema is the section types;
-unknown keys are rejected by name.  A field's annotation gives its JSON
-kind and, as a ``Literal``, its choices, which its reader checks by field
-name; the ``filter``/``experiment``/``output`` types read their own fields
-once, from JSON or code alike, then check their ranges, and ``RunConfig`` the
-cross-section and mode rules, all before any computation starts, each error a
-ConfigError naming the field (by :func:`naming` where a rule raises ValueError).
+``experiment``/``output`` sections) whose schema is the section types; unknown
+and repeated keys are rejected by name.  A field's annotation gives its JSON
+kind and, as a ``Literal``, its choices, which its reader checks by field name;
+the ``filter``/``experiment``/``output`` types read their own fields once, from
+JSON or code alike, then check their ranges, and ``RunConfig`` the cross-section
+and mode rules, all before any computation starts, each error a ConfigError
+naming the field (by :func:`naming` where a rule raises ValueError).
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from typing import Literal
 import numpy as np
 
 from .bench import (MAX_BETA_GRID, BenchmarkSetup, default_beta_grid, ensemble_run_bytes,
-                    find_detection_points, fit_scaling, gain_setups, snr_setups)
+                    find_detection_points, fit_scaling, gain_setups, signal_amplitude, snr_setups)
 from .ramsey import (GAMMA_E, PHOTON_MODELS, POISSON_LAM_MAX, AcquisitionPlan, SensorParams,
-                     calib_frequency, sensing_frequency)
+                     calib_frequency, envelope, sensing_frequency)
 from .tmt import FrequencyGrid
 from .wavelets import available_bases
 
@@ -267,9 +267,14 @@ def _check_mode_limits(config: RunConfig) -> None:
             if plan.n_experiments < 2:
                 raise ConfigError(f"plan.n_experiments must be >= 2 for mode {mode!r}, "
                                   f"got {plan.n_experiments}")
+            if not np.any(envelope(plan.times, setup.params)):  # no fringe for the search to find
+                raise ConfigError(f"sensor.t2_star = {setup.params.t2_star:.6g} s: the window has no fringe")
             fringe = "sensing" if setup.omega_true == config.omega_sense else "calibration"
             with naming(count if fringe == "sensing" else f"{count} on the calibration fringe at omega_calib"):
                 points = find_detection_points(setup.omega_true, plan, setup.n_sd, setup.params)
+            if mode == "benchmark" and not signal_amplitude(points, setup.params, setup.omega_true,
+                                                            setup.params.omega_calib) > 0.0:
+                raise ConfigError(f"experiment.delta_b = {config.experiment.delta_b!r}: no signal to detect")
             grid = setup.resolved_grid()
             # the true frequency's grid index; 1e-9 forgives the rounding of the grid's
             # points, the centre of a 3-point grid being index 1
@@ -464,13 +469,23 @@ def _points_file(path: Path) -> list[list[float]]:
     return points
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object from its key/value pairs; a key given twice is rejected by name."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"key {key!r} is given twice in one JSON object")
+        data[key] = value
+    return data
+
+
 def parse_config(source: str | Path | dict | None) -> RunConfig:
     """Parse and validate a configuration from a path, JSON text or dict.
 
-    ``None`` yields the all-defaults configuration.  A string is JSON text
-    when its first non-blank character is ``{``, and a file path otherwise.
-    A path naming no file or one that cannot be read, parse errors (with
-    the offending line) and validation errors (naming the field) raise
+    ``None`` yields the all-defaults configuration.  A string is JSON text when
+    its first non-blank character is ``{``, and a file path otherwise.  A path
+    naming no file or one that cannot be read, parse errors (with the offending
+    line), a repeated key and validation errors (naming the field) raise
     ConfigError; sections are read as ones built in code are, and a config
     naming its mode is checked against its rules here (a fit-scaling points
     file read included), otherwise once the mode is set.
@@ -483,7 +498,7 @@ def parse_config(source: str | Path | dict | None) -> RunConfig:
         is_text = isinstance(source, str) and source.lstrip().startswith("{")
         text = source if is_text else read_text(Path(source), "config file")
         try:
-            data = json.loads(text)
+            data = json.loads(text, object_pairs_hook=_object)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(data, dict):

@@ -4,12 +4,42 @@ from dataclasses import fields
 
 import numpy as np
 
+from tmtmag.ramsey import envelope, template
+
 
 def assert_stats_identical(a, b):
     """Two ``EnsembleStats`` hold the same bits in every field."""
     for field in fields(a):
         np.testing.assert_array_equal(getattr(a, field.name), getattr(b, field.name),
                                       err_msg=field.name)
+
+
+def raw_variance(times, omega, params, repetitions, photon_stats="bernoulli-poisson"):
+    """Closed-form variance of a raw sample, per detection time.
+
+    sigma_p^2 = [p0 n0 + (1 - p0) n1 + (n0 - n1)^2 p0 (1 - p0)] / M with p0 at
+    ``omega``: binomial projections, then Poisson photons.  Poisson counts
+    alone (``photon_stats="poisson"``) leave ``template / M``.
+    """
+    if photon_stats == "poisson":
+        return template(times, omega, params) / repetitions
+    p0 = 0.5 * (1.0 + np.cos(omega * times) * envelope(times, params))
+    return (p0 * params.n0 + (1.0 - p0) * params.n1
+            + (params.n0 - params.n1) ** 2 * p0 * (1.0 - p0)) / repetitions
+
+
+def fringe_mse_stderr(variance, n_exp: int) -> float:
+    """SE of the raw fringe-averaged MSE, the mean over points of ``variance``
+    (from :func:`raw_variance`): each point's MSE has variance 2 sigma_p^4 / n_exp."""
+    return float(np.sqrt(np.sum(2.0 * variance ** 2 / n_exp)) / variance.size)
+
+
+def raw_snr_stderr(delta_n: float, variance, n_exp: int) -> float:
+    """Delta-method SE of the raw SNR ``delta_n / sqrt(fringe MSE)`` of ``n_exp``
+    experiments, the SNR and the fringe MSE's mean and SE all from the closed-form
+    ``variance``: 0.5 * SNR * SE(mean) / mean."""
+    mean = float(np.mean(variance))
+    return 0.5 * delta_n / np.sqrt(mean) * fringe_mse_stderr(variance, n_exp) / mean
 
 
 def bias_sq_mean(stats) -> float:

@@ -34,7 +34,7 @@ from tmtmag import (
     template,
     tmt_denoise,
 )
-from tmtmag.bench import child_seed, detection_crossings, snr_stderr
+from tmtmag.bench import child_seed, detection_crossings
 from tmtmag.wavelets import (
     basis_registry,
     default_levels,
@@ -43,7 +43,7 @@ from tmtmag.wavelets import (
     uwt_analyze,
     uwt_synthesize,
 )
-from stat_utils import assert_monotone_tradeoff
+from stat_utils import assert_monotone_tradeoff, raw_snr_stderr, raw_variance
 
 PARAMS = SensorParams.from_contrast(0.2143, 0.196, 3.9e-6, 2.0, 100e-6)
 OMEGA_SENSE = sensing_frequency(PARAMS, 2e-6)
@@ -187,9 +187,10 @@ def test_criterion_8_sampling_frequency_behavior():
             res = sweep_beta(_sensing_setup(plan, 5), BETA_GRID)
             points = res.points
             delta_n = signal_amplitude(points, PARAMS, OMEGA_SENSE, PARAMS.omega_calib)
+            sigma2 = raw_variance(points.times, OMEGA_SENSE, PARAMS, plan.repetitions)
             results[f_sample] = {
                 "raw": snr(res.raw_stats, delta_n),
-                "raw_se": snr_stderr(res.raw_stats, delta_n),
+                "raw_se": raw_snr_stderr(delta_n, sigma2, N_EXP),
                 "tmt": snr(res.opt_stats, delta_n),
             }
         rates = sorted(results)

@@ -44,8 +44,9 @@ from tmtmag.bench import (
 )
 from tmtmag.tmt import clamp_details, margin_width, residual_chunks, tmt_denoise
 from tmtmag.wavelets import uwt_analyze, uwt_synthesis_rows, uwt_synthesize
-from tmtmag.ramsey import envelope, shot_noise
-from stat_utils import assert_monotone_tradeoff, assert_stats_identical
+from tmtmag.ramsey import shot_noise
+from stat_utils import (assert_monotone_tradeoff, assert_stats_identical, fringe_mse_stderr,
+                        raw_variance)
 
 OMEGA = 2 * np.pi * 2.8024e6
 
@@ -180,26 +181,21 @@ def test_stats_identity_random(rng):
 def _point_stats_oracle(at_points, truths):
     """The statistics as ``np.mean`` and powers formed them, ``mse`` being
     ``bias**2 + variance``: the oracle of :func:`point_stats`."""
-    n_exp = at_points.shape[0]
     dev = at_points - truths[None, :]
     bias = np.mean(dev, axis=0)
     sample_mean = np.mean(at_points, axis=0)
     variance = np.mean((at_points - sample_mean[None, :]) ** 2, axis=0)
     mse = bias ** 2 + variance
-    fourth = np.mean(dev ** 4, axis=0)
     return {"mse": mse, "bias": bias, "sample_mean": sample_mean, "variance": variance,
-            "fringe_averaged_mse": float(np.mean(mse)),
-            "mse_stderr": np.sqrt(np.maximum(fourth - mse ** 2, 0.0) / n_exp)}
+            "fringe_averaged_mse": float(np.mean(mse))}
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("n_exp", [2, 37, 200])
 @pytest.mark.parametrize("p", [1, 3, 9])
 def test_point_stats_match_the_mean_formulas(rng, p, n_exp, order):
-    # every field but mse_stderr is bit for bit the oracle's, on C- and
-    # F-contiguous samples alike; mse is bias**2 + variance, a few ulp from
-    # the mean squared deviation; mse_stderr squares the squared deviations
-    # where the oracle takes a fourth power, which moves it at rounding level
+    # every field is bit for bit the oracle's, on C- and F-contiguous samples
+    # alike; mse is bias**2 + variance, a few ulp from the mean squared deviation
     truths = rng.uniform(0.15, 0.25, p)
     samples = np.asarray(truths + rng.normal(0.0, 0.02, (n_exp, p)), order=order)
     assert samples.flags.f_contiguous if order == "F" else samples.flags.c_contiguous
@@ -210,11 +206,6 @@ def test_point_stats_match_the_mean_formulas(rng, p, n_exp, order):
         np.testing.assert_array_equal(getattr(stats, name), oracle[name], err_msg=name)
     dev = samples - truths[None, :]
     np.testing.assert_allclose(stats.mse, np.mean(dev ** 2, axis=0), rtol=1e-14, atol=0)
-    if n_exp >= 37:
-        np.testing.assert_allclose(stats.mse_stderr, oracle["mse_stderr"], rtol=1e-12, atol=0)
-    else:  # two experiments: fourth - mse**2 cancels, and its rounding shows
-        np.testing.assert_allclose(stats.mse_stderr, oracle["mse_stderr"], rtol=1e-9,
-                                   atol=1e-12 * np.max(oracle["mse"]))
 
 
 def test_ensemble_stats_do_not_depend_on_memory_order(rng):
@@ -232,18 +223,21 @@ def test_ensemble_stats_do_not_depend_on_memory_order(rng):
                                               points))
 
 
-def test_raw_variance_matches_compound_model(paper_params):
+@pytest.mark.parametrize("repetitions", [1000, 25000, 400000])
+@pytest.mark.parametrize("photon_stats", ["bernoulli-poisson", "poisson"])
+def test_raw_variance_matches_compound_model(paper_params, photon_stats, repetitions):
     omega = sensing_frequency(paper_params, 2e-6)
-    plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 300, seed=42)
-    values = simulate_ensemble(paper_params, plan, omega)
+    plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, repetitions, 300, seed=42)
+    values = simulate_ensemble(paper_params, plan, omega, photon_stats)
     points = find_detection_points(omega, plan, 3, paper_params)
     stats = ensemble_stats(values, points)
-    p0 = 0.5 * (1 + np.cos(omega * points.times) * envelope(points.times, paper_params))
-    per_rep = (p0 * paper_params.n0 + (1 - p0) * paper_params.n1
-               + p0 * (1 - p0) * (paper_params.n0 - paper_params.n1) ** 2)
-    expected = per_rep / plan.repetitions
+    expected = raw_variance(points.times, omega, paper_params, repetitions, photon_stats)
     stderr = expected * np.sqrt(2.0 / (plan.n_experiments - 1))
     assert np.all(np.abs(stats.variance - expected) < 3 * stderr)
+    # the raw fringe MSE against its closed-form expectation, the mean of sigma_p^2
+    z = ((stats.fringe_averaged_mse - np.mean(expected))
+         / fringe_mse_stderr(expected, plan.n_experiments))
+    assert abs(z) < 4, f"raw fringe MSE {z:.2f} SE from the closed form"
 
 
 def test_stats_input_validation(paper_params):

@@ -376,6 +376,35 @@ def test_window_without_crossings_exits_2(tmp_path, capsys, mode):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("delta_b", [0.0, 1e-30])
+def test_benchmark_without_signal_exits_2(tmp_path, capsys, delta_b):
+    # b_calib + 1e-30 rounds to b_calib; every ensemble was simulated and
+    # swept, then the scaling fit exited 1 with "strictly positive coordinates"
+    cfg = fast_config(tmp_path, experiment={"delta_b": delta_b, "m_values": [25000, 50000, 100000]})
+    out = tmp_path / "run"
+    assert main(["benchmark", "--config", str(cfg), "--seed", "4", "--out", str(out)]) == 2
+    assert f"experiment.delta_b = {delta_b!r}: no signal" in capsys.readouterr().err
+    assert not out.exists()
+    # a gain profile needs no sensing shift
+    config = parse_config(cfg)
+    replace(config, experiment=replace(config.experiment, mode="gain-profile"))
+
+
+@pytest.mark.parametrize("mode", ["denoise", "sweep-beta", "benchmark", "gain-profile"])
+def test_window_without_fringe_exits_2(tmp_path, capsys, mode):
+    # t2_star = 1 ns leaves the envelope 0 at every sample; denoise exited 1
+    # with "correlation maximum at the grid boundary ... widen the search grid"
+    cfg = fast_config(tmp_path, sensor={"t2_star": 1e-9},
+                      experiment={"m_values": [25000, 50000, 100000], "n_sd_values": [1, 2]})
+    out = tmp_path / "run"
+    assert main([mode, "--config", str(cfg), "--seed", "4", "--out", str(out)]) == 2
+    assert "sensor.t2_star = 1e-09 s: the window has no fringe" in capsys.readouterr().err
+    assert not out.exists()
+    # simulate searches no frequency
+    config = parse_config(cfg)
+    replace(config, experiment=replace(config.experiment, mode="simulate"))
+
+
 def test_gain_profile_ignores_the_base_window(tmp_path):
     # gain-profile sizes each window from plan.t_start, so a base window with
     # no crossing (six samples) runs as a longer one does; it exited 2 with

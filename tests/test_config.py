@@ -85,6 +85,14 @@ def test_parse_error_reports_line():
         parse_config(bad)
 
 
+def test_repeated_key_rejected_by_name():
+    # json.loads kept the last of each key, losing the first plan's t_stop
+    with pytest.raises(ConfigError, match="^key 't_stop' is given twice"):
+        parse_config('{"plan": {"t_stop": 1.75e-6, "t_stop": 2.14e-6}, "plan": {"repetitions": 50000}}')
+    with pytest.raises(ConfigError, match="^key 'plan' is given twice"):
+        parse_config('{"plan": {"t_stop": 1.75e-6}, "plan": {"repetitions": 50000}}')
+
+
 def test_missing_config_file_is_named(tmp_path):
     # a path string used to be parsed as JSON text ("Expecting value"), and
     # a Path escaped as FileNotFoundError
