@@ -266,7 +266,8 @@ def _clipped_point_sums(offsets, scales, rows, widths) -> np.ndarray:
     ``offsets`` and ``scales`` are the (C, E) residual coefficients and
     ``|S|`` values of E experiments at the C coefficients that the (C, p)
     ``rows`` read, and the K ``widths`` rise; returns (K, E, p), to be added
-    to the raw samples.  ``scales`` is overwritten.  A coefficient ``r``
+    to the raw samples.  ``scales`` is overwritten, unless it is read-only (one
+    ``|S|`` broadcast over the chunk), when it is copied.  A coefficient ``r``
     with noise scale ``s`` is clipped to ``sign(r)*w*s`` at the widths
     ``w`` below ``tau = |r|/s`` and passes unclipped from there on, so it
     falls into bucket ``q = searchsorted(widths, tau)``, the number of
@@ -277,24 +278,31 @@ def _clipped_point_sums(offsets, scales, rows, widths) -> np.ndarray:
     ``sign(r)*w_k*s*row``.  ``sum(U[q > k])`` is the total of a forward
     cumulative sum less its first ``k + 1`` terms, so an infinite width,
     which clips nothing, also where ``s = 0``, changes nothing exactly.
-    Besides its output it holds two (C, E) arrays: the keys, and ``work``.
+    Besides its output it holds two (C, E) arrays, the keys and ``work``, and per
+    detection row the two (E, K + 1) bucket sums, which are cumulated in place.
     """
     n_buckets, n_exp = widths.size + 1, offsets.shape[1]
     work = np.empty(offsets.shape)
     keys = _bucket_keys(offsets, scales, widths, work)
     keys += n_buckets * np.arange(n_exp)  # one run of buckets per experiment
     keys = keys.ravel()
-    np.copysign(scales, offsets, out=scales)
+    # a broadcast |S| (one analysis shared by the chunk) is read-only, and gets a copy
+    signed = np.copysign(scales, offsets, out=scales if scales.flags.writeable else None)
     finite = np.where(widths < np.inf, widths, 0.0)  # B is 0 there, and inf * 0 NaN
     out = np.empty((widths.size, n_exp, rows.shape[1]))
     for j, row in enumerate(rows.T):
         unclipped, clipped = (
             np.bincount(keys, np.multiply(coeffs, row[:, None], out=work).ravel(),
                         n_exp * n_buckets)
-            .reshape(n_exp, n_buckets) for coeffs in (offsets, scales))
-        cs = np.cumsum(unclipped, axis=1)
-        out[:, :, j] = (cs[:, :-1] - cs[:, -1:]
-                        + finite * np.cumsum(clipped[:, :0:-1], axis=1)[:, ::-1]).T
+            .reshape(n_exp, n_buckets) for coeffs in (offsets, signed))
+        # the sums are cumulated where bincount left them: U forward, B backward from its end
+        np.cumsum(unclipped, axis=1, out=unclipped)
+        suffix = clipped[:, :0:-1]
+        np.cumsum(suffix, axis=1, out=suffix)
+        suffix = clipped[:, 1:]
+        suffix *= finite
+        sample = np.subtract(unclipped[:, :-1], unclipped[:, -1:], out=out[:, :, j].T)
+        sample += suffix
     return out
 
 
@@ -412,8 +420,11 @@ def ensemble_run_bytes(setup: BenchmarkSetup, n_betas: int, n_points: int) -> in
     or of (C, E) gathers, and the sweep's ``K * p`` bucket sums and ``6 * (K + 1)``
     cumulative sums.  Once, the detection rows
     (``(2 * levels + 8) * N * p`` doubles while built) and the search's block of
-    ``SPECTRUM_ROWS`` traces, whose FFTs, centred rows and spectra take 3 complex values a
-    trace and 5 more per FFT sample, the FFT length being below ``2 * (N + freq_points)``.
+    ``SPECTRUM_ROWS`` traces.  The search is coarse to fine, but a trace may fall back to
+    its full spectrum, so the term is still the full search's: FFTs, centred rows and
+    spectra of 3 complex values a trace and 5 more per FFT sample, the FFT length being
+    below ``2 * (N + freq_points)``, which also covers the coarse and window transforms
+    held beside it.
     """
     plan, n, levels = setup.plan, setup.plan.n_samples, setup.resolved_levels()
     n_exp, freq_points, p = plan.n_experiments, setup.resolved_grid().n_points, n_points
@@ -597,6 +608,7 @@ class GainPoint:
     raw_fringe_mse: float
     tmt_fringe_mse: float
     gain: float
+    beta_calib_on_edge: bool  # the calibration sweep's optimum sits on a beta grid end
 
 
 def gain_setups(setup: BenchmarkSetup, n_sd_values) -> list[BenchmarkSetup]:
@@ -623,15 +635,16 @@ def gain_profile(setup: BenchmarkSetup, n_sd_values, beta_grid) -> list[GainPoin
     out = []
     setups = gain_setups(setup, n_sd_values)
     for calib_setup, sense_setup in zip(setups[::2], setups[1::2]):
-        beta_calib = sweep_beta(calib_setup, beta_grid).beta_opt
-        raw_mse, tmt_mse = _sense_fringe_mse(sense_setup, beta_calib)
+        calib = sweep_beta(calib_setup, beta_grid)
+        raw_mse, tmt_mse = _sense_fringe_mse(sense_setup, calib.beta_opt)
         out.append(GainPoint(
             n_sd=sense_setup.n_sd,
             t_stop=sense_setup.plan.t_stop,
-            beta_calib=beta_calib,
+            beta_calib=calib.beta_opt,
             raw_fringe_mse=raw_mse,
             tmt_fringe_mse=tmt_mse,
             gain=float(np.sqrt(raw_mse / tmt_mse)),
+            beta_calib_on_edge=calib.beta_opt_on_edge,
         ))
     return out
 

@@ -255,10 +255,10 @@ def _stats_columns(stats, points, series: str, beta) -> dict[str, list]:
     }
 
 
-def _dataclass_table(items) -> np.ndarray:
-    """One column per dataclass field, in declaration order."""
+def _dataclass_table(items, *skip: str) -> np.ndarray:
+    """One column per dataclass field but those named in ``skip``, in declaration order."""
     return make_table(**{f.name: [getattr(item, f.name) for item in items]
-                         for f in fields(items[0])})
+                         for f in fields(items[0]) if f.name not in skip})
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +345,15 @@ def _run_benchmark(config: RunConfig):
 def _run_gain_profile(config: RunConfig):
     setup = config.setup
     gains = gain_profile(setup, config.experiment.n_sd_values, config.filter.beta_grid)
-    tables = [("gain_profile", _dataclass_table(gains))]
+    # the edge flags go to the manifest only, so the table keeps its columns
+    tables = [("gain_profile", _dataclass_table(gains, "beta_calib_on_edge"))]
     best = max(gains, key=lambda g: g.gain)
     summary = [
         f"gain profile over n_sd = {config.experiment.n_sd_values}",
         f"peak gain {best.gain:.3f} at n_sd={best.n_sd} (beta_calib={best.beta_calib:g})",
     ]
-    return tables, {}, summary
+    derived = {"beta_calib_on_edge": [g.beta_calib_on_edge for g in gains]}
+    return tables, derived, summary
 
 
 def _run_fit_scaling(config: RunConfig):

@@ -171,14 +171,66 @@ def sensing_frequency(params: SensorParams, delta_b: float) -> float:
 # sampling
 # ---------------------------------------------------------------------------
 
-def experiment_rng(seed: int, experiment: int) -> np.random.Generator:
-    """Counter-based (Philox) substream for one ensemble member.
+#: the hashing constants of numpy's ``SeedSequence`` (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
 
-    Substreams depend only on (seed, experiment), so ensembles are
-    reproducible under any evaluation order.
+
+def _substream_keys(seed: int, n: int) -> np.ndarray:
+    """The (n, 2) uint64 Philox keys ``SeedSequence(entropy=seed, spawn_key=(i,))``
+    gives experiments ``i < n``, as ``generate_state(2, np.uint64)``, in one pass.
+
+    numpy's mixing, run on uint32 arrays: the seed's 32-bit words (least
+    significant first, padded with zeros to the pool size) and the spawn key
+    ``i`` are hashed into a pool of four words, which is hashed out into the
+    key.  Only the last entropy word, ``i``, differs between experiments, so
+    every step before it is one word wide.  An experiment index takes one
+    word, so ``n`` is at most ``2**32``.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(experiment),))
-    return np.random.Generator(np.random.Philox(ss))
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if not 0 <= n <= 2 ** 32:
+        raise ValueError(f"substreams are keyed for 0 to 2**32 experiments, got {n}")
+    u32, seed = np.uint32, int(seed)
+    entropy = []
+    while True:  # the seed's words, least significant first; 0 is one word
+        entropy.append(np.full(1, seed & 0xFFFFFFFF, dtype=u32))
+        seed >>= 32
+        if not seed:
+            break
+    entropy += [np.zeros(1, dtype=u32)] * (_POOL_SIZE - len(entropy))
+    entropy.append(np.arange(n, dtype=u32))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ u32(hash_const)
+        hash_const = hash_const * _MULT_A & 0xFFFFFFFF
+        value = value * u32(hash_const)
+        return value ^ (value >> u32(16))
+
+    def mix(x, y):
+        result = u32(_MIX_MULT_L) * x - u32(_MIX_MULT_R) * y
+        return result ^ (result >> u32(16))
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state = np.empty((n, _POOL_SIZE), dtype=u32)
+    hash_const = _INIT_B
+    for i, word in enumerate(pool):
+        word = word ^ u32(hash_const)
+        hash_const = hash_const * _MULT_B & 0xFFFFFFFF
+        word = word * u32(hash_const)
+        state[:, i] = word ^ (word >> u32(16))
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
 #: Largest mean numpy's ``Generator.poisson`` accepts ("lam value too large"
@@ -204,9 +256,16 @@ def simulate_ensemble(params: SensorParams, plan: AcquisitionPlan, omega_true: f
         p0 = 0.5 * (1.0 + np.cos(omega_true * t) * envelope(t, params))
     else:
         mean = m * template(t, omega_true, params)
+    # experiment i draws from Philox under the key that SeedSequence(entropy=seed,
+    # spawn_key=(i,)) gives it, so its substream depends only on (seed, i); one
+    # generator is re-keyed per experiment, into the state a fresh one starts in
+    bits = np.random.Philox(0)
+    rng = np.random.Generator(bits)
+    state = bits.state
     out = np.empty((plan.n_experiments, plan.n_samples))
-    for i in range(plan.n_experiments):
-        rng = experiment_rng(plan.seed, i)
+    for i, key in enumerate(_substream_keys(plan.seed, plan.n_experiments).tolist()):
+        state["state"]["key"] = key
+        bits.state = state
         if photon_stats == "bernoulli-poisson":
             # number of |0> projections among M repetitions, then the photon
             # total is Poisson with the state-summed mean

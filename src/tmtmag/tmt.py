@@ -3,9 +3,11 @@
 Per trace, the fringe frequency is estimated by template cross-correlation
 (:func:`estimate_frequencies`); on uniform grids of samples and trial
 frequencies the correlation spectrum is one chirp-z transform per trace
-(:func:`correlation_spectrum`).  The paper clamps every detail coefficient
-of the trace into the decomposed margins ``template +/- width * S(t)``,
-``S(t)`` being the shot-noise profile, and keeps the approximation band.
+(:func:`correlation_spectrum`), which the search takes on a coarse grid
+and then on a window around the coarse maximum.  The paper clamps every
+detail coefficient of the trace into the decomposed margins
+``template +/- width * S(t)``, ``S(t)`` being the shot-noise profile, and
+keeps the approximation band.
 The undecimated transform is linear, so that clamp is a clip of the
 residual ``trace - template``: each of its detail coefficients ``r`` is
 clipped into ``+/- width * |S|`` (:func:`clamp_details`), ``|S|`` being the
@@ -154,64 +156,81 @@ def _uniform_step(grid: np.ndarray, name: str) -> float:
     return step
 
 
-def _spectrum_blocks(values: np.ndarray, times: np.ndarray, params: SensorParams,
-                     omegas: np.ndarray):
-    """``(rows, r)`` for each slice ``rows`` of ``SPECTRUM_ROWS`` traces of the (n, N) ``values``,
-    ``r`` being their (rows, G) correlation spectrum (see :func:`correlation_spectrum`).
+class _ChirpZ:
+    """Correlation spectra of blocks of traces on ``width`` consecutive points of the uniform
+    grid ``omegas`` (all of them by default), one Bluestein chirp-z transform per trace.
 
-    The grids are checked and the operands that no trace changes (chirps,
-    the kernel's FFT, the weights and the envelope) are built once, when
-    this is called; each block is centred and weighted as it is reached, so
-    nothing held grows with both n and G.  ``r`` is a work array that the
-    next block overwrites.
+    ``omega_g t_n = omega_g t_0 + omega_0 dt n + 2 c g n`` with ``c = d_omega dt / 2``, and
+    ``2 g n = g**2 + n**2 - (g - n)**2`` splits the sum over ``n`` into two chirps
+    ``exp(i c k**2)`` and a convolution done by FFT.  A row read from grid index ``g0`` on
+    takes its shift ``exp(2 i c g0 n) = chirp[g0] chirp[n] conj(chirp[|g0 - n|])`` into its
+    pre-chirp, so no row needs an ``exp``.  The grids are checked and the operands that no
+    trace changes (chirps, the kernel's FFT, the weights and the envelope) are built once,
+    when this is made; numpy.fft is loaded then, not when tmtmag is imported.
     """
-    times = np.asarray(times, dtype=float)
-    omegas = np.asarray(omegas, dtype=float)
-    n, g = times.size, omegas.size
-    if n < 2:
-        raise FrequencySearchError("trace too short for a correlation search")
-    dt = _uniform_step(times, "times")
-    # omega_g t_n = omega_g t_0 + omega_0 dt n + 2 c g n with c = d_omega dt / 2,
-    # and 2 g n = g**2 + n**2 - (g - n)**2
-    chirp = _chirp(0.5 * _uniform_step(omegas, "omegas") * dt, np.arange(max(n, g)))
-    pre = np.exp(1j * (omegas[0] * dt) * np.arange(n)) * chirp[:n]
-    post = 0.5 * (params.n0 - params.n1) * np.exp(1j * omegas * times[0]) * chirp[:g]
-    # the convolution kernel exp(-i c j**2) at j = g - n in [1 - n, g - 1], j < 0
-    # wrapped to size + j; numpy.fft is loaded here, not when tmtmag is imported
-    size = _fft_length(n + g - 1)
-    kernel = np.zeros(size, dtype=complex)
-    kernel[:g] = chirp[:g].conj()
-    kernel[size - n + 1:] = chirp[n - 1:0:-1].conj()
-    kernel = np.fft.fft(kernel)
 
-    # one block's work arrays, reused by every block (numpy.fft's out=, new in
-    # numpy 2.0): allocating them per block made the allocator hand their
-    # pages back and fault them in again
-    most = max(min(SPECTRUM_ROWS, values.shape[0]), 1)
-    transform = np.empty((most, size), dtype=complex)
-    r, term = np.empty((most, g)), np.empty((most, g))
+    def __init__(self, times: np.ndarray, params: SensorParams, omegas: np.ndarray,
+                 width: int | None = None):
+        times = np.asarray(times, dtype=float)
+        omegas = np.asarray(omegas, dtype=float)
+        n, g = times.size, omegas.size
+        if n < 2:
+            raise FrequencySearchError("trace too short for a correlation search")
+        dt = _uniform_step(times, "times")
+        self.width = width = g if width is None else width
+        self.chirp = chirp = _chirp(0.5 * _uniform_step(omegas, "omegas") * dt,
+                                    np.arange(max(n, g)))
+        self.pre = np.exp(1j * (omegas[0] * dt) * np.arange(n)) * chirp[:n]
+        self.phase = 0.5 * (params.n0 - params.n1) * np.exp(1j * omegas * times[0])
+        # the convolution kernel exp(-i c j**2) at j = g - n in [1 - n, width - 1], j < 0
+        # wrapped to size + j
+        self.size = size = _fft_length(n + width - 1)
+        kernel = np.zeros(size, dtype=complex)
+        kernel[:width] = chirp[:width].conj()
+        kernel[size - n + 1:] = chirp[n - 1:0:-1].conj()
+        self.kernel = np.fft.fft(kernel)
+        self.weights = np.full(n, dt)
+        self.weights[0] = self.weights[-1] = 0.5 * dt
+        self.env = envelope(times, params)
+        self.work = None
 
-    weights = np.full(n, dt)
-    weights[0] = weights[-1] = 0.5 * dt
-    env = envelope(times, params)
-
-    def spectrum(rows):
-        """``A Re sum_n u_n exp(i omega_g t_n)`` per trace of the block ``rows``, in ``r``."""
-        block = values[rows]
-        m = len(block)
+    def weigh(self, block: np.ndarray) -> np.ndarray:
+        """``u`` of the (rows, N) traces ``block``: each centred trace times the weights,
+        less its window mean, times the envelope."""
         u = block - block.mean(axis=1, keepdims=True)
-        u *= weights
-        u -= u.sum(axis=1, keepdims=True) / n
-        u *= env
-        z = np.fft.fft(u * pre, size, out=transform[:m])
-        z *= kernel
-        z = np.fft.ifft(z, out=z)[:, :g]
-        out = np.multiply(z.real, post.real, out=r[:m])
-        out -= np.multiply(z.imag, post.imag, out=term[:m])
-        return rows, out
+        u *= self.weights
+        u -= u.sum(axis=1, keepdims=True) / u.shape[1]
+        u *= self.env
+        return u
 
-    return map(spectrum, (slice(start, start + SPECTRUM_ROWS)
-                          for start in range(0, values.shape[0], SPECTRUM_ROWS)))
+    def __call__(self, u: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray:
+        """``A Re sum_n u_n exp(i omega_g t_n)`` of each row of ``u`` at the ``width`` grid
+        indices ``g`` from its ``starts`` entry on (from 0 without ``starts``), as a
+        (rows, width) work array that the next call overwrites."""
+        m, n = u.shape
+        if self.work is None or len(self.work[0]) < m:
+            # one block's work arrays, reused by every block (numpy.fft's out=, new in
+            # numpy 2.0): allocating them per block made the allocator hand their
+            # pages back and fault them in again
+            self.work = (np.empty((m, self.size), dtype=complex),
+                         np.empty((m, self.width)), np.empty((m, self.width)))
+        transform, r, term = (a[:m] for a in self.work)
+        chirp, width = self.chirp, self.width
+        if starts is None:
+            pre, post = self.pre, self.phase[:width] * chirp[:width]
+        else:
+            pre = chirp[np.abs(starts[:, None] - np.arange(n))].conj()
+            pre *= chirp[starts, None]
+            pre *= chirp[:n]
+            pre *= self.pre
+            post = self.phase[starts[:, None] + np.arange(width)]
+            post *= chirp[:width]
+        z = np.fft.fft(u * pre, self.size, out=transform)
+        z *= self.kernel
+        z = np.fft.ifft(z, out=z)[:, :width]
+        out = np.multiply(z.real, post.real, out=r)
+        out -= np.multiply(z.imag, post.imag, out=term)
+        return out
 
 
 def correlation_spectrum(values: np.ndarray, times: np.ndarray,
@@ -228,38 +247,133 @@ def correlation_spectrum(values: np.ndarray, times: np.ndarray,
     same overlap, ``A Re sum_n u_n exp(i omega_g t_n)``: ``u`` is the
     centred trace times the weights, less its window mean, times the
     envelope.  Both grids are uniform, so the sum over ``n`` is one
-    Bluestein chirp-z transform, ``omega_g t_n`` being split with
-    ``g n = (g**2 + n**2 - (g - n)**2) / 2`` into two chirps and a
-    convolution done by FFT.  numpy's FFT calls no BLAS, so the result does
-    not depend on the BLAS thread count.
+    Bluestein chirp-z transform (:class:`_ChirpZ`, which also serves the
+    coarse grid and the windows of :func:`estimate_frequencies`).  numpy's
+    FFT calls no BLAS, so the result does not depend on the BLAS thread
+    count.
 
     The spectrum is filled block by block, ``SPECTRUM_ROWS`` traces at a
-    time, from the same blocks that :func:`estimate_frequencies` reduces
-    to their maxima, so a row's bits do not depend on the batch.
+    time, and each row is transformed on its own, so a row's bits do not
+    depend on the batch.
     """
     batch, traces = _as_traces(values, np.size(times), FrequencySearchError)
-    blocks = _spectrum_blocks(traces, times, params, omegas)
+    spectrum = _ChirpZ(times, params, omegas)
     out = np.empty((traces.shape[0], np.size(omegas)))
-    for rows, r in blocks:
-        out[rows] = r
+    for start in range(0, traces.shape[0], SPECTRUM_ROWS):
+        rows = slice(start, start + SPECTRUM_ROWS)
+        out[rows] = spectrum(spectrum.weigh(traces[rows]))
     return out.reshape(batch + out.shape[1:])
+
+
+#: coarse steps per half-width of the correlation's main lobe
+LOBE_STEPS = 8
+
+
+def _top(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(k, peaks)``: each row's argmax and its (rows, 3) values at ``k - 1, k, k + 1``
+    (the indices clipped into the row, for an argmax on its end)."""
+    k = np.argmax(r, axis=1)
+    near = np.minimum(np.maximum(k, 1), r.shape[1] - 2)[:, None] + np.arange(-1, 2)
+    return k, r[np.arange(k.size)[:, None], near]
+
+
+class _LobeSearch:
+    """Grid maxima of blocks of traces, coarse to fine (see :func:`estimate_frequencies`).
+
+    The correlation with a fringe at ``omega*`` is about
+    ``cos((omega - omega*) T / 2)`` times a slower envelope, ``T = |t_0| + |t_{N-1}|``
+    being the window's length from ``t = 0``, so its main lobe's half-width is
+    ``pi / T``.  The coarse grid runs from one grid end to the other in steps of
+    at most ``1 / LOBE_STEPS`` of that, and a window reaches 1.5 coarse steps
+    and two grid points to either side of the coarse maximum.  When that would
+    not shorten the FFTs, the search is the full spectrum.
+    """
+
+    def __init__(self, times: np.ndarray, params: SensorParams, grid: FrequencyGrid):
+        times = np.asarray(times, dtype=float)
+        _uniform_step(times, "times")  # a 2-D grid is rejected before its ends are read
+        self.times, self.params, self.omegas = times, params, grid.omegas
+        self.last = last = grid.n_points - 1
+        self.full = self.coarse = None
+        n = times.size
+        span = float(abs(times[0]) + abs(times[-1])) if n >= 2 else 0.0
+        # coarse steps from one grid end to the other: each at most 1 / LOBE_STEPS of
+        # the main lobe's half-width pi / T, and at least two grid points
+        steps = np.ceil(float(grid.omega_max - grid.omega_min) * LOBE_STEPS * span / np.pi)
+        if 1 <= steps <= last / 2:
+            intervals = int(steps)
+            self.step = last / intervals  # grid points per coarse step
+            self.half = int(1.5 * self.step) + 3
+            if (_fft_length(n + intervals) + _fft_length(n + 2 * self.half)
+                    < _fft_length(n + last)):
+                self.coarse = _ChirpZ(times, params, np.linspace(
+                    grid.omega_min, grid.omega_max, intervals + 1))
+                self.window = _ChirpZ(times, params, self.omegas, 2 * self.half + 1)
+                # the spectrum's curvature is at most A sum_n |u_n| t_n**2, so between
+                # coarse points it rises at most that times (h / 2)**2 / 2 above the nearest
+                self.curvature = 0.5 * (params.n0 - params.n1) * times * times
+                self.loss = 0.5 * (0.5 * (grid.omega_max - grid.omega_min) / intervals) ** 2
+        if self.coarse is None:
+            self._full()  # checks the grids (a trace too short, say) before any block
+
+    def _full(self) -> _ChirpZ:
+        if self.full is None:
+            self.full = _ChirpZ(self.times, self.params, self.omegas)
+        return self.full
+
+    def __call__(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(k, peaks)`` of the (rows, N) traces ``block``, as :func:`_top` gives them for
+        their full spectra."""
+        if self.coarse is None:
+            full = self._full()
+            return _top(full(full.weigh(block)))
+        u = self.coarse.weigh(block)
+        r = self.coarse(u)
+        top = np.argmax(r, axis=1)
+        width = 2 * self.half
+        starts = np.minimum(np.maximum(np.rint(top * self.step).astype(np.intp) - self.half, 0),
+                            self.last - width)
+        # the rival: the best coarse value at least two coarse steps from the maximum
+        rival = np.max(r, axis=1, initial=-np.inf,
+                       where=np.abs(np.arange(r.shape[1]) - top[:, None]) > 1)
+        k, peaks = _top(self.window(u, starts))
+        loss = self.loss * np.add.reduce(np.abs(u) * self.curvature, axis=1)
+        redo = rival >= peaks[:, 1] - loss
+        redo |= (k == 0) & (starts > 0)
+        redo |= (k == width) & (starts < self.last - width)
+        k += starts
+        if redo.any():
+            k[redo], peaks[redo] = _top(self._full()(u[redo]))
+        return k, peaks
 
 
 def estimate_frequencies(values: np.ndarray, times: np.ndarray, params: SensorParams,
                          grid: FrequencyGrid) -> np.ndarray:
     """Template frequencies of traces ``values`` (shape ``(..., N)``), shape ``values.shape[:-1]``.
 
-    Each trace's discrete correlation maximizer over ``grid`` is refined by
-    one parabolic interpolation through its two neighbours.  A constant
-    trace or a maximum on the grid boundary (search window too narrow, raised
-    as :class:`GridEdgeError`) is an error, and so is a trace with a NaN or
+    Each trace's discrete correlation maximizer over ``grid``, the argmax of
+    its :func:`correlation_spectrum`, is refined by one parabolic
+    interpolation through its two neighbours.  A constant trace or a maximum
+    on the grid boundary (search window too narrow, raised as
+    :class:`GridEdgeError`) is an error, and so is a trace with a NaN or
     infinite sample, which is looked for first in every trace; errors name
-    the first failing trace by its index in the row-major flattened batch.  ``values`` must end in an axis
-    of ``len(times)`` samples.
+    the first failing trace by its index in the row-major flattened batch.
+    ``values`` must end in an axis of ``len(times)`` samples.
 
-    The spectrum is computed ``SPECTRUM_ROWS`` traces at a time, and each
-    block is reduced at once to its maxima and their two neighbours, so the
-    search holds no (n_traces, n_omegas) array and no copy of the traces.
+    The maximizer is found coarse to fine (:class:`_LobeSearch`): the
+    spectrum on a coarse grid locates the lobe, and the spectrum on a window
+    around the coarse maximum gives the grid maximum and its neighbours.
+    Between coarse points, ``h`` apart, the spectrum rises at most
+    ``L = M (h / 2)**2 / 2`` above the nearest one, ``M`` being a bound on its
+    curvature.  So a grid maximum outside the window leaves a coarse value
+    two or more coarse steps from the coarse maximum within ``L`` of the
+    window's maximum.  A trace with such a rival lobe, or whose window
+    maximum sits on a window end that is not a grid end, is searched on the
+    full spectrum instead.
+
+    The traces are searched ``SPECTRUM_ROWS`` at a time, and each block is
+    reduced at once to its estimates, so the search holds no
+    (n_traces, n_omegas) array and no copy of the traces.
     """
     batch_shape, values = _as_traces(values, np.size(times), FrequencySearchError)
     for start in range(0, values.shape[0], SPECTRUM_ROWS):  # no mask of the whole batch
@@ -268,26 +382,27 @@ def estimate_frequencies(values: np.ndarray, times: np.ndarray, params: SensorPa
             i, k = np.argwhere(bad)[0]
             i += start
             raise FrequencySearchError(f"trace {i}: non-finite sample {values[i, k]} at index {k}")
-    omegas = grid.omegas
-    k = np.empty(values.shape[0], dtype=np.intp)
-    peaks = np.empty((values.shape[0], 3))  # r[k - 1], r[k], r[k + 1]
-    for rows, r in _spectrum_blocks(values, times, params, omegas):
-        k[rows] = top = np.argmax(r, axis=1)
+    search = _LobeSearch(times, params, grid)
+    omegas = search.omegas
+    out = np.empty(values.shape[0])
+    for start in range(0, values.shape[0], SPECTRUM_ROWS):
+        rows = slice(start, start + SPECTRUM_ROWS)
+        k, peaks = search(values[rows])
         constant = np.ptp(values[rows], axis=1) == 0.0
-        failed = constant | (top == 0) | (top == omegas.size - 1)
+        failed = constant | (k == 0) | (k == omegas.size - 1)
         if failed.any():
             i = int(np.argmax(failed))  # the first failing trace; earlier blocks had none
             if constant[i]:
-                raise FrequencySearchError(f"trace {rows.start + i}: constant trace, correlation "
+                raise FrequencySearchError(f"trace {start + i}: constant trace, correlation "
                                            f"identically zero after DC removal")
-            raise GridEdgeError(f"trace {rows.start + i}: correlation maximum at the grid "
-                                f"boundary (omega={omegas[top[i]]:.6g}); widen the search grid")
-        peaks[rows] = np.take_along_axis(r, top[:, None] + np.arange(-1, 2), axis=1)
-    r_lo, r_mid, r_hi = peaks.T
-    denom = r_lo - 2.0 * r_mid + r_hi
-    # a flat top (denom 0) keeps the grid maximum: its shift stays 0
-    shift = np.divide(0.5 * (r_lo - r_hi), denom, out=np.zeros(k.size), where=denom != 0.0)
-    return (omegas[k] + shift * (omegas[1] - omegas[0])).reshape(batch_shape)
+            raise GridEdgeError(f"trace {start + i}: correlation maximum at the grid "
+                                f"boundary (omega={omegas[k[i]]:.6g}); widen the search grid")
+        r_lo, r_mid, r_hi = peaks.T
+        denom = r_lo - 2.0 * r_mid + r_hi
+        # a flat top (denom 0) keeps the grid maximum: its shift stays 0
+        shift = np.divide(0.5 * (r_lo - r_hi), denom, out=np.zeros(k.size), where=denom != 0.0)
+        out[rows] = omegas[k] + shift * (omegas[1] - omegas[0])
+    return out.reshape(batch_shape)
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +457,20 @@ def residual_chunk_rows(n_samples: int) -> int:
 
 
 def _chunk_stacks(values, omegas, params, plan, basis, levels, squared_contrast, at):
-    """Residual details and ``|S|`` of the traces ``values`` at ``omegas``, indexed by ``at``;
-    a function of its own, so that the generator holds no chunk while its consumer works."""
+    """Residual details and ``|S|`` of the traces ``values`` at the (E, 1) ``omegas``, indexed
+    by ``at``; a function of its own, so that the generator holds no chunk while its
+    consumer works.  When the chunk's frequencies are all equal, one template and one
+    ``|S|`` analysis serve all of its traces, and ``|S|`` is a read-only broadcast view."""
+    shared = omegas.min() == omegas.max()
+    if shared:
+        omegas = omegas[:1]
     noise = uwt_analyze(shot_noise(plan.times, omegas, params, squared_contrast=squared_contrast),
                         basis, levels)[0][at]
+    noise = np.abs(noise, out=noise)
     residual = template(plan.times, omegas, params)
-    details = uwt_analyze(np.subtract(values, residual, out=residual), basis, levels)[0][at]
-    return details, np.abs(noise, out=noise)
+    residual = np.subtract(values, residual, out=None if shared else residual)
+    details = uwt_analyze(residual, basis, levels)[0][at]
+    return details, np.broadcast_to(noise, details.shape) if shared else noise
 
 
 def residual_chunks(values, omega_temps, params: SensorParams, plan: AcquisitionPlan,
@@ -361,7 +483,8 @@ def residual_chunks(values, omega_temps, params: SensorParams, plan: Acquisition
     ``values[rows] - template`` at the frequencies ``omega_temps[rows]``
     (finite and positive, checked before the first chunk), and ``|S|`` that
     of the absolute shot-noise profiles (``squared_contrast`` as in
-    :func:`tmtmag.ramsey.shot_noise`).  Both are indexed by ``at`` first, so
+    :func:`tmtmag.ramsey.shot_noise`); a chunk of one frequency analyses one
+    profile and yields it as a read-only view broadcast over its traces.  Both are indexed by ``at`` first, so
     ``at = (level, slice(None), sample)`` keeps only (C, E) coefficients.
     Each trace is transformed on its own, so a trace's coefficients do not
     depend on the chunk it falls in.

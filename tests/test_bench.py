@@ -729,8 +729,8 @@ def test_bucket_stage_working_set(paper_params):
     # array it is given: its traced peak, less the keys, stays within 64 KiB,
     # so a coefficient-sized temporary (465 KiB on this chunk of 64 traces at
     # 930 coefficients) fails.  The whole stage, less its (K, E, p) output,
-    # holds work and the keys plus the row loop's bucket and cumulative sums
-    # and numpy's ufunc buffers (about 250 KiB), less than a third (C, E) array
+    # holds work and the keys plus the row loop's two bucket sums, cumulated in
+    # place (63 KiB; the key step's scratch tops it), less than a third (C, E) array
     plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 64, seed=31)
     run = EnsembleRun(_setup(paper_params, plan, n_sd=3), default_beta_grid())
     setup = run.setup
@@ -759,6 +759,44 @@ def test_bucket_stage_working_set(paper_params):
     finally:
         tracemalloc.stop()
     assert peak - out.nbytes < 3 * coefficient_bytes, (peak - out.nbytes, coefficient_bytes)
+
+
+def _clipped_point_sums_reference(offsets, scales, rows, widths):
+    """The bucket sums with fresh cumulative sums per detection row, as first written."""
+    n_buckets, n_exp = widths.size + 1, offsets.shape[1]
+    work = np.empty(offsets.shape)
+    keys = _bucket_keys(offsets, scales, widths, work)
+    keys += n_buckets * np.arange(n_exp)
+    keys = keys.ravel()
+    np.copysign(scales, offsets, out=scales)
+    finite = np.where(widths < np.inf, widths, 0.0)
+    out = np.empty((widths.size, n_exp, rows.shape[1]))
+    for j, row in enumerate(rows.T):
+        unclipped, clipped = (
+            np.bincount(keys, np.multiply(coeffs, row[:, None], out=work).ravel(),
+                        n_exp * n_buckets)
+            .reshape(n_exp, n_buckets) for coeffs in (offsets, scales))
+        cs = np.cumsum(unclipped, axis=1)
+        out[:, :, j] = (cs[:, :-1] - cs[:, -1:]
+                        + finite * np.cumsum(clipped[:, :0:-1], axis=1)[:, ::-1]).T
+    return out
+
+
+@pytest.mark.parametrize("basis", ["haar", "db2", "bior6.8"])
+def test_in_place_bucket_sums_move_no_bit(paper_params, basis):
+    # cumulating the bucket sums where bincount leaves them changes no operation
+    plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 40, seed=17)
+    run = EnsembleRun(_setup(paper_params, plan, n_sd=3, basis=basis), default_beta_grid())
+    rows = uwt_synthesis_rows(plan.n_samples, run.points.indices, basis, run.levels)
+    level, sample = np.nonzero(rows.any(axis=2))
+    rows = rows[level, sample]
+    _, offsets, scales = next(residual_chunks(
+        run.values, run.omega_temps, run.setup.params, plan, basis, run.levels,
+        at=(level, slice(None), sample)))
+    widths = run._widths[::-1]
+    expected = _clipped_point_sums_reference(offsets, scales.copy(), rows, widths)
+    np.testing.assert_array_equal(_clipped_point_sums(offsets, scales, rows, widths), expected)
+    np.testing.assert_array_equal(run._at_points[::-1], run._raw + expected)
 
 
 def test_full_trace_denoise_allocates_no_ensemble_stack(paper_params):
@@ -827,6 +865,41 @@ def test_sweep_with_shared_estimate_and_poisson_stats(paper_params):
                                                       paper_params, setup.resolved_grid())
     result = sweep_beta(setup, grid)
     assert result.opt_stats.fringe_averaged_mse <= result.raw_stats.fringe_averaged_mse
+
+
+def _per_trace_chunk_stacks(values, omegas, params, plan, basis, levels, squared_contrast, at):
+    """The residual stage with one template and one ``|S|`` analysis per trace, whatever
+    the frequencies: the path a chunk of one shared frequency used to take."""
+    noise = uwt_analyze(shot_noise(plan.times, omegas, params, squared_contrast=squared_contrast),
+                        basis, levels)[0][at]
+    residual = template(plan.times, omegas, params)
+    details = uwt_analyze(np.subtract(values, residual, out=residual), basis, levels)[0][at]
+    return details, np.abs(noise, out=noise)
+
+
+@pytest.mark.parametrize("basis", ["haar", "db2", "bior6.8"])
+def test_shared_estimate_analyses_once_and_moves_no_bit(paper_params, monkeypatch, basis):
+    # 70 traces: a full chunk of 64 and a chunk of 6, each of one frequency
+    plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 70, seed=23)
+    setup = _setup(paper_params, plan, n_sd=3, shared_estimate=True, basis=basis)
+    betas = default_beta_grid(-3.0, 1.0, 0.5)
+    shared = EnsembleRun(setup, betas)
+    chunks = list(residual_chunks(shared.values, shared.omega_temps, paper_params, plan, basis,
+                                  shared.levels))
+    assert [noise.strides[1] for _, _, noise in chunks] == [0, 0]
+    assert not any(noise.flags.writeable for _, _, noise in chunks)
+    results = {}
+    for path in ("shared", "per-trace"):
+        if path == "per-trace":
+            monkeypatch.setattr(tmtmag.tmt, "_chunk_stacks", _per_trace_chunk_stacks)
+        run = EnsembleRun(setup, betas)
+        results[path] = (run._at_points, run.denoised(0.0),
+                         [run.stats(beta) for beta in betas])
+    (points, full, stats), (points_ref, full_ref, stats_ref) = results.values()
+    np.testing.assert_array_equal(points, points_ref)
+    np.testing.assert_array_equal(full, full_ref)
+    for a, b in zip(stats, stats_ref):
+        assert_stats_identical(a, b)
 
 
 def test_benchmark_snr_records(paper_params):

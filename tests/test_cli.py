@@ -429,6 +429,25 @@ def test_gain_profile_mode(tmp_path):
     assert rows[0][:3] == ["n_sd", "t_stop", "beta_calib"]
 
 
+def test_gain_profile_flags_a_calibration_order_on_the_grid_edge(tmp_path):
+    # on beta in {-4, -3.5, -3} the margins hardly clip, the MSE still falls
+    # at the grid's top, and the calibration order is its upper edge; the
+    # flag goes to the manifest, one per n_sd, while the table keeps its columns
+    cfg = fast_config(tmp_path, experiment={"n_sd_values": [1, 2]},
+                      plan={"t_stop": 3.7e-6, "t_start": 0.2e-6},
+                      filter={"beta_grid": {"start": -4.0, "stop": -3.0, "step": 0.5}})
+    out = tmp_path / "run"
+    assert main(["gain-profile", "--config", str(cfg), "--seed", "6", "--out", str(out)]) == 0
+    rows = read_csv(out / "gain_profile.csv")
+    assert rows[0] == ["n_sd", "t_stop", "beta_calib", "raw_fringe_mse", "tmt_fringe_mse",
+                       "gain"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    on_edge = manifest["derived"]["beta_calib_on_edge"]
+    assert on_edge == [float(row[2]) in (-4.0, -3.0) for row in rows[1:]]
+    assert on_edge == [True, True]
+    assert "edge" not in (out / "summary.txt").read_text()
+
+
 def test_fit_scaling_inline_and_file(tmp_path):
     pts = [[float(x), 3.0 * float(x) ** 0.5] for x in (1, 4, 9, 16)]
     cfg = fast_config(tmp_path, experiment={"points": pts})

@@ -15,7 +15,7 @@ from tmtmag import (
     simulate_ensemble,
     template,
 )
-from tmtmag.ramsey import envelope
+from tmtmag.ramsey import _substream_keys, envelope
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +293,55 @@ def test_substreams_are_order_independent(paper_params, short_plan):
     assert whole.shape[0] == 20
     np.testing.assert_array_equal(whole[7], small[7])
     np.testing.assert_array_equal(whole[:8], small)
+    # and at 3 and 50, where the keys come from arrays of other lengths
+    three, fifty = (simulate_ensemble(paper_params, short_plan.with_(n_experiments=n),
+                                      paper_params.omega_calib) for n in (3, 50))
+    np.testing.assert_array_equal(fifty[:3], three)
+    np.testing.assert_array_equal(fifty[:20], whole)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**128 + 3])
+def test_substream_keys_match_seed_sequence(seed):
+    # one to five 32-bit words of entropy: the pool's zero padding, a full pool,
+    # and words mixed in after it
+    keys = _substream_keys(seed, 40)
+    assert keys.dtype == np.uint64 and keys.shape == (40, 2)
+    for i in range(40):
+        expected = np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(2, np.uint64)
+        np.testing.assert_array_equal(keys[i], expected)
+
+
+def test_substream_keys_reject_what_seed_sequence_cannot_key():
+    with pytest.raises(ValueError, match="seed"):
+        _substream_keys(-1, 3)
+    with pytest.raises(ValueError, match=r"2\*\*32 experiments"):
+        _substream_keys(0, 2**32 + 1)
+
+
+def per_experiment_ensemble(params, plan, omega_true, photon_stats):
+    """The ensemble drawn with one ``Generator(Philox(SeedSequence(seed, spawn_key=(i,))))``
+    built per experiment: the sampler's definition, which ``simulate_ensemble`` re-keys."""
+    t, m = plan.times, plan.repetitions
+    p0 = 0.5 * (1.0 + np.cos(omega_true * t) * envelope(t, params))
+    out = np.empty((plan.n_experiments, plan.n_samples))
+    for i in range(plan.n_experiments):
+        ss = np.random.SeedSequence(entropy=plan.seed, spawn_key=(i,))
+        rng = np.random.Generator(np.random.Philox(ss))
+        if photon_stats == "bernoulli-poisson":
+            k0 = rng.binomial(m, p0)
+            out[i] = rng.poisson(k0 * params.n0 + (m - k0) * params.n1)
+        else:
+            out[i] = rng.poisson(m * template(t, omega_true, params))
+    return out / m
+
+
+@pytest.mark.parametrize("photon_stats", ["bernoulli-poisson", "poisson"])
+@pytest.mark.parametrize("seed", [0, 7, 2**64 + 5])
+def test_simulate_matches_per_experiment_generators(paper_params, short_plan, photon_stats, seed):
+    plan = short_plan.with_(n_experiments=25, seed=seed)
+    omega = paper_params.omega_calib * 1.01
+    np.testing.assert_array_equal(simulate_ensemble(paper_params, plan, omega, photon_stats),
+                                  per_experiment_ensemble(paper_params, plan, omega, photon_stats))
 
 
 def test_simulate_rejects_nonpositive_frequency(paper_params, short_plan):

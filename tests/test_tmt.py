@@ -186,6 +186,108 @@ def test_search_holds_no_spectrum_of_the_batch(paper_params):
     assert peaks[1024] < 1.05 * peaks[128], peaks
 
 
+def full_search_argmax(values, times, params, grid):
+    """Each trace's argmax over its full spectrum: the search's definition."""
+    return np.argmax(tmt.correlation_spectrum(values, times, params, grid.omegas), axis=1)
+
+
+def assert_search_is_the_full_argmax(values, times, params, grid):
+    """The coarse-to-fine grid maximum of every trace is its full-spectrum argmax, and the
+    search of that trace alone fails as the argmax says: a constant trace by name, an
+    argmax on a grid end as a GridEdgeError, and otherwise not at all."""
+    search = tmt._LobeSearch(times, params, grid)
+    k, _ = search(values)
+    full = full_search_argmax(values, times, params, grid)
+    np.testing.assert_array_equal(k, full)
+    for trace, top in zip(values, full):
+        if np.ptp(trace) == 0.0:
+            with pytest.raises(FrequencySearchError, match="constant trace"):
+                estimate_frequencies(trace, times, params, grid)
+        elif top in (0, grid.n_points - 1):
+            with pytest.raises(GridEdgeError):
+                estimate_frequencies(trace, times, params, grid)
+        else:
+            estimate_frequencies(trace, times, params, grid)
+    return search
+
+
+@settings(max_examples=60, deadline=None)
+@given(t_start=st.floats(0.0, 2e-6), duration=st.floats(0.2e-6, 3.5e-6),
+       repetitions=st.sampled_from([1, 3, 30, 1000, 25000, 400000]),
+       n_points=st.integers(3, 6001), fraction=st.floats(0.01, 0.3),
+       offset=st.floats(-1.2, 1.2), seed=st.integers(0, 2**32 - 1))
+@example(t_start=0.97e-6, duration=1.17e-6, repetitions=25000, n_points=2001, fraction=0.15,
+         offset=0.0, seed=7)
+@example(t_start=0.2e-6, duration=0.42e-6, repetitions=25000, n_points=2001, fraction=0.15,
+         offset=0.9, seed=7)
+@example(t_start=0.2e-6, duration=3.5e-6, repetitions=30, n_points=2001, fraction=0.15,
+         offset=0.99, seed=11)
+@example(t_start=0.97e-6, duration=1.17e-6, repetitions=1, n_points=2001, fraction=0.15,
+         offset=-1.0, seed=12)
+def test_coarse_to_fine_search_finds_the_full_argmax(paper_params, t_start, duration,
+                                                      repetitions, n_points, fraction, offset,
+                                                      seed):
+    # windows of 25 to 448 samples, repetition counts down to 1 (where a trace of
+    # zeros is constant), grids from 3 points (the full search) to 6001, and
+    # fringes inside, near and beyond a grid end
+    plan = AcquisitionPlan(t_start, t_start + duration, 128e6, repetitions, 6, seed=seed)
+    grid = FrequencyGrid.around(paper_params.omega_calib, fraction, n_points)
+    omega = paper_params.omega_calib * (1.0 + offset * fraction)
+    values = simulate_ensemble(paper_params, plan, omega)
+    assert_search_is_the_full_argmax(values, plan.times, paper_params, grid)
+
+
+def full_search_estimates(values, times, params, grid):
+    """The parabolic vertices through each trace's full-spectrum argmax and its neighbours."""
+    r = tmt.correlation_spectrum(values, times, params, grid.omegas)
+    k = np.argmax(r, axis=1)
+    r_lo, r_mid, r_hi = (r[np.arange(k.size), k + d] for d in (-1, 0, 1))
+    denom = r_lo - 2.0 * r_mid + r_hi
+    shift = np.divide(0.5 * (r_lo - r_hi), denom, out=np.zeros(k.size), where=denom != 0.0)
+    omegas = grid.omegas
+    return omegas[k] + shift * (omegas[1] - omegas[0])
+
+
+@pytest.mark.parametrize("t_start,t_stop,n_points", [(0.97e-6, 1.75e-6, 101),
+                                                     (0.2e-6, 3.7e-6, 301)])
+def test_search_without_a_coarse_grid_is_the_full_search(paper_params, t_start, t_stop,
+                                                          n_points):
+    # a grid whose lobe spans fewer than 2 * LOBE_STEPS points (100 samples on 101
+    # points), or whose coarse and window transforms would cost no less than the
+    # full one (448 samples on 301 points), is searched on its full spectrum, and
+    # the estimates are that spectrum's vertices bit for bit
+    plan = AcquisitionPlan(t_start, t_stop, 128e6, 25000, 20, seed=4)
+    grid = FrequencyGrid.around(paper_params.omega_calib, 0.15, n_points)
+    assert tmt._LobeSearch(plan.times, paper_params, grid).coarse is None
+    values = simulate_ensemble(paper_params, plan, paper_params.omega_calib * 1.02)
+    np.testing.assert_array_equal(estimate_frequencies(values, plan.times, paper_params, grid),
+                                  full_search_estimates(values, plan.times, paper_params, grid))
+
+
+def test_coarse_to_fine_search_on_a_fine_grid(paper_params):
+    # 100,001 trial frequencies, the most a config may ask for: the coarse grid
+    # has 43 points, and the estimates are the full spectrum's parabolic vertices
+    plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 8, seed=3)
+    grid = FrequencyGrid.around(paper_params.omega_calib, 0.15, 100_001)
+    values = simulate_ensemble(paper_params, plan, paper_params.omega_calib * 1.02)
+    search = assert_search_is_the_full_argmax(values, plan.times, paper_params, grid)
+    assert search.coarse is not None and search.coarse.width == 43
+    np.testing.assert_allclose(estimate_frequencies(values, plan.times, paper_params, grid),
+                               full_search_estimates(values, plan.times, paper_params, grid),
+                               rtol=1e-12, atol=0)
+
+
+def test_search_takes_the_coarse_path_on_the_workload_grids(paper_params):
+    # the frequency grid of every preset has 2001 points; each of these windows
+    # is searched coarse to fine, with no trace sent back to the full spectrum
+    grid = FrequencyGrid.around(paper_params.omega_calib, 0.15, 2001)
+    for t_start, t_stop in ((0.97e-6, 2.14e-6), (0.2e-6, 3.7e-6), (0.2e-6, 0.62e-6)):
+        plan = AcquisitionPlan(t_start, t_stop, 128e6, 25000, 40, seed=7)
+        values = simulate_ensemble(paper_params, plan, paper_params.omega_calib * 1.02)
+        search = assert_search_is_the_full_argmax(values, plan.times, paper_params, grid)
+        assert search.coarse is not None and search.full is None
+
+
 def test_zero_dimensional_values_rejected_by_search(paper_params, short_plan):
     # a 0-d value raised IndexError from values.shape[-1]
     grid = FrequencyGrid.around(paper_params.omega_calib)
