@@ -24,7 +24,7 @@ from .ramsey import (
 )
 from .tmt import (SPECTRUM_ROWS, FrequencyGrid, estimate_frequencies, margin_width,
                   residual_chunk_rows, residual_chunks, tmt_denoise)
-from .wavelets import default_levels, uwt_synthesis_rows
+from .wavelets import default_levels, uwt_basis, uwt_synthesis_rows
 # uncalled: perfbench/child.py wraps them (test_benchmark_wrap_points_exist) until ROADMAP item 1
 from .wavelets import uwt_analyze, uwt_synthesize  # noqa: F401
 
@@ -62,10 +62,15 @@ class DetectionPointSet:
     truths: np.ndarray
 
     def __post_init__(self):
-        if len(self.indices) < 1:
-            raise ValueError("need at least one detection point")
-        if np.any(np.diff(self.indices) <= 0):
-            raise ValueError("detection indices must be strictly increasing")
+        indices = np.asarray(self.indices)
+        if not (indices.ndim == 1 and indices.size and indices.dtype.kind in "iu"
+                and indices.min() >= 0):
+            raise ValueError(f"indices must be one or more non-negative integers, got {indices!r}")
+        if np.any(np.diff(indices) <= 0):
+            raise ValueError("indices must be strictly increasing")
+        for name in ("times", "truths"):
+            if (shape := np.shape(getattr(self, name))) != indices.shape:
+                raise ValueError(f"{name} has shape {shape}, indices {indices.shape}")
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -260,14 +265,14 @@ def _bucket_keys(offsets, scales, widths, work) -> np.ndarray:
     return keys.reshape(offsets.shape)
 
 
-def _clipped_point_sums(offsets, scales, rows, widths) -> np.ndarray:
-    """What clipping the residual details at every width changes at the synthesis ``rows``.
+def _clipped_point_sums(offsets, scales, rows, widths, out) -> None:
+    """Write to the (K, E, p) ``out`` what clipping the residual details at every width
+    changes at the synthesis ``rows``.
 
     ``offsets`` and ``scales`` are the (C, E) residual coefficients and
     ``|S|`` values of E experiments at the C coefficients that the (C, p)
-    ``rows`` read, and the K ``widths`` rise; returns (K, E, p), to be added
-    to the raw samples.  ``scales`` is overwritten, unless it is read-only (one
-    ``|S|`` broadcast over the chunk), when it is copied.  A coefficient ``r``
+    ``rows`` read, and the K ``widths`` rise.  ``scales`` is overwritten, unless it is
+    read-only (one ``|S|`` broadcast over the chunk), when it is copied.  A coefficient ``r``
     with noise scale ``s`` is clipped to ``sign(r)*w*s`` at the widths
     ``w`` below ``tau = |r|/s`` and passes unclipped from there on, so it
     falls into bucket ``q = searchsorted(widths, tau)``, the number of
@@ -278,8 +283,8 @@ def _clipped_point_sums(offsets, scales, rows, widths) -> np.ndarray:
     ``sign(r)*w_k*s*row``.  ``sum(U[q > k])`` is the total of a forward
     cumulative sum less its first ``k + 1`` terms, so an infinite width,
     which clips nothing, also where ``s = 0``, changes nothing exactly.
-    Besides its output it holds two (C, E) arrays, the keys and ``work``, and per
-    detection row the two (E, K + 1) bucket sums, which are cumulated in place.
+    It holds two (C, E) arrays, the keys and ``work``, and per detection row the two
+    (E, K + 1) bucket sums, which are cumulated in place.
     """
     n_buckets, n_exp = widths.size + 1, offsets.shape[1]
     work = np.empty(offsets.shape)
@@ -289,7 +294,6 @@ def _clipped_point_sums(offsets, scales, rows, widths) -> np.ndarray:
     # a broadcast |S| (one analysis shared by the chunk) is read-only, and gets a copy
     signed = np.copysign(scales, offsets, out=scales if scales.flags.writeable else None)
     finite = np.where(widths < np.inf, widths, 0.0)  # B is 0 there, and inf * 0 NaN
-    out = np.empty((widths.size, n_exp, rows.shape[1]))
     for j, row in enumerate(rows.T):
         unclipped, clipped = (
             np.bincount(keys, np.multiply(coeffs, row[:, None], out=work).ravel(),
@@ -303,14 +307,13 @@ def _clipped_point_sums(offsets, scales, rows, widths) -> np.ndarray:
         suffix *= finite
         sample = np.subtract(unclipped[:, :-1], unclipped[:, -1:], out=out[:, :, j].T)
         sample += suffix
-    return out
 
 
 class EnsembleRun:
     """One simulated ensemble, denoised at the detection points for every order of a beta grid.
 
     Construction checks the grid ``betas`` (strictly increasing, no NaN;
-    ``+-inf`` allowed), finds the detection points (:attr:`points`),
+    ``+-inf`` allowed), the basis and the depth, finds the detection points (:attr:`points`),
     simulates (:attr:`values`), estimates the template frequencies
     (:attr:`omega_temps`; one search of the ensemble mean with
     ``shared_estimate``), gathers the raw detection samples and scores them
@@ -349,6 +352,7 @@ class EnsembleRun:
         if not np.all(self.betas[1:] > self.betas[:-1]):
             raise ValueError("beta grid must be strictly increasing")
         self.levels = setup.resolved_levels()
+        uwt_basis(setup.basis, plan.n_samples, self.levels)
         self.points = find_detection_points(setup.omega_true, plan, setup.n_sd, params)
         self.values = simulate_ensemble(params, plan, setup.omega_true, setup.photon_stats)
         searched = self.values.mean(axis=0) if setup.shared_estimate else self.values
@@ -384,9 +388,9 @@ class EnsembleRun:
         Each chunk of :func:`~tmtmag.tmt.residual_chunks` yields the residual
         coefficients and ``|S|`` at the C coefficients that the detection
         rows read, which are bucketed by the width at which they start to
-        clip (:func:`_clipped_point_sums`) before the next chunk is built.
-        So the cost hardly grows with the number of orders, and no matrix
-        product is taken.
+        clip (:func:`_clipped_point_sums`), straight into the chunk's samples,
+        before the next chunk is built.  So the cost hardly grows with the
+        number of orders, and no matrix product is taken.
         """
         setup, indices = self.setup, self.points.indices
         rows = uwt_synthesis_rows(self.values.shape[1], indices, setup.basis, self.levels)
@@ -398,8 +402,8 @@ class EnsembleRun:
         for chunk, offsets, scales in residual_chunks(
                 self.values, self.omega_temps, setup.params, setup.plan, setup.basis,
                 self.levels, setup.squared_contrast, at=(level, slice(None), sample)):
-            np.add(self._raw[chunk], _clipped_point_sums(offsets, scales, rows, widths),
-                   out=out[:, chunk])
+            _clipped_point_sums(offsets, scales, rows, widths, out[:, chunk])
+            out[:, chunk] += self._raw[chunk]
             del offsets  # spent scales stay bound, like tmt_denoise's details; offsets cost RSS
         out.flags.writeable = False
         return out[::-1]
@@ -408,28 +412,23 @@ class EnsembleRun:
 def ensemble_run_bytes(setup: BenchmarkSetup, n_betas: int, n_points: int) -> int:
     """Most bytes an :class:`EnsembleRun` of ``setup`` allocates while it is built, denoises
     its full traces or builds its point sweep on a grid of K = ``n_betas`` orders at
-    p = ``n_points`` detection points.
+    p = ``n_points`` detection points:
 
-    Per experiment, ``2 * N + (K + 1) * p`` doubles: the trace, the full-trace output, the
-    raw detection samples and the sweep's (K, n_exp, p) samples.  The frequency search adds
-    nothing per experiment: it holds one block of ``SPECTRUM_ROWS`` traces at a time.  Per
-    experiment of one chunk of :func:`~tmtmag.tmt.residual_chunks`, whose
-    ``E = min(n_exp, 64, max(1, 9600 // N))`` experiments
-    (:func:`~tmtmag.tmt.residual_chunk_rows`) hold at most 9600 samples,
-    ``(4 * levels + 12) * N`` doubles of coefficient stacks (four at the full-trace clip)
-    or of (C, E) gathers, and the sweep's ``K * p`` bucket sums and ``6 * (K + 1)``
-    cumulative sums.  Once, the detection rows
-    (``(2 * levels + 8) * N * p`` doubles while built) and the search's block of
-    ``SPECTRUM_ROWS`` traces.  The search is coarse to fine, but a trace may fall back to
-    its full spectrum, so the term is still the full search's: FFTs, centred rows and
-    spectra of 3 complex values a trace and 5 more per FFT sample, the FFT length being
-    below ``2 * (N + freq_points)``, which also covers the coarse and window transforms
-    held beside it.
+    - per experiment, ``2 * N + (K + 1) * p`` doubles: the trace, the full-trace output, the
+      raw detection samples and the sweep's (K, n_exp, p) samples;
+    - per experiment of one chunk of :func:`~tmtmag.tmt.residual_chunks`
+      (:func:`~tmtmag.tmt.residual_chunk_rows`: ``E = min(n_exp, 64, max(1, 9600 // N))``),
+      ``(4 * levels + 12) * N`` doubles of coefficient stacks or (C, E) gathers, and a
+      detection row's two ``K + 1`` bucket sums;
+    - once, the detection rows (``(2 * levels + 8) * N * p`` doubles while built) and the
+      frequency search's block of ``SPECTRUM_ROWS`` traces: 3 complex values a trace and 5
+      more per FFT sample, the FFT length being below ``2 * (N + freq_points)``.  A trace
+      may fall back to its full spectrum, so this is the full search's term.
     """
     plan, n, levels = setup.plan, setup.plan.n_samples, setup.resolved_levels()
     n_exp, freq_points, p = plan.n_experiments, setup.resolved_grid().n_points, n_points
     rows = min(n_exp, residual_chunk_rows(n))
-    chunk = ((4 * levels + 12) * n + n_betas * p + 6 * (n_betas + 1)) * rows
+    chunk = ((4 * levels + 12) * n + 2 * (n_betas + 1)) * rows
     fft = 4 * (3 * min(n_exp, SPECTRUM_ROWS) + 5) * (n + freq_points)
     return 8 * (n_exp * (2 * n + (n_betas + 1) * p) + chunk + (2 * levels + 8) * n * p + fft)
 

@@ -147,9 +147,8 @@ class OutputConfig:
 #: an unbounded trace.
 MAX_WINDOW_SAMPLES = 1 << 16
 #: Most bytes one planned ensemble may hold: its traces in simulate, and otherwise
-#: :func:`~tmtmag.bench.ensemble_run_bytes` of its ``EnsembleRun``, which counts the run's
-#: traces, its output at every swept order, one chunk of the residual stage (at most 64
-#: experiments and 9600 samples) and one block of the frequency search.  Simulate and
+#: :func:`~tmtmag.bench.ensemble_run_bytes` of its ``EnsembleRun``: its traces and swept
+#: samples, one residual chunk and one block of the frequency search.  Simulate and
 #: denoise add their exported table and its row index, 4 and 5 doubles per sample.
 MAX_ENSEMBLE_BYTES = 2 << 30
 

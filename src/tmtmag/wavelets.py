@@ -226,6 +226,16 @@ def _samples_last(x: np.ndarray) -> np.ndarray:
 # undecimated (stationary) transform
 # ---------------------------------------------------------------------------
 
+def uwt_basis(basis: WaveletBasis | str, n: int, levels: int) -> WaveletBasis:
+    """``basis`` resolved, once ``levels`` undecimated levels are checked to fit ``n`` samples."""
+    basis = _as_basis(basis)
+    _check_levels(levels, 0)
+    if 2 ** (levels + 1) > n:
+        raise WaveletError(f"signal too short for {levels + 1} undecimated levels "
+                           f"(N={n}, need >= {2 ** (levels + 1)})")
+    return basis
+
+
 def uwt_analyze(signal, basis: WaveletBasis | str, levels: int):
     """Array-level undecimated analysis along the last axis.
 
@@ -233,14 +243,8 @@ def uwt_analyze(signal, basis: WaveletBasis | str, levels: int):
     array of shape ``(levels + 1,) + signal.shape``.  Accepts batches;
     all samples along leading axes are transformed independently.
     """
-    basis = _as_basis(basis)
     x = _check_signal(signal)
-    n = x.shape[-1]
-    _check_levels(levels, 0)
-    if 2 ** (levels + 1) > n:
-        raise WaveletError(
-            f"signal too short for {levels + 1} undecimated levels (N={n}, need >= {2 ** (levels + 1)})"
-        )
+    basis = uwt_basis(basis, x.shape[-1], levels)
     details = np.empty((levels + 1,) + x.shape)
     a = _samples_first(x)
     for j in range(levels + 1):

@@ -43,7 +43,7 @@ from tmtmag.bench import (
     point_stats,
 )
 from tmtmag.tmt import clamp_details, margin_width, residual_chunks, tmt_denoise
-from tmtmag.wavelets import uwt_analyze, uwt_synthesis_rows, uwt_synthesize
+from tmtmag.wavelets import WaveletError, uwt_analyze, uwt_synthesis_rows, uwt_synthesize
 from tmtmag.ramsey import shot_noise
 from stat_utils import (assert_monotone_tradeoff, assert_stats_identical, fringe_mse_stderr,
                         raw_variance)
@@ -251,6 +251,29 @@ def test_stats_input_validation(paper_params):
                             truths=np.array([0.0]))
     with pytest.raises(ValueError, match="outside"):
         ensemble_stats(np.zeros((3, 4)), far)
+
+
+def test_detection_point_set_checks_its_fields():
+    # each field is checked by name when the set is built: a negative index
+    # would score the last sample, a fractional one would fail in numpy's
+    # indexing, and a truth too many in a broadcast of point_stats
+    good = {"indices": np.array([0, 2]), "times": np.array([0.0, 1.0]),
+            "truths": np.array([0.1, 0.2])}
+    for field, value, match in [
+            ("indices", np.array([-1, 0]), "indices must be one or more non-negative"),
+            ("indices", np.array([0.5, 1.7]), "indices must be one or more non-negative"),
+            ("indices", np.array([True, False]), "indices must be one or more non-negative"),
+            ("indices", np.array([[0, 2]]), "indices must be one or more non-negative"),
+            ("indices", np.array([], dtype=int), "indices must be one or more"),
+            ("indices", np.array([2, 0]), "indices must be strictly increasing"),
+            ("times", np.array([0.0, 1.0, 2.0]), r"times has shape \(3,\), indices \(2,\)"),
+            ("truths", np.array([0.1, 0.2, 0.3]), r"truths has shape \(3,\)"),
+            ("truths", np.float64(0.1), r"truths has shape \(\)")]:
+        with pytest.raises(ValueError, match=match):
+            DetectionPointSet(**{**good, field: value})
+    stats = ensemble_stats(np.arange(12.0).reshape(3, 4), DetectionPointSet(**good))
+    np.testing.assert_array_equal(stats.sample_mean, [4.0, 6.0])
+    np.testing.assert_array_equal(stats.bias, [3.9, 5.8])
 
 
 # ---------------------------------------------------------------------------
@@ -522,16 +545,18 @@ def test_raw_limit_is_exact_on_every_path(paper_params, basis):
 def test_run_stays_within_its_byte_count(paper_params, basis, levels):
     # the mode check's count bounds the traced peak of building a run, of
     # denoising its full traces and of its point sweep: at 160 experiments;
-    # on a fine grid, where the sweep's (K, n_exp, p) detection samples and
-    # a chunk's (K, E, p) bucket sums lead (10001 orders at the 10 crossings
-    # of a 448-sample window, which a count without them missed by a factor
-    # 13); and at 2000 experiments on an 11-point frequency grid, where the
-    # per-experiment term leads and the fixed terms would not cover one more
-    # trace-sized array while the frequencies are searched.  A chunk holds at
-    # most 9600 samples: 200 experiments of the 448-sample window come in
-    # chunks of 21; and at most 64 traces: the 53-sample window would
-    # otherwise take 181, and on the fine grid their bucket sums took the
-    # sweep to twice the count
+    # on a fine grid, where the sweep's (K, n_exp, p) detection samples lead
+    # (10001 orders at the 10 crossings of a 448-sample window, which a count
+    # without them missed by a factor 13); and at 2000 experiments on an
+    # 11-point frequency grid, where the per-experiment term leads and the
+    # fixed terms would not cover one more trace-sized array while the
+    # frequencies are searched.  A chunk holds at most 9600 samples: 200
+    # experiments of the 448-sample window come in chunks of 21; and at most
+    # 64 traces: the 53-sample window would otherwise take 181, and on the
+    # fine grid their bucket sums took the sweep to twice the count.  On the
+    # fine grids the count also stays within 1.25 times the peak, so it
+    # counts no array that the sweep does not hold (a (K, E, p) array per
+    # chunk would take it to 1.75 times on the 53-sample window)
     cases = [(AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 160, seed=43), 3, [0.0], None),
              (AcquisitionPlan(0.2e-6, 3.7e-6, 128e6, 25000, 50, seed=43), None,
               default_beta_grid(-4.0, 2.0, 6e-4), None),
@@ -555,8 +580,10 @@ def test_run_stays_within_its_byte_count(paper_params, basis, levels):
         finally:
             tracemalloc.stop()
         count = ensemble_run_bytes(setup, len(betas), len(run.points))
-        assert max(built, denoised, swept) <= count, (plan.n_experiments, built, denoised,
-                                                      swept, count)
+        peak = max(built, denoised, swept)
+        assert peak <= count, (plan.n_experiments, built, denoised, swept, count)
+        if len(betas) == MAX_BETA_GRID:
+            assert count <= 1.25 * peak, (plan.n_samples, peak, count)
 
 
 @settings(max_examples=30, deadline=None)
@@ -661,21 +688,30 @@ def test_off_grid_beta_rejected(paper_params):
     assert run.denoised(0.5).shape == (4, plan.n_samples)
 
 
+#: the setups that a run rejects on a good grid, by the error they raise
+_BAD_SETUPS = {"too short for 41 undecimated levels": {"levels": 40},
+               "levels must be >= 0, got -2": {"levels": -2},
+               "unknown wavelet basis 'nope'": {"basis": "nope"}}
+
+
 @pytest.mark.parametrize("betas, match", [
     ([], "at least 1 value"),
     ([0.0, np.nan], "beta must be a number"),
     ([1.0, 0.0], "increasing"),
     ([0.0, 0.0], "increasing"),
+    *(([0.0], match) for match in _BAD_SETUPS),
 ])
 def test_run_grid_checked_before_simulating(paper_params, monkeypatch, betas, match):
+    # the grid, the basis and the depth are checked before the ensemble is
+    # simulated, the basis and the depth with uwt_analyze's WaveletError
     plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 4, seed=3)
 
     def no_simulation(*args, **kwargs):
         raise AssertionError("simulated before the grid was checked")
 
     monkeypatch.setattr(tmtmag.bench, "simulate_ensemble", no_simulation)
-    with pytest.raises(ValueError, match=match):
-        EnsembleRun(_setup(paper_params, plan, n_sd=3), betas)
+    with pytest.raises(WaveletError if match in _BAD_SETUPS else ValueError, match=match):
+        EnsembleRun(_setup(paper_params, plan, n_sd=3, **_BAD_SETUPS.get(match, {})), betas)
 
 
 def _coefficient_bytes(run):
@@ -728,9 +764,10 @@ def test_bucket_stage_working_set(paper_params):
     # the key step forms and checks its guesses inside the keys and the tau
     # array it is given: its traced peak, less the keys, stays within 64 KiB,
     # so a coefficient-sized temporary (465 KiB on this chunk of 64 traces at
-    # 930 coefficients) fails.  The whole stage, less its (K, E, p) output,
-    # holds work and the keys plus the row loop's two bucket sums, cumulated in
-    # place (63 KiB; the key step's scratch tops it), less than a third (C, E) array
+    # 930 coefficients) fails.  The whole stage writes into the caller's
+    # (K, E, p) samples and holds work and the keys plus the row loop's two
+    # bucket sums, cumulated in place (63 KiB; the key step's scratch tops
+    # it), less than a third (C, E) array
     plan = AcquisitionPlan(0.97e-6, 2.14e-6, 128e6, 25000, 64, seed=31)
     run = EnsembleRun(_setup(paper_params, plan, n_sd=3), default_beta_grid())
     setup = run.setup
@@ -752,13 +789,14 @@ def test_bucket_stage_working_set(paper_params):
         tracemalloc.stop()
     assert key_peak - keys.nbytes <= 64 * 1024, key_peak - keys.nbytes
     del keys, work
+    out = np.empty((widths.size, offsets.shape[1], rows.shape[1]))
     tracemalloc.start()
     try:
-        out = _clipped_point_sums(offsets, scales, rows, widths)
+        _clipped_point_sums(offsets, scales, rows, widths, out)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - out.nbytes < 3 * coefficient_bytes, (peak - out.nbytes, coefficient_bytes)
+    assert peak < 3 * coefficient_bytes, (peak, coefficient_bytes)
 
 
 def _clipped_point_sums_reference(offsets, scales, rows, widths):
@@ -795,7 +833,9 @@ def test_in_place_bucket_sums_move_no_bit(paper_params, basis):
         at=(level, slice(None), sample)))
     widths = run._widths[::-1]
     expected = _clipped_point_sums_reference(offsets, scales.copy(), rows, widths)
-    np.testing.assert_array_equal(_clipped_point_sums(offsets, scales, rows, widths), expected)
+    got = np.empty(expected.shape)
+    _clipped_point_sums(offsets, scales, rows, widths, got)
+    np.testing.assert_array_equal(got, expected)
     np.testing.assert_array_equal(run._at_points[::-1], run._raw + expected)
 
 
