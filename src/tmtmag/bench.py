@@ -62,14 +62,16 @@ class DetectionPointSet:
     truths: np.ndarray
 
     def __post_init__(self):
-        indices = np.asarray(self.indices)
+        for name in ("indices", "times", "truths"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name)))
+        indices = self.indices
         if not (indices.ndim == 1 and indices.size and indices.dtype.kind in "iu"
                 and indices.min() >= 0):
             raise ValueError(f"indices must be one or more non-negative integers, got {indices!r}")
         if np.any(np.diff(indices) <= 0):
             raise ValueError("indices must be strictly increasing")
         for name in ("times", "truths"):
-            if (shape := np.shape(getattr(self, name))) != indices.shape:
+            if (shape := getattr(self, name).shape) != indices.shape:
                 raise ValueError(f"{name} has shape {shape}, indices {indices.shape}")
 
     def __len__(self) -> int:

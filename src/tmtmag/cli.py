@@ -13,14 +13,14 @@ Each mode builds its tables as typed columns in one structured array
 The writer takes only the cells the modes build, int64 and float64 columns
 and object cells that are ``None``, booleans, numbers or ``raw``/``tmt``/
 ``optimum``/``fringe``, and quotes none (see ``_csv_cell``).
-``export_table`` streams a table to disk in chunks of rows, formatting each
-chunk with one row template per format: CSV writes
-floats as ``%.17g`` and integers as ``%d``, JSON (keys sorted, indent 2,
-after the manifest) writes floats as their ``repr`` and NaN/+-inf as
-``NaN``/``Infinity``/``-Infinity``, as ``json`` does.  Either way
-re-parsing a float is bit-exact; missing cells are empty in CSV and
-``null`` in JSON.  Each distinct value of an integer, float or boolean
-column is formatted once per format, not once per row, when the column
+``export_table`` writes a table's CSV and JSON in one pass over chunks of
+rows, formatting each cell once per table, not once per format: a number as
+its ``repr`` (``%d`` for an integer) in both files, except that JSON (keys
+sorted, indent 2, after the manifest) writes NaN/+-inf as ``NaN``/
+``Infinity``/``-Infinity``, as ``json`` does, where the CSV keeps ``nan``/
+``inf``/``-inf``.  Re-parsing a float is bit-exact; missing cells are
+empty in CSV and ``null`` in JSON.  Each distinct value of an integer, float
+or boolean column is formatted once, not once per row, when the column
 holds at most ``_CHUNK_ROWS`` distinct values (keyed on their bits); the
 rows then gather those texts through a 2-byte index.  The bound keeps the
 texts held for a column within one chunk's worth, so a column of
@@ -35,6 +35,7 @@ import json
 import os
 import sys
 import time
+from contextlib import ExitStack
 from dataclasses import fields, replace
 from itertools import chain
 from pathlib import Path
@@ -50,8 +51,8 @@ from .tmt import GridEdgeError
 
 _SEED_REQUIRED_MODES = ("sweep-beta", "benchmark", "gain-profile")
 _CHUNK_ROWS = 4096  # rows whose cells are gathered at once, and the distinct-value cap
-#: rows per ``%`` formatting and write: a chunk's text (about 0.5 MB) would be
-#: mapped and unmapped afresh by malloc each time, a piece's stays on the heap
+#: rows per join and write: a chunk's text (about 0.5 MB) would be mapped and
+#: unmapped afresh by malloc each time, a piece's stays on the heap
 _PIECE_ROWS = 512
 
 
@@ -102,13 +103,14 @@ def _trace_table(times: np.ndarray, **traces: np.ndarray) -> np.ndarray:
 
 
 def _csv_cell(value) -> str:
-    """One CSV cell of an object column: floats as ``%.17g``, booleans as ``true``/``false``,
-    ``None`` empty, anything else ``str``.  Unquoted: the modes' cells hold no ``,``, ``"`` or
-    line break, so a table with free text adds quoting back together with that table."""
+    """One CSV cell of an object column: floats as ``repr``, as in float columns (a number
+    is formatted once per table, not once per format), booleans as ``true``/``false``, ``None``
+    empty, anything else ``str``.  Unquoted: the modes' cells hold no ``,``, ``"`` or line
+    break, so a table with free text adds quoting back together with that table."""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
+        return repr(float(value))
     return "" if value is None else str(value)
 
 
@@ -116,13 +118,21 @@ def _json_cell(value) -> str:
     return json.dumps(value, default=_json_default)
 
 
-def _json_floats(values: np.ndarray) -> list:
-    """Floats for a ``%s`` slot (``str`` of a float is its ``repr``, as in
-    ``json``); NaN and +-inf become ``NaN`` / ``Infinity`` / ``-Infinity``."""
+def _cell_texts(values: np.ndarray) -> tuple[list, list]:
+    """The CSV and the JSON texts of ``values``, one list where they agree: a
+    number's ``repr`` (an integer's is its ``%d``), but JSON's ``NaN``/``Infinity``/
+    ``-Infinity`` for a non-finite float, as ``json`` writes; booleans and object
+    cells go through ``_csv_cell`` and ``_json_cell``."""
     cells = values.tolist()
-    for i in np.flatnonzero(~np.isfinite(values)):
-        cells[i] = json.dumps(cells[i])
-    return cells
+    if values.dtype.kind not in "iuf":
+        return [_csv_cell(v) for v in cells], [_json_cell(v) for v in cells]
+    texts = list(map(repr, cells))
+    if values.dtype.kind != "f" or (finite := np.isfinite(values)).all():
+        return texts, texts
+    json_texts = texts.copy()
+    for i in np.flatnonzero(~finite):
+        json_texts[i] = json.dumps(cells[i])
+    return texts, json_texts
 
 
 def _distinct_values(column: np.ndarray):
@@ -151,94 +161,75 @@ def _distinct_values(column: np.ndarray):
     return distinct.view(column.dtype), index
 
 
-def _column_cells(column: np.ndarray, placeholder: str, convert, distinct):
-    """``(placeholder, cells)``: ``cells(start, stop)`` lists the slot
-    arguments of rows ``start:stop``.  With ``distinct`` (see
-    ``_distinct_values``) each distinct value is formatted once and a
-    chunk gathers its texts into ``%s`` slots."""
+def _column_texts(column: np.ndarray):
+    """``texts(start, stop)``: ``_cell_texts`` of rows ``start:stop``.  An integer,
+    float or boolean column with distinct values (see ``_distinct_values``) has
+    each formatted once per table, and a chunk gathers their texts."""
+    distinct = _distinct_values(column) if column.dtype.kind in "biuf" else None
     if distinct is None:
-        return placeholder, lambda start, stop: convert(column[start:stop])
+        return lambda start, stop: _cell_texts(column[start:stop])
     values, index = distinct
-    texts = np.array([placeholder % cell for cell in convert(values)], dtype=object)
-    return "%s", lambda start, stop: texts[index[start:stop]].tolist()
+    csv, js = _cell_texts(values)
+    sides = [np.array(side, dtype=object) for side in ([csv] if csv is js else [csv, js])]
 
-
-def _write_rows(fh, table: np.ndarray, names, frame, sep: str, float_cells, cell,
-                distinct: dict) -> None:
-    """Stream ``table`` to ``fh``: the cells of ``_CHUNK_ROWS`` rows at a time, formatted
-    and written ``_PIECE_ROWS`` rows per ``%``.
-
-    ``frame`` turns the per-column placeholders (taken in ``names`` order)
-    into the one row template; rows are joined by ``sep``.  Integer columns
-    use ``%d``, float columns ``float_cells`` (placeholder, converter), all
-    other columns the per-cell formatter ``cell``.  A column in
-    ``distinct`` (name -> ``_distinct_values``) has each distinct value
-    formatted once, not once per row; the bound of ``_CHUNK_ROWS`` distinct
-    values keeps those texts within what one chunk of the column holds, so
-    a column of (nearly) all-distinct values is formatted chunk by chunk.
-    """
-    slots = []
-    for name in names:
-        kind = table.dtype[name].kind
-        if kind in "iu":
-            placeholder, convert = "%d", np.ndarray.tolist
-        elif kind == "f":
-            placeholder, convert = float_cells
-        else:
-            placeholder, convert = "%s", lambda values: [cell(v) for v in values.tolist()]
-        slots.append(_column_cells(table[name], placeholder, convert, distinct.get(name)))
-    row = frame([placeholder for placeholder, _ in slots])
-    for start in range(0, len(table), _CHUNK_ROWS):
-        columns = [cells(start, start + _CHUNK_ROWS) for _, cells in slots]
-        for piece in range(0, len(columns[0]), _PIECE_ROWS):
-            part = [column[piece:piece + _PIECE_ROWS] for column in columns]
-            if start or piece:
-                fh.write(sep)
-            fh.write(sep.join([row] * len(part[0])) % tuple(chain.from_iterable(zip(*part))))
+    def texts(start, stop):
+        gathered = [side[index[start:stop]].tolist() for side in sides]
+        return gathered[0], gathered[-1]
+    return texts
 
 
 def export_table(table: np.ndarray, out_dir: Path, name: str, formats: list[str],
                  manifest: dict | None = None) -> list[Path]:
-    """Write one result table as CSV and/or JSON.
+    """Write one result table as CSV and/or JSON in one pass over its rows.
 
     ``table`` is a structured array (see ``make_table``) whose fields are
     the columns in CSV order.  The CSV has a header row and one record per
     line; the JSON document carries the manifest (without output
-    checksums) and the same records with sorted keys, indented by 2.  Both
-    are streamed in chunks of rows.  The distinct values of the integer,
-    float and boolean columns are found once and shared by both formats.
+    checksums) and the same records with sorted keys, indented by 2.  Each
+    chunk of ``_CHUNK_ROWS`` rows is formatted once (``_column_texts``);
+    each file interleaves those texts with its own glue and writes
+    ``_PIECE_ROWS`` rows per ``"".join``.  Every file opened is closed,
+    even if the export fails.
     """
     names = table.dtype.names
-    distinct = {name: found for name in names if table.dtype[name].kind in "biuf"
-                and (found := _distinct_values(table[name])) is not None}
-    written = []
-    if "csv" in formats:
-        path = out_dir / f"{name}.csv"
-        with path.open("w", newline="") as fh:
-            fh.write(",".join(names) + "\n")
-            _write_rows(fh, table, names, lambda slots: ",".join(slots) + "\n", "",
-                        ("%.17g", np.ndarray.tolist), _csv_cell, distinct)
-        written.append(path)
-    if "json" in formats:
-        path = out_dir / f"{name}.json"
-        keys = sorted(names)
-        quoted = [json.dumps(key) for key in keys]
-
-        def frame(slots):
-            return ("    {\n" + ",\n".join(f"      {key}: {slot}" for key, slot in zip(quoted, slots))
-                    + "\n    }")
-
-        head = json.dumps({"manifest": manifest or {}}, indent=2, sort_keys=True,
-                          default=_json_default)
-        with path.open("w") as fh:
-            fh.write(head[:-len("\n}")] + ',\n  "records": [')
-            if len(table):
-                fh.write("\n")
-                _write_rows(fh, table, keys, frame, ",\n", ("%s", _json_floats), _json_cell,
-                            distinct)
-                fh.write("\n  ")
-            fh.write("]\n}\n")
-        written.append(path)
+    keys = sorted(names)
+    quoted = [json.dumps(key) for key in keys]
+    record = f"\n    {{\n      {quoted[0]}: "
+    head = json.dumps({"manifest": manifest or {}}, indent=2, sort_keys=True,
+                      default=_json_default)
+    # per format: its text before the first cell, its column order, the glue after
+    # each cell of a row, the glue after the last row's last cell, and its closing text
+    layouts = {
+        "csv": (",".join(names) + "\n", names, [","] * (len(names) - 1) + ["\n"], "\n", ""),
+        "json": (head[:-len("\n}")] + ',\n  "records": [' + (record if len(table) else ""), keys,
+                 [f",\n      {key}: " for key in quoted[1:]] + ["\n    }," + record],
+                 "\n    }\n  ", "]\n}\n"),
+    }
+    columns = {col: _column_texts(table[col]) for col in names}
+    width = 2 * len(names)  # items of a row: each cell and the glue after it
+    written, sinks = [], []
+    with ExitStack() as stack:
+        for side, fmt in enumerate(layouts):
+            if fmt in formats:
+                opening, order, glue, last, closing = layouts[fmt]
+                written.append(out_dir / f"{name}.{fmt}")
+                fh = stack.enter_context(written[-1].open("w", newline="" if fmt == "csv" else None))
+                fh.write(opening)
+                row = list(chain.from_iterable((None, g) for g in glue))
+                sinks.append((fh, side, order, row, last, closing))
+        for start in range(0, len(table), _CHUNK_ROWS):
+            texts = {col: cells(start, start + _CHUNK_ROWS) for col, cells in columns.items()}
+            rows = min(_CHUNK_ROWS, len(table) - start)
+            for fh, side, order, row, last, _ in sinks:
+                out = row * rows
+                for j, col in enumerate(order):
+                    out[2 * j::width] = texts[col][side]
+                if start + rows == len(table):
+                    out[-1] = last
+                for piece in range(0, len(out), width * _PIECE_ROWS):
+                    fh.write("".join(out[piece:piece + width * _PIECE_ROWS]))
+        for fh, *_, closing in sinks:
+            fh.write(closing)
     return written
 
 

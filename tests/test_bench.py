@@ -276,6 +276,21 @@ def test_detection_point_set_checks_its_fields():
     np.testing.assert_array_equal(stats.bias, [3.9, 5.8])
 
 
+def test_detection_point_set_built_from_lists_scores_as_from_arrays():
+    # each field is stored as an array, so a set built from lists is checked
+    # and scored as the array-built one is
+    lists = {"indices": [0, 2], "times": [0.0, 1.0], "truths": [0.1, 0.2]}
+    points = DetectionPointSet(**lists)
+    for field, value in lists.items():
+        assert isinstance(getattr(points, field), np.ndarray)
+        np.testing.assert_array_equal(getattr(points, field), value)
+    values = np.arange(12.0).reshape(3, 4)
+    assert_stats_identical(ensemble_stats(values, points), ensemble_stats(
+        values, DetectionPointSet(**{field: np.array(v) for field, v in lists.items()})))
+    with pytest.raises(ValueError, match="indices must be strictly increasing"):
+        DetectionPointSet(**{**lists, "indices": [2, 0]})
+
+
 # ---------------------------------------------------------------------------
 # SNR and scaling fits
 # ---------------------------------------------------------------------------

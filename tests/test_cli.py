@@ -3,9 +3,11 @@
 import contextlib
 import csv
 import dataclasses
+import gc
 import io
 import json
 import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -100,7 +102,7 @@ def _reference_fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, float) or isinstance(value, np.floating):
-        return format(float(value), ".17g")
+        return repr(float(value))
     return "" if value is None else str(value)
 
 
@@ -208,6 +210,86 @@ def test_distinct_values_rebuild_the_column_bit_for_bit(cells, dtype):
     key = f"u{column.itemsize}"
     np.testing.assert_array_equal(values[index].view(key), column.view(key))
     assert len(np.unique(values.view(key))) == len(values)
+
+
+def _float64(bits: int) -> float:
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+# cells at the edges of repr's text: signed zero, subnormals, NaN payloads,
+# infinities, integral floats and repr's notation switches at 1e16 and 1e-4
+_FLOAT_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                   float("nan"), _float64(0x7FF8000000000001), _float64(0xFFF8000000000000),
+                   _float64(0x7FF0000000000001), float("inf"), float("-inf"), 1.0, -2.0, 2.0**53,
+                   2.0**53 + 2, 1e15, 9999999999999998.0, 1e16, 1e17, -1e16, 1e-4, 1e-5,
+                   9.999999999999999e-05, 0.1, 1.7976931348623157e308]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_FLOAT_SPECIALS),
+                          st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)),
+                min_size=1, max_size=40),
+       st.booleans())
+def test_float_cells_are_repr_in_csv_and_json(tmp_path_factory, cells, all_distinct):
+    # the drawn cells straddle a chunk seam, among filler cells that hold one
+    # value (the distinct-value path) or more than a chunk's worth (the other)
+    n = cli._CHUNK_ROWS + len(cells)
+    column = np.arange(n) + 0.5 if all_distinct else np.zeros(n)
+    at = cli._CHUNK_ROWS - len(cells) // 2
+    column[at:at + len(cells)] = cells
+    assert (cli._distinct_values(column) is None) == all_distinct
+    out = tmp_path_factory.mktemp("floats")
+    export_table(make_table(x=column), out, "x", ["csv", "json"])
+    csv_cells = (out / "x.csv").read_text().splitlines()[1:]
+    json_cells = re.findall(r'^      "x": (.*)$', (out / "x.json").read_text(), re.MULTILINE)
+    assert len(csv_cells) == len(json_cells) == n
+    for x, csv_cell, json_cell in zip(column.tolist(), csv_cells, json_cells):
+        assert csv_cell == repr(x)
+        if np.isfinite(x):
+            assert np.float64(json.loads(json_cell)).view(np.uint64) == np.float64(x).view(np.uint64)
+        else:
+            assert json_cell == json.dumps(x)
+
+
+def _one_pass_table(n: int) -> np.ndarray:
+    """Integer, all-distinct float, few-valued float and object columns, with NaN and inf."""
+    rows = np.arange(n)
+    x = np.where(rows % 1000 < 3, np.array([np.nan, np.inf, -np.inf])[rows % 3],
+                 np.random.default_rng(2).normal(size=n))
+    labels = ["raw", None, 0.1, True, np.int64(3), "fringe"]
+    return make_table(i=rows, x=x, few=rows % 3 * 0.1 - 0.1,
+                      label=[labels[i % len(labels)] for i in range(n)])
+
+
+def test_one_format_export_writes_the_bytes_of_the_two_format_export(tmp_path):
+    for n in (0, 5, 2 * cli._CHUNK_ROWS + 3):
+        table = _one_pass_table(n)
+        both, csv_only, json_only = (tmp_path / str(n) / d for d in ("both", "csv", "json"))
+        for out, formats in ((both, ["csv", "json"]), (csv_only, ["csv"]), (json_only, ["json"])):
+            out.mkdir(parents=True)
+            assert export_table(table, out, "t", formats, {"mode": "test"}) == [
+                out / f"t.{fmt}" for fmt in formats]
+        assert read_files(csv_only) == {"t.csv": (both / "t.csv").read_bytes()}
+        assert read_files(json_only) == {"t.json": (both / "t.json").read_bytes()}
+
+
+@pytest.mark.parametrize("case", ["long double column", "unwritable cell past a chunk"])
+def test_export_that_fails_part_way_leaves_no_file_open(tmp_path, case):
+    n = 2 * cli._CHUNK_ROWS
+    if case == "long double column":  # no same-width unsigned view keys its bits
+        table = make_table(i=np.arange(n), x=np.zeros(n, dtype=np.longdouble))
+    else:  # JSON cannot write the last cell, once both files hold the first chunk
+        table = make_table(i=np.arange(n), cell=[None] * (n - 1) + [{1, 2}])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(TypeError):
+            export_table(table, tmp_path, "t", ["csv", "json"])
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    if case == "long double column":  # it fails before a file is opened
+        assert not list(tmp_path.iterdir())
+    else:
+        assert len((tmp_path / "t.csv").read_text().splitlines()) == 1 + cli._CHUNK_ROWS
 
 
 def _export_peak(out_dir: Path, n: int) -> int:
