@@ -208,7 +208,6 @@ class BenchmarkSetup:
     grid: FrequencyGrid | None = None
     photon_stats: str = "bernoulli-poisson"
     shared_estimate: bool = False
-    squared_contrast: bool = False
 
     def resolved_levels(self) -> int:
         if self.levels is not None:
@@ -372,7 +371,7 @@ class EnsembleRun:
         if not at_points:
             setup = self.setup
             return tmt_denoise(self.values, self.omega_temps, beta, setup.params, setup.plan,
-                               setup.basis, self.levels, setup.squared_contrast)
+                               setup.basis, self.levels)
         k = int(np.searchsorted(self.betas, beta))
         if k == self.betas.size or self.betas[k] != beta:
             raise ValueError(f"beta = {beta} is not on this run's grid of {self.betas.size} "
@@ -403,7 +402,7 @@ class EnsembleRun:
         out = np.empty((widths.size,) + self._raw.shape)
         for chunk, offsets, scales in residual_chunks(
                 self.values, self.omega_temps, setup.params, setup.plan, setup.basis,
-                self.levels, setup.squared_contrast, at=(level, slice(None), sample)):
+                self.levels, at=(level, slice(None), sample)):
             _clipped_point_sums(offsets, scales, rows, widths, out[:, chunk])
             out[:, chunk] += self._raw[chunk]
             del offsets  # spent scales stay bound, like tmt_denoise's details; offsets cost RSS

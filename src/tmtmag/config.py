@@ -111,7 +111,6 @@ class ExperimentConfig:
     n_sd_values: list[int] = field(default_factory=lambda: [1, 2, 3, 4, 5, 6, 7, 8, 9])
     photon_stats: Literal[PHOTON_MODELS] = "bernoulli-poisson"
     shared_estimate: bool = False
-    squared_contrast: bool = False
     points: list[list[float]] | None = None
     points_file: str | None = None
 
@@ -205,8 +204,7 @@ class RunConfig:
             params=self.sensor, plan=self.plan, omega_true=self.omega_sense, n_sd=exp.n_sd,
             basis=self.filter.basis, levels=self.filter.levels,
             grid=self.filter.frequency_grid(self.sensor.omega_calib),
-            photon_stats=exp.photon_stats, shared_estimate=exp.shared_estimate,
-            squared_contrast=exp.squared_contrast)
+            photon_stats=exp.photon_stats, shared_estimate=exp.shared_estimate)
 
     @property
     def snapshot(self) -> dict:
@@ -279,6 +277,10 @@ def _check_mode_limits(config: RunConfig) -> None:
             # points, the centre of a 3-point grid being index 1
             k = (setup.omega_true - grid.omega_min) / grid.step
             if not 1 - 1e-9 <= k <= grid.n_points - 2 + 1e-9:
+                if grid.n_points == 3:  # a window moves the grid's ends, never its centre
+                    raise ConfigError(f"filter.freq_points = 3: only the centre of a 3-point search "
+                                      f"grid lies one step inside its ends, not the {fringe} fringe "
+                                      f"at omega = {setup.omega_true:.6g} rad/s; give at least 4")
                 raise ConfigError(
                     f"filter.freq_window = {config.filter.freq_window:g}: the search grid "
                     f"[{grid.omega_min:.6g}, {grid.omega_max:.6g}] rad/s must hold the {fringe} "

@@ -139,23 +139,21 @@ def template(t, omega: float, params: SensorParams):
     return p0 * (params.n0 - params.n1) + params.n1
 
 
-def shot_noise(t, omega_temp: float, params: SensorParams,
-               squared_contrast: bool = False):
-    """Photon standard deviation per repetition at the template frequency.
+def shot_noise(t, omega_temp: float, params: SensorParams):
+    """Photon standard deviation per repetition at the template frequency: the
+    paper's profile, TMT's one margin model,
 
     sqrt[ (n0-n1)/4 sin^2(wt) + n0 cos^2(wt/2) + n1 sin^2(wt/2) ]
 
-    ``squared_contrast=True`` switches the first term to the projection
-    noise variance (n0-n1)^2/4 sin^2(wt) exp(-2(t/T2*)**p), for
-    sensitivity studies; the plain form is the default.
+    Its square over the simulator's exact variance p0 n0 + (1-p0) n1 +
+    (n0-n1)^2 p0 (1-p0), at the paper's parameters and sensing frequency, is
+    0.979-1.058 on the default window, 0.924-1.074 on the presets' and
+    0.878-1.117 once the envelope has decayed; the margins keep the paper's
+    form on purpose.
     """
     t = np.asarray(t, dtype=float)
     wt = omega_temp * t
-    if squared_contrast:
-        first = 0.25 * (params.n0 - params.n1) ** 2 * np.sin(wt) ** 2 * envelope(t, params) ** 2
-    else:
-        first = 0.25 * (params.n0 - params.n1) * np.sin(wt) ** 2
-    var = (first
+    var = (0.25 * (params.n0 - params.n1) * np.sin(wt) ** 2
            + params.n0 * np.cos(0.5 * wt) ** 2
            + params.n1 * np.sin(0.5 * wt) ** 2)
     return np.sqrt(var)

@@ -6,8 +6,8 @@ frequencies the correlation spectrum is one chirp-z transform per trace
 (:func:`correlation_spectrum`), which the search takes on a coarse grid
 and then on a window around the coarse maximum.  The paper clamps every
 detail coefficient of the trace into the decomposed margins
-``template +/- width * S(t)``, ``S(t)`` being the shot-noise profile, and
-keeps the approximation band.
+``template +/- width * S(t)``, ``S(t)`` being the paper's shot-noise
+profile (the one margin model), and keeps the approximation band.
 The undecimated transform is linear, so that clamp is a clip of the
 residual ``trace - template``: each of its detail coefficients ``r`` is
 clipped into ``+/- width * |S|`` (:func:`clamp_details`), ``|S|`` being the
@@ -456,7 +456,7 @@ def residual_chunk_rows(n_samples: int) -> int:
     return min(RESIDUAL_ROWS, max(1, RESIDUAL_SAMPLES // n_samples))
 
 
-def _chunk_stacks(values, omegas, params, plan, basis, levels, squared_contrast, at):
+def _chunk_stacks(values, omegas, params, plan, basis, levels, at):
     """Residual details and ``|S|`` of the traces ``values`` at the (E, 1) ``omegas``, indexed
     by ``at``; a function of its own, so that the generator holds no chunk while its
     consumer works.  When the chunk's frequencies are all equal, one template and one
@@ -464,8 +464,7 @@ def _chunk_stacks(values, omegas, params, plan, basis, levels, squared_contrast,
     shared = omegas.min() == omegas.max()
     if shared:
         omegas = omegas[:1]
-    noise = uwt_analyze(shot_noise(plan.times, omegas, params, squared_contrast=squared_contrast),
-                        basis, levels)[0][at]
+    noise = uwt_analyze(shot_noise(plan.times, omegas, params), basis, levels)[0][at]
     noise = np.abs(noise, out=noise)
     residual = template(plan.times, omegas, params)
     residual = np.subtract(values, residual, out=None if shared else residual)
@@ -474,18 +473,17 @@ def _chunk_stacks(values, omegas, params, plan, basis, levels, squared_contrast,
 
 
 def residual_chunks(values, omega_temps, params: SensorParams, plan: AcquisitionPlan,
-                    basis: WaveletBasis | str, levels: int, squared_contrast: bool = False,
-                    at=...):
+                    basis: WaveletBasis | str, levels: int, at=...):
     """Yield ``(rows, details, |S|)`` for each slice ``rows`` of the (n, N) traces ``values``,
     :func:`residual_chunk_rows` traces at a time.
 
     ``details`` is the ``(levels + 1, E, N)`` detail stack of the residual
     ``values[rows] - template`` at the frequencies ``omega_temps[rows]``
     (finite and positive, checked before the first chunk), and ``|S|`` that
-    of the absolute shot-noise profiles (``squared_contrast`` as in
-    :func:`tmtmag.ramsey.shot_noise`); a chunk of one frequency analyses one
-    profile and yields it as a read-only view broadcast over its traces.  Both are indexed by ``at`` first, so
-    ``at = (level, slice(None), sample)`` keeps only (C, E) coefficients.
+    of the absolute shot-noise profiles (:func:`tmtmag.ramsey.shot_noise`);
+    a chunk of one frequency analyses one profile and yields it as a
+    read-only view broadcast over its traces.  Both are indexed by ``at``
+    first, so ``at = (level, slice(None), sample)`` keeps only (C, E) coefficients.
     Each trace is transformed on its own, so a trace's coefficients do not
     depend on the chunk it falls in.
     """
@@ -497,13 +495,12 @@ def residual_chunks(values, omega_temps, params: SensorParams, plan: Acquisition
     for start in range(0, len(values), step):
         rows = slice(start, start + step)
         yield rows, *_chunk_stacks(values[rows], omega_temps[rows, None], params, plan, basis,
-                                   levels, squared_contrast, at)
+                                   levels, at)
 
 
 def tmt_denoise(values, omega_temps, beta: float, params: SensorParams,
                 plan: AcquisitionPlan, basis: WaveletBasis | str,
-                levels: int | None = None,
-                squared_contrast: bool = False) -> np.ndarray:
+                levels: int | None = None) -> np.ndarray:
     """Denoise traces ``values`` (shape ``(..., N)``) at their template frequencies.
 
     ``omega_temps`` broadcasts to ``values.shape[:-1]``.  The traces go
@@ -518,8 +515,7 @@ def tmt_denoise(values, omega_temps, beta: float, params: SensorParams,
     omega_temps = np.broadcast_to(omega_temps, batch).reshape(-1)
     width = margin_width(beta, plan)
     out = np.empty(traces.shape)
-    for rows, details, noise in residual_chunks(traces, omega_temps, params, plan, basis,
-                                                levels, squared_contrast):
+    for rows, details, noise in residual_chunks(traces, omega_temps, params, plan, basis, levels):
         change = clamp_details(details, noise, width)
         change -= details
         np.add(traces[rows], uwt_synthesize(change, np.zeros(change.shape[1:]), basis),

@@ -120,6 +120,8 @@ def test_plan_for_detection_count(paper_params):
         resized = plan_for_detection_count(plan, OMEGA, n_sd)
         crossings = detection_crossings(OMEGA, resized.t_start, resized.t_stop)
         assert crossings.size == n_sd
+    with pytest.raises(ValueError, match="n_sd must be >= 1, got 0"):
+        plan_for_detection_count(plan, OMEGA, 0)
 
 
 def _crossing_midpoint(t_start, omega, n_sd):
@@ -469,8 +471,7 @@ def _residual_stacks(run):
     omegas = run.omega_temps[:, None]
     templates = template(setup.plan.times, omegas, setup.params)
     details, approx = uwt_analyze(run.values - templates, setup.basis, run.levels)
-    noise, _ = uwt_analyze(shot_noise(setup.plan.times, omegas, setup.params,
-                                      squared_contrast=setup.squared_contrast),
+    noise, _ = uwt_analyze(shot_noise(setup.plan.times, omegas, setup.params),
                            setup.basis, run.levels)
     return templates, details, approx, np.abs(noise)
 
@@ -922,11 +923,10 @@ def test_sweep_with_shared_estimate_and_poisson_stats(paper_params):
     assert result.opt_stats.fringe_averaged_mse <= result.raw_stats.fringe_averaged_mse
 
 
-def _per_trace_chunk_stacks(values, omegas, params, plan, basis, levels, squared_contrast, at):
+def _per_trace_chunk_stacks(values, omegas, params, plan, basis, levels, at):
     """The residual stage with one template and one ``|S|`` analysis per trace, whatever
     the frequencies: the path a chunk of one shared frequency used to take."""
-    noise = uwt_analyze(shot_noise(plan.times, omegas, params, squared_contrast=squared_contrast),
-                        basis, levels)[0][at]
+    noise = uwt_analyze(shot_noise(plan.times, omegas, params), basis, levels)[0][at]
     residual = template(plan.times, omegas, params)
     details = uwt_analyze(np.subtract(values, residual, out=residual), basis, levels)[0][at]
     return details, np.abs(noise, out=noise)

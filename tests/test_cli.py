@@ -620,6 +620,18 @@ def test_unknown_key_exit_code(tmp_path, capsys):
     assert "betta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [False, True])
+def test_removed_margin_switch_exits_2_naming_it(tmp_path, capsys, value):
+    # the margins have one model, the paper's shot-noise profile
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({"experiment": {"squared_contrast": value}}))
+    out = tmp_path / "run"
+    assert main(["sweep-beta", "--config", str(path), "--seed", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: unknown key 'squared_contrast' in section "
+                                       "'experiment'\n")
+    assert not out.exists()
+
+
 def _never_simulate(*args, **kwargs):
     raise AssertionError("simulated before the output directory was checked")
 
@@ -1142,7 +1154,7 @@ def _mostly(usual, unusual):
        basis=st.sampled_from(available_bases()),
        levels=st.one_of(st.none(), st.integers(1, 5)),
        photon_stats=st.sampled_from(PHOTON_MODELS),
-       shared_estimate=st.booleans(), squared_contrast=st.booleans(),
+       shared_estimate=st.booleans(),
        n_sd=st.one_of(st.none(), st.integers(1, 4)),
        n_sd_values=st.lists(st.integers(1, 3), min_size=1, max_size=2),
        # a narrow search grid may not hold the fringe one step inside its ends
@@ -1157,12 +1169,11 @@ def _mostly(usual, unusual):
        out=_mostly(st.sampled_from(["run", "run/nested"]), st.sampled_from(["afile", "afile/run"])),
        fmt=st.sampled_from([None, "csv", "json", "both"]))
 @example(mode="sweep-beta", basis="bior6.8", levels=None, photon_stats="bernoulli-poisson",
-         shared_estimate=False, squared_contrast=False, n_sd=2, n_sd_values=[1],
+         shared_estimate=False, n_sd=2, n_sd_values=[1],
          freq_points=2001, freq_window=0.02, delta_b=2e-6, repetitions=25000,
          n_experiments=6, t_stop=1.75e-6, seed=3, out="run", fmt=None)
 def test_valid_config_exits_0_or_names_its_fault(tmp_path_factory, mode, basis, levels,
-                                                 photon_stats, shared_estimate,
-                                                 squared_contrast, n_sd, n_sd_values,
+                                                 photon_stats, shared_estimate, n_sd, n_sd_values,
                                                  freq_points, freq_window, delta_b,
                                                  repetitions, n_experiments, t_stop,
                                                  seed, out, fmt):
@@ -1173,8 +1184,7 @@ def test_valid_config_exits_0_or_names_its_fault(tmp_path_factory, mode, basis, 
            "filter": {"basis": basis, "levels": levels, "freq_points": freq_points,
                       "freq_window": freq_window, "beta_grid": [-2.0, -1.0, 0.0, 1.0]},
            "experiment": {"photon_stats": photon_stats, "shared_estimate": shared_estimate,
-                          "squared_contrast": squared_contrast, "n_sd": n_sd,
-                          "n_sd_values": n_sd_values, "delta_b": delta_b}}
+                          "n_sd": n_sd, "n_sd_values": n_sd_values, "delta_b": delta_b}}
     work = tmp_path_factory.mktemp("fuzzed")
     path = work / "config.json"
     path.write_text(json.dumps(cfg))

@@ -125,6 +125,26 @@ def test_freq_points_capped_before_allocation():
     assert parse_config({"filter": {"freq_points": 100_001}}).filter.freq_points == 100_001
 
 
+def test_search_grid_fault_names_the_field_that_can_mend_it():
+    # only the centre of a 3-point grid lies one step inside its ends, and a
+    # window moves only the ends: the error used to blame filter.freq_window
+    for window in (0.3, 0.6, 0.9):
+        with pytest.raises(ConfigError, match=r"^filter\.freq_points = 3: only the centre of a "
+                                              r"3-point search grid .* sensing fringe at omega = "
+                                              r"1\.79602e\+07 rad/s; give at least 4$"):
+            parse_config({"experiment": {"mode": "sweep-beta", "n_sd": 1},
+                          "filter": {"freq_points": 3, "freq_window": window}})
+    # a fringe at the centre needs no more
+    parse_config({"experiment": {"mode": "sweep-beta", "n_sd": 1, "delta_b": 0.0},
+                  "filter": {"freq_points": 3}})
+    parse_config({"experiment": {"mode": "sweep-beta", "n_sd": 1}, "filter": {"freq_points": 4}})
+    # with 4 points a wider window does hold the fringe one step inside the ends
+    with pytest.raises(ConfigError, match=r"^filter\.freq_window = 0\.05: the search grid .* "
+                                          r"must hold the sensing fringe"):
+        parse_config({"experiment": {"mode": "sweep-beta", "n_sd": 1},
+                      "filter": {"freq_points": 4, "freq_window": 0.05}})
+
+
 def test_beta_grid_forms():
     config = parse_config({"filter": {"beta_grid": [-2.0, -1.0, 0.0, 1.0]}})
     np.testing.assert_allclose(config.filter.beta_grid, [-2.0, -1.0, 0.0, 1.0])
@@ -159,6 +179,7 @@ def test_nan_beta_rejected_by_field():
     ("sensor", "n_ave", np.nan),
     ("sensor", "b_calib", np.nan),
     ("sensor", "b_calib", np.inf),
+    ("sensor", "b_calib", 0.0),  # no calibration fringe
     ("sensor", "gamma_e", np.nan),
     ("sensor", "gamma_e", 0.0),
     ("plan", "t_stop", np.inf),
@@ -263,7 +284,7 @@ def test_each_json_value_is_read_once(monkeypatch):
     parse_config(data)
     expected = [f"{section}.{key}" for section in ("filter", "experiment", "output")
                 for key in data[section]]
-    assert len(expected) == 18 and calls == dict.fromkeys(expected, 1)
+    assert len(expected) == 17 and calls == dict.fromkeys(expected, 1)
 
 
 @pytest.mark.parametrize("section,key,value", [
@@ -398,7 +419,7 @@ def test_non_numeric_floats_rejected_by_field(field, config, value):
         parse_config(config(value))
 
 
-@pytest.mark.parametrize("key", ["shared_estimate", "squared_contrast"])
+@pytest.mark.parametrize("key", ["shared_estimate"])
 @pytest.mark.parametrize("value", ["false", 0, None])
 def test_booleans_are_strict(key, value):
     # bool("false") is True

@@ -594,15 +594,13 @@ def test_margins_batch_shape(paper_params, short_plan):
     omegas = paper_params.omega_calib * np.array([0.99, 1.0, 1.02, 1.01, 0.98, 1.0])
     values = simulate_ensemble(paper_params, short_plan.with_(n_experiments=6),
                                paper_params.omega_calib)
-    details, noise_details = _stage(values, omegas, paper_params, short_plan, "bior6.8", 4,
-                                    squared_contrast=True)
+    details, noise_details = _stage(values, omegas, paper_params, short_plan, "bior6.8", 4)
     assert details.shape == noise_details.shape == (5, 6, n)
-    d, s = _stage(values[5:], omegas[5:], paper_params, short_plan, "bior6.8", 4,
-                  squared_contrast=True)
+    d, s = _stage(values[5:], omegas[5:], paper_params, short_plan, "bior6.8", 4)
     assert d.shape == s.shape == (5, 1, n)
     np.testing.assert_array_equal(details[:, 5:], d)
     np.testing.assert_array_equal(noise_details[:, 5:], s)
-    profile = shot_noise(short_plan.times, omegas[5], paper_params, squared_contrast=True)
+    profile = shot_noise(short_plan.times, omegas[5], paper_params)
     np.testing.assert_array_equal(s[:, 0], np.abs(uwt_analyze(profile, "bior6.8", 4)[0]))
 
 

@@ -174,6 +174,17 @@ def test_unknown_basis_rejected():
         basis_registry("nosuch")
 
 
+@pytest.mark.parametrize("h0,g0,message", [
+    ([SQRT2, 0.0], [1.0, 1.0, 0.0, 0.0], r"one even length, got \[2, 4\]"),
+    ([1.0, 0.0, -1.0 + SQRT2], [1.0, 0.0, 1.0], r"one even length, got \[3\]"),
+    ([SQRT2, 0.0], [1.0, 0.0], "highpass does not annihilate constants"),
+    ([1.0, 1.0], [1.0, 1.0], r"lowpass taps do not sum to sqrt\(2\)"),
+], ids=["unequal-lengths", "odd-length", "highpass-passes-constants", "lowpass-sum"])
+def test_malformed_bank_rejected(h0, g0, message):
+    with pytest.raises(WaveletError, match=rf"^basis 'bad': .*{message}"):
+        WaveletBasis("bad", h0=h0, g0=g0)
+
+
 def test_bior68_halfband_identity():
     # the synthesis/analysis lowpass cross-correlation is a halfband
     # filter: unity at lag zero, zero at every other even lag
@@ -277,6 +288,8 @@ def test_dwt_errors():
     details, approx = dwt_decompose(np.arange(16.0), "haar", levels=2)
     with pytest.raises(WaveletError, match="length"):
         dwt_reconstruct([d[:-1] for d in details], approx, "haar", 16)
+    with pytest.raises(WaveletError, match="approximation length does not match the deepest level"):
+        dwt_reconstruct(details, approx[:-1], "haar", 16)
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +344,9 @@ def test_iuwt_identity_on_zeros():
 def test_uwt_default_levels():
     assert default_levels(100) == 5  # floor(log2(100)) - 1
     assert default_levels(4096) == 11
+    assert default_levels(4) == 1
+    with pytest.raises(WaveletError, match=r"signal too short for any decomposition \(N=3\)"):
+        default_levels(3)
 
 
 def test_uwt_errors():
